@@ -5,16 +5,14 @@
 //! ```text
 //! cargo run -p tca-bench --bin bench --release                    # all
 //! cargo run -p tca-bench --bin bench --release -- --filter tpcc  # subset
-//! cargo run -p tca-bench --bin bench --release -- --quick        # CI smoke
-//! cargo run -p tca-bench --bin bench --release -- --json BENCH_local.json
+//! cargo run -p tca-bench --bin bench --release -- --quick        # 5 short samples
+//! cargo run -p tca-bench --bin bench --release -- --json bench_local.json
 //! cargo run -p tca-bench --bin bench --release -- --trace-out trace.json
-//! cargo run -p tca-bench --bin bench --release -- --kernel --json out.json
 //! ```
 //!
-//! `--kernel` runs only the kernel events/sec cells (see
-//! `tca_bench::kernel_bench`); add `--baseline BENCH_1.json` to fail
-//! (exit 1) on regression against a committed baseline — exact `==` on
-//! events/sim_ns, `--wall-slack FACTOR` (default 4.0) on wall-clock.
+//! These are isolated microbenchmarks for use while working on one layer;
+//! the tracked whole-stack benchmark, with its per-layer ledger and
+//! regression bounds, is `sh benchmark/run.sh` (see `benchmark/README.md`).
 //!
 //! `--trace-out PATH` runs one traced saga cell (seed 42) and writes the
 //! recorded span tree as Chrome-trace JSON — open it at
@@ -25,8 +23,7 @@
 //! F1/E1/E3/E7 hot paths), engine commit paths per isolation level (E11),
 //! TPC-C procedures (E9), YCSB mixes, MVCC install/read/gc, and Zipf
 //! sampling. Virtual-time results are printed by the `experiments`
-//! binary; these benches track the *simulator's* wall-clock performance
-//! so substrate regressions show up in CI.
+//! binary; these benches time the *simulator's* wall-clock performance.
 
 use std::time::Duration;
 
@@ -249,47 +246,16 @@ fn main() {
         bench = bench.samples(samples);
     }
 
-    let kernel_only = args.iter().any(|a| a == "--kernel");
-    if kernel_only {
-        tca_bench::kernel_bench::run_kernel_suite(&mut bench);
-    } else {
-        bench_cells(&mut bench);
-        bench_contention(&mut bench);
-        bench_engine_commits(&mut bench);
-        bench_tpcc_procs(&mut bench);
-        bench_ycsb(&mut bench);
-        bench_mvcc(&mut bench);
-        bench_zipf(&mut bench);
-    }
+    bench_cells(&mut bench);
+    bench_contention(&mut bench);
+    bench_engine_commits(&mut bench);
+    bench_tpcc_procs(&mut bench);
+    bench_ycsb(&mut bench);
+    bench_mvcc(&mut bench);
+    bench_zipf(&mut bench);
 
     if let Some(path) = flag_value("--json") {
         bench.write_json(&path).expect("write JSON lines");
         println!("wrote {} JSON line(s) to {path}", bench.reports().len());
-    }
-
-    if let Some(baseline_path) = flag_value("--baseline") {
-        let wall_slack = flag_value("--wall-slack")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4.0);
-        let text = std::fs::read_to_string(&baseline_path).expect("read baseline");
-        let baseline = tca_bench::kernel_bench::parse_baseline(&text);
-        assert!(
-            !baseline.is_empty(),
-            "no kernel cells in baseline {baseline_path}"
-        );
-        let violations =
-            tca_bench::kernel_bench::compare_reports(bench.reports(), &baseline, wall_slack);
-        if violations.is_empty() {
-            println!(
-                "baseline check OK: {} cell(s) vs {baseline_path} (wall slack {wall_slack}x)",
-                baseline.len()
-            );
-        } else {
-            eprintln!("baseline check FAILED vs {baseline_path}:");
-            for v in &violations {
-                eprintln!("  {v}");
-            }
-            std::process::exit(1);
-        }
     }
 }

@@ -806,6 +806,8 @@ pub fn e8_failure_consistency(seed: u64) -> Vec<Row> {
         let n_db = sim.add_node();
         let n_svc = sim.add_node();
         let n_load = sim.add_node();
+        // Not `tca_txn::bank_registry`: an unconditional ±1 with no funds
+        // check, so a half-run workflow always leaves a visible imbalance.
         let registry = ProcRegistry::new()
             .with("debit", |tx, args| {
                 let key = args[0].as_str().to_owned();
@@ -2145,9 +2147,10 @@ fn e20_pairs(theta: f64) -> PairChooser {
     }
 }
 
-/// The debit/credit registry the 2PC and saga baselines run: missing
-/// accounts materialize at [`E20_START`], matching the deterministic
-/// engine's `transfer_registry`.
+/// The debit/credit registry the 2PC and saga baselines run. Differs from
+/// `tca_txn::bank_registry` in one respect: missing accounts materialize
+/// at [`E20_START`] instead of 0, matching the deterministic engine's
+/// `transfer_registry`.
 fn e20_bank_registry() -> ProcRegistry {
     ProcRegistry::new()
         .with("debit", |tx, args| {

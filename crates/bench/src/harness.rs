@@ -10,7 +10,7 @@
 //!    `iters_per_sample` iterations each.
 //! 3. **Report** — per-iteration min / mean / median / p95 / max in
 //!    nanoseconds, printed human-readably and (optionally) appended as
-//!    one JSON object per line to a `BENCH_*.json` tracking file.
+//!    one JSON object per line to a file (`--json`).
 //!
 //! Percentiles use the nearest-rank method (`ceil(q·n)`-th smallest
 //! sample), so they are well-defined and conservative even for small
@@ -22,42 +22,6 @@
 //! {"bench":"cells/saga","median_ns":1234,"p95_ns":1410,"mean_ns":1260,
 //!  "min_ns":1190,"max_ns":1502,"samples":20,"iters_per_sample":64}
 //! ```
-//!
-//! Benches registered through [`Bench::run_counted`] (the kernel
-//! events/sec suite) additionally report the *deterministic* per-iteration
-//! work so CI can compare runs exactly, independent of runner speed:
-//!
-//! ```json
-//! {"bench":"kernel/ping-pong","median_ns":2100000,"p95_ns":2400000,
-//!  "mean_ns":2150000,"min_ns":2050000,"max_ns":2500000,"samples":20,
-//!  "iters_per_sample":24,"events":66000,"sim_ns":41000000,
-//!  "events_per_sim_sec":1609756097,"wall_events_per_sec":31428571}
-//! ```
-//!
-//! * `events` — simulator events executed by one iteration (exact; any
-//!   same-binary, same-seed run reproduces it bit-for-bit).
-//! * `sim_ns` — virtual nanoseconds one iteration simulates (exact).
-//! * `events_per_sim_sec` — `events * 1e9 / sim_ns`, integer-truncated;
-//!   exact, so CI regression checks compare it with `==`.
-//! * `wall_events_per_sec` — `events * 1e9 / median_ns`, the headline
-//!   kernel-speed number; wall-clock, so CI only applies a generous
-//!   noise-tolerant threshold to it.
-//!
-//! # `BENCH_N.json` trajectory files
-//!
-//! Committed files named `BENCH_1.json`, `BENCH_2.json`, … at the repo
-//! root form the tracked kernel-speed trajectory: each is the
-//! `--kernel --json` output of one anointed machine at one point in the
-//! repo's history, one JSON line per kernel cell in exactly the schema
-//! above. `BENCH_1.json` is the first point, recorded when the timing
-//! wheel landed. CI's `bench-smoke` job replays the suite against the
-//! newest committed point (`scripts/bench_smoke.sh`): `events` /
-//! `sim_ns` must match **exactly** (the kernel schedule is
-//! deterministic), while `median_ns` may drift up to a wall-slack
-//! factor because hosted runners differ wildly from the recording
-//! machine. Refreshing a baseline (after an intentional schedule or
-//! speed change) means committing a regenerated file — never editing
-//! one by hand.
 //!
 //! Wall-clock benches are inherently noisy; virtual-time experiment
 //! results live in the `experiments` binary and stay bit-deterministic.
@@ -85,35 +49,14 @@ pub struct Report {
     pub p95_ns: u64,
     /// Slowest sample.
     pub max_ns: u64,
-    /// Deterministic simulator events executed per iteration (kernel
-    /// events/sec benches only; `None` for plain wall-clock benches).
-    pub events_per_iter: Option<u64>,
-    /// Deterministic virtual nanoseconds simulated per iteration (kernel
-    /// events/sec benches only).
-    pub sim_ns_per_iter: Option<u64>,
 }
 
 impl Report {
-    /// Events per *simulated* second: exact (integer-truncated) and
-    /// bit-reproducible across runs of the same binary, so regression
-    /// checks compare it with `==`. `None` for plain wall-clock benches.
-    pub fn events_per_sim_sec(&self) -> Option<u64> {
-        let (e, s) = (self.events_per_iter?, self.sim_ns_per_iter?);
-        Some((e as u128 * 1_000_000_000 / s.max(1) as u128) as u64)
-    }
-
-    /// Events per *wall-clock* second at the median sample — the headline
-    /// kernel-speed number. Noisy by nature; thresholds must be generous.
-    pub fn wall_events_per_sec(&self) -> Option<u64> {
-        let e = self.events_per_iter?;
-        Some((e as u128 * 1_000_000_000 / self.median_ns.max(1) as u128) as u64)
-    }
-
-    /// The stable one-line JSON form appended to `BENCH_*.json` files.
+    /// The stable one-line JSON form written by [`Bench::write_json`].
     pub fn to_json_line(&self) -> String {
-        let mut line = format!(
+        format!(
             "{{\"bench\":\"{}\",\"median_ns\":{},\"p95_ns\":{},\"mean_ns\":{},\
-             \"min_ns\":{},\"max_ns\":{},\"samples\":{},\"iters_per_sample\":{}",
+             \"min_ns\":{},\"max_ns\":{},\"samples\":{},\"iters_per_sample\":{}}}",
             self.name,
             self.median_ns,
             self.p95_ns,
@@ -122,35 +65,19 @@ impl Report {
             self.max_ns,
             self.samples,
             self.iters_per_sample
-        );
-        if let (Some(events), Some(sim_ns)) = (self.events_per_iter, self.sim_ns_per_iter) {
-            line.push_str(&format!(
-                ",\"events\":{},\"sim_ns\":{},\"events_per_sim_sec\":{},\
-                 \"wall_events_per_sec\":{}",
-                events,
-                sim_ns,
-                self.events_per_sim_sec().unwrap_or(0),
-                self.wall_events_per_sec().unwrap_or(0)
-            ));
-        }
-        line.push('}');
-        line
+        )
     }
 
     /// Human-readable single line for terminal output.
     pub fn to_human_line(&self) -> String {
-        let mut line = format!(
+        format!(
             "{:<40} median {:>12}  p95 {:>12}  ({} samples x {} iters)",
             self.name,
             fmt_ns(self.median_ns),
             fmt_ns(self.p95_ns),
             self.samples,
             self.iters_per_sample
-        );
-        if let Some(weps) = self.wall_events_per_sec() {
-            line.push_str(&format!("  {weps:>12} ev/s"));
-        }
-        line
+        )
     }
 }
 
@@ -168,7 +95,7 @@ fn percentile_index(n: usize, pct: u64) -> usize {
 }
 
 /// Reduce timed samples (ns per iteration, any order) to a [`Report`].
-/// Exposed for tests; [`Bench::run`] and [`Bench::run_counted`] call it.
+/// Exposed for tests; [`Bench::run`] calls it.
 pub fn summarize(name: &str, iters_per_sample: u64, mut sample_ns: Vec<u64>) -> Report {
     assert!(!sample_ns.is_empty(), "summarize needs at least one sample");
     sample_ns.sort_unstable();
@@ -182,8 +109,6 @@ pub fn summarize(name: &str, iters_per_sample: u64, mut sample_ns: Vec<u64>) -> 
         median_ns: sample_ns[percentile_index(n, 50)],
         p95_ns: sample_ns[percentile_index(n, 95)],
         max_ns: sample_ns[n - 1],
-        events_per_iter: None,
-        sim_ns_per_iter: None,
     }
 }
 
@@ -254,42 +179,9 @@ impl Bench {
     /// passed through [`black_box`] so the optimiser cannot delete the
     /// work. Skipped (returns `None`) when the name misses the filter.
     pub fn run<R>(&mut self, name: &str, mut f: impl FnMut() -> R) -> Option<&Report> {
-        let report = self.run_inner(name, || {
+        let mut iter = || {
             black_box(f());
-        })?;
-        println!("{}", report.to_human_line());
-        self.reports.last()
-    }
-
-    /// Run one bench whose closure reports deterministic work: it returns
-    /// `(events, sim_ns)` — simulator events executed and virtual time
-    /// simulated by the iteration. Both must be identical every iteration
-    /// (the simulation is seeded); the report then carries events/sec
-    /// figures and the exact per-iteration counts for CI comparison.
-    pub fn run_counted(
-        &mut self,
-        name: &str,
-        mut f: impl FnMut() -> (u64, u64),
-    ) -> Option<&Report> {
-        let mut last = (0u64, 0u64);
-        let ran = self
-            .run_inner(name, || {
-                last = black_box(f());
-            })
-            .is_some();
-        if !ran {
-            return None;
-        }
-        let report = self.reports.last_mut().expect("run_inner pushed a report");
-        report.events_per_iter = Some(last.0);
-        report.sim_ns_per_iter = Some(last.1);
-        println!("{}", report.to_human_line());
-        self.reports.last()
-    }
-
-    /// Calibrate, sample, and record a report — without printing, so the
-    /// callers can print once the report is in its final shape.
-    fn run_inner(&mut self, name: &str, mut iter: impl FnMut()) -> Option<&Report> {
+        };
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {
                 return None;
@@ -318,6 +210,7 @@ impl Bench {
         }
 
         let report = summarize(name, iters_per_sample, sample_ns);
+        println!("{}", report.to_human_line());
         self.reports.push(report);
         self.reports.last()
     }
@@ -327,8 +220,8 @@ impl Bench {
         &self.reports
     }
 
-    /// Append every report as a JSON line to `path` (`BENCH_*.json`
-    /// convention: one object per line, append-only across runs).
+    /// Append every report as a JSON line to `path` (one object per line,
+    /// append-only across runs).
     pub fn write_json(&self, path: &str) -> std::io::Result<()> {
         let mut file = std::fs::OpenOptions::new()
             .create(true)
@@ -406,24 +299,6 @@ mod tests {
         assert_eq!(percentile_index(100, 100), 99);
         assert_eq!(percentile_index(20, 95), 18);
         assert_eq!(percentile_index(20, 50), 9);
-    }
-
-    #[test]
-    fn counted_report_carries_exact_work_and_rates() {
-        let mut bench = quick();
-        let report = bench
-            .run_counted("kernel/fake", || (1_000, 2_000_000_000))
-            .unwrap();
-        assert_eq!(report.events_per_iter, Some(1_000));
-        assert_eq!(report.sim_ns_per_iter, Some(2_000_000_000));
-        // 1000 events over 2 simulated seconds = 500 events/sim-sec, exact.
-        assert_eq!(report.events_per_sim_sec(), Some(500));
-        assert!(report.wall_events_per_sec().is_some());
-        let line = report.to_json_line();
-        assert!(line.contains("\"events\":1000"), "line: {line}");
-        assert!(line.contains("\"sim_ns\":2000000000"), "line: {line}");
-        assert!(line.contains("\"events_per_sim_sec\":500"), "line: {line}");
-        assert!(line.ends_with('}'), "line: {line}");
     }
 
     #[test]

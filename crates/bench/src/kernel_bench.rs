@@ -1,44 +1,23 @@
-//! Kernel microbenchmark suite: tracked events/sec on canonical cells.
-//!
-//! Every scaling claim in this reproduction rests on the DES kernel, so
-//! its raw speed is measured here as a first-class, CI-tracked number.
-//! Each *cell* is a minimal message pattern built directly on `tca_sim`
-//! processes — deliberately lean so the measurement is of the kernel
+//! Kernel cells: minimal message patterns built directly on `tca_sim`
+//! processes — deliberately lean so a measurement of one is of the kernel
 //! substrate (event queue, dispatch, network routing, metrics) rather
-//! than of model or storage code:
+//! than of model or storage code. `benchmark/` runs them: `ping_pong` and
+//! `timer_storm` are its `kernel-storm` workload, `sharded_router` one of
+//! its per-layer cells.
 //!
-//! * `kernel/ping-pong` — RPC storm: many concurrent request/reply pairs
+//! * [`ping_pong`] — RPC storm: many concurrent request/reply pairs
 //!   across two nodes (the minimal hot loop: one deliver in, one send out).
-//! * `kernel/2pc` — two-phase commit loop: coordinators running
-//!   prepare/ack/commit/ack rounds against shared participants.
-//! * `kernel/saga` — saga chain: orchestrators stepping through a chain
-//!   of services, one step at a time.
-//! * `kernel/actor-fanout` — fan-out/fan-in: roots broadcasting to a
-//!   worker pool and collecting all replies before the next round.
-//! * `kernel/pubsub` — broker pub/sub: timer-paced publishers feeding a
-//!   broker that fans every record out to its subscribers.
-//! * `kernel/timers` — timer storm: chained timers at wheel-spanning
-//!   delays, with a cancelled timer every few hops.
-//! * `kernel/sharded-router` — partitioned request routing: clients
-//!   sending keyed requests through a router that resolves the owning
-//!   shard on the consistent-hash ring per message and relays the reply.
-//! * `kernel/workflow-chain` — exactly-once step loop: orchestrators
-//!   driving sequential workflow steps against a durable worker with
-//!   tail-call retry timers and one mid-chain crash/recovery; re-driven
-//!   steps dedup on the worker's applied set instead of re-applying.
+//! * [`timer_storm`] — chained timers at wheel-spanning delays, with a
+//!   cancelled timer every few hops.
+//! * [`sharded_router`] — partitioned request routing: clients sending
+//!   keyed requests through a router that resolves the owning shard on
+//!   the consistent-hash ring per message and relays the reply.
 //!
 //! Each cell runs a fixed, seeded workload to quiescence and returns the
-//! exact `(events, sim_ns)` it executed — deterministic, so CI compares
-//! those integers with `==` while wall-clock gets a generous threshold
-//! (see [`compare_reports`]). The suite is driven by `bench --kernel`
-//! and appends [`crate::harness`] JSON lines to the `BENCH_*.json`
-//! trajectory.
-
-use std::any::Any;
+//! exact `(events, sim_ns)` it executed — deterministic, so two runs of
+//! one binary agree on those integers.
 
 use tca_sim::{Ctx, Payload, Process, ProcessId, ShardMap, Sim, SimDuration};
-
-use crate::harness::{Bench, Report};
 
 /// Runaway guard for `run_to_quiescence`: far above any cell's real count.
 const MAX_EVENTS: u64 = 50_000_000;
@@ -109,320 +88,6 @@ pub fn ping_pong(pairs: usize, rounds: u32, seed: u64) -> CellRun {
     }
     sim.run_to_quiescence(MAX_EVENTS);
     assert_eq!(sim.metrics().counter("cell.done"), pairs as u64);
-    finish(sim)
-}
-
-// ----- 2PC commit loop ------------------------------------------------------
-
-struct PrepareMsg;
-struct PrepareOk;
-struct CommitMsg;
-struct CommitAck;
-
-struct LoopCoordinator {
-    participants: Vec<ProcessId>,
-    pending: usize,
-    committing: bool,
-    txns_left: u32,
-}
-
-impl LoopCoordinator {
-    fn begin(&mut self, ctx: &mut Ctx) {
-        self.pending = self.participants.len();
-        self.committing = false;
-        for &p in &self.participants {
-            ctx.send(p, Payload::new(PrepareMsg));
-        }
-    }
-}
-
-impl Process for LoopCoordinator {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        self.begin(ctx);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, _payload: Payload) {
-        self.pending -= 1;
-        if self.pending > 0 {
-            return;
-        }
-        if !self.committing {
-            self.committing = true;
-            self.pending = self.participants.len();
-            for &p in &self.participants {
-                ctx.send(p, Payload::new(CommitMsg));
-            }
-        } else if self.txns_left > 1 {
-            self.txns_left -= 1;
-            self.begin(ctx);
-        } else {
-            ctx.metrics().incr("cell.done", 1);
-        }
-    }
-}
-
-struct LoopParticipant;
-
-impl Process for LoopParticipant {
-    fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
-        if payload.is::<PrepareMsg>() {
-            ctx.send(from, Payload::new(PrepareOk));
-        } else {
-            ctx.send(from, Payload::new(CommitAck));
-        }
-    }
-}
-
-/// `coordinators` concurrent commit loops of `txns` transactions each,
-/// every transaction doing prepare/ack + commit/ack rounds against
-/// `participants` shared participant processes on distinct nodes.
-pub fn two_pc_loop(coordinators: usize, participants: usize, txns: u32, seed: u64) -> CellRun {
-    let mut sim = Sim::with_seed(seed);
-    let coord_node = sim.add_node();
-    let parts: Vec<ProcessId> = (0..participants)
-        .map(|_| {
-            let n = sim.add_node();
-            sim.spawn(n, "part", |_| Box::new(LoopParticipant))
-        })
-        .collect();
-    for _ in 0..coordinators {
-        let parts = parts.clone();
-        sim.spawn(coord_node, "coord", move |_| {
-            Box::new(LoopCoordinator {
-                participants: parts.clone(),
-                pending: 0,
-                committing: false,
-                txns_left: txns,
-            })
-        });
-    }
-    sim.run_to_quiescence(MAX_EVENTS);
-    assert_eq!(sim.metrics().counter("cell.done"), coordinators as u64);
-    finish(sim)
-}
-
-// ----- saga chain -----------------------------------------------------------
-
-struct StepMsg;
-struct StepOk;
-
-struct ChainOrchestrator {
-    services: Vec<ProcessId>,
-    step: usize,
-    sagas_left: u32,
-}
-
-impl Process for ChainOrchestrator {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.send(self.services[0], Payload::new(StepMsg));
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, _payload: Payload) {
-        self.step += 1;
-        if self.step < self.services.len() {
-            ctx.send(self.services[self.step], Payload::new(StepMsg));
-        } else if self.sagas_left > 1 {
-            self.sagas_left -= 1;
-            self.step = 0;
-            ctx.send(self.services[0], Payload::new(StepMsg));
-        } else {
-            ctx.metrics().incr("cell.done", 1);
-        }
-    }
-}
-
-struct ChainService;
-
-impl Process for ChainService {
-    fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, _payload: Payload) {
-        ctx.send(from, Payload::new(StepOk));
-    }
-}
-
-/// `chains` concurrent orchestrators running `sagas` sagas of `steps`
-/// sequential steps each against shared stateless services.
-pub fn saga_chain(chains: usize, steps: usize, sagas: u32, seed: u64) -> CellRun {
-    let mut sim = Sim::with_seed(seed);
-    let orch_node = sim.add_node();
-    let services: Vec<ProcessId> = (0..steps)
-        .map(|_| {
-            let n = sim.add_node();
-            sim.spawn(n, "svc", |_| Box::new(ChainService))
-        })
-        .collect();
-    for _ in 0..chains {
-        let services = services.clone();
-        sim.spawn(orch_node, "orch", move |_| {
-            Box::new(ChainOrchestrator {
-                services: services.clone(),
-                step: 0,
-                sagas_left: sagas,
-            })
-        });
-    }
-    sim.run_to_quiescence(MAX_EVENTS);
-    assert_eq!(sim.metrics().counter("cell.done"), chains as u64);
-    finish(sim)
-}
-
-// ----- actor fan-out --------------------------------------------------------
-
-struct TaskMsg;
-struct TaskDone;
-
-struct FanRoot {
-    workers: Vec<ProcessId>,
-    pending: usize,
-    rounds_left: u32,
-}
-
-impl FanRoot {
-    fn blast(&mut self, ctx: &mut Ctx) {
-        self.pending = self.workers.len();
-        for &w in &self.workers {
-            ctx.send(w, Payload::new(TaskMsg));
-        }
-    }
-}
-
-impl Process for FanRoot {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        self.blast(ctx);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, _payload: Payload) {
-        self.pending -= 1;
-        if self.pending > 0 {
-            return;
-        }
-        if self.rounds_left > 1 {
-            self.rounds_left -= 1;
-            self.blast(ctx);
-        } else {
-            ctx.metrics().incr("cell.done", 1);
-        }
-    }
-}
-
-struct FanWorker;
-
-impl Process for FanWorker {
-    fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, _payload: Payload) {
-        ctx.send(from, Payload::new(TaskDone));
-    }
-}
-
-/// `roots` concurrent fan-out roots, each broadcasting to `workers`
-/// shared workers and gathering every reply, `rounds` times.
-pub fn actor_fanout(roots: usize, workers: usize, rounds: u32, seed: u64) -> CellRun {
-    let mut sim = Sim::with_seed(seed);
-    let root_node = sim.add_node();
-    let worker_node = sim.add_node();
-    let pool: Vec<ProcessId> = (0..workers)
-        .map(|_| sim.spawn(worker_node, "worker", |_| Box::new(FanWorker)))
-        .collect();
-    for _ in 0..roots {
-        let pool = pool.clone();
-        sim.spawn(root_node, "root", move |_| {
-            Box::new(FanRoot {
-                workers: pool.clone(),
-                pending: 0,
-                rounds_left: rounds,
-            })
-        });
-    }
-    sim.run_to_quiescence(MAX_EVENTS);
-    assert_eq!(sim.metrics().counter("cell.done"), roots as u64);
-    finish(sim)
-}
-
-// ----- broker pub/sub -------------------------------------------------------
-
-struct PublishMsg;
-struct RecordMsg;
-
-struct MiniBroker {
-    subscribers: Vec<ProcessId>,
-}
-
-impl Process for MiniBroker {
-    fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, _payload: Payload) {
-        for &s in &self.subscribers {
-            ctx.send(s, Payload::new(RecordMsg));
-        }
-    }
-}
-
-struct StormPublisher {
-    broker: ProcessId,
-    interval: SimDuration,
-    publishes_left: u32,
-}
-
-impl Process for StormPublisher {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.set_timer(self.interval, 0);
-    }
-    fn on_message(&mut self, _ctx: &mut Ctx, _from: ProcessId, _payload: Payload) {}
-    fn on_timer(&mut self, ctx: &mut Ctx, _tag: u64) {
-        ctx.send(self.broker, Payload::new(PublishMsg));
-        self.publishes_left -= 1;
-        if self.publishes_left > 0 {
-            ctx.set_timer(self.interval, 0);
-        } else {
-            ctx.metrics().incr("cell.done", 1);
-        }
-    }
-}
-
-struct StormSubscriber {
-    received: u64,
-}
-
-impl Process for StormSubscriber {
-    fn on_message(&mut self, _ctx: &mut Ctx, _from: ProcessId, _payload: Payload) {
-        self.received += 1;
-    }
-    fn as_any(&self) -> Option<&dyn Any> {
-        Some(self)
-    }
-}
-
-/// `publishers` timer-paced publishers issuing `publishes` records each
-/// through a broker that fans every record out to `subscribers`.
-pub fn broker_pubsub(publishers: usize, subscribers: usize, publishes: u32, seed: u64) -> CellRun {
-    let mut sim = Sim::with_seed(seed);
-    let pub_node = sim.add_node();
-    let broker_node = sim.add_node();
-    let sub_node = sim.add_node();
-    let subs: Vec<ProcessId> = (0..subscribers)
-        .map(|_| {
-            sim.spawn(sub_node, "sub", |_| {
-                Box::new(StormSubscriber { received: 0 })
-            })
-        })
-        .collect();
-    let subs_for_broker = subs.clone();
-    let broker = sim.spawn(broker_node, "broker", move |_| {
-        Box::new(MiniBroker {
-            subscribers: subs_for_broker.clone(),
-        })
-    });
-    for i in 0..publishers {
-        // Staggered intervals keep publishers from firing in lockstep.
-        let interval = SimDuration::from_micros(90 + i as u64 * 7);
-        sim.spawn(pub_node, "pub", move |_| {
-            Box::new(StormPublisher {
-                broker,
-                interval,
-                publishes_left: publishes,
-            })
-        });
-    }
-    sim.run_to_quiescence(MAX_EVENTS);
-    assert_eq!(sim.metrics().counter("cell.done"), publishers as u64);
-    let expected = publishers as u64 * publishes as u64;
-    for &s in &subs {
-        let sub = sim.inspect::<StormSubscriber>(s).expect("subscriber alive");
-        assert_eq!(sub.received, expected, "subscriber missed records");
-    }
     finish(sim)
 }
 
@@ -577,428 +242,22 @@ pub fn sharded_router(clients: usize, shards: usize, requests: u32, seed: u64) -
     finish(sim)
 }
 
-// ----- workflow chain -------------------------------------------------------
-
-struct WfStepMsg {
-    wf: u64,
-    seq: u32,
-}
-struct WfStepDone {
-    wf: u64,
-    seq: u32,
-}
-
-/// Worker with a durable applied-set: a re-driven step replays its ack
-/// instead of re-applying (the idempotence-table hot path, bare-kernel
-/// edition). The set lives on the process's disk, so it survives the
-/// cell's mid-chain crash.
-struct MiniWfWorker {
-    applied: std::rc::Rc<std::cell::RefCell<tca_sim::DetHashSet<(u64, u32)>>>,
-}
-
-impl Process for MiniWfWorker {
-    fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
-        let req = payload.expect::<WfStepMsg>();
-        if self.applied.borrow_mut().insert((req.wf, req.seq)) {
-            ctx.metrics().incr("cell.applied", 1);
-        } else {
-            ctx.metrics().incr("cell.deduped", 1);
-        }
-        ctx.send(
-            from,
-            Payload::new(WfStepDone {
-                wf: req.wf,
-                seq: req.seq,
-            }),
-        );
-    }
-}
-
-/// Orchestrator driving `wfs` sequential workflows of `steps` steps,
-/// re-driving the current step on a timeout (tail-call retry): the
-/// kernel-level shape of the exactly-once workflow runtime — per-step
-/// round-trip, retry timer churn, and dedup on the worker.
-struct MiniWfOrchestrator {
-    worker: ProcessId,
-    wf_base: u64,
-    wfs_left: u32,
-    steps: u32,
-    seq: u32,
-    epoch: u64,
-    retry: SimDuration,
-}
-
-impl MiniWfOrchestrator {
-    fn drive(&mut self, ctx: &mut Ctx) {
-        ctx.send(
-            self.worker,
-            Payload::new(WfStepMsg {
-                wf: self.wf_base + self.wfs_left as u64,
-                seq: self.seq,
-            }),
-        );
-        ctx.set_timer(self.retry, self.epoch);
-    }
-}
-
-impl Process for MiniWfOrchestrator {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        self.drive(ctx);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
-        let done = payload.expect::<WfStepDone>();
-        // Late acks of an already-advanced step (a re-drive's duplicate
-        // reply) are ignored: only the current (wf, seq) advances.
-        if done.wf != self.wf_base + self.wfs_left as u64 || done.seq != self.seq {
-            return;
-        }
-        self.epoch += 1;
-        self.seq += 1;
-        if self.seq < self.steps {
-            self.drive(ctx);
-        } else if self.wfs_left > 1 {
-            self.wfs_left -= 1;
-            self.seq = 0;
-            self.drive(ctx);
-        } else {
-            ctx.metrics().incr("cell.done", 1);
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
-        // Stale timers (the step acked before the deadline) fall through;
-        // a current-epoch timer means the step is unacked — re-drive it.
-        if tag == self.epoch {
-            self.drive(ctx);
-        }
-    }
-}
-
-/// `chains` concurrent orchestrators each running `wfs` workflows of
-/// `steps` sequential steps against one durable worker, with retry
-/// timers tight enough to race genuine acks and one mid-chain worker
-/// crash/recovery: every step applies exactly once (the durable applied
-/// set dedups every re-drive), measured on the bare kernel.
-pub fn workflow_chain(chains: usize, wfs: u32, steps: u32, seed: u64) -> CellRun {
-    let mut sim = Sim::with_seed(seed);
-    let orch_node = sim.add_node();
-    let worker_node = sim.add_node();
-    let worker = sim.spawn(worker_node, "wf-worker", |boot| {
-        let applied = boot.disk.get("applied").unwrap_or_else(|| {
-            let set = std::rc::Rc::new(std::cell::RefCell::new(tca_sim::DetHashSet::default()));
-            boot.disk.put("applied", set.clone());
-            set
-        });
-        Box::new(MiniWfWorker { applied })
-    });
-    for i in 0..chains {
-        sim.spawn(orch_node, "wf-orch", move |_| {
-            Box::new(MiniWfOrchestrator {
-                worker,
-                wf_base: i as u64 * 1_000_000,
-                wfs_left: wfs,
-                steps,
-                seq: 0,
-                epoch: 0,
-                // Tight enough that a slow round-trip re-drives a step
-                // the worker already applied — the dedup path runs even
-                // before the crash does.
-                retry: SimDuration::from_micros(700),
-            })
-        });
-    }
-    // One mid-chain crash/recovery: steps driven into the outage are
-    // lost and re-driven; steps applied before it dedup afterwards.
-    sim.schedule_crash(
-        tca_sim::SimTime::ZERO + SimDuration::from_millis(30),
-        worker_node,
-    );
-    sim.schedule_restart(
-        tca_sim::SimTime::ZERO + SimDuration::from_millis(45),
-        worker_node,
-    );
-    sim.run_to_quiescence(MAX_EVENTS);
-    assert_eq!(sim.metrics().counter("cell.done"), chains as u64);
-    let expected = chains as u64 * wfs as u64 * steps as u64;
-    assert_eq!(
-        sim.metrics().counter("cell.applied"),
-        expected,
-        "every step applies exactly once"
-    );
-    assert!(
-        sim.metrics().counter("cell.deduped") > 0,
-        "re-drives must exercise the dedup path"
-    );
-    finish(sim)
-}
-
-// ----- suite ----------------------------------------------------------------
-
-/// A named kernel cell: fixed seeded workload, deterministic work counts.
-pub struct KernelCell {
-    /// Bench name, `kernel/<cell>`.
-    pub name: &'static str,
-    /// Runs one full cell iteration.
-    pub run: fn() -> CellRun,
-}
-
-/// The canonical kernel cells, in suite order.
-pub fn kernel_cells() -> Vec<KernelCell> {
-    vec![
-        KernelCell {
-            name: "kernel/ping-pong",
-            run: || ping_pong(16, 512, 42),
-        },
-        KernelCell {
-            name: "kernel/2pc",
-            run: || two_pc_loop(8, 3, 256, 42),
-        },
-        KernelCell {
-            name: "kernel/saga",
-            run: || saga_chain(8, 5, 128, 42),
-        },
-        KernelCell {
-            name: "kernel/actor-fanout",
-            run: || actor_fanout(4, 32, 64, 42),
-        },
-        KernelCell {
-            name: "kernel/pubsub",
-            run: || broker_pubsub(8, 16, 128, 42),
-        },
-        KernelCell {
-            name: "kernel/timers",
-            run: || timer_storm(32, 512, 42),
-        },
-        KernelCell {
-            name: "kernel/sharded-router",
-            run: || sharded_router(16, 8, 256, 42),
-        },
-        KernelCell {
-            name: "kernel/workflow-chain",
-            run: || workflow_chain(8, 16, 8, 42),
-        },
-    ]
-}
-
-/// Run every kernel cell under the harness (`bench --kernel`).
-pub fn run_kernel_suite(bench: &mut Bench) {
-    for cell in kernel_cells() {
-        bench.run_counted(cell.name, || {
-            let r = (cell.run)();
-            (r.events, r.sim_ns)
-        });
-    }
-}
-
-// ----- baseline comparison (CI regression gate) -----------------------------
-
-/// One parsed `BENCH_*.json` line of a kernel cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineEntry {
-    /// Bench name (`kernel/...`).
-    pub name: String,
-    /// Median wall nanoseconds per iteration when the baseline was taken.
-    pub median_ns: u64,
-    /// Exact events per iteration.
-    pub events: u64,
-    /// Exact simulated nanoseconds per iteration.
-    pub sim_ns: u64,
-}
-
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_owned())
-}
-
-fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Parse the kernel-cell lines out of a `BENCH_*.json` file's contents.
-/// Lines without the exact-work fields (plain wall benches) are skipped;
-/// when a cell appears on several lines (append-only trajectory files),
-/// the *last* line wins.
-pub fn parse_baseline(text: &str) -> Vec<BaselineEntry> {
-    let mut entries: Vec<BaselineEntry> = Vec::new();
-    for line in text.lines() {
-        let Some(name) = json_str_field(line, "bench") else {
-            continue;
-        };
-        let (Some(median_ns), Some(events), Some(sim_ns)) = (
-            json_u64_field(line, "median_ns"),
-            json_u64_field(line, "events"),
-            json_u64_field(line, "sim_ns"),
-        ) else {
-            continue;
-        };
-        let entry = BaselineEntry {
-            name,
-            median_ns,
-            events,
-            sim_ns,
-        };
-        if let Some(existing) = entries.iter_mut().find(|e| e.name == entry.name) {
-            *existing = entry;
-        } else {
-            entries.push(entry);
-        }
-    }
-    entries
-}
-
-/// Compare current kernel reports against a committed baseline.
-///
-/// * `events` and `sim_ns` are deterministic, so they must match the
-///   baseline **exactly** — a mismatch means the kernel's schedule
-///   changed, which the determinism story forbids without a conscious
-///   baseline refresh.
-/// * wall-clock (`median_ns`) may regress up to `wall_slack`× the
-///   baseline before failing — generous, because CI runners differ
-///   wildly from the machine that recorded the baseline.
-///
-/// Returns the list of violations (empty = pass). Cells present on only
-/// one side are reported too, so a silently dropped cell fails CI.
-pub fn compare_reports(
-    current: &[Report],
-    baseline: &[BaselineEntry],
-    wall_slack: f64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    for report in current {
-        let (Some(events), Some(sim_ns)) = (report.events_per_iter, report.sim_ns_per_iter) else {
-            continue;
-        };
-        let Some(base) = baseline.iter().find(|b| b.name == report.name) else {
-            violations.push(format!(
-                "{}: not in baseline (new cell? refresh the BENCH_*.json baseline)",
-                report.name
-            ));
-            continue;
-        };
-        if events != base.events || sim_ns != base.sim_ns {
-            violations.push(format!(
-                "{}: deterministic work changed: events {} -> {}, sim_ns {} -> {} \
-                 (kernel schedule diverged from baseline)",
-                report.name, base.events, events, base.sim_ns, sim_ns
-            ));
-        }
-        let limit = (base.median_ns as f64 * wall_slack) as u64;
-        if report.median_ns > limit {
-            violations.push(format!(
-                "{}: wall-clock regression: median {}ns > {:.1}x baseline {}ns",
-                report.name, report.median_ns, wall_slack, base.median_ns
-            ));
-        }
-    }
-    for base in baseline {
-        if !current.iter().any(|r| r.name == base.name) {
-            violations.push(format!("{}: in baseline but not measured", base.name));
-        }
-    }
-    violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn cells_are_deterministic_across_runs() {
-        for cell in kernel_cells() {
-            let a = (cell.run)();
-            let b = (cell.run)();
-            assert_eq!(a, b, "{} not deterministic", cell.name);
-            assert!(a.events > 0, "{} did no work", cell.name);
-            assert!(a.sim_ns > 0, "{} simulated no time", cell.name);
+        let cells: [fn() -> CellRun; 3] = [
+            || ping_pong(16, 512, 42),
+            || timer_storm(32, 512, 42),
+            || sharded_router(16, 8, 256, 42),
+        ];
+        for (i, run) in cells.into_iter().enumerate() {
+            let (a, b) = (run(), run());
+            assert_eq!(a, b, "cell {i} not deterministic");
+            assert!(a.events > 0, "cell {i} did no work");
+            assert!(a.sim_ns > 0, "cell {i} simulated no time");
         }
-    }
-
-    fn report(name: &str, median_ns: u64, events: u64, sim_ns: u64) -> Report {
-        Report {
-            name: name.to_owned(),
-            iters_per_sample: 1,
-            samples: 5,
-            min_ns: median_ns,
-            mean_ns: median_ns,
-            median_ns,
-            p95_ns: median_ns,
-            max_ns: median_ns,
-            events_per_iter: Some(events),
-            sim_ns_per_iter: Some(sim_ns),
-        }
-    }
-
-    fn baseline(name: &str, median_ns: u64, events: u64, sim_ns: u64) -> BaselineEntry {
-        BaselineEntry {
-            name: name.to_owned(),
-            median_ns,
-            events,
-            sim_ns,
-        }
-    }
-
-    #[test]
-    fn parse_baseline_extracts_kernel_lines_last_wins() {
-        let text = "\
-{\"bench\":\"cells/saga\",\"median_ns\":10,\"p95_ns\":12,\"mean_ns\":11,\"min_ns\":9,\"max_ns\":13,\"samples\":5,\"iters_per_sample\":2}\n\
-{\"bench\":\"kernel/ping-pong\",\"median_ns\":100,\"p95_ns\":120,\"mean_ns\":105,\"min_ns\":95,\"max_ns\":130,\"samples\":5,\"iters_per_sample\":2,\"events\":5000,\"sim_ns\":7000,\"events_per_sim_sec\":714285714,\"wall_events_per_sec\":50000000}\n\
-{\"bench\":\"kernel/ping-pong\",\"median_ns\":90,\"p95_ns\":110,\"mean_ns\":95,\"min_ns\":85,\"max_ns\":120,\"samples\":5,\"iters_per_sample\":2,\"events\":5000,\"sim_ns\":7000,\"events_per_sim_sec\":714285714,\"wall_events_per_sec\":55555555}\n";
-        let entries = parse_baseline(text);
-        assert_eq!(entries.len(), 1, "wall-only lines skipped");
-        assert_eq!(entries[0].name, "kernel/ping-pong");
-        assert_eq!(entries[0].median_ns, 90, "last line wins");
-        assert_eq!(entries[0].events, 5000);
-        assert_eq!(entries[0].sim_ns, 7000);
-    }
-
-    #[test]
-    fn compare_passes_identical_work_and_tolerable_wall() {
-        let current = vec![report("kernel/a", 150, 1000, 2000)];
-        let base = vec![baseline("kernel/a", 100, 1000, 2000)];
-        // 1.5x the baseline wall time is inside a 2x slack.
-        assert!(compare_reports(&current, &base, 2.0).is_empty());
-    }
-
-    #[test]
-    fn compare_fails_wall_regression_beyond_slack() {
-        let current = vec![report("kernel/a", 500, 1000, 2000)];
-        let base = vec![baseline("kernel/a", 100, 1000, 2000)];
-        let violations = compare_reports(&current, &base, 2.0);
-        assert_eq!(violations.len(), 1);
-        assert!(
-            violations[0].contains("wall-clock regression"),
-            "{violations:?}"
-        );
-        // The same 5x slowdown passes under a 10x slack.
-        assert!(compare_reports(&current, &base, 10.0).is_empty());
-    }
-
-    #[test]
-    fn compare_fails_exact_work_mismatch_regardless_of_wall() {
-        let current = vec![report("kernel/a", 50, 1001, 2000)];
-        let base = vec![baseline("kernel/a", 100, 1000, 2000)];
-        let violations = compare_reports(&current, &base, 100.0);
-        assert_eq!(violations.len(), 1);
-        assert!(
-            violations[0].contains("deterministic work changed"),
-            "{violations:?}"
-        );
-    }
-
-    #[test]
-    fn compare_reports_missing_cells_both_directions() {
-        let current = vec![report("kernel/new", 50, 1, 1)];
-        let base = vec![baseline("kernel/old", 100, 1, 1)];
-        let violations = compare_reports(&current, &base, 2.0);
-        assert_eq!(violations.len(), 2);
-        assert!(violations.iter().any(|v| v.contains("not in baseline")));
-        assert!(violations.iter().any(|v| v.contains("not measured")));
     }
 }

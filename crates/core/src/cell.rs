@@ -18,11 +18,11 @@ use tca_models::actor::{
 };
 use tca_models::statefun::{shard_for, spawn_shards, EntityId, StartOrchestration, StatefunApp};
 use tca_sim::{Ctx, Histogram, Payload, Process, ProcessId, Sim, SimDuration, SimRng, SpanKind};
-use tca_storage::{DbMsg, DbRequest, DbServer, DbServerConfig, ProcRegistry, Value};
+use tca_storage::{DbMsg, DbRequest, DbServer, DbServerConfig, Value};
 use tca_txn::deterministic::{deploy_deterministic, SequencerConfig, SubmitTxn, TxnOutcome};
 use tca_txn::saga::{SagaDef, SagaOrchestrator, SagaOutcome, SagaStep, StartSaga};
 use tca_txn::twopc::{DtxOutcome, ParticipantConfig, StartDtx, TwoPcCoordinator, TwoPcParticipant};
-use tca_txn::{transactional_bank_registry, transfer_plan};
+use tca_txn::{bank_registry, transactional_bank_registry, transfer_plan};
 use tca_workloads::loadgen::{ClosedLoopConfig, ClosedLoopGen, RequestFactory, ResponseClassifier};
 
 use crate::taxonomy::{ProgrammingModel, TxnMechanism};
@@ -200,27 +200,6 @@ fn run_cell_inner(
 }
 
 // --- microservices + saga --------------------------------------------------
-
-fn bank_registry() -> ProcRegistry {
-    ProcRegistry::new()
-        .with("debit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-            if balance < amount {
-                return Err("insufficient".into());
-            }
-            tx.put(&key, Value::Int(balance - amount));
-            Ok(vec![Value::Int(balance - amount)])
-        })
-        .with("credit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-            tx.put(&key, Value::Int(balance + amount));
-            Ok(vec![Value::Int(balance + amount)])
-        })
-}
 
 fn seed_accounts(sim: &mut Sim, db: ProcessId, params: &CellParams) {
     let pairs: Vec<(String, Value)> = (0..params.accounts)

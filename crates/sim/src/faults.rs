@@ -163,6 +163,13 @@ impl FaultPlan {
         }
     }
 
+    /// True for a plan that injects nothing: no scheduled event and no
+    /// ambient loss or duplication. Scenarios require full progress (every
+    /// request commits) only under such a plan.
+    pub fn is_benign(&self) -> bool {
+        self.events.is_empty() && self.drop_prob == 0.0 && self.dup_prob == 0.0
+    }
+
     /// Generate a random plan within `profile` bounds. Generation draws
     /// only from `rng`, so equal seeds give equal plans.
     pub fn generate(rng: &mut SimRng, profile: &FaultProfile, n_crashable: usize) -> Self {
@@ -324,6 +331,31 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn only_a_plan_that_injects_nothing_is_benign() {
+        let benign = FaultPlan::benign(SimDuration::from_millis(400));
+        assert!(benign.is_benign());
+        // Ambient duplication alone is a fault: it is what exactly-once
+        // audits exist to catch.
+        let dup_only = FaultPlan {
+            dup_prob: 0.01,
+            ..benign.clone()
+        };
+        assert!(!dup_only.is_benign());
+        let drop_only = FaultPlan {
+            drop_prob: 0.01,
+            ..benign.clone()
+        };
+        assert!(!drop_only.is_benign());
+        let heal_only = FaultPlan {
+            events: vec![FaultEvent::Heal {
+                at: SimDuration::from_millis(1),
+            }],
+            ..benign
+        };
+        assert!(!heal_only.is_benign());
+    }
 
     #[test]
     fn generation_is_deterministic_per_seed() {

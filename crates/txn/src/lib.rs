@@ -23,6 +23,9 @@
 //! - [`checker`] — serializability (DSG cycle detection), exactly-once,
 //!   and atomicity audits over what the system *actually did*.
 //! - [`causal`] — vector clocks and causal delivery (Antipode direction).
+//! - [`worlds`] — the checking world of each mechanism, defined once as
+//!   deploy / submit / audit; [`torture`] drives them under seeded fault
+//!   plans and [`mc_scenarios`] under the exhaustive schedule checker.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -41,6 +44,7 @@ pub mod sharding;
 pub mod torture;
 pub mod twopc;
 pub mod workflow;
+pub mod worlds;
 
 pub use actor_txn::{
     encode_plan, transactional_bank_registry, transfer_plan, TransactionalActor, TxnCoordinator,
@@ -57,8 +61,8 @@ pub use mc_scenarios::{sharded_twopc_mc_scenario, workflow_mc_scenario};
 pub use saga::{SagaDef, SagaOrchestrator, SagaOutcome, SagaStep, StartSaga};
 pub use sharding::{route_branches, touched_shards, ShardOp};
 pub use torture::{
-    actor_torture_scenario, dataflow_torture_scenario, saga_torture_scenario,
-    twopc_torture_scenario, workflow_torture_scenario,
+    actor_torture_scenario, dataflow_torture_scenario, saga_torture_scenario, stage_world,
+    torture_world, twopc_torture_scenario, workflow_torture_scenario,
 };
 pub use twopc::{
     CoordinatorConfig, DtxOutcome, ParticipantConfig, StartDtx, TwoPcCoordinator, TwoPcParticipant,
@@ -68,3 +72,4 @@ pub use workflow::{
     GcWatermark, StartWorkflow, StepOutcome, StepReq, WorkflowConfig, WorkflowDef,
     WorkflowDeployment, WorkflowOrchestrator, WorkflowOutcome, WorkflowStep, WorkflowWorker,
 };
+pub use worlds::{bank_registry, World};

@@ -520,74 +520,9 @@ impl Process for SagaOrchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worlds::{checkout_saga, payment_registry, stock_registry};
     use tca_sim::Sim;
-    use tca_storage::{DbServer, DbServerConfig, ProcRegistry};
-
-    /// Stock + payment services for a mini checkout saga.
-    fn stock_registry() -> ProcRegistry {
-        ProcRegistry::new()
-            .with("reserve", |tx, args| {
-                let item = args[0].as_str().to_owned();
-                let qty = tx.get(&item).map(|v| v.as_int()).unwrap_or(0);
-                if qty <= 0 {
-                    return Err("out of stock".into());
-                }
-                tx.put(&item, Value::Int(qty - 1));
-                Ok(vec![Value::Int(qty - 1)])
-            })
-            .with("unreserve", |tx, args| {
-                let item = args[0].as_str().to_owned();
-                let qty = tx.get(&item).map(|v| v.as_int()).unwrap_or(0);
-                tx.put(&item, Value::Int(qty + 1));
-                Ok(vec![])
-            })
-            .with("seed", |tx, args| {
-                tx.put(args[0].as_str(), args[1].clone());
-                Ok(vec![])
-            })
-    }
-
-    fn payment_registry() -> ProcRegistry {
-        ProcRegistry::new()
-            .with("charge", |tx, args| {
-                let account = args[0].as_str().to_owned();
-                let amount = args[1].as_int();
-                let balance = tx.get(&account).map(|v| v.as_int()).unwrap_or(0);
-                if balance < amount {
-                    return Err("insufficient funds".into());
-                }
-                tx.put(&account, Value::Int(balance - amount));
-                Ok(vec![Value::Int(balance - amount)])
-            })
-            .with("refund", |tx, args| {
-                let account = args[0].as_str().to_owned();
-                let amount = args[1].as_int();
-                let balance = tx.get(&account).map(|v| v.as_int()).unwrap_or(0);
-                tx.put(&account, Value::Int(balance + amount));
-                Ok(vec![])
-            })
-            .with("seed", |tx, args| {
-                tx.put(args[0].as_str(), args[1].clone());
-                Ok(vec![])
-            })
-    }
-
-    fn checkout_saga(stock_db: ProcessId, pay_db: ProcessId) -> SagaDef {
-        SagaDef {
-            name: "checkout".into(),
-            steps: vec![
-                SagaStep::new("reserve", stock_db, "reserve", |v| {
-                    vec![v.get("$0").clone()]
-                })
-                .bind("left")
-                .compensate("unreserve", |v| vec![v.get("$0").clone()]),
-                SagaStep::new("charge", pay_db, "charge", |v| {
-                    vec![v.get("$1").clone(), v.get("$2").clone()]
-                })
-                .compensate("refund", |v| vec![v.get("$1").clone(), v.get("$2").clone()]),
-            ],
-        }
-    }
+    use tca_storage::{DbServer, DbServerConfig};
 
     /// Scripted saga client.
     struct Client {

@@ -989,27 +989,6 @@ mod tests {
     use tca_messaging::rpc::{RetryPolicy, RpcClient, RpcEvent};
     use tca_sim::Sim;
 
-    fn account_registry() -> ProcRegistry {
-        ProcRegistry::new()
-            .with("debit", |tx, args| {
-                let key = args[0].as_str().to_owned();
-                let amount = args[1].as_int();
-                let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(100);
-                if balance < amount {
-                    return Err("insufficient".into());
-                }
-                tx.put(&key, Value::Int(balance - amount));
-                Ok(vec![Value::Int(balance - amount)])
-            })
-            .with("credit", |tx, args| {
-                let key = args[0].as_str().to_owned();
-                let amount = args[1].as_int();
-                let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(100);
-                tx.put(&key, Value::Int(balance + amount));
-                Ok(vec![Value::Int(balance + amount)])
-            })
-    }
-
     struct Client {
         coordinator: ProcessId,
         plan: Vec<StartDtx>,
@@ -1048,16 +1027,16 @@ mod tests {
         let n1 = sim.add_node();
         let n2 = sim.add_node();
         let n3 = sim.add_node();
-        let p1 = sim.spawn(
-            n1,
-            "bank-a",
-            TwoPcParticipant::factory("pa", ParticipantConfig::default(), account_registry()),
-        );
-        let p2 = sim.spawn(
-            n2,
-            "bank-b",
-            TwoPcParticipant::factory("pb", ParticipantConfig::default(), account_registry()),
-        );
+        let bank = |name: &'static str, account: &str| {
+            TwoPcParticipant::factory_seeded(
+                name,
+                ParticipantConfig::default(),
+                crate::worlds::bank_registry(),
+                vec![(account.to_string(), Value::Int(100))],
+            )
+        };
+        let p1 = sim.spawn(n1, "bank-a", bank("pa", "alice"));
+        let p2 = sim.spawn(n2, "bank-b", bank("pb", "bob"));
         let coordinator = sim.spawn(n3, "coordinator", TwoPcCoordinator::factory());
         (sim, coordinator, p1, p2)
     }
@@ -1100,7 +1079,7 @@ mod tests {
     fn branch_failure_aborts_everywhere() {
         let (mut sim, coordinator, p1, p2) = world();
         let nc = sim.add_node();
-        // Debit 1000 > default balance 100: bank-a votes fail at execute.
+        // Debit 1000 > alice's balance 100: bank-a votes fail at execute.
         sim.spawn(nc, "client", move |_| {
             Box::new(Client {
                 coordinator,

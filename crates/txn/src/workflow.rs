@@ -1386,27 +1386,6 @@ mod tests {
     use tca_messaging::rpc::RpcRequest;
     use tca_sim::{Sim, SimTime};
 
-    fn chain_registry() -> ProcRegistry {
-        ProcRegistry::new()
-            .with("debit", |tx, args| {
-                let key = args[0].as_str().to_owned();
-                let amount = args[1].as_int();
-                let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-                if balance < amount {
-                    return Err("insufficient".into());
-                }
-                tx.put(&key, Value::Int(balance - amount));
-                Ok(vec![Value::Int(balance - amount)])
-            })
-            .with("credit", |tx, args| {
-                let key = args[0].as_str().to_owned();
-                let amount = args[1].as_int();
-                let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-                tx.put(&key, Value::Int(balance + amount));
-                Ok(vec![Value::Int(balance + amount)])
-            })
-    }
-
     fn seeds(accounts: i64, balance: i64) -> Vec<(String, Value)> {
         (0..accounts)
             .map(|i| (format!("acct{i}"), Value::Int(balance)))
@@ -1435,7 +1414,7 @@ mod tests {
             &worker_nodes,
             n_coord,
             &shard_nodes,
-            &chain_registry(),
+            &crate::worlds::bank_registry(),
             &seeds(8, 100),
             &[transfer_chain_def("chain", 3)],
             config,

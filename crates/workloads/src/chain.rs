@@ -156,29 +156,8 @@ mod tests {
     use super::*;
     use tca_messaging::rpc::RpcRequest;
     use tca_sim::{Payload, SimDuration};
-    use tca_storage::ProcRegistry;
+    use tca_txn::bank_registry;
     use tca_txn::workflow::{deploy_workflow, WorkflowConfig};
-
-    fn bank_registry() -> ProcRegistry {
-        ProcRegistry::new()
-            .with("debit", |tx, args| {
-                let key = args[0].as_str().to_owned();
-                let amount = args[1].as_int();
-                let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-                if balance < amount {
-                    return Err("insufficient".into());
-                }
-                tx.put(&key, Value::Int(balance - amount));
-                Ok(vec![Value::Int(balance - amount)])
-            })
-            .with("credit", |tx, args| {
-                let key = args[0].as_str().to_owned();
-                let amount = args[1].as_int();
-                let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-                tx.put(&key, Value::Int(balance + amount));
-                Ok(vec![Value::Int(balance + amount)])
-            })
-    }
 
     #[test]
     fn chain_workload_drives_the_workflow_stack_and_audits_clean() {

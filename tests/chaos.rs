@@ -5,19 +5,17 @@
 
 use std::rc::Rc;
 
-use tca::messaging::rpc::RpcRequest;
 use tca::messaging::rpc::{BreakerConfig, RetryBudget, RetryPolicy};
 use tca::messaging::{delivery_torture_scenario, DedupReceiver, DeliveryGuarantee, ReliableSender};
-use tca::sim::ShardMap;
 use tca::sim::{
-    torture, torture_plan, Ctx, FaultPlan, FaultProfile, NetworkConfig, Payload, Process,
-    ProcessId, Sim, SimConfig, SimDuration, SimTime, TortureConfig,
+    torture, torture_plan, Ctx, FaultEvent, FaultPlan, FaultProfile, NetworkConfig, Payload,
+    Process, ProcessId, Sim, SimConfig, SimDuration, SimTime, TortureConfig,
 };
 use tca::storage::{DbMsg, DbRequest, DbServer, DbServerConfig, ProcRegistry, Value};
+use tca::txn::worlds::ShardedTwoPcWorld;
 use tca::txn::{
-    actor_torture_scenario, dataflow_torture_scenario, route_branches, saga_torture_scenario,
-    workflow_torture_scenario, CoordinatorConfig, ParticipantConfig, ShardOp, StartDtx,
-    TwoPcCoordinator, TwoPcParticipant,
+    actor_torture_scenario, dataflow_torture_scenario, saga_torture_scenario,
+    workflow_torture_scenario, World,
 };
 use tca::workloads::loadgen::{db_classifier, ClosedLoopConfig, ClosedLoopGen};
 use tca::workloads::marketplace::{
@@ -374,211 +372,63 @@ fn overload_partition_torture_sweep() {
     torture("overload-partition", &config, overload_partition_scenario);
 }
 
-/// Cross-shard 2PC torture: three `TwoPcParticipant` shards own a keyspace
-/// through the same consistent-hash ring the router uses; every transfer's
-/// debit and credit live on *different* shards, so commitment always spans
-/// the ring. The plan's random faults run first (coordinator crashes,
-/// partitions, ambient loss/duplication), then a deterministic window
-/// isolates shard 0 from everyone — including the coordinator — while two
-/// more transfers are in flight, catching prepare/decision traffic
-/// mid-protocol. Each account takes part in exactly one transfer, so the
-/// audit can check atomicity per transfer (debit applied iff credit
-/// applied), conservation across the whole fleet, and no stuck locks or
-/// in-doubt branches anywhere after heal + grace.
-fn sharded_bank_registry() -> ProcRegistry {
-    ProcRegistry::new()
-        .with("debit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-            if balance < amount {
-                return Err("insufficient".into());
-            }
-            tx.put(&key, Value::Int(balance - amount));
-            Ok(vec![Value::Int(balance - amount)])
-        })
-        .with("credit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-            tx.put(&key, Value::Int(balance + amount));
-            Ok(vec![Value::Int(balance + amount)])
-        })
-}
-
+/// Cross-shard 2PC torture: the sharded 2PC world of `tca::txn::worlds` —
+/// three `TwoPcParticipant` shards own a keyspace through the same
+/// consistent-hash ring the router uses, and every transfer's debit and
+/// credit live on *different* shards, so commitment always spans the
+/// ring. The plan's random faults run first (coordinator crashes,
+/// partitions, ambient loss/duplication) under six transfers, then a
+/// deterministic window isolates shard 0 from everyone — including the
+/// coordinator — while the last two transfers are in flight, catching
+/// prepare/decision traffic mid-protocol. The world's audit checks
+/// atomicity per transfer (debit applied iff credit applied), conservation
+/// across the whole fleet, and no stuck locks or in-doubt branches
+/// anywhere after heal + grace.
 fn sharded_twopc_scenario(seed: u64, plan: &FaultPlan) -> Result<(), String> {
-    const SHARDS: usize = 3;
-    const TRANSFERS: usize = 8;
-    const AMOUNT: i64 = 10;
-    const START: i64 = 100;
-    let map = ShardMap::ring(SHARDS);
-
-    // Scan the keyspace until every shard owns enough accounts to supply
-    // each transfer t with a debit on shard t%3 and a credit on (t+1)%3 —
-    // cross-shard by construction, every account used at most once.
-    let mut owned: Vec<Vec<String>> = vec![Vec::new(); SHARDS];
-    let mut next = 0u64;
-    while owned.iter().any(|accts| accts.len() < 6) {
-        let key = format!("acct{next}");
-        owned[map.owner(&key)].push(key);
-        next += 1;
-    }
-    let mut cursor = [0usize; SHARDS];
-    let mut take = |shard: usize| -> String {
-        let key = owned[shard][cursor[shard]].clone();
-        cursor[shard] += 1;
-        key
-    };
-    let transfers: Vec<(String, String)> = (0..TRANSFERS)
-        .map(|t| (take(t % SHARDS), take((t + 1) % SHARDS)))
-        .collect();
-
+    const TRANSFERS: u64 = 8;
+    let world = ShardedTwoPcWorld::new(3, TRANSFERS, 10, 100, 100);
     let mut sim = Sim::with_seed(seed);
-    let n_coord = sim.add_node();
-    let shard_nodes: Vec<_> = (0..SHARDS).map(|_| sim.add_node()).collect();
-    let participants: Vec<ProcessId> = (0..SHARDS)
-        .map(|s| {
-            let seed_pairs: Vec<(String, Value)> = owned[s]
-                .iter()
-                .map(|key| (key.clone(), Value::Int(START)))
-                .collect();
-            sim.spawn(
-                shard_nodes[s],
-                format!("shard{s}"),
-                TwoPcParticipant::factory_seeded(
-                    format!("s{s}"),
-                    ParticipantConfig::default(),
-                    sharded_bank_registry(),
-                    seed_pairs,
-                ),
-            )
-        })
-        .collect();
-    let coordinator = sim.spawn(
-        n_coord,
-        "coordinator",
-        TwoPcCoordinator::factory_with(CoordinatorConfig::default()),
-    );
-
-    // Only the coordinator crashes (participant branch tables are
-    // volatile); partitions and loss may hit every link.
-    let mut partition_nodes = shard_nodes.clone();
-    partition_nodes.push(n_coord);
-    plan.apply(&mut sim, &[n_coord], &partition_nodes);
-
-    let start_dtx = |t: usize| -> Payload {
-        let (debit_key, credit_key) = transfers[t].clone();
-        let ops: Vec<ShardOp> = vec![
-            (
-                debit_key.clone(),
-                "debit".into(),
-                vec![Value::Str(debit_key), Value::Int(AMOUNT)],
-            ),
-            (
-                credit_key.clone(),
-                "credit".into(),
-                vec![Value::Str(credit_key), Value::Int(AMOUNT)],
-            ),
-        ];
-        Payload::new(RpcRequest {
-            call_id: t as u64,
-            body: Payload::new(StartDtx {
-                branches: route_branches(&map, &participants, &ops),
-            }),
-        })
-    };
+    let handles = world.deploy(&mut sim);
+    let (crashable, partitionable) = world.fault_nodes(&sim, &handles);
+    // The isolation window rides on the plan as two more events, placed
+    // after the horizon (400ms): a plan Heal heals *everything*, so the
+    // window must not overlap the generated events. Index 0 of the
+    // partitionable nodes is shard 0.
+    let mut faulty = plan.clone();
+    faulty.events.push(FaultEvent::Partition {
+        cut: vec![0],
+        at: SimDuration::from_millis(450),
+    });
+    faulty.events.push(FaultEvent::Heal {
+        at: SimDuration::from_millis(550),
+    });
+    faulty.apply(&mut sim, &crashable, &partitionable);
     // Six transfers across the plan's fault window …
     let span = plan.horizon.as_nanos() * 3 / 4;
     for t in 0..TRANSFERS - 2 {
-        let at = 1_000_000 + span * t as u64 / (TRANSFERS - 2) as u64;
-        sim.inject_at(SimTime::from_nanos(at), coordinator, start_dtx(t));
+        let at = 1_000_000 + span * t / (TRANSFERS - 2);
+        world.submit(&mut sim, &handles, t, SimTime::from_nanos(at));
     }
-    // … then isolate shard 0 after the plan horizon (a plan Heal heals
-    // everything, so the window must not overlap plan events) and launch
-    // the last two while it is cut off: prepares or decisions for their
-    // shard-0 branches are lost mid-protocol until the heal.
-    let mut others = vec![n_coord];
-    others.extend(shard_nodes.iter().skip(1).copied());
-    sim.schedule_partition(
-        SimTime::from_nanos(450_000_000),
-        vec![shard_nodes[0]],
-        others,
-    );
+    // … and the last two while shard 0 is cut off: prepares or decisions
+    // for their shard-0 branches are lost mid-protocol until the heal.
     for t in TRANSFERS - 2..TRANSFERS {
-        let at = 455_000_000 + (t as u64) * 5_000_000;
-        sim.inject_at(SimTime::from_nanos(at), coordinator, start_dtx(t));
+        let at = 455_000_000 + t * 5_000_000;
+        world.submit(&mut sim, &handles, t, SimTime::from_nanos(at));
     }
-    sim.schedule_heal(SimTime::from_nanos(550_000_000));
     sim.run_until(SimTime::from_nanos(550_000_000) + SimDuration::from_millis(800));
 
-    // --- Audits ---
-    let peek = |s: usize, key: &str| -> Result<i64, String> {
-        sim.inspect::<TwoPcParticipant>(participants[s])
-            .and_then(|p| p.engine().peek(key))
-            .map(|v| v.as_int())
-            .ok_or_else(|| format!("cannot peek {key} on shard {s}"))
-    };
-    // Atomicity per transfer: each account moves in exactly one transfer,
-    // so the debit applied iff the credit applied, and at most once.
-    let mut committed = 0i64;
-    for (t, (debit_key, credit_key)) in transfers.iter().enumerate() {
-        let debited = START - peek(t % SHARDS, debit_key)?;
-        let credited = peek((t + 1) % SHARDS, credit_key)? - START;
-        if debited != credited || !(debited == 0 || debited == AMOUNT) {
-            return Err(format!(
-                "atomicity: transfer {t} debited {debited} but credited {credited}"
-            ));
-        }
-        committed += i64::from(debited == AMOUNT);
-    }
-    // Conservation across the fleet: no money minted or destroyed.
-    let mut total = 0;
-    for (s, accts) in owned.iter().enumerate() {
-        for key in accts {
-            total += peek(s, key)?;
-        }
-    }
-    let expected: i64 = owned.iter().map(|accts| accts.len() as i64 * START).sum();
-    if total != expected {
-        return Err(format!("conservation: total {total}, expected {expected}"));
-    }
-    // Branch commits must pair up: two per committed cross-shard transfer.
-    let branch_commits: u64 = (0..SHARDS)
+    world.audit(&sim, &handles, Some(&faulty))?;
+    // The window is a fault even under the benign plan, so only the six
+    // transfers before it are owed a commit (two branch commits each).
+    let branch_commits: u64 = (0..3)
         .map(|s| sim.metrics().counter(&format!("s{s}.commits")))
         .sum();
-    if branch_commits != 2 * committed as u64 {
+    if plan.is_benign() && branch_commits < 2 * (TRANSFERS - 2) {
         return Err(format!(
-            "atomicity: {branch_commits} branch commits for {committed} committed transfers"
+            "benign plan must commit the {} pre-partition transfers, got {} branch commits",
+            TRANSFERS - 2,
+            branch_commits
         ));
-    }
-    let benign = plan.events.is_empty() && plan.drop_prob == 0.0 && plan.dup_prob == 0.0;
-    if benign && committed < (TRANSFERS - 2) as i64 {
-        return Err(format!(
-            "benign plan must commit the {} pre-partition transfers, got {committed}",
-            TRANSFERS - 2
-        ));
-    }
-    // No stuck locks or in-doubt branches anywhere once healed + quiescent.
-    for (s, &pid) in participants.iter().enumerate() {
-        let p = sim
-            .inspect::<TwoPcParticipant>(pid)
-            .ok_or_else(|| format!("cannot inspect shard {s}"))?;
-        if p.in_doubt() != 0 {
-            return Err(format!("shard {s} has {} in-doubt branches", p.in_doubt()));
-        }
-        if p.engine().active_count() != 0 {
-            return Err(format!(
-                "shard {s} has {} open engine transactions",
-                p.engine().active_count()
-            ));
-        }
-    }
-    let open = sim
-        .inspect::<TwoPcCoordinator>(coordinator)
-        .map(|c| c.open_dtxs())
-        .ok_or("cannot inspect coordinator")?;
-    if open != 0 {
-        return Err(format!("coordinator still tracks {open} open transactions"));
     }
     Ok(())
 }
@@ -627,11 +477,11 @@ fn regression_dataflow_shard_crash_mid_epoch() {
     // the sweep explores randomly.
     let plan = FaultPlan {
         events: vec![
-            tca::sim::FaultEvent::Crash {
+            FaultEvent::Crash {
                 node: 1, // second crashable node = shard 1
                 at: SimDuration::from_micros(2_200),
             },
-            tca::sim::FaultEvent::Restart {
+            FaultEvent::Restart {
                 node: 1,
                 at: SimDuration::from_millis(9),
             },

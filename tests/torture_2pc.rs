@@ -17,13 +17,13 @@
 
 use tca::messaging::{RetryPolicy, RpcClient, RpcEvent};
 use tca::sim::{
-    torture, Ctx, FaultProfile, NetworkConfig, NodeId, Payload, Process, ProcessId, ScriptedFate,
-    Sim, SimConfig, SimDuration, SimTime, TortureConfig,
+    torture, Ctx, FaultProfile, NodeId, Payload, Process, ProcessId, ScriptedFate, Sim,
+    SimDuration, SimTime, TortureConfig,
 };
-use tca::storage::{ProcRegistry, Value};
+use tca::txn::worlds::{peek, twopc_quiescent, TwoPcHandles, TwoPcWorld};
 use tca::txn::{
     twopc_torture_scenario, CoordinatorConfig, DtxOutcome, ParticipantConfig, StartDtx,
-    TwoPcCoordinator, TwoPcParticipant,
+    TwoPcCoordinator, TwoPcParticipant, World,
 };
 
 // ---------------------------------------------------------------------------
@@ -63,43 +63,20 @@ fn torture_failures_report_the_reproducing_seed() {
 // Pinned regressions
 // ---------------------------------------------------------------------------
 
-fn bank_registry() -> ProcRegistry {
-    ProcRegistry::new()
-        .with("debit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-            if balance < amount {
-                return Err("insufficient".into());
-            }
-            tx.put(&key, Value::Int(balance - amount));
-            Ok(vec![Value::Int(balance - amount)])
-        })
-        .with("credit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-            tx.put(&key, Value::Int(balance + amount));
-            Ok(vec![Value::Int(balance + amount)])
-        })
-}
-
 struct Client {
     coordinator: ProcessId,
-    plan: Vec<StartDtx>,
+    start: StartDtx,
     rpc: RpcClient,
 }
 impl Process for Client {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        for (i, start) in self.plan.clone().into_iter().enumerate() {
-            self.rpc.call(
-                ctx,
-                self.coordinator,
-                Payload::new(start),
-                RetryPolicy::at_most_once(SimDuration::from_secs(10)),
-                i as u64,
-            );
-        }
+        self.rpc.call(
+            ctx,
+            self.coordinator,
+            Payload::new(self.start.clone()),
+            RetryPolicy::at_most_once(SimDuration::from_secs(10)),
+            0,
+        );
     }
     fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
         if let Some(RpcEvent::Reply { body, .. }) = self.rpc.on_message(ctx, &payload) {
@@ -117,7 +94,11 @@ impl Process for Client {
     }
 }
 
-struct World {
+/// The 2PC world of `tca::txn::worlds` — alice and bob hold 100 each —
+/// deployed on a clean default network, plus a client that submits the
+/// world's one transfer of `amount` through the RPC layer and counts the
+/// outcome.
+struct Deployed {
     sim: Sim,
     pa: ProcessId,
     pb: ProcessId,
@@ -129,40 +110,37 @@ struct World {
 
 fn world(
     seed: u64,
-    network: NetworkConfig,
+    amount: i64,
     participant: ParticipantConfig,
     coordinator_config: CoordinatorConfig,
-) -> World {
-    let mut sim = Sim::new(SimConfig { seed, network });
-    let n_a = sim.add_node();
-    let n_b = sim.add_node();
-    let n_coord = sim.add_node();
-    let pa = sim.spawn(
-        n_a,
-        "bank-a",
-        TwoPcParticipant::factory_seeded(
-            "pa",
-            participant.clone(),
-            bank_registry(),
-            vec![("alice".to_string(), Value::Int(100))],
-        ),
-    );
-    let pb = sim.spawn(
-        n_b,
-        "bank-b",
-        TwoPcParticipant::factory_seeded(
-            "pb",
-            participant,
-            bank_registry(),
-            vec![("bob".to_string(), Value::Int(100))],
-        ),
-    );
-    let coordinator = sim.spawn(
-        n_coord,
-        "coordinator",
-        TwoPcCoordinator::factory_with(coordinator_config),
-    );
-    World {
+) -> Deployed {
+    let world = TwoPcWorld {
+        transfers: 1,
+        amount,
+        alice_start: 100,
+        bob_start: 100,
+        shared_keys: true,
+        participant,
+        coordinator: coordinator_config,
+    };
+    let mut sim = Sim::with_seed(seed);
+    let handles = world.deploy(&mut sim);
+    let TwoPcHandles {
+        pa,
+        pb,
+        coordinator,
+    } = handles;
+    let start = world.start_dtx(&handles, 0);
+    let (n_a, n_b, n_coord) = (sim.node_of(pa), sim.node_of(pb), sim.node_of(coordinator));
+    let nc = sim.add_node();
+    sim.spawn(nc, "client", move |_| {
+        Box::new(Client {
+            coordinator,
+            start: start.clone(),
+            rpc: RpcClient::new(),
+        })
+    });
+    Deployed {
         sim,
         pa,
         pb,
@@ -171,42 +149,6 @@ fn world(
         n_b,
         n_coord,
     }
-}
-
-fn spawn_client(world: &mut World, plan: Vec<StartDtx>) {
-    let coordinator = world.coordinator;
-    let nc = world.sim.add_node();
-    world.sim.spawn(nc, "client", move |_| {
-        Box::new(Client {
-            coordinator,
-            plan: plan.clone(),
-            rpc: RpcClient::new(),
-        })
-    });
-}
-
-fn transfer(pa: ProcessId, pb: ProcessId, amount: i64) -> StartDtx {
-    StartDtx {
-        branches: vec![
-            (
-                pa,
-                "debit".into(),
-                vec![Value::from("alice"), Value::Int(amount)],
-            ),
-            (
-                pb,
-                "credit".into(),
-                vec![Value::from("bob"), Value::Int(amount)],
-            ),
-        ],
-    }
-}
-
-fn peek(sim: &Sim, pid: ProcessId, key: &str) -> i64 {
-    sim.inspect::<TwoPcParticipant>(pid)
-        .and_then(|p| p.engine().peek(key))
-        .map(|v| v.as_int())
-        .expect("peek")
 }
 
 /// A coordinator config that never retries and never gives up — the
@@ -228,17 +170,10 @@ fn fire_and_forget() -> CoordinatorConfig {
 fn regression_lost_prepare_req_is_retried() {
     // Pre-fix behaviour: drop the one PrepareReq to bank-a; without
     // retries the prepared branch on bank-b blocks forever.
-    let mut w = world(
-        3,
-        NetworkConfig::default(),
-        ParticipantConfig::default(),
-        fire_and_forget(),
-    );
+    let mut w = world(3, 30, ParticipantConfig::default(), fire_and_forget());
     w.sim
         .network_mut()
         .script_fate(w.n_coord, w.n_a, 1, ScriptedFate::Drop);
-    let plan = vec![transfer(w.pa, w.pb, 30)];
-    spawn_client(&mut w, plan);
     w.sim.run_for(SimDuration::from_secs(1));
     assert_eq!(w.sim.metrics().counter("pb.commits"), 0);
     let stuck = w
@@ -252,22 +187,20 @@ fn regression_lost_prepare_req_is_retried() {
     // the transfer commits.
     let mut w = world(
         3,
-        NetworkConfig::default(),
+        30,
         ParticipantConfig::default(),
         CoordinatorConfig::default(),
     );
     w.sim
         .network_mut()
         .script_fate(w.n_coord, w.n_a, 1, ScriptedFate::Drop);
-    let plan = vec![transfer(w.pa, w.pb, 30)];
-    spawn_client(&mut w, plan);
     w.sim.run_for(SimDuration::from_secs(1));
     assert_eq!(w.sim.metrics().counter("client.committed"), 1);
     assert_eq!(w.sim.metrics().counter("pa.commits"), 1);
     assert_eq!(w.sim.metrics().counter("pb.commits"), 1);
     assert!(w.sim.metrics().counter("dtx.prepare_resends") >= 1);
-    assert_eq!(peek(&w.sim, w.pa, "alice"), 70);
-    assert_eq!(peek(&w.sim, w.pb, "bob"), 130);
+    assert_eq!(peek(&w.sim, w.pa, "alice"), Some(70));
+    assert_eq!(peek(&w.sim, w.pb, "bob"), Some(130));
 }
 
 /// Bug 1, decision flavour (same sweep failure class): a lost DecisionReq
@@ -281,17 +214,10 @@ fn regression_lost_decision_req_is_retried() {
         decision_inquiry_after: SimDuration::from_secs(100),
         ..ParticipantConfig::default()
     };
-    let mut w = world(
-        3,
-        NetworkConfig::default(),
-        participant,
-        CoordinatorConfig::default(),
-    );
+    let mut w = world(3, 30, participant, CoordinatorConfig::default());
     w.sim
         .network_mut()
         .script_fate(w.n_coord, w.n_a, 2, ScriptedFate::Drop);
-    let plan = vec![transfer(w.pa, w.pb, 30)];
-    spawn_client(&mut w, plan);
     w.sim.run_for(SimDuration::from_secs(1));
     assert_eq!(w.sim.metrics().counter("pa.commits"), 1);
     assert_eq!(w.sim.metrics().counter("pb.commits"), 1);
@@ -315,7 +241,7 @@ fn regression_lost_decision_req_is_retried() {
 fn regression_late_execute_req_after_decision_is_rejected() {
     let mut w = world(
         6,
-        NetworkConfig::default(),
+        1000,
         ParticipantConfig::default(),
         CoordinatorConfig::default(),
     );
@@ -330,8 +256,6 @@ fn regression_late_execute_req_after_decision_is_rejected() {
         0,
         ScriptedFate::Delay(SimDuration::from_millis(50)),
     );
-    let plan = vec![transfer(w.pa, w.pb, 1000)];
-    spawn_client(&mut w, plan);
     w.sim.run_for(SimDuration::from_secs(1));
     assert_eq!(w.sim.metrics().counter("client.aborted"), 1);
     assert!(
@@ -342,7 +266,7 @@ fn regression_late_execute_req_after_decision_is_rejected() {
     );
     // The rejected execute never acquired locks or changed state.
     assert_eq!(w.sim.metrics().counter("pb.commits"), 0);
-    assert_eq!(peek(&w.sim, w.pb, "bob"), 100);
+    assert_eq!(peek(&w.sim, w.pb, "bob"), Some(100));
     let active = w
         .sim
         .inspect::<TwoPcParticipant>(w.pb)
@@ -363,12 +287,7 @@ fn regression_journaled_commit_is_resent_after_coordinator_restart() {
         decision_inquiry_after: SimDuration::from_secs(100),
         ..ParticipantConfig::default()
     };
-    let mut w = world(
-        5,
-        NetworkConfig::default(),
-        participant,
-        CoordinatorConfig::default(),
-    );
+    let mut w = world(5, 30, participant, CoordinatorConfig::default());
     // Lose both original DecisionReqs, then crash the coordinator before
     // its first retry sweep (20 ms): only the journal can finish this.
     w.sim
@@ -381,8 +300,6 @@ fn regression_journaled_commit_is_resent_after_coordinator_restart() {
         .schedule_crash(SimTime::from_nanos(4_000_000), w.n_coord);
     w.sim
         .schedule_restart(SimTime::from_nanos(10_000_000), w.n_coord);
-    let plan = vec![transfer(w.pa, w.pb, 30)];
-    spawn_client(&mut w, plan);
     w.sim.run_for(SimDuration::from_secs(1));
     assert!(
         w.sim.metrics().counter("dtx.decision_resends") >= 2,
@@ -390,13 +307,9 @@ fn regression_journaled_commit_is_resent_after_coordinator_restart() {
     );
     assert_eq!(w.sim.metrics().counter("pa.commits"), 1);
     assert_eq!(w.sim.metrics().counter("pb.commits"), 1);
-    assert_eq!(peek(&w.sim, w.pa, "alice"), 70);
-    assert_eq!(peek(&w.sim, w.pb, "bob"), 130);
-    for pid in [w.pa, w.pb] {
-        let p = w.sim.inspect::<TwoPcParticipant>(pid).unwrap();
-        assert_eq!(p.in_doubt(), 0);
-        assert_eq!(p.engine().active_count(), 0);
-    }
+    assert_eq!(peek(&w.sim, w.pa, "alice"), Some(70));
+    assert_eq!(peek(&w.sim, w.pb, "bob"), Some(130));
+    twopc_quiescent(&w.sim, &[w.pa, w.pb], w.coordinator).expect("nothing left in doubt");
 }
 
 /// Termination-protocol regression: a coordinator that crashes *before*
@@ -408,7 +321,7 @@ fn regression_journaled_commit_is_resent_after_coordinator_restart() {
 fn regression_inquiry_gets_presumed_abort_for_unknown_txid() {
     let mut w = world(
         9,
-        NetworkConfig::default(),
+        30,
         ParticipantConfig::default(),
         CoordinatorConfig::default(),
     );
@@ -424,8 +337,6 @@ fn regression_inquiry_gets_presumed_abort_for_unknown_txid() {
         .schedule_crash(SimTime::from_nanos(5_000_000), w.n_coord);
     w.sim
         .schedule_restart(SimTime::from_nanos(15_000_000), w.n_coord);
-    let plan = vec![transfer(w.pa, w.pb, 30)];
-    spawn_client(&mut w, plan);
     w.sim.run_for(SimDuration::from_secs(1));
     assert!(
         w.sim.metrics().counter("dtx.presumed_aborts") >= 1,
@@ -438,6 +349,10 @@ fn regression_inquiry_gets_presumed_abort_for_unknown_txid() {
         let p = w.sim.inspect::<TwoPcParticipant>(pid).unwrap();
         assert_eq!(p.in_doubt(), 0, "inquiry released the in-doubt branch");
         assert_eq!(p.engine().active_count(), 0);
-        assert_eq!(peek(&w.sim, pid, key), 100, "state untouched by the abort");
+        assert_eq!(
+            peek(&w.sim, pid, key),
+            Some(100),
+            "state untouched by the abort"
+        );
     }
 }
