@@ -83,6 +83,13 @@ impl Disk {
     }
 
     /// Read back a clone of the value stored under `key`.
+    ///
+    /// This deep-clones `T`, so a read costs the size of the value: fine
+    /// at boot, a trap in a message handler. Large or frequently updated
+    /// durable state belongs in an `Rc` cell (`Rc<RefCell<_>>`,
+    /// `Rc<Cell<_>>`) that is `put` once, fetched once at boot and then
+    /// updated in place — the idiom of the 2PC, saga, workflow, dataflow
+    /// and `DbServer` journals across the workspace.
     pub fn get<T: Any + Clone>(&self, key: &str) -> Option<T> {
         self.reads.set(self.reads.get() + 1);
         self.entries

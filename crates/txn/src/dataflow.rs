@@ -32,26 +32,40 @@
 //!    the sequencer's *watermark* — the minimum acknowledged epoch across
 //!    the fleet, monotone by construction — bounds how much share/journal
 //!    history anyone must retain.
-//! 5. **Checkpoint/recovery.** Every `checkpoint_every` epochs a shard
-//!    persists a state snapshot; the input journal is garbage-collected
-//!    up to `min(watermark, snapshot)` — local replay needs every epoch
-//!    after the snapshot, peers' share pulls every epoch after the
-//!    watermark. A
-//!    crashed shard reboots from the snapshot, locally re-executes the
-//!    journaled epochs (their full read sets were persisted, so replay
-//!    needs no network), re-acknowledges its durable position, and the
-//!    sequencer streams it every later epoch. Peers stuck waiting on the
-//!    crashed shard's shares pull them once the replayer catches up.
+//! 5. **Checkpoint/recovery.** The durable snapshot is an *in-place
+//!    mirror* of the shard's state (an `Rc` cell on the disk, the idiom
+//!    of `twopc`'s and `workflow`'s durable logs). Every
+//!    `checkpoint_every` epochs the shard patches it with the keys the
+//!    epochs since the last checkpoint touched — the cost of a checkpoint
+//!    is what those epochs wrote, not the size of the state. The input
+//!    journal is garbage-collected up to `min(watermark, snapshot)` —
+//!    local replay needs every epoch after the snapshot, peers' share
+//!    pulls every epoch after the watermark. A crashed shard reboots from
+//!    the mirror, locally re-executes the journaled epochs (their full
+//!    read sets were persisted, so replay needs no network),
+//!    re-acknowledges its durable position, and the sequencer streams it
+//!    every later epoch. Peers stuck waiting on the crashed shard's
+//!    shares pull them once the replayer catches up.
+//!
+//! **One batch, shared.** A closed epoch is allocated once (a `Batch`
+//! behind an `Rc`): the sequencer's durable log, every announcement on the
+//! wire, each shard's in-flight run and each shard's durable journal hold
+//! the same allocation and refer to a transaction by its index in it. A
+//! finished run's per-transaction read sets *move* into the journal entry;
+//! nothing an epoch carries is copied per shard, and no handler on the
+//! steady path reads the disk back — it is written, and read at boot.
 //!
 //! Everything here is opt-in and draw-free: deploying the engine adds
 //! processes but consumes no simulation randomness, so existing
 //! experiment streams are unaffected.
 
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
 use tca_messaging::rpc::{reply_to, RpcRequest};
-use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, ShardMap, SimDuration};
+use tca_sim::{Boot, Ctx, Disk, Payload, Process, ProcessId, ShardMap, SimDuration};
 use tca_storage::Value;
 
 use crate::deterministic::{DetRegistry, SubmitTxn, TxnOutcome};
@@ -96,6 +110,37 @@ impl Default for DataflowConfig {
 }
 
 // ---------------------------------------------------------------------------
+// Durable layout helpers
+// ---------------------------------------------------------------------------
+
+/// The durable cell under `key`, created (default-valued) on first boot.
+/// The process and the disk hold the same `Rc`, so the cell is updated in
+/// place and never read back on the steady path.
+fn durable_cell<T: Default + 'static>(disk: &mut Disk, key: &str) -> Rc<T> {
+    disk.get::<Rc<T>>(key).unwrap_or_else(|| {
+        let cell = Rc::new(T::default());
+        disk.put(key, Rc::clone(&cell));
+        cell
+    })
+}
+
+/// The run of durable entries `{prefix}{e}` that ends at `e = top`, in
+/// ascending order. Both journals here are appended at the top and
+/// garbage-collected from the bottom, so what is retained is contiguous
+/// and walking down from `top` to the first gap reads exactly that — a
+/// restart costs the retained window, not the history behind it.
+fn durable_tail<T: 'static>(disk: &Disk, prefix: &str, top: u64) -> VecDeque<Rc<T>> {
+    let mut tail = VecDeque::new();
+    for e in (1..=top).rev() {
+        let Some(entry) = disk.get::<Rc<T>>(&format!("{prefix}{e}")) else {
+            break;
+        };
+        tail.push_front(entry);
+    }
+    tail
+}
+
+// ---------------------------------------------------------------------------
 // Wire messages
 // ---------------------------------------------------------------------------
 
@@ -116,36 +161,46 @@ pub struct DfTxn {
     pub call_id: u64,
 }
 
-/// A closed epoch: the batch, its wave layering, and the fleet watermark.
-#[derive(Debug, Clone)]
-struct EpochBatch {
+/// A closed epoch: the ordered batch and its wave layering. Allocated
+/// once at close; the sequencer's durable log, every [`EpochBatch`] and
+/// each shard's run and journal share it.
+#[derive(Debug)]
+struct Batch {
     epoch: u64,
+    /// Ascending by id.
+    txns: Vec<DfTxn>,
+    /// `waves[i]` is the conflict wave of `txns[i]` (0-based).
+    waves: Vec<u32>,
+}
+
+/// Sequencer → shard: a closed epoch and the fleet watermark.
+#[derive(Debug)]
+struct EpochBatch {
     /// Minimum epoch acknowledged by every shard (monotone).
     watermark: u64,
-    txns: Rc<Vec<DfTxn>>,
-    /// `waves[i]` is the conflict wave of `txns[i]` (0-based).
-    waves: Rc<Vec<u32>>,
+    batch: Rc<Batch>,
 }
 
 /// Shard → sequencer: "epoch `epoch` is durably applied here".
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct EpochAck {
     shard: u32,
     epoch: u64,
 }
 
-/// Shard → shard: the sender's owned reads for one transaction.
-#[derive(Debug, Clone)]
+/// Shard → shard: the sender's owned reads for one transaction, each as
+/// (index into the transaction's `read_keys`, value).
+#[derive(Debug)]
 struct WaveShare {
     epoch: u64,
     txn_id: u64,
-    pairs: Vec<(String, Value)>,
+    pairs: Vec<(u32, Value)>,
 }
 
 /// Shard → shard: "resend your shares for these transactions" (the pull
 /// path that recovers shares lost to drops, partitions, or a receiver
 /// that was down when they were pushed).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ShareReq {
     epoch: u64,
     txn_ids: Vec<u64>,
@@ -158,17 +213,6 @@ struct ShareReq {
 const EPOCH_TAG: u64 = 0xdf_0001;
 const RESEND_TAG: u64 = 0xdf_0002;
 
-/// Durable journal entry for one closed epoch (sequencer side).
-#[derive(Debug, Clone)]
-struct EpochLogEntry {
-    txns: Vec<DfTxn>,
-    waves: Vec<u32>,
-}
-
-/// In-memory decode of a journaled epoch: the batch and its wave layers,
-/// shared by every outgoing [`EpochBatch`].
-type CachedEpoch = (Rc<Vec<DfTxn>>, Rc<Vec<u32>>);
-
 /// The epoch-batching global sequencer.
 ///
 /// Closes an epoch when the buffer is non-empty and the epoch timer
@@ -178,40 +222,35 @@ type CachedEpoch = (Rc<Vec<DfTxn>>, Rc<Vec<u32>>);
 /// next needed epoch to lagging shards on [`DataflowConfig::resend_interval`].
 pub struct DfSequencer {
     config: DataflowConfig,
-    shards: Rc<std::cell::RefCell<Vec<ProcessId>>>,
+    shards: Rc<RefCell<Vec<ProcessId>>>,
     buffer: Vec<DfTxn>,
-    next_id: u64,
+    /// Last id handed out (the durable `next_id` cell).
+    next_id: Rc<Cell<u64>>,
     last_epoch: u64,
     /// Highest epoch durably applied by each shard.
     acked: Vec<u64>,
-    /// Decoded journal of closed epochs still above the watermark.
-    log: HashMap<u64, CachedEpoch>,
+    /// Closed epochs `log_floor + 1 ..= last_epoch`, oldest first: the
+    /// same allocations as the durable `ep/{n}` entries.
+    log: VecDeque<Rc<Batch>>,
+    /// Every epoch at or below this has been dropped from the log.
+    log_floor: u64,
     epoch_timer_armed: bool,
     resend_timer_armed: bool,
 }
 
 impl DfSequencer {
-    fn boot(
-        config: DataflowConfig,
-        shards: Rc<std::cell::RefCell<Vec<ProcessId>>>,
-        boot: &mut Boot,
-    ) -> Self {
+    fn boot(config: DataflowConfig, shards: Rc<RefCell<Vec<ProcessId>>>, boot: &mut Boot) -> Self {
         let n = shards.borrow().len().max(1);
         let last_epoch = boot.disk.get::<u64>("last_epoch").unwrap_or(0);
-        let next_id = boot.disk.get::<u64>("next_id").unwrap_or(0);
-        let mut log = HashMap::default();
-        for e in 1..=last_epoch {
-            if let Some(entry) = boot.disk.get::<EpochLogEntry>(&format!("ep/{e}")) {
-                log.insert(e, (Rc::new(entry.txns), Rc::new(entry.waves)));
-            }
-        }
+        let log = durable_tail::<Batch>(boot.disk, "ep/", last_epoch);
         DfSequencer {
             config,
             shards,
             buffer: Vec::new(),
-            next_id,
+            next_id: durable_cell(boot.disk, "next_id"),
             last_epoch,
             acked: vec![0; n],
+            log_floor: last_epoch - log.len() as u64,
             log,
             epoch_timer_armed: false,
             resend_timer_armed: false,
@@ -257,13 +296,14 @@ impl DfSequencer {
         waves
     }
 
-    fn batch_for(&self, epoch: u64) -> Option<EpochBatch> {
-        self.log.get(&epoch).map(|(txns, waves)| EpochBatch {
-            epoch,
+    /// The announcement of `epoch`, if it is still in the log.
+    fn batch_for(&self, epoch: u64) -> Option<Payload> {
+        let at = epoch.checked_sub(self.log_floor + 1)?;
+        let batch = self.log.get(at as usize)?;
+        Some(Payload::new(EpochBatch {
             watermark: self.watermark(),
-            txns: Rc::clone(txns),
-            waves: Rc::clone(waves),
-        })
+            batch: Rc::clone(batch),
+        }))
     }
 
     /// Send `shard` the next epoch it needs, if one is closed.
@@ -271,7 +311,7 @@ impl DfSequencer {
         let next = self.acked[shard] + 1;
         if next <= self.last_epoch {
             if let Some(batch) = self.batch_for(next) {
-                ctx.send(self.shards.borrow()[shard], Payload::new(batch));
+                ctx.send(self.shards.borrow()[shard], batch);
             }
         }
     }
@@ -299,10 +339,10 @@ impl Process for DfSequencer {
             let Some(submit) = request.body.downcast_ref::<SubmitTxn>() else {
                 return;
             };
-            self.next_id += 1;
-            ctx.disk().put("next_id", self.next_id);
+            let id = self.next_id.get() + 1;
+            self.next_id.set(id);
             self.buffer.push(DfTxn {
-                id: self.next_id,
+                id,
                 proc: submit.proc.clone(),
                 args: submit.args.clone(),
                 read_keys: submit.read_keys.clone(),
@@ -319,18 +359,16 @@ impl Process for DfSequencer {
             if shard >= self.acked.len() {
                 return;
             }
-            let before = self.watermark();
             if ack.epoch > self.acked[shard] {
                 self.acked[shard] = ack.epoch;
             }
-            let watermark = self.watermark();
-            if watermark > before {
-                // History at or below the fleet watermark can never be
-                // requested again: every shard has durably applied it.
-                for e in before + 1..=watermark {
-                    self.log.remove(&e);
-                    ctx.disk().remove(&format!("ep/{e}"));
-                }
+            // History at or below the fleet watermark can never be
+            // requested again: every shard has durably applied it.
+            let watermark = self.watermark().min(self.last_epoch);
+            while self.log_floor < watermark {
+                self.log_floor += 1;
+                self.log.pop_front();
+                ctx.disk().remove(&format!("ep/{}", self.log_floor));
             }
             // Ack-driven catch-up: stream the next epoch immediately so a
             // recovering shard advances one epoch per round trip instead
@@ -350,27 +388,24 @@ impl Process for DfSequencer {
                 self.last_epoch += 1;
                 let txns = std::mem::take(&mut self.buffer);
                 let waves = Self::layer_waves(&txns);
+                let n_waves = u64::from(waves.iter().copied().max().unwrap_or(0)) + 1;
+                let batch = Rc::new(Batch {
+                    epoch: self.last_epoch,
+                    txns,
+                    waves,
+                });
                 // Journal before announcing: once any shard has seen the
                 // epoch, the sequencer must be able to replay it forever
                 // (until the watermark passes it).
-                ctx.disk().put(
-                    &format!("ep/{}", self.last_epoch),
-                    EpochLogEntry {
-                        txns: txns.clone(),
-                        waves: waves.clone(),
-                    },
-                );
+                ctx.disk()
+                    .put(&format!("ep/{}", self.last_epoch), Rc::clone(&batch));
                 ctx.disk().put("last_epoch", self.last_epoch);
-                self.log
-                    .insert(self.last_epoch, (Rc::new(txns), Rc::new(waves)));
-                let batch = self.batch_for(self.last_epoch).expect("just journaled");
+                self.log.push_back(batch);
                 ctx.metrics().incr("df.epochs", 1);
-                ctx.metrics().incr(
-                    "df.waves",
-                    u64::from(*batch.waves.iter().max().unwrap_or(&0)) + 1,
-                );
+                ctx.metrics().incr("df.waves", n_waves);
+                let announce = self.batch_for(self.last_epoch).expect("just journaled");
                 for &shard in self.shards.borrow().iter() {
-                    ctx.send(shard, Payload::new(batch.clone()));
+                    ctx.send(shard, announce.clone());
                 }
                 self.arm_resend(ctx);
                 if !self.buffer.is_empty() {
@@ -404,48 +439,150 @@ impl Process for DfSequencer {
 const WAVE_TAG: u64 = 0xdf_0003;
 const STUCK_TAG: u64 = 0xdf_0004;
 
-/// Durable journal entry for one applied epoch (shard side): the hosted
-/// transactions with their *complete* read sets, so recovery re-executes
-/// locally without any network exchange.
-#[derive(Debug, Clone)]
-struct ShardJournalEntry {
-    txns: Vec<DfTxn>,
-    reads: Vec<Vec<(String, Value)>>,
-}
-
-/// Durable state snapshot taken every [`DataflowConfig::checkpoint_every`]
-/// epochs.
-#[derive(Debug, Clone)]
+/// The durable state mirror (`snap`): the shard's state as of `epoch`.
+/// Lives in an `Rc<RefCell<_>>` on the disk and is patched in place at
+/// each checkpoint; only a rebooting shard reads it.
+#[derive(Default)]
 struct Snapshot {
     epoch: u64,
+    /// Sorted by key. This is the state's second copy, so it is kept
+    /// compact: no hash table, and capacity grown a few entries at a time
+    /// (an insert shifts the tail anyway, so an exact regrow adds no more
+    /// than a constant factor).
     state: Vec<(String, Value)>,
 }
 
-/// One hosted transaction while its epoch is in flight.
-struct PendingTxn {
-    txn: DfTxn,
-    wave: u32,
+impl Snapshot {
+    /// Overwrite `key`, or insert it (a shift of the tail — paid once per
+    /// key, when a checkpoint first sees it).
+    fn put(&mut self, key: &str, value: &Value) {
+        match self.state.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
+            Ok(at) => self.state[at].1 = value.clone(),
+            Err(at) => {
+                if self.state.len() == self.state.capacity() {
+                    self.state.reserve_exact(8);
+                }
+                self.state.insert(at, (key.to_owned(), value.clone()));
+            }
+        }
+    }
+}
+
+/// One hosted transaction: in flight inside an [`EpochRun`], then — moved,
+/// not copied — part of the epoch's durable journal entry.
+struct HostedTxn {
+    /// Index into the batch.
+    at: u32,
     /// Ring owners of the read set (ascending, deduped).
     participants: Vec<usize>,
+    /// The read set gathered so far: this shard's keys on entering the
+    /// wave, the rest from the other participants' shares. Journaled
+    /// complete, so recovery re-executes without any network exchange.
     reads: HashMap<String, Value>,
+    /// Distinct declared keys not yet in `reads`.
+    missing: u32,
+    /// This shard's [`WaveShare`] as pushed to the other participants on
+    /// entering the wave; re-sent as is to answer a pull.
+    share: Option<Payload>,
+}
+
+impl HostedTxn {
+    fn new(at: usize, txn: &DfTxn, participants: Vec<usize>) -> Self {
+        let keys = &txn.read_keys;
+        let distinct = (0..keys.len()).filter(|&i| !keys[..i].contains(&keys[i]));
+        HostedTxn {
+            at: at as u32,
+            participants,
+            reads: HashMap::default(),
+            missing: distinct.count() as u32,
+            share: None,
+        }
+    }
+
+    /// Record the value read for a declared key. Every copy of a share
+    /// carries the same values, so the first one to arrive is kept.
+    fn read(&mut self, key: &str, value: &Value) {
+        if !self.reads.contains_key(key) {
+            self.reads.insert(key.to_owned(), value.clone());
+            self.missing -= 1;
+        }
+    }
+}
+
+/// Durable journal entry for one applied epoch (`jrnl/{n}`): the batch
+/// and this shard's hosted transactions in execution order — by wave,
+/// then by position in the batch.
+struct ShardJournalEntry {
+    batch: Rc<Batch>,
+    hosted: Vec<HostedTxn>,
+}
+
+impl ShardJournalEntry {
+    fn txn(&self, hosted: &HostedTxn) -> &DfTxn {
+        &self.batch.txns[hosted.at as usize]
+    }
+
+    fn wave(&self, hosted: &HostedTxn) -> u32 {
+        self.batch.waves[hosted.at as usize]
+    }
+
+    /// Position in `hosted` of transaction `txn_id`, if hosted here.
+    fn position(&self, txn_id: u64) -> Option<usize> {
+        let at = self
+            .batch
+            .txns
+            .binary_search_by_key(&txn_id, |t| t.id)
+            .ok()?;
+        let order = (self.batch.waves[at], at as u32);
+        self.hosted
+            .binary_search_by_key(&order, |h| (self.wave(h), h.at))
+            .ok()
+    }
 }
 
 /// The in-flight epoch on a shard.
 struct EpochRun {
-    epoch: u64,
-    /// Hosted transactions in global order.
-    pending: Vec<PendingTxn>,
+    /// What becomes the epoch's journal entry on completion.
+    entry: ShardJournalEntry,
     /// Waves of the *whole* epoch (cross-shard wave indices must align),
     /// processed in ascending order.
     wave: u32,
     max_wave: u32,
+    /// `entry.hosted[current]` is the current wave.
+    current: std::ops::Range<usize>,
+    /// Transactions of the current wave still missing reads.
+    waiting: usize,
     /// Outcomes owed to clients, emitted all at once on completion.
     outcomes: Vec<(ProcessId, u64, TxnOutcome)>,
-    /// Journal accumulation: executed txns + their full read sets.
-    journal: ShardJournalEntry,
     /// Set when a wave has been executed and its cost timer is pending.
     cost_timer_pending: bool,
     stuck_timer_armed: bool,
+}
+
+impl EpochRun {
+    fn epoch(&self) -> u64 {
+        self.entry.batch.epoch
+    }
+
+    /// Fold a peer's share into its transaction's read set. False if the
+    /// transaction is not hosted here.
+    fn absorb(&mut self, share: &WaveShare) -> bool {
+        let Some(at) = self.entry.position(share.txn_id) else {
+            return false;
+        };
+        let hosted = &mut self.entry.hosted[at];
+        let keys = &self.entry.batch.txns[hosted.at as usize].read_keys;
+        let was_missing = hosted.missing > 0;
+        for (k, value) in &share.pairs {
+            if let Some(key) = keys.get(*k as usize) {
+                hosted.read(key, value);
+            }
+        }
+        if was_missing && hosted.missing == 0 && self.current.contains(&at) {
+            self.waiting -= 1;
+        }
+        true
+    }
 }
 
 /// One shard of the epoch-batched dataflow engine. See the module docs
@@ -453,28 +590,28 @@ struct EpochRun {
 pub struct DfShard {
     registry: Rc<DetRegistry>,
     map: Rc<ShardMap>,
-    shards: Rc<std::cell::RefCell<Vec<ProcessId>>>,
-    sequencer: Rc<std::cell::Cell<ProcessId>>,
+    shards: Rc<RefCell<Vec<ProcessId>>>,
+    sequencer: Rc<Cell<ProcessId>>,
     index: usize,
     config: DataflowConfig,
     state: HashMap<String, Value>,
+    /// The durable `snap` cell: `state` as of the last checkpoint.
+    snap: Rc<RefCell<Snapshot>>,
     /// Highest epoch durably applied (mirrors the disk `applied` cell).
     applied: u64,
     /// Epochs received but not yet runnable (gap or one already running).
-    buffered: HashMap<u64, EpochBatch>,
+    buffered: HashMap<u64, Rc<Batch>>,
     run: Option<EpochRun>,
-    /// Shares received ahead of their wave/epoch: (epoch, txn) → pairs.
-    early_shares: HashMap<(u64, u64), Vec<(String, Value)>>,
-    /// Shares *sent* per epoch/txn, kept for pull-retries until the
-    /// fleet watermark passes the epoch. Volatile: pulls for epochs this
-    /// shard already applied are answered from the durable journal
-    /// instead (the cache of a crashed shard is gone, but a peer that
-    /// still needs those shares has not acked, so the watermark — and
-    /// with it journal GC — cannot have passed the epoch).
-    share_cache: HashMap<u64, HashMap<u64, Vec<(String, Value)>>>,
-    /// Journal-GC cursor: every `jrnl/{e}` with `e <= jrnl_gc` has been
-    /// removed. Volatile; rewinds to 0 on restart (re-removing is a
-    /// no-op).
+    /// [`WaveShare`]s received ahead of their epoch, folded in when it
+    /// starts. Volatile: a share lost with a crash is pulled again.
+    early_shares: HashMap<u64, Vec<Payload>>,
+    /// Journal entries of epochs `jrnl_gc + 1 ..= applied`, oldest first:
+    /// the same allocations as the durable `jrnl/{n}` entries. They feed
+    /// the next checkpoint its dirty keys and answer peers' share pulls
+    /// (a peer still pulling has not acked the epoch, so the watermark —
+    /// and with it journal GC — cannot have passed it).
+    journal: VecDeque<Rc<ShardJournalEntry>>,
+    /// Every `jrnl/{e}` with `e <= jrnl_gc` has been removed.
     jrnl_gc: u64,
 }
 
@@ -482,19 +619,18 @@ impl DfShard {
     fn boot(
         registry: Rc<DetRegistry>,
         map: Rc<ShardMap>,
-        shards: Rc<std::cell::RefCell<Vec<ProcessId>>>,
-        sequencer: Rc<std::cell::Cell<ProcessId>>,
+        shards: Rc<RefCell<Vec<ProcessId>>>,
+        sequencer: Rc<Cell<ProcessId>>,
         index: usize,
         config: DataflowConfig,
         boot: &mut Boot,
     ) -> Self {
-        let mut state: HashMap<String, Value> = HashMap::default();
-        let mut snap_epoch = 0;
-        if let Some(snap) = boot.disk.get::<Snapshot>("snap") {
-            snap_epoch = snap.epoch;
-            state.extend(snap.state);
-        }
+        let snap: Rc<RefCell<Snapshot>> = durable_cell(boot.disk, "snap");
         let applied = boot.disk.get::<u64>("applied").unwrap_or(0);
+        let journal = durable_tail::<ShardJournalEntry>(boot.disk, "jrnl/", applied);
+        let jrnl_gc = applied - journal.len() as u64;
+        let snap_epoch = snap.borrow().epoch;
+        let state = snap.borrow().state.iter().cloned().collect();
         let mut shard = DfShard {
             registry,
             map,
@@ -503,42 +639,50 @@ impl DfShard {
             index,
             config,
             state,
-            applied: snap_epoch,
+            snap,
+            applied,
             buffered: HashMap::default(),
             run: None,
             early_shares: HashMap::default(),
-            share_cache: HashMap::default(),
-            jrnl_gc: 0,
+            journal: VecDeque::new(),
+            jrnl_gc,
         };
         // Recovery: re-execute the journaled epochs between the snapshot
         // and the durable applied mark. Inputs (including remote reads)
         // were persisted with each epoch, so this is pure local compute;
         // outputs were already emitted by the pre-crash incarnation, so
         // nothing is sent.
-        for epoch in snap_epoch + 1..=applied {
-            if let Some(entry) = boot.disk.get::<ShardJournalEntry>(&format!("jrnl/{epoch}")) {
-                shard.replay_entry(&entry);
+        for entry in journal
+            .iter()
+            .skip(snap_epoch.saturating_sub(jrnl_gc) as usize)
+        {
+            for hosted in &entry.hosted {
+                let _ = shard.execute(entry.txn(hosted), &hosted.reads);
             }
-            shard.applied = epoch;
         }
+        shard.journal = journal;
         shard
     }
 
-    fn replay_entry(&mut self, entry: &ShardJournalEntry) {
-        for (txn, reads) in entry.txns.iter().zip(&entry.reads) {
-            let read_map: HashMap<String, Value> = reads.iter().cloned().collect();
-            let result = match self.registry.procs.get(&txn.proc) {
-                Some(f) => f(&txn.args, &read_map),
-                None => Err(format!("unknown procedure `{}`", txn.proc)),
-            };
-            if let Ok(writes) = result {
-                for (key, value) in writes {
-                    if self.map.owner(&key) == self.index {
-                        self.state.insert(key, value);
-                    }
-                }
+    /// Run `txn` over its complete read set and apply the writes this
+    /// shard owns; returns the size of the whole write set. Writes
+    /// outside the declared set are a contract violation and are dropped:
+    /// the wave layering and the checkpoint's dirty set both assume
+    /// a transaction touches only what it declared.
+    fn execute(&mut self, txn: &DfTxn, reads: &HashMap<String, Value>) -> Result<usize, String> {
+        let Some(f) = self.registry.procs.get(&txn.proc) else {
+            return Err(format!("unknown procedure `{}`", txn.proc));
+        };
+        let writes = f(&txn.args, reads)?;
+        let n = writes.len();
+        for (key, value) in writes {
+            let declared = txn.read_keys.contains(&key);
+            debug_assert!(declared, "write outside declared set: {key}");
+            if declared && self.map.owner(&key) == self.index {
+                self.state.insert(key, value);
             }
         }
+        Ok(n)
     }
 
     fn participants_of(&self, txn: &DfTxn) -> Vec<usize> {
@@ -568,17 +712,42 @@ impl DfShard {
         if watermark == 0 {
             return;
         }
-        self.share_cache.retain(|&epoch, _| epoch > watermark);
-        self.early_shares.retain(|&(epoch, _), _| epoch > watermark);
+        self.early_shares.retain(|&epoch, _| epoch > watermark);
         // Journal entries serve two masters: local replay needs
         // everything after the snapshot, peers' share pulls need
         // everything after the watermark. Drop what neither can ask for.
-        let snap = ctx.disk().get::<Snapshot>("snap").map_or(0, |s| s.epoch);
-        let bound = watermark.min(snap);
+        let bound = watermark.min(self.snap.borrow().epoch);
         while self.jrnl_gc < bound {
             self.jrnl_gc += 1;
+            self.journal.pop_front();
             ctx.disk().remove(&format!("jrnl/{}", self.jrnl_gc));
         }
+    }
+
+    /// The journal entry of an applied epoch, while it is retained.
+    fn journaled(&self, epoch: u64) -> Option<&ShardJournalEntry> {
+        let at = epoch.checked_sub(self.jrnl_gc + 1)?;
+        self.journal.get(at as usize).map(|entry| &**entry)
+    }
+
+    /// Bring the durable mirror up to `epoch`. What changed since the
+    /// last checkpoint lies within the declared keys of the transactions
+    /// journaled since (see [`Self::execute`]), and those entries are
+    /// still retained — journal GC never passes the snapshot.
+    fn checkpoint(&mut self, epoch: u64) {
+        let mut snap = self.snap.borrow_mut();
+        let since = snap.epoch.saturating_sub(self.jrnl_gc) as usize;
+        for entry in self.journal.range(since..) {
+            for hosted in &entry.hosted {
+                for key in &entry.txn(hosted).read_keys {
+                    // Only owned, written keys are in `state`.
+                    if let Some(value) = self.state.get(key) {
+                        snap.put(key, value);
+                    }
+                }
+            }
+        }
+        snap.epoch = epoch;
     }
 
     /// Start the next buffered epoch if none is running and it is the
@@ -589,35 +758,32 @@ impl DfShard {
             let Some(batch) = self.buffered.remove(&next) else {
                 return;
             };
-            let max_wave = batch.waves.iter().copied().max().unwrap_or(0);
-            let mut pending = Vec::new();
-            for (txn, &wave) in batch.txns.iter().zip(batch.waves.iter()) {
+            let mut hosted = Vec::new();
+            for (at, txn) in batch.txns.iter().enumerate() {
                 if txn
                     .read_keys
                     .iter()
                     .any(|k| self.map.owner(k) == self.index)
                 {
-                    pending.push(PendingTxn {
-                        txn: txn.clone(),
-                        wave,
-                        participants: self.participants_of(txn),
-                        reads: HashMap::default(),
-                    });
+                    hosted.push(HostedTxn::new(at, txn, self.participants_of(txn)));
                 }
             }
-            self.run = Some(EpochRun {
-                epoch: next,
-                pending,
+            // Stable: a wave keeps the batch's global order.
+            hosted.sort_by_key(|h| batch.waves[h.at as usize]);
+            let mut run = EpochRun {
+                max_wave: batch.waves.iter().copied().max().unwrap_or(0),
+                entry: ShardJournalEntry { batch, hosted },
                 wave: 0,
-                max_wave,
+                current: 0..0,
+                waiting: 0,
                 outcomes: Vec::new(),
-                journal: ShardJournalEntry {
-                    txns: Vec::new(),
-                    reads: Vec::new(),
-                },
                 cost_timer_pending: false,
                 stuck_timer_armed: false,
-            });
+            };
+            for early in self.early_shares.remove(&next).unwrap_or_default() {
+                run.absorb(early.expect::<WaveShare>());
+            }
+            self.run = Some(run);
             self.enter_wave(ctx);
             self.pump(ctx);
             // `pump` may have completed the epoch inline (no hosted
@@ -626,71 +792,66 @@ impl DfShard {
     }
 
     /// Push this shard's read shares for every hosted transaction of the
-    /// current wave, and fold in any shares that arrived early.
+    /// wave being entered.
     fn enter_wave(&mut self, ctx: &mut Ctx) {
-        let Some(mut run) = self.run.take() else {
+        let Some(run) = self.run.as_mut() else {
             return;
         };
-        let epoch = run.epoch;
-        let wave = run.wave;
+        let epoch = run.epoch();
         let me = self.index;
-        let peers = self.shards.borrow().clone();
-        for pending in run.pending.iter_mut().filter(|p| p.wave == wave) {
-            let my_pairs: Vec<(String, Value)> = pending
-                .txn
-                .read_keys
-                .iter()
-                .filter(|k| self.map.owner(k) == me)
-                .map(|k| (k.clone(), self.state.get(k).cloned().unwrap_or(Value::Null)))
-                .collect();
-            for (key, value) in &my_pairs {
-                pending.reads.insert(key.clone(), value.clone());
-            }
-            if pending.participants.len() > 1 {
-                let share = WaveShare {
-                    epoch,
-                    txn_id: pending.txn.id,
-                    pairs: my_pairs.clone(),
-                };
-                for &p in &pending.participants {
-                    if p != me {
-                        ctx.send(peers[p], Payload::new(share.clone()));
+        let peers = self.shards.borrow();
+        let ShardJournalEntry { batch, hosted: all } = &mut run.entry;
+        let start = run.current.end;
+        let len = all[start..]
+            .iter()
+            .take_while(|h| batch.waves[h.at as usize] == run.wave)
+            .count();
+        run.current = start..start + len;
+        run.waiting = 0;
+        for hosted in &mut all[run.current.clone()] {
+            let txn = &batch.txns[hosted.at as usize];
+            let shared = hosted.participants.len() > 1;
+            let mut pairs = Vec::new();
+            for (k, key) in txn.read_keys.iter().enumerate() {
+                if self.map.owner(key) == me {
+                    let value = self.state.get(key).cloned().unwrap_or(Value::Null);
+                    hosted.read(key, &value);
+                    if shared {
+                        pairs.push((k as u32, value));
                     }
                 }
-                self.share_cache
-                    .entry(epoch)
-                    .or_default()
-                    .insert(pending.txn.id, my_pairs);
             }
-            if let Some(early) = self.early_shares.remove(&(epoch, pending.txn.id)) {
-                for (key, value) in early {
-                    pending.reads.insert(key, value);
+            if shared {
+                let share = Payload::new(WaveShare {
+                    epoch,
+                    txn_id: txn.id,
+                    pairs,
+                });
+                for &p in &hosted.participants {
+                    if p != me {
+                        ctx.send(peers[p], share.clone());
+                    }
                 }
+                hosted.share = Some(share);
+            }
+            if hosted.missing > 0 {
+                run.waiting += 1;
             }
         }
-        self.run = Some(run);
     }
 
     /// Execute the current wave if every hosted transaction in it has a
     /// complete read set; otherwise arm the share pull-retry timer.
     fn pump(&mut self, ctx: &mut Ctx) {
         {
-            let Some(run) = self.run.as_ref() else { return };
+            let Some(run) = self.run.as_mut() else { return };
             if run.cost_timer_pending {
                 return; // wave already executed, waiting out its cost
             }
-            let wave = run.wave;
-            let ready = run
-                .pending
-                .iter()
-                .filter(|p| p.wave == wave)
-                .all(|p| p.txn.read_keys.iter().all(|k| p.reads.contains_key(k)));
-            if !ready {
-                let interval = self.config.resend_interval;
-                let run = self.run.as_mut().expect("running");
+            if run.waiting > 0 {
                 if !run.stuck_timer_armed {
                     run.stuck_timer_armed = true;
-                    ctx.set_timer(interval, STUCK_TAG);
+                    ctx.set_timer(self.config.resend_interval, STUCK_TAG);
                 }
                 return;
             }
@@ -698,55 +859,29 @@ impl DfShard {
         // Execute every hosted transaction of the wave "at once": apply
         // owned writes now, buffer outcomes, then pay one parallel cost.
         let mut run = self.run.take().expect("running");
-        let wave = run.wave;
-        let mut executed = 0u64;
-        for pending in run.pending.iter().filter(|p| p.wave == wave) {
-            executed += 1;
-            let result = match self.registry.procs.get(&pending.txn.proc) {
-                Some(f) => f(&pending.txn.args, &pending.reads),
-                None => Err(format!("unknown procedure `{}`", pending.txn.proc)),
+        for hosted in &run.entry.hosted[run.current.clone()] {
+            let txn = run.entry.txn(hosted);
+            let result = self.execute(txn, &hosted.reads);
+            let verdict = match &result {
+                Ok(_) => "df.applied",
+                Err(_) => "df.logic_failures",
             };
-            match &result {
-                Ok(writes) => {
-                    for (key, value) in writes {
-                        debug_assert!(
-                            pending.txn.read_keys.contains(key),
-                            "write outside declared set: {key}"
-                        );
-                        if self.map.owner(key) == self.index {
-                            self.state.insert(key.clone(), value.clone());
-                        }
-                    }
-                    ctx.metrics().incr("df.applied", 1);
-                }
-                Err(_) => ctx.metrics().incr("df.logic_failures", 1),
-            }
-            if self.reply_owner(&pending.txn) == self.index {
+            ctx.metrics().incr(verdict, 1);
+            if self.reply_owner(txn) == self.index {
                 run.outcomes.push((
-                    pending.txn.client,
-                    pending.txn.call_id,
+                    txn.client,
+                    txn.call_id,
                     TxnOutcome {
-                        result: result.map(|writes| vec![Value::Int(writes.len() as i64)]),
+                        result: result.map(|writes| vec![Value::Int(writes as i64)]),
                     },
                 ));
             }
-            run.journal.txns.push(pending.txn.clone());
-            run.journal.reads.push(
-                pending
-                    .reads
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-            );
         }
         run.stuck_timer_armed = false;
         // One wave of n transactions on w workers costs ceil(n/w) serial
         // execution slots — the parallel-apply model.
-        let slots = if executed == 0 {
-            0
-        } else {
-            executed.div_ceil(self.config.workers.max(1) as u64)
-        };
+        let executed = run.current.len() as u64;
+        let slots = executed.div_ceil(self.config.workers.max(1) as u64);
         let cost = SimDuration::from_nanos(self.config.exec_cost.as_nanos() * slots);
         if cost > SimDuration::ZERO {
             run.cost_timer_pending = true;
@@ -780,26 +915,14 @@ impl DfShard {
         // the buffered outcomes, and acknowledges — the exactly-once
         // boundary (crashes cannot land between these steps).
         let run = self.run.take().expect("completing");
-        let epoch = run.epoch;
-        ctx.disk().put(
-            &format!("jrnl/{epoch}"),
-            ShardJournalEntry {
-                txns: run.journal.txns,
-                reads: run.journal.reads,
-            },
-        );
+        let epoch = run.epoch();
+        let entry = Rc::new(run.entry);
+        ctx.disk().put(&format!("jrnl/{epoch}"), Rc::clone(&entry));
+        self.journal.push_back(entry);
         self.applied = epoch;
         ctx.disk().put("applied", epoch);
         if epoch.is_multiple_of(self.config.checkpoint_every) {
-            let snapshot = Snapshot {
-                epoch,
-                state: self
-                    .state
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-            };
-            ctx.disk().put("snap", snapshot);
+            self.checkpoint(epoch);
             ctx.metrics().incr("df.checkpoints", 1);
             // Journal entries at or below the snapshot are no longer
             // needed for replay, but peers may still pull shares from
@@ -866,86 +989,56 @@ impl Process for DfShard {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
-        if let Some(batch) = payload.downcast_ref::<EpochBatch>() {
-            self.gc_below(ctx, batch.watermark);
-            if batch.epoch <= self.applied {
+        if let Some(announce) = payload.downcast_ref::<EpochBatch>() {
+            let epoch = announce.batch.epoch;
+            self.gc_below(ctx, announce.watermark);
+            if epoch <= self.applied {
                 // Duplicate of an applied epoch: the ack may have been
                 // lost, so re-acknowledge, but never re-run or re-emit.
                 self.ack(ctx);
                 return;
             }
-            let running = self.run.as_ref().is_some_and(|r| r.epoch == batch.epoch);
+            let running = self.run.as_ref().is_some_and(|r| r.epoch() == epoch);
             if !running {
                 self.buffered
-                    .entry(batch.epoch)
-                    .or_insert_with(|| batch.clone());
+                    .entry(epoch)
+                    .or_insert_with(|| Rc::clone(&announce.batch));
             }
             self.try_start(ctx);
         } else if let Some(share) = payload.downcast_ref::<WaveShare>() {
             if share.epoch <= self.applied {
                 return;
             }
-            let mut pumped = false;
-            if let Some(run) = self.run.as_mut() {
-                if run.epoch == share.epoch {
-                    if let Some(pending) = run.pending.iter_mut().find(|p| p.txn.id == share.txn_id)
-                    {
-                        for (key, value) in &share.pairs {
-                            pending.reads.insert(key.clone(), value.clone());
-                        }
-                        pumped = true;
+            match self.run.as_mut() {
+                Some(run) if run.epoch() == share.epoch => {
+                    if run.absorb(share) {
+                        self.pump(ctx);
                     }
                 }
-            }
-            if pumped {
-                self.pump(ctx);
-            } else {
-                self.early_shares
-                    .entry((share.epoch, share.txn_id))
+                _ => self
+                    .early_shares
+                    .entry(share.epoch)
                     .or_default()
-                    .extend(share.pairs.iter().cloned());
+                    .push(payload.clone()),
             }
         } else if let Some(req) = payload.downcast_ref::<ShareReq>() {
-            // Pull path. Live runs answer from the sent-share cache
-            // (entries exist iff this shard has entered the transaction's
-            // wave). The cache is volatile, so for epochs already applied
-            // — where a crash may have wiped it — recompute the answer
-            // from the durable journal: it stores each transaction's full
-            // read set, of which this shard's owned keys are its share.
-            // A requester still pulling has not acked the epoch, so the
-            // watermark (and journal GC) cannot have passed it.
-            for txn_id in &req.txn_ids {
-                let pairs = self
-                    .share_cache
-                    .get(&req.epoch)
-                    .and_then(|cache| cache.get(txn_id))
-                    .cloned()
-                    .or_else(|| {
-                        if req.epoch > self.applied {
-                            return None;
-                        }
-                        let entry = ctx
-                            .disk()
-                            .get::<ShardJournalEntry>(&format!("jrnl/{}", req.epoch))?;
-                        let at = entry.txns.iter().position(|t| t.id == *txn_id)?;
-                        Some(
-                            entry.reads[at]
-                                .iter()
-                                .filter(|(k, _)| self.map.owner(k) == self.index)
-                                .cloned()
-                                .collect(),
-                        )
-                    });
-                if let Some(pairs) = pairs {
+            // Pull path: re-send the shares this shard pushed. A share
+            // exists once the transaction's wave has been entered; it
+            // stays with the run and then with the epoch's journal entry,
+            // which is durable — a crashed-and-recovered shard still
+            // feeds its peers.
+            let entry = match &self.run {
+                Some(run) if run.epoch() == req.epoch => Some(&run.entry),
+                _ => self.journaled(req.epoch),
+            };
+            let Some(entry) = entry else { return };
+            for &txn_id in &req.txn_ids {
+                let share = entry
+                    .position(txn_id)
+                    .and_then(|at| entry.hosted[at].share.as_ref());
+                if let Some(share) = share {
                     ctx.metrics().incr("df.share_replies", 1);
-                    ctx.send(
-                        from,
-                        Payload::new(WaveShare {
-                            epoch: req.epoch,
-                            txn_id: *txn_id,
-                            pairs,
-                        }),
-                    );
+                    ctx.send(from, share.clone());
                 }
             }
         }
@@ -955,44 +1048,31 @@ impl Process for DfShard {
         match tag {
             WAVE_TAG => self.advance_wave(ctx),
             STUCK_TAG => {
-                let me = self.index;
-                let peers = self.shards.borrow().clone();
                 let Some(run) = self.run.as_mut() else { return };
                 run.stuck_timer_armed = false;
-                if run.cost_timer_pending {
+                if run.cost_timer_pending || run.waiting == 0 {
                     return;
                 }
-                // Still waiting on remote shares: pull them. Group the
-                // missing transactions by the participants that owe us.
-                let wave = run.wave;
-                let epoch = run.epoch;
-                let mut per_peer: HashMap<usize, Vec<u64>> = HashMap::default();
-                for pending in run.pending.iter().filter(|p| p.wave == wave) {
-                    let missing = pending
-                        .txn
-                        .read_keys
-                        .iter()
-                        .any(|k| !pending.reads.contains_key(k));
-                    if missing {
-                        for &p in &pending.participants {
-                            if p != me {
-                                per_peer.entry(p).or_default().push(pending.txn.id);
+                // Still waiting on remote shares: pull them from every
+                // other participant of each incomplete transaction.
+                let peers = self.shards.borrow();
+                let mut owed: Vec<Vec<u64>> = vec![Vec::new(); peers.len()];
+                for hosted in &run.entry.hosted[run.current.clone()] {
+                    if hosted.missing > 0 {
+                        for &p in &hosted.participants {
+                            if p != self.index {
+                                owed[p].push(run.entry.txn(hosted).id);
                             }
                         }
                     }
                 }
-                if per_peer.is_empty() {
-                    return;
+                let epoch = run.epoch();
+                for (p, txn_ids) in owed.into_iter().enumerate() {
+                    if !txn_ids.is_empty() {
+                        ctx.metrics().incr("df.share_reqs", 1);
+                        ctx.send(peers[p], Payload::new(ShareReq { epoch, txn_ids }));
+                    }
                 }
-                let mut peers_sorted: Vec<usize> = per_peer.keys().copied().collect();
-                peers_sorted.sort_unstable();
-                for p in peers_sorted {
-                    let mut txn_ids = per_peer.remove(&p).expect("present");
-                    txn_ids.sort_unstable();
-                    ctx.metrics().incr("df.share_reqs", 1);
-                    ctx.send(peers[p], Payload::new(ShareReq { epoch, txn_ids }));
-                }
-                let run = self.run.as_mut().expect("still running");
                 run.stuck_timer_armed = true;
                 ctx.set_timer(self.config.resend_interval, STUCK_TAG);
             }
@@ -1113,26 +1193,42 @@ mod tests {
     use tca_messaging::rpc::{RetryPolicy, RpcClient, RpcEvent};
     use tca_sim::{Sim, SimTime};
 
+    /// Harness → [`Client`]: submit `plan[i]` now (paced clients only).
+    struct Go(usize);
+
     struct Client {
         sequencer: ProcessId,
         plan: Vec<SubmitTxn>,
+        /// Submit on [`Go`] instead of everything at start.
+        paced: bool,
         rpc: RpcClient,
         /// Raw reply call_ids, checked *before* the RpcClient dedups.
         seen: Vec<u64>,
     }
+    impl Client {
+        fn submit(&mut self, ctx: &mut Ctx, i: usize) {
+            self.rpc.call(
+                ctx,
+                self.sequencer,
+                Payload::new(self.plan[i].clone()),
+                RetryPolicy::at_most_once(SimDuration::from_secs(30)),
+                i as u64,
+            );
+        }
+    }
     impl Process for Client {
         fn on_start(&mut self, ctx: &mut Ctx) {
-            for (i, submit) in self.plan.clone().into_iter().enumerate() {
-                self.rpc.call(
-                    ctx,
-                    self.sequencer,
-                    Payload::new(submit),
-                    RetryPolicy::at_most_once(SimDuration::from_secs(30)),
-                    i as u64,
-                );
+            if !self.paced {
+                for i in 0..self.plan.len() {
+                    self.submit(ctx, i);
+                }
             }
         }
         fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
+            if let Some(&Go(i)) = payload.downcast_ref::<Go>() {
+                self.submit(ctx, i);
+                return;
+            }
             if let Some(reply) = payload.downcast_ref::<tca_sim::RpcReply>() {
                 // The RpcClient swallows duplicate replies, so audit the
                 // wire-level call_ids here: exactly-once means no repeats.
@@ -1164,7 +1260,34 @@ mod tests {
         }
     }
 
-    fn build(plan: Vec<SubmitTxn>, shards: usize, config: DataflowConfig) -> (Sim, Vec<ProcessId>) {
+    /// A deployed engine plus its one client process.
+    struct Fleet {
+        sim: Sim,
+        sequencer: ProcessId,
+        shards: Vec<ProcessId>,
+        client: ProcessId,
+    }
+
+    impl Fleet {
+        /// Have the (paced) client submit `plan[i]` at `at`.
+        fn go_at(&mut self, at: SimTime, i: usize) {
+            self.sim.inject_at(at, self.client, Payload::new(Go(i)));
+        }
+
+        fn shard(&self, i: usize) -> &DfShard {
+            self.sim.inspect::<DfShard>(self.shards[i]).expect("shard")
+        }
+
+        fn peek(&self, key: &str) -> Option<Value> {
+            (0..self.shards.len()).find_map(|i| self.shard(i).peek(key).cloned())
+        }
+
+        fn counter(&self, name: &str) -> u64 {
+            self.sim.metrics().counter(name)
+        }
+    }
+
+    fn deploy(plan: Vec<SubmitTxn>, shards: usize, config: DataflowConfig, paced: bool) -> Fleet {
         let mut sim = Sim::with_seed(77);
         let seq_node = sim.add_node();
         let shard_nodes = sim.add_nodes(shards);
@@ -1177,15 +1300,26 @@ mod tests {
             config,
         );
         let nc = sim.add_node();
-        sim.spawn(nc, "client", move |_| {
+        let client = sim.spawn(nc, "client", move |_| {
             Box::new(Client {
                 sequencer,
                 plan: plan.clone(),
+                paced,
                 rpc: RpcClient::new(),
                 seen: Vec::new(),
             })
         });
-        (sim, pids)
+        Fleet {
+            sim,
+            sequencer,
+            shards: pids,
+            client,
+        }
+    }
+
+    fn build(plan: Vec<SubmitTxn>, shards: usize, config: DataflowConfig) -> (Sim, Vec<ProcessId>) {
+        let fleet = deploy(plan, shards, config, false);
+        (fleet.sim, fleet.shards)
     }
 
     fn run(plan: Vec<SubmitTxn>, shards: usize) -> Sim {
@@ -1359,5 +1493,246 @@ mod tests {
             "dataflow engine must quiesce after the workload drains"
         );
         assert_eq!(sim.metrics().counter("client.ok"), 1);
+    }
+    /// The open-loop stream the schedule pins below were recorded on:
+    /// 2 000 transfers over 64 accounts (hot enough to layer waves), one
+    /// every 100µs, on 8 shards.
+    fn steady_fleet() -> Fleet {
+        let plan: Vec<SubmitTxn> = (0..2_000usize)
+            .map(|i| {
+                let from = (i * 7) % 64;
+                let to = (from + 1 + (i * 13) % 63) % 64;
+                transfer(&format!("acct{from:02}"), &format!("acct{to:02}"), 1)
+            })
+            .collect();
+        let n = plan.len();
+        let mut fleet = deploy(plan, 8, DataflowConfig::default(), true);
+        for i in 0..n {
+            fleet.go_at(SimTime::from_nanos(1_000_000 + 100_000 * i as u64), i);
+        }
+        fleet
+    }
+
+    #[test]
+    fn steady_run_schedule_is_pinned() {
+        // Host-side optimisations must not move one simulated event: these
+        // are the values the engine produced before its first perf pass.
+        let mut fleet = steady_fleet();
+        assert!(fleet.sim.try_run_to_quiescence(1_000_000));
+        assert_eq!(fleet.sim.events_processed(), 43_526);
+        assert_eq!(fleet.sim.now().as_nanos(), 30_200_900_000);
+        let pinned = [
+            ("net.sent", 32_546),
+            ("df.submitted", 2_000),
+            ("df.epochs", 344),
+            ("df.waves", 476),
+            ("df.applied", 3_758),
+            ("df.logic_failures", 0),
+            ("df.checkpoints", 688),
+            ("df.completed", 2_000),
+            ("df.ok", 2_000),
+            ("df.err", 0),
+            ("df.epochs_applied", 2_752),
+            ("df.resends", 79),
+            ("df.share_reqs", 2_801),
+            ("df.share_replies", 2_902),
+            ("client.ok", 2_000),
+            ("client.dup", 0),
+        ];
+        for (name, value) in pinned {
+            assert_eq!(fleet.counter(name), value, "{name}");
+        }
+    }
+    #[test]
+    fn restart_cost_is_bounded_by_retained_history() {
+        // One single-transfer epoch per millisecond until ≥ 500 epochs
+        // are closed, applied and garbage-collected; then restart a shard
+        // and the sequencer and run eight more epochs. Both must come
+        // back reading and writing only the retained window — the epochs
+        // above the snapshot / watermark — not the history behind it.
+        const HISTORY: usize = 520;
+        const AFTER: usize = 8;
+        let plan: Vec<SubmitTxn> = (0..HISTORY + AFTER)
+            .map(|i| {
+                transfer(
+                    &format!("acct{}", i % 16),
+                    &format!("acct{}", (i + 1) % 16),
+                    1,
+                )
+            })
+            .collect();
+        let config = DataflowConfig::default();
+        let window = config.checkpoint_every + AFTER as u64;
+        let mut fleet = deploy(plan, 3, config, true);
+        let tick = |i: usize| SimTime::from_nanos(1_000_000 * (i as u64 + 1));
+        for i in 0..HISTORY {
+            fleet.go_at(tick(i), i);
+        }
+        fleet.sim.run_until(tick(HISTORY + 5));
+        let last_epoch = |fleet: &Fleet| {
+            let seq = fleet.sim.inspect::<DfSequencer>(fleet.sequencer);
+            seq.expect("sequencer").last_epoch()
+        };
+        let history = last_epoch(&fleet);
+        assert!(history >= 500, "only {history} epochs of history");
+
+        let restarted = [fleet.sequencer, fleet.shards[0]];
+        let io = |fleet: &Fleet| {
+            restarted.map(|pid| {
+                let disk = fleet.sim.disk_of(pid);
+                (disk.read_count(), disk.write_count())
+            })
+        };
+        let before = io(&fleet);
+        for pid in restarted {
+            let node = fleet.sim.node_of(pid);
+            fleet.sim.crash_node(node);
+            fleet.sim.restart_node(node);
+        }
+        for i in HISTORY..HISTORY + AFTER {
+            fleet.go_at(tick(i + 5), i);
+        }
+        fleet.sim.run_until(tick(HISTORY + AFTER + 50));
+        assert_eq!(last_epoch(&fleet), history + AFTER as u64);
+        assert_eq!(fleet.counter("client.ok"), (HISTORY + AFTER) as u64);
+        assert_eq!(fleet.counter("client.dup"), 0);
+
+        for ((name, before), after) in ["sequencer", "shard"].iter().zip(before).zip(io(&fleet)) {
+            let (reads, writes) = (after.0 - before.0, after.1 - before.1);
+            assert!(
+                reads <= window + 4,
+                "{name} restart read the disk {reads} times for a window of {window} epochs"
+            );
+            assert!(
+                writes <= 4 * window,
+                "{name} restart wrote the disk {writes} times for a window of {window} epochs"
+            );
+        }
+    }
+    #[test]
+    fn steady_path_never_reads_the_disk() {
+        // The disk is written on the steady path and read at boot: every
+        // `Disk::get` deep-clones, so a handler that reads state back
+        // pays for its size on every message.
+        let mut fleet = steady_fleet();
+        let pids: Vec<ProcessId> = fleet
+            .shards
+            .iter()
+            .copied()
+            .chain([fleet.sequencer])
+            .collect();
+        let reads = |fleet: &Fleet| -> Vec<u64> {
+            pids.iter()
+                .map(|&pid| fleet.sim.disk_of(pid).read_count())
+                .collect()
+        };
+        let at_boot = reads(&fleet);
+        assert!(fleet.sim.try_run_to_quiescence(1_000_000));
+        assert!(fleet.counter("df.epochs") >= 200);
+        assert_eq!(reads(&fleet), at_boot);
+    }
+
+    /// The `i`-th key (of the family `{prefix}{n}`) that `shard` owns.
+    fn owned_key(map: &ShardMap, shard: usize, prefix: &str, i: usize) -> String {
+        (0..)
+            .map(|n| format!("{prefix}{n}"))
+            .filter(|key| map.owner(key) == shard)
+            .nth(i)
+            .expect("unbounded")
+    }
+
+    /// One world of the recovery differential: three shards, one epoch
+    /// per 3 ms tick (epoch `t + 1` carries tick `t`), checkpoints at
+    /// epochs 4, 8 and 12. Shard 1 owns a key written only in epoch 1
+    /// (it reaches the mirror at the first checkpoint and is never
+    /// patched again), a key rewritten by every epoch, and a key first
+    /// created in epoch 13 (after the last checkpoint, so only the
+    /// journal has it). With `crash`, shard 1 dies in the middle of epoch
+    /// 15 and restarts 3 ms later; without, the durable mirror is compared
+    /// with the live state at every checkpoint.
+    fn recovery_twin(crash: bool) -> (Fleet, [String; 4]) {
+        const TICKS: usize = 24;
+        const VICTIM: usize = 1;
+        let config = DataflowConfig::default();
+        let every = config.checkpoint_every;
+        let map = ShardMap::ring_with(3, config.vnodes);
+        let early = owned_key(&map, VICTIM, "early", 0);
+        let hot = owned_key(&map, VICTIM, "hot", 0);
+        let late = owned_key(&map, VICTIM, "late", 0);
+        let far = owned_key(&map, 2, "far", 0);
+        let mut plan = vec![(0, transfer(&early, &far, 7))];
+        plan.extend((0..TICKS).map(|t| (t, transfer(&hot, &far, 1))));
+        plan.push((12, transfer(&far, &late, 5)));
+        let (ticks, submits): (Vec<usize>, Vec<SubmitTxn>) = plan.into_iter().unzip();
+
+        let mut fleet = deploy(submits, 3, config, true);
+        let tick = |t: usize| SimTime::from_nanos(3_000_000 * (t as u64 + 1));
+        for (i, &t) in ticks.iter().enumerate() {
+            fleet.go_at(tick(t), i);
+        }
+        if crash {
+            while !(fleet.shard(VICTIM).applied == 14 && fleet.shard(VICTIM).run.is_some()) {
+                assert!(fleet.sim.step());
+            }
+            assert_eq!(fleet.counter("df.checkpoints"), 3 * 3);
+            let node = fleet.sim.node_of(fleet.shards[VICTIM]);
+            fleet.sim.crash_node(node);
+            fleet.sim.run_for(SimDuration::from_millis(3));
+            fleet.sim.restart_node(node);
+        } else {
+            let mut applied = [0; 3];
+            let mut compared = [0; 3];
+            while fleet.sim.now() < tick(TICKS + 2) {
+                assert!(fleet.sim.step());
+                for i in 0..3 {
+                    let shard = fleet.shard(i);
+                    if shard.applied == applied[i] {
+                        continue;
+                    }
+                    applied[i] = shard.applied;
+                    if !shard.applied.is_multiple_of(every) {
+                        continue;
+                    }
+                    // Ticks are far enough apart that no successor epoch
+                    // has touched the state yet.
+                    assert!(shard.is_idle());
+                    let mut live: Vec<(String, Value)> = shard
+                        .state
+                        .iter()
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    live.sort_by(|a, b| a.0.cmp(&b.0));
+                    let disk = fleet.sim.disk_of(fleet.shards[i]);
+                    let snap = disk.get::<Rc<RefCell<Snapshot>>>("snap").expect("mirror");
+                    assert_eq!(snap.borrow().epoch, shard.applied);
+                    assert_eq!(snap.borrow().state, live, "shard {i} at {}", shard.applied);
+                    compared[i] += 1;
+                }
+            }
+            assert_eq!(compared, [TICKS as u64 / every; 3]);
+        }
+        fleet.sim.run_for(SimDuration::from_secs(1));
+        assert_eq!(fleet.counter("client.ok"), ticks.len() as u64);
+        assert_eq!(fleet.counter("client.dup"), 0, "exactly-once output");
+        (fleet, [early, hot, late, far])
+    }
+
+    #[test]
+    fn recovery_from_the_incremental_checkpoint_matches_the_uncrashed_twin() {
+        let (crashed, keys) = recovery_twin(true);
+        let (twin, _) = recovery_twin(false);
+        for key in &keys {
+            assert!(twin.peek(key).is_some(), "{key} was never written");
+            assert_eq!(crashed.peek(key), twin.peek(key), "{key}");
+        }
+        let money: i64 = keys
+            .iter()
+            .map(|key| crashed.peek(key).expect("written").as_int())
+            .sum();
+        assert_eq!(money, 4 * 100, "money must be conserved through recovery");
+        for i in 0..3 {
+            assert_eq!(crashed.shard(i).applied, twin.shard(i).applied);
+            assert!(crashed.shard(i).is_idle());
+        }
     }
 }
