@@ -14,10 +14,11 @@ use tca_messaging::delivery::{DedupReceiver, DeliveryGuarantee, ReliableSender};
 use tca_messaging::rpc::RetryPolicy;
 use tca_models::dataflow::{deploy, Event, JobBuilder, JobManagerConfig, SinkMode};
 use tca_models::microservice::{Endpoint, Microservice, ServiceCall, ServiceConfig, Step};
-use tca_models::statefun::{shard_for, spawn_shards, EntityId, StartOrchestration, StatefunApp};
+use tca_models::statefun::{spawn_shards, EntityId, StartOrchestration, StatefunApp};
 use tca_sim::DetHashMap as HashMap;
 use tca_sim::{
-    Ctx, NetworkConfig, Payload, Process, ProcessId, Sim, SimConfig, SimDuration, SimTime,
+    key_shard, Ctx, NetworkConfig, Payload, Process, ProcessId, Sim, SimConfig, SimDuration,
+    SimTime,
 };
 use tca_storage::{
     deploy_sharded_db, CacheConfig, DbMsg, DbReply, DbRequest, DbResponse, DbServer,
@@ -25,8 +26,8 @@ use tca_storage::{
 };
 use tca_txn::causal::{CausalMailbox, CausalMessage, VectorClock};
 use tca_workloads::loadgen::{
-    db_classifier, ClosedLoopConfig, ClosedLoopGen, KeyChooser, OpenLoopConfig, OpenLoopGen,
-    PairChooser, RequestFactory,
+    db_classifier, record_completion, ClosedLoopConfig, ClosedLoopGen, KeyChooser, LoadSummary,
+    OpenLoopConfig, OpenLoopGen, PairChooser, RequestFactory,
 };
 use tca_workloads::rmw::{RmwClient, RmwConfig};
 use tca_workloads::{tpcc, ycsb};
@@ -102,6 +103,16 @@ pub fn print_table(title: &str, rows: &[Row]) {
 
 fn ms(x: f64) -> String {
     format!("{x:.3}ms")
+}
+
+/// The standard closed-loop columns: ok / err / tput/s / p50 / p99.
+fn load_row(label: &str, load: &LoadSummary) -> Row {
+    Row::new(label)
+        .col("ok", load.ok)
+        .col("err", load.err)
+        .col("tput/s", format!("{:.0}", load.throughput()))
+        .col("p50", load.p50_ms.map_or("-".into(), ms))
+        .col("p99", load.p99_ms.map_or("-".into(), ms))
 }
 
 // ---------------------------------------------------------------------------
@@ -971,7 +982,7 @@ pub fn e8_failure_consistency(seed: u64) -> Vec<Row> {
                 self.remaining -= 1;
                 let i = self.remaining;
                 let instance = format!("t{i}");
-                let shard = self.shards[shard_for(&instance, self.shards.len())];
+                let shard = self.shards[key_shard(&instance, self.shards.len())];
                 let from = i % 16;
                 let to = (i + 1) % 16;
                 self.rpc.call(
@@ -1161,31 +1172,17 @@ pub fn e9_tpcc(seed: u64) -> Vec<Row> {
             let server = sim.inspect::<DbServer>(db).expect("db");
             tpcc::check_consistency(|k| server.engine().peek(k), &scale).is_ok()
         };
-        let hist = sim.metrics().histogram("e9.latency");
+        let load = LoadSummary::read(&sim, "e9");
         let label = if via_service {
             "tpcc via microservice"
         } else {
             "tpcc stored-proc"
         };
         Row::new(label)
-            .col("ok", sim.metrics().counter("e9.ok"))
-            .col("err", sim.metrics().counter("e9.err"))
-            .col("tput/s", {
-                let done_us = sim.metrics().counter("e9.done_at_us");
-                let seconds = if done_us > 0 {
-                    done_us as f64 / 1e6
-                } else {
-                    sim.now().as_secs_f64()
-                };
-                format!(
-                    "{:.0}",
-                    sim.metrics().counter("e9.ok") as f64 / seconds.max(1e-9)
-                )
-            })
-            .col(
-                "p50",
-                hist.map_or("-".into(), |h| ms(h.p50().as_nanos() as f64 / 1e6)),
-            )
+            .col("ok", load.ok)
+            .col("err", load.err)
+            .col("tput/s", format!("{:.0}", load.throughput()))
+            .col("p50", load.p50_ms.map_or("-".into(), ms))
             .col("consistent", consistent)
     };
     vec![run(false), run(true)]
@@ -1560,7 +1557,7 @@ pub fn e14_entity_locks(seed: u64) -> Vec<Row> {
             fn on_start(&mut self, ctx: &mut Ctx) {
                 for (i, target) in ["a", "b"].iter().enumerate() {
                     let instance = format!("drain-{i}");
-                    let shard = self.shards[shard_for(&instance, self.shards.len())];
+                    let shard = self.shards[key_shard(&instance, self.shards.len())];
                     self.rpc.call(
                         ctx,
                         shard,
@@ -2076,32 +2073,13 @@ pub fn e19_sharded_scaleout(seed: u64) -> Vec<Row> {
             ),
         );
         sim.run_for(SimDuration::from_secs(60));
-        let ok = sim.metrics().counter("e19.ok");
-        let done_us = sim.metrics().counter("e19.done_at_us");
-        let seconds = if done_us > 0 {
-            done_us as f64 / 1e6
-        } else {
-            sim.now().as_secs_f64()
-        };
+        let load = LoadSummary::read(&sim, "e19");
         let per_shard: Vec<u64> = (0..shards)
             .map(|i| sim.metrics().counter(&format!("e19-s{i}.calls_ok")))
             .collect();
         let total: u64 = per_shard.iter().sum();
         let hot_share = per_shard.iter().max().copied().unwrap_or(0) as f64 / (total.max(1)) as f64;
-        let hist = sim.metrics().histogram("e19.latency");
-        Row::new(label)
-            .col("ok", ok)
-            .col("err", sim.metrics().counter("e19.err"))
-            .col("tput/s", format!("{:.0}", ok as f64 / seconds.max(1e-9)))
-            .col(
-                "p50",
-                hist.map_or("-".into(), |h| ms(h.p50().as_nanos() as f64 / 1e6)),
-            )
-            .col(
-                "p99",
-                hist.map_or("-".into(), |h| ms(h.p99().as_nanos() as f64 / 1e6)),
-            )
-            .col("hot shard", format!("{:.1}%", hot_share * 100.0))
+        load_row(label, &load).col("hot shard", format!("{:.1}%", hot_share * 100.0))
     };
     let mut rows = Vec::new();
     // Scale-out: low-contention uniform traffic, fleet sized to shards.
@@ -2207,25 +2185,16 @@ impl ActorLoadGen {
 
     fn absorb(&mut self, ctx: &mut Ctx, completions: Vec<tca_models::actor::ActorCompletion>) {
         for completion in completions {
-            if let Some(start) = self.started.remove(&completion.user_tag) {
-                let elapsed = ctx.now().since(start);
-                ctx.metrics()
-                    .record(&format!("{}.latency", self.metric), elapsed);
-            }
-            let suffix = if completion.result.is_ok() {
-                "ok"
-            } else {
-                "err"
-            };
-            ctx.metrics().incr(&format!("{}.{suffix}", self.metric), 1);
+            let started = self.started.remove(&completion.user_tag);
             self.issue(ctx);
-            if self.issued == self.limit && self.started.is_empty() {
-                let done_us = ctx.now().as_nanos() / 1_000;
-                let key = format!("{}.done_at_us", self.metric);
-                if ctx.metrics().counter(&key) == 0 {
-                    ctx.metrics().incr(&key, done_us);
-                }
-            }
+            let finished = self.issued == self.limit && self.started.is_empty();
+            record_completion(
+                ctx,
+                &self.metric,
+                started,
+                completion.result.is_ok(),
+                finished,
+            );
         }
     }
 }
@@ -2279,28 +2248,8 @@ pub fn e20_dataflow_headtohead(seed: u64) -> Vec<Row> {
         deploy_dataflow, route_branches, DataflowConfig, ShardOp, StartDtx, SubmitTxn, TxnOutcome,
     };
 
-    let finish = |sim: &Sim, label: &str| -> Row {
-        let ok = sim.metrics().counter("e20.ok");
-        let done_us = sim.metrics().counter("e20.done_at_us");
-        let seconds = if done_us > 0 {
-            done_us as f64 / 1e6
-        } else {
-            sim.now().as_secs_f64()
-        };
-        let hist = sim.metrics().histogram("e20.latency");
-        Row::new(label)
-            .col("ok", ok)
-            .col("err", sim.metrics().counter("e20.err"))
-            .col("tput/s", format!("{:.0}", ok as f64 / seconds.max(1e-9)))
-            .col(
-                "p50",
-                hist.map_or("-".into(), |h| ms(h.p50().as_nanos() as f64 / 1e6)),
-            )
-            .col(
-                "p99",
-                hist.map_or("-".into(), |h| ms(h.p99().as_nanos() as f64 / 1e6)),
-            )
-    };
+    let finish =
+        |sim: &Sim, label: &str| -> Row { load_row(label, &LoadSummary::read(sim, "e20")) };
 
     // (a) Deterministic dataflow: submissions to the epoch sequencer.
     let run_dataflow = |label: &str, shards: usize, theta: f64, epoch_us: u64| -> Row {

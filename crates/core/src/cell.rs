@@ -16,14 +16,19 @@ use tca_models::actor::{
     actor_state_registry, ActorCompletion, ActorId, ActorRouter, ActorSilo, Directory,
     DirectoryConfig, SiloConfig,
 };
-use tca_models::statefun::{shard_for, spawn_shards, EntityId, StartOrchestration, StatefunApp};
-use tca_sim::{Ctx, Histogram, Payload, Process, ProcessId, Sim, SimDuration, SimRng, SpanKind};
+use tca_models::statefun::{spawn_shards, EntityId, StartOrchestration, StatefunApp};
+use tca_sim::{
+    key_shard, Ctx, Histogram, Payload, Process, ProcessId, Sim, SimDuration, SimRng, SpanKind,
+};
 use tca_storage::{DbMsg, DbRequest, DbServer, DbServerConfig, Value};
 use tca_txn::deterministic::{deploy_deterministic, SequencerConfig, SubmitTxn, TxnOutcome};
 use tca_txn::saga::{SagaDef, SagaOrchestrator, SagaOutcome, SagaStep, StartSaga};
 use tca_txn::twopc::{DtxOutcome, ParticipantConfig, StartDtx, TwoPcCoordinator, TwoPcParticipant};
 use tca_txn::{bank_registry, transactional_bank_registry, transfer_plan};
-use tca_workloads::loadgen::{ClosedLoopConfig, ClosedLoopGen, RequestFactory, ResponseClassifier};
+use tca_workloads::loadgen::{
+    record_completion, ClosedLoopConfig, ClosedLoopGen, LoadSummary, RequestFactory,
+    ResponseClassifier,
+};
 
 use crate::taxonomy::{ProgrammingModel, TxnMechanism};
 use tca_sim::DetHashMap as HashMap;
@@ -106,33 +111,15 @@ fn pick_pair(rng: &mut SimRng, params: &CellParams) -> (u64, u64) {
 const INITIAL_BALANCE: i64 = 1000;
 
 fn finish_report(label: &str, sim: &Sim, metric: &str, conserved: Option<bool>) -> CellReport {
-    let committed = sim.metrics().counter(&format!("{metric}.ok"));
-    let failed = sim.metrics().counter(&format!("{metric}.err"));
-    let done_at_us = sim.metrics().counter(&format!("{metric}.done_at_us"));
-    let sim_seconds = if done_at_us > 0 {
-        done_at_us as f64 / 1e6
-    } else {
-        sim.now().as_secs_f64()
-    }
-    .max(1e-9);
-    let (p50_ms, p99_ms) = sim
-        .metrics()
-        .histogram(&format!("{metric}.latency"))
-        .map(|h| {
-            (
-                h.p50().as_nanos() as f64 / 1e6,
-                h.p99().as_nanos() as f64 / 1e6,
-            )
-        })
-        .unwrap_or((0.0, 0.0));
+    let load = LoadSummary::read(sim, metric);
     CellReport {
         label: label.to_owned(),
-        committed,
-        failed,
-        sim_seconds,
-        throughput: committed as f64 / sim_seconds,
-        p50_ms,
-        p99_ms,
+        committed: load.ok,
+        failed: load.err,
+        sim_seconds: load.seconds,
+        throughput: load.throughput(),
+        p50_ms: load.p50_ms.unwrap_or(0.0),
+        p99_ms: load.p99_ms.unwrap_or(0.0),
         conserved,
         breakdown: sim.tracer().breakdown(),
     }
@@ -463,18 +450,10 @@ impl ActorTransferDriver {
             );
             return;
         }
-        let elapsed = ctx.now().since(start);
-        ctx.metrics().record("cell.latency", elapsed);
-        let metric = if ok { "cell.ok" } else { "cell.err" };
-        ctx.metrics().incr(metric, 1);
         self.outstanding -= 1;
         self.issue(ctx);
-        if self.issued >= self.params.transfers && self.outstanding == 0 {
-            let done_us = ctx.now().as_nanos() / 1_000;
-            if ctx.metrics().counter("cell.done_at_us") == 0 {
-                ctx.metrics().incr("cell.done_at_us", done_us);
-            }
-        }
+        let finished = self.issued >= self.params.transfers && self.outstanding == 0;
+        record_completion(ctx, "cell", Some(start), ok, finished);
     }
 
     fn absorb(&mut self, ctx: &mut Ctx, completions: Vec<ActorCompletion>) {
@@ -629,7 +608,7 @@ impl StatefunDriver {
             let tag = self.next_tag;
             let (from, to) = pick_pair(ctx.rng(), &self.params);
             let instance = format!("t{}", self.issued);
-            let shard = self.shards[shard_for(&instance, self.shards.len())];
+            let shard = self.shards[key_shard(&instance, self.shards.len())];
             self.started.insert(tag, ctx.now());
             self.rpc.call(
                 ctx,
@@ -650,20 +629,11 @@ impl StatefunDriver {
     }
 
     fn complete(&mut self, ctx: &mut Ctx, tag: u64, ok: bool) {
-        if let Some(start) = self.started.remove(&tag) {
-            let elapsed = ctx.now().since(start);
-            ctx.metrics().record("cell.latency", elapsed);
-        }
-        ctx.metrics()
-            .incr(if ok { "cell.ok" } else { "cell.err" }, 1);
+        let started = self.started.remove(&tag);
         self.outstanding -= 1;
         self.issue(ctx);
-        if self.issued >= self.params.transfers && self.outstanding == 0 {
-            let done_us = ctx.now().as_nanos() / 1_000;
-            if ctx.metrics().counter("cell.done_at_us") == 0 {
-                ctx.metrics().incr("cell.done_at_us", done_us);
-            }
-        }
+        let finished = self.issued >= self.params.transfers && self.outstanding == 0;
+        record_completion(ctx, "cell", started, ok, finished);
     }
 }
 

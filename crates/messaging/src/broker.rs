@@ -148,11 +148,7 @@ impl Broker {
     /// log and committed offsets survive broker crashes.
     pub fn factory(config: BrokerConfig) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
         move |boot| {
-            let store: TopicStore = boot.disk.get("topics").unwrap_or_else(|| {
-                let s = TopicStore::new();
-                boot.disk.put("topics", s.clone());
-                s
-            });
+            let store: TopicStore = boot.disk.durable("topics");
             Box::new(Broker {
                 store,
                 config: config.clone(),

@@ -8,10 +8,7 @@
 //! packaged: it remembers which (sender, key) pairs were executed and
 //! caches their replies so duplicates are answered without re-execution.
 
-use std::collections::VecDeque;
-use tca_sim::DetHashMap as HashMap;
-
-use tca_sim::{Payload, ProcessId};
+use tca_sim::{Payload, ProcessId, RecentWindow};
 
 /// Verdict for an incoming request.
 pub enum Dedup {
@@ -27,20 +24,15 @@ pub enum Dedup {
 /// model of the real-world TTL on idempotency windows, and the reason
 /// exactly-once is only exactly-once *within the window*.
 pub struct IdempotencyStore {
-    seen: HashMap<(ProcessId, u64), Option<Payload>>,
-    order: VecDeque<(ProcessId, u64)>,
-    capacity: usize,
+    seen: RecentWindow<(ProcessId, u64), Option<Payload>>,
     hits: u64,
 }
 
 impl IdempotencyStore {
     /// Store remembering up to `capacity` keys.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
         IdempotencyStore {
-            seen: HashMap::default(),
-            order: VecDeque::new(),
-            capacity,
+            seen: RecentWindow::new(capacity),
             hits: 0,
         }
     }
@@ -59,21 +51,14 @@ impl IdempotencyStore {
     /// Record that `(sender, key)` was executed, with the reply to replay
     /// for future duplicates.
     pub fn record(&mut self, sender: ProcessId, key: u64, reply: Option<Payload>) {
-        if self.seen.insert((sender, key), reply).is_none() {
-            self.order.push_back((sender, key));
-            while self.seen.len() > self.capacity {
-                if let Some(old) = self.order.pop_front() {
-                    self.seen.remove(&old);
-                }
-            }
-        }
+        self.seen.insert((sender, key), reply);
     }
 
     /// Whether `(sender, key)` is remembered, *without* counting a
     /// duplicate hit — for observers that track duplicates but still
     /// execute them (e.g. at-least-once duplicate accounting).
     pub fn contains(&self, sender: ProcessId, key: u64) -> bool {
-        self.seen.contains_key(&(sender, key))
+        self.seen.contains(&(sender, key))
     }
 
     /// Number of duplicate detections so far.

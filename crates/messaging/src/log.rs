@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
-use tca_sim::Payload;
+use tca_sim::{key_shard, Payload};
 
 /// One record in a partition.
 #[derive(Debug, Clone)]
@@ -48,16 +48,6 @@ struct StoreInner {
 #[derive(Debug, Clone, Default)]
 pub struct TopicStore {
     inner: Rc<RefCell<StoreInner>>,
-}
-
-fn hash_key(key: &str) -> u64 {
-    // FNV-1a: stable across runs (determinism requires no SipHash here).
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl TopicStore {
@@ -101,7 +91,7 @@ impl TopicStore {
         let t = inner.topics.get_mut(topic)?;
         let n = t.partitions.len();
         let p = match &key {
-            Some(k) => (hash_key(k) % n as u64) as usize,
+            Some(k) => key_shard(k, n),
             None => {
                 t.round_robin = (t.round_robin + 1) % n;
                 t.round_robin

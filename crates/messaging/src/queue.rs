@@ -139,11 +139,7 @@ impl QueueServer {
     /// Process factory with durable queue storage.
     pub fn factory(config: QueueConfig) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
         move |boot| {
-            let store: QueueStore = boot.disk.get("queues").unwrap_or_else(|| {
-                let s = QueueStore::new();
-                boot.disk.put("queues", s.clone());
-                s
-            });
+            let store: QueueStore = boot.disk.durable("queues");
             Box::new(QueueServer {
                 store,
                 config: config.clone(),

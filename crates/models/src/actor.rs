@@ -22,7 +22,9 @@ use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
 use tca_messaging::rpc::{reply_to, RetryPolicy, RpcClient, RpcEvent, RpcRequest};
-use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, SimDuration, SimTime, SpanId, SpanKind};
+use tca_sim::{
+    Boot, Ctx, Payload, Process, ProcessId, RecentWindow, SimDuration, SimTime, SpanId, SpanKind,
+};
 use tca_storage::{DbMsg, DbReply, DbRequest, DbResponse, ProcRegistry, Value};
 
 /// An actor's logical identity: type plus key.
@@ -669,9 +671,7 @@ pub struct ActorSilo {
     /// (double-applying a credit, say) instead of replaying the reply.
     /// Wire ids are nonce-based per client incarnation, so entries never
     /// collide across caller restarts.
-    recent_invokes: HashMap<(ProcessId, u64), Option<InvokeOutcome>>,
-    /// FIFO of `recent_invokes` keys, for bounded eviction.
-    recent_order: VecDeque<(ProcessId, u64)>,
+    recent_invokes: RecentWindow<(ProcessId, u64), Option<InvokeOutcome>>,
 }
 
 impl ActorSilo {
@@ -690,8 +690,7 @@ impl ActorSilo {
                 db_ops: HashMap::default(),
                 next_op: 0,
                 db_rpc: RpcClient::new(),
-                recent_invokes: HashMap::default(),
-                recent_order: VecDeque::new(),
+                recent_invokes: RecentWindow::new(RECENT_INVOKES),
             })
         }
     }
@@ -837,9 +836,8 @@ impl ActorSilo {
         if let Some(job) = job {
             // Record the outcome before replying so a duplicate of this
             // request replays the reply rather than re-executing.
-            if let Some(slot) = self.recent_invokes.get_mut(&(job.caller, job.rpc_call_id)) {
-                *slot = Some(result.clone());
-            }
+            self.recent_invokes
+                .set(&(job.caller, job.rpc_call_id), Some(result.clone()));
             ctx.trace_enter(job.span);
             reply_to(
                 ctx,
@@ -1048,12 +1046,6 @@ impl Process for ActorSilo {
             return;
         }
         self.recent_invokes.insert(dedup_key, None);
-        self.recent_order.push_back(dedup_key);
-        if self.recent_order.len() > RECENT_INVOKES {
-            if let Some(old) = self.recent_order.pop_front() {
-                self.recent_invokes.remove(&old);
-            }
-        }
         let span = ctx.trace_span(SpanKind::ActorInvoke, || {
             format!("{}::{}", invoke.id.type_name, invoke.method)
         });

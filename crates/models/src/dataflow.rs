@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use tca_sim::{DetHashMap as HashMap, DetHashSet as HashSet};
 
-use tca_sim::{Ctx, Payload, Process, ProcessId, SimDuration};
+use tca_sim::{key_shard, Ctx, Payload, Process, ProcessId, SimDuration};
 use tca_storage::Value;
 
 /// A streaming event.
@@ -235,15 +235,6 @@ impl Deployment {
     }
 }
 
-fn hash_to(key: &str, n: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % n as u64) as usize
-}
-
 // ---------------------------------------------------------------------------
 // Worker
 // ---------------------------------------------------------------------------
@@ -316,7 +307,7 @@ impl Worker {
         if downstream.is_empty() {
             return;
         }
-        let target = downstream[hash_to(&event.key, downstream.len())];
+        let target = downstream[key_shard(&event.key, downstream.len())];
         self.send_channel(ctx, target, StreamMsg::Data(event));
     }
 
@@ -959,15 +950,5 @@ mod tests {
         sim.run_for(SimDuration::from_secs(1));
         assert_eq!(sim.metrics().counter("dataflow.events_processed"), 100);
         assert_eq!(sim.metrics().counter("sink.committed"), 100);
-    }
-
-    #[test]
-    fn hash_to_is_stable() {
-        for n in 1..6 {
-            for key in ["a", "b", "c"] {
-                assert!(hash_to(key, n) < n);
-                assert_eq!(hash_to(key, n), hash_to(key, n));
-            }
-        }
     }
 }

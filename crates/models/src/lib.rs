@@ -14,9 +14,6 @@
 //! - [`dataflow`] — stateful streaming dataflows: partitioned keyed state,
 //!   aligned-barrier checkpoints, global rollback recovery, at-least-once
 //!   vs exactly-once sinks (Flink analogue).
-//! - [`workflow`] — workflow-backed stateful entities: the statefun
-//!   entity discipline re-based on the durable idempotence table from
-//!   `tca-storage`, with watermark GC (Beldi-style receive-side dedup).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -25,6 +22,3 @@ pub mod actor;
 pub mod dataflow;
 pub mod microservice;
 pub mod statefun;
-pub mod workflow;
-
-pub use workflow::{EntityGc, EntityOp, EntityStep, EntityStepReply, WorkflowEntity};

@@ -377,12 +377,8 @@ fn bind_token(bind: Option<&'static str>) -> u64 {
     match bind {
         None => 0,
         Some(s) => {
-            // Stable FNV-1a over the name, never 0.
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in s.as_bytes() {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            // Stable hash of the name, never 0.
+            let h = tca_sim::fnv1a(s.as_bytes());
             BIND_NAMES.with(|names| names.borrow_mut().insert(h, s));
             h.max(1)
         }

@@ -25,7 +25,7 @@ use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
 use tca_messaging::rpc::{reply_to, RpcRequest};
-use tca_sim::{Boot, Ctx, Payload, Process, ProcessId};
+use tca_sim::{key_shard, Boot, Ctx, Payload, Process, ProcessId};
 use tca_storage::Value;
 
 /// A keyed entity identity.
@@ -301,16 +301,6 @@ struct ReleaseLocks {
 // Shard
 // ---------------------------------------------------------------------------
 
-/// Deterministic shard placement for a key.
-pub fn shard_for(key: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % shards as u64) as usize
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum InstanceStatus {
     Running,
@@ -401,11 +391,7 @@ impl StatefunShard {
     ) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
         let app = Rc::new(app);
         move |boot| {
-            let journal: ShardJournal = boot.disk.get("journal").unwrap_or_else(|| {
-                let j = ShardJournal::default();
-                boot.disk.put("journal", j.clone());
-                j
-            });
+            let journal: ShardJournal = boot.disk.durable("journal");
             // Rebuild volatile views from the journal.
             let mut instances = HashMap::default();
             let mut entities = HashMap::default();
@@ -453,7 +439,7 @@ impl StatefunShard {
 
     fn shard_of(&self, key: &str) -> ProcessId {
         let shards = self.config.shards.borrow();
-        shards[shard_for(key, shards.len())]
+        shards[key_shard(key, shards.len())]
     }
 
     fn persist_instance(&self, key: &str) {
@@ -1125,7 +1111,7 @@ mod tests {
     impl Process for Starter {
         fn on_start(&mut self, ctx: &mut Ctx) {
             for (i, start) in self.plan.clone().into_iter().enumerate() {
-                let shard = self.shards[shard_for(&start.instance, self.shards.len())];
+                let shard = self.shards[key_shard(&start.instance, self.shards.len())];
                 self.rpc.call(
                     ctx,
                     shard,
@@ -1250,16 +1236,5 @@ mod tests {
         // a starts at 100: exactly one of the two 60-transfers succeeds.
         assert_eq!(sim.metrics().counter("starter.ok"), 1);
         assert_eq!(sim.metrics().counter("starter.err"), 1);
-    }
-
-    #[test]
-    fn shard_for_is_stable_and_bounded() {
-        for n in 1..8 {
-            for key in ["a", "b", "account/zed", ""] {
-                let s = shard_for(key, n);
-                assert!(s < n);
-                assert_eq!(s, shard_for(key, n));
-            }
-        }
     }
 }

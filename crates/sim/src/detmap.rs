@@ -22,30 +22,23 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 
-use crate::place::{FNV_OFFSET, FNV_PRIME};
+use crate::place::Fnv64;
 
 /// 64-bit FNV-1a streaming hasher with the standard offset basis.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DetHasher {
-    state: u64,
-}
-
-impl Default for DetHasher {
-    fn default() -> Self {
-        DetHasher { state: FNV_OFFSET }
-    }
+    state: Fnv64,
 }
 
 impl Hasher for DetHasher {
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
+        self.state = self.state.bytes(bytes);
     }
 
+    #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        self.state.finish()
     }
 }
 

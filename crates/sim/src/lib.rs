@@ -46,6 +46,7 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 pub mod trace;
+pub mod window;
 pub mod wire;
 
 pub use check::{torture, torture_plan, TortureConfig};
@@ -58,10 +59,11 @@ pub use mc::{
 pub use metrics::{FastCounter, Histogram, Metrics};
 pub use network::{Network, NetworkConfig, ScriptedFate};
 pub use payload::Payload;
-pub use place::{fnv1a, key_shard, ShardMap};
+pub use place::{fnv1a, key_shard, Fnv64, ShardMap};
 pub use proc::{Boot, Ctx, Disk, NodeId, Process, ProcessId, TimerId};
 pub use queue::{EventKey, EventQueue};
 pub use rng::{SimRng, Zipf};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Span, SpanEvent, SpanId, SpanKind, Tracer};
+pub use window::RecentWindow;
 pub use wire::{RpcReply, RpcRequest};

@@ -58,6 +58,7 @@
 use crate::detmap::DetHashMap as HashMap;
 use crate::kernel::{EventKind, Sim};
 use crate::payload::Payload;
+use crate::place::Fnv64;
 use crate::proc::{NodeId, ProcessId};
 use crate::time::{SimDuration, SimTime};
 
@@ -467,26 +468,6 @@ fn apply_choice(sim: &mut Sim, choice: Choice) -> Result<(), String> {
 // The explorer
 // ---------------------------------------------------------------------------
 
-/// FNV-1a accumulator for the checker's structural hashes.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn mix(mut self, v: u64) -> Self {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self
-    }
-    fn get(self) -> u64 {
-        self.0
-    }
-}
-
 /// Dependence information for one choice, for the independence relation
 /// behind sleep-set filtering.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -878,33 +859,33 @@ impl Explorer<'_> {
             EventKind::Timer { pid, tag, .. } => Some(ScanEvt::Timed {
                 seq: key.seq,
                 time: key.time,
-                class: Fnv::new().mix(1).mix(pid.0 as u64).mix(*tag).get(),
+                class: Fnv64::new().u64(1).u64(pid.0 as u64).u64(*tag).finish(),
             }),
             EventKind::CrashNode(n) => Some(ScanEvt::Timed {
                 seq: key.seq,
                 time: key.time,
-                class: Fnv::new().mix(2).mix(n.0 as u64).get(),
+                class: Fnv64::new().u64(2).u64(n.0 as u64).finish(),
             }),
             EventKind::RestartNode(n) => Some(ScanEvt::Timed {
                 seq: key.seq,
                 time: key.time,
-                class: Fnv::new().mix(3).mix(n.0 as u64).get(),
+                class: Fnv64::new().u64(3).u64(n.0 as u64).finish(),
             }),
             EventKind::Partition(sides) => {
-                let mut h = Fnv::new().mix(4);
+                let mut h = Fnv64::new().u64(4);
                 for n in sides.0.iter().chain(sides.1.iter()) {
-                    h = h.mix(n.0 as u64);
+                    h = h.u64(n.0 as u64);
                 }
                 Some(ScanEvt::Timed {
                     seq: key.seq,
                     time: key.time,
-                    class: h.get(),
+                    class: h.finish(),
                 })
             }
             EventKind::HealPartitions => Some(ScanEvt::Timed {
                 seq: key.seq,
                 time: key.time,
-                class: Fnv::new().mix(5).get(),
+                class: Fnv64::new().u64(5).finish(),
             }),
             EventKind::Start { .. } => {
                 debug_assert!(false, "starts are drained before enumeration");
@@ -927,17 +908,17 @@ impl Explorer<'_> {
         let mut out = Vec::new();
         for &(seq, to, from, pfp) in &delivers {
             let class = match pfp {
-                Some(p) => Fnv::new()
-                    .mix(0)
-                    .mix(to.0 as u64)
-                    .mix(from.0 as u64)
-                    .mix(p)
-                    .get(),
+                Some(p) => Fnv64::new()
+                    .u64(0)
+                    .u64(to.0 as u64)
+                    .u64(from.0 as u64)
+                    .u64(p)
+                    .finish(),
                 // Sequence numbers are path-stable for events pending at
                 // this state, so this fallback only loses cross-path
                 // merging — and an opaque payload already made the state
                 // fingerprint opaque, so none was possible anyway.
-                None => Fnv::new().mix(6).mix(seq).get(),
+                None => Fnv64::new().u64(6).u64(seq).finish(),
             };
             out.push(EnabledChoice {
                 choice: Choice::Deliver(seq),
@@ -952,24 +933,24 @@ impl Explorer<'_> {
         if let Some((_, seq, tclass)) = best_timed {
             out.push(EnabledChoice {
                 choice: Choice::Tick(seq),
-                class: Fnv::new().mix(7).mix(tclass).get(),
+                class: Fnv64::new().u64(7).u64(tclass).finish(),
                 dep: Dep::Tick,
             });
         }
         if drops_used < self.config.max_drops {
             for &(seq, to, from, pfp) in &delivers {
                 let deliver_class = match pfp {
-                    Some(p) => Fnv::new()
-                        .mix(0)
-                        .mix(to.0 as u64)
-                        .mix(from.0 as u64)
-                        .mix(p)
-                        .get(),
-                    None => Fnv::new().mix(6).mix(seq).get(),
+                    Some(p) => Fnv64::new()
+                        .u64(0)
+                        .u64(to.0 as u64)
+                        .u64(from.0 as u64)
+                        .u64(p)
+                        .finish(),
+                    None => Fnv64::new().u64(6).u64(seq).finish(),
                 };
                 out.push(EnabledChoice {
                     choice: Choice::Drop(seq),
-                    class: Fnv::new().mix(8).mix(deliver_class).get(),
+                    class: Fnv64::new().u64(8).u64(deliver_class).finish(),
                     dep: Dep::Drop { deliver_class },
                 });
             }
@@ -979,14 +960,14 @@ impl Explorer<'_> {
                 if crashes_used < self.config.max_crashes {
                     out.push(EnabledChoice {
                         choice: Choice::Crash(node.0),
-                        class: Fnv::new().mix(9).mix(node.0 as u64).get(),
+                        class: Fnv64::new().u64(9).u64(node.0 as u64).finish(),
                         dep: Dep::Fault { node },
                     });
                 }
             } else {
                 out.push(EnabledChoice {
                     choice: Choice::Restart(node.0),
-                    class: Fnv::new().mix(10).mix(node.0 as u64).get(),
+                    class: Fnv64::new().u64(10).u64(node.0 as u64).finish(),
                     dep: Dep::Fault { node },
                 });
             }
@@ -1007,52 +988,54 @@ impl Explorer<'_> {
                 } => payload_fp(payload).map(|p| {
                     // No time component: a pending delivery can run at any
                     // moment, so its scheduled arrival is not state.
-                    Fnv::new()
-                        .mix(20)
-                        .mix(to.0 as u64)
-                        .mix(from.0 as u64)
-                        .mix(p)
-                        .get()
+                    Fnv64::new()
+                        .u64(20)
+                        .u64(to.0 as u64)
+                        .u64(from.0 as u64)
+                        .u64(p)
+                        .finish()
                 }),
                 EventKind::Timer { pid, tag, .. } => Some(
-                    Fnv::new()
-                        .mix(21)
-                        .mix(pid.0 as u64)
-                        .mix(*tag)
-                        .mix(key.time.as_nanos().saturating_sub(now.as_nanos()))
-                        .get(),
+                    Fnv64::new()
+                        .u64(21)
+                        .u64(pid.0 as u64)
+                        .u64(*tag)
+                        .u64(key.time.as_nanos().saturating_sub(now.as_nanos()))
+                        .finish(),
                 ),
                 EventKind::CrashNode(n) => Some(
-                    Fnv::new()
-                        .mix(22)
-                        .mix(n.0 as u64)
-                        .mix(key.time.as_nanos().saturating_sub(now.as_nanos()))
-                        .get(),
+                    Fnv64::new()
+                        .u64(22)
+                        .u64(n.0 as u64)
+                        .u64(key.time.as_nanos().saturating_sub(now.as_nanos()))
+                        .finish(),
                 ),
                 EventKind::RestartNode(n) => Some(
-                    Fnv::new()
-                        .mix(23)
-                        .mix(n.0 as u64)
-                        .mix(key.time.as_nanos().saturating_sub(now.as_nanos()))
-                        .get(),
+                    Fnv64::new()
+                        .u64(23)
+                        .u64(n.0 as u64)
+                        .u64(key.time.as_nanos().saturating_sub(now.as_nanos()))
+                        .finish(),
                 ),
                 EventKind::Partition(sides) => {
-                    let mut h = Fnv::new().mix(24);
+                    let mut h = Fnv64::new().u64(24);
                     for n in sides.0.iter().chain(sides.1.iter()) {
-                        h = h.mix(n.0 as u64);
+                        h = h.u64(n.0 as u64);
                     }
                     Some(
-                        h.mix(key.time.as_nanos().saturating_sub(now.as_nanos()))
-                            .get(),
+                        h.u64(key.time.as_nanos().saturating_sub(now.as_nanos()))
+                            .finish(),
                     )
                 }
                 EventKind::HealPartitions => Some(
-                    Fnv::new()
-                        .mix(25)
-                        .mix(key.time.as_nanos().saturating_sub(now.as_nanos()))
-                        .get(),
+                    Fnv64::new()
+                        .u64(25)
+                        .u64(key.time.as_nanos().saturating_sub(now.as_nanos()))
+                        .finish(),
                 ),
-                EventKind::Start { pid, .. } => Some(Fnv::new().mix(26).mix(pid.0 as u64).get()),
+                EventKind::Start { pid, .. } => {
+                    Some(Fnv64::new().u64(26).u64(pid.0 as u64).finish())
+                }
             })
         });
         let mut event_hashes = Vec::with_capacity(evts.len());
@@ -1060,18 +1043,18 @@ impl Explorer<'_> {
             event_hashes.push(e?);
         }
         event_hashes.sort_unstable();
-        let mut h = Fnv::new()
-            .mix(sfp)
-            .mix(now.as_nanos())
-            .mix(crashes_used as u64)
-            .mix(drops_used as u64)
-            .mix(sim.mc_rng_fingerprint());
+        let mut h = Fnv64::new()
+            .u64(sfp)
+            .u64(now.as_nanos())
+            .u64(crashes_used as u64)
+            .u64(drops_used as u64)
+            .u64(sim.mc_rng_fingerprint());
         for i in 0..sim.mc_node_count() {
-            h = h.mix(sim.node_up(NodeId(i as u32)) as u64);
+            h = h.u64(sim.node_up(NodeId(i as u32)) as u64);
         }
         for i in 0..sim.mc_proc_count() {
             let (alive, halted) = sim.mc_proc_flags(i);
-            h = h.mix((alive as u64) << 1 | halted as u64);
+            h = h.u64((alive as u64) << 1 | halted as u64);
         }
         // Partition state as a bit matrix (tiny worlds — this is cheap).
         let n = sim.mc_node_count();
@@ -1080,13 +1063,13 @@ impl Explorer<'_> {
                 let blocked = sim
                     .network_mut()
                     .is_blocked(NodeId(a as u32), NodeId(b as u32));
-                h = h.mix(blocked as u64);
+                h = h.u64(blocked as u64);
             }
         }
         for v in event_hashes {
-            h = h.mix(v);
+            h = h.u64(v);
         }
-        Some(h.get())
+        Some(h.finish())
     }
 }
 
@@ -1160,15 +1143,15 @@ mod tests {
         });
         sc.payload_fp = Box::new(|p| p.downcast_ref::<u64>().copied());
         sc.state_fp = Box::new(|sim| {
-            let mut h = Fnv::new();
+            let mut h = Fnv64::new();
             for pid in 0..2u32 {
                 let got = sim
                     .inspect::<Sink>(ProcessId(pid))
                     .map(|s| s.got)
                     .unwrap_or(u64::MAX);
-                h = h.mix(got);
+                h = h.u64(got);
             }
-            Some(h.get())
+            Some(h.finish())
         });
         sc
     }
@@ -1238,8 +1221,11 @@ mod tests {
             sim
         });
         sc.payload_fp = Box::new(|p| {
-            p.downcast_ref::<&'static str>()
-                .map(|s| s.bytes().fold(Fnv::new(), |h, b| h.mix(b as u64)).get())
+            p.downcast_ref::<&'static str>().map(|s| {
+                s.bytes()
+                    .fold(Fnv64::new(), |h, b| h.u64(b as u64))
+                    .finish()
+            })
         });
         sc.step_invariant = Box::new(|sim| match sim.inspect::<Ordered>(ProcessId(0)) {
             Some(p) if p.broken => Err("b arrived before a".into()),

@@ -1,11 +1,16 @@
-//! Shared key placement: one FNV-1a implementation and the shard maps
-//! built on it.
+//! Shared hashing and key placement: the workspace's one FNV-1a
+//! implementation and the shard maps built on it.
+//!
+//! Every FNV-1a value in the workspace comes from here: [`fnv1a`] for a
+//! byte slice, the incremental [`Fnv64`] for structural digests (state
+//! fingerprints, wire ids, the model checker's class hashes), and
+//! [`crate::detmap::DetHasher`], which wraps [`Fnv64`]. CI greps that
+//! the offset and prime literals appear in this file only.
 //!
 //! Several components need to answer "which shard owns this key?" — the
 //! deterministic dataflow shards (`tca-txn::deterministic`), the storage
-//! router, and cross-shard 2PC branch construction. Before this module
-//! each grew its own hand-rolled FNV-1a; now they all share [`fnv1a`]
-//! and pick one of two placement disciplines:
+//! router, and cross-shard 2PC branch construction. They pick one of two
+//! placement disciplines:
 //!
 //! - [`ShardMap::modulo`] — `hash(key) % n`. Dead simple and what the
 //!   deterministic shards have always used (their frozen schedules depend
@@ -19,20 +24,71 @@
 //! count, so every process in a simulation (and every run of the same
 //! seed) computes identical placement without coordination.
 
-/// FNV-1a 64-bit offset basis (shared with
-/// [`crate::detmap::DetHasher`]).
+/// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime (shared with [`crate::detmap::DetHasher`]).
+/// FNV-1a 64-bit prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a byte slice: the workspace's one key-hash function.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+/// Incremental FNV-1a 64-bit hasher, by value: each step returns the
+/// advanced state, so digests chain (`Fnv64::new().u64(a).u64(b).finish()`)
+/// or accumulate in a loop (`h = h.u64(v)`).
+///
+/// ```
+/// use tca_sim::{fnv1a, Fnv64};
+///
+/// assert_eq!(Fnv64::new().bytes(b"he").bytes(b"llo").finish(), fnv1a(b"hello"));
+/// assert_eq!(Fnv64::new().u64(7).finish(), fnv1a(&7u64.to_le_bytes()));
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    /// A hasher at the standard offset basis.
+    #[inline]
+    pub const fn new() -> Self {
+        Fnv64(FNV_OFFSET)
     }
-    h
+
+    /// A hasher resuming from `state` — a previous [`Fnv64::finish`], or
+    /// a caller-chosen basis that keeps digest families apart.
+    #[inline]
+    pub const fn seeded(state: u64) -> Self {
+        Fnv64(state)
+    }
+
+    /// Absorb `bytes`.
+    #[inline]
+    pub fn bytes(mut self, bytes: &[u8]) -> Self {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+        self
+    }
+
+    /// Absorb `v` as its eight little-endian bytes.
+    #[inline]
+    pub fn u64(self, v: u64) -> Self {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    /// The digest so far.
+    #[inline]
+    pub const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64::new()
+    }
+}
+
+/// FNV-1a over a byte slice: the workspace's one key-hash function.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    Fnv64::new().bytes(bytes).finish()
 }
 
 /// SplitMix64 finalizer: full-avalanche mixing of a 64-bit value.
@@ -180,7 +236,7 @@ mod tests {
     #[test]
     fn key_shard_is_stable_and_in_range() {
         for n in 1..6 {
-            for key in ["a", "b", "acct42"] {
+            for key in ["", "a", "b", "acct42"] {
                 assert!(key_shard(key, n) < n);
                 assert_eq!(key_shard(key, n), key_shard(key, n));
             }

@@ -86,16 +86,30 @@ impl Disk {
     ///
     /// This deep-clones `T`, so a read costs the size of the value: fine
     /// at boot, a trap in a message handler. Large or frequently updated
-    /// durable state belongs in an `Rc` cell (`Rc<RefCell<_>>`,
-    /// `Rc<Cell<_>>`) that is `put` once, fetched once at boot and then
-    /// updated in place — the idiom of the 2PC, saga, workflow, dataflow
-    /// and `DbServer` journals across the workspace.
+    /// durable state belongs in a shared handle fetched once at boot with
+    /// [`Disk::durable`] and then updated in place.
     pub fn get<T: Any + Clone>(&self, key: &str) -> Option<T> {
         self.reads.set(self.reads.get() + 1);
         self.entries
             .get(key)
             .and_then(|v| v.downcast_ref::<T>())
             .cloned()
+    }
+
+    /// The durable handle stored under `key`, created on first boot.
+    ///
+    /// Durable state lives in a shared handle (`Rc<RefCell<_>>`,
+    /// `DurableLog`, …): the process and the disk hold the same
+    /// allocation, so the handle is fetched once per boot and updated in
+    /// place. Returns the stored handle, or stores and returns
+    /// `T::default()` when there is none (or it has another type). Costs
+    /// one counted read, plus one counted write on creation.
+    pub fn durable<T: Any + Clone + Default>(&mut self, key: &str) -> T {
+        self.get(key).unwrap_or_else(|| {
+            let handle = T::default();
+            self.put(key, handle.clone());
+            handle
+        })
     }
 
     /// Remove `key`; returns whether it existed.

@@ -11,6 +11,7 @@
 //! inter-arrival times (open-loop load, \[56\]) and Zipfian key popularity
 //! (YCSB / contention sweeps).
 
+use crate::place::Fnv64;
 use crate::time::SimDuration;
 
 /// SplitMix64 step: expands a 64-bit seed into a stream of well-mixed
@@ -140,14 +141,10 @@ impl SimRng {
     pub fn state_fingerprint(&self) -> u64 {
         // FNV-1a over the four state words: cheap, deterministic, and
         // collision-free enough for a changed/unchanged test.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in self.s {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        self.s
+            .iter()
+            .fold(Fnv64::new(), |h, &word| h.u64(word))
+            .finish()
     }
 }
 

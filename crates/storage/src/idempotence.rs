@@ -23,7 +23,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use tca_sim::DetHashMap;
+use tca_sim::{DetHashMap, Fnv64};
 
 use crate::types::Value;
 
@@ -112,13 +112,8 @@ impl IdempotenceTable {
     /// Order-insensitive FNV digest of the retained entries and the
     /// watermark, for model-checker state fingerprints.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv64::new();
+        let mut mix = |v: u64| h = h.u64(v);
         mix(self.watermark);
         let mut keys: Vec<(u64, u32, u64)> = self
             .entries
@@ -138,7 +133,7 @@ impl IdempotenceTable {
             mix(seq as u64);
             mix(tag);
         }
-        h
+        h.finish()
     }
 }
 

@@ -23,11 +23,10 @@
 //! the owning shard's dedup cache replays instead of re-executing — the
 //! router adds a hop without weakening exactly-once semantics.
 
-use std::collections::VecDeque;
 use tca_sim::DetHashMap as HashMap;
 
 use tca_sim::wire::{RpcReply, RpcRequest};
-use tca_sim::{Boot, Ctx, NodeId, Payload, Process, ProcessId, ShardMap, Sim};
+use tca_sim::{Boot, Ctx, NodeId, Payload, Process, ProcessId, RecentWindow, ShardMap, Sim};
 
 use crate::proc::ProcRegistry;
 use crate::server::{DbMsg, DbReply, DbRequest, DbResponse, DbServer, DbServerConfig};
@@ -79,8 +78,7 @@ pub struct ShardRouter {
     pending: HashMap<u64, Pending>,
     /// (client, client call id) → internal id: keeps the internal id
     /// stable across client retries of the same logical call.
-    by_call: HashMap<(ProcessId, u64), u64>,
-    eviction: VecDeque<(ProcessId, u64)>,
+    by_call: RecentWindow<(ProcessId, u64), u64>,
 }
 
 impl ShardRouter {
@@ -100,8 +98,7 @@ impl ShardRouter {
                 shards: shards.clone(),
                 next_internal: 0,
                 pending: HashMap::default(),
-                by_call: HashMap::default(),
-                eviction: VecDeque::new(),
+                by_call: RecentWindow::new(ROUTER_DEDUP_WINDOW),
             })
         }
     }
@@ -119,18 +116,6 @@ impl ShardRouter {
     fn alloc_internal(&mut self) -> u64 {
         self.next_internal += 1;
         self.next_internal
-    }
-
-    fn evict_old(&mut self) {
-        while self.by_call.len() > ROUTER_DEDUP_WINDOW {
-            if let Some(old) = self.eviction.pop_front() {
-                if let Some(internal) = self.by_call.remove(&old) {
-                    self.pending.remove(&internal);
-                }
-            } else {
-                break;
-            }
-        }
     }
 
     /// Answer the client directly (reject / synthesized replies).
@@ -170,9 +155,9 @@ impl ShardRouter {
                 Some(&internal) => internal,
                 None => {
                     let internal = self.alloc_internal();
-                    self.by_call.insert((client, call_id), internal);
-                    self.eviction.push_back((client, call_id));
-                    self.evict_old();
+                    if let Some((_, old)) = self.by_call.insert((client, call_id), internal) {
+                        self.pending.remove(&old);
+                    }
                     internal
                 }
             },

@@ -18,7 +18,9 @@ use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
 use tca_sim::wire::{RpcReply, RpcRequest};
-use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, SimDuration, SpanId, SpanKind};
+use tca_sim::{
+    Boot, Ctx, Payload, Process, ProcessId, RecentWindow, SimDuration, SpanId, SpanKind,
+};
 
 use crate::engine::{CommitResult, Engine, EngineConfig, OpResult};
 use crate::proc::{run_proc, ProcOutcome, ProcRegistry};
@@ -228,12 +230,11 @@ pub struct DbServer {
     retry_timer_armed: bool,
     /// Dedup cache for RPC-enveloped requests: retried calls must not
     /// re-execute (`None` = executing, reply not yet produced).
-    dedup: HashMap<(ProcessId, u64), Option<DbResponse>>,
+    dedup: RecentWindow<(ProcessId, u64), Option<DbResponse>>,
     /// Single-server queueing model: the instant the server frees up.
     /// Each reply occupies the server for its service time, so offered
     /// load beyond capacity queues — making saturation observable.
     busy_until: tca_sim::SimTime,
-    dedup_order: VecDeque<(ProcessId, u64)>,
     /// Metrics key prefix, e.g. `"db0"`.
     name: String,
 }
@@ -252,19 +253,10 @@ impl DbServer {
         let name = name.into();
         let registry = Rc::new(registry);
         move |boot| {
-            let wal: DurableLog<crate::wal::WalRecord> =
-                boot.disk.get("wal").unwrap_or_else(|| {
-                    let log = DurableLog::new();
-                    boot.disk.put("wal", log.clone());
-                    log
-                });
+            let wal: DurableLog<crate::wal::WalRecord> = boot.disk.durable("wal");
             let checkpoint: DurableCell<
                 crate::wal::Checkpoint<std::collections::BTreeMap<Key, Value>>,
-            > = boot.disk.get("checkpoint").unwrap_or_else(|| {
-                let cell = DurableCell::new();
-                boot.disk.put("checkpoint", cell.clone());
-                cell
-            });
+            > = boot.disk.durable("checkpoint");
             let engine = if boot.restart {
                 Engine::recover(config.engine.clone(), wal, checkpoint)
             } else {
@@ -277,8 +269,7 @@ impl DbServer {
                 parked: HashMap::default(),
                 retry_queue: VecDeque::new(),
                 retry_timer_armed: false,
-                dedup: HashMap::default(),
-                dedup_order: VecDeque::new(),
+                dedup: RecentWindow::new(DEDUP_WINDOW),
                 busy_until: tca_sim::SimTime::ZERO,
                 name: name.clone(),
             })
@@ -300,8 +291,7 @@ impl DbServer {
         }
         if let Some(call_id) = addr.rpc_call {
             // Cache for duplicate retries of the same logical call.
-            self.dedup
-                .insert((addr.client, call_id), Some(resp.clone()));
+            self.dedup.set(&(addr.client, call_id), Some(resp.clone()));
             let inner = Payload::new(DbReply {
                 token: addr.token,
                 resp,
@@ -335,8 +325,7 @@ impl DbServer {
         if let Some(call_id) = addr.rpc_call {
             // Overwrite the just-inserted `None` dedup entry so duplicate
             // retries replay the rejection instead of waiting forever.
-            self.dedup
-                .insert((addr.client, call_id), Some(resp.clone()));
+            self.dedup.set(&(addr.client, call_id), Some(resp.clone()));
             let inner = Payload::new(DbReply {
                 token: addr.token,
                 resp,
@@ -534,12 +523,6 @@ impl Process for DbServer {
                 }
                 None => {
                     self.dedup.insert((from, call_id), None);
-                    self.dedup_order.push_back((from, call_id));
-                    while self.dedup.len() > DEDUP_WINDOW {
-                        if let Some(old) = self.dedup_order.pop_front() {
-                            self.dedup.remove(&old);
-                        }
-                    }
                 }
             }
         }
@@ -781,6 +764,90 @@ mod tests {
             3,
             "shed work never ran"
         );
+    }
+
+    /// Sends enveloped requests on a script, one timer tick per step, so
+    /// their arrival order at the server is fixed.
+    struct Scripted {
+        db: ProcessId,
+        /// Per step: the call ids to send, and whether they go out with a
+        /// deadline that passes in flight. Id 7 bumps `x`, others peek.
+        steps: Vec<(std::ops::Range<u64>, bool)>,
+        gap: SimDuration,
+    }
+    impl Scripted {
+        fn step(&mut self, ctx: &mut Ctx) {
+            if self.steps.is_empty() {
+                return;
+            }
+            let (call_ids, expired) = self.steps.remove(0);
+            if expired {
+                ctx.set_deadline_after(SimDuration::from_nanos(1));
+            }
+            for call_id in call_ids {
+                let req = if call_id == 7 {
+                    DbRequest::Call {
+                        proc: "bump".into(),
+                        args: vec![Value::from("x")],
+                    }
+                } else {
+                    DbRequest::Peek { key: "x".into() }
+                };
+                let body = Payload::new(DbMsg {
+                    token: call_id,
+                    req,
+                });
+                ctx.send(self.db, Payload::new(RpcRequest { call_id, body }));
+            }
+            ctx.set_deadline(None);
+            ctx.set_timer(self.gap, 0);
+        }
+    }
+    impl Process for Scripted {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            self.step(ctx);
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx, _from: ProcessId, _payload: Payload) {}
+        fn on_timer(&mut self, ctx: &mut Ctx, _tag: u64) {
+            self.step(ctx);
+        }
+    }
+
+    #[test]
+    fn call_dropped_as_expired_ages_from_its_resend() {
+        let mut sim = Sim::with_seed(3);
+        let n0 = sim.add_node();
+        let n1 = sim.add_node();
+        let db = sim.spawn(
+            n0,
+            "db",
+            DbServer::factory("db", DbServerConfig::default(), bump_registry()),
+        );
+        let fillers = DEDUP_WINDOW as u64 - 1;
+        sim.spawn(n1, "client", move |_| {
+            Box::new(Scripted {
+                db,
+                steps: vec![
+                    (7..8, true),  // dropped on arrival: deadline expired
+                    (8..9, false), // an older call, first out of the window
+                    (7..8, false), // the re-send executes
+                    (100..100 + fillers, false),
+                    (7..8, false), // its duplicate: still inside the window
+                ],
+                // Longer than serving every filler takes.
+                gap: SimDuration::from_secs(2),
+            })
+        });
+        sim.run_for(SimDuration::from_secs(10));
+        assert_eq!(sim.metrics().counter("db.expired"), 1);
+        assert_eq!(
+            sim.metrics().counter("db.deduped"),
+            1,
+            "duplicate of the re-sent call answered from cache"
+        );
+        assert_eq!(sim.metrics().counter("db.calls_ok"), 1, "bump ran once");
+        let server = sim.inspect::<DbServer>(db).expect("db");
+        assert_eq!(server.engine().peek("x"), Some(Value::Int(1)));
     }
 
     #[test]

@@ -113,17 +113,6 @@ impl Default for DataflowConfig {
 // Durable layout helpers
 // ---------------------------------------------------------------------------
 
-/// The durable cell under `key`, created (default-valued) on first boot.
-/// The process and the disk hold the same `Rc`, so the cell is updated in
-/// place and never read back on the steady path.
-fn durable_cell<T: Default + 'static>(disk: &mut Disk, key: &str) -> Rc<T> {
-    disk.get::<Rc<T>>(key).unwrap_or_else(|| {
-        let cell = Rc::new(T::default());
-        disk.put(key, Rc::clone(&cell));
-        cell
-    })
-}
-
 /// The run of durable entries `{prefix}{e}` that ends at `e = top`, in
 /// ascending order. Both journals here are appended at the top and
 /// garbage-collected from the bottom, so what is retained is contiguous
@@ -247,7 +236,7 @@ impl DfSequencer {
             config,
             shards,
             buffer: Vec::new(),
-            next_id: durable_cell(boot.disk, "next_id"),
+            next_id: boot.disk.durable("next_id"),
             last_epoch,
             acked: vec![0; n],
             log_floor: last_epoch - log.len() as u64,
@@ -625,7 +614,7 @@ impl DfShard {
         config: DataflowConfig,
         boot: &mut Boot,
     ) -> Self {
-        let snap: Rc<RefCell<Snapshot>> = durable_cell(boot.disk, "snap");
+        let snap: Rc<RefCell<Snapshot>> = boot.disk.durable("snap");
         let applied = boot.disk.get::<u64>("applied").unwrap_or(0);
         let journal = durable_tail::<ShardJournalEntry>(boot.disk, "jrnl/", applied);
         let jrnl_gc = applied - journal.len() as u64;

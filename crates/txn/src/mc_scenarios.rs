@@ -82,7 +82,7 @@ fn mc_world<W: World + 'static>(name: &str, world: W) -> McScenario {
 /// Fingerprint `p` as `tag` + its debug rendering if it is a `T`.
 fn fp_as<T: std::fmt::Debug + 'static>(p: &Payload, tag: u64) -> Option<u64> {
     let message = p.downcast_ref::<T>()?;
-    Some(fnv_bytes(tag, format!("{message:?}").into_bytes()))
+    Some(fnv_bytes(tag, format!("{message:?}").as_bytes()))
 }
 
 /// Fingerprint an RPC envelope by call id and, through `body_fp`, content.
@@ -93,7 +93,7 @@ fn rpc_fp(p: &Payload, body_fp: fn(&Payload) -> Option<u64>) -> Option<u64> {
         let r = p.downcast_ref::<RpcReply>()?;
         (2, r.call_id, &r.body)
     };
-    Some(fnv_bytes(tag, call_id.to_le_bytes()) ^ body_fp(body)?)
+    Some(fnv_bytes(tag, &call_id.to_le_bytes()) ^ body_fp(body)?)
 }
 
 // ---------------------------------------------------------------------------

@@ -167,11 +167,7 @@ impl SagaOrchestrator {
         let defs: Rc<HashMap<String, SagaDef>> =
             Rc::new(defs.into_iter().map(|d| (d.name.clone(), d)).collect());
         move |boot| {
-            let journal: SagaJournal = boot.disk.get("saga_journal").unwrap_or_else(|| {
-                let j = SagaJournal::default();
-                boot.disk.put("saga_journal", j.clone());
-                j
-            });
+            let journal: SagaJournal = boot.disk.durable("saga_journal");
             // Resume in-flight instances (no caller to answer anymore —
             // clients retry with a new request; dedup is their concern).
             let mut instances = HashMap::default();
@@ -200,11 +196,7 @@ impl SagaOrchestrator {
             // (finished) instances no longer bump `max_id` — so the floor
             // of every id ever allocated is kept durably too.
             let epoch = boot.now.as_nanos() << 8;
-            let last_id: Rc<RefCell<u64>> = boot.disk.get("saga_last_id").unwrap_or_else(|| {
-                let cell = Rc::new(RefCell::new(0u64));
-                boot.disk.put("saga_last_id", cell.clone());
-                cell
-            });
+            let last_id: Rc<RefCell<u64>> = boot.disk.durable("saga_last_id");
             let floor = *last_id.borrow();
             Box::new(SagaOrchestrator {
                 defs: Rc::clone(&defs),

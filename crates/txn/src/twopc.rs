@@ -15,10 +15,11 @@ use std::rc::Rc;
 use tca_sim::{DetHashMap as HashMap, DetHashSet as HashSet};
 
 use tca_messaging::rpc::{reply_to, RpcRequest};
-use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, SimDuration, SpanId, SpanKind};
+use tca_sim::{
+    Boot, Ctx, Fnv64, Payload, Process, ProcessId, RecentWindow, SimDuration, SpanId, SpanKind,
+};
 use tca_storage::{
-    proc::run_proc_open, DurableCell, DurableLog, Engine, EngineConfig, ProcOutcome, ProcRegistry,
-    TxId, Value,
+    proc::run_proc_open, Engine, EngineConfig, ProcOutcome, ProcRegistry, TxId, Value,
 };
 
 // ---------------------------------------------------------------------------
@@ -187,8 +188,7 @@ pub struct TwoPcParticipant {
     /// Recently decided txids (bounded FIFO). An ExecuteReq for one of
     /// these is *late* — the decision overtook it in the network — and
     /// must be rejected instead of acquiring locks nobody will release.
-    recently_decided: HashSet<u64>,
-    recently_decided_order: std::collections::VecDeque<u64>,
+    recently_decided: RecentWindow<u64, ()>,
 }
 
 impl TwoPcParticipant {
@@ -213,22 +213,9 @@ impl TwoPcParticipant {
         let registry = Rc::new(registry);
         let seed = Rc::new(seed);
         move |boot| {
-            let wal = boot.disk.get("wal").unwrap_or_else(|| {
-                let log = DurableLog::new();
-                boot.disk.put("wal", log.clone());
-                log
-            });
-            let checkpoint = boot.disk.get("checkpoint").unwrap_or_else(|| {
-                let cell = DurableCell::new();
-                boot.disk.put("checkpoint", cell.clone());
-                cell
-            });
-            let prepared_log: Rc<RefCell<HashSet<u64>>> =
-                boot.disk.get("prepared").unwrap_or_else(|| {
-                    let log: Rc<RefCell<HashSet<u64>>> = Rc::new(RefCell::new(HashSet::default()));
-                    boot.disk.put("prepared", log.clone());
-                    log
-                });
+            let wal = boot.disk.durable("wal");
+            let checkpoint = boot.disk.durable("checkpoint");
+            let prepared_log: Rc<RefCell<HashSet<u64>>> = boot.disk.durable("prepared");
             let mut engine = if boot.restart {
                 Engine::recover(EngineConfig::default(), wal, checkpoint)
             } else {
@@ -247,8 +234,7 @@ impl TwoPcParticipant {
                 branches: HashMap::default(),
                 seed: Rc::clone(&seed),
                 prepared_log,
-                recently_decided: HashSet::default(),
-                recently_decided_order: std::collections::VecDeque::new(),
+                recently_decided: RecentWindow::new(RECENTLY_DECIDED_CAP),
             })
         }
     }
@@ -259,17 +245,6 @@ impl TwoPcParticipant {
             .values()
             .filter(|b| b.state == BranchState::Prepared)
             .count()
-    }
-
-    fn remember_decided(&mut self, txid: u64) {
-        if self.recently_decided.insert(txid) {
-            self.recently_decided_order.push_back(txid);
-            if self.recently_decided_order.len() > RECENTLY_DECIDED_CAP {
-                if let Some(old) = self.recently_decided_order.pop_front() {
-                    self.recently_decided.remove(&old);
-                }
-            }
-        }
     }
 
     /// Safety invariant for the model checker: branches still open for a
@@ -288,13 +263,8 @@ impl TwoPcParticipant {
     /// model-checker state fingerprints. Balances are not included — the
     /// checking scenario peeks those separately.
     pub fn state_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv64::new();
+        let mut mix = |v: u64| h = h.u64(v);
         let mut branches: Vec<(u64, u64, u64)> = self
             .branches
             .iter()
@@ -307,7 +277,7 @@ impl TwoPcParticipant {
             mix(state);
             mix(ntxs);
         }
-        let mut decided: Vec<u64> = self.recently_decided.iter().copied().collect();
+        let mut decided: Vec<u64> = self.recently_decided.keys().copied().collect();
         decided.sort_unstable();
         mix(decided.len() as u64);
         for txid in decided {
@@ -320,7 +290,7 @@ impl TwoPcParticipant {
             mix(txid);
         }
         mix(self.engine.active_count() as u64);
-        h
+        h.finish()
     }
 
     /// Direct engine peek for tests.
@@ -415,7 +385,7 @@ impl Process for TwoPcParticipant {
                 }),
             );
         } else if let Some(req) = payload.downcast_ref::<DecisionReq>() {
-            self.remember_decided(req.txid);
+            self.recently_decided.insert(req.txid, ());
             if let Some(branch) = self.branches.remove(&req.txid) {
                 for tx in branch.txs {
                     if req.commit {
@@ -579,11 +549,7 @@ impl TwoPcCoordinator {
     /// Process factory with explicit timeouts.
     pub fn factory_with(config: CoordinatorConfig) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
         move |boot| {
-            let decisions: DecisionJournal = boot.disk.get("decisions").unwrap_or_else(|| {
-                let log: DecisionJournal = Rc::new(RefCell::new(HashMap::default()));
-                boot.disk.put("decisions", log.clone());
-                log
-            });
+            let decisions: DecisionJournal = boot.disk.durable("decisions");
             // A restarted coordinator has lost its volatile transaction
             // table. Journaled (= committed, undelivered) transactions are
             // rebuilt in the Deciding phase from the journal's participant
@@ -613,11 +579,7 @@ impl TwoPcCoordinator {
                     },
                 );
             }
-            let txid_floor: Rc<RefCell<u64>> = boot.disk.get("txid_floor").unwrap_or_else(|| {
-                let cell = Rc::new(RefCell::new(0u64));
-                boot.disk.put("txid_floor", cell.clone());
-                cell
-            });
+            let txid_floor: Rc<RefCell<u64>> = boot.disk.durable("txid_floor");
             let floor = *txid_floor.borrow();
             Box::new(TwoPcCoordinator {
                 config: config.clone(),
@@ -638,13 +600,8 @@ impl TwoPcCoordinator {
     /// (open transactions with phase/pending sets, decision journal,
     /// txid cursor) for model-checker state fingerprints.
     pub fn state_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv64::new();
+        let mut mix = |v: u64| h = h.u64(v);
         mix(self.next_txid);
         let mut txns: Vec<(u64, u64)> = self
             .txns
@@ -652,20 +609,12 @@ impl TwoPcCoordinator {
             .map(|(&txid, dtx)| {
                 let mut pending: Vec<u32> = dtx.pending.iter().map(|p| p.0).collect();
                 pending.sort_unstable();
-                let mut t: u64 = 0xcbf2_9ce4_8422_2325;
-                let mut tmix = |v: u64| {
-                    for b in v.to_le_bytes() {
-                        t ^= b as u64;
-                        t = t.wrapping_mul(0x0000_0100_0000_01b3);
-                    }
-                };
-                tmix(dtx.phase as u64);
-                tmix(dtx.commit as u64);
-                tmix(dtx.pending_branches.len() as u64);
-                for p in pending {
-                    tmix(p as u64);
-                }
-                (txid, t)
+                let t = Fnv64::new()
+                    .u64(dtx.phase as u64)
+                    .u64(dtx.commit as u64)
+                    .u64(dtx.pending_branches.len() as u64);
+                let t = pending.into_iter().fold(t, |t, p| t.u64(p as u64));
+                (txid, t.finish())
             })
             .collect();
         txns.sort_unstable();
@@ -685,7 +634,7 @@ impl TwoPcCoordinator {
             mix(txid);
             mix(d);
         }
-        h
+        h.finish()
     }
 
     fn decide(&mut self, ctx: &mut Ctx, txid: u64, commit: bool, error: Option<String>) {

@@ -50,36 +50,16 @@ use tca_messaging::rpc::{
     reply_to, BreakerConfig, RetryBudget, RetryPolicy, RpcClient, RpcEvent, RpcReply, RpcRequest,
 };
 use tca_sim::{
-    Boot, Ctx, DetHashMap, DetHashSet, NodeId, Payload, Process, ProcessId, ShardMap, Sim,
+    Boot, Ctx, DetHashMap, DetHashSet, Fnv64, NodeId, Payload, Process, ProcessId, ShardMap, Sim,
     SimDuration, SimTime,
 };
-use tca_storage::{IdemCheck, IdempotenceTable, ProcRegistry, SharedIdempotence, StepReply, Value};
+use tca_storage::{IdemCheck, ProcRegistry, SharedIdempotence, StepReply, Value};
 
 use crate::sharding::{route_branches, ShardOp};
 use crate::twopc::{DtxOutcome, ParticipantConfig, StartDtx, TwoPcCoordinator, TwoPcParticipant};
 
 /// Orchestrator sweep-timer tag ("WF" namespace, clear of the RPC base).
 const ORCH_SWEEP_TAG: u64 = 0x5746_0000_0000_0001;
-
-fn fnv64(parts: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for b in part.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-fn fnv_str(seed: u64, s: &str) -> u64 {
-    let mut h = seed;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 // ---------------------------------------------------------------------------
 // Wire protocol
@@ -407,22 +387,11 @@ impl WorkflowOrchestrator {
             .collect();
         let defs = Rc::new(def_map);
         move |boot| {
-            let journal: WfJournal = boot.disk.get("wf_journal").unwrap_or_else(|| {
-                let j: WfJournal = Rc::new(RefCell::new(DetHashMap::default()));
-                boot.disk.put("wf_journal", j.clone());
-                j
-            });
-            let wf_floor: Rc<RefCell<u64>> = boot.disk.get("wf_floor").unwrap_or_else(|| {
-                let cell = Rc::new(RefCell::new(0u64));
-                boot.disk.put("wf_floor", cell.clone());
-                cell
-            });
-            let done_below: Rc<RefCell<u64>> =
-                boot.disk.get("wf_done_below").unwrap_or_else(|| {
-                    let cell = Rc::new(RefCell::new(1u64));
-                    boot.disk.put("wf_done_below", cell.clone());
-                    cell
-                });
+            let journal: WfJournal = boot.disk.durable("wf_journal");
+            let wf_floor: Rc<RefCell<u64>> = boot.disk.durable("wf_floor");
+            let done_below: Rc<RefCell<u64>> = boot.disk.durable("wf_done_below");
+            // Workflow ids start at 1, and so does the watermark.
+            done_below.replace_with(|&mut below| below.max(1));
             let started_dedup: DetHashMap<(u32, u64), u64> = journal
                 .borrow()
                 .iter()
@@ -480,13 +449,8 @@ impl WorkflowOrchestrator {
     /// Order-insensitive digest of journal, cursors, floor, watermark,
     /// and in-flight set, for model-checker state fingerprints.
     pub fn state_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv64::new();
+        let mut mix = |v: u64| h = h.u64(v);
         mix(*self.wf_floor.borrow());
         mix(*self.done_below.borrow());
         let mut entries: Vec<u64> = self
@@ -494,13 +458,17 @@ impl WorkflowOrchestrator {
             .borrow()
             .iter()
             .map(|(&wf, rec)| {
-                fnv64(&[
-                    wf,
-                    rec.completed_seq as u64,
-                    rec.done as u64,
-                    rec.committed as u64,
-                    rec.error.as_ref().map_or(0, |e| fnv_str(1, e)),
-                ])
+                let error = rec
+                    .error
+                    .as_ref()
+                    .map_or(0, |e| Fnv64::seeded(1).bytes(e.as_bytes()).finish());
+                Fnv64::new()
+                    .u64(wf)
+                    .u64(rec.completed_seq as u64)
+                    .u64(rec.done as u64)
+                    .u64(rec.committed as u64)
+                    .u64(error)
+                    .finish()
             })
             .collect();
         entries.sort_unstable();
@@ -517,7 +485,7 @@ impl WorkflowOrchestrator {
         for f in flights {
             mix(f);
         }
-        h
+        h.finish()
     }
 
     fn worker_for(&self, wf: u64, seq: u32) -> ProcessId {
@@ -553,7 +521,12 @@ impl WorkflowOrchestrator {
         let worker = self.worker_for(wf, seq);
         // Deterministic wire id from the journaled step identity — no RNG
         // draw, and dedup-friendly across orchestrator incarnations.
-        let wire = fnv64(&[0x57f0, wf, seq as u64, self.attempts]);
+        let wire = Fnv64::new()
+            .u64(0x57f0)
+            .u64(wf)
+            .u64(seq as u64)
+            .u64(self.attempts)
+            .finish();
         self.rpc.call_with_id(
             ctx,
             worker,
@@ -878,16 +851,8 @@ impl WorkflowWorker {
         let defs = Rc::new(def_map);
         let map = ShardMap::ring(participants.len());
         move |boot| {
-            let idem: SharedIdempotence = boot.disk.get("wf_idem").unwrap_or_else(|| {
-                let table: SharedIdempotence = Rc::new(RefCell::new(IdempotenceTable::new()));
-                boot.disk.put("wf_idem", table.clone());
-                table
-            });
-            let intents: IntentLog = boot.disk.get("wf_intents").unwrap_or_else(|| {
-                let log: IntentLog = Rc::new(RefCell::new(DetHashMap::default()));
-                boot.disk.put("wf_intents", log.clone());
-                log
-            });
+            let idem: SharedIdempotence = boot.disk.durable("wf_idem");
+            let intents: IntentLog = boot.disk.durable("wf_intents");
             Box::new(WorkflowWorker {
                 config: config.clone(),
                 defs: defs.clone(),
@@ -926,13 +891,8 @@ impl WorkflowWorker {
     /// Order-insensitive digest of idempotence table, intent log, and
     /// in-flight set, for model-checker state fingerprints.
     pub fn state_digest(&self) -> u64 {
-        let mut h = self.idem.borrow().digest();
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv64::seeded(self.idem.borrow().digest());
+        let mut mix = |v: u64| h = h.u64(v);
         let mut intents: Vec<u64> = self
             .intents
             .borrow()
@@ -954,7 +914,7 @@ impl WorkflowWorker {
         for e in executing {
             mix(e);
         }
-        h
+        h.finish()
     }
 
     fn reply_step(&mut self, ctx: &mut Ctx, wf: u64, seq: u32, outcome: StepOutcome) {
@@ -1109,7 +1069,13 @@ impl WorkflowWorker {
         let tag = self.next_tag;
         self.pending.insert(tag, key);
         self.executing.insert(key);
-        let wire = fnv64(&[0x57f1, ctx.me().0 as u64, wf, seq as u64, self.attempts]);
+        let wire = Fnv64::new()
+            .u64(0x57f1)
+            .u64(ctx.me().0 as u64)
+            .u64(wf)
+            .u64(seq as u64)
+            .u64(self.attempts)
+            .finish();
         self.rpc.call_with_id(
             ctx,
             self.coordinator,

@@ -28,8 +28,9 @@ use tca_messaging::rpc::{RetryPolicy, RpcRequest};
 use tca_models::actor::{
     ActorCompletion, ActorId, ActorRouter, ActorSilo, Directory, DirectoryConfig, SiloConfig,
 };
+use tca_sim::place::FNV_OFFSET;
 use tca_sim::{
-    Ctx, FaultPlan, NodeId, Payload, Process, ProcessId, ShardMap, Sim, SimDuration, SimTime,
+    Ctx, FaultPlan, Fnv64, NodeId, Payload, Process, ProcessId, ShardMap, Sim, SimDuration, SimTime,
 };
 use tca_storage::{DbMsg, DbRequest, DbServer, DbServerConfig, ProcRegistry, Value};
 
@@ -112,13 +113,12 @@ fn is_benign(plan: Option<&FaultPlan>) -> bool {
     plan.is_some_and(FaultPlan::is_benign)
 }
 
-pub(crate) fn fnv_bytes(seed: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// FNV-1a of `bytes` from a basis perturbed by `seed`: chains state
+/// fingerprints and keeps message-fingerprint families apart.
+pub(crate) fn fnv_bytes(seed: u64, bytes: &[u8]) -> u64 {
+    Fnv64::seeded(FNV_OFFSET ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .bytes(bytes)
+        .finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ fn twopc_digests(sim: &Sim, mut h: u64, participants: &[ProcessId], coord: Proce
         .inspect::<TwoPcCoordinator>(coord)
         .map_or(0, |c| c.state_digest());
     for v in digests.chain([coord]) {
-        h = fnv_bytes(h, v.to_le_bytes());
+        h = fnv_bytes(h, &v.to_le_bytes());
     }
     h
 }
@@ -383,12 +383,12 @@ impl World for TwoPcWorld {
     }
 
     fn state_fp(&self, sim: &Sim, h: &TwoPcHandles) -> Option<u64> {
-        let mut fp = twopc_digests(sim, fnv_bytes(12, []), &[h.pa, h.pb], h.coordinator);
+        let mut fp = twopc_digests(sim, fnv_bytes(12, &[]), &[h.pa, h.pb], h.coordinator);
         for i in 0..self.pairs() {
             let (debit, credit) = self.keys(i);
             for (pid, key) in [(h.pa, debit), (h.pb, credit)] {
                 let v = peek(sim, pid, &key).map_or(u64::MAX, |v| v as u64);
-                fp = fnv_bytes(fp, v.to_le_bytes());
+                fp = fnv_bytes(fp, &v.to_le_bytes());
             }
         }
         Some(fp)
@@ -604,10 +604,10 @@ impl World for ShardedTwoPcWorld {
     }
 
     fn state_fp(&self, sim: &Sim, h: &ShardedHandles) -> Option<u64> {
-        let mut fp = twopc_digests(sim, fnv_bytes(13, []), &h.participants, h.coordinator);
+        let mut fp = twopc_digests(sim, fnv_bytes(13, &[]), &h.participants, h.coordinator);
         for (key, _) in self.accounts() {
             let v = peek(sim, self.owner(h, key), key).map_or(u64::MAX, |v| v as u64);
-            fp = fnv_bytes(fp, v.to_le_bytes());
+            fp = fnv_bytes(fp, &v.to_le_bytes());
         }
         Some(fp)
     }
@@ -1440,7 +1440,7 @@ impl World for WorkflowWorld {
     }
 
     fn state_fp(&self, sim: &Sim, h: &WorkflowDeployment) -> Option<u64> {
-        let mut fp = twopc_digests(sim, fnv_bytes(14, []), &h.participants, h.coordinator);
+        let mut fp = twopc_digests(sim, fnv_bytes(14, &[]), &h.participants, h.coordinator);
         let workers = h.workers.iter().map(|&w| {
             sim.inspect::<WorkflowWorker>(w)
                 .map_or(0, |w| w.state_digest())
@@ -1449,13 +1449,13 @@ impl World for WorkflowWorld {
             .inspect::<WorkflowOrchestrator>(h.orchestrator)
             .map_or(0, |o| o.state_digest());
         for v in workers.chain([orch]) {
-            fp = fnv_bytes(fp, v.to_le_bytes());
+            fp = fnv_bytes(fp, &v.to_le_bytes());
         }
         let markers = (1..=self.chains)
             .flat_map(|wf| (0..self.steps).map(move |seq| step_marker_key(wf, seq)));
         for key in self.accounts().chain(markers) {
             let v = peek_sharded(sim, &h.participants, &h.map, &key).unwrap_or(i64::MIN);
-            fp = fnv_bytes(fp, v.to_le_bytes());
+            fp = fnv_bytes(fp, &v.to_le_bytes());
         }
         Some(fp)
     }

@@ -29,8 +29,8 @@ pub mod ycsb;
 
 pub use chain::ChainWorkload;
 pub use loadgen::{
-    db_classifier, ClosedLoopConfig, ClosedLoopGen, KeyChooser, OpenLoopConfig, OpenLoopGen,
-    PairChooser, RequestFactory, ResponseClassifier,
+    db_classifier, record_completion, ClosedLoopConfig, ClosedLoopGen, KeyChooser, LoadSummary,
+    OpenLoopConfig, OpenLoopGen, PairChooser, RequestFactory, ResponseClassifier,
 };
 pub use overload::{OverloadConfig, OverloadGen, OverloadPhase};
 pub use rmw::{RmwClient, RmwConfig};

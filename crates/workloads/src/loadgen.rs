@@ -16,7 +16,7 @@ use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
 use tca_messaging::rpc::{RetryPolicy, RpcClient, RpcEvent};
-use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, SimDuration, SimRng, SimTime, Zipf};
+use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, Sim, SimDuration, SimRng, SimTime, Zipf};
 
 /// Builds one request payload (the body placed inside the RPC envelope).
 pub type RequestFactory = Rc<dyn Fn(&mut SimRng) -> Payload>;
@@ -166,6 +166,76 @@ pub fn db_classifier() -> ResponseClassifier {
     })
 }
 
+/// Record one finished request under `metric`: its latency (when the
+/// start is known) in `<metric>.latency`, its outcome in `<metric>.ok` /
+/// `<metric>.err`, and — once, when `finished` says the run's last
+/// request was just answered — the completion time `<metric>.done_at_us`
+/// over which [`LoadSummary::read`] computes throughput.
+pub fn record_completion(
+    ctx: &mut Ctx,
+    metric: &str,
+    started: Option<SimTime>,
+    ok: bool,
+    finished: bool,
+) {
+    let now = ctx.now();
+    if let Some(start) = started {
+        ctx.metrics()
+            .record(&format!("{metric}.latency"), now.since(start));
+    }
+    let suffix = if ok { "ok" } else { "err" };
+    ctx.metrics().incr(&format!("{metric}.{suffix}"), 1);
+    if finished {
+        let key = format!("{metric}.done_at_us");
+        if ctx.metrics().counter(&key) == 0 {
+            ctx.metrics().incr(&key, now.as_nanos() / 1_000);
+        }
+    }
+}
+
+/// What a load generator recorded under one metric prefix (see
+/// [`record_completion`]), as the numbers experiments print.
+#[derive(Debug, Clone, Copy)]
+pub struct LoadSummary {
+    /// Requests that succeeded.
+    pub ok: u64,
+    /// Requests that failed.
+    pub err: u64,
+    /// Virtual seconds the run took: up to the last completion when the
+    /// generator stamped it (a limited closed loop), else up to now.
+    pub seconds: f64,
+    /// Median latency in milliseconds; `None` when nothing completed.
+    pub p50_ms: Option<f64>,
+    /// 99th-percentile latency in milliseconds.
+    pub p99_ms: Option<f64>,
+}
+
+impl LoadSummary {
+    /// Read the results recorded under `metric` out of `sim`.
+    pub fn read(sim: &Sim, metric: &str) -> Self {
+        let metrics = sim.metrics();
+        let done_at_us = metrics.counter(&format!("{metric}.done_at_us"));
+        let seconds = if done_at_us > 0 {
+            done_at_us as f64 / 1e6
+        } else {
+            sim.now().as_secs_f64()
+        };
+        let latency = metrics.histogram(&format!("{metric}.latency"));
+        LoadSummary {
+            ok: metrics.counter(&format!("{metric}.ok")),
+            err: metrics.counter(&format!("{metric}.err")),
+            seconds: seconds.max(1e-9),
+            p50_ms: latency.map(|h| h.p50().as_nanos() as f64 / 1e6),
+            p99_ms: latency.map(|h| h.p99().as_nanos() as f64 / 1e6),
+        }
+    }
+
+    /// Successful requests per virtual second.
+    pub fn throughput(&self) -> f64 {
+        self.ok as f64 / self.seconds
+    }
+}
+
 /// Closed-loop configuration.
 #[derive(Clone)]
 pub struct ClosedLoopConfig {
@@ -245,28 +315,16 @@ impl ClosedLoopGen {
     }
 
     fn complete(&mut self, ctx: &mut Ctx, tag: u64, ok: bool) {
-        if let Some(start) = self.started.remove(&tag) {
-            let elapsed = ctx.now().since(start);
-            ctx.metrics()
-                .record(&format!("{}.latency", self.config.metric), elapsed);
-        }
-        let suffix = if ok { "ok" } else { "err" };
-        ctx.metrics()
-            .incr(&format!("{}.{suffix}", self.config.metric), 1);
+        let started = self.started.remove(&tag);
         if self.config.think_time == SimDuration::ZERO {
             self.issue(ctx);
         } else {
             ctx.set_timer(self.config.think_time, THINK_TAG);
         }
-        if self.config.limit == Some(self.issued) && self.started.is_empty() {
-            // All requests answered: stamp the completion time so
-            // harnesses compute throughput over actual runtime.
-            let done_us = ctx.now().as_nanos() / 1_000;
-            let key = format!("{}.done_at_us", self.config.metric);
-            if ctx.metrics().counter(&key) == 0 {
-                ctx.metrics().incr(&key, done_us);
-            }
-        }
+        // All requests answered: the completion time is stamped so
+        // harnesses compute throughput over actual runtime.
+        let finished = self.config.limit == Some(self.issued) && self.started.is_empty();
+        record_completion(ctx, &self.config.metric, started, ok, finished);
     }
 
     fn absorb(&mut self, ctx: &mut Ctx, event: RpcEvent) {
@@ -371,14 +429,8 @@ impl OpenLoopGen {
             RpcEvent::Reply { user_tag, body, .. } => (user_tag, (self.classify)(&body)),
             RpcEvent::Failed { user_tag, .. } => (user_tag, false),
         };
-        if let Some(start) = self.started.remove(&tag) {
-            let elapsed = ctx.now().since(start);
-            ctx.metrics()
-                .record(&format!("{}.latency", self.config.metric), elapsed);
-        }
-        let suffix = if ok { "ok" } else { "err" };
-        ctx.metrics()
-            .incr(&format!("{}.{suffix}", self.config.metric), 1);
+        let started = self.started.remove(&tag);
+        record_completion(ctx, &self.config.metric, started, ok, false);
     }
 }
 

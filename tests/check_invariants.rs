@@ -277,6 +277,61 @@ mod sim_props {
     }
 }
 
+mod window_props {
+    use super::*;
+    use tca::sim::RecentWindow;
+
+    /// `RecentWindow` against a plain `Vec` in insertion order: never
+    /// longer than its capacity, evicts strictly oldest insertion first,
+    /// a removed key ages from its re-insertion, and `set` never
+    /// resurrects an evicted key.
+    #[test]
+    fn recent_window_matches_insertion_ordered_vec() {
+        // (op, key, value): ops 0–2 insert, 3 set, 4 remove.
+        let ops_gen = vec_of(tuple3(u8_in(0, 5), u8_in(0, 8), i64_in(0, 100)), 0, 120);
+        let input_gen = tuple2(usize_in(1, 5), ops_gen);
+        check(
+            "recent_window_matches_insertion_ordered_vec",
+            &input_gen,
+            |(capacity, ops)| {
+                let mut window = RecentWindow::new(*capacity);
+                let mut model: Vec<(u8, i64)> = Vec::new();
+                for &(op, key, value) in ops {
+                    let at = model.iter().position(|&(k, _)| k == key);
+                    match (op, at) {
+                        (0..=2, Some(at)) => {
+                            model[at].1 = value;
+                            assert_eq!(window.insert(key, value), None);
+                        }
+                        (0..=2, None) => {
+                            model.push((key, value));
+                            let evicted = (model.len() > *capacity).then(|| model.remove(0));
+                            assert_eq!(window.insert(key, value), evicted);
+                        }
+                        (3, at) => {
+                            if let Some(at) = at {
+                                model[at].1 = value;
+                            }
+                            assert_eq!(window.set(&key, value), at.is_some());
+                        }
+                        (_, at) => {
+                            let removed = at.map(|at| model.remove(at).1);
+                            assert_eq!(window.remove(&key), removed);
+                        }
+                    }
+                    assert_eq!(window.len(), model.len());
+                    assert!(window.len() <= *capacity);
+                    for k in 0..8u8 {
+                        let expected = model.iter().find(|&&(mk, _)| mk == k).map(|(_, v)| v);
+                        assert_eq!(window.get(&k), expected);
+                        assert_eq!(window.contains(&k), expected.is_some());
+                    }
+                }
+            },
+        );
+    }
+}
+
 mod causal_props {
     use super::*;
     use tca::txn::{CausalMailbox, CausalMessage, VectorClock};
