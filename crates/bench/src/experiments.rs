@@ -8,7 +8,7 @@
 
 use std::rc::Rc;
 
-use tca_core::cell::{run_cell, run_cell_traced, CellParams};
+use tca_core::cell::{run_cell, run_cell_traced, run_saga_cell_with_outage, CellParams};
 use tca_core::taxonomy::{profile, render_matrix, ProgrammingModel, TxnMechanism};
 use tca_messaging::delivery::{DedupReceiver, DeliveryGuarantee, ReliableSender};
 use tca_messaging::rpc::RetryPolicy;
@@ -926,12 +926,18 @@ pub fn e8_failure_consistency(seed: u64) -> Vec<Row> {
             transfers: 200,
             ..CellParams::default()
         };
-        let report = run_cell(ProgrammingModel::Microservices, TxnMechanism::Saga, &params);
+        // The orchestrator's node is down over the same window as the
+        // service in (a) and the shard in (c).
+        let outage = (
+            SimTime::from_nanos(10_000_000),
+            SimTime::from_nanos(20_000_000),
+        );
+        let (report, drift) = run_saga_cell_with_outage(&params, outage);
         rows.push(
             Row::new("saga (journal)")
                 .col("ok", report.committed)
                 .col("err", report.failed)
-                .col("balance drift", 0)
+                .col("balance drift", drift.expect("bank-db is never crashed"))
                 .col("conserved", report.conserved.unwrap_or(false)),
         );
     }

@@ -18,10 +18,12 @@ use tca_models::actor::{
 };
 use tca_models::statefun::{spawn_shards, EntityId, StartOrchestration, StatefunApp};
 use tca_sim::{
-    key_shard, Ctx, Histogram, Payload, Process, ProcessId, Sim, SimDuration, SimRng, SpanKind,
+    key_shard, Ctx, Histogram, Payload, Process, ProcessId, Sim, SimDuration, SimRng, SimTime,
+    SpanKind,
 };
 use tca_storage::{DbMsg, DbRequest, DbServer, DbServerConfig, Value};
-use tca_txn::deterministic::{deploy_deterministic, SequencerConfig, SubmitTxn, TxnOutcome};
+use tca_txn::dataflow::{deploy_dataflow, DataflowConfig, DfShard};
+use tca_txn::deterministic::{transfer_registry_from, SubmitTxn, TxnOutcome};
 use tca_txn::saga::{SagaDef, SagaOrchestrator, SagaOutcome, SagaStep, StartSaga};
 use tca_txn::twopc::{DtxOutcome, ParticipantConfig, StartDtx, TwoPcCoordinator, TwoPcParticipant};
 use tca_txn::{bank_registry, transactional_bank_registry, transfer_plan};
@@ -167,7 +169,10 @@ fn run_cell_inner(
     params: &CellParams,
 ) -> (CellReport, Sim) {
     match (model, mechanism) {
-        (ProgrammingModel::Microservices, TxnMechanism::Saga) => run_saga_cell(params),
+        (ProgrammingModel::Microservices, TxnMechanism::Saga) => {
+            let (report, sim, _) = run_saga_cell(params, None);
+            (report, sim)
+        }
         (ProgrammingModel::Microservices, TxnMechanism::TwoPhaseCommit) => run_2pc_cell(params),
         (ProgrammingModel::VirtualActors, TxnMechanism::None) => run_actor_cell(params, false),
         (ProgrammingModel::VirtualActors, TxnMechanism::ActorTransactions) => {
@@ -201,23 +206,32 @@ fn seed_accounts(sim: &mut Sim, db: ProcessId, params: &CellParams) {
     );
 }
 
-fn audit_db_sum(sim: &Sim, dbs: &[ProcessId], params: &CellParams) -> Option<bool> {
-    let mut sum = 0i64;
-    for &db in dbs {
-        let server = sim.inspect::<DbServer>(db)?;
-        for i in 0..params.accounts {
-            if let Some(Value::Int(v)) = server.engine().peek(&account_key(i)) {
-                sum += v;
-            }
-        }
-    }
-    // Accounts are split across the dbs (each db holds all keys it was
-    // seeded with); the expected total is accounts × initial per seeding
-    // site, handled by callers via this exact sum.
-    Some(sum == params.accounts as i64 * INITIAL_BALANCE)
+/// Money on the ledger of `db` minus what [`seed_accounts`] put there.
+fn db_drift(sim: &Sim, db: ProcessId, params: &CellParams) -> Option<i64> {
+    let server = sim.inspect::<DbServer>(db)?;
+    let sum: i64 = (0..params.accounts)
+        .filter_map(|i| server.engine().peek(&account_key(i)))
+        .map(|v| v.as_int())
+        .sum();
+    Some(sum - params.accounts as i64 * INITIAL_BALANCE)
 }
 
-fn run_saga_cell(params: &CellParams) -> (CellReport, Sim) {
+/// The saga cell with the orchestrator's node down from `outage.0` to
+/// `outage.1`: sagas in flight at the crash resume from the durable
+/// journal. Returns the report and the ledger's balance drift (0 =
+/// conserved; `None` if the database cannot be inspected). Powers E8.
+pub fn run_saga_cell_with_outage(
+    params: &CellParams,
+    outage: (SimTime, SimTime),
+) -> (CellReport, Option<i64>) {
+    let (report, _, drift) = run_saga_cell(params, Some(outage));
+    (report, drift)
+}
+
+fn run_saga_cell(
+    params: &CellParams,
+    outage: Option<(SimTime, SimTime)>,
+) -> (CellReport, Sim, Option<i64>) {
     let mut sim = cell_sim(params);
     let n1 = sim.add_node();
     let n2 = sim.add_node();
@@ -275,11 +289,17 @@ fn run_saga_cell(params: &CellParams) -> (CellReport, Sim) {
             },
         ),
     );
+    if let Some((crash, restart)) = outage {
+        sim.schedule_crash(crash, n2);
+        sim.schedule_restart(restart, n2);
+    }
     sim.run_for(params.budget);
-    let conserved = audit_db_sum(&sim, &[db], params);
+    let drift = db_drift(&sim, db, params);
+    let conserved = drift.map(|d| d == 0);
     (
         finish_report("microservices+saga", &sim, "cell", conserved),
         sim,
+        drift,
     )
 }
 
@@ -691,9 +711,14 @@ fn run_statefun_cell(params: &CellParams, locked: bool) -> (CellReport, Sim) {
 fn run_deterministic_cell(params: &CellParams) -> (CellReport, Sim) {
     let mut sim = cell_sim(params);
     let nodes = sim.add_nodes(3);
-    let registry = tca_txn::deterministic::transfer_registry();
-    let (sequencer, shards) =
-        deploy_deterministic(&mut sim, &nodes, &registry, 3, SequencerConfig::default());
+    let (sequencer, shards) = deploy_dataflow(
+        &mut sim,
+        nodes[0],
+        &nodes,
+        &transfer_registry_from(INITIAL_BALANCE),
+        3,
+        DataflowConfig::default(),
+    );
     let nc = sim.add_node();
     let p = params.clone();
     let factory: RequestFactory = Rc::new(move |rng| {
@@ -732,29 +757,19 @@ fn run_deterministic_cell(params: &CellParams) -> (CellReport, Sim) {
         ),
     );
     sim.run_for(params.budget);
-    // Conservation audit across shard states (accounts default to 100 in
-    // transfer_registry when absent; count only materialized keys' net).
-    let conserved = {
-        let mut delta = 0i64;
-        let mut any = true;
-        for &shard in &shards {
-            match sim.inspect::<tca_txn::deterministic::DetShard>(shard) {
-                Some(s) => {
-                    for i in 0..params.accounts {
-                        if let Some(Value::Int(v)) = s.peek(&account_key(i)) {
-                            delta += v - 100; // registry default base
-                        }
-                    }
-                }
-                None => any = false,
-            }
-        }
-        if any {
-            Some(delta == 0)
-        } else {
-            None
-        }
-    };
+    // Only the ring owner of a key stores it, and only once written: sum
+    // what every materialised balance moved from its starting value.
+    let conserved = shards
+        .iter()
+        .map(|&pid| {
+            let shard = sim.inspect::<DfShard>(pid)?;
+            let moved = (0..params.accounts)
+                .filter_map(|i| shard.peek(&account_key(i)))
+                .map(|v| v.as_int() - INITIAL_BALANCE);
+            Some(moved.sum::<i64>())
+        })
+        .sum::<Option<i64>>()
+        .map(|delta| delta == 0);
     (
         finish_report("dataflow+deterministic", &sim, "cell", conserved),
         sim,
@@ -785,6 +800,26 @@ mod tests {
         assert!(report.committed > 0);
         assert_eq!(report.conserved, Some(true));
         assert!(report.throughput > 0.0);
+    }
+
+    #[test]
+    fn saga_cell_survives_an_orchestrator_outage() {
+        // E8's row at the recorded seed: the crash must land on running
+        // sagas (some resume from the journal) and the ledger must still
+        // balance.
+        let params = CellParams {
+            seed: 42,
+            transfers: 200,
+            ..CellParams::default()
+        };
+        let outage = (
+            SimTime::from_nanos(10_000_000),
+            SimTime::from_nanos(20_000_000),
+        );
+        let (report, sim, drift) = run_saga_cell(&params, Some(outage));
+        assert!(sim.metrics().counter("saga.resumed") > 0);
+        assert_eq!(report.committed + report.failed, 200);
+        assert_eq!(drift, Some(0));
     }
 
     #[test]
@@ -840,6 +875,39 @@ mod tests {
         );
         assert!(report.committed > 0, "{report:?}");
         assert_eq!(report.conserved, Some(true));
+    }
+
+    #[test]
+    fn deterministic_cell_leads_under_contention_without_aborts() {
+        // EXPERIMENTS.md's E7 claim at its hottest row: ahead of 2PC,
+        // which is ahead of actor transactions, with nothing refused.
+        let params = CellParams {
+            hot_prob: 0.9,
+            transfers: 300,
+            ..CellParams::default()
+        };
+        let run = |model, mechanism| run_cell(model, mechanism, &params);
+        let det = run(
+            ProgrammingModel::StatefulDataflow,
+            TxnMechanism::DeterministicOrdering,
+        );
+        let twopc = run(
+            ProgrammingModel::Microservices,
+            TxnMechanism::TwoPhaseCommit,
+        );
+        let actor = run(
+            ProgrammingModel::VirtualActors,
+            TxnMechanism::ActorTransactions,
+        );
+        assert_eq!(det.failed, 0, "{det:?}");
+        assert_eq!(det.conserved, Some(true));
+        assert!(
+            det.throughput > twopc.throughput && twopc.throughput > actor.throughput,
+            "det {:.0}/s, 2pc {:.0}/s, actor-txn {:.0}/s",
+            det.throughput,
+            twopc.throughput,
+            actor.throughput
+        );
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //!   receiver-side [`idempotency`] deduplication.
 //! - [`log`] + [`broker`] — a Kafka-style partitioned durable log with
 //!   consumer groups and committed offsets (at-least-once consumption).
-//! - [`queue`] — a RabbitMQ/SQS-style lease queue with visibility
-//!   timeouts, redelivery, and dead-lettering.
 //! - [`outbox`] — the transactional outbox pattern bridging the database
 //!   and the broker without a distributed commit.
 
@@ -22,7 +20,6 @@ pub mod delivery;
 pub mod idempotency;
 pub mod log;
 pub mod outbox;
-pub mod queue;
 pub mod rpc;
 pub mod torture;
 
@@ -32,9 +29,6 @@ pub use idempotency::{Dedup, IdempotencyStore};
 pub use log::{Record, TopicStore};
 pub use outbox::{
     outbox_put, register_outbox_procs, OutboxRelay, OutboxRelayConfig, OUTBOX_PREFIX,
-};
-pub use queue::{
-    Leased, QueueConfig, QueueMsg, QueueReply, QueueRequest, QueueResponse, QueueServer, QueueStore,
 };
 pub use rpc::{
     reply_to, BreakerConfig, CallId, RetryBudget, RetryPolicy, RpcClient, RpcEvent, RpcReply,

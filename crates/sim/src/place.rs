@@ -8,17 +8,18 @@
 //! the offset and prime literals appear in this file only.
 //!
 //! Several components need to answer "which shard owns this key?" — the
-//! deterministic dataflow shards (`tca-txn::deterministic`), the storage
-//! router, and cross-shard 2PC branch construction. They pick one of two
-//! placement disciplines:
+//! deterministic dataflow shards (`tca-txn::dataflow`), the storage
+//! router, cross-shard 2PC branch construction, the statefun shards and
+//! the log's partitioner. They pick one of two placement disciplines:
 //!
-//! - [`ShardMap::modulo`] — `hash(key) % n`. Dead simple and what the
-//!   deterministic shards have always used (their frozen schedules depend
-//!   on it), but resharding moves almost every key.
+//! - [`ShardMap::modulo`] — `hash(key) % n`. Dead simple and what fixed
+//!   fleets (statefun shards, log partitions, keyed dataflow operators)
+//!   use — their frozen schedules depend on it — but resharding moves
+//!   almost every key.
 //! - [`ShardMap::ring`] — a consistent-hash ring with virtual nodes.
 //!   Each shard owns the arcs that its vnode points cover; growing the
 //!   fleet from `n` to `n+1` shards moves only `~1/(n+1)` of the keyspace.
-//!   The storage router uses this.
+//!   The storage router and the dataflow engine use this.
 //!
 //! Both disciplines are pure functions of the key bytes and the shard
 //! count, so every process in a simulation (and every run of the same
@@ -109,9 +110,9 @@ pub fn mix64(mut h: u64) -> u64 {
 
 /// Modulo placement: `fnv1a(key) % shards`.
 ///
-/// This is the exact function the deterministic dataflow shards have
-/// always used (formerly a private `owner_of`); keeping it byte-identical
-/// preserves their frozen schedules.
+/// Statefun shards, log partitions and keyed dataflow operators place
+/// with this exact function; keeping it byte-identical preserves their
+/// frozen schedules.
 pub fn key_shard(key: &str, shards: usize) -> usize {
     debug_assert!(shards > 0, "placement over zero shards");
     (fnv1a(key.as_bytes()) % shards as u64) as usize

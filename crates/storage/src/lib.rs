@@ -3,12 +3,12 @@
 //! The database substrate the paper's cloud applications delegate state to:
 //! an MVCC key-value engine with write-ahead logging, checkpoints,
 //! ARIES-lite recovery, strict 2PL with deadlock detection, snapshot
-//! isolation with first-committer-wins, read committed, stored procedures,
-//! a TTL/LRU cache, and a tiered (hot/cold) state store.
+//! isolation with first-committer-wins, read committed, stored procedures
+//! and a TTL/LRU cache.
 //!
 //! Two layers:
 //! - Pure, synchronous data structures ([`mvcc`], [`locks`], [`wal`],
-//!   [`engine`], [`cache`], [`tiered`]) — heavily unit- and property-tested.
+//!   [`engine`], [`cache`]) — heavily unit- and property-tested.
 //! - The event-driven [`server::DbServer`] process that exposes the engine
 //!   over the simulated network with realistic service times and lock-wait
 //!   parking.
@@ -24,7 +24,6 @@ pub mod mvcc;
 pub mod proc;
 pub mod router;
 pub mod server;
-pub mod tiered;
 pub mod types;
 pub mod wal;
 
@@ -36,6 +35,5 @@ pub use mvcc::MvccStore;
 pub use proc::{run_proc, ProcOutcome, ProcRegistry, TxHandle};
 pub use router::{deploy_sharded_db, GetTopology, ShardRouter, Topology};
 pub use server::{DbMsg, DbReply, DbRequest, DbResponse, DbServer, DbServerConfig};
-pub use tiered::{TieredConfig, TieredStore};
 pub use types::{AbortReason, IsolationLevel, Key, Timestamp, TxId, Value};
 pub use wal::{Checkpoint, DurableCell, DurableLog, WalRecord};

@@ -2,9 +2,9 @@
 //! Styx-scale engine (§4.2, and the Delft dissertation "Democratizing
 //! Scalable Cloud Applications" in `PAPERS.md`).
 //!
-//! [`crate::deterministic`] sketches the idea at its smallest: one
-//! sequencer, serial shard apply, no durability. This module is the
-//! scaled-up pipeline the dissertation describes:
+//! [`crate::deterministic`] defines the transaction contract (declared
+//! key sets, pure procedure bodies); this module is the one engine that
+//! runs it — the pipeline the dissertation describes:
 //!
 //! 1. **Epoch batching.** The [`DfSequencer`] buffers submitted
 //!    transactions and closes an *epoch* on a timer, assigning every
@@ -1193,6 +1193,8 @@ mod tests {
         rpc: RpcClient,
         /// Raw reply call_ids, checked *before* the RpcClient dedups.
         seen: Vec<u64>,
+        /// `(plan index, result)` of every reply, in arrival order.
+        outcomes: Vec<(u64, Result<Vec<Value>, String>)>,
     }
     impl Client {
         fn submit(&mut self, ctx: &mut Ctx, i: usize) {
@@ -1206,6 +1208,9 @@ mod tests {
         }
     }
     impl Process for Client {
+        fn as_any(&self) -> Option<&dyn std::any::Any> {
+            Some(self)
+        }
         fn on_start(&mut self, ctx: &mut Ctx) {
             if !self.paced {
                 for i in 0..self.plan.len() {
@@ -1227,13 +1232,15 @@ mod tests {
                     self.seen.push(reply.call_id);
                 }
             }
-            if let Some(RpcEvent::Reply { body, .. }) = self.rpc.on_message(ctx, &payload) {
+            if let Some(RpcEvent::Reply { user_tag, body, .. }) = self.rpc.on_message(ctx, &payload)
+            {
                 let outcome = body.expect::<TxnOutcome>();
                 let metric = match &outcome.result {
                     Ok(_) => "client.ok",
                     Err(_) => "client.err",
                 };
                 ctx.metrics().incr(metric, 1);
+                self.outcomes.push((user_tag, outcome.result.clone()));
             }
         }
         fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
@@ -1296,6 +1303,7 @@ mod tests {
                 paced,
                 rpc: RpcClient::new(),
                 seen: Vec::new(),
+                outcomes: Vec::new(),
             })
         });
         Fleet {
@@ -1369,6 +1377,61 @@ mod tests {
         let sim = run(plan, 3);
         assert_eq!(sim.metrics().counter("client.ok"), 1);
         assert_eq!(sim.metrics().counter("client.err"), 1);
+    }
+
+    #[test]
+    fn self_transfer_moves_nothing() {
+        // `from == to` puts the debit and the credit on one key; applied
+        // in order, the credit won and the account gained `amount`.
+        let plan = vec![transfer("a", "a", 10), transfer("a", "a", 500)];
+        let mut fleet = deploy(plan, 2, DataflowConfig::default(), false);
+        fleet.sim.run_for(SimDuration::from_millis(500));
+        assert_eq!(fleet.counter("client.ok"), 1);
+        assert_eq!(fleet.counter("client.err"), 1, "the funds check still runs");
+        assert_eq!(fleet.peek("a").map_or(100, |v| v.as_int()), 100);
+    }
+
+    #[test]
+    fn outcomes_and_ledger_do_not_depend_on_the_shard_count() {
+        // One stream, injected at the same instants into a 1-shard and a
+        // 3-shard fleet: six accounts (hot enough to layer waves) and
+        // amounts large enough that some transfers overdraw, so which
+        // ones fail is part of what must agree. Submissions are 400µs
+        // apart — more than the network's 300µs of jitter, so they reach
+        // the sequencer in plan order — and epochs 2 ms, five to a batch.
+        const N: usize = 60;
+        let config = DataflowConfig {
+            epoch_interval: SimDuration::from_millis(2),
+            ..DataflowConfig::default()
+        };
+        let key = |i: usize| format!("acct{}", i % 6);
+        let plan: Vec<SubmitTxn> = (0..N)
+            .map(|i| {
+                transfer(
+                    &key(i * 5),
+                    &key(i * 5 + 1 + i % 5),
+                    20 + 15 * (i % 4) as i64,
+                )
+            })
+            .collect();
+        let run = |shards: usize| {
+            let mut fleet = deploy(plan.clone(), shards, config.clone(), true);
+            for i in 0..N {
+                fleet.go_at(SimTime::from_nanos(1_000_000 + 400_000 * i as u64), i);
+            }
+            assert!(fleet.sim.try_run_to_quiescence(1_000_000));
+            assert!(fleet.counter("df.waves") > fleet.counter("df.epochs"));
+            let client = fleet.sim.inspect::<Client>(fleet.client).expect("client");
+            let mut outcomes = client.outcomes.clone();
+            outcomes.sort_by_key(|(i, _)| *i);
+            let ledger: Vec<Option<Value>> = (0..6).map(|i| fleet.peek(&key(i))).collect();
+            (outcomes, ledger)
+        };
+        let (outcomes, ledger) = run(1);
+        assert_eq!(outcomes.len(), N);
+        let failed = outcomes.iter().filter(|(_, r)| r.is_err()).count();
+        assert!(0 < failed && failed < N / 2, "{failed} of {N} overdrew");
+        assert_eq!(run(3), (outcomes, ledger));
     }
 
     #[test]

@@ -1,29 +1,22 @@
-//! Deterministic transactional dataflow (Calvin/Styx-style \[52\], §3.1,
-//! §4.2: "another category … provides transactional serializability on
-//! computations cutting across functions").
+//! The deterministic transaction *contract* (Calvin/Styx-style \[52\],
+//! §3.1, §4.2: "another category … provides transactional serializability
+//! on computations cutting across functions").
 //!
-//! A [`Sequencer`] assigns every incoming transaction a position in a
-//! single global order, batched into epochs. Partitioned [`DetShard`]s
-//! execute the same order deterministically: each shard processes its
-//! queue strictly in order; for a multi-shard transaction the
-//! participating shards exchange their local reads, every shard computes
-//! the *same* deterministic write-set function over the full read set,
-//! and each applies the writes it owns. No locks, no aborts, no
-//! coordination beyond the read exchange — serializability comes from the
-//! order itself. This is the design point the paper credits with making
-//! "transactions across functions" affordable, and experiment E7 sweeps
-//! it against 2PC and actor transactions under contention.
+//! A deterministic transaction declares its key set up front
+//! ([`SubmitTxn::read_keys`]) and its body is a pure function from the
+//! values under those keys to a write set ([`DetProcFn`]). That is all an
+//! engine needs to order transactions once, globally, and have every
+//! partition evaluate the same function over the same reads — no locks,
+//! no aborts, serializability from the order itself. The engine that runs
+//! this contract is [`crate::dataflow`]; clients submit a [`SubmitTxn`]
+//! to its sequencer and receive a [`TxnOutcome`].
 //!
 //! Restrictions (as in Calvin): read and write sets must be declared
 //! up-front (`read_keys`), and writes may only target declared keys.
 
-use std::collections::VecDeque;
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
-use tca_messaging::rpc::{reply_to, RpcRequest};
-use tca_sim::place::key_shard;
-use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, SimDuration};
 use tca_storage::Value;
 
 /// A deterministic transaction body: `(args, full read set) → write set`.
@@ -54,7 +47,8 @@ impl DetRegistry {
     }
 }
 
-/// Client request (inside an [`RpcRequest`]) to the sequencer.
+/// Client request (inside a [`tca_messaging::rpc::RpcRequest`]) to the
+/// sequencer.
 #[derive(Debug, Clone)]
 pub struct SubmitTxn {
     /// Registered procedure.
@@ -73,523 +67,38 @@ pub struct TxnOutcome {
     pub result: Result<Vec<Value>, String>,
 }
 
-#[derive(Debug, Clone)]
-struct OrderedTxn {
-    id: u64,
-    proc: String,
-    args: Vec<Value>,
-    read_keys: Vec<String>,
-    client: ProcessId,
-    call_id: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Batch {
-    txns: Vec<OrderedTxn>,
-}
-
-#[derive(Debug, Clone)]
-struct ReadShare {
-    txn_id: u64,
-    pairs: Vec<(String, Value)>,
-}
-
-// ---------------------------------------------------------------------------
-// Sequencer
-// ---------------------------------------------------------------------------
-
-const EPOCH_TAG: u64 = 0xde7_0001;
-
-/// Sequencer configuration.
-#[derive(Debug, Clone)]
-pub struct SequencerConfig {
-    /// Epoch (batch) interval.
-    pub epoch_interval: SimDuration,
-}
-
-impl Default for SequencerConfig {
-    fn default() -> Self {
-        SequencerConfig {
-            epoch_interval: SimDuration::from_micros(500),
-        }
-    }
-}
-
-/// The global sequencer.
-pub struct Sequencer {
-    config: SequencerConfig,
-    shards: Rc<std::cell::RefCell<Vec<ProcessId>>>,
-    buffer: Vec<OrderedTxn>,
-    next_id: u64,
-    epoch: u64,
-}
-
-impl Process for Sequencer {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.set_timer(self.config.epoch_interval, EPOCH_TAG);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
-        let Some(request) = payload.downcast_ref::<RpcRequest>() else {
-            return;
-        };
-        let Some(submit) = request.body.downcast_ref::<SubmitTxn>() else {
-            return;
-        };
-        self.next_id += 1;
-        self.buffer.push(OrderedTxn {
-            id: self.next_id,
-            proc: submit.proc.clone(),
-            args: submit.args.clone(),
-            read_keys: submit.read_keys.clone(),
-            client: from,
-            call_id: request.call_id,
-        });
-        ctx.metrics().incr("det.submitted", 1);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
-        if tag != EPOCH_TAG {
-            return;
-        }
-        if !self.buffer.is_empty() {
-            self.epoch += 1;
-            let batch = Batch {
-                txns: std::mem::take(&mut self.buffer),
-            };
-            for &shard in self.shards.borrow().iter() {
-                ctx.send(shard, Payload::new(batch.clone()));
-            }
-        }
-        ctx.set_timer(self.config.epoch_interval, EPOCH_TAG);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shard
-// ---------------------------------------------------------------------------
-
-struct PendingTxn {
-    txn: OrderedTxn,
-    participants: Vec<usize>,
-    /// Reads collected so far (local + remote shares).
-    reads: HashMap<String, Value>,
-    shares_received: usize,
-    shares_sent: bool,
-}
-
-/// One deterministic execution shard.
-pub struct DetShard {
-    registry: Rc<DetRegistry>,
-    shards: Rc<std::cell::RefCell<Vec<ProcessId>>>,
-    index: usize,
-    state: HashMap<String, Value>,
-    /// Transactions in global order, waiting to execute on this shard.
-    queue: VecDeque<PendingTxn>,
-    /// Read shares that arrived before their transaction did.
-    early_shares: HashMap<u64, Vec<(String, Value)>>,
-}
-
-impl DetShard {
-    fn participates(&self, txn: &OrderedTxn, shards: usize) -> bool {
-        txn.read_keys
-            .iter()
-            .any(|k| key_shard(k, shards) == self.index)
-    }
-
-    /// Try to execute the head of the queue (repeatedly).
-    fn pump(&mut self, ctx: &mut Ctx) {
-        loop {
-            let shard_count = self.shards.borrow().len();
-            let Some(head) = self.queue.front_mut() else {
-                return;
-            };
-            // Send my read shares for the head txn (once).
-            if !head.shares_sent {
-                head.shares_sent = true;
-                let my_pairs: Vec<(String, Value)> = head
-                    .txn
-                    .read_keys
-                    .iter()
-                    .filter(|k| key_shard(k, shard_count) == self.index)
-                    .map(|k| (k.clone(), self.state.get(k).cloned().unwrap_or(Value::Null)))
-                    .collect();
-                for (key, value) in &my_pairs {
-                    head.reads.insert(key.clone(), value.clone());
-                }
-                let share = ReadShare {
-                    txn_id: head.txn.id,
-                    pairs: my_pairs,
-                };
-                let participants = head.participants.clone();
-                let me = self.index;
-                let shards = self.shards.borrow().clone();
-                for p in participants {
-                    if p != me {
-                        ctx.send(shards[p], Payload::new(share.clone()));
-                    }
-                }
-                head.shares_received += 1; // count self
-                                           // Merge any shares that arrived early.
-                if let Some(early) = self.early_shares.remove(&head.txn.id) {
-                    // early is a flat list; each sender contributed one
-                    // share — count senders by tracking in pairs chunks is
-                    // lost, so we count below at arrival time instead.
-                    for (key, value) in early {
-                        head.reads.insert(key, value);
-                    }
-                }
-            }
-            // Recount completeness: a txn is executable when every read
-            // key has a value entry.
-            let ready = head
-                .txn
-                .read_keys
-                .iter()
-                .all(|k| head.reads.contains_key(k));
-            if !ready {
-                return; // wait for remote shares
-            }
-            let pending = self.queue.pop_front().expect("head");
-            self.execute(ctx, pending);
-        }
-    }
-
-    fn execute(&mut self, ctx: &mut Ctx, pending: PendingTxn) {
-        let shard_count = self.shards.borrow().len();
-        let result = match self.registry.procs.get(&pending.txn.proc) {
-            Some(f) => f(&pending.txn.args, &pending.reads),
-            None => Err(format!("unknown procedure `{}`", pending.txn.proc)),
-        };
-        match &result {
-            Ok(writes) => {
-                for (key, value) in writes {
-                    debug_assert!(
-                        pending.txn.read_keys.contains(key),
-                        "write outside declared set: {key}"
-                    );
-                    if key_shard(key, shard_count) == self.index {
-                        self.state.insert(key.clone(), value.clone());
-                    }
-                }
-                ctx.metrics().incr("det.applied", 1);
-            }
-            Err(_) => {
-                ctx.metrics().incr("det.logic_failures", 1);
-            }
-        }
-        // The owner shard of the first read key replies to the client.
-        let owner = pending
-            .txn
-            .read_keys
-            .first()
-            .map(|k| key_shard(k, shard_count))
-            .unwrap_or(0);
-        if owner == self.index {
-            let outcome = TxnOutcome {
-                result: result.map(|writes| vec![Value::Int(writes.len() as i64)]),
-            };
-            reply_to(
-                ctx,
-                pending.txn.client,
-                &RpcRequest {
-                    call_id: pending.txn.call_id,
-                    body: Payload::new(()),
-                },
-                Payload::new(outcome),
-            );
-            ctx.metrics().incr("det.completed", 1);
-        }
-    }
-
-    /// Non-transactional peek for tests and audits.
-    ///
-    /// Returns `None` both for keys this shard does not own and for owned
-    /// keys never written — callers auditing balances should fall back to
-    /// the workload's initial value on `None` rather than treating it as
-    /// an error.
-    #[must_use]
-    pub fn peek(&self, key: &str) -> Option<&Value> {
-        self.state.get(key)
-    }
-}
-
-impl Process for DetShard {
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
-        if let Some(batch) = payload.downcast_ref::<Batch>() {
-            let shard_count = self.shards.borrow().len();
-            for txn in &batch.txns {
-                if !self.participates(txn, shard_count) {
-                    continue;
-                }
-                let mut participants: Vec<usize> = txn
-                    .read_keys
-                    .iter()
-                    .map(|k| key_shard(k, shard_count))
-                    .collect();
-                participants.sort_unstable();
-                participants.dedup();
-                self.queue.push_back(PendingTxn {
-                    txn: txn.clone(),
-                    participants,
-                    reads: HashMap::default(),
-                    shares_received: 0,
-                    shares_sent: false,
-                });
-            }
-            self.pump(ctx);
-        } else if let Some(share) = payload.downcast_ref::<ReadShare>() {
-            // Attach to the matching queued txn, or stash for later.
-            let mut matched = false;
-            for pending in &mut self.queue {
-                if pending.txn.id == share.txn_id {
-                    for (key, value) in &share.pairs {
-                        pending.reads.insert(key.clone(), value.clone());
-                    }
-                    pending.shares_received += 1;
-                    matched = true;
-                    break;
-                }
-            }
-            if !matched {
-                self.early_shares
-                    .entry(share.txn_id)
-                    .or_default()
-                    .extend(share.pairs.clone());
-            }
-            self.pump(ctx);
-        }
-    }
-}
-
-/// Deploy a deterministic transactional dataflow: one sequencer plus `n`
-/// shards over `nodes`. Returns `(sequencer, shards)`.
-///
-/// Clients submit [`SubmitTxn`] requests (inside an `RpcRequest`) to the
-/// sequencer; the shard owning the transaction replies with a
-/// [`TxnOutcome`] once the epoch executes:
-///
-/// ```rust
-/// use tca_sim::{Payload, RpcRequest, Sim, SimDuration};
-/// use tca_storage::Value;
-/// use tca_txn::deterministic::{
-///     deploy_deterministic, transfer_registry, DetShard, SequencerConfig, SubmitTxn,
-/// };
-///
-/// let mut sim = Sim::with_seed(5);
-/// let node = sim.add_node();
-/// let (sequencer, shards) = deploy_deterministic(
-///     &mut sim,
-///     &[node],
-///     &transfer_registry(),
-///     1,
-///     SequencerConfig::default(),
-/// );
-///
-/// let transfer = SubmitTxn {
-///     proc: "transfer".into(),
-///     args: vec![Value::Str("a".into()), Value::Str("b".into()), Value::Int(10)],
-///     read_keys: vec!["a".into(), "b".into()],
-/// };
-/// sim.inject(sequencer, Payload::new(RpcRequest { call_id: 1, body: Payload::new(transfer) }));
-/// sim.run_for(SimDuration::from_millis(5));
-///
-/// // Accounts start at 100; the shard's test peek shows the committed move.
-/// let shard = sim.inspect::<DetShard>(shards[0]).unwrap();
-/// assert_eq!(shard.peek("a"), Some(&Value::Int(90)));
-/// assert_eq!(shard.peek("b"), Some(&Value::Int(110)));
-/// ```
-///
-/// # Panics
-///
-/// Panics if `n` is zero or `nodes` is empty.
-pub fn deploy_deterministic(
-    sim: &mut tca_sim::Sim,
-    nodes: &[tca_sim::NodeId],
-    registry: &DetRegistry,
-    n: usize,
-    config: SequencerConfig,
-) -> (ProcessId, Vec<ProcessId>) {
-    assert!(n >= 1 && !nodes.is_empty());
-    let shared: Rc<std::cell::RefCell<Vec<ProcessId>>> =
-        Rc::new(std::cell::RefCell::new(Vec::new()));
-    let registry = Rc::new(registry.clone());
-    let mut shard_pids = Vec::new();
-    for i in 0..n {
-        let node = nodes[i % nodes.len()];
-        let registry = Rc::clone(&registry);
-        let shards = Rc::clone(&shared);
-        let pid = sim.spawn(node, format!("det-shard-{i}"), move |_boot: &mut Boot| {
-            Box::new(DetShard {
-                registry: Rc::clone(&registry),
-                shards: Rc::clone(&shards),
-                index: i,
-                state: HashMap::default(),
-                queue: VecDeque::new(),
-                early_shares: HashMap::default(),
-            })
-        });
-        shard_pids.push(pid);
-    }
-    *shared.borrow_mut() = shard_pids.clone();
-    let seq_shards = Rc::clone(&shared);
-    let sequencer = sim.spawn(nodes[0], "det-sequencer", move |_| {
-        Box::new(Sequencer {
-            config: config.clone(),
-            shards: Rc::clone(&seq_shards),
-            buffer: Vec::new(),
-            next_id: 0,
-            epoch: 0,
-        })
-    });
-    (sequencer, shard_pids)
-}
-
 /// The standard transfer procedure for benchmarks: read two balances,
-/// move `amount` if funds allow.
+/// move `amount` if funds allow. A transfer to oneself moves nothing.
+/// Accounts start with 100.
 pub fn transfer_registry() -> DetRegistry {
-    DetRegistry::new().with("transfer", |args, reads| {
+    transfer_registry_from(100)
+}
+
+/// [`transfer_registry`] over accounts that start with `initial`: the
+/// engine has no load phase, so a key never written reads as that.
+pub fn transfer_registry_from(initial: i64) -> DetRegistry {
+    DetRegistry::new().with("transfer", move |args, reads| {
         let from = args[0].as_str();
         let to = args[1].as_str();
         let amount = args[2].as_int();
         let read_int = |k: &str| -> i64 {
             match reads.get(k) {
                 Some(Value::Int(v)) => *v,
-                _ => 100, // accounts start with 100
+                _ => initial,
             }
         };
         let from_balance = read_int(from);
         if from_balance < amount {
             return Err("insufficient".into());
         }
+        if from == to {
+            // Both writes would land on one key, the credit last: money
+            // from nowhere.
+            return Ok(vec![]);
+        }
         Ok(vec![
             (from.to_owned(), Value::Int(from_balance - amount)),
             (to.to_owned(), Value::Int(read_int(to) + amount)),
         ])
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tca_messaging::rpc::{RetryPolicy, RpcClient, RpcEvent};
-    use tca_sim::Sim;
-
-    struct Client {
-        sequencer: ProcessId,
-        plan: Vec<SubmitTxn>,
-        rpc: RpcClient,
-    }
-    impl Process for Client {
-        fn on_start(&mut self, ctx: &mut Ctx) {
-            for (i, submit) in self.plan.clone().into_iter().enumerate() {
-                self.rpc.call(
-                    ctx,
-                    self.sequencer,
-                    Payload::new(submit),
-                    RetryPolicy::at_most_once(SimDuration::from_secs(10)),
-                    i as u64,
-                );
-            }
-        }
-        fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
-            if let Some(RpcEvent::Reply { body, .. }) = self.rpc.on_message(ctx, &payload) {
-                let outcome = body.expect::<TxnOutcome>();
-                let metric = match outcome.result {
-                    Ok(_) => "client.ok",
-                    Err(_) => "client.err",
-                };
-                ctx.metrics().incr(metric, 1);
-            }
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
-            let _ = self.rpc.on_timer(ctx, tag);
-        }
-    }
-
-    fn transfer(from: &str, to: &str, amount: i64) -> SubmitTxn {
-        SubmitTxn {
-            proc: "transfer".into(),
-            args: vec![Value::from(from), Value::from(to), Value::Int(amount)],
-            read_keys: vec![from.to_owned(), to.to_owned()],
-        }
-    }
-
-    fn run(plan: Vec<SubmitTxn>, shards: usize) -> Sim {
-        let mut sim = Sim::with_seed(121);
-        let nodes = sim.add_nodes(shards.max(2));
-        let (sequencer, _) = deploy_deterministic(
-            &mut sim,
-            &nodes,
-            &transfer_registry(),
-            shards,
-            SequencerConfig::default(),
-        );
-        let nc = sim.add_node();
-        sim.spawn(nc, "client", move |_| {
-            Box::new(Client {
-                sequencer,
-                plan: plan.clone(),
-                rpc: RpcClient::new(),
-            })
-        });
-        sim.run_for(SimDuration::from_millis(500));
-        sim
-    }
-
-    #[test]
-    fn single_shard_transfer_completes() {
-        let sim = run(vec![transfer("a", "b", 30)], 1);
-        assert_eq!(sim.metrics().counter("client.ok"), 1);
-    }
-
-    #[test]
-    fn cross_shard_transfers_complete() {
-        // 4 shards: most transfers span two shards.
-        let plan: Vec<SubmitTxn> = (0..20)
-            .map(|i| transfer(&format!("acct{i}"), &format!("acct{}", i + 1), 1))
-            .collect();
-        let sim = run(plan, 4);
-        assert_eq!(sim.metrics().counter("client.ok"), 20);
-    }
-
-    #[test]
-    fn deterministic_order_preserves_invariant_under_contention() {
-        // 50 transfers all touching the same two accounts: total money
-        // must be conserved and no lost updates are possible because all
-        // shards apply the same order. Each account starts at 100; 50
-        // transfers of 2 from a to b: exactly 50 succeed until a runs dry
-        // at 100/2 = 50 — all succeed, a = 0, b = 200.
-        let plan: Vec<SubmitTxn> = (0..50).map(|_| transfer("a", "b", 2)).collect();
-        let sim = run(plan, 3);
-        assert_eq!(sim.metrics().counter("client.ok"), 50);
-        assert_eq!(sim.metrics().counter("det.logic_failures"), 0);
-    }
-
-    #[test]
-    fn overdraft_fails_deterministically_everywhere() {
-        // a has 100; ask for 60 twice: second must fail on every shard
-        // identically (no divergence).
-        let plan = vec![transfer("a", "b", 60), transfer("a", "b", 60)];
-        let sim = run(plan, 3);
-        assert_eq!(sim.metrics().counter("client.ok"), 1);
-        assert_eq!(sim.metrics().counter("client.err"), 1);
-    }
-
-    #[test]
-    fn shared_placement_matches_frozen_schedules() {
-        // The module's placement is the shared modulo discipline
-        // (`tca_sim::place::key_shard`); these values are pinned because
-        // the deterministic dataflow's frozen schedules depend on them.
-        assert_eq!(key_shard("a", 3), key_shard("a", 3));
-        for n in 1..6 {
-            for key in ["a", "b", "acct42"] {
-                assert!(key_shard(key, n) < n);
-            }
-        }
-    }
 }

@@ -10,11 +10,12 @@
 //!   failure.
 //! - [`actor_txn`] — Orleans-style lock-based actor transactions layered
 //!   on the unmodified actor runtime.
-//! - [`deterministic`] — Calvin/Styx-style sequencer-ordered deterministic
-//!   transactions: serializable without locks or aborts.
-//! - [`dataflow`] — the scaled-up deterministic engine: epoch batching,
+//! - [`dataflow`] — the deterministic engine (Calvin/Styx-style:
+//!   serializable without locks or aborts): epoch batching,
 //!   conflict-wave parallelism over consistent-hash shards, durable
 //!   checkpoint/replay recovery, exactly-once output.
+//! - [`deterministic`] — the transaction contract that engine runs:
+//!   declared key sets, pure procedure bodies, the transfer procedure.
 //! - [`sharding`] — cross-shard transaction construction: partition-keyed
 //!   operations become 2PC branches via the shared placement map.
 //! - [`workflow`] — Beldi-style exactly-once workflows: durable intent
@@ -53,10 +54,7 @@ pub use actor_txn::{
 pub use causal::{CausalMailbox, CausalMessage, VectorClock};
 pub use checker::{check_serializability, AtomicityAudit, EffectAudit, SerializabilityVerdict};
 pub use dataflow::{deploy_dataflow, DataflowConfig, DfSequencer, DfShard, DfTxn};
-pub use deterministic::{
-    deploy_deterministic, transfer_registry, DetRegistry, DetShard, Sequencer, SequencerConfig,
-    SubmitTxn, TxnOutcome,
-};
+pub use deterministic::{transfer_registry, DetRegistry, SubmitTxn, TxnOutcome};
 pub use mc_scenarios::{sharded_twopc_mc_scenario, workflow_mc_scenario};
 pub use saga::{SagaDef, SagaOrchestrator, SagaOutcome, SagaStep, StartSaga};
 pub use sharding::{route_branches, touched_shards, ShardOp};
