@@ -6,9 +6,12 @@
 //! function is deterministic given its seed and returns the rows it
 //! prints, so `EXPERIMENTS.md` can quote them verbatim.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
-use tca_core::cell::{run_cell, run_cell_traced, run_saga_cell_with_outage, CellParams};
+use tca_core::cell::{
+    deploy_actor_bank, run_cell, run_cell_traced, run_saga_cell_with_outage, CellParams, SUPPORTED,
+};
 use tca_core::taxonomy::{profile, render_matrix, ProgrammingModel, TxnMechanism};
 use tca_messaging::delivery::{DedupReceiver, DeliveryGuarantee, ReliableSender};
 use tca_messaging::rpc::RetryPolicy;
@@ -17,18 +20,20 @@ use tca_models::microservice::{Endpoint, Microservice, ServiceCall, ServiceConfi
 use tca_models::statefun::{spawn_shards, EntityId, StartOrchestration, StatefunApp};
 use tca_sim::DetHashMap as HashMap;
 use tca_sim::{
-    key_shard, Ctx, NetworkConfig, Payload, Process, ProcessId, Sim, SimConfig, SimDuration,
-    SimTime,
+    Ctx, NetworkConfig, Payload, Process, ProcessId, Sim, SimConfig, SimDuration, SimTime,
 };
 use tca_storage::{
     deploy_sharded_db, CacheConfig, DbMsg, DbReply, DbRequest, DbResponse, DbServer,
     DbServerConfig, IsolationLevel, ProcRegistry, TtlCache, Value,
 };
 use tca_txn::causal::{CausalMailbox, CausalMessage, VectorClock};
+use tca_txn::{bank_registry_from, transfer_saga};
 use tca_workloads::loadgen::{
-    db_classifier, record_completion, ClosedLoopConfig, ClosedLoopGen, KeyChooser, LoadSummary,
-    OpenLoopConfig, OpenLoopGen, PairChooser, RequestFactory,
+    db_classifier, dtx_classifier, orchestration_classifier, saga_classifier, service_classifier,
+    txn_classifier, ActorClosedLoop, ActorRequestFactory, ClosedLoopConfig, ClosedLoopGen,
+    KeyChooser, LoadSummary, PairChooser, RequestFactory, RequestRouter, ResponseClassifier,
 };
+use tca_workloads::overload::{OverloadConfig, OverloadGen, OverloadPhase};
 use tca_workloads::rmw::{RmwClient, RmwConfig};
 use tca_workloads::{tpcc, ycsb};
 
@@ -131,29 +136,7 @@ pub fn f1_taxonomy(seed: u64) -> Vec<Row> {
     for model in ProgrammingModel::ALL {
         for mechanism in profile(model).mechanisms.clone() {
             // Cells not in the executable subset are profile-only.
-            let supported = matches!(
-                (model, mechanism),
-                (ProgrammingModel::Microservices, TxnMechanism::Saga)
-                    | (
-                        ProgrammingModel::Microservices,
-                        TxnMechanism::TwoPhaseCommit
-                    )
-                    | (ProgrammingModel::VirtualActors, TxnMechanism::None)
-                    | (
-                        ProgrammingModel::VirtualActors,
-                        TxnMechanism::ActorTransactions
-                    )
-                    | (ProgrammingModel::StatefulFunctions, TxnMechanism::None)
-                    | (
-                        ProgrammingModel::StatefulFunctions,
-                        TxnMechanism::EntityLocks
-                    )
-                    | (
-                        ProgrammingModel::StatefulDataflow,
-                        TxnMechanism::DeterministicOrdering
-                    )
-            );
-            if !supported {
+            if !SUPPORTED.contains(&(model, mechanism)) {
                 continue;
             }
             let report = run_cell(model, mechanism, &params);
@@ -361,18 +344,13 @@ pub fn e3_saga_vs_2pc(seed: u64) -> Vec<Row> {
                     ],
                 })
             });
-            let classify = Rc::new(|payload: &Payload| {
-                payload
-                    .downcast_ref::<tca_txn::twopc::DtxOutcome>()
-                    .is_some_and(|o| o.committed)
-            });
             sim.spawn(
                 n4,
                 "load",
                 ClosedLoopGen::factory(
                     coordinator,
                     factory,
-                    classify,
+                    dtx_classifier(),
                     ClosedLoopConfig {
                         clients: 4,
                         metric: "e3".into(),
@@ -451,24 +429,8 @@ pub fn e4_shared_vs_per_service_db(seed: u64) -> Vec<Row> {
                 DbServer::factory("db2", slow_config, registry()),
             )
         };
-        let quiet_factory: RequestFactory = Rc::new(|_| {
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Call {
-                    proc: "quiet".into(),
-                    args: vec![],
-                },
-            })
-        });
-        let noisy_factory: RequestFactory = Rc::new(|_| {
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Call {
-                    proc: "noisy".into(),
-                    args: vec![],
-                },
-            })
-        });
+        let quiet_factory: RequestFactory = Rc::new(|_| Payload::new(DbMsg::call("quiet", vec![])));
+        let noisy_factory: RequestFactory = Rc::new(|_| Payload::new(DbMsg::call("noisy", vec![])));
         sim.spawn(
             n_load,
             "quiet-load",
@@ -500,10 +462,7 @@ pub fn e4_shared_vs_per_service_db(seed: u64) -> Vec<Row> {
         );
         sim.run_for(SimDuration::from_secs(2));
         let hist = sim.metrics().histogram("quiet.latency").expect("quiet ran");
-        (
-            hist.p50().as_nanos() as f64 / 1e6,
-            hist.p99().as_nanos() as f64 / 1e6,
-        )
+        (hist.p50().as_millis_f64(), hist.p99().as_millis_f64())
     };
     let (shared_p50, shared_p99) = run(true);
     let (split_p50, split_p99) = run(false);
@@ -611,12 +570,10 @@ impl Process for CatalogWriter {
         self.version += 1;
         ctx.send(
             self.db,
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Load {
-                    pairs: vec![("catalog/0".into(), Value::Int(self.version))],
-                },
-            }),
+            Payload::new(DbMsg::load(vec![(
+                "catalog/0".into(),
+                Value::Int(self.version),
+            )])),
         );
         ctx.metrics().incr("e5.writes", 1);
         ctx.metrics().incr("e5.latest_version", 1);
@@ -637,12 +594,7 @@ pub fn e5_cache_vs_external(seed: u64) -> Vec<Row> {
         );
         sim.inject(
             db,
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Load {
-                    pairs: vec![("catalog/0".into(), Value::Int(0))],
-                },
-            }),
+            Payload::new(DbMsg::load(vec![("catalog/0".into(), Value::Int(0))])),
         );
         sim.spawn(n_app, "writer", move |_| {
             Box::new(CatalogWriter { db, version: 0 })
@@ -679,7 +631,7 @@ pub fn e5_cache_vs_external(seed: u64) -> Vec<Row> {
         };
         Row::new(label)
             .col("reads", reads)
-            .col("mean latency", ms(hist.mean().as_nanos() as f64 / 1e6))
+            .col("mean latency", ms(hist.mean().as_millis_f64()))
             .col(
                 "hit ratio",
                 format!(
@@ -840,13 +792,7 @@ pub fn e8_failure_consistency(seed: u64) -> Vec<Row> {
         let pairs: Vec<(String, Value)> = (0..16)
             .map(|i| (format!("acct/{i}"), Value::Int(1000)))
             .collect();
-        sim.inject(
-            db,
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Load { pairs },
-            }),
-        );
+        sim.inject(db, Payload::new(DbMsg::load(pairs)));
         let mut endpoints = HashMap::default();
         endpoints.insert(
             "transfer".to_owned(),
@@ -874,18 +820,13 @@ pub fn e8_failure_consistency(seed: u64) -> Vec<Row> {
                 ],
             })
         });
-        let classify = Rc::new(|payload: &Payload| {
-            payload
-                .downcast_ref::<tca_models::microservice::ServiceReply>()
-                .is_some_and(|r| r.result.is_ok())
-        });
         sim.spawn(
             n_load,
             "load",
             ClosedLoopGen::factory(
                 service,
                 factory,
-                classify,
+                service_classifier(),
                 ClosedLoopConfig {
                     clients: 8,
                     limit: Some(300),
@@ -975,66 +916,38 @@ pub fn e8_failure_consistency(seed: u64) -> Vec<Row> {
         let nodes = sim.add_nodes(2);
         let shards = spawn_shards(&mut sim, &nodes, &app, 2);
         let n_load = sim.add_node();
-        struct SfDriver {
-            shards: Vec<ProcessId>,
-            rpc: tca_messaging::rpc::RpcClient,
-            remaining: u64,
-        }
-        impl SfDriver {
-            fn issue(&mut self, ctx: &mut Ctx) {
-                if self.remaining == 0 {
-                    return;
-                }
-                self.remaining -= 1;
-                let i = self.remaining;
-                let instance = format!("t{i}");
-                let shard = self.shards[key_shard(&instance, self.shards.len())];
-                let from = i % 16;
-                let to = (i + 1) % 16;
-                self.rpc.call(
-                    ctx,
-                    shard,
-                    Payload::new(StartOrchestration {
-                        name: "transfer".into(),
-                        instance,
-                        input: vec![Value::Str(from.to_string()), Value::Str(to.to_string())],
-                    }),
-                    RetryPolicy::retrying(12, SimDuration::from_millis(30)),
-                    i,
-                );
-            }
-        }
-        impl Process for SfDriver {
-            fn on_start(&mut self, ctx: &mut Ctx) {
-                for _ in 0..8 {
-                    self.issue(ctx);
-                }
-            }
-            fn on_message(&mut self, ctx: &mut Ctx, _f: ProcessId, payload: Payload) {
-                if let Some(tca_messaging::rpc::RpcEvent::Reply { .. }) =
-                    self.rpc.on_message(ctx, &payload)
-                {
-                    ctx.metrics().incr("e8c.ok", 1);
-                    self.issue(ctx);
-                }
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
-                if let Some(Some(tca_messaging::rpc::RpcEvent::Failed { .. })) =
-                    self.rpc.on_timer(ctx, tag)
-                {
-                    ctx.metrics().incr("e8c.err", 1);
-                    self.issue(ctx);
-                }
-            }
-        }
+        // Transfers t199 … t0 around a ring of 16 accounts, each sent to
+        // the shard owning its instance key.
+        let remaining = Cell::new(200u64);
         let shard_list = shards.clone();
-        sim.spawn(n_load, "driver", move |_| {
-            Box::new(SfDriver {
-                shards: shard_list.clone(),
-                rpc: tca_messaging::rpc::RpcClient::new(),
-                remaining: 200,
-            })
+        let route: RequestRouter = Rc::new(move |_| {
+            remaining.set(remaining.get() - 1);
+            let i = remaining.get();
+            StartOrchestration {
+                name: "transfer".into(),
+                instance: format!("t{i}"),
+                input: vec![
+                    Value::Str((i % 16).to_string()),
+                    Value::Str(((i + 1) % 16).to_string()),
+                ],
+            }
+            .route(&shard_list)
         });
+        sim.spawn(
+            n_load,
+            "driver",
+            ClosedLoopGen::routed(
+                route,
+                orchestration_classifier(),
+                ClosedLoopConfig {
+                    clients: 8,
+                    limit: Some(200),
+                    metric: "e8c".into(),
+                    retry: RetryPolicy::retrying(12, SimDuration::from_millis(30)),
+                    ..ClosedLoopConfig::default()
+                },
+            ),
+        );
         sim.schedule_crash(SimTime::from_nanos(10_000_000), nodes[0]);
         sim.schedule_restart(SimTime::from_nanos(30_000_000), nodes[0]);
         sim.run_for(SimDuration::from_secs(30));
@@ -1091,15 +1004,7 @@ pub fn e9_tpcc(seed: u64) -> Vec<Row> {
             "tpcc-db",
             DbServer::factory("tpcc", DbServerConfig::default(), tpcc::registry()),
         );
-        sim.inject(
-            db,
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Load {
-                    pairs: tpcc::seed(&scale),
-                },
-            }),
-        );
+        sim.inject(db, Payload::new(DbMsg::load(tpcc::seed(&scale))));
         let target = if via_service {
             let mut endpoints = HashMap::default();
             for proc in ["new_order", "payment"] {
@@ -1143,18 +1048,11 @@ pub fn e9_tpcc(seed: u64) -> Vec<Row> {
                     args,
                 })
             } else {
-                Payload::new(DbMsg {
-                    token: 0,
-                    req: DbRequest::Call { proc, args },
-                })
+                Payload::new(DbMsg::call(proc, args))
             }
         });
-        let classify: Rc<dyn Fn(&Payload) -> bool> = if via_service {
-            Rc::new(|payload: &Payload| {
-                payload
-                    .downcast_ref::<tca_models::microservice::ServiceReply>()
-                    .is_some_and(|r| r.result.is_ok())
-            })
+        let classify = if via_service {
+            service_classifier()
         } else {
             db_classifier()
         };
@@ -1198,43 +1096,51 @@ pub fn e9_tpcc(seed: u64) -> Vec<Row> {
 // E10 — closed vs open loop
 // ---------------------------------------------------------------------------
 
+/// The unit of work E10 and E17 load a database with: bump one counter.
+fn work_registry() -> ProcRegistry {
+    ProcRegistry::new().with("work", |tx, _| {
+        let v = tx.get("x").map(|v| v.as_int()).unwrap_or(0);
+        tx.put("x", Value::Int(v + 1));
+        Ok(vec![])
+    })
+}
+
+fn work_request() -> RequestFactory {
+    Rc::new(|_| Payload::new(DbMsg::call("work", vec![])))
+}
+
 /// E10: latency under closed-loop vs open-loop arrivals approaching and
 /// beyond saturation.
 pub fn e10_closed_vs_open(seed: u64) -> Vec<Row> {
     // Service: commit_latency 100µs → capacity ≈ 10k calls/s.
-    let registry = || {
-        ProcRegistry::new().with("work", |tx, _| {
-            let v = tx.get("x").map(|v| v.as_int()).unwrap_or(0);
-            tx.put("x", Value::Int(v + 1));
-            Ok(vec![])
-        })
-    };
-    let factory: RequestFactory = Rc::new(|_| {
-        Payload::new(DbMsg {
-            token: 0,
-            req: DbRequest::Call {
-                proc: "work".into(),
-                args: vec![],
-            },
-        })
-    });
-    let mut rows = Vec::new();
-    // Closed loop: N clients.
-    for clients in [4usize, 16, 64] {
+    let deploy = || {
         let mut sim = Sim::with_seed(seed);
         let n_db = sim.add_node();
         let n_load = sim.add_node();
         let db = sim.spawn(
             n_db,
             "db",
-            DbServer::factory("db", DbServerConfig::default(), registry()),
+            DbServer::factory("db", DbServerConfig::default(), work_registry()),
         );
+        (sim, n_load, db)
+    };
+    let row = |sim: &Sim, label: String, completed: &str| {
+        let hist = sim.metrics().histogram("e10.latency").expect("ran");
+        Row::new(label)
+            .col("tput/s", sim.metrics().counter(completed))
+            .col("p50", ms(hist.p50().as_millis_f64()))
+            .col("p99", ms(hist.p99().as_millis_f64()))
+    };
+    let mut rows = Vec::new();
+    // Closed loop: N clients.
+    for clients in [4usize, 16, 64] {
+        let (mut sim, n_load, db) = deploy();
         sim.spawn(
             n_load,
             "load",
             ClosedLoopGen::factory(
                 db,
-                Rc::clone(&factory),
+                work_request(),
                 db_classifier(),
                 ClosedLoopConfig {
                     clients,
@@ -1244,46 +1150,31 @@ pub fn e10_closed_vs_open(seed: u64) -> Vec<Row> {
             ),
         );
         sim.run_for(SimDuration::from_secs(1));
-        let hist = sim.metrics().histogram("e10.latency").expect("ran");
-        rows.push(
-            Row::new(format!("closed N={clients}"))
-                .col("tput/s", sim.metrics().counter("e10.ok"))
-                .col("p50", ms(hist.p50().as_nanos() as f64 / 1e6))
-                .col("p99", ms(hist.p99().as_nanos() as f64 / 1e6)),
-        );
+        rows.push(row(&sim, format!("closed N={clients}"), "e10.ok"));
     }
-    // Open loop: λ sweep around capacity.
+    // Open loop: λ sweep around capacity — one phase, no deadline, a
+    // single attempt per request (we measure queueing, not retries).
     for (label, interarrival_us) in [("0.5x", 200u64), ("0.9x", 111), ("1.2x", 83)] {
-        let mut sim = Sim::with_seed(seed);
-        let n_db = sim.add_node();
-        let n_load = sim.add_node();
-        let db = sim.spawn(
-            n_db,
-            "db",
-            DbServer::factory("db", DbServerConfig::default(), registry()),
-        );
+        let (mut sim, n_load, db) = deploy();
         sim.spawn(
             n_load,
             "load",
-            OpenLoopGen::factory(
+            OverloadGen::factory(
                 db,
-                Rc::clone(&factory),
+                work_request(),
                 db_classifier(),
-                OpenLoopConfig {
-                    mean_interarrival: SimDuration::from_micros(interarrival_us),
+                OverloadConfig {
+                    phases: vec![OverloadPhase::new(
+                        SimDuration::from_secs(1),
+                        SimDuration::from_micros(interarrival_us),
+                    )],
                     metric: "e10".into(),
-                    limit: None,
+                    ..OverloadConfig::default()
                 },
             ),
         );
         sim.run_for(SimDuration::from_secs(1));
-        let hist = sim.metrics().histogram("e10.latency").expect("ran");
-        rows.push(
-            Row::new(format!("open λ={label} capacity"))
-                .col("tput/s", sim.metrics().counter("e10.ok"))
-                .col("p50", ms(hist.p50().as_nanos() as f64 / 1e6))
-                .col("p99", ms(hist.p99().as_nanos() as f64 / 1e6)),
-        );
+        rows.push(row(&sim, format!("open λ={label} capacity"), "e10.goodput"));
     }
     rows
 }
@@ -1312,12 +1203,7 @@ pub fn e11_isolation_anomalies(seed: u64) -> Vec<Row> {
         );
         sim.inject(
             db,
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Load {
-                    pairs: vec![("stock".into(), Value::Int(stock))],
-                },
-            }),
+            Payload::new(DbMsg::load(vec![("stock".into(), Value::Int(stock))])),
         );
         for i in 0..clients {
             let node = sim.add_node();
@@ -1359,10 +1245,7 @@ pub fn e11_isolation_anomalies(seed: u64) -> Vec<Row> {
 /// E12: availability gap and rerouting when a silo hosting a hot actor
 /// crashes.
 pub fn e12_actor_migration(seed: u64) -> Vec<Row> {
-    use tca_models::actor::{
-        actor_state_registry, ActorCompletion, ActorId, ActorRouter, ActorSilo, Directory,
-        DirectoryConfig, SiloConfig,
-    };
+    use tca_models::actor::{ActorCompletion, ActorId, ActorRouter};
     struct HotCaller {
         router: ActorRouter,
         last_ok: SimTime,
@@ -1413,33 +1296,8 @@ pub fn e12_actor_migration(seed: u64) -> Vec<Row> {
         }
     }
     let mut sim = Sim::with_seed(seed);
-    let nd = sim.add_node();
-    let ndb = sim.add_node();
-    let ns1 = sim.add_node();
-    let ns2 = sim.add_node();
+    let (directory, [ns1, ns2]) = deploy_actor_bank(&mut sim);
     let nc = sim.add_node();
-    let directory = sim.spawn(nd, "dir", Directory::factory(DirectoryConfig::default()));
-    let db = sim.spawn(
-        ndb,
-        "state-db",
-        DbServer::factory("statedb", DbServerConfig::default(), actor_state_registry()),
-    );
-    sim.spawn(
-        ns1,
-        "silo1",
-        ActorSilo::factory(
-            tca_txn::transactional_bank_registry(1000),
-            SiloConfig::persistent(directory, db),
-        ),
-    );
-    sim.spawn(
-        ns2,
-        "silo2",
-        ActorSilo::factory(
-            tca_txn::transactional_bank_registry(1000),
-            SiloConfig::persistent(directory, db),
-        ),
-    );
     sim.spawn(nc, "caller", move |_| {
         Box::new(HotCaller {
             router: ActorRouter::new(directory),
@@ -1555,55 +1413,35 @@ pub fn e14_entity_locks(seed: u64) -> Vec<Row> {
         let nodes = sim.add_nodes(2);
         let shards = spawn_shards(&mut sim, &nodes, &app(locked), 2);
         let n_load = sim.add_node();
-        struct Launcher {
-            shards: Vec<ProcessId>,
-            rpc: tca_messaging::rpc::RpcClient,
-        }
-        impl Process for Launcher {
-            fn on_start(&mut self, ctx: &mut Ctx) {
-                for (i, target) in ["a", "b"].iter().enumerate() {
-                    let instance = format!("drain-{i}");
-                    let shard = self.shards[key_shard(&instance, self.shards.len())];
-                    self.rpc.call(
-                        ctx,
-                        shard,
-                        Payload::new(StartOrchestration {
-                            name: "drain".into(),
-                            instance,
-                            input: vec![Value::from(*target)],
-                        }),
-                        RetryPolicy::retrying(6, SimDuration::from_millis(50)),
-                        i as u64,
-                    );
-                }
+        // One drain per account, launched together.
+        let launched = Cell::new(0usize);
+        let route: RequestRouter = Rc::new(move |_| {
+            let i = launched.replace(launched.get() + 1);
+            StartOrchestration {
+                name: "drain".into(),
+                instance: format!("drain-{i}"),
+                input: vec![Value::from(["a", "b"][i])],
             }
-            fn on_message(&mut self, ctx: &mut Ctx, _f: ProcessId, payload: Payload) {
-                if let Some(tca_messaging::rpc::RpcEvent::Reply { body, .. }) =
-                    self.rpc.on_message(ctx, &payload)
-                {
-                    let result = body.expect::<tca_models::statefun::OrchestrationResult>();
-                    let metric = if result.result.is_ok() {
-                        "e14.ok"
-                    } else {
-                        "e14.rejected"
-                    };
-                    ctx.metrics().incr(metric, 1);
-                }
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
-                let _ = self.rpc.on_timer(ctx, tag);
-            }
-        }
-        let shard_list = shards.clone();
-        sim.spawn(n_load, "launcher", move |_| {
-            Box::new(Launcher {
-                shards: shard_list.clone(),
-                rpc: tca_messaging::rpc::RpcClient::new(),
-            })
+            .route(&shards)
         });
+        sim.spawn(
+            n_load,
+            "launcher",
+            ClosedLoopGen::routed(
+                route,
+                orchestration_classifier(),
+                ClosedLoopConfig {
+                    clients: 2,
+                    limit: Some(2),
+                    metric: "e14".into(),
+                    retry: RetryPolicy::retrying(6, SimDuration::from_millis(50)),
+                    ..ClosedLoopConfig::default()
+                },
+            ),
+        );
         sim.run_for(SimDuration::from_secs(2));
         let committed = sim.metrics().counter("e14.ok");
-        let rejected = sim.metrics().counter("e14.rejected");
+        let rejected = sim.metrics().counter("e14.err");
         // Invariant arithmetic: start 2000, each commit −300, floor 1500 ⇒
         // at most 1 commit is legal.
         let final_sum = 2000 - 300 * committed as i64;
@@ -1736,8 +1574,8 @@ pub fn e16_latency_breakdown(seed: u64) -> Vec<Row> {
             rows.push(
                 Row::new(format!("  {}", kind.name()))
                     .col("spans", hist.count())
-                    .col("p50", ms(hist.p50().as_nanos() as f64 / 1e6))
-                    .col("p95", ms(hist.quantile(0.95).as_nanos() as f64 / 1e6)),
+                    .col("p50", ms(hist.p50().as_millis_f64()))
+                    .col("p95", ms(hist.quantile(0.95).as_millis_f64())),
             );
         }
     }
@@ -1768,24 +1606,7 @@ pub fn e16_latency_breakdown(seed: u64) -> Vec<Row> {
 /// burst ends while the resilient one recovers instantly.
 pub fn e17_overload_resilience(seed: u64) -> Vec<Row> {
     use tca_messaging::rpc::{BreakerConfig, RetryBudget};
-    use tca_workloads::overload::{OverloadConfig, OverloadGen, OverloadPhase};
 
-    let registry = || {
-        ProcRegistry::new().with("work", |tx, _| {
-            let v = tx.get("x").map(|v| v.as_int()).unwrap_or(0);
-            tx.put("x", Value::Int(v + 1));
-            Ok(vec![])
-        })
-    };
-    let factory: RequestFactory = Rc::new(|_| {
-        Payload::new(DbMsg {
-            token: 0,
-            req: DbRequest::Call {
-                proc: "work".into(),
-                args: vec![],
-            },
-        })
-    });
     let client_config = |resilient: bool, phases: Vec<OverloadPhase>| OverloadConfig {
         phases,
         metric: "e17".into(),
@@ -1818,13 +1639,17 @@ pub fn e17_overload_resilience(seed: u64) -> Vec<Row> {
         let total: SimDuration = phases
             .iter()
             .fold(SimDuration::ZERO, |acc, p| acc + p.duration);
-        let db = sim.spawn(n_db, "db", DbServer::factory("db", db_config, registry()));
+        let db = sim.spawn(
+            n_db,
+            "db",
+            DbServer::factory("db", db_config, work_registry()),
+        );
         sim.spawn(
             n_load,
             "load",
             OverloadGen::factory(
                 db,
-                Rc::clone(&factory),
+                work_request(),
                 db_classifier(),
                 client_config(resilient, phases),
             ),
@@ -1854,7 +1679,7 @@ pub fn e17_overload_resilience(seed: u64) -> Vec<Row> {
             let m = sim.metrics();
             let p99 = m
                 .histogram("e17.latency")
-                .map_or_else(|| "-".into(), |h| ms(h.p99().as_nanos() as f64 / 1e6));
+                .map_or_else(|| "-".into(), |h| ms(h.p99().as_millis_f64()));
             let kind = if resilient { "resilient" } else { "naive" };
             rows.push(
                 Row::new(format!("{label} {kind}"))
@@ -2055,13 +1880,10 @@ pub fn e19_sharded_scaleout(seed: u64) -> Vec<Row> {
         };
         let factory: RequestFactory = Rc::new(move |rng| {
             let i = chooser.pick(rng);
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Call {
-                    proc: "ycsb_rmw".into(),
-                    args: vec![Value::Str(format!("user{i:08}"))],
-                },
-            })
+            Payload::new(DbMsg::call(
+                "ycsb_rmw",
+                vec![Value::Str(format!("user{i:08}"))],
+            ))
         });
         sim.spawn(
             n_load,
@@ -2131,97 +1953,6 @@ fn e20_pairs(theta: f64) -> PairChooser {
     }
 }
 
-/// The debit/credit registry the 2PC and saga baselines run. Differs from
-/// `tca_txn::bank_registry` in one respect: missing accounts materialize
-/// at [`E20_START`] instead of 0, matching the deterministic engine's
-/// `transfer_registry`.
-fn e20_bank_registry() -> ProcRegistry {
-    ProcRegistry::new()
-        .with("debit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(E20_START);
-            if balance < amount {
-                return Err("insufficient".into());
-            }
-            tx.put(&key, Value::Int(balance - amount));
-            Ok(vec![])
-        })
-        .with("credit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(E20_START);
-            tx.put(&key, Value::Int(balance + amount));
-            Ok(vec![])
-        })
-}
-
-/// Closed-loop load generator for actor transactions: like
-/// [`ClosedLoopGen`] but speaking the actor runtime's directory/invoke
-/// protocol instead of a single RPC target.
-struct ActorLoadGen {
-    router: tca_models::actor::ActorRouter,
-    pairs: PairChooser,
-    clients: usize,
-    limit: u64,
-    metric: String,
-    issued: u64,
-    started: HashMap<u64, SimTime>,
-}
-
-impl ActorLoadGen {
-    fn issue(&mut self, ctx: &mut Ctx) {
-        if self.issued >= self.limit {
-            return;
-        }
-        self.issued += 1;
-        let tag = self.issued;
-        let (from, to) = self.pairs.pick(ctx.rng());
-        let txid = format!("{}t{tag}", self.metric);
-        let plan = tca_txn::transfer_plan(&txid, &e20_acct(from), &e20_acct(to), E20_AMOUNT);
-        self.started.insert(tag, ctx.now());
-        self.router.invoke(
-            ctx,
-            tca_models::actor::ActorId::new("txncoord", &txid),
-            "run".to_string(),
-            plan,
-            tag,
-        );
-    }
-
-    fn absorb(&mut self, ctx: &mut Ctx, completions: Vec<tca_models::actor::ActorCompletion>) {
-        for completion in completions {
-            let started = self.started.remove(&completion.user_tag);
-            self.issue(ctx);
-            let finished = self.issued == self.limit && self.started.is_empty();
-            record_completion(
-                ctx,
-                &self.metric,
-                started,
-                completion.result.is_ok(),
-                finished,
-            );
-        }
-    }
-}
-
-impl Process for ActorLoadGen {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        for _ in 0..self.clients {
-            self.issue(ctx);
-        }
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
-        let completions = self.router.on_message(ctx, &payload);
-        self.absorb(ctx, completions);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
-        if let Some(completions) = self.router.on_timer(ctx, tag) {
-            self.absorb(ctx, completions);
-        }
-    }
-}
-
 /// E20: the four transaction mechanisms head-to-head on one skewed
 /// multi-key transfer workload (§4.2's central claim, quantified).
 ///
@@ -2250,55 +1981,34 @@ impl Process for ActorLoadGen {
 /// Serializability without aborts is bought with batching latency, and
 /// the price is the epoch length.
 pub fn e20_dataflow_headtohead(seed: u64) -> Vec<Row> {
-    use tca_txn::{
-        deploy_dataflow, route_branches, DataflowConfig, ShardOp, StartDtx, SubmitTxn, TxnOutcome,
+    use tca_txn::{deploy_dataflow, route_branches, DataflowConfig, ShardOp, StartDtx, SubmitTxn};
+
+    let transfer_args = |from: usize, to: usize| {
+        vec![
+            Value::Str(e20_acct(from)),
+            Value::Str(e20_acct(to)),
+            Value::Int(E20_AMOUNT),
+        ]
     };
-
-    let finish =
-        |sim: &Sim, label: &str| -> Row { load_row(label, &LoadSummary::read(sim, "e20")) };
-
-    // (a) Deterministic dataflow: submissions to the epoch sequencer.
-    let run_dataflow = |label: &str, shards: usize, theta: f64, epoch_us: u64| -> Row {
-        let mut sim = Sim::with_seed(seed);
-        let shard_nodes: Vec<_> = (0..shards.min(8)).map(|_| sim.add_node()).collect();
-        let n_seq = sim.add_node();
+    let finish = |mut sim: Sim, label: &str| -> Row {
+        sim.run_for(SimDuration::from_secs(60));
+        load_row(label, &LoadSummary::read(&sim, "e20"))
+    };
+    // The three RPC systems end alike: the same closed loop against
+    // whatever accepts their transactions.
+    let run_rpc = |mut sim: Sim,
+                   target: ProcessId,
+                   request: RequestFactory,
+                   classify: ResponseClassifier,
+                   label: &str|
+     -> Row {
         let n_load = sim.add_node();
-        let (sequencer, _) = deploy_dataflow(
-            &mut sim,
-            n_seq,
-            &shard_nodes,
-            &tca_txn::transfer_registry(),
-            shards,
-            DataflowConfig {
-                epoch_interval: SimDuration::from_micros(epoch_us),
-                ..DataflowConfig::default()
-            },
-        );
-        let pairs = e20_pairs(theta);
-        let factory: RequestFactory = Rc::new(move |rng| {
-            let (from, to) = pairs.pick(rng);
-            let (from, to) = (e20_acct(from), e20_acct(to));
-            Payload::new(SubmitTxn {
-                proc: "transfer".into(),
-                args: vec![
-                    Value::Str(from.clone()),
-                    Value::Str(to.clone()),
-                    Value::Int(E20_AMOUNT),
-                ],
-                read_keys: vec![from, to],
-            })
-        });
-        let classify = Rc::new(|payload: &Payload| {
-            payload
-                .downcast_ref::<TxnOutcome>()
-                .is_some_and(|o| o.result.is_ok())
-        });
         sim.spawn(
             n_load,
             "load",
             ClosedLoopGen::factory(
-                sequencer,
-                factory,
+                target,
+                request,
                 classify,
                 ClosedLoopConfig {
                     clients: E20_CLIENTS,
@@ -2308,30 +2018,53 @@ pub fn e20_dataflow_headtohead(seed: u64) -> Vec<Row> {
                 },
             ),
         );
-        sim.run_for(SimDuration::from_secs(60));
-        finish(&sim, label)
+        finish(sim, label)
+    };
+
+    // (a) Deterministic dataflow: submissions to the epoch sequencer.
+    let run_dataflow = |label: &str, shards: usize, theta: f64, epoch_us: u64| -> Row {
+        let mut sim = Sim::with_seed(seed);
+        let shard_nodes = sim.add_nodes(shards.min(8));
+        let n_seq = sim.add_node();
+        let (sequencer, _) = deploy_dataflow(
+            &mut sim,
+            n_seq,
+            &shard_nodes,
+            &tca_txn::deterministic::transfer_registry_from(E20_START),
+            shards,
+            DataflowConfig {
+                epoch_interval: SimDuration::from_micros(epoch_us),
+                ..DataflowConfig::default()
+            },
+        );
+        let pairs = e20_pairs(theta);
+        let request: RequestFactory = Rc::new(move |rng| {
+            let (from, to) = pairs.pick(rng);
+            Payload::new(SubmitTxn {
+                proc: "transfer".into(),
+                args: transfer_args(from, to),
+                read_keys: vec![e20_acct(from), e20_acct(to)],
+            })
+        });
+        run_rpc(sim, sequencer, request, txn_classifier(), label)
     };
 
     // (b) 2PC: one participant per shard, branches routed by the same
     // consistent-hash ring the dataflow engine places keys with.
     let run_twopc = |label: &str, shards: usize, theta: f64| -> Row {
-        use tca_txn::{
-            CoordinatorConfig, DtxOutcome, ParticipantConfig, TwoPcCoordinator, TwoPcParticipant,
-        };
+        use tca_txn::{CoordinatorConfig, ParticipantConfig, TwoPcCoordinator, TwoPcParticipant};
         let mut sim = Sim::with_seed(seed);
-        let nodes: Vec<_> = (0..shards.min(8)).map(|_| sim.add_node()).collect();
+        let nodes = sim.add_nodes(shards.min(8));
         let n_coord = sim.add_node();
-        let n_load = sim.add_node();
         let participants: Vec<ProcessId> = (0..shards)
             .map(|i| {
                 sim.spawn(
                     nodes[i % nodes.len()],
                     format!("e20p{i}"),
-                    TwoPcParticipant::factory_seeded(
+                    TwoPcParticipant::factory(
                         format!("e20p{i}"),
                         ParticipantConfig::default(),
-                        e20_bank_registry(),
-                        Vec::new(),
+                        bank_registry_from(E20_START),
                     ),
                 )
             })
@@ -2343,7 +2076,7 @@ pub fn e20_dataflow_headtohead(seed: u64) -> Vec<Row> {
         );
         let map = tca_sim::ShardMap::ring(shards);
         let pairs = e20_pairs(theta);
-        let factory: RequestFactory = Rc::new(move |rng| {
+        let request: RequestFactory = Rc::new(move |rng| {
             let (from, to) = pairs.pick(rng);
             let (from, to) = (e20_acct(from), e20_acct(to));
             let ops: Vec<ShardOp> = vec![
@@ -2362,102 +2095,47 @@ pub fn e20_dataflow_headtohead(seed: u64) -> Vec<Row> {
                 branches: route_branches(&map, &participants, &ops),
             })
         });
-        let classify = Rc::new(|payload: &Payload| {
-            payload
-                .downcast_ref::<DtxOutcome>()
-                .is_some_and(|o| o.committed)
-        });
-        sim.spawn(
-            n_load,
-            "load",
-            ClosedLoopGen::factory(
-                coordinator,
-                factory,
-                classify,
-                ClosedLoopConfig {
-                    clients: E20_CLIENTS,
-                    limit: Some(E20_REQUESTS),
-                    metric: "e20".into(),
-                    ..ClosedLoopConfig::default()
-                },
-            ),
-        );
-        sim.run_for(SimDuration::from_secs(60));
-        finish(&sim, label)
+        run_rpc(sim, coordinator, request, dtx_classifier(), label)
     };
 
     // (c) Saga: debit + compensated credit through the shard router — the
     // BASE baseline (atomicity via compensation, no isolation).
     let run_saga = |label: &str, shards: usize, theta: f64| -> Row {
-        use tca_txn::{SagaDef, SagaOrchestrator, SagaOutcome, SagaStep, StartSaga};
+        use tca_txn::{SagaOrchestrator, StartSaga};
         let mut sim = Sim::with_seed(seed);
-        let nodes: Vec<_> = (0..shards.min(8)).map(|_| sim.add_node()).collect();
+        let nodes = sim.add_nodes(shards.min(8));
         let n_orch = sim.add_node();
-        let n_load = sim.add_node();
         let (router, _) = deploy_sharded_db(
             &mut sim,
             &nodes,
             "e20g",
             DbServerConfig::default(),
-            e20_bank_registry,
+            || bank_registry_from(E20_START),
             shards,
         );
-        let def = SagaDef {
-            name: "transfer".into(),
-            steps: vec![
-                SagaStep::new("debit", router, "debit", |v| {
-                    vec![v.get("$0").clone(), v.get("$2").clone()]
-                })
-                .compensate("credit", |v| vec![v.get("$0").clone(), v.get("$2").clone()]),
-                SagaStep::new("credit", router, "credit", |v| {
-                    vec![v.get("$1").clone(), v.get("$2").clone()]
-                }),
-            ],
-        };
-        let orchestrator = sim.spawn(n_orch, "saga", SagaOrchestrator::factory(vec![def]));
+        let orchestrator = sim.spawn(
+            n_orch,
+            "saga",
+            SagaOrchestrator::factory(vec![transfer_saga(router)]),
+        );
         let pairs = e20_pairs(theta);
-        let factory: RequestFactory = Rc::new(move |rng| {
+        let request: RequestFactory = Rc::new(move |rng| {
             let (from, to) = pairs.pick(rng);
             Payload::new(StartSaga {
                 saga: "transfer".into(),
-                args: vec![
-                    Value::Str(e20_acct(from)),
-                    Value::Str(e20_acct(to)),
-                    Value::Int(E20_AMOUNT),
-                ],
+                args: transfer_args(from, to),
             })
         });
-        let classify = Rc::new(|payload: &Payload| {
-            payload
-                .downcast_ref::<SagaOutcome>()
-                .is_some_and(|o| o.committed)
-        });
-        sim.spawn(
-            n_load,
-            "load",
-            ClosedLoopGen::factory(
-                orchestrator,
-                factory,
-                classify,
-                ClosedLoopConfig {
-                    clients: E20_CLIENTS,
-                    limit: Some(E20_REQUESTS),
-                    metric: "e20".into(),
-                    ..ClosedLoopConfig::default()
-                },
-            ),
-        );
-        sim.run_for(SimDuration::from_secs(60));
-        finish(&sim, label)
+        run_rpc(sim, orchestrator, request, saga_classifier(), label)
     };
 
     // (d) Actor transactions: lock-based coordinator actors over
     // `shards` silos.
     let run_actor = |label: &str, shards: usize, theta: f64| -> Row {
-        use tca_models::actor::{ActorRouter, ActorSilo, Directory, DirectoryConfig, SiloConfig};
+        use tca_models::actor::{ActorId, ActorSilo, Directory, DirectoryConfig, SiloConfig};
         let mut sim = Sim::with_seed(seed);
         let n_dir = sim.add_node();
-        let silo_nodes: Vec<_> = (0..shards.min(8)).map(|_| sim.add_node()).collect();
+        let silo_nodes = sim.add_nodes(shards.min(8));
         let n_load = sim.add_node();
         let directory = sim.spawn(n_dir, "dir", Directory::factory(DirectoryConfig::default()));
         for i in 0..shards {
@@ -2470,19 +2148,21 @@ pub fn e20_dataflow_headtohead(seed: u64) -> Vec<Row> {
                 ),
             );
         }
-        sim.spawn(n_load, "load", move |_| {
-            Box::new(ActorLoadGen {
-                router: ActorRouter::new(directory),
-                pairs: e20_pairs(theta),
-                clients: E20_CLIENTS,
-                limit: E20_REQUESTS,
-                metric: "e20".into(),
-                issued: 0,
-                started: HashMap::default(),
-            })
+        let pairs = e20_pairs(theta);
+        let issued = Cell::new(0u64);
+        let request: ActorRequestFactory = Rc::new(move |rng| {
+            let (from, to) = pairs.pick(rng);
+            issued.set(issued.get() + 1);
+            let txid = format!("e20t{}", issued.get());
+            let plan = tca_txn::transfer_plan(&txid, &e20_acct(from), &e20_acct(to), E20_AMOUNT);
+            vec![(ActorId::new("txncoord", txid), "run".into(), plan)]
         });
-        sim.run_for(SimDuration::from_secs(60));
-        finish(&sim, label)
+        sim.spawn(
+            n_load,
+            "load",
+            ActorClosedLoop::factory(directory, request, E20_CLIENTS, E20_REQUESTS, "e20"),
+        );
+        finish(sim, label)
     };
 
     let mut rows = Vec::new();
@@ -2592,7 +2272,7 @@ pub fn e21_exactly_once_workflows(seed: u64) -> Vec<Row> {
             &worker_nodes,
             n_coord,
             &shard_nodes,
-            &e20_bank_registry(),
+            &bank_registry_from(E20_START),
             &workload.seeds(),
             &workload.defs(),
             config,
@@ -2624,8 +2304,8 @@ pub fn e21_exactly_once_workflows(seed: u64) -> Vec<Row> {
         let (total, expected) = workload.conservation(&sim, &deploy.participants, &deploy.map);
         assert_eq!(total, expected, "transfers must conserve money");
         let latency = sim.metrics().histogram("workflow.latency");
-        let p50 = latency.map_or(0.0, |h| h.p50().as_nanos() as f64 / 1e6);
-        let p99 = latency.map_or(0.0, |h| h.p99().as_nanos() as f64 / 1e6);
+        let p50 = latency.map_or(0.0, |h| h.p50().as_millis_f64());
+        let p99 = latency.map_or(0.0, |h| h.p99().as_millis_f64());
         Row::new(label)
             .col("done", format!("{completed}/{admitted}"))
             .col(
@@ -2654,4 +2334,31 @@ pub fn e21_exactly_once_workflows(seed: u64) -> Vec<Row> {
         ));
     }
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The record pin: a change that moves any cell's schedule fails
+    /// `cargo test`, not only the CI determinism gate.
+    #[test]
+    fn f1_rows_equal_the_committed_record() {
+        let recorded: Vec<Vec<&str>> = include_str!("../../../experiments_output.txt")
+            .lines()
+            .skip_while(|line| !line.starts_with("=== F1: taxonomy cells"))
+            .skip(2) // the title and the column header
+            .take_while(|line| !line.trim().is_empty())
+            .map(|line| line.split_whitespace().collect())
+            .collect();
+        let computed: Vec<Vec<String>> = f1_taxonomy(42)
+            .into_iter()
+            .map(|row| {
+                let values = row.values.into_iter().map(|(_, value)| value);
+                std::iter::once(row.label).chain(values).collect()
+            })
+            .collect();
+        assert_eq!(computed.len(), SUPPORTED.len());
+        assert_eq!(computed, recorded);
+    }
 }

@@ -9,31 +9,28 @@
 //! source to account 0, the contention knob). Conservation of money is
 //! the cross-cutting invariant.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use tca_messaging::rpc::RetryPolicy;
 use tca_models::actor::{
-    actor_state_registry, ActorCompletion, ActorId, ActorRouter, ActorSilo, Directory,
-    DirectoryConfig, SiloConfig,
+    actor_state_registry, ActorId, ActorSilo, Directory, DirectoryConfig, SiloConfig,
 };
 use tca_models::statefun::{spawn_shards, EntityId, StartOrchestration, StatefunApp};
-use tca_sim::{
-    key_shard, Ctx, Histogram, Payload, Process, ProcessId, Sim, SimDuration, SimRng, SimTime,
-    SpanKind,
-};
-use tca_storage::{DbMsg, DbRequest, DbServer, DbServerConfig, Value};
+use tca_sim::{Histogram, NodeId, Payload, ProcessId, Sim, SimDuration, SimRng, SimTime, SpanKind};
+use tca_storage::{DbMsg, DbServer, DbServerConfig, Value};
 use tca_txn::dataflow::{deploy_dataflow, DataflowConfig, DfShard};
-use tca_txn::deterministic::{transfer_registry_from, SubmitTxn, TxnOutcome};
-use tca_txn::saga::{SagaDef, SagaOrchestrator, SagaOutcome, SagaStep, StartSaga};
-use tca_txn::twopc::{DtxOutcome, ParticipantConfig, StartDtx, TwoPcCoordinator, TwoPcParticipant};
-use tca_txn::{bank_registry, transactional_bank_registry, transfer_plan};
+use tca_txn::deterministic::{transfer_registry_from, SubmitTxn};
+use tca_txn::saga::{SagaOrchestrator, StartSaga};
+use tca_txn::twopc::{ParticipantConfig, StartDtx, TwoPcCoordinator, TwoPcParticipant};
+use tca_txn::{bank_registry, transactional_bank_registry, transfer_plan, transfer_saga};
 use tca_workloads::loadgen::{
-    record_completion, ClosedLoopConfig, ClosedLoopGen, LoadSummary, RequestFactory,
-    ResponseClassifier,
+    dtx_classifier, orchestration_classifier, saga_classifier, txn_classifier, ActorClosedLoop,
+    ActorRequestFactory, ClosedLoopConfig, ClosedLoopGen, LoadSummary, RequestFactory,
+    RequestRouter,
 };
 
 use crate::taxonomy::{ProgrammingModel, TxnMechanism};
-use tca_sim::DetHashMap as HashMap;
 
 /// Workload parameters for a cell run.
 #[derive(Debug, Clone)]
@@ -136,9 +133,42 @@ fn cell_sim(params: &CellParams) -> Sim {
     sim
 }
 
-/// Run a taxonomy cell. Panics on unsupported combinations — use
-/// [`crate::taxonomy::profile`] to enumerate the supported mechanisms of
-/// a model.
+/// The closed loop every RPC cell runs: `params.clients` clients,
+/// `params.transfers` requests, results under `cell`.
+fn cell_loop(params: &CellParams) -> ClosedLoopConfig {
+    ClosedLoopConfig {
+        clients: params.clients,
+        limit: Some(params.transfers),
+        metric: "cell".into(),
+        ..ClosedLoopConfig::default()
+    }
+}
+
+/// The executable cells: every combination [`run_cell`] accepts, in
+/// Figure 1 order.
+pub const SUPPORTED: [(ProgrammingModel, TxnMechanism); 7] = [
+    (ProgrammingModel::Microservices, TxnMechanism::Saga),
+    (
+        ProgrammingModel::Microservices,
+        TxnMechanism::TwoPhaseCommit,
+    ),
+    (ProgrammingModel::VirtualActors, TxnMechanism::None),
+    (
+        ProgrammingModel::VirtualActors,
+        TxnMechanism::ActorTransactions,
+    ),
+    (ProgrammingModel::StatefulFunctions, TxnMechanism::None),
+    (
+        ProgrammingModel::StatefulFunctions,
+        TxnMechanism::EntityLocks,
+    ),
+    (
+        ProgrammingModel::StatefulDataflow,
+        TxnMechanism::DeterministicOrdering,
+    ),
+];
+
+/// Run a taxonomy cell. Panics on combinations outside [`SUPPORTED`].
 pub fn run_cell(
     model: ProgrammingModel,
     mechanism: TxnMechanism,
@@ -197,13 +227,7 @@ fn seed_accounts(sim: &mut Sim, db: ProcessId, params: &CellParams) {
     let pairs: Vec<(String, Value)> = (0..params.accounts)
         .map(|i| (account_key(i), Value::Int(INITIAL_BALANCE)))
         .collect();
-    sim.inject(
-        db,
-        Payload::new(DbMsg {
-            token: 0,
-            req: DbRequest::Load { pairs },
-        }),
-    );
+    sim.inject(db, Payload::new(DbMsg::load(pairs)));
 }
 
 /// Money on the ledger of `db` minus what [`seed_accounts`] put there.
@@ -244,19 +268,11 @@ fn run_saga_cell(
         DbServer::factory("bank", DbServerConfig::default(), bank_registry()),
     );
     seed_accounts(&mut sim, db, params);
-    let saga = SagaDef {
-        name: "transfer".into(),
-        steps: vec![
-            SagaStep::new("debit", db, "debit", |v| {
-                vec![v.get("$0").clone(), v.get("$2").clone()]
-            })
-            .compensate("credit", |v| vec![v.get("$0").clone(), v.get("$2").clone()]),
-            SagaStep::new("credit", db, "credit", |v| {
-                vec![v.get("$1").clone(), v.get("$2").clone()]
-            }),
-        ],
-    };
-    let orchestrator = sim.spawn(n2, "saga", SagaOrchestrator::factory(vec![saga]));
+    let orchestrator = sim.spawn(
+        n2,
+        "saga",
+        SagaOrchestrator::factory(vec![transfer_saga(db)]),
+    );
     let p = params.clone();
     let factory: RequestFactory = Rc::new(move |rng| {
         let (from, to) = pick_pair(rng, &p);
@@ -269,25 +285,10 @@ fn run_saga_cell(
             ],
         })
     });
-    let classify: ResponseClassifier = Rc::new(|payload| {
-        payload
-            .downcast_ref::<SagaOutcome>()
-            .is_some_and(|o| o.committed)
-    });
     sim.spawn(
         n3,
         "load",
-        ClosedLoopGen::factory(
-            orchestrator,
-            factory,
-            classify,
-            ClosedLoopConfig {
-                clients: params.clients,
-                limit: Some(params.transfers),
-                metric: "cell".into(),
-                ..ClosedLoopConfig::default()
-            },
-        ),
+        ClosedLoopGen::factory(orchestrator, factory, saga_classifier(), cell_loop(params)),
     );
     if let Some((crash, restart)) = outage {
         sim.schedule_crash(crash, n2);
@@ -358,24 +359,16 @@ fn run_2pc_cell(params: &CellParams) -> (CellReport, Sim) {
             ],
         })
     });
-    let classify: ResponseClassifier = Rc::new(|payload| {
-        payload
-            .downcast_ref::<DtxOutcome>()
-            .is_some_and(|o| o.committed)
-    });
     sim.spawn(
         n4,
         "load",
         ClosedLoopGen::factory(
             coordinator,
             factory,
-            classify,
+            dtx_classifier(),
             ClosedLoopConfig {
-                clients: params.clients,
-                limit: Some(params.transfers),
-                metric: "cell".into(),
                 retry: RetryPolicy::at_most_once(SimDuration::from_secs(20)),
-                ..ClosedLoopConfig::default()
+                ..cell_loop(params)
             },
         ),
     );
@@ -409,110 +402,21 @@ fn run_2pc_cell(params: &CellParams) -> (CellReport, Sim) {
 
 // --- actors ------------------------------------------------------------------
 
-/// Driver issuing transfers over actors: plain (debit;credit — no
-/// atomicity) or transactional (TxnCoordinator).
-struct ActorTransferDriver {
-    router: ActorRouter,
-    params: CellParams,
-    transactional: bool,
-    issued: u64,
-    outstanding: u64,
-    /// tag → (started, is_second_leg, from, to)
-    started: HashMap<u64, (tca_sim::SimTime, bool, u64, u64)>,
-    next_tag: u64,
-}
-
-impl ActorTransferDriver {
-    fn issue(&mut self, ctx: &mut Ctx) {
-        while self.outstanding < self.params.clients as u64 && self.issued < self.params.transfers {
-            self.issued += 1;
-            self.outstanding += 1;
-            self.next_tag += 1;
-            let tag = self.next_tag;
-            let (from, to) = pick_pair(ctx.rng(), &self.params);
-            self.started.insert(tag, (ctx.now(), false, from, to));
-            if self.transactional {
-                let txid = format!("tx{}", self.issued);
-                self.router.invoke(
-                    ctx,
-                    ActorId::new("txncoord", txid.clone()),
-                    "run",
-                    transfer_plan(&txid, &from.to_string(), &to.to_string(), 1),
-                    tag,
-                );
-            } else {
-                self.router.invoke(
-                    ctx,
-                    ActorId::new("account", from.to_string()),
-                    "debit",
-                    vec![Value::Int(1)],
-                    tag,
-                );
-            }
-        }
-    }
-
-    fn complete(&mut self, ctx: &mut Ctx, tag: u64, ok: bool) {
-        let Some((start, second_leg, _from, to)) = self.started.remove(&tag) else {
-            return;
-        };
-        if !self.transactional && ok && !second_leg {
-            // Plain actors: fire the credit leg.
-            self.next_tag += 1;
-            let tag2 = self.next_tag;
-            self.started.insert(tag2, (start, true, 0, to));
-            self.router.invoke(
-                ctx,
-                ActorId::new("account", to.to_string()),
-                "credit",
-                vec![Value::Int(1)],
-                tag2,
-            );
-            return;
-        }
-        self.outstanding -= 1;
-        self.issue(ctx);
-        let finished = self.issued >= self.params.transfers && self.outstanding == 0;
-        record_completion(ctx, "cell", Some(start), ok, finished);
-    }
-
-    fn absorb(&mut self, ctx: &mut Ctx, completions: Vec<ActorCompletion>) {
-        for completion in completions {
-            let ok = completion.result.is_ok();
-            self.complete(ctx, completion.user_tag, ok);
-        }
-    }
-}
-
-impl Process for ActorTransferDriver {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        self.issue(ctx);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
-        let completions = self.router.on_message(ctx, &payload);
-        self.absorb(ctx, completions);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
-        if let Some(completions) = self.router.on_timer(ctx, tag) {
-            self.absorb(ctx, completions);
-        }
-    }
-}
-
-fn run_actor_cell(params: &CellParams, transactional: bool) -> (CellReport, Sim) {
-    let mut sim = cell_sim(params);
+/// The actor deployment of both actor cells and of E12: a directory, a
+/// state database and two persistent silos of transactional bank accounts
+/// (opening balance 1000), each process on a node of its own.
+/// Returns the directory and the two silo nodes.
+pub fn deploy_actor_bank(sim: &mut Sim) -> (ProcessId, [NodeId; 2]) {
     let nd = sim.add_node();
     let ndb = sim.add_node();
-    let ns1 = sim.add_node();
-    let ns2 = sim.add_node();
-    let nc = sim.add_node();
+    let silo_nodes = [sim.add_node(), sim.add_node()];
     let directory = sim.spawn(nd, "dir", Directory::factory(DirectoryConfig::default()));
     let db = sim.spawn(
         ndb,
         "state-db",
         DbServer::factory("statedb", DbServerConfig::default(), actor_state_registry()),
     );
-    for (i, node) in [ns1, ns2].into_iter().enumerate() {
+    for (i, node) in silo_nodes.into_iter().enumerate() {
         sim.spawn(
             node,
             format!("silo{i}"),
@@ -522,18 +426,40 @@ fn run_actor_cell(params: &CellParams, transactional: bool) -> (CellReport, Sim)
             ),
         );
     }
+    (directory, silo_nodes)
+}
+
+/// Transfers over actors: plain (debit, then credit — no atomicity) or
+/// transactional (one `run` on a fresh `txncoord` actor).
+fn run_actor_cell(params: &CellParams, transactional: bool) -> (CellReport, Sim) {
+    let mut sim = cell_sim(params);
+    let (directory, _) = deploy_actor_bank(&mut sim);
+    let nc = sim.add_node();
     let p = params.clone();
-    sim.spawn(nc, "driver", move |_| {
-        Box::new(ActorTransferDriver {
-            router: ActorRouter::new(directory),
-            params: p.clone(),
-            transactional,
-            issued: 0,
-            outstanding: 0,
-            started: HashMap::default(),
-            next_tag: 0,
-        })
+    let issued = Cell::new(0u64);
+    let request: ActorRequestFactory = Rc::new(move |rng| {
+        let (from, to) = pick_pair(rng, &p);
+        if transactional {
+            issued.set(issued.get() + 1);
+            let txid = format!("tx{}", issued.get());
+            let plan = transfer_plan(&txid, &from.to_string(), &to.to_string(), 1);
+            vec![(ActorId::new("txncoord", txid), "run".into(), plan)]
+        } else {
+            let leg = |account: u64, method: &str| {
+                (
+                    ActorId::new("account", account.to_string()),
+                    method.to_owned(),
+                    vec![Value::Int(1)],
+                )
+            };
+            vec![leg(from, "debit"), leg(to, "credit")]
+        }
     });
+    sim.spawn(
+        nc,
+        "driver",
+        ActorClosedLoop::factory(directory, request, params.clients, params.transfers, "cell"),
+    );
     sim.run_for(params.budget);
     let label = if transactional {
         "actors+txn"
@@ -608,95 +534,40 @@ fn statefun_bank_app(locked: bool) -> StatefunApp {
     }
 }
 
-/// Driver for statefun transfers (needs shard routing per instance key).
-struct StatefunDriver {
-    shards: Vec<ProcessId>,
-    rpc: tca_messaging::rpc::RpcClient,
-    params: CellParams,
-    issued: u64,
-    outstanding: u64,
-    started: HashMap<u64, tca_sim::SimTime>,
-    next_tag: u64,
-}
-
-impl StatefunDriver {
-    fn issue(&mut self, ctx: &mut Ctx) {
-        while self.outstanding < self.params.clients as u64 && self.issued < self.params.transfers {
-            self.issued += 1;
-            self.outstanding += 1;
-            self.next_tag += 1;
-            let tag = self.next_tag;
-            let (from, to) = pick_pair(ctx.rng(), &self.params);
-            let instance = format!("t{}", self.issued);
-            let shard = self.shards[key_shard(&instance, self.shards.len())];
-            self.started.insert(tag, ctx.now());
-            self.rpc.call(
-                ctx,
-                shard,
-                Payload::new(StartOrchestration {
-                    name: "transfer".into(),
-                    instance,
-                    input: vec![
-                        Value::Str(from.to_string()),
-                        Value::Str(to.to_string()),
-                        Value::Int(1),
-                    ],
-                }),
-                RetryPolicy::retrying(6, SimDuration::from_millis(50)),
-                tag,
-            );
-        }
-    }
-
-    fn complete(&mut self, ctx: &mut Ctx, tag: u64, ok: bool) {
-        let started = self.started.remove(&tag);
-        self.outstanding -= 1;
-        self.issue(ctx);
-        let finished = self.issued >= self.params.transfers && self.outstanding == 0;
-        record_completion(ctx, "cell", started, ok, finished);
-    }
-}
-
-impl Process for StatefunDriver {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        self.issue(ctx);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
-        if let Some(tca_messaging::rpc::RpcEvent::Reply { user_tag, body, .. }) =
-            self.rpc.on_message(ctx, &payload)
-        {
-            let ok = body
-                .downcast_ref::<tca_models::statefun::OrchestrationResult>()
-                .is_some_and(|r| r.result.is_ok());
-            self.complete(ctx, user_tag, ok);
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
-        if let Some(Some(tca_messaging::rpc::RpcEvent::Failed { user_tag, .. })) =
-            self.rpc.on_timer(ctx, tag)
-        {
-            self.complete(ctx, user_tag, false);
-        }
-    }
-}
-
 fn run_statefun_cell(params: &CellParams, locked: bool) -> (CellReport, Sim) {
     let mut sim = cell_sim(params);
     let nodes = sim.add_nodes(2);
     let shards = spawn_shards(&mut sim, &nodes, &statefun_bank_app(locked), 2);
     let nc = sim.add_node();
     let p = params.clone();
-    sim.spawn(nc, "driver", move |_| {
-        Box::new(StatefunDriver {
-            shards: shards.clone(),
-            rpc: tca_messaging::rpc::RpcClient::new(),
-            params: p.clone(),
-            issued: 0,
-            outstanding: 0,
-            started: HashMap::default(),
-            next_tag: 0,
-        })
+    let issued = Cell::new(0u64);
+    // An orchestration lives on the shard owning its instance key.
+    let route: RequestRouter = Rc::new(move |rng| {
+        let (from, to) = pick_pair(rng, &p);
+        issued.set(issued.get() + 1);
+        StartOrchestration {
+            name: "transfer".into(),
+            instance: format!("t{}", issued.get()),
+            input: vec![
+                Value::Str(from.to_string()),
+                Value::Str(to.to_string()),
+                Value::Int(1),
+            ],
+        }
+        .route(&shards)
     });
+    sim.spawn(
+        nc,
+        "driver",
+        ClosedLoopGen::routed(
+            route,
+            orchestration_classifier(),
+            ClosedLoopConfig {
+                retry: RetryPolicy::retrying(6, SimDuration::from_millis(50)),
+                ..cell_loop(params)
+            },
+        ),
+    );
     sim.run_for(params.budget);
     let label = if locked {
         "statefun+locks"
@@ -735,24 +606,16 @@ fn run_deterministic_cell(params: &CellParams) -> (CellReport, Sim) {
             read_keys: vec![from_key, to_key],
         })
     });
-    let classify: ResponseClassifier = Rc::new(|payload| {
-        payload
-            .downcast_ref::<TxnOutcome>()
-            .is_some_and(|o| o.result.is_ok())
-    });
     sim.spawn(
         nc,
         "load",
         ClosedLoopGen::factory(
             sequencer,
             factory,
-            classify,
+            txn_classifier(),
             ClosedLoopConfig {
-                clients: params.clients,
-                limit: Some(params.transfers),
-                metric: "cell".into(),
                 retry: RetryPolicy::at_most_once(SimDuration::from_secs(20)),
-                ..ClosedLoopConfig::default()
+                ..cell_loop(params)
             },
         ),
     );

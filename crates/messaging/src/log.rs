@@ -70,11 +70,6 @@ impl TopicStore {
             });
     }
 
-    /// True if the topic exists.
-    pub fn has_topic(&self, topic: &str) -> bool {
-        self.inner.borrow().topics.contains_key(topic)
-    }
-
     /// Number of partitions of `topic`, if it exists.
     pub fn partition_count(&self, topic: &str) -> Option<u32> {
         self.inner

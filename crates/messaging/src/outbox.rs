@@ -110,13 +110,7 @@ impl Process for OutboxRelay {
                     ctx.metrics().incr("outbox.published", 1);
                     ctx.send(
                         self.config.db,
-                        Payload::new(DbMsg {
-                            token: 0,
-                            req: DbRequest::Call {
-                                proc: "outbox_remove".into(),
-                                args: vec![Value::Str(key)],
-                            },
-                        }),
+                        Payload::new(DbMsg::call("outbox_remove", vec![Value::Str(key)])),
                     );
                 }
             }
@@ -169,13 +163,7 @@ mod tests {
             for i in 0..self.n {
                 ctx.send(
                     self.db,
-                    Payload::new(DbMsg {
-                        token: 0,
-                        req: DbRequest::Call {
-                            proc: "place_order".into(),
-                            args: vec![Value::Int(i)],
-                        },
-                    }),
+                    Payload::new(DbMsg::call("place_order", vec![Value::Int(i)])),
                 );
             }
         }

@@ -25,7 +25,7 @@ use tca_messaging::rpc::{reply_to, RetryPolicy, RpcClient, RpcEvent, RpcRequest}
 use tca_sim::{
     Boot, Ctx, Payload, Process, ProcessId, RecentWindow, SimDuration, SimTime, SpanId, SpanKind,
 };
-use tca_storage::{DbMsg, DbReply, DbRequest, DbResponse, ProcRegistry, Value};
+use tca_storage::{DbMsg, DbReply, DbResponse, ProcRegistry, Value};
 
 /// An actor's logical identity: type plus key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -563,13 +563,6 @@ pub struct SiloConfig {
     pub state_db: Option<ProcessId>,
     /// Heartbeat period.
     pub heartbeat_interval: SimDuration,
-    /// Deactivate activations idle for this long (None = never).
-    pub idle_deactivate: Option<SimDuration>,
-    /// Bulkhead: cap on invocations queued + executing per actor *class*
-    /// (type name) on this silo. Beyond it, new invocations are rejected
-    /// immediately with an error — one noisy actor type saturating the
-    /// silo cannot starve the others. `None` (default) = unbounded.
-    pub bulkhead: Option<usize>,
 }
 
 impl SiloConfig {
@@ -579,15 +572,7 @@ impl SiloConfig {
             directory,
             state_db: None,
             heartbeat_interval: SimDuration::from_millis(5),
-            idle_deactivate: None,
-            bulkhead: None,
         }
-    }
-
-    /// Cap concurrent invocations per actor class; see `bulkhead`.
-    pub fn with_bulkhead(mut self, limit: usize) -> Self {
-        self.bulkhead = Some(limit);
-        self
     }
 
     /// Persistent-actor silo writing state through to `db`.
@@ -613,7 +598,6 @@ pub fn actor_state_registry() -> ProcRegistry {
 }
 
 const HEARTBEAT_TAG: u64 = 0x51_0001;
-const IDLE_SWEEP_TAG: u64 = 0x51_0002;
 
 struct QueuedInvoke {
     method: String,
@@ -640,7 +624,6 @@ struct Activation {
     phase: Phase,
     queue: VecDeque<QueuedInvoke>,
     current: Option<QueuedInvoke>,
-    last_used: SimTime,
 }
 
 /// Tag kinds for silo-internal async completions.
@@ -721,7 +704,6 @@ impl ActorSilo {
                 phase,
                 queue: VecDeque::new(),
                 current: None,
-                last_used: ctx.now(),
             },
         );
         ctx.metrics().incr("actor.activations", 1);
@@ -732,13 +714,10 @@ impl ActorSilo {
             self.db_rpc.call(
                 ctx,
                 db,
-                Payload::new(DbMsg {
-                    token: 0,
-                    req: DbRequest::Call {
-                        proc: "actor_get".into(),
-                        args: vec![Value::Str(Self::state_key(id))],
-                    },
-                }),
+                Payload::new(DbMsg::call(
+                    "actor_get",
+                    vec![Value::Str(Self::state_key(id))],
+                )),
                 RetryPolicy::retrying(6, SimDuration::from_millis(5)),
                 tag,
             );
@@ -775,13 +754,10 @@ impl ActorSilo {
                         self.db_rpc.call(
                             ctx,
                             db,
-                            Payload::new(DbMsg {
-                                token: 0,
-                                req: DbRequest::Call {
-                                    proc: "actor_put".into(),
-                                    args: vec![Value::Str(Self::state_key(id)), state],
-                                },
-                            }),
+                            Payload::new(DbMsg::call(
+                                "actor_put",
+                                vec![Value::Str(Self::state_key(id)), state],
+                            )),
                             RetryPolicy::retrying(6, SimDuration::from_millis(5)),
                             tag,
                         );
@@ -832,7 +808,6 @@ impl ActorSilo {
         };
         let job = activation.current.take();
         activation.phase = Phase::Idle;
-        activation.last_used = ctx.now();
         if let Some(job) = job {
             // Record the outcome before replying so a duplicate of this
             // request replays the reply rather than re-executing.
@@ -955,9 +930,6 @@ impl Process for ActorSilo {
     fn on_start(&mut self, ctx: &mut Ctx) {
         ctx.send(self.config.directory, Payload::new(SiloHeartbeat));
         ctx.set_timer(self.config.heartbeat_interval, HEARTBEAT_TAG);
-        if self.config.idle_deactivate.is_some() {
-            ctx.set_timer(SimDuration::from_millis(50), IDLE_SWEEP_TAG);
-        }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
@@ -1007,33 +979,6 @@ impl Process for ActorSilo {
             }
             None => {}
         }
-        // Bulkhead: reject when this actor class already has `limit`
-        // invocations queued or executing on the silo. Rejected calls are
-        // not remembered in `recent_invokes` — a retry after the backlog
-        // drains deserves a fresh admission decision.
-        if let Some(limit) = self.config.bulkhead {
-            let in_flight: usize = self
-                .activations
-                .iter()
-                .filter(|(id, _)| id.type_name == invoke.id.type_name)
-                .map(|(_, a)| a.queue.len() + usize::from(a.current.is_some()))
-                .sum();
-            if in_flight >= limit {
-                ctx.metrics().incr("actor.bulkhead_rejected", 1);
-                reply_to(
-                    ctx,
-                    from,
-                    request,
-                    Payload::new(ActorOutcome {
-                        result: Err(format!(
-                            "bulkhead: actor class `{}` at capacity",
-                            invoke.id.type_name
-                        )),
-                    }),
-                );
-                return;
-            }
-        }
         if !self.ensure_activation(ctx, &invoke.id) {
             reply_to(
                 ctx,
@@ -1064,23 +1009,6 @@ impl Process for ActorSilo {
         if tag == HEARTBEAT_TAG {
             ctx.send(self.config.directory, Payload::new(SiloHeartbeat));
             ctx.set_timer(self.config.heartbeat_interval, HEARTBEAT_TAG);
-            return;
-        }
-        if tag == IDLE_SWEEP_TAG {
-            if let Some(idle_after) = self.config.idle_deactivate {
-                let now = ctx.now();
-                let before = self.activations.len();
-                self.activations.retain(|_, a| {
-                    !(matches!(a.phase, Phase::Idle)
-                        && a.queue.is_empty()
-                        && now.since(a.last_used) > idle_after)
-                });
-                let evicted = before - self.activations.len();
-                if evicted > 0 {
-                    ctx.metrics().incr("actor.deactivations", evicted as u64);
-                }
-                ctx.set_timer(SimDuration::from_millis(50), IDLE_SWEEP_TAG);
-            }
             return;
         }
         if let Some(completions) = self.router.on_timer(ctx, tag) {

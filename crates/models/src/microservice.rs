@@ -21,7 +21,6 @@ use tca_sim::DetHashMap as HashMap;
 use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, SimDuration};
 use tca_storage::{DbMsg, DbReply, DbRequest, DbResponse, Value};
 
-use tca_messaging::idempotency::{Dedup, IdempotencyStore};
 use tca_messaging::rpc::{reply_to, RetryPolicy, RpcClient, RpcEvent, RpcRequest};
 
 /// A call to a service endpoint (the body of an [`RpcRequest`]).
@@ -166,10 +165,6 @@ impl Endpoint {
 pub struct ServiceConfig {
     /// Retry policy for downstream calls (DB and service-to-service).
     pub downstream_retry: RetryPolicy,
-    /// Deduplicate incoming requests by rpc call id (idempotent receiver).
-    pub dedup_requests: bool,
-    /// Dedup window size.
-    pub dedup_window: usize,
     /// Simulated handler compute time charged before the first step.
     pub handler_latency: SimDuration,
 }
@@ -178,8 +173,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             downstream_retry: RetryPolicy::retrying(5, SimDuration::from_millis(10)),
-            dedup_requests: false,
-            dedup_window: 65_536,
             handler_latency: SimDuration::from_micros(10),
         }
     }
@@ -202,8 +195,6 @@ pub struct Microservice {
     /// In-flight requests keyed by a local invocation id (= rpc user_tag).
     active: HashMap<u64, Invocation>,
     next_invocation: u64,
-    /// Tokens for DB calls: token → invocation id.
-    dedup: IdempotencyStore,
 }
 
 impl Microservice {
@@ -223,7 +214,6 @@ impl Microservice {
                 rpc: RpcClient::new(),
                 active: HashMap::default(),
                 next_invocation: 0,
-                dedup: IdempotencyStore::new(config.dedup_window),
             })
         }
     }
@@ -234,10 +224,6 @@ impl Microservice {
         };
         let ok = result.is_ok();
         let reply = Payload::new(ServiceReply { result });
-        if self.config.dedup_requests {
-            self.dedup
-                .record(inv.requester, inv.request.call_id, Some(reply.clone()));
-        }
         reply_to(ctx, inv.requester, &inv.request, reply);
         let metric = if ok { "ok" } else { "err" };
         ctx.metrics()
@@ -418,15 +404,6 @@ impl Process for Microservice {
         let Some(call) = request.body.downcast_ref::<ServiceCall>() else {
             return;
         };
-        if self.config.dedup_requests {
-            if let Dedup::Duplicate(cached) = self.dedup.check(from, request.call_id) {
-                if let Some(reply) = cached {
-                    reply_to(ctx, from, request, reply);
-                }
-                ctx.metrics().incr(&format!("svc.{}.deduped", self.name), 1);
-                return;
-            }
-        }
         if !self.endpoints.contains_key(&call.endpoint) {
             reply_to(
                 ctx,
@@ -600,13 +577,7 @@ mod tests {
         // Seed stock for item 1.
         sim.inject(
             db,
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Call {
-                    proc: "seed".into(),
-                    args: vec![Value::Int(1), Value::Int(3)],
-                },
-            }),
+            Payload::new(DbMsg::call("seed", vec![Value::Int(1), Value::Int(3)])),
         );
         let mut inv_endpoints = HashMap::default();
         inv_endpoints.insert(

@@ -248,6 +248,16 @@ pub struct StartOrchestration {
     pub input: Vec<Value>,
 }
 
+impl StartOrchestration {
+    /// Where a client sends this start — the shard of `shards` (as
+    /// returned by [`spawn_shards`]) that owns the instance key — and the
+    /// request body to send there.
+    pub fn route(self, shards: &[ProcessId]) -> (ProcessId, Payload) {
+        let shard = shards[key_shard(&self.instance, shards.len())];
+        (shard, Payload::new(self))
+    }
+}
+
 /// Orchestration completion (inside an `RpcReply`).
 #[derive(Debug, Clone)]
 pub struct OrchestrationResult {
@@ -1111,11 +1121,11 @@ mod tests {
     impl Process for Starter {
         fn on_start(&mut self, ctx: &mut Ctx) {
             for (i, start) in self.plan.clone().into_iter().enumerate() {
-                let shard = self.shards[key_shard(&start.instance, self.shards.len())];
+                let (shard, body) = start.route(&self.shards);
                 self.rpc.call(
                     ctx,
                     shard,
-                    Payload::new(start),
+                    body,
                     RetryPolicy::retrying(10, SimDuration::from_millis(20)),
                     i as u64,
                 );

@@ -428,19 +428,9 @@ impl Sim {
         &mut self.metrics
     }
 
-    /// The deterministic RNG (harness-side draws share the stream).
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-
     /// The causal span tracer (query API: spans, trees, breakdowns).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Mutable tracer access for harnesses.
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
     }
 
     /// Enable or disable span tracing. Safe to toggle mid-run; recording

@@ -88,6 +88,11 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
+    /// Milliseconds as a float (for reporting only).
+    pub fn as_millis_f64(self) -> f64 {
+        self.0 as f64 / 1e6
+    }
+
     /// Multiply by a float factor, rounding to the nearest nanosecond.
     /// Useful for jitter and backoff computations.
     pub fn mul_f64(self, f: f64) -> SimDuration {

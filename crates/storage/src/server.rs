@@ -95,6 +95,30 @@ pub struct DbMsg {
     pub req: DbRequest,
 }
 
+impl DbMsg {
+    /// A [`DbRequest::Load`] of `pairs` under token 0: the envelope
+    /// harnesses inject to seed a database.
+    pub fn load(pairs: Vec<(Key, Value)>) -> Self {
+        DbMsg {
+            token: 0,
+            req: DbRequest::Load { pairs },
+        }
+    }
+
+    /// A [`DbRequest::Call`] of stored procedure `proc` under token 0:
+    /// the envelope of every caller that matches replies by rpc call id
+    /// rather than by token.
+    pub fn call(proc: impl Into<String>, args: Vec<Value>) -> Self {
+        DbMsg {
+            token: 0,
+            req: DbRequest::Call {
+                proc: proc.into(),
+                args,
+            },
+        }
+    }
+}
+
 /// Server response body.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DbResponse {
@@ -474,11 +498,6 @@ impl DbServer {
                 );
             }
         }
-    }
-
-    /// Direct engine access for in-process audits (test support).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
     }
 
     /// Shared engine access for harness-side audits (via `Sim::inspect`).

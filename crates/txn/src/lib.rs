@@ -70,4 +70,4 @@ pub use workflow::{
     GcWatermark, StartWorkflow, StepOutcome, StepReq, WorkflowConfig, WorkflowDef,
     WorkflowDeployment, WorkflowOrchestrator, WorkflowOutcome, WorkflowStep, WorkflowWorker,
 };
-pub use worlds::{bank_registry, World};
+pub use worlds::{bank_registry, bank_registry_from, transfer_saga, World};

@@ -20,7 +20,7 @@ use tca_sim::DetHashMap as HashMap;
 use tca_messaging::rpc::{reply_to, RetryPolicy, RpcClient, RpcEvent, RpcRequest};
 use tca_models::microservice::Vars;
 use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, SimDuration, SpanId, SpanKind};
-use tca_storage::{DbMsg, DbReply, DbRequest, DbResponse, Value};
+use tca_storage::{DbMsg, DbReply, DbResponse, Value};
 
 /// Argument builder over the saga's variable context.
 pub type ArgsFn = Rc<dyn Fn(&Vars) -> Vec<Value>>;
@@ -312,10 +312,7 @@ impl SagaOrchestrator {
             self.rpc.call_with_id(
                 ctx,
                 db,
-                Payload::new(DbMsg {
-                    token: 0,
-                    req: DbRequest::Call { proc, args },
-                }),
+                Payload::new(DbMsg::call(proc, args)),
                 self.retry,
                 id,
                 wire_id,
@@ -514,7 +511,7 @@ mod tests {
     use super::*;
     use crate::worlds::{checkout_saga, payment_registry, stock_registry};
     use tca_sim::Sim;
-    use tca_storage::{DbServer, DbServerConfig};
+    use tca_storage::{DbRequest, DbServer, DbServerConfig};
 
     /// Scripted saga client.
     struct Client {
@@ -567,23 +564,17 @@ mod tests {
         );
         sim.inject(
             stock_db,
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Call {
-                    proc: "seed".into(),
-                    args: vec![Value::from("item1"), Value::Int(stock_qty)],
-                },
-            }),
+            Payload::new(DbMsg::call(
+                "seed",
+                vec![Value::from("item1"), Value::Int(stock_qty)],
+            )),
         );
         sim.inject(
             pay_db,
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Call {
-                    proc: "seed".into(),
-                    args: vec![Value::from("alice"), Value::Int(balance)],
-                },
-            }),
+            Payload::new(DbMsg::call(
+                "seed",
+                vec![Value::from("alice"), Value::Int(balance)],
+            )),
         );
         let orchestrator = sim.spawn(
             n3,
@@ -700,23 +691,17 @@ mod tests {
         );
         sim.inject(
             stock_db,
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Call {
-                    proc: "seed".into(),
-                    args: vec![Value::from("item1"), Value::Int(50)],
-                },
-            }),
+            Payload::new(DbMsg::call(
+                "seed",
+                vec![Value::from("item1"), Value::Int(50)],
+            )),
         );
         sim.inject(
             pay_db,
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Call {
-                    proc: "seed".into(),
-                    args: vec![Value::from("alice"), Value::Int(1000)],
-                },
-            }),
+            Payload::new(DbMsg::call(
+                "seed",
+                vec![Value::from("alice"), Value::Int(1000)],
+            )),
         );
         let mut full = SagaOrchestrator::factory(vec![checkout_saga(stock_db, pay_db)]);
         let mut empty = SagaOrchestrator::factory(vec![]);

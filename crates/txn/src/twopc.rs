@@ -180,7 +180,6 @@ pub struct TwoPcParticipant {
     engine: Engine,
     registry: Rc<ProcRegistry>,
     branches: HashMap<u64, Branch>,
-    seed: Rc<Vec<(tca_storage::Key, Value)>>,
     /// Durable set of prepared txids (survives participant crash; on
     /// recovery these remain in doubt — simplified: we only journal,
     /// full prepared-state recovery is out of scope).
@@ -232,7 +231,6 @@ impl TwoPcParticipant {
                 engine,
                 registry: Rc::clone(&registry),
                 branches: HashMap::default(),
-                seed: Rc::clone(&seed),
                 prepared_log,
                 recently_decided: RecentWindow::new(RECENTLY_DECIDED_CAP),
             })
@@ -296,11 +294,6 @@ impl TwoPcParticipant {
     /// Direct engine peek for tests.
     pub fn engine(&self) -> &Engine {
         &self.engine
-    }
-
-    /// The seed data this participant boots with.
-    pub fn seed_len(&self) -> usize {
-        self.seed.len()
     }
 }
 

@@ -32,7 +32,7 @@ use tca_sim::place::FNV_OFFSET;
 use tca_sim::{
     Ctx, FaultPlan, Fnv64, NodeId, Payload, Process, ProcessId, ShardMap, Sim, SimDuration, SimTime,
 };
-use tca_storage::{DbMsg, DbRequest, DbServer, DbServerConfig, ProcRegistry, Value};
+use tca_storage::{DbMsg, DbServer, DbServerConfig, ProcRegistry, Value};
 
 use crate::actor_txn::{transactional_bank_registry, transfer_plan};
 use crate::dataflow::{deploy_dataflow, DataflowConfig, DfSequencer, DfShard};
@@ -129,24 +129,50 @@ pub(crate) fn fnv_bytes(seed: u64, bytes: &[u8]) -> u64 {
 /// fails with `insufficient` below zero, `credit(key, n)` always applies;
 /// an absent account reads as 0.
 pub fn bank_registry() -> ProcRegistry {
+    bank_registry_from(0)
+}
+
+/// [`bank_registry`] over accounts that start with `initial`: an account
+/// never written reads as that, so a deployment needs no load phase (the
+/// [`crate::deterministic::transfer_registry_from`] convention).
+pub fn bank_registry_from(initial: i64) -> ProcRegistry {
     ProcRegistry::new()
-        .with("debit", |tx, args| {
+        .with("debit", move |tx, args| {
             let key = args[0].as_str().to_owned();
             let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
+            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(initial);
             if balance < amount {
                 return Err("insufficient".into());
             }
             tx.put(&key, Value::Int(balance - amount));
             Ok(vec![Value::Int(balance - amount)])
         })
-        .with("credit", |tx, args| {
+        .with("credit", move |tx, args| {
             let key = args[0].as_str().to_owned();
             let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
+            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(initial);
             tx.put(&key, Value::Int(balance + amount));
             Ok(vec![Value::Int(balance + amount)])
         })
+}
+
+/// The transfer saga over a [`bank_registry`] database (or a router in
+/// front of several): `StartSaga { saga: "transfer", args: [from, to,
+/// amount] }` debits `from`, then credits `to`; a failed credit
+/// compensates the debit.
+pub fn transfer_saga(db: ProcessId) -> SagaDef {
+    SagaDef {
+        name: "transfer".into(),
+        steps: vec![
+            SagaStep::new("debit", db, "debit", |v| {
+                vec![v.get("$0").clone(), v.get("$2").clone()]
+            })
+            .compensate("credit", |v| vec![v.get("$0").clone(), v.get("$2").clone()]),
+            SagaStep::new("credit", db, "credit", |v| {
+                vec![v.get("$1").clone(), v.get("$2").clone()]
+            }),
+        ],
+    }
 }
 
 /// Integer value of `key` in the store behind `pid` — a 2PC participant,
@@ -778,13 +804,10 @@ impl World for SagaWorld {
         ] {
             sim.inject(
                 db,
-                Payload::new(DbMsg {
-                    token: 0,
-                    req: DbRequest::Call {
-                        proc: "seed".into(),
-                        args: vec![Value::from(key), Value::Int(value)],
-                    },
-                }),
+                Payload::new(DbMsg::call(
+                    "seed",
+                    vec![Value::from(key), Value::Int(value)],
+                )),
             );
         }
         // A generous step-retry budget: the default 6×10 ms would exhaust

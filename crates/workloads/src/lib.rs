@@ -11,9 +11,17 @@
 //!   runtime, with marker-based double-apply audits (experiment E21).
 //! - [`rmw`] — interactive read-modify-write clients exposing isolation
 //!   anomalies (over-selling).
-//! - [`loadgen`] — closed-loop vs. open-loop (Poisson) generators.
-//! - [`overload`] — phased open-loop overload driver with deadlines,
-//!   retry budgets, and circuit breakers (experiment E17).
+//! - [`loadgen`] — the closed loops (over RPC, fixed or per-request
+//!   target; over the actor runtime), the reply classifiers and the
+//!   result summary every experiment reads.
+//! - [`overload`] — the open loop: Poisson arrivals on a phased rate
+//!   schedule with deadlines, retry budgets, and circuit breakers
+//!   (experiments E10 and E17).
+//!
+//! A load loop is written in [`loadgen`] or [`overload`] and nowhere
+//! else: the function that stamps results is private to `loadgen`, so a
+//! new client protocol is a new loop there, and a new experiment is a
+//! deployment plus a request closure for one of the existing loops.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -29,8 +37,8 @@ pub mod ycsb;
 
 pub use chain::ChainWorkload;
 pub use loadgen::{
-    db_classifier, record_completion, ClosedLoopConfig, ClosedLoopGen, KeyChooser, LoadSummary,
-    OpenLoopConfig, OpenLoopGen, PairChooser, RequestFactory, ResponseClassifier,
+    db_classifier, ActorClosedLoop, ClosedLoopConfig, ClosedLoopGen, KeyChooser, LoadSummary,
+    PairChooser, RequestFactory, RequestRouter, ResponseClassifier,
 };
 pub use overload::{OverloadConfig, OverloadGen, OverloadPhase};
 pub use rmw::{RmwClient, RmwConfig};

@@ -1,25 +1,48 @@
-//! Load generation: closed-loop vs. open-loop clients (§5.3, citing
-//! Schroeder et al. \[56\] — "modeling request arrivals should consider
-//! systems' design goals and the cloud serving model used").
+//! Load generation: the client loops every comparative number comes out
+//! of (§5.3, citing Schroeder et al. \[56\] — "modeling request arrivals
+//! should consider systems' design goals and the cloud serving model
+//! used"). A comparison is only as good as its arrival model, so each
+//! model is written once:
 //!
-//! - **Closed loop**: `N` logical clients, each with at most one request
-//!   outstanding plus think time. Latency self-throttles throughput.
-//! - **Open loop**: Poisson arrivals at rate λ regardless of completions.
-//!   Beyond saturation, queues (and latencies) grow without bound — the
-//!   behaviour experiment E10 reproduces.
+//! - [`ClosedLoopGen`] — `N` logical clients over RPC, each with at most
+//!   one request outstanding plus think time; latency self-throttles
+//!   throughput. [`ClosedLoopGen::factory`] aims every request at one
+//!   target (a database, a saga orchestrator, a 2PC coordinator, the
+//!   dataflow sequencer, a service); [`ClosedLoopGen::routed`] lets the
+//!   request pick its target (statefun shards keyed by instance id).
+//! - [`ActorClosedLoop`] — the same loop over an
+//!   [`ActorRouter`]: the actor runtime answers through directory
+//!   lookups and re-routed invocations instead of one RPC reply, and a
+//!   request is a *sequence* of actor calls cut short by the first
+//!   failure (plain debit → credit, or a single `txncoord.run`).
+//! - The open loop — Poisson arrivals at rate λ regardless of
+//!   completions, so queues grow without bound past saturation — is
+//!   [`crate::overload::OverloadGen`]; a fixed rate is a one-phase
+//!   schedule (experiment E10).
 //!
-//! Both drive any RPC-enveloped target (database `Call`s, sagas, 2PC,
-//! deterministic transactions, service endpoints) through a payload
-//! factory and classify replies with a pluggable function.
+//! Both closed loops stamp results through one private
+//! `record_completion` and are read back with [`LoadSummary`] (the open
+//! loop judges completions against a deadline and counts goodput / late
+//! / err instead); replies are classified by the functions below.
+//! Interactive transactions ([`crate::rmw`]) are a different protocol,
+//! not a fourth loop.
 
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
 use tca_messaging::rpc::{RetryPolicy, RpcClient, RpcEvent};
+use tca_models::actor::{ActorCompletion, ActorId, ActorRouter};
+use tca_models::microservice::ServiceReply;
+use tca_models::statefun::OrchestrationResult;
 use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, Sim, SimDuration, SimRng, SimTime, Zipf};
+use tca_storage::{DbReply, DbResponse, Value};
+use tca_txn::{DtxOutcome, SagaOutcome, TxnOutcome};
 
 /// Builds one request payload (the body placed inside the RPC envelope).
 pub type RequestFactory = Rc<dyn Fn(&mut SimRng) -> Payload>;
+
+/// Builds one request and names the process it goes to.
+pub type RequestRouter = Rc<dyn Fn(&mut SimRng) -> (ProcessId, Payload)>;
 
 /// Shared entity/partition-key sampler: uniform or Zipfian over `0..n`.
 ///
@@ -153,17 +176,47 @@ impl PairChooser {
 /// Classifies a reply payload as success (`true`) or failure.
 pub type ResponseClassifier = Rc<dyn Fn(&Payload) -> bool>;
 
+/// A reply counts as success when it is a `T` that `ok` accepts.
+fn classifier<T: 'static>(ok: impl Fn(&T) -> bool + 'static) -> ResponseClassifier {
+    Rc::new(move |payload| payload.downcast_ref::<T>().is_some_and(&ok))
+}
+
 /// Standard classifier for database replies ([`tca_storage::DbReply`]).
 pub fn db_classifier() -> ResponseClassifier {
-    Rc::new(|payload| {
-        use tca_storage::{DbReply, DbResponse};
-        payload.downcast_ref::<DbReply>().is_some_and(|r| {
-            matches!(
-                r.resp,
-                DbResponse::CallOk { .. } | DbResponse::Committed { .. }
-            )
-        })
+    classifier(|r: &DbReply| {
+        matches!(
+            r.resp,
+            DbResponse::CallOk { .. } | DbResponse::Committed { .. }
+        )
     })
+}
+
+/// Saga replies ([`SagaOutcome`]): success = committed, not compensated.
+pub fn saga_classifier() -> ResponseClassifier {
+    classifier(|o: &SagaOutcome| o.committed)
+}
+
+/// 2PC replies ([`DtxOutcome`]): success = committed.
+pub fn dtx_classifier() -> ResponseClassifier {
+    classifier(|o: &DtxOutcome| o.committed)
+}
+
+/// Deterministic-engine replies ([`TxnOutcome`]): success = the
+/// procedure returned `Ok`.
+pub fn txn_classifier() -> ResponseClassifier {
+    classifier(|o: &TxnOutcome| o.result.is_ok())
+}
+
+/// Statefun replies ([`OrchestrationResult`]): success = the
+/// orchestration returned `Ok`.
+pub fn orchestration_classifier() -> ResponseClassifier {
+    classifier(|r: &OrchestrationResult| r.result.is_ok())
+}
+
+/// Microservice replies ([`ServiceReply`]): success = the endpoint
+/// returned `Ok`.
+pub fn service_classifier() -> ResponseClassifier {
+    classifier(|r: &ServiceReply| r.result.is_ok())
 }
 
 /// Record one finished request under `metric`: its latency (when the
@@ -171,7 +224,7 @@ pub fn db_classifier() -> ResponseClassifier {
 /// `<metric>.err`, and — once, when `finished` says the run's last
 /// request was just answered — the completion time `<metric>.done_at_us`
 /// over which [`LoadSummary::read`] computes throughput.
-pub fn record_completion(
+fn record_completion(
     ctx: &mut Ctx,
     metric: &str,
     started: Option<SimTime>,
@@ -193,8 +246,8 @@ pub fn record_completion(
     }
 }
 
-/// What a load generator recorded under one metric prefix (see
-/// [`record_completion`]), as the numbers experiments print.
+/// What a load generator recorded under one metric prefix, as the
+/// numbers experiments print.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadSummary {
     /// Requests that succeeded.
@@ -225,8 +278,8 @@ impl LoadSummary {
             ok: metrics.counter(&format!("{metric}.ok")),
             err: metrics.counter(&format!("{metric}.err")),
             seconds: seconds.max(1e-9),
-            p50_ms: latency.map(|h| h.p50().as_nanos() as f64 / 1e6),
-            p99_ms: latency.map(|h| h.p99().as_nanos() as f64 / 1e6),
+            p50_ms: latency.map(|h| h.p50().as_millis_f64()),
+            p99_ms: latency.map(|h| h.p99().as_millis_f64()),
         }
     }
 
@@ -265,10 +318,9 @@ impl Default for ClosedLoopConfig {
 
 const THINK_TAG: u64 = 0x10ad_0001;
 
-/// Closed-loop load generator process.
+/// Closed-loop load generator process over RPC.
 pub struct ClosedLoopGen {
-    target: ProcessId,
-    factory: RequestFactory,
+    route: RequestRouter,
     classify: ResponseClassifier,
     config: ClosedLoopConfig,
     rpc: RpcClient,
@@ -278,17 +330,26 @@ pub struct ClosedLoopGen {
 }
 
 impl ClosedLoopGen {
-    /// Process factory.
+    /// Process factory for a loop whose every request goes to `target`.
     pub fn factory(
         target: ProcessId,
         request: RequestFactory,
         classify: ResponseClassifier,
         config: ClosedLoopConfig,
     ) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
+        Self::routed(Rc::new(move |rng| (target, request(rng))), classify, config)
+    }
+
+    /// Process factory for a loop whose requests choose their own target:
+    /// `route` draws the request and returns where to send it.
+    pub fn routed(
+        route: RequestRouter,
+        classify: ResponseClassifier,
+        config: ClosedLoopConfig,
+    ) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
         move |_| {
             Box::new(ClosedLoopGen {
-                target,
-                factory: Rc::clone(&request),
+                route: Rc::clone(&route),
                 classify: Rc::clone(&classify),
                 config: config.clone(),
                 rpc: RpcClient::new(),
@@ -308,10 +369,9 @@ impl ClosedLoopGen {
         self.issued += 1;
         self.next_tag += 1;
         let tag = self.next_tag;
-        let body = (self.factory)(ctx.rng());
+        let (target, body) = (self.route)(ctx.rng());
         self.started.insert(tag, ctx.now());
-        self.rpc
-            .call(ctx, self.target, body, self.config.retry, tag);
+        self.rpc.call(ctx, target, body, self.config.retry, tag);
     }
 
     fn complete(&mut self, ctx: &mut Ctx, tag: u64, ok: bool) {
@@ -362,112 +422,114 @@ impl Process for ClosedLoopGen {
     }
 }
 
-/// Open-loop configuration.
-#[derive(Clone)]
-pub struct OpenLoopConfig {
-    /// Mean inter-arrival time (Poisson process): rate = 1 / this.
-    pub mean_interarrival: SimDuration,
-    /// Metric prefix.
-    pub metric: String,
-    /// Stop issuing after this many requests (None = forever).
-    pub limit: Option<u64>,
+/// One actor call: `(actor, method, arguments)`.
+pub type ActorCall = (ActorId, String, Vec<Value>);
+
+/// Builds one [`ActorClosedLoop`] request: the actor calls to run in
+/// order (at least one).
+pub type ActorRequestFactory = Rc<dyn Fn(&mut SimRng) -> Vec<ActorCall>>;
+
+/// A request part-way through its calls.
+struct ActorRequest {
+    started: SimTime,
+    rest: std::vec::IntoIter<ActorCall>,
 }
 
-impl Default for OpenLoopConfig {
-    fn default() -> Self {
-        OpenLoopConfig {
-            mean_interarrival: SimDuration::from_millis(1),
-            metric: "load".into(),
-            limit: None,
-        }
-    }
-}
-
-const ARRIVAL_TAG: u64 = 0x10ad_0002;
-
-/// Open-loop (Poisson) load generator process.
-pub struct OpenLoopGen {
-    target: ProcessId,
-    factory: RequestFactory,
-    classify: ResponseClassifier,
-    config: OpenLoopConfig,
-    rpc: RpcClient,
+/// Closed-loop load generator process over the actor runtime: `clients`
+/// requests outstanding until `limit` were issued, results under `metric`
+/// exactly as [`ClosedLoopGen`] records them.
+///
+/// A request's calls run one after the other; the first failure ends the
+/// request as failed *without* running the rest — which is how plain
+/// actors lose atomicity (the debit stays applied) and why a transactional
+/// request is a single call to a coordinator actor.
+pub struct ActorClosedLoop {
+    router: ActorRouter,
+    request: ActorRequestFactory,
+    clients: usize,
+    limit: u64,
+    metric: String,
     issued: u64,
-    started: HashMap<u64, SimTime>,
+    /// Tag of each request's running call → the request.
+    in_flight: HashMap<u64, ActorRequest>,
     next_tag: u64,
 }
 
-impl OpenLoopGen {
-    /// Process factory.
+impl ActorClosedLoop {
+    /// Process factory for a loop invoking through `directory`.
     pub fn factory(
-        target: ProcessId,
-        request: RequestFactory,
-        classify: ResponseClassifier,
-        config: OpenLoopConfig,
+        directory: ProcessId,
+        request: ActorRequestFactory,
+        clients: usize,
+        limit: u64,
+        metric: &str,
     ) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
+        let metric = metric.to_owned();
         move |_| {
-            Box::new(OpenLoopGen {
-                target,
-                factory: Rc::clone(&request),
-                classify: Rc::clone(&classify),
-                config: config.clone(),
-                rpc: RpcClient::new(),
+            Box::new(ActorClosedLoop {
+                router: ActorRouter::new(directory),
+                request: Rc::clone(&request),
+                clients,
+                limit,
+                metric: metric.clone(),
                 issued: 0,
-                started: HashMap::default(),
+                in_flight: HashMap::default(),
                 next_tag: 0,
             })
         }
     }
 
-    fn schedule_arrival(&mut self, ctx: &mut Ctx) {
-        let wait = ctx.rng().exponential(self.config.mean_interarrival);
-        ctx.set_timer(wait, ARRIVAL_TAG);
+    fn issue(&mut self, ctx: &mut Ctx) {
+        if self.issued >= self.limit {
+            return;
+        }
+        self.issued += 1;
+        let mut rest = (self.request)(ctx.rng()).into_iter();
+        let first = rest.next().expect("an actor request makes a call");
+        let started = ctx.now();
+        self.invoke(ctx, first, ActorRequest { started, rest });
     }
 
-    fn absorb(&mut self, ctx: &mut Ctx, event: RpcEvent) {
-        let (tag, ok) = match event {
-            RpcEvent::Reply { user_tag, body, .. } => (user_tag, (self.classify)(&body)),
-            RpcEvent::Failed { user_tag, .. } => (user_tag, false),
-        };
-        let started = self.started.remove(&tag);
-        record_completion(ctx, &self.config.metric, started, ok, false);
+    fn invoke(&mut self, ctx: &mut Ctx, (id, method, args): ActorCall, request: ActorRequest) {
+        self.next_tag += 1;
+        self.in_flight.insert(self.next_tag, request);
+        self.router.invoke(ctx, id, method, args, self.next_tag);
+    }
+
+    fn absorb(&mut self, ctx: &mut Ctx, completions: Vec<ActorCompletion>) {
+        for completion in completions {
+            let Some(mut request) = self.in_flight.remove(&completion.user_tag) else {
+                continue;
+            };
+            let ok = completion.result.is_ok();
+            if ok {
+                if let Some(next) = request.rest.next() {
+                    self.invoke(ctx, next, request);
+                    continue;
+                }
+            }
+            self.issue(ctx);
+            let finished = self.issued == self.limit && self.in_flight.is_empty();
+            record_completion(ctx, &self.metric, Some(request.started), ok, finished);
+        }
     }
 }
 
-impl Process for OpenLoopGen {
+impl Process for ActorClosedLoop {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        self.schedule_arrival(ctx);
+        for _ in 0..self.clients {
+            self.issue(ctx);
+        }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
-        if let Some(event) = self.rpc.on_message(ctx, &payload) {
-            self.absorb(ctx, event);
-        }
+        let completions = self.router.on_message(ctx, &payload);
+        self.absorb(ctx, completions);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
-        if tag == ARRIVAL_TAG {
-            if self.config.limit.is_none_or(|limit| self.issued < limit) {
-                self.issued += 1;
-                self.next_tag += 1;
-                let user_tag = self.next_tag;
-                let body = (self.factory)(ctx.rng());
-                self.started.insert(user_tag, ctx.now());
-                // Open loop: single attempt, generous timeout (we measure
-                // queueing, not retries).
-                self.rpc.call(
-                    ctx,
-                    self.target,
-                    body,
-                    RetryPolicy::at_most_once(SimDuration::from_secs(30)),
-                    user_tag,
-                );
-                self.schedule_arrival(ctx);
-            }
-            return;
-        }
-        if let Some(Some(event)) = self.rpc.on_timer(ctx, tag) {
-            self.absorb(ctx, event);
+        if let Some(completions) = self.router.on_timer(ctx, tag) {
+            self.absorb(ctx, completions);
         }
     }
 }
@@ -475,16 +537,19 @@ impl Process for OpenLoopGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tca_sim::Sim;
-    use tca_storage::{DbMsg, DbRequest, DbServer, DbServerConfig, ProcRegistry, Value};
+    use std::cell::{Cell, RefCell};
+    use tca_models::actor::{
+        ActorLogic, ActorRegistry, ActorSilo, ActorStep, Directory, DirectoryConfig, SiloConfig,
+    };
+    use tca_storage::{DbMsg, DbServer, DbServerConfig, ProcRegistry};
 
-    fn bump_db(sim: &mut Sim) -> ProcessId {
+    fn bump_db(sim: &mut Sim, name: &'static str) -> ProcessId {
         let node = sim.add_node();
         sim.spawn(
             node,
-            "db",
+            name,
             DbServer::factory(
-                "db",
+                name,
                 DbServerConfig::default(),
                 ProcRegistry::new().with("bump", |tx, _| {
                     let v = tx.get("counter").map(|v| v.as_int()).unwrap_or(0);
@@ -496,15 +561,7 @@ mod tests {
     }
 
     fn bump_factory() -> RequestFactory {
-        Rc::new(|_rng| {
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Call {
-                    proc: "bump".into(),
-                    args: vec![],
-                },
-            })
-        })
+        Rc::new(|_rng| Payload::new(DbMsg::call("bump", vec![])))
     }
 
     #[test]
@@ -539,7 +596,7 @@ mod tests {
     #[test]
     fn closed_loop_respects_limit_and_counts() {
         let mut sim = Sim::with_seed(141);
-        let db = bump_db(&mut sim);
+        let db = bump_db(&mut sim, "db");
         let node = sim.add_node();
         sim.spawn(
             node,
@@ -567,7 +624,7 @@ mod tests {
     fn closed_loop_think_time_throttles() {
         // 1 client, 10ms think time, 100ms run ⇒ ≈ 10 requests max.
         let mut sim = Sim::with_seed(142);
-        let db = bump_db(&mut sim);
+        let db = bump_db(&mut sim, "db");
         let node = sim.add_node();
         sim.spawn(
             node,
@@ -590,30 +647,142 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_issues_at_configured_rate() {
-        // Mean inter-arrival 1ms over 1s ⇒ ≈ 1000 arrivals.
+    fn routed_loop_bounds_outstanding_reaches_every_target_and_stamps_once() {
         let mut sim = Sim::with_seed(143);
-        let db = bump_db(&mut sim);
+        let dbs = [bump_db(&mut sim, "db0"), bump_db(&mut sim, "db1")];
         let node = sim.add_node();
+        // Outstanding = requests routed − replies classified; the route
+        // closure sees it at every issue.
+        let routed = Rc::new(Cell::new(0u64));
+        let answered = Rc::new(Cell::new(0u64));
+        let max_outstanding = Rc::new(Cell::new(0u64));
+        let route: RequestRouter = {
+            let (routed, answered, max) = (
+                Rc::clone(&routed),
+                Rc::clone(&answered),
+                Rc::clone(&max_outstanding),
+            );
+            Rc::new(move |_rng| {
+                let i = routed.get();
+                routed.set(i + 1);
+                max.set(max.get().max(i + 1 - answered.get()));
+                (
+                    dbs[(i % 2) as usize],
+                    Payload::new(DbMsg::call("bump", vec![])),
+                )
+            })
+        };
+        let classify: ResponseClassifier = {
+            let (answered, db) = (Rc::clone(&answered), db_classifier());
+            Rc::new(move |payload| {
+                answered.set(answered.get() + 1);
+                db(payload)
+            })
+        };
         sim.spawn(
             node,
             "gen",
-            OpenLoopGen::factory(
-                db,
-                bump_factory(),
-                db_classifier(),
-                OpenLoopConfig {
-                    mean_interarrival: SimDuration::from_millis(1),
-                    metric: "ol".into(),
-                    limit: None,
+            ClosedLoopGen::routed(
+                route,
+                classify,
+                ClosedLoopConfig {
+                    clients: 3,
+                    limit: Some(31),
+                    metric: "rt".into(),
+                    ..ClosedLoopConfig::default()
                 },
             ),
         );
+        // Step to the last completion: the stamp is that instant.
+        while sim.metrics().counter("rt.ok") < 31 {
+            assert!(sim.step(), "ran dry before the limit");
+        }
+        let stamp = sim.metrics().counter("rt.done_at_us");
+        assert_eq!(stamp, sim.now().as_nanos() / 1_000);
         sim.run_for(SimDuration::from_secs(1));
-        let ok = sim.metrics().counter("ol.ok");
-        assert!(
-            (800..=1200).contains(&ok),
-            "Poisson(1000) completions, got {ok}"
+        assert_eq!(routed.get(), 31, "stops at the limit");
+        assert_eq!(max_outstanding.get(), 3, "never more than `clients`");
+        assert_eq!(sim.metrics().counter("db0.calls_ok"), 16);
+        assert_eq!(sim.metrics().counter("db1.calls_ok"), 15);
+        assert_eq!(
+            sim.metrics().counter("rt.done_at_us"),
+            stamp,
+            "stamped once"
         );
+        assert_eq!(LoadSummary::read(&sim, "rt").seconds, stamp as f64 / 1e6);
+    }
+
+    /// Actor `probe/<key>`: `ok` succeeds, `fail` fails; every invocation
+    /// is appended to the shared log.
+    struct ProbeActor {
+        log: Rc<RefCell<Vec<String>>>,
+    }
+    impl ActorLogic for ProbeActor {
+        fn invoke(&mut self, state: &mut Value, method: &str, _args: &[Value]) -> ActorStep {
+            self.log
+                .borrow_mut()
+                .push(format!("{}.{method}", state.as_str()));
+            ActorStep::Done(match method {
+                "ok" => Ok(vec![]),
+                _ => Err("refused".into()),
+            })
+        }
+    }
+
+    #[test]
+    fn actor_loop_runs_calls_in_order_and_stops_at_the_first_failure() {
+        let mut sim = Sim::with_seed(144);
+        let nodes = sim.add_nodes(3);
+        let directory = sim.spawn(
+            nodes[0],
+            "dir",
+            Directory::factory(DirectoryConfig::default()),
+        );
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let registry = {
+            let log = Rc::clone(&log);
+            ActorRegistry::new().with(
+                "probe",
+                move || {
+                    Box::new(ProbeActor {
+                        log: Rc::clone(&log),
+                    })
+                },
+                |key| Value::from(key),
+            )
+        };
+        sim.spawn(
+            nodes[1],
+            "silo",
+            ActorSilo::factory(registry, SiloConfig::volatile(directory)),
+        );
+        // Odd requests fail their first leg.
+        let seq = Cell::new(0u64);
+        let request: ActorRequestFactory = Rc::new(move |_rng| {
+            seq.set(seq.get() + 1);
+            let first = if seq.get() % 2 == 1 { "fail" } else { "ok" };
+            vec![
+                (ActorId::new("probe", "a"), first.to_owned(), vec![]),
+                (ActorId::new("probe", "b"), "ok".to_owned(), vec![]),
+            ]
+        });
+        sim.spawn(
+            nodes[2],
+            "gen",
+            ActorClosedLoop::factory(directory, request, 1, 5, "al"),
+        );
+        sim.run_for(SimDuration::from_secs(1));
+        // One client ⇒ the log is the exact call order: `b` only ever
+        // follows a successful `a`.
+        assert_eq!(
+            *log.borrow(),
+            ["a.fail", "a.ok", "b.ok", "a.fail", "a.ok", "b.ok", "a.fail"]
+        );
+        // One completion per request, a failed first leg included.
+        assert_eq!(sim.metrics().counter("al.ok"), 2);
+        assert_eq!(sim.metrics().counter("al.err"), 3);
+        let hist = sim.metrics().histogram("al.latency").expect("recorded");
+        assert_eq!(hist.count(), 5);
+        assert!(sim.metrics().counter("al.done_at_us") > 0);
     }
 }

@@ -11,7 +11,6 @@
 //!   isolation-level anomaly experiment (E11: over-selling at weak
 //!   isolation).
 
-use crate::loadgen::KeyChooser;
 use tca_sim::SimRng;
 use tca_storage::{Key, ProcRegistry, Value};
 
@@ -193,34 +192,6 @@ pub fn next_checkout(rng: &mut SimRng, scale: &MarketScale, hot_product_prob: f6
         Value::Int(qty),
         Value::Int(25),
     ]
-}
-
-/// Partition-key-aware variant of [`next_checkout`]: the product — the
-/// marketplace's contention axis and natural partition key — is drawn
-/// from the shared `product` chooser (Zipfian for a hot-product
-/// catalogue) instead of the binary hot/uniform split. Returns
-/// `(args, partition key)` where the partition key is the product's
-/// stock key (`stock/{p}`), the key a shard router or 2PC branch builder
-/// should hash. [`next_checkout`] is untouched, preserving existing
-/// experiment streams.
-pub fn next_checkout_skewed(
-    rng: &mut SimRng,
-    scale: &MarketScale,
-    product: &KeyChooser,
-) -> (Vec<Value>, String) {
-    debug_assert_eq!(product.len() as u64, scale.products);
-    let customer = rng.range(0, scale.customers) as i64;
-    let p = product.pick(rng) as i64;
-    let qty = rng.range(1, 4) as i64;
-    (
-        vec![
-            Value::Int(customer),
-            Value::Int(p),
-            Value::Int(qty),
-            Value::Int(25),
-        ],
-        format!("stock/{p}"),
-    )
 }
 
 /// Invariant audit over a quiesced marketplace database: no stock may be

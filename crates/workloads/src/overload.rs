@@ -1,14 +1,17 @@
-//! Open-loop overload driver with phased arrival rates and per-request
-//! deadlines (experiment E17's workhorse).
+//! The open loop: Poisson arrivals at rate λ regardless of completions,
+//! on a phased rate schedule with per-request deadlines.
 //!
-//! [`OpenLoopGen`](crate::OpenLoopGen) measures queueing at a fixed rate;
-//! this generator measures *resilience*: it sweeps through a schedule of
-//! rates (e.g. 0.5× capacity → 3× → back), stamps each request with a
-//! deadline, and classifies completions as **goodput** (answered within
-//! the deadline), **late**, or **error**. The retry policy, retry budget,
-//! and circuit breaker are all configurable so the same driver expresses
-//! both a naive retrying client (which melts the server past saturation)
-//! and a fully-armed resilient one (which sheds and degrades gracefully).
+//! With one phase, no deadline and the default single-attempt policy it
+//! measures *queueing* at a fixed rate — beyond saturation, queues (and
+//! latencies) grow without bound, the behaviour experiment E10
+//! reproduces against the closed loops of [`crate::loadgen`]. With a
+//! schedule of rates (e.g. 0.5× capacity → 3× → back) and a deadline it
+//! measures *resilience* (experiment E17): completions are classified as
+//! **goodput** (answered within the deadline), **late**, or **error**.
+//! The retry policy, retry budget, and circuit breaker are all
+//! configurable so the same driver expresses both a naive retrying client
+//! (which melts the server past saturation) and a fully-armed resilient
+//! one (which sheds and degrades gracefully).
 
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
@@ -246,7 +249,7 @@ mod tests {
     use super::*;
     use crate::loadgen::db_classifier;
     use tca_sim::Sim;
-    use tca_storage::{DbMsg, DbRequest, DbServer, DbServerConfig, ProcRegistry, Value};
+    use tca_storage::{DbMsg, DbServer, DbServerConfig, ProcRegistry, Value};
 
     fn bump_db(sim: &mut Sim, commit_latency: SimDuration) -> ProcessId {
         let node = sim.add_node();
@@ -269,15 +272,34 @@ mod tests {
     }
 
     fn bump_factory() -> RequestFactory {
-        Rc::new(|_rng| {
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Call {
-                    proc: "bump".into(),
-                    args: vec![],
+        Rc::new(|_rng| Payload::new(DbMsg::call("bump", vec![])))
+    }
+
+    #[test]
+    fn one_phase_issues_at_its_configured_rate() {
+        // Mean inter-arrival 1ms over 1s ⇒ ≈ 1000 arrivals.
+        let mut sim = Sim::with_seed(143);
+        let db = bump_db(&mut sim, SimDuration::from_micros(100));
+        let node = sim.add_node();
+        sim.spawn(
+            node,
+            "gen",
+            OverloadGen::factory(
+                db,
+                bump_factory(),
+                db_classifier(),
+                OverloadConfig {
+                    metric: "ol".into(),
+                    ..OverloadConfig::default()
                 },
-            })
-        })
+            ),
+        );
+        sim.run_for(SimDuration::from_secs(1));
+        let ok = sim.metrics().counter("ol.goodput");
+        assert!(
+            (800..=1200).contains(&ok),
+            "Poisson(1000) completions, got {ok}"
+        );
     }
 
     #[test]

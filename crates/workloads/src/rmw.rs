@@ -192,12 +192,7 @@ mod tests {
         );
         sim.inject(
             db,
-            Payload::new(DbMsg {
-                token: 0,
-                req: DbRequest::Load {
-                    pairs: vec![("stock".into(), Value::Int(stock))],
-                },
-            }),
+            Payload::new(DbMsg::load(vec![("stock".into(), Value::Int(stock))])),
         );
         for i in 0..clients {
             let node = sim.add_node();

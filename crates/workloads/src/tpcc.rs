@@ -11,7 +11,6 @@
 //! `s/{w}/{i}` stock quantity, `i/{i}` item price, `o/{w}/{d}/{o}` order
 //! record.
 
-use crate::loadgen::KeyChooser;
 use tca_sim::SimRng;
 use tca_storage::{Key, ProcRegistry, Value};
 
@@ -182,52 +181,6 @@ pub fn next_txn(rng: &mut SimRng, scale: &TpccScale) -> (String, Vec<Value>) {
                 Value::Int(c),
                 Value::Int(amount),
             ],
-        )
-    }
-}
-
-/// Partition-key-aware variant of [`next_txn`]: the warehouse — TPC-C's
-/// natural partition key (every key this mix touches except the
-/// replicated item catalog is warehouse-prefixed) — is drawn from the
-/// shared `warehouse` chooser instead of uniformly, so a Zipfian chooser
-/// concentrates traffic on hot warehouses. Returns `(procedure, args,
-/// partition key)`; the partition key (`w/{w}`) is what a shard router or
-/// 2PC branch builder should hash.
-///
-/// The chooser's domain must equal `scale.warehouses`. Draw order matches
-/// [`next_txn`] apart from the warehouse draw itself, and [`next_txn`] is
-/// untouched, so existing experiment streams are unaffected.
-pub fn next_txn_skewed(
-    rng: &mut SimRng,
-    scale: &TpccScale,
-    warehouse: &KeyChooser,
-) -> (String, Vec<Value>, String) {
-    debug_assert_eq!(warehouse.len() as u64, scale.warehouses);
-    let w = warehouse.pick(rng) as i64;
-    let d = rng.range(0, scale.districts) as i64;
-    let c = rng.range(0, scale.customers) as i64;
-    let partition = format!("w/{w}");
-    if rng.chance(0.5) {
-        let n_lines = rng.range(5, 16);
-        let mut args = vec![Value::Int(w), Value::Int(d), Value::Int(c)];
-        for _ in 0..n_lines {
-            let item = rng.range(0, scale.items) as i64;
-            let qty = rng.range(1, 11) as i64;
-            args.push(Value::Int(item));
-            args.push(Value::Int(qty));
-        }
-        ("new_order".into(), args, partition)
-    } else {
-        let amount = rng.range(1, 5000) as i64;
-        (
-            "payment".into(),
-            vec![
-                Value::Int(w),
-                Value::Int(d),
-                Value::Int(c),
-                Value::Int(amount),
-            ],
-            partition,
         )
     }
 }

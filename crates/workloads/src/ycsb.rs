@@ -81,7 +81,7 @@ pub struct YcsbSampler {
 impl YcsbSampler {
     /// Build a sampler. Skew comes from the shared [`KeyChooser`]
     /// (Zipfian with `scale.theta`), so YCSB draws hot keys exactly the
-    /// way the skewed TPC-C and marketplace generators do.
+    /// way E19's and E20's skewed generators do.
     pub fn new(workload: YcsbWorkload, scale: &YcsbScale) -> Self {
         YcsbSampler {
             workload,

@@ -8,9 +8,9 @@
 
 use std::rc::Rc;
 use tca::sim::{Payload, Sim, SimDuration, SimTime};
-use tca::storage::{DbMsg, DbRequest, DbServer, DbServerConfig, ProcRegistry, Value};
+use tca::storage::{DbMsg, DbServer, DbServerConfig, ProcRegistry, Value};
 use tca::txn::saga::{SagaDef, SagaOrchestrator, SagaStep, StartSaga};
-use tca::workloads::loadgen::{ClosedLoopConfig, ClosedLoopGen};
+use tca::workloads::loadgen::{saga_classifier, ClosedLoopConfig, ClosedLoopGen};
 
 fn main() {
     let mut sim = Sim::with_seed(2024);
@@ -67,21 +67,11 @@ fn main() {
     // 2. Seed data.
     sim.inject(
         stock_db,
-        Payload::new(DbMsg {
-            token: 0,
-            req: DbRequest::Load {
-                pairs: vec![("widget".into(), Value::Int(40))],
-            },
-        }),
+        Payload::new(DbMsg::load(vec![("widget".into(), Value::Int(40))])),
     );
     sim.inject(
         pay_db,
-        Payload::new(DbMsg {
-            token: 0,
-            req: DbRequest::Load {
-                pairs: vec![("alice".into(), Value::Int(500))],
-            },
-        }),
+        Payload::new(DbMsg::load(vec![("alice".into(), Value::Int(500))])),
     );
 
     // 3. A checkout saga: reserve stock (compensable) then charge.
@@ -116,11 +106,7 @@ fn main() {
                     args: vec![Value::from("widget"), Value::from("alice"), Value::Int(25)],
                 })
             }),
-            Rc::new(|payload| {
-                payload
-                    .downcast_ref::<tca::txn::saga::SagaOutcome>()
-                    .is_some_and(|o| o.committed)
-            }),
+            saga_classifier(),
             ClosedLoopConfig {
                 clients: 4,
                 limit: Some(60),

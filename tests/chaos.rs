@@ -11,7 +11,7 @@ use tca::sim::{
     torture, torture_plan, Ctx, FaultEvent, FaultPlan, FaultProfile, NetworkConfig, Payload,
     Process, ProcessId, Sim, SimConfig, SimDuration, SimTime, TortureConfig,
 };
-use tca::storage::{DbMsg, DbRequest, DbServer, DbServerConfig, ProcRegistry, Value};
+use tca::storage::{DbMsg, DbServer, DbServerConfig, ProcRegistry, Value};
 use tca::txn::worlds::ShardedTwoPcWorld;
 use tca::txn::{
     actor_torture_scenario, dataflow_torture_scenario, saga_torture_scenario,
@@ -118,15 +118,7 @@ fn db_server_survives_repeated_crash_cycles_with_no_lost_commits() {
         "load",
         ClosedLoopGen::factory(
             db,
-            Rc::new(|_| {
-                Payload::new(DbMsg {
-                    token: 0,
-                    req: DbRequest::Call {
-                        proc: "bump".into(),
-                        args: vec![],
-                    },
-                })
-            }),
+            Rc::new(|_| Payload::new(DbMsg::call("bump", vec![]))),
             db_classifier(),
             ClosedLoopConfig {
                 clients: 4,
@@ -257,13 +249,7 @@ fn overload_partition_scenario(seed: u64, plan: &FaultPlan) -> Result<(), String
         .into_iter()
         .chain(payment_seed(&scale))
         .collect();
-    sim.inject(
-        db,
-        Payload::new(DbMsg {
-            token: 0,
-            req: DbRequest::Load { pairs },
-        }),
-    );
+    sim.inject(db, Payload::new(DbMsg::load(pairs)));
     let req_scale = scale.clone();
     sim.spawn(
         n_load,
@@ -271,13 +257,7 @@ fn overload_partition_scenario(seed: u64, plan: &FaultPlan) -> Result<(), String
         OverloadGen::factory(
             db,
             Rc::new(move |rng| {
-                Payload::new(DbMsg {
-                    token: 0,
-                    req: DbRequest::Call {
-                        proc: "checkout".into(),
-                        args: next_checkout(rng, &req_scale, 0.2),
-                    },
-                })
+                Payload::new(DbMsg::call("checkout", next_checkout(rng, &req_scale, 0.2)))
             }),
             db_classifier(),
             OverloadConfig {

@@ -2,7 +2,7 @@
 //! bit-for-bit — the property everything else (debugging, CI, the
 //! experiment tables) rests on.
 
-use tca::core::cell::{run_cell, CellParams};
+use tca::core::cell::{run_cell, CellParams, SUPPORTED};
 use tca::core::taxonomy::{ProgrammingModel, TxnMechanism};
 
 fn params(seed: u64) -> CellParams {
@@ -17,21 +17,7 @@ fn params(seed: u64) -> CellParams {
 
 #[test]
 fn same_seed_same_cell_report() {
-    for (model, mechanism) in [
-        (ProgrammingModel::Microservices, TxnMechanism::Saga),
-        (
-            ProgrammingModel::Microservices,
-            TxnMechanism::TwoPhaseCommit,
-        ),
-        (
-            ProgrammingModel::VirtualActors,
-            TxnMechanism::ActorTransactions,
-        ),
-        (
-            ProgrammingModel::StatefulDataflow,
-            TxnMechanism::DeterministicOrdering,
-        ),
-    ] {
+    for (model, mechanism) in SUPPORTED {
         let a = run_cell(model, mechanism, &params(99));
         let b = run_cell(model, mechanism, &params(99));
         assert_eq!(a.committed, b.committed, "{model} x {mechanism}");

@@ -4,9 +4,9 @@
 use std::rc::Rc;
 
 use tca::sim::{Payload, Sim, SimDuration, SimTime};
-use tca::storage::{DbMsg, DbRequest, DbServer, DbServerConfig, Value};
-use tca::txn::saga::{SagaDef, SagaOrchestrator, SagaOutcome, SagaStep, StartSaga};
-use tca::workloads::loadgen::{ClosedLoopConfig, ClosedLoopGen};
+use tca::storage::{DbMsg, DbServer, DbServerConfig, Value};
+use tca::txn::saga::{SagaDef, SagaOrchestrator, SagaStep, StartSaga};
+use tca::workloads::loadgen::{saga_classifier, ClosedLoopConfig, ClosedLoopGen};
 use tca::workloads::marketplace::{
     next_checkout, payment_registry, payment_seed, stock_registry, stock_seed, MarketScale,
 };
@@ -34,24 +34,8 @@ fn build(seed: u64, scale: MarketScale) -> World {
         "pay-db",
         DbServer::factory("pay", DbServerConfig::default(), payment_registry()),
     );
-    sim.inject(
-        stock_db,
-        Payload::new(DbMsg {
-            token: 0,
-            req: DbRequest::Load {
-                pairs: stock_seed(&scale),
-            },
-        }),
-    );
-    sim.inject(
-        pay_db,
-        Payload::new(DbMsg {
-            token: 0,
-            req: DbRequest::Load {
-                pairs: payment_seed(&scale),
-            },
-        }),
-    );
+    sim.inject(stock_db, Payload::new(DbMsg::load(stock_seed(&scale))));
+    sim.inject(pay_db, Payload::new(DbMsg::load(payment_seed(&scale))));
     let saga = SagaDef {
         name: "checkout".into(),
         steps: vec![
@@ -83,11 +67,7 @@ fn build(seed: u64, scale: MarketScale) -> World {
                     args: next_checkout(rng, &gen_scale, 0.3),
                 })
             }),
-            Rc::new(|payload| {
-                payload
-                    .downcast_ref::<SagaOutcome>()
-                    .is_some_and(|o| o.committed)
-            }),
+            saga_classifier(),
             ClosedLoopConfig {
                 clients: 8,
                 limit: Some(300),

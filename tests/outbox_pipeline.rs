@@ -15,7 +15,7 @@ use tca::messaging::{
     BrokerResponse, OutboxRelay, OutboxRelayConfig,
 };
 use tca::sim::{Ctx, Payload, Process, ProcessId, Sim, SimDuration, SimTime};
-use tca::storage::{DbMsg, DbRequest, DbServer, DbServerConfig, ProcRegistry, Value};
+use tca::storage::{DbMsg, DbServer, DbServerConfig, ProcRegistry, Value};
 
 fn service_registry() -> ProcRegistry {
     let mut registry = ProcRegistry::new().with("place_order", |tx, args| {
@@ -38,13 +38,7 @@ impl Process for Driver {
         for i in 0..self.n {
             ctx.send(
                 self.db,
-                Payload::new(DbMsg {
-                    token: 0,
-                    req: DbRequest::Call {
-                        proc: "place_order".into(),
-                        args: vec![Value::Int(i)],
-                    },
-                }),
+                Payload::new(DbMsg::call("place_order", vec![Value::Int(i)])),
             );
         }
     }

@@ -8,7 +8,7 @@ use tca::messaging::rpc::{RetryPolicy, RpcClient};
 use tca::sim::{
     Boot, Ctx, NetworkConfig, Payload, Process, ProcessId, Sim, SimConfig, SimDuration, SimTime,
 };
-use tca::storage::{DbMsg, DbRequest, DbServer, DbServerConfig, ProcRegistry, Value};
+use tca::storage::{DbMsg, DbServer, DbServerConfig, ProcRegistry, Value};
 use tca::workloads::{db_classifier, OverloadConfig, OverloadGen, OverloadPhase};
 
 /// Never replies; records every arrival instant so tests can measure
@@ -140,15 +140,8 @@ fn propagated_deadlines_shed_doomed_work_end_to_end() {
             }),
         ),
     );
-    let factory: tca::workloads::RequestFactory = std::rc::Rc::new(|_| {
-        Payload::new(DbMsg {
-            token: 0,
-            req: DbRequest::Call {
-                proc: "bump".into(),
-                args: vec![],
-            },
-        })
-    });
+    let factory: tca::workloads::RequestFactory =
+        std::rc::Rc::new(|_| Payload::new(DbMsg::call("bump", vec![])));
     sim.spawn(
         n_load,
         "load",

@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use tca::sim::{Payload, Sim, SimDuration};
-use tca::storage::{DbMsg, DbRequest, DbServer, DbServerConfig};
+use tca::storage::{DbMsg, DbServer, DbServerConfig};
 use tca::workloads::hotel::{check_no_overbooking, HotelScale};
 use tca::workloads::loadgen::{db_classifier, ClosedLoopConfig, ClosedLoopGen};
 use tca::workloads::ycsb::{YcsbSampler, YcsbScale, YcsbWorkload};
@@ -28,15 +28,7 @@ fn hotel_mix_never_overbooks() {
         "hotel-db",
         DbServer::factory("hotel", DbServerConfig::default(), hotel::registry()),
     );
-    sim.inject(
-        db,
-        Payload::new(DbMsg {
-            token: 0,
-            req: DbRequest::Load {
-                pairs: hotel::seed(&scale),
-            },
-        }),
-    );
+    sim.inject(db, Payload::new(DbMsg::load(hotel::seed(&scale))));
     let gen_scale = scale.clone();
     sim.spawn(
         n_load,
@@ -45,10 +37,7 @@ fn hotel_mix_never_overbooks() {
             db,
             Rc::new(move |rng| {
                 let (proc, args) = hotel::next_txn(rng, &gen_scale);
-                Payload::new(DbMsg {
-                    token: 0,
-                    req: DbRequest::Call { proc, args },
-                })
+                Payload::new(DbMsg::call(proc, args))
             }),
             db_classifier(),
             ClosedLoopConfig {
@@ -83,15 +72,7 @@ fn ycsb_a_and_f_run_with_exact_rmw_counts() {
         "ycsb-db",
         DbServer::factory("ycsb", DbServerConfig::default(), ycsb::registry()),
     );
-    sim.inject(
-        db,
-        Payload::new(DbMsg {
-            token: 0,
-            req: DbRequest::Load {
-                pairs: ycsb::seed(&scale),
-            },
-        }),
-    );
+    sim.inject(db, Payload::new(DbMsg::load(ycsb::seed(&scale))));
     // Workload F: every rmw increments a counter; since each op runs as a
     // serializable stored procedure, the sum of increments across all
     // keys must equal the number of rmw ops issued.
@@ -109,10 +90,7 @@ fn ycsb_a_and_f_run_with_exact_rmw_counts() {
                 if proc == "ycsb_rmw" {
                     *rmw_for_gen.borrow_mut() += 1;
                 }
-                Payload::new(DbMsg {
-                    token: 0,
-                    req: DbRequest::Call { proc, args },
-                })
+                Payload::new(DbMsg::call(proc, args))
             }),
             db_classifier(),
             ClosedLoopConfig {

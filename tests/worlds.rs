@@ -5,7 +5,7 @@
 use tca::messaging::rpc::RpcRequest;
 use tca::models::actor::{ActorId, ActorInvoke};
 use tca::sim::{FaultPlan, NodeId, Payload, ProcessId, Sim, SimDuration, SimTime};
-use tca::storage::{DbMsg, DbRequest, Value};
+use tca::storage::{DbMsg, Value};
 use tca::txn::dataflow::DataflowConfig;
 use tca::txn::mc_scenarios::*;
 use tca::txn::twopc::{DecisionReq, ExecuteReq};
@@ -224,15 +224,8 @@ fn every_audit_catches_a_write_no_transaction_made() {
         (
             "saga",
             audit_after(&saga(), |sim, h| {
-                let restock = DbRequest::Call {
-                    proc: "seed".into(),
-                    args: vec![Value::from("item1"), Value::Int(40)],
-                };
-                let msg = DbMsg {
-                    token: 0,
-                    req: restock,
-                };
-                sim.inject_at(LATE, h.stock_db, Payload::new(msg))
+                let restock = DbMsg::call("seed", vec![Value::from("item1"), Value::Int(40)]);
+                sim.inject_at(LATE, h.stock_db, Payload::new(restock))
             }),
             "conservation",
         ),
