@@ -15,29 +15,38 @@
 //! - **Snapshot isolation**: reads at the begin-time snapshot; the first
 //!   committer wins on write-write conflicts. Exhibits write skew.
 //! - **Serializable**: strict two-phase locking with deadlock detection.
+//!
+//! Durability costs what was written. A commit appends one redo record;
+//! every `checkpoint_every` commits (read-only ones count: the cadence
+//! fixes the clock a restart resumes from) the retained WAL — which *is*
+//! the dirty set — is folded into the checkpoint image held in place in
+//! its [`DurableCell`], the keys it names are compacted one by one against
+//! the oldest open snapshot, and the WAL is truncated. A key that snapshot
+//! still pins waits on a short deferred list for the next checkpoint. A
+//! bulk load goes straight into the image. Nothing on this path copies or
+//! walks the whole keyspace; [`Engine::recover`] reads image and tail by
+//! reference.
 
 use std::collections::BTreeMap;
 use tca_sim::DetHashMap as HashMap;
 
 use crate::locks::{Acquire, LockMode, LockTable};
-use crate::mvcc::MvccStore;
+use crate::mvcc::{MvccStore, Version};
 use crate::types::{AbortReason, IsolationLevel, Key, Timestamp, TxId, Value};
 use crate::wal::{Checkpoint, DurableCell, DurableLog, WalRecord};
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Take a checkpoint (and truncate the WAL) every this many commits.
+    /// Take a checkpoint (fold and truncate the WAL, compact the versions
+    /// it wrote) every this many commits, read-only ones included.
     pub checkpoint_every: u64,
-    /// Run MVCC garbage collection alongside checkpoints.
-    pub gc: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             checkpoint_every: 1024,
-            gc: true,
         }
     }
 }
@@ -115,9 +124,25 @@ pub struct Engine {
     next_tx: u64,
     active: HashMap<TxId, ActiveTx>,
     commits_since_checkpoint: u64,
+    /// Keys a checkpoint visited but could not settle (versions an open
+    /// snapshot pins, a tombstone newer than the horizon, a load over
+    /// existing history): the next checkpoint compacts them again.
+    gc_deferred: Vec<Key>,
     footprints: Vec<TxFootprint>,
     aborts: HashMap<AbortReason, u64>,
     commit_count: u64,
+}
+
+/// What a read of `version` observes: the value, and for the checker the
+/// commit timestamp that wrote it (0 = observed absence).
+fn observed(version: Option<&Version>) -> (Option<Value>, Timestamp) {
+    match version {
+        Some(Version {
+            ts,
+            value: Some(value),
+        }) => (Some(value.clone()), *ts),
+        _ => (None, 0),
+    }
 }
 
 impl Engine {
@@ -137,39 +162,40 @@ impl Engine {
             next_tx: 0,
             active: HashMap::default(),
             commits_since_checkpoint: 0,
+            gc_deferred: Vec::new(),
             footprints: Vec::new(),
             aborts: HashMap::default(),
             commit_count: 0,
         }
     }
 
-    /// Rebuild an engine from its durable state: load the latest
-    /// checkpoint, then replay every WAL record after it (redo-only,
-    /// ARIES-lite). Transactions active at the crash never reached the WAL
-    /// and are thus implicitly aborted — atomicity by construction.
+    /// Rebuild an engine from its durable state: read the checkpoint
+    /// image, then replay every WAL record after it (redo-only,
+    /// ARIES-lite), both by reference. Transactions active at the crash
+    /// never reached the WAL and are thus implicitly aborted — atomicity by
+    /// construction.
     pub fn recover(
         config: EngineConfig,
         wal: DurableLog<WalRecord>,
         checkpoint: DurableCell<Checkpoint<BTreeMap<Key, Value>>>,
     ) -> Self {
-        let mut engine = Engine::new(config, wal.clone(), checkpoint.clone());
-        let mut replay_from = 0;
-        if let Some(cp) = checkpoint.load() {
-            engine.mvcc.load_snapshot(cp.state, cp.ts);
-            engine.clock = cp.ts;
-            replay_from = cp.covered_lsn;
-        }
-        for record in wal.read_from(replay_from) {
-            for (key, value) in &record.writes {
-                engine.mvcc.install(key, record.commit_ts, value.clone());
-            }
-            engine.clock = engine.clock.max(record.commit_ts);
-            // Bulk loads use TxId::MAX as a sentinel; don't let it poison
-            // the transaction counter.
-            if record.tx.0 != u64::MAX {
+        let mut engine = Engine::new(config, wal, checkpoint);
+        let replay_from = engine.checkpoint.with(|image| {
+            image.map_or(0, |image| {
+                engine.mvcc = MvccStore::from_snapshot(&image.state, image.ts);
+                engine.clock = image.ts;
+                image.covered_lsn
+            })
+        });
+        engine.wal.with_tail(replay_from, |tail| {
+            for record in tail {
+                for (key, value) in &record.writes {
+                    engine.mvcc.install(key, record.commit_ts, value.clone());
+                }
+                engine.clock = engine.clock.max(record.commit_ts);
                 engine.next_tx = engine.next_tx.max(record.tx.0 + 1);
             }
-        }
+        });
         engine
     }
 
@@ -228,9 +254,7 @@ impl Engine {
                 (OpResult::Read(value), Vec::new())
             }
             IsolationLevel::SnapshotIsolation => {
-                let begin_ts = state.begin_ts;
-                let value = self.mvcc.read_at(key, begin_ts).cloned();
-                let ts = self.version_ts_at(key, begin_ts);
+                let (value, ts) = observed(self.mvcc.version_at(key, state.begin_ts));
                 self.active
                     .get_mut(&tx)
                     .expect("active")
@@ -322,23 +346,26 @@ impl Engine {
         let state = self.active.remove(&tx).expect("active");
         self.clock += 1;
         let commit_ts = self.clock;
+        let mut written = Vec::with_capacity(state.writes.len());
         if !state.writes.is_empty() {
-            let record = WalRecord {
+            let mut writes = Vec::with_capacity(state.writes.len());
+            for (key, value) in state.writes {
+                self.mvcc.install(&key, commit_ts, value.clone());
+                written.push(key.clone());
+                writes.push((key, value));
+            }
+            self.wal.append(WalRecord {
                 tx,
                 commit_ts,
-                writes: state.writes.clone().into_iter().collect(),
-            };
-            self.wal.append(record);
-            for (key, value) in &state.writes {
-                self.mvcc.install(key, commit_ts, value.clone());
-            }
+                writes,
+            });
         }
         self.footprints.push(TxFootprint {
             tx,
             commit_ts,
             iso: state.iso,
             reads: state.reads,
-            writes: state.writes.into_keys().collect(),
+            writes: written,
         });
         self.commit_count += 1;
         self.commits_since_checkpoint += 1;
@@ -386,46 +413,53 @@ impl Engine {
         out
     }
 
-    /// Take a checkpoint now and truncate the WAL up to it.
+    /// Take a checkpoint now: fold the retained WAL into the image,
+    /// truncate it, and compact the versions it wrote.
     pub fn take_checkpoint(&mut self) {
-        let lsn = self.wal.next_lsn();
-        self.checkpoint.store(Checkpoint {
-            state: self.mvcc.snapshot_latest(),
-            covered_lsn: lsn,
-            ts: self.clock,
+        self.fold_wal();
+        self.commits_since_checkpoint = 0;
+    }
+
+    /// The retained WAL is the dirty set: patch the checkpoint image in
+    /// place with every record it does not cover yet, compact each written
+    /// key in the same pass, then truncate. Costs what was written since
+    /// the last fold — O(1) after a read-only interval — and is atomic
+    /// because a node only crashes between handlers.
+    fn fold_wal(&mut self) {
+        let horizon = self.gc_horizon();
+        let (clock, lsn) = (self.clock, self.wal.next_lsn());
+        let mut deferred = std::mem::take(&mut self.gc_deferred);
+        deferred.retain(|key| !self.mvcc.gc_key(key, horizon));
+        self.checkpoint.update(|image| {
+            self.wal.with_tail(image.covered_lsn, |tail| {
+                for (key, value) in tail.iter().flat_map(|record| &record.writes) {
+                    match value {
+                        Some(value) => match image.state.get_mut(key) {
+                            Some(slot) => *slot = value.clone(),
+                            None => {
+                                image.state.insert(key.clone(), value.clone());
+                            }
+                        },
+                        None => {
+                            image.state.remove(key);
+                        }
+                    }
+                    if !self.mvcc.gc_key(key, horizon) {
+                        deferred.push(key.clone());
+                    }
+                }
+            });
+            image.covered_lsn = lsn;
+            image.ts = clock;
         });
         self.wal.truncate_to(lsn);
-        self.commits_since_checkpoint = 0;
-        if self.config.gc {
-            let horizon = self
-                .active
-                .values()
-                .map(|t| t.begin_ts)
-                .min()
-                .unwrap_or(self.clock);
-            self.mvcc.gc(horizon);
-        }
+        deferred.sort_unstable();
+        deferred.dedup();
+        self.gc_deferred = deferred;
     }
 
     fn observe_latest(&self, key: &str) -> (Option<Value>, Timestamp) {
-        let value = self.mvcc.read_latest(key).cloned();
-        let ts = if value.is_some() {
-            self.mvcc.latest_ts(key).unwrap_or(0)
-        } else {
-            0
-        };
-        (value, ts)
-    }
-
-    fn version_ts_at(&self, key: &str, at: Timestamp) -> Timestamp {
-        if self.mvcc.read_at(key, at).is_some() {
-            // Find the version's own ts by narrowing: latest_ts if <= at,
-            // else walk via read semantics. A linear refinement suffices
-            // for checker purposes: we return `at` bounded observation.
-            self.mvcc.latest_ts(key).map_or(0, |latest| latest.min(at))
-        } else {
-            0
-        }
+        observed(self.mvcc.latest(key))
     }
 
     // ----- introspection --------------------------------------------------
@@ -449,16 +483,53 @@ impl Engine {
             .collect()
     }
 
-    /// Bulk-load initial data outside any transaction (setup only).
+    /// Oldest snapshot any open transaction reads at (the clock when none
+    /// is open): versions below the newest one at or under it are garbage.
+    pub fn gc_horizon(&self) -> Timestamp {
+        self.active
+            .values()
+            .map(|t| t.begin_ts)
+            .min()
+            .unwrap_or(self.clock)
+    }
+
+    /// The version store (read-only; audits and tests).
+    pub fn store(&self) -> &MvccStore {
+        &self.mvcc
+    }
+
+    /// Bulk-load one pair outside any transaction (setup only).
     pub fn load(&mut self, key: &Key, value: Value) {
-        self.clock += 1;
-        let ts = self.clock;
-        self.wal.append(WalRecord {
-            tx: TxId(u64::MAX),
-            commit_ts: ts,
-            writes: vec![(key.clone(), Some(value.clone()))],
+        self.load_batch(vec![(key.clone(), value)]);
+    }
+
+    /// Bulk-load initial data outside any transaction (setup only). The
+    /// batch is a base image, not WAL records: the pairs go straight into
+    /// the checkpoint image — durable when the handler returns, like an
+    /// append — and the keys move into the version store. Pair `i` gets
+    /// timestamp `clock + 1 + i`.
+    pub fn load_batch(&mut self, pairs: Vec<(Key, Value)>) {
+        // The image must cover every record older than what it is about to
+        // hold, or replay would put an older write over a loaded key.
+        if !self.wal.is_empty() {
+            self.fold_wal();
+        }
+        let first_ts = self.clock + 1;
+        self.clock += pairs.len() as u64;
+        let clock = self.clock;
+        self.checkpoint.update(|image| {
+            let loaded = pairs.iter().cloned();
+            if image.state.is_empty() {
+                // Built from the sorted batch in one go, nodes come out
+                // full; ascending single inserts leave them half empty.
+                image.state = loaded.collect();
+            } else {
+                image.state.extend(loaded);
+            }
+            image.ts = clock;
         });
-        self.mvcc.install(key, ts, Some(value));
+        let overwritten = self.mvcc.load(pairs, first_ts);
+        self.gc_deferred.extend(overwritten);
     }
 
     /// Number of committed transactions.
@@ -702,7 +773,6 @@ mod tests {
             let mut e = Engine::new(
                 EngineConfig {
                     checkpoint_every: 2,
-                    gc: true,
                 },
                 wal.clone(),
                 cp.clone(),

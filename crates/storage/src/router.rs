@@ -23,6 +23,7 @@
 //! the owning shard's dedup cache replays instead of re-executing — the
 //! router adds a hop without weakening exactly-once semantics.
 
+use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
 use tca_sim::wire::{RpcReply, RpcRequest};
@@ -66,9 +67,18 @@ enum Pending {
 
 const ROUTER_DEDUP_WINDOW: usize = 65_536;
 
+/// The router's per-instance counter names (`"<name>.forwarded"` etc.),
+/// formatted once per factory instead of once per request.
+struct CounterNames {
+    forwarded: String,
+    replies: String,
+    fanout: String,
+    rejected: String,
+}
+
 /// The shard-routing process.
 pub struct ShardRouter {
-    name: String,
+    counters: Rc<CounterNames>,
     map: ShardMap,
     shards: Vec<ProcessId>,
     next_internal: u64,
@@ -91,9 +101,15 @@ impl ShardRouter {
     ) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
         assert_eq!(map.shards(), shards.len(), "map/fleet size mismatch");
         let name = name.into();
+        let counters = Rc::new(CounterNames {
+            forwarded: format!("{name}.forwarded"),
+            replies: format!("{name}.replies"),
+            fanout: format!("{name}.fanout"),
+            rejected: format!("{name}.rejected"),
+        });
         move |_| {
             Box::new(ShardRouter {
-                name: name.clone(),
+                counters: Rc::clone(&counters),
                 map: map.clone(),
                 shards: shards.clone(),
                 next_internal: 0,
@@ -168,7 +184,7 @@ impl ShardRouter {
             token: msg.token,
             rpc_call,
         });
-        ctx.metrics().incr(&format!("{}.forwarded", self.name), 1);
+        ctx.metrics().incr(&self.counters.forwarded, 1);
         let target = self.shards[shard];
         match rpc_call {
             Some(_) => ctx.send(
@@ -202,7 +218,7 @@ impl ShardRouter {
                     self.forward(ctx, client, msg, rpc_call, shard);
                 }
                 _ => {
-                    ctx.metrics().incr(&format!("{}.rejected", self.name), 1);
+                    ctx.metrics().incr(&self.counters.rejected, 1);
                     self.respond(
                         ctx,
                         client,
@@ -232,7 +248,7 @@ impl ShardRouter {
                         scan: Some(Vec::new()),
                     },
                 );
-                ctx.metrics().incr(&format!("{}.fanout", self.name), 1);
+                ctx.metrics().incr(&self.counters.fanout, 1);
                 for &shard in &self.shards {
                     ctx.send(
                         shard,
@@ -269,7 +285,7 @@ impl ShardRouter {
                         scan: None,
                     },
                 );
-                ctx.metrics().incr(&format!("{}.fanout", self.name), 1);
+                ctx.metrics().incr(&self.counters.fanout, 1);
                 for (target, group) in targets {
                     ctx.send(
                         target,
@@ -285,7 +301,7 @@ impl ShardRouter {
             | DbRequest::Write { .. }
             | DbRequest::Commit { .. }
             | DbRequest::Abort { .. } => {
-                ctx.metrics().incr(&format!("{}.rejected", self.name), 1);
+                ctx.metrics().incr(&self.counters.rejected, 1);
                 self.respond(
                     ctx,
                     client,
@@ -343,7 +359,7 @@ impl ShardRouter {
         if drop_entry {
             self.pending.remove(&internal);
         }
-        ctx.metrics().incr(&format!("{}.replies", self.name), 1);
+        ctx.metrics().incr(&self.counters.replies, 1);
         self.respond(ctx, client, token, rpc_call, final_resp);
     }
 }

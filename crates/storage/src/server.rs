@@ -259,8 +259,38 @@ pub struct DbServer {
     /// Each reply occupies the server for its service time, so offered
     /// load beyond capacity queues — making saturation observable.
     busy_until: tca_sim::SimTime,
-    /// Metrics key prefix, e.g. `"db0"`.
-    name: String,
+    counters: Rc<CounterNames>,
+}
+
+/// The server's per-instance counter names (`"<name>.commits"` etc.),
+/// formatted once per factory instead of once per request.
+struct CounterNames {
+    calls_ok: String,
+    calls_failed: String,
+    call_retries: String,
+    commits: String,
+    aborts: String,
+    lock_waits: String,
+    deduped: String,
+    expired: String,
+    shed: String,
+}
+
+impl CounterNames {
+    fn new(name: &str) -> Self {
+        let of = |counter: &str| format!("{name}.{counter}");
+        CounterNames {
+            calls_ok: of("calls_ok"),
+            calls_failed: of("calls_failed"),
+            call_retries: of("call_retries"),
+            commits: of("commits"),
+            aborts: of("aborts"),
+            lock_waits: of("lock_waits"),
+            deduped: of("deduped"),
+            expired: of("expired"),
+            shed: of("shed"),
+        }
+    }
 }
 
 const DEDUP_WINDOW: usize = 65_536;
@@ -274,7 +304,7 @@ impl DbServer {
         config: DbServerConfig,
         registry: ProcRegistry,
     ) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
-        let name = name.into();
+        let counters = Rc::new(CounterNames::new(&name.into()));
         let registry = Rc::new(registry);
         move |boot| {
             let wal: DurableLog<crate::wal::WalRecord> = boot.disk.durable("wal");
@@ -295,7 +325,7 @@ impl DbServer {
                 retry_timer_armed: false,
                 dedup: RecentWindow::new(DEDUP_WINDOW),
                 busy_until: tca_sim::SimTime::ZERO,
-                name: name.clone(),
+                counters: Rc::clone(&counters),
             })
         }
     }
@@ -380,7 +410,7 @@ impl DbServer {
         // requester's deadline has passed, so any reply is wasted wire.
         if ctx.deadline_expired() {
             ctx.metrics().incr("server.expired", 1);
-            ctx.metrics().incr(&format!("{}.expired", self.name), 1);
+            ctx.metrics().incr(&self.counters.expired, 1);
             ctx.trace_event(|| "dropped: deadline expired on arrival".into());
             // Leave no executing marker behind; a duplicate should be
             // re-evaluated (the queue may have drained by then).
@@ -397,7 +427,7 @@ impl DbServer {
             .is_some_and(|remaining| wait > remaining);
         if over_queue || misses_deadline {
             ctx.metrics().incr("server.shed", 1);
-            ctx.metrics().incr(&format!("{}.shed", self.name), 1);
+            ctx.metrics().incr(&self.counters.shed, 1);
             ctx.trace_event(|| format!("shed: expected wait {}ns", wait.as_nanos()));
             self.shed_reply(ctx, addr);
             return true;
@@ -443,7 +473,7 @@ impl DbServer {
     ) {
         match run_proc(&mut self.engine, &self.registry, &proc, &args) {
             ProcOutcome::Done(results) => {
-                ctx.metrics().incr(&format!("{}.calls_ok", self.name), 1);
+                ctx.metrics().incr(&self.counters.calls_ok, 1);
                 self.reply(
                     ctx,
                     addr,
@@ -452,8 +482,7 @@ impl DbServer {
                 );
             }
             ProcOutcome::Failed(error) => {
-                ctx.metrics()
-                    .incr(&format!("{}.calls_failed", self.name), 1);
+                ctx.metrics().incr(&self.counters.calls_failed, 1);
                 self.reply(
                     ctx,
                     addr,
@@ -464,8 +493,7 @@ impl DbServer {
             ProcOutcome::Retry | ProcOutcome::Aborted(AbortReason::Deadlock)
                 if attempts < self.config.call_max_retries =>
             {
-                ctx.metrics()
-                    .incr(&format!("{}.call_retries", self.name), 1);
+                ctx.metrics().incr(&self.counters.call_retries, 1);
                 // First conflict opens the lock-wait span; later retries of
                 // the same call keep it until the final reply closes it.
                 let span = addr
@@ -523,7 +551,7 @@ impl Process for DbServer {
         if let Some(call_id) = rpc_call {
             match self.dedup.get(&(from, call_id)) {
                 Some(Some(cached)) => {
-                    ctx.metrics().incr(&format!("{}.deduped", self.name), 1);
+                    ctx.metrics().incr(&self.counters.deduped, 1);
                     let resp = cached.clone();
                     let addr = ReturnAddr {
                         client: from,
@@ -537,7 +565,7 @@ impl Process for DbServer {
                 Some(None) => {
                     // Original still executing (e.g. parked on a lock);
                     // drop the duplicate — the eventual reply covers it.
-                    ctx.metrics().incr(&format!("{}.deduped", self.name), 1);
+                    ctx.metrics().incr(&self.counters.deduped, 1);
                     return;
                 }
                 None => {
@@ -576,7 +604,7 @@ impl Process for DbServer {
                         );
                     }
                     OpResult::Blocked => {
-                        ctx.metrics().incr(&format!("{}.lock_waits", self.name), 1);
+                        ctx.metrics().incr(&self.counters.lock_waits, 1);
                         let span = ctx.trace_span(SpanKind::LockWait, || format!("lock {key}"));
                         self.parked.insert(tx, ReturnAddr { span, ..addr });
                     }
@@ -599,7 +627,7 @@ impl Process for DbServer {
                         self.reply(ctx, addr, DbResponse::WriteOk, self.config.write_latency);
                     }
                     OpResult::Blocked => {
-                        ctx.metrics().incr(&format!("{}.lock_waits", self.name), 1);
+                        ctx.metrics().incr(&self.counters.lock_waits, 1);
                         let span = ctx.trace_span(SpanKind::LockWait, || format!("lock {key}"));
                         self.parked.insert(tx, ReturnAddr { span, ..addr });
                     }
@@ -619,11 +647,11 @@ impl Process for DbServer {
                 let (result, resumed) = self.engine.commit(tx);
                 let resp = match result {
                     CommitResult::Committed(ts) => {
-                        ctx.metrics().incr(&format!("{}.commits", self.name), 1);
+                        ctx.metrics().incr(&self.counters.commits, 1);
                         DbResponse::Committed { ts }
                     }
                     CommitResult::Aborted(reason) => {
-                        ctx.metrics().incr(&format!("{}.aborts", self.name), 1);
+                        ctx.metrics().incr(&self.counters.aborts, 1);
                         DbResponse::Aborted { reason }
                     }
                 };
@@ -632,7 +660,7 @@ impl Process for DbServer {
             }
             DbRequest::Abort { tx } => {
                 let resumed = self.engine.abort(tx);
-                ctx.metrics().incr(&format!("{}.aborts", self.name), 1);
+                ctx.metrics().incr(&self.counters.aborts, 1);
                 self.reply(
                     ctx,
                     addr,
@@ -665,9 +693,7 @@ impl Process for DbServer {
                 );
             }
             DbRequest::Load { pairs } => {
-                for (key, value) in pairs {
-                    self.engine.load(&key, value);
-                }
+                self.engine.load_batch(pairs);
                 self.reply(ctx, addr, DbResponse::Loaded, self.config.write_latency);
             }
         }

@@ -6,6 +6,13 @@
 //! that performed them returns (the kernel guarantees crashes only occur
 //! between handlers), which models fsync-per-commit. Fsync *latency* is
 //! charged separately by the database server when it delays its replies.
+//!
+//! The same rule makes an in-place update of a [`DurableCell`] atomic: a
+//! crash sees it whole or not at all. Durable state is therefore never
+//! copied out and stored back — readers borrow it
+//! ([`DurableLog::with_tail`], [`DurableCell::with`]) and the owner
+//! patches it where it lies ([`DurableCell::update`]), so the cost of
+//! keeping it is the size of the change, not of the state.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -65,7 +72,7 @@ impl<T> DurableLog<T> {
     }
 }
 
-impl<T: Clone> DurableLog<T> {
+impl<T> DurableLog<T> {
     /// Append a record; returns its logical sequence number.
     pub fn append(&self, record: T) -> u64 {
         let mut inner = self.inner.borrow_mut();
@@ -80,11 +87,13 @@ impl<T: Clone> DurableLog<T> {
         inner.base_lsn + inner.records.len() as u64
     }
 
-    /// Clone out all records with LSN ≥ `from` (recovery replay).
-    pub fn read_from(&self, from: u64) -> Vec<T> {
+    /// Borrow the retained records with LSN ≥ `from` (recovery replay,
+    /// checkpoint fold). `f` must not touch this log again: the borrow is
+    /// held while it runs.
+    pub fn with_tail<R>(&self, from: u64, f: impl FnOnce(&[T]) -> R) -> R {
         let inner = self.inner.borrow();
-        let skip = from.saturating_sub(inner.base_lsn) as usize;
-        inner.records.iter().skip(skip).cloned().collect()
+        let skip = (from.saturating_sub(inner.base_lsn) as usize).min(inner.records.len());
+        f(&inner.records[skip..])
     }
 
     /// Discard records below `lsn` (safe once a checkpoint covers them).
@@ -136,15 +145,21 @@ impl<T> DurableCell<T> {
     }
 }
 
-impl<T: Clone> DurableCell<T> {
-    /// Atomically replace the stored value.
-    pub fn store(&self, value: T) {
-        *self.inner.borrow_mut() = Some(value);
+impl<T> DurableCell<T> {
+    /// Patch the stored value in place, starting an empty cell from
+    /// `T::default()`. The patch is atomic with respect to crashes because
+    /// the kernel only crashes a node between handlers — the same rule that
+    /// makes an append durable.
+    pub fn update(&self, f: impl FnOnce(&mut T))
+    where
+        T: Default,
+    {
+        f(self.inner.borrow_mut().get_or_insert_with(T::default));
     }
 
-    /// Clone out the stored value, if any.
-    pub fn load(&self) -> Option<T> {
-        self.inner.borrow().clone()
+    /// Borrow the stored value, if any.
+    pub fn with<R>(&self, f: impl FnOnce(Option<&T>) -> R) -> R {
+        f(self.inner.borrow().as_ref())
     }
 
     /// True when a value is present.
@@ -154,7 +169,7 @@ impl<T: Clone> DurableCell<T> {
 }
 
 /// A checkpoint image: materialized state plus the log position it covers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Checkpoint<S> {
     /// The materialized state at the checkpoint.
     pub state: S,
@@ -168,6 +183,10 @@ pub struct Checkpoint<S> {
 mod tests {
     use super::*;
 
+    fn tail<T: Clone>(log: &DurableLog<T>, from: u64) -> Vec<T> {
+        log.with_tail(from, <[T]>::to_vec)
+    }
+
     #[test]
     fn append_assigns_sequential_lsns() {
         let log = DurableLog::new();
@@ -175,8 +194,8 @@ mod tests {
         assert_eq!(log.append(2), 1);
         assert_eq!(log.append(3), 2);
         assert_eq!(log.next_lsn(), 3);
-        assert_eq!(log.read_from(1), vec![2, 3]);
-        assert_eq!(log.read_from(5), Vec::<u32>::new());
+        assert_eq!(tail(&log, 1), vec![2, 3]);
+        assert_eq!(tail(&log, 5), Vec::<u32>::new());
     }
 
     #[test]
@@ -187,13 +206,13 @@ mod tests {
         }
         log.truncate_to(4);
         assert_eq!(log.len(), 6);
-        assert_eq!(log.read_from(4), (4..10).collect::<Vec<u32>>());
+        assert_eq!(tail(&log, 4), (4..10).collect::<Vec<u32>>());
         // LSNs keep counting from where they were.
         assert_eq!(log.append(10), 10);
-        assert_eq!(log.read_from(9), vec![9, 10]);
+        assert_eq!(tail(&log, 9), vec![9, 10]);
         // Truncating below the base is a no-op.
         log.truncate_to(2);
-        assert_eq!(log.read_from(4)[0], 4);
+        assert_eq!(tail(&log, 4)[0], 4);
     }
 
     #[test]
@@ -210,18 +229,18 @@ mod tests {
         let a: DurableLog<u8> = DurableLog::new();
         let b = a.clone();
         a.append(7);
-        assert_eq!(b.read_from(0), vec![7]);
+        assert_eq!(tail(&b, 0), vec![7]);
     }
 
     #[test]
     fn durable_cell_roundtrip() {
         let c: DurableCell<String> = DurableCell::new();
         assert!(!c.is_set());
-        assert_eq!(c.load(), None);
-        c.store("snap".into());
-        assert_eq!(c.load().as_deref(), Some("snap"));
+        assert_eq!(c.with(|v| v.cloned()), None);
+        c.update(|v| v.push_str("snap"));
+        assert_eq!(c.with(|v| v.cloned()).as_deref(), Some("snap"));
         let d = c.clone();
-        d.store("snap2".into());
-        assert_eq!(c.load().as_deref(), Some("snap2"));
+        d.update(|v| v.push('2'));
+        assert_eq!(c.with(|v| v.cloned()).as_deref(), Some("snap2"));
     }
 }

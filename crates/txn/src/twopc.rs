@@ -201,7 +201,7 @@ impl TwoPcParticipant {
     }
 
     /// Like [`TwoPcParticipant::factory`], with initial data loaded on
-    /// first boot (recovery reloads it from the WAL instead).
+    /// first boot (recovery reads it back from the checkpoint image).
     pub fn factory_seeded(
         name: impl Into<String>,
         config: ParticipantConfig,
@@ -221,9 +221,7 @@ impl TwoPcParticipant {
                 Engine::new(EngineConfig::default(), wal, checkpoint)
             };
             if !boot.restart {
-                for (key, value) in seed.iter() {
-                    engine.load(key, value.clone());
-                }
+                engine.load_batch(seed.to_vec());
             }
             Box::new(TwoPcParticipant {
                 name: name.clone(),

@@ -15,7 +15,7 @@ use tca::storage::{DbMsg, DbServer, DbServerConfig, ProcRegistry, Value};
 use tca::txn::worlds::ShardedTwoPcWorld;
 use tca::txn::{
     actor_torture_scenario, dataflow_torture_scenario, saga_torture_scenario,
-    workflow_torture_scenario, World,
+    workflow_torture_scenario, ParticipantConfig, TwoPcParticipant, World,
 };
 use tca::workloads::loadgen::{db_classifier, ClosedLoopConfig, ClosedLoopGen};
 use tca::workloads::marketplace::{
@@ -154,6 +154,50 @@ fn db_server_survives_repeated_crash_cycles_with_no_lost_commits() {
         counter <= acked + failed,
         "counter {counter} exceeds all issued requests"
     );
+}
+
+#[test]
+fn bulk_loaded_state_survives_a_crash_before_any_commit() {
+    // A bulk load is a base image, not WAL records: it must be durable on
+    // its own. Crash right after loading — no commit, no checkpoint — and
+    // every loaded key is served again after the restart, by a `DbServer`
+    // loaded through `DbRequest::Load` and by a seeded 2PC participant.
+    let seed: Vec<(String, Value)> = (0..100)
+        .map(|i| (format!("acct{i:03}"), Value::Int(1_000 + i)))
+        .collect();
+    let mut sim = Sim::with_seed(5);
+    let node = sim.add_node();
+    let db = sim.spawn(
+        node,
+        "db",
+        DbServer::factory("db", DbServerConfig::default(), ProcRegistry::new()),
+    );
+    let participant = sim.spawn(
+        node,
+        "participant",
+        TwoPcParticipant::factory_seeded(
+            "participant",
+            ParticipantConfig::default(),
+            ProcRegistry::new(),
+            seed.clone(),
+        ),
+    );
+    sim.inject(db, Payload::new(DbMsg::load(seed.clone())));
+    sim.run_for(SimDuration::from_millis(1));
+    sim.crash_node(node);
+    sim.run_for(SimDuration::from_millis(1));
+    sim.restart_node(node);
+    sim.run_for(SimDuration::from_millis(1));
+
+    let server = sim.inspect::<DbServer>(db).expect("db restarted");
+    assert!(server.engine().wal().is_empty(), "a load writes no records");
+    assert_eq!(server.engine().peek_prefix(""), seed);
+    assert_eq!(server.engine().clock(), seed.len() as u64);
+    let participant = sim
+        .inspect::<TwoPcParticipant>(participant)
+        .expect("participant restarted");
+    assert_eq!(participant.engine().peek_prefix(""), seed);
+    assert_eq!(participant.engine().clock(), seed.len() as u64);
 }
 
 // ---------------------------------------------------------------------------

@@ -85,9 +85,10 @@ mod mvcc_props {
 
 mod engine_props {
     use super::*;
+    use std::collections::BTreeMap;
     use tca::storage::{
-        CommitResult, DurableCell, DurableLog, Engine, EngineConfig, IsolationLevel, OpResult,
-        Value,
+        Checkpoint, CommitResult, DurableCell, DurableLog, Engine, EngineConfig, IsolationLevel,
+        OpResult, TxId, Value, WalRecord,
     };
 
     /// Serializable transfers conserve total money for ANY schedule of
@@ -99,7 +100,6 @@ mod engine_props {
         let cp = DurableCell::new();
         let config = EngineConfig {
             checkpoint_every: *checkpoint_every,
-            gc: true,
         };
         let committed_state: Vec<i64>;
         {
@@ -167,6 +167,435 @@ mod engine_props {
             &(vec![(0u8, 0u8, 1i64)], 1u64),
             transfers_conserve_and_recover_prop,
         );
+    }
+
+    // ----- incremental checkpoint: model-based property ---------------------
+
+    const KEYS: u8 = 6;
+    const SLOTS: usize = 3;
+    const CADENCES: [u64; 5] = [1, 2, 3, 7, 1024];
+
+    fn key(i: u8) -> String {
+        format!("k{}", i % KEYS)
+    }
+
+    /// What the durable handles must hold and what a restart must restore,
+    /// tracked independently of the engine: the committed map, the clock,
+    /// the checkpoint cadence (commits of *any* kind count), and the two
+    /// things recovery derives from what is retained — the clock (image
+    /// `ts`, or the last logged write) and the next transaction id (one
+    /// past the largest id in the retained tail; ids restart at 0 once a
+    /// fold truncated it).
+    struct Model {
+        state: BTreeMap<String, Value>,
+        clock: u64,
+        next_tx: u64,
+        durable_clock: u64,
+        tail: usize,
+        tail_next_tx: u64,
+        since_checkpoint: u64,
+        every: u64,
+    }
+
+    impl Model {
+        fn fold(&mut self) {
+            self.durable_clock = self.clock;
+            self.tail = 0;
+            self.tail_next_tx = 0;
+        }
+
+        /// A commit of `tx`; returns whether it triggered a checkpoint.
+        fn commit(&mut self, tx: TxId, writes: &[(String, Option<Value>)]) -> bool {
+            self.clock += 1;
+            if !writes.is_empty() {
+                for (key, value) in writes {
+                    match value {
+                        Some(value) => self.state.insert(key.clone(), value.clone()),
+                        None => self.state.remove(key),
+                    };
+                }
+                self.durable_clock = self.clock;
+                self.tail += 1;
+                self.tail_next_tx = self.tail_next_tx.max(tx.0 + 1);
+            }
+            self.since_checkpoint += 1;
+            let checkpoint = self.since_checkpoint >= self.every;
+            if checkpoint {
+                self.since_checkpoint = 0;
+                self.fold();
+            }
+            checkpoint
+        }
+
+        fn load(&mut self, pairs: &[(String, Value)]) {
+            self.clock += pairs.len() as u64;
+            self.state.extend(pairs.iter().cloned());
+            self.fold();
+        }
+
+        fn crash(&mut self) {
+            self.clock = self.durable_clock;
+            self.next_tx = self.tail_next_tx;
+            self.since_checkpoint = 0;
+        }
+    }
+
+    /// An SI transaction held open, with the committed map as of its begin.
+    struct Snapshot {
+        tx: TxId,
+        sees: BTreeMap<String, Value>,
+    }
+
+    struct Harness {
+        config: EngineConfig,
+        wal: DurableLog<WalRecord>,
+        image: DurableCell<Checkpoint<BTreeMap<String, Value>>>,
+        engine: Engine,
+        model: Model,
+        open: [Option<Snapshot>; SLOTS],
+        stamp: i64,
+    }
+
+    impl Harness {
+        fn new(every: u64) -> Self {
+            let config = EngineConfig {
+                checkpoint_every: every,
+            };
+            let (wal, image) = (DurableLog::new(), DurableCell::new());
+            Harness {
+                engine: Engine::new(config.clone(), wal.clone(), image.clone()),
+                config,
+                wal,
+                image,
+                model: Model {
+                    state: BTreeMap::new(),
+                    clock: 0,
+                    next_tx: 0,
+                    durable_clock: 0,
+                    tail: 0,
+                    tail_next_tx: 0,
+                    since_checkpoint: 0,
+                    every,
+                },
+                open: Default::default(),
+                stamp: 0,
+            }
+        }
+
+        fn begin(&mut self, iso: IsolationLevel) -> TxId {
+            let tx = self.engine.begin(iso);
+            assert_eq!(tx, TxId(self.model.next_tx), "begin() id");
+            self.model.next_tx += 1;
+            tx
+        }
+
+        /// Commit `tx` on both sides; after a checkpoint the image must be
+        /// the committed map and the engine's own GC must have left a
+        /// whole-store GC nothing to do.
+        fn commit(&mut self, tx: TxId, writes: &[(String, Option<Value>)]) {
+            let (result, _) = self.engine.commit(tx);
+            let checkpoint = self.model.commit(tx, writes);
+            assert_eq!(result, CommitResult::Committed(self.model.clock));
+            if checkpoint {
+                self.assert_image_is_current();
+                let mut reference = self.engine.store().clone();
+                reference.gc(self.engine.gc_horizon());
+                assert_eq!(
+                    self.engine.store().version_count(),
+                    reference.version_count(),
+                    "a whole-store gc found versions the checkpoint left behind"
+                );
+            }
+        }
+
+        fn write(&mut self, writes: Vec<(String, Option<Value>)>) {
+            let tx = self.begin(IsolationLevel::ReadCommitted);
+            for (key, value) in &writes {
+                assert_eq!(
+                    self.engine.write(tx, key, value.clone()).0,
+                    OpResult::Written
+                );
+            }
+            // What the transaction commits is its last write per key.
+            let last: BTreeMap<_, _> = writes.into_iter().collect();
+            self.commit(tx, &last.into_iter().collect::<Vec<_>>());
+        }
+
+        fn load(&mut self, pairs: Vec<(String, Value)>) {
+            self.model.load(&pairs);
+            if let [(key, value)] = &pairs[..] {
+                self.engine.load(key, value.clone());
+            } else {
+                self.engine.load_batch(pairs);
+            }
+            self.assert_image_is_current();
+        }
+
+        fn close(&mut self, slot: usize, commit: bool) {
+            if let Some(snapshot) = self.open[slot].take() {
+                if commit {
+                    self.commit(snapshot.tx, &[]);
+                } else {
+                    self.engine.abort(snapshot.tx);
+                }
+            }
+        }
+
+        fn crash(&mut self) {
+            self.open = Default::default();
+            self.model.crash();
+            self.engine =
+                Engine::recover(self.config.clone(), self.wal.clone(), self.image.clone());
+        }
+
+        fn next_value(&mut self) -> Value {
+            self.stamp += 1;
+            Value::Int(self.stamp)
+        }
+
+        fn step(&mut self, &(op, a, b): &(u8, u8, u8)) {
+            match op {
+                0 | 1 => {
+                    let writes = vec![
+                        (key(a), Some(self.next_value())),
+                        (key(b), Some(self.next_value())),
+                    ];
+                    self.write(writes);
+                }
+                2 => self.write(vec![(key(a), None)]),
+                3 => {
+                    let writes = vec![(key(a), Some(self.next_value())), (key(b), None)];
+                    self.write(writes);
+                }
+                4 => {
+                    // A batch over present and absent keys alike; `b` odd
+                    // repeats the first key inside the batch.
+                    let mut pairs: Vec<_> = (0..=b % 4)
+                        .map(|i| (key(a + i), self.next_value()))
+                        .collect();
+                    if b % 2 == 1 {
+                        pairs.push((key(a), self.next_value()));
+                    }
+                    self.load(pairs);
+                }
+                5 => {
+                    let pair = (key(a), self.next_value());
+                    self.load(vec![pair]);
+                }
+                6 | 7 => {
+                    let slot = b as usize % SLOTS;
+                    self.close(slot, a % 2 == 0);
+                    let tx = self.begin(IsolationLevel::SnapshotIsolation);
+                    self.open[slot] = Some(Snapshot {
+                        tx,
+                        sees: self.model.state.clone(),
+                    });
+                }
+                8 => self.close(b as usize % SLOTS, a % 2 == 0),
+                9 => {
+                    let tx = self.begin(IsolationLevel::ReadCommitted);
+                    self.engine.read(tx, &key(a));
+                    self.commit(tx, &[]);
+                }
+                _ => self.crash(),
+            }
+            self.assert_consistent();
+        }
+
+        fn assert_image_is_current(&self) {
+            self.image.with(|image| {
+                let image = image.expect("an image exists after a checkpoint or a load");
+                assert_eq!(image.state, self.model.state, "image ≠ committed state");
+                assert_eq!(image.ts, self.model.clock);
+                assert_eq!(image.covered_lsn, self.wal.next_lsn());
+            });
+            assert!(self.wal.is_empty(), "a fold truncates the WAL");
+        }
+
+        fn assert_consistent(&mut self) {
+            let committed: Vec<_> = self.model.state.clone().into_iter().collect();
+            assert_eq!(self.engine.clock(), self.model.clock);
+            assert_eq!(self.engine.peek_prefix(""), committed);
+            assert_eq!(self.wal.len(), self.model.tail);
+            // Every open snapshot still reads the map as of its begin,
+            // whatever was checkpointed and collected since.
+            for snapshot in self.open.iter().flatten() {
+                for i in 0..KEYS {
+                    let (read, _) = self.engine.read(snapshot.tx, &key(i));
+                    let expected = snapshot.sees.get(&key(i)).cloned();
+                    assert_eq!(
+                        read,
+                        OpResult::Read(expected),
+                        "snapshot read of {}",
+                        key(i)
+                    );
+                }
+            }
+            // A crash here — before whatever comes next — restores exactly
+            // the committed map (recovering only reads the handles).
+            let mut probe =
+                Engine::recover(self.config.clone(), self.wal.clone(), self.image.clone());
+            assert_eq!(probe.peek_prefix(""), committed, "recovered state");
+            assert_eq!(probe.clock(), self.model.durable_clock, "recovered clock");
+            assert_eq!(
+                probe.begin(IsolationLevel::ReadCommitted),
+                TxId(self.model.tail_next_tx),
+                "recovered next transaction id"
+            );
+        }
+    }
+
+    fn incremental_checkpoint_prop(input: &(Vec<(u8, u8, u8)>, usize)) {
+        let (script, cadence) = input;
+        let mut harness = Harness::new(CADENCES[*cadence]);
+        for step in script {
+            harness.step(step);
+        }
+    }
+
+    /// Bulk loads (over existing keys too), updates, deletes, SI snapshots
+    /// held open across checkpoints, read-only commits and crashes at
+    /// arbitrary points: the image in the cell, the engine's GC and what a
+    /// restart restores all match the model after every step.
+    #[test]
+    fn incremental_checkpoint_matches_model() {
+        let input_gen = tuple2(
+            vec_of(tuple3(u8_in(0, 11), u8_in(0, 8), u8_in(0, 8)), 1, 80),
+            usize_in(0, CADENCES.len()),
+        );
+        check(
+            "incremental_checkpoint_matches_model",
+            &input_gen,
+            incremental_checkpoint_prop,
+        );
+    }
+
+    /// The two ways the fold can go wrong, each as the shortest script
+    /// that shows it: a tombstone the fold must take out of the image, and
+    /// a version a snapshot pinned at one checkpoint that only the
+    /// deferred list brings back to the next.
+    #[test]
+    fn incremental_checkpoint_pinned_scripts() {
+        regression(
+            "load k0, delete k0 (checkpoint), crash",
+            &(vec![(5, 0, 0), (2, 0, 0), (10, 0, 0)], 0),
+            incremental_checkpoint_prop,
+        );
+        regression(
+            "load k0, open snapshot, update k0 (checkpoint: the snapshot pins \
+             both versions), abort snapshot, read-only commit (checkpoint)",
+            &(
+                vec![(5, 0, 0), (6, 1, 0), (0, 0, 0), (8, 1, 0), (9, 1, 0)],
+                0,
+            ),
+            incremental_checkpoint_prop,
+        );
+    }
+
+    /// A checkpoint costs what was written since the last one: read-only
+    /// intervals leave every value of the image where it was, and `k`
+    /// updated keys change exactly `k` entries.
+    #[test]
+    fn checkpoint_touches_only_what_was_written() {
+        const EVERY: u64 = 64;
+        let (wal, image) = (DurableLog::new(), DurableCell::new());
+        let config = EngineConfig {
+            checkpoint_every: EVERY,
+        };
+        let mut engine = Engine::new(config, wal.clone(), image.clone());
+        let name = |i: u64| format!("user{i:05}");
+        engine.load_batch(
+            (0..10_000)
+                .map(|i| (name(i), Value::Str(format!("payload-{i}"))))
+                .collect(),
+        );
+        let addresses = || -> Vec<*const u8> {
+            image.with(|image| {
+                let image = image.expect("loaded");
+                image.state.values().map(|v| v.as_str().as_ptr()).collect()
+            })
+        };
+        let read_only_commit = |engine: &mut Engine, i: u64| {
+            let tx = engine.begin(IsolationLevel::Serializable);
+            engine.read(tx, &name(i));
+            engine.commit(tx);
+        };
+        let loaded = addresses();
+        assert_eq!(loaded.len(), 10_000);
+        for i in 0..3 * EVERY {
+            read_only_commit(&mut engine, i);
+        }
+        assert_eq!(wal.len(), 0);
+        assert_eq!(
+            image.with(|image| image.expect("loaded").ts),
+            engine.clock()
+        );
+        assert!(
+            addresses() == loaded,
+            "a read-only interval rebuilt the image"
+        );
+
+        let updated = [7, 1_000, 5_000, 9_999];
+        for &i in &updated {
+            let tx = engine.begin(IsolationLevel::Serializable);
+            engine.write(tx, &name(i), Some(Value::Str(format!("update-{i}"))));
+            engine.commit(tx);
+        }
+        for i in updated.len() as u64..EVERY {
+            read_only_commit(&mut engine, i);
+        }
+        assert_eq!(wal.len(), 0, "the interval ended in a checkpoint");
+        let patched = addresses();
+        let moved: Vec<usize> = (0..loaded.len())
+            .filter(|&i| patched[i] != loaded[i])
+            .collect();
+        assert_eq!(moved, updated.map(|i| i as usize));
+        image.with(|image| {
+            let state = &image.expect("loaded").state;
+            assert_eq!(state[&name(7)], Value::Str("update-7".into()));
+            assert_eq!(state[&name(8)], Value::Str("payload-8".into()));
+        });
+    }
+
+    /// An SI read records the commit timestamp of the version it saw, not
+    /// the snapshot's own timestamp: the checker draws a wr edge only from
+    /// the writer whose commit_ts the footprint names.
+    #[test]
+    fn si_footprint_names_the_version_it_read() {
+        let mut engine = Engine::new(
+            EngineConfig::default(),
+            DurableLog::new(),
+            DurableCell::new(),
+        );
+        let x = "x".to_owned();
+        let tick = |engine: &mut Engine, n: u64| {
+            for _ in 0..n {
+                let tx = engine.begin(IsolationLevel::ReadCommitted);
+                engine.commit(tx);
+            }
+        };
+        let put = |engine: &mut Engine, value: i64| {
+            let tx = engine.begin(IsolationLevel::ReadCommitted);
+            engine.write(tx, &x, Some(Value::Int(value)));
+            match engine.commit(tx).0 {
+                CommitResult::Committed(ts) => ts,
+                other => panic!("{other:?}"),
+            }
+        };
+        tick(&mut engine, 2);
+        assert_eq!(put(&mut engine, 30), 3);
+        tick(&mut engine, 4);
+        let reader = engine.begin(IsolationLevel::SnapshotIsolation); // begin_ts 7
+        tick(&mut engine, 1);
+        assert_eq!(put(&mut engine, 90), 9);
+        assert_eq!(
+            engine.read(reader, &x).0,
+            OpResult::Read(Some(Value::Int(30)))
+        );
+        engine.commit(reader);
+        let footprints = engine.take_footprints();
+        let reader = footprints.iter().find(|f| f.tx == reader).expect("reader");
+        assert_eq!(reader.reads, vec![(x.clone(), 3)]);
     }
 }
 
