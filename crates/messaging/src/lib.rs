@@ -31,7 +31,7 @@ pub use outbox::{
     outbox_put, register_outbox_procs, OutboxRelay, OutboxRelayConfig, OUTBOX_PREFIX,
 };
 pub use rpc::{
-    reply_to, BreakerConfig, CallId, RetryBudget, RetryPolicy, RpcClient, RpcEvent, RpcReply,
-    RpcRequest,
+    reply_call, reply_to, BreakerConfig, CallId, RetryBudget, RetryPolicy, RpcClient, RpcEvent,
+    RpcReply, RpcRequest,
 };
 pub use torture::delivery_torture_scenario;

@@ -485,15 +485,16 @@ impl RpcClient {
     }
 }
 
+/// Server-side helper: answer the call `call_id` of `requester` — for a
+/// server that replies after the handler that saw the request returned
+/// and kept only the id.
+pub fn reply_call(ctx: &mut Ctx, requester: ProcessId, call_id: u64, body: Payload) {
+    ctx.send(requester, Payload::new(RpcReply { call_id, body }));
+}
+
 /// Server-side helper: answer an [`RpcRequest`].
 pub fn reply_to(ctx: &mut Ctx, requester: ProcessId, request: &RpcRequest, body: Payload) {
-    ctx.send(
-        requester,
-        Payload::new(RpcReply {
-            call_id: request.call_id,
-            body,
-        }),
-    );
+    reply_call(ctx, requester, request.call_id, body);
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use std::fmt;
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
-use tca_messaging::rpc::{reply_to, RetryPolicy, RpcClient, RpcEvent, RpcRequest};
+use tca_messaging::rpc::{reply_call, reply_to, RetryPolicy, RpcClient, RpcEvent, RpcRequest};
 use tca_sim::{
     Boot, Ctx, Payload, Process, ProcessId, RecentWindow, SimDuration, SimTime, SpanId, SpanKind,
 };
@@ -814,13 +814,10 @@ impl ActorSilo {
             self.recent_invokes
                 .set(&(job.caller, job.rpc_call_id), Some(result.clone()));
             ctx.trace_enter(job.span);
-            reply_to(
+            reply_call(
                 ctx,
                 job.caller,
-                &RpcRequest {
-                    call_id: job.rpc_call_id,
-                    body: Payload::new(()),
-                },
+                job.rpc_call_id,
                 Payload::new(ActorOutcome { result }),
             );
             ctx.trace_exit(job.span);

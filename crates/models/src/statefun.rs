@@ -24,7 +24,7 @@ use std::fmt;
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
-use tca_messaging::rpc::{reply_to, RpcRequest};
+use tca_messaging::rpc::{reply_call, reply_to, RpcRequest};
 use tca_sim::{key_shard, Boot, Ctx, Payload, Process, ProcessId};
 use tca_storage::Value;
 
@@ -817,13 +817,10 @@ impl StatefunShard {
             }
         }
         if let Some((client, call_id)) = caller {
-            reply_to(
+            reply_call(
                 ctx,
                 client,
-                &RpcRequest {
-                    call_id,
-                    body: Payload::new(()),
-                },
+                call_id,
                 Payload::new(OrchestrationResult {
                     instance: key.to_owned(),
                     result,

@@ -26,6 +26,17 @@
 //! bulk load goes straight into the image. Nothing on this path copies or
 //! walks the whole keyspace; [`Engine::recover`] reads image and tail by
 //! reference.
+//!
+//! Keys come in as `&str` and are copied where they are first stored: a
+//! lock entry, a transaction's first write to the key, a parked
+//! operation. History is a switch ([`Engine::record_footprints`]): a
+//! commit leaves a [`TxFootprint`] for the serializability checker only
+//! while it is on, and the read log and the copy of the written keys that
+//! go into one are not built while it is off. A bare engine keeps it on —
+//! its users are tests, audits and checker cells that drain
+//! [`Engine::take_footprints`] — and the long-lived owners that never
+//! drain ([`crate::server::DbServer`], the 2PC participant) turn it off
+//! when they build theirs.
 
 use std::collections::BTreeMap;
 use tca_sim::DetHashMap as HashMap;
@@ -128,6 +139,9 @@ pub struct Engine {
     /// snapshot pins, a tombstone newer than the horizon, a load over
     /// existing history): the next checkpoint compacts them again.
     gc_deferred: Vec<Key>,
+    /// Whether commits record a [`TxFootprint`]
+    /// ([`Engine::record_footprints`]).
+    recording: bool,
     footprints: Vec<TxFootprint>,
     aborts: HashMap<AbortReason, u64>,
     commit_count: u64,
@@ -163,6 +177,7 @@ impl Engine {
             active: HashMap::default(),
             commits_since_checkpoint: 0,
             gc_deferred: Vec::new(),
+            recording: true,
             footprints: Vec::new(),
             aborts: HashMap::default(),
             commit_count: 0,
@@ -216,8 +231,14 @@ impl Engine {
         tx
     }
 
+    /// Turn footprint recording on or off (on in a fresh engine; see the
+    /// module docs for who turns it off and what that saves).
+    pub fn record_footprints(&mut self, on: bool) {
+        self.recording = on;
+    }
+
     /// Read `key` in transaction `tx`.
-    pub fn read(&mut self, tx: TxId, key: &Key) -> (OpResult, Vec<Resumption>) {
+    pub fn read(&mut self, tx: TxId, key: &str) -> (OpResult, Vec<Resumption>) {
         if !self.active.contains_key(&tx) {
             return (OpResult::Aborted(AbortReason::Requested), Vec::new());
         }
@@ -228,7 +249,7 @@ impl Engine {
     pub fn write(
         &mut self,
         tx: TxId,
-        key: &Key,
+        key: &str,
         value: Option<Value>,
     ) -> (OpResult, Vec<Resumption>) {
         if !self.active.contains_key(&tx) {
@@ -237,92 +258,67 @@ impl Engine {
         self.do_write(tx, key, value)
     }
 
-    fn do_read(&mut self, tx: TxId, key: &Key) -> (OpResult, Vec<Resumption>) {
+    fn do_read(&mut self, tx: TxId, key: &str) -> (OpResult, Vec<Resumption>) {
         let state = self.active.get(&tx).expect("active");
         // Read-your-own-writes at every level.
         if let Some(buffered) = state.writes.get(key) {
             return (OpResult::Read(buffered.clone()), Vec::new());
         }
-        match state.iso {
-            IsolationLevel::ReadCommitted => {
-                let (value, ts) = self.observe_latest(key);
-                self.active
-                    .get_mut(&tx)
-                    .expect("active")
-                    .reads
-                    .push((key.clone(), ts));
-                (OpResult::Read(value), Vec::new())
-            }
+        let (value, ts) = match state.iso {
+            IsolationLevel::ReadCommitted => self.observe_latest(key),
             IsolationLevel::SnapshotIsolation => {
-                let (value, ts) = observed(self.mvcc.version_at(key, state.begin_ts));
-                self.active
-                    .get_mut(&tx)
-                    .expect("active")
-                    .reads
-                    .push((key.clone(), ts));
-                (OpResult::Read(value), Vec::new())
+                observed(self.mvcc.version_at(key, state.begin_ts))
             }
             IsolationLevel::Serializable => match self.locks.acquire(tx, key, LockMode::Shared) {
-                Acquire::Granted => {
-                    let (value, ts) = self.observe_latest(key);
-                    self.active
-                        .get_mut(&tx)
-                        .expect("active")
-                        .reads
-                        .push((key.clone(), ts));
-                    (OpResult::Read(value), Vec::new())
-                }
+                Acquire::Granted => self.observe_latest(key),
                 Acquire::Waiting => {
                     self.active.get_mut(&tx).expect("active").pending =
-                        Some(PendingOp::Read(key.clone()));
-                    (OpResult::Blocked, Vec::new())
+                        Some(PendingOp::Read(key.to_owned()));
+                    return (OpResult::Blocked, Vec::new());
                 }
                 Acquire::Deadlock => {
                     let resumed = self.internal_abort(tx, AbortReason::Deadlock);
-                    (OpResult::Aborted(AbortReason::Deadlock), resumed)
+                    return (OpResult::Aborted(AbortReason::Deadlock), resumed);
                 }
             },
+        };
+        if self.recording {
+            let state = self.active.get_mut(&tx).expect("active");
+            state.reads.push((key.to_owned(), ts));
         }
+        (OpResult::Read(value), Vec::new())
     }
 
     fn do_write(
         &mut self,
         tx: TxId,
-        key: &Key,
+        key: &str,
         value: Option<Value>,
     ) -> (OpResult, Vec<Resumption>) {
         let iso = self.active.get(&tx).expect("active").iso;
-        match iso {
-            IsolationLevel::ReadCommitted | IsolationLevel::SnapshotIsolation => {
-                self.active
-                    .get_mut(&tx)
-                    .expect("active")
-                    .writes
-                    .insert(key.clone(), value);
-                (OpResult::Written, Vec::new())
-            }
-            IsolationLevel::Serializable => {
-                match self.locks.acquire(tx, key, LockMode::Exclusive) {
-                    Acquire::Granted => {
-                        self.active
-                            .get_mut(&tx)
-                            .expect("active")
-                            .writes
-                            .insert(key.clone(), value);
-                        (OpResult::Written, Vec::new())
-                    }
-                    Acquire::Waiting => {
-                        self.active.get_mut(&tx).expect("active").pending =
-                            Some(PendingOp::Write(key.clone(), value));
-                        (OpResult::Blocked, Vec::new())
-                    }
-                    Acquire::Deadlock => {
-                        let resumed = self.internal_abort(tx, AbortReason::Deadlock);
-                        (OpResult::Aborted(AbortReason::Deadlock), resumed)
-                    }
+        if iso == IsolationLevel::Serializable {
+            match self.locks.acquire(tx, key, LockMode::Exclusive) {
+                Acquire::Granted => {}
+                Acquire::Waiting => {
+                    self.active.get_mut(&tx).expect("active").pending =
+                        Some(PendingOp::Write(key.to_owned(), value));
+                    return (OpResult::Blocked, Vec::new());
+                }
+                Acquire::Deadlock => {
+                    let resumed = self.internal_abort(tx, AbortReason::Deadlock);
+                    return (OpResult::Aborted(AbortReason::Deadlock), resumed);
                 }
             }
         }
+        // The key is copied the first time the transaction writes it.
+        let writes = &mut self.active.get_mut(&tx).expect("active").writes;
+        match writes.get_mut(key) {
+            Some(slot) => *slot = value,
+            None => {
+                writes.insert(key.to_owned(), value);
+            }
+        }
+        (OpResult::Written, Vec::new())
     }
 
     /// Commit `tx`. On success the writes are in the WAL (durable) and
@@ -343,15 +339,22 @@ impl Engine {
                 return (CommitResult::Aborted(AbortReason::WriteConflict), resumed);
             }
         }
-        let state = self.active.remove(&tx).expect("active");
+        let mut state = self.active.remove(&tx).expect("active");
         self.clock += 1;
         let commit_ts = self.clock;
-        let mut written = Vec::with_capacity(state.writes.len());
+        if self.recording {
+            self.footprints.push(TxFootprint {
+                tx,
+                commit_ts,
+                iso: state.iso,
+                reads: std::mem::take(&mut state.reads),
+                writes: state.writes.keys().cloned().collect(),
+            });
+        }
         if !state.writes.is_empty() {
             let mut writes = Vec::with_capacity(state.writes.len());
             for (key, value) in state.writes {
                 self.mvcc.install(&key, commit_ts, value.clone());
-                written.push(key.clone());
                 writes.push((key, value));
             }
             self.wal.append(WalRecord {
@@ -360,13 +363,6 @@ impl Engine {
                 writes,
             });
         }
-        self.footprints.push(TxFootprint {
-            tx,
-            commit_ts,
-            iso: state.iso,
-            reads: state.reads,
-            writes: written,
-        });
         self.commit_count += 1;
         self.commits_since_checkpoint += 1;
         if self.commits_since_checkpoint >= self.config.checkpoint_every {
@@ -804,6 +800,77 @@ mod tests {
         assert_eq!(fp[0].reads.len(), 1);
         assert_eq!(fp[0].writes, vec![k("b")]);
         assert!(e.take_footprints().is_empty(), "drained");
+    }
+
+    /// One script through every isolation level: buffered and committed
+    /// reads, an absent key, an overwrite, a delete, a read-only commit
+    /// and an abort.
+    fn history_script(e: &mut Engine) -> Vec<OpResult> {
+        e.load_batch(vec![(k("a"), Value::Int(1)), (k("b"), Value::Int(2))]);
+        let mut seen = Vec::new();
+        for iso in [
+            IsolationLevel::ReadCommitted,
+            IsolationLevel::SnapshotIsolation,
+            IsolationLevel::Serializable,
+        ] {
+            let t = e.begin(iso);
+            seen.push(e.read(t, "a").0);
+            seen.push(e.read(t, "missing").0);
+            seen.push(e.write(t, "b", Some(Value::Int(7))).0);
+            seen.push(e.write(t, "b", Some(Value::Int(8))).0);
+            seen.push(e.read(t, "b").0);
+            seen.push(e.write(t, "a", None).0);
+            e.commit(t);
+            let t = e.begin(iso);
+            seen.push(e.read(t, "b").0);
+            e.commit(t);
+            let t = e.begin(iso);
+            seen.push(e.read(t, "b").0);
+            e.abort(t);
+            e.load(&k("a"), Value::Int(1));
+        }
+        seen
+    }
+
+    /// The rendering was taken from the commit before recording became a
+    /// switch: a buffered read is not logged, an absent key reads as 0.
+    #[test]
+    fn recorded_footprints_are_what_they_were_before_the_switch() {
+        let mut e = engine();
+        history_script(&mut e);
+        let rendered: Vec<String> = e
+            .take_footprints()
+            .iter()
+            .map(|f| format!("{f:?}"))
+            .collect();
+        let expected = [
+            r#"TxFootprint { tx: TxId(0), commit_ts: 3, iso: ReadCommitted, reads: [("a", 1), ("missing", 0)], writes: ["a", "b"] }"#,
+            r#"TxFootprint { tx: TxId(1), commit_ts: 4, iso: ReadCommitted, reads: [("b", 3)], writes: [] }"#,
+            r#"TxFootprint { tx: TxId(3), commit_ts: 6, iso: SnapshotIsolation, reads: [("a", 5), ("missing", 0)], writes: ["a", "b"] }"#,
+            r#"TxFootprint { tx: TxId(4), commit_ts: 7, iso: SnapshotIsolation, reads: [("b", 6)], writes: [] }"#,
+            r#"TxFootprint { tx: TxId(6), commit_ts: 9, iso: Serializable, reads: [("a", 8), ("missing", 0)], writes: ["a", "b"] }"#,
+            r#"TxFootprint { tx: TxId(7), commit_ts: 10, iso: Serializable, reads: [("b", 9)], writes: [] }"#,
+        ];
+        assert_eq!(rendered, expected);
+    }
+
+    #[test]
+    fn recording_off_keeps_no_history_and_changes_nothing_else() {
+        let (mut on, mut off) = (engine(), engine());
+        off.record_footprints(false);
+        assert_eq!(history_script(&mut on), history_script(&mut off));
+        assert_eq!(on.clock(), off.clock());
+        assert_eq!(on.commit_count(), off.commit_count());
+        assert_eq!(on.peek_prefix(""), off.peek_prefix(""));
+        assert_eq!(on.wal().len(), off.wal().len());
+        assert_eq!(on.take_footprints().len(), 6);
+        assert!(off.take_footprints().is_empty());
+        // Back on, the next commit is recorded.
+        off.record_footprints(true);
+        let t = off.begin(IsolationLevel::Serializable);
+        off.read(t, "b");
+        off.commit(t);
+        assert_eq!(off.take_footprints().len(), 1);
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! requester is chosen as the victim (simple, deterministic). Releases
 //! promote compatible waiters and report them so the engine can resume
 //! their parked operations.
+//!
+//! Keys are borrowed: a request copies its key only when it creates the
+//! lock entry, first adds the key to the transaction's held set, or parks
+//! as a waiter. The held set stays a `DetHashSet` filled in grant order:
+//! [`LockTable::release_all`] promotes waiters in that set's iteration
+//! order, which is the order parked operations resume and reply in — a
+//! sorted `Vec` would be cheaper and would reorder every run.
 
 use std::collections::VecDeque;
 use tca_sim::{DetHashMap as HashMap, DetHashSet as HashSet};
@@ -55,6 +62,14 @@ pub struct LockTable {
     waiting_on: HashMap<TxId, Key>,
 }
 
+/// Add `key` to a transaction's held set, copying it only if it is new
+/// (an upgrade re-grants a key the set already has).
+fn hold(held: &mut HashSet<Key>, key: &str) {
+    if !held.contains(key) {
+        held.insert(key.to_owned());
+    }
+}
+
 impl LockTable {
     /// Empty table.
     pub fn new() -> Self {
@@ -62,8 +77,11 @@ impl LockTable {
     }
 
     /// Request `mode` on `key` for `tx`.
-    pub fn acquire(&mut self, tx: TxId, key: &Key, mode: LockMode) -> Acquire {
-        let state = self.locks.entry(key.clone()).or_default();
+    pub fn acquire(&mut self, tx: TxId, key: &str, mode: LockMode) -> Acquire {
+        let state = match self.locks.get_mut(key) {
+            Some(state) => state,
+            None => self.locks.entry(key.to_owned()).or_default(),
+        };
         // Re-entrant / upgrade-free cases.
         if let Some(&held) = state.holders.get(&tx) {
             if held == LockMode::Exclusive || mode == LockMode::Shared {
@@ -73,7 +91,7 @@ impl LockTable {
         let no_earlier_waiters = state.waiters.iter().all(|&(w, _)| w == tx);
         if state.compatible(tx, mode) && no_earlier_waiters {
             state.holders.insert(tx, mode);
-            self.held.entry(tx).or_default().insert(key.clone());
+            hold(self.held.entry(tx).or_default(), key);
             return Acquire::Granted;
         }
         // Conflict: enqueue (once) and test for a deadlock cycle.
@@ -85,7 +103,7 @@ impl LockTable {
                 entry.1 = LockMode::Exclusive;
             }
         }
-        self.waiting_on.insert(tx, key.clone());
+        self.waiting_on.insert(tx, key.to_owned());
         if self.cycle_from(tx) {
             self.remove_waiter(tx, key);
             self.waiting_on.remove(&tx);
@@ -136,14 +154,14 @@ impl LockTable {
         self.locks.len()
     }
 
-    fn remove_waiter(&mut self, tx: TxId, key: &Key) {
+    fn remove_waiter(&mut self, tx: TxId, key: &str) {
         if let Some(state) = self.locks.get_mut(key) {
             state.waiters.retain(|&(w, _)| w != tx);
         }
     }
 
     /// Promote front waiters on `key` while they are compatible.
-    fn promote(&mut self, key: &Key, granted: &mut Vec<TxId>) {
+    fn promote(&mut self, key: &str, granted: &mut Vec<TxId>) {
         let Some(state) = self.locks.get_mut(key) else {
             return;
         };
@@ -153,7 +171,7 @@ impl LockTable {
             }
             state.waiters.pop_front();
             state.holders.insert(tx, mode);
-            self.held.entry(tx).or_default().insert(key.clone());
+            hold(self.held.entry(tx).or_default(), key);
             self.waiting_on.remove(&tx);
             granted.push(tx);
             // A granted exclusive blocks everyone behind it.

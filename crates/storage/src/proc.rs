@@ -10,7 +10,7 @@ use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
 use crate::engine::{CommitResult, Engine, OpResult};
-use crate::types::{AbortReason, IsolationLevel, Key, TxId, Value};
+use crate::types::{AbortReason, IsolationLevel, TxId, Value};
 
 /// Handle a procedure uses to access the database transactionally.
 pub struct TxHandle<'a> {
@@ -26,8 +26,7 @@ impl<'a> TxHandle<'a> {
         if self.blocked {
             return None;
         }
-        let key: Key = key.to_owned();
-        let (result, _) = self.engine.read(self.tx, &key);
+        let (result, _) = self.engine.read(self.tx, key);
         match result {
             OpResult::Read(v) => v,
             OpResult::Blocked | OpResult::Aborted(_) => {
@@ -43,8 +42,7 @@ impl<'a> TxHandle<'a> {
         if self.blocked {
             return;
         }
-        let key: Key = key.to_owned();
-        let (result, _) = self.engine.write(self.tx, &key, Some(value));
+        let (result, _) = self.engine.write(self.tx, key, Some(value));
         if !matches!(result, OpResult::Written) {
             self.blocked = true;
         }
@@ -55,8 +53,7 @@ impl<'a> TxHandle<'a> {
         if self.blocked {
             return;
         }
-        let key: Key = key.to_owned();
-        let (result, _) = self.engine.write(self.tx, &key, None);
+        let (result, _) = self.engine.write(self.tx, key, None);
         if !matches!(result, OpResult::Written) {
             self.blocked = true;
         }
@@ -282,7 +279,7 @@ mod tests {
         e.load(&"k".to_owned(), Value::Int(1));
         // An interactive serializable transaction holds the X lock.
         let t = e.begin(IsolationLevel::Serializable);
-        e.write(t, &"k".to_owned(), Some(Value::Int(2)));
+        e.write(t, "k", Some(Value::Int(2)));
         let reg = ProcRegistry::new().with("bump", |tx, _| {
             let v = tx.get("k").map(|v| v.as_int()).unwrap_or(0);
             tx.put("k", Value::Int(v + 1));

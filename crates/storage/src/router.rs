@@ -156,15 +156,17 @@ impl ShardRouter {
         }
     }
 
-    /// Forward a single-shard request, recording where the reply goes.
+    /// Forward a single-shard request (`body` holds the client's
+    /// [`DbMsg`]), recording where the reply goes.
     fn forward(
         &mut self,
         ctx: &mut Ctx,
         client: ProcessId,
-        msg: &DbMsg,
+        body: &Payload,
         rpc_call: Option<u64>,
         shard: usize,
     ) {
+        let msg = body.expect::<DbMsg>();
         // Stable internal id across retries of the same enveloped call.
         let internal = match rpc_call {
             Some(call_id) => match self.by_call.get(&(client, call_id)) {
@@ -187,11 +189,13 @@ impl ShardRouter {
         ctx.metrics().incr(&self.counters.forwarded, 1);
         let target = self.shards[shard];
         match rpc_call {
+            // The shard echoes the client's token, so the client's body
+            // goes on as it is: a reference count, not a copy.
             Some(_) => ctx.send(
                 target,
                 Payload::new(RpcRequest {
                     call_id: internal,
-                    body: Payload::new(msg.clone()),
+                    body: body.clone(),
                 }),
             ),
             None => ctx.send(
@@ -204,18 +208,20 @@ impl ShardRouter {
         }
     }
 
+    /// Route the client's [`DbMsg`] in `body`.
     fn handle_request(
         &mut self,
         ctx: &mut Ctx,
         client: ProcessId,
-        msg: &DbMsg,
+        body: &Payload,
         rpc_call: Option<u64>,
     ) {
+        let msg = body.expect::<DbMsg>();
         match &msg.req {
             DbRequest::Call { args, .. } => match args.first() {
                 Some(Value::Str(key)) => {
                     let shard = self.map.owner(key);
-                    self.forward(ctx, client, msg, rpc_call, shard);
+                    self.forward(ctx, client, body, rpc_call, shard);
                 }
                 _ => {
                     ctx.metrics().incr(&self.counters.rejected, 1);
@@ -234,7 +240,7 @@ impl ShardRouter {
             },
             DbRequest::Peek { key } => {
                 let shard = self.map.owner(key);
-                self.forward(ctx, client, msg, rpc_call, shard);
+                self.forward(ctx, client, body, rpc_call, shard);
             }
             DbRequest::Scan { prefix } => {
                 let internal = self.alloc_internal();
@@ -395,12 +401,11 @@ impl Process for ShardRouter {
             return;
         }
         // Client requests: bare DbMsg or RPC-enveloped DbMsg.
-        let (msg, rpc_call) = if let Some(req) = payload.downcast_ref::<RpcRequest>() {
-            (req.body.expect::<DbMsg>(), Some(req.call_id))
-        } else {
-            (payload.expect::<DbMsg>(), None)
+        let (body, rpc_call) = match payload.downcast_ref::<RpcRequest>() {
+            Some(req) => (&req.body, Some(req.call_id)),
+            None => (&payload, None),
         };
-        self.handle_request(ctx, from, msg, rpc_call);
+        self.handle_request(ctx, from, body, rpc_call);
     }
 }
 

@@ -311,11 +311,14 @@ impl DbServer {
             let checkpoint: DurableCell<
                 crate::wal::Checkpoint<std::collections::BTreeMap<Key, Value>>,
             > = boot.disk.durable("checkpoint");
-            let engine = if boot.restart {
+            let mut engine = if boot.restart {
                 Engine::recover(config.engine.clone(), wal, checkpoint)
             } else {
                 Engine::new(config.engine.clone(), wal, checkpoint)
             };
+            // Nothing drains a server's footprints; left on they grow
+            // with every commit for as long as the server lives.
+            engine.record_footprints(false);
             Box::new(DbServer {
                 config: config.clone(),
                 engine,
@@ -463,15 +466,18 @@ impl DbServer {
         }
     }
 
+    /// Run stored procedure `proc` once. `Some(addr)` means it hit a lock
+    /// conflict with retries left: the caller parks the call under that
+    /// address (which carries the lock-wait span) for the retry timer.
     fn handle_call(
         &mut self,
         ctx: &mut Ctx,
         addr: ReturnAddr,
-        proc: String,
-        args: Vec<Value>,
+        proc: &str,
+        args: &[Value],
         attempts: u32,
-    ) {
-        match run_proc(&mut self.engine, &self.registry, &proc, &args) {
+    ) -> Option<ReturnAddr> {
+        match run_proc(&mut self.engine, &self.registry, proc, args) {
             ProcOutcome::Done(results) => {
                 ctx.metrics().incr(&self.counters.calls_ok, 1);
                 self.reply(
@@ -499,13 +505,7 @@ impl DbServer {
                 let span = addr
                     .span
                     .or_else(|| ctx.trace_span(SpanKind::LockWait, || format!("conflict {proc}")));
-                self.retry_queue.push_back(ParkedCall {
-                    addr: ReturnAddr { span, ..addr },
-                    proc,
-                    args,
-                    attempts: attempts + 1,
-                });
-                self.kick_retry_timer(ctx);
+                return Some(ReturnAddr { span, ..addr });
             }
             ProcOutcome::Retry => {
                 self.reply(
@@ -526,6 +526,12 @@ impl DbServer {
                 );
             }
         }
+        None
+    }
+
+    fn park_call(&mut self, ctx: &mut Ctx, call: ParkedCall) {
+        self.retry_queue.push_back(call);
+        self.kick_retry_timer(ctx);
     }
 
     /// Shared engine access for harness-side audits (via `Sim::inspect`).
@@ -582,8 +588,8 @@ impl Process for DbServer {
         if self.admission_shed(ctx, addr) {
             return;
         }
-        match msg.req.clone() {
-            DbRequest::Begin { iso } => {
+        match &msg.req {
+            &DbRequest::Begin { iso } => {
                 let tx = self.engine.begin(iso);
                 self.reply(
                     ctx,
@@ -592,8 +598,8 @@ impl Process for DbServer {
                     self.config.read_latency,
                 );
             }
-            DbRequest::Read { tx, key } => {
-                let (result, resumed) = self.engine.read(tx, &key);
+            &DbRequest::Read { tx, ref key } => {
+                let (result, resumed) = self.engine.read(tx, key);
                 match result {
                     OpResult::Read(value) => {
                         self.reply(
@@ -620,8 +626,12 @@ impl Process for DbServer {
                 }
                 self.deliver_resumptions(ctx, resumed);
             }
-            DbRequest::Write { tx, key, value } => {
-                let (result, resumed) = self.engine.write(tx, &key, value);
+            &DbRequest::Write {
+                tx,
+                ref key,
+                ref value,
+            } => {
+                let (result, resumed) = self.engine.write(tx, key, value.clone());
                 match result {
                     OpResult::Written => {
                         self.reply(ctx, addr, DbResponse::WriteOk, self.config.write_latency);
@@ -643,7 +653,7 @@ impl Process for DbServer {
                 }
                 self.deliver_resumptions(ctx, resumed);
             }
-            DbRequest::Commit { tx } => {
+            &DbRequest::Commit { tx } => {
                 let (result, resumed) = self.engine.commit(tx);
                 let resp = match result {
                     CommitResult::Committed(ts) => {
@@ -658,7 +668,7 @@ impl Process for DbServer {
                 self.reply(ctx, addr, resp, self.config.commit_latency);
                 self.deliver_resumptions(ctx, resumed);
             }
-            DbRequest::Abort { tx } => {
+            &DbRequest::Abort { tx } => {
                 let resumed = self.engine.abort(tx);
                 ctx.metrics().incr(&self.counters.aborts, 1);
                 self.reply(
@@ -672,10 +682,18 @@ impl Process for DbServer {
                 self.deliver_resumptions(ctx, resumed);
             }
             DbRequest::Call { proc, args } => {
-                self.handle_call(ctx, addr, proc, args, 0);
+                if let Some(addr) = self.handle_call(ctx, addr, proc, args, 0) {
+                    let call = ParkedCall {
+                        addr,
+                        proc: proc.clone(),
+                        args: args.clone(),
+                        attempts: 1,
+                    };
+                    self.park_call(ctx, call);
+                }
             }
             DbRequest::Peek { key } => {
-                let value = self.engine.peek(&key);
+                let value = self.engine.peek(key);
                 self.reply(
                     ctx,
                     addr,
@@ -684,7 +702,7 @@ impl Process for DbServer {
                 );
             }
             DbRequest::Scan { prefix } => {
-                let pairs = self.engine.peek_prefix(&prefix);
+                let pairs = self.engine.peek_prefix(prefix);
                 self.reply(
                     ctx,
                     addr,
@@ -693,7 +711,7 @@ impl Process for DbServer {
                 );
             }
             DbRequest::Load { pairs } => {
-                self.engine.load_batch(pairs);
+                self.engine.load_batch(pairs.clone());
                 self.reply(ctx, addr, DbResponse::Loaded, self.config.write_latency);
             }
         }
@@ -706,8 +724,13 @@ impl Process for DbServer {
         self.retry_timer_armed = false;
         // Retry the whole queue once; conflicts re-enqueue themselves.
         let batch: Vec<ParkedCall> = self.retry_queue.drain(..).collect();
-        for call in batch {
-            self.handle_call(ctx, call.addr, call.proc, call.args, call.attempts);
+        for mut call in batch {
+            let retry = self.handle_call(ctx, call.addr, &call.proc, &call.args, call.attempts);
+            if let Some(addr) = retry {
+                call.addr = addr;
+                call.attempts += 1;
+                self.park_call(ctx, call);
+            }
         }
     }
 }
@@ -809,6 +832,51 @@ mod tests {
             3,
             "shed work never ran"
         );
+    }
+
+    #[test]
+    fn conflicted_call_parks_and_retries_until_the_lock_is_free() {
+        let mut sim = Sim::with_seed(5);
+        let n0 = sim.add_node();
+        let db = sim.spawn(
+            n0,
+            "db",
+            DbServer::factory("db", DbServerConfig::default(), bump_registry()),
+        );
+        let bare = |req| Payload::new(DbMsg { token: 0, req });
+        // An interactive transaction takes the X lock on `x`...
+        sim.inject(
+            db,
+            bare(DbRequest::Begin {
+                iso: IsolationLevel::Serializable,
+            }),
+        );
+        sim.inject(
+            db,
+            bare(DbRequest::Write {
+                tx: TxId(0),
+                key: "x".into(),
+                value: Some(Value::Int(10)),
+            }),
+        );
+        // ...so the call conflicts, is parked with its own copy of the
+        // request, and is retried on the timer while the lock is held.
+        sim.inject(
+            db,
+            bare(DbRequest::Call {
+                proc: "bump".into(),
+                args: vec![Value::from("x")],
+            }),
+        );
+        sim.run_for(SimDuration::from_millis(1));
+        let retries = sim.metrics().counter("db.call_retries");
+        assert!(retries >= 2, "parked and re-parked: {retries}");
+        assert_eq!(sim.metrics().counter("db.calls_ok"), 0);
+        sim.inject(db, bare(DbRequest::Commit { tx: TxId(0) }));
+        sim.run_for(SimDuration::from_millis(1));
+        assert_eq!(sim.metrics().counter("db.calls_ok"), 1);
+        let server = sim.inspect::<DbServer>(db).expect("db");
+        assert_eq!(server.engine().peek("x"), Some(Value::Int(11)));
     }
 
     /// Sends enveloped requests on a script, one timer tick per step, so

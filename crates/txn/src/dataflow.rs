@@ -64,7 +64,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
-use tca_messaging::rpc::{reply_to, RpcRequest};
+use tca_messaging::rpc::{reply_call, RpcRequest};
 use tca_sim::{Boot, Ctx, Disk, Payload, Process, ProcessId, ShardMap, SimDuration};
 use tca_storage::Value;
 
@@ -922,15 +922,7 @@ impl DfShard {
                 Ok(_) => "df.ok",
                 Err(_) => "df.err",
             };
-            reply_to(
-                ctx,
-                client,
-                &RpcRequest {
-                    call_id,
-                    body: Payload::new(()),
-                },
-                Payload::new(outcome),
-            );
+            reply_call(ctx, client, call_id, Payload::new(outcome));
             ctx.metrics().incr("df.completed", 1);
             ctx.metrics().incr(verdict, 1);
         }

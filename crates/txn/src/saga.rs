@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
-use tca_messaging::rpc::{reply_to, RetryPolicy, RpcClient, RpcEvent, RpcRequest};
+use tca_messaging::rpc::{reply_call, reply_to, RetryPolicy, RpcClient, RpcEvent, RpcRequest};
 use tca_models::microservice::Vars;
 use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, SimDuration, SpanId, SpanKind};
 use tca_storage::{DbMsg, DbReply, DbResponse, Value};
@@ -386,13 +386,10 @@ impl SagaOrchestrator {
             // The reply hop is part of the saga span; end the span once the
             // outcome has been handed to the network.
             ctx.trace_enter(instance.span);
-            reply_to(
+            reply_call(
                 ctx,
                 client,
-                &RpcRequest {
-                    call_id,
-                    body: Payload::new(()),
-                },
+                call_id,
                 Payload::new(SagaOutcome {
                     committed,
                     error: instance.entry.failure,

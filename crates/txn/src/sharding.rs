@@ -2,7 +2,8 @@
 //!
 //! A sharded deployment runs one [`crate::twopc::TwoPcParticipant`] per
 //! storage shard. The coordinator protocol is unchanged — it already
-//! accepts an arbitrary branch list — so making a transaction
+//! accepts any branch list (of up to [`crate::twopc::MAX_BRANCHES`]) —
+//! so making a transaction
 //! "cross-shard" is purely a matter of *addressing*: each single-shard
 //! operation becomes a branch sent to the participant fronting the shard
 //! that owns the operation's partition key. [`route_branches`] does that

@@ -9,12 +9,23 @@
 //! its locks until the coordinator — and only the coordinator — decides.
 //! Crash the coordinator after prepare and watch everything queue behind
 //! those locks (experiment E3).
+//!
+//! Host cost: a message body is an immutable `Rc` ([`Payload`]), so the
+//! path holds handles instead of copies. The coordinator never copies the
+//! client's [`StartDtx`]: each [`ExecuteReq`] carries the body's handle
+//! and a branch index, the participant runs the procedure straight out of
+//! it, and the transaction keeps only its participant set — built once,
+//! in the one insertion order that fixes the order prepares and decisions
+//! are sent in (see `Dtx::participants`). Participants format their
+//! counter names once per factory and keep no engine history
+//! ([`Engine::record_footprints`]).
 
 use std::cell::RefCell;
+use std::fmt;
 use std::rc::Rc;
 use tca_sim::{DetHashMap as HashMap, DetHashSet as HashSet};
 
-use tca_messaging::rpc::{reply_to, RpcRequest};
+use tca_messaging::rpc::{reply_call, reply_to, RpcRequest};
 use tca_sim::{
     Boot, Ctx, Fnv64, Payload, Process, ProcessId, RecentWindow, SimDuration, SpanId, SpanKind,
 };
@@ -26,17 +37,54 @@ use tca_storage::{
 // Wire messages
 // ---------------------------------------------------------------------------
 
-/// Execute phase: run `proc` locally under txid, hold locks.
-#[derive(Debug, Clone)]
+/// Execute phase: run one branch's procedure locally under txid, hold
+/// locks. The procedure and its arguments are not copied into the
+/// message: it holds the client's [`StartDtx`] body and says which branch.
+#[derive(Clone)]
 pub struct ExecuteReq {
     /// Global transaction id.
     pub txid: u64,
     /// Branch index within the transaction.
     pub branch: u32,
-    /// Local stored procedure.
-    pub proc: String,
-    /// Arguments.
-    pub args: Vec<Value>,
+    start: Payload,
+}
+
+impl ExecuteReq {
+    /// The request to execute branch `branch` of the [`StartDtx`] that
+    /// `start` holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is not a [`StartDtx`] or has no such branch.
+    pub fn new(txid: u64, start: Payload, branch: u32) -> Self {
+        let branches = start.expect::<StartDtx>().branches.len();
+        assert!((branch as usize) < branches, "no branch {branch}");
+        ExecuteReq {
+            txid,
+            branch,
+            start,
+        }
+    }
+
+    /// The local stored procedure and its arguments.
+    pub fn call(&self) -> (&str, &[Value]) {
+        let (_, proc, args) = &self.start.expect::<StartDtx>().branches[self.branch as usize];
+        (proc, args)
+    }
+}
+
+/// Renders as the message reads, not as it is stored: the model checker
+/// fingerprints messages by this text.
+impl fmt::Debug for ExecuteReq {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (proc, args) = self.call();
+        f.debug_struct("ExecuteReq")
+            .field("txid", &self.txid)
+            .field("branch", &self.branch)
+            .field("proc", &proc)
+            .field("args", &args)
+            .finish()
+    }
 }
 
 /// Execute result.
@@ -98,9 +146,13 @@ pub struct DecisionInquiry {
 /// transaction over `(participant, proc, args)` branches.
 #[derive(Debug, Clone)]
 pub struct StartDtx {
-    /// The transaction branches.
+    /// The transaction branches, at most [`MAX_BRANCHES`].
     pub branches: Vec<(ProcessId, String, Vec<Value>)>,
 }
+
+/// Most branches one transaction may have (the coordinator tracks the
+/// ones still executing in one word); a larger [`StartDtx`] is refused.
+pub const MAX_BRANCHES: usize = 64;
 
 /// Distributed transaction outcome (inside an `RpcReply`).
 #[derive(Debug, Clone)]
@@ -175,7 +227,7 @@ struct Branch {
 
 /// A 2PC participant: local engine + protocol state machine.
 pub struct TwoPcParticipant {
-    name: String,
+    counters: Rc<CounterNames>,
     config: ParticipantConfig,
     engine: Engine,
     registry: Rc<ProcRegistry>,
@@ -188,6 +240,37 @@ pub struct TwoPcParticipant {
     /// these is *late* — the decision overtook it in the network — and
     /// must be rejected instead of acquiring locks nobody will release.
     recently_decided: RecentWindow<u64, ()>,
+}
+
+/// The participant's per-instance counter names (`"<name>.commits"`
+/// etc.), formatted once per factory instead of once per message.
+struct CounterNames {
+    late_execute_aborts: String,
+    executes: String,
+    votes: String,
+    commits: String,
+    rollbacks: String,
+    timeout_aborts: String,
+    inquiries: String,
+    in_doubt_gauge: String,
+    in_doubt_ticks: String,
+}
+
+impl CounterNames {
+    fn new(name: &str) -> Self {
+        let of = |counter: &str| format!("{name}.{counter}");
+        CounterNames {
+            late_execute_aborts: of("late_execute_aborts"),
+            executes: of("executes"),
+            votes: of("votes"),
+            commits: of("commits"),
+            rollbacks: of("rollbacks"),
+            timeout_aborts: of("timeout_aborts"),
+            inquiries: of("inquiries"),
+            in_doubt_gauge: of("in_doubt_gauge"),
+            in_doubt_ticks: of("in_doubt_ticks"),
+        }
+    }
 }
 
 impl TwoPcParticipant {
@@ -208,7 +291,7 @@ impl TwoPcParticipant {
         registry: ProcRegistry,
         seed: Vec<(tca_storage::Key, Value)>,
     ) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
-        let name = name.into();
+        let counters = Rc::new(CounterNames::new(&name.into()));
         let registry = Rc::new(registry);
         let seed = Rc::new(seed);
         move |boot| {
@@ -223,8 +306,11 @@ impl TwoPcParticipant {
             if !boot.restart {
                 engine.load_batch(seed.to_vec());
             }
+            // Nothing drains a participant's footprints; left on they grow
+            // with every commit for as long as the participant lives.
+            engine.record_footprints(false);
             Box::new(TwoPcParticipant {
-                name: name.clone(),
+                counters: Rc::clone(&counters),
                 config: config.clone(),
                 engine,
                 registry: Rc::clone(&registry),
@@ -312,8 +398,7 @@ impl Process for TwoPcParticipant {
             // transaction that is already over — nobody would ever
             // release them.
             if !self.config.accept_late_execute && self.recently_decided.contains(&req.txid) {
-                ctx.metrics()
-                    .incr(&format!("{}.late_execute_aborts", self.name), 1);
+                ctx.metrics().incr(&self.counters.late_execute_aborts, 1);
                 ctx.send(
                     from,
                     Payload::new(ExecuteResp {
@@ -324,8 +409,8 @@ impl Process for TwoPcParticipant {
                 );
                 return;
             }
-            let result = match run_proc_open(&mut self.engine, &self.registry, &req.proc, &req.args)
-            {
+            let (proc, args) = req.call();
+            let result = match run_proc_open(&mut self.engine, &self.registry, proc, args) {
                 Ok((tx, values)) => {
                     let now = ctx.now();
                     self.branches
@@ -345,7 +430,7 @@ impl Process for TwoPcParticipant {
                 Err(ProcOutcome::Failed(e)) => Err(e),
                 Err(other) => Err(format!("{other:?}")),
             };
-            ctx.metrics().incr(&format!("{}.executes", self.name), 1);
+            ctx.metrics().incr(&self.counters.executes, 1);
             ctx.send(
                 from,
                 Payload::new(ExecuteResp {
@@ -367,7 +452,7 @@ impl Process for TwoPcParticipant {
                 }
                 None => false, // timed out / unknown: vote NO
             };
-            ctx.metrics().incr(&format!("{}.votes", self.name), 1);
+            ctx.metrics().incr(&self.counters.votes, 1);
             ctx.send(
                 from,
                 Payload::new(Vote {
@@ -381,10 +466,10 @@ impl Process for TwoPcParticipant {
                 for tx in branch.txs {
                     if req.commit {
                         self.engine.commit(tx);
-                        ctx.metrics().incr(&format!("{}.commits", self.name), 1);
+                        ctx.metrics().incr(&self.counters.commits, 1);
                     } else {
                         self.engine.abort(tx);
-                        ctx.metrics().incr(&format!("{}.rollbacks", self.name), 1);
+                        ctx.metrics().incr(&self.counters.rollbacks, 1);
                     }
                 }
             }
@@ -416,8 +501,7 @@ impl Process for TwoPcParticipant {
                 for tx in branch.txs {
                     self.engine.abort(tx);
                 }
-                ctx.metrics()
-                    .incr(&format!("{}.timeout_aborts", self.name), 1);
+                ctx.metrics().incr(&self.counters.timeout_aborts, 1);
             }
         }
         // Termination protocol: prepared branches that have blocked past
@@ -435,15 +519,12 @@ impl Process for TwoPcParticipant {
             }
         }
         if inquiries > 0 {
-            ctx.metrics()
-                .incr(&format!("{}.inquiries", self.name), inquiries);
+            ctx.metrics().incr(&self.counters.inquiries, inquiries);
         }
-        ctx.metrics()
-            .incr(&format!("{}.in_doubt_gauge", self.name), 0);
+        ctx.metrics().incr(&self.counters.in_doubt_gauge, 0);
         let in_doubt = self.in_doubt() as u64;
         if in_doubt > 0 {
-            ctx.metrics()
-                .incr(&format!("{}.in_doubt_ticks", self.name), in_doubt);
+            ctx.metrics().incr(&self.counters.in_doubt_ticks, in_doubt);
         }
         ctx.set_timer(timeout, SWEEP_TAG);
     }
@@ -489,10 +570,17 @@ impl Default for CoordinatorConfig {
 const COORD_SWEEP_TAG: u64 = 0x2bc0_0002;
 
 struct Dtx {
-    branches: Vec<(ProcessId, String, Vec<Value>)>,
+    /// Every participant once, built by one pass over the branches and
+    /// never changed. Prepares and decisions go out in this set's
+    /// iteration order, and the network draws from the RNG per send, so
+    /// `pending` is refilled from it with `clone_from`, which copies the
+    /// table as laid out; a rebuilt or sorted set would iterate otherwise.
+    participants: HashSet<ProcessId>,
     phase: DtxPhase,
+    /// Participants the current phase still waits for.
     pending: HashSet<ProcessId>,
-    pending_branches: HashSet<u32>,
+    /// Bit `i` is set while branch `i` has not reported its execute.
+    pending_branches: u64,
     commit: bool,
     error: Option<String>,
     caller: Option<(ProcessId, u64)>,
@@ -550,16 +638,14 @@ impl TwoPcCoordinator {
             // inquiry (answered "abort" for unknown txids).
             let mut txns: HashMap<u64, Dtx> = HashMap::default();
             for (&txid, (commit, participants)) in decisions.borrow().iter() {
+                let participants: HashSet<ProcessId> = participants.iter().copied().collect();
                 txns.insert(
                     txid,
                     Dtx {
-                        branches: participants
-                            .iter()
-                            .map(|&p| (p, String::new(), Vec::new()))
-                            .collect(),
+                        pending: participants.clone(),
+                        participants,
                         phase: DtxPhase::Deciding,
-                        pending: participants.iter().copied().collect(),
-                        pending_branches: HashSet::default(),
+                        pending_branches: 0,
                         commit: *commit,
                         error: None,
                         caller: None,
@@ -603,7 +689,7 @@ impl TwoPcCoordinator {
                 let t = Fnv64::new()
                     .u64(dtx.phase as u64)
                     .u64(dtx.commit as u64)
-                    .u64(dtx.pending_branches.len() as u64);
+                    .u64(dtx.pending_branches.count_ones() as u64);
                 let t = pending.into_iter().fold(t, |t, p| t.u64(p as u64));
                 (txid, t.finish())
             })
@@ -642,22 +728,20 @@ impl TwoPcCoordinator {
         ctx.trace_enter(dtx.span);
         dtx.phase_span = ctx.trace_span(SpanKind::TxnDecide, || format!("decide {txid}"));
         ctx.trace_exit(dtx.span);
-        let participants: HashSet<ProcessId> = dtx.branches.iter().map(|(p, _, _)| *p).collect();
         // Presumed abort: only COMMIT decisions must be durable before
         // release — journaled with the participant list so a restarted
         // coordinator can finish delivery.
         if commit {
-            let mut list: Vec<ProcessId> = participants.iter().copied().collect();
+            let mut list: Vec<ProcessId> = dtx.participants.iter().copied().collect();
             list.sort();
             self.decisions.borrow_mut().insert(txid, (true, list));
         }
-        dtx.pending = participants.clone();
-        let phase_span = dtx.phase_span;
-        ctx.trace_enter(phase_span);
-        for participant in participants {
+        dtx.pending.clone_from(&dtx.participants);
+        ctx.trace_enter(dtx.phase_span);
+        for &participant in &dtx.participants {
             ctx.send(participant, Payload::new(DecisionReq { txid, commit }));
         }
-        ctx.trace_exit(phase_span);
+        ctx.trace_exit(dtx.phase_span);
     }
 
     fn finish(&mut self, ctx: &mut Ctx, txid: u64) {
@@ -675,13 +759,10 @@ impl TwoPcCoordinator {
         ctx.metrics().record("dtx.latency", elapsed);
         ctx.trace_enter(dtx.span);
         if let Some((client, call_id)) = dtx.caller {
-            reply_to(
+            reply_call(
                 ctx,
                 client,
-                &RpcRequest {
-                    call_id,
-                    body: Payload::new(()),
-                },
+                call_id,
                 Payload::new(DtxOutcome {
                     committed: dtx.commit,
                     error: dtx.error,
@@ -740,6 +821,18 @@ impl Process for TwoPcCoordinator {
                 );
                 return;
             }
+            if start.branches.len() > MAX_BRANCHES {
+                reply_to(
+                    ctx,
+                    from,
+                    request,
+                    Payload::new(DtxOutcome {
+                        committed: false,
+                        error: Some(format!("more than {MAX_BRANCHES} branches")),
+                    }),
+                );
+                return;
+            }
             self.next_txid += 1;
             let txid = self.next_txid;
             *self.txid_floor.borrow_mut() = txid;
@@ -750,10 +843,13 @@ impl Process for TwoPcCoordinator {
             let phase_span = ctx.trace_span(SpanKind::TxnExecute, || format!("execute {txid}"));
             ctx.trace_exit(span);
             let dtx = Dtx {
-                branches: start.branches.clone(),
+                pending: participants.clone(),
+                participants,
                 phase: DtxPhase::Executing,
-                pending: participants,
-                pending_branches: (0..start.branches.len() as u32).collect(),
+                // One bit per branch; `checked_shl` is `None` at exactly 64.
+                pending_branches: 1u64
+                    .checked_shl(start.branches.len() as u32)
+                    .map_or(u64::MAX, |bit| bit - 1),
                 commit: false,
                 error: None,
                 caller: Some((from, request.call_id)),
@@ -763,16 +859,9 @@ impl Process for TwoPcCoordinator {
                 phase_span,
             };
             ctx.trace_enter(phase_span);
-            for (branch, (participant, proc, args)) in dtx.branches.iter().enumerate() {
-                ctx.send(
-                    *participant,
-                    Payload::new(ExecuteReq {
-                        txid,
-                        branch: branch as u32,
-                        proc: proc.clone(),
-                        args: args.clone(),
-                    }),
-                );
+            for (branch, (participant, _, _)) in start.branches.iter().enumerate() {
+                let execute = ExecuteReq::new(txid, request.body.clone(), branch as u32);
+                ctx.send(*participant, Payload::new(execute));
             }
             ctx.trace_exit(phase_span);
             self.txns.insert(txid, dtx);
@@ -787,8 +876,8 @@ impl Process for TwoPcCoordinator {
             }
             match &resp.result {
                 Ok(_) => {
-                    dtx.pending_branches.remove(&resp.branch);
-                    if dtx.pending_branches.is_empty() {
+                    dtx.pending_branches &= !1u64.checked_shl(resp.branch).unwrap_or(0);
+                    if dtx.pending_branches == 0 {
                         // Phase 2: prepare everywhere.
                         dtx.phase = DtxPhase::Preparing;
                         dtx.phase_since = ctx.now();
@@ -797,15 +886,12 @@ impl Process for TwoPcCoordinator {
                         dtx.phase_span =
                             ctx.trace_span(SpanKind::TxnPrepare, || format!("prepare {txid}"));
                         ctx.trace_exit(dtx.span);
-                        let participants: HashSet<ProcessId> =
-                            dtx.branches.iter().map(|(p, _, _)| *p).collect();
-                        dtx.pending = participants.clone();
-                        let phase_span = dtx.phase_span;
-                        ctx.trace_enter(phase_span);
-                        for participant in participants {
+                        dtx.pending.clone_from(&dtx.participants);
+                        ctx.trace_enter(dtx.phase_span);
+                        for &participant in &dtx.participants {
                             ctx.send(participant, Payload::new(PrepareReq { txid }));
                         }
-                        ctx.trace_exit(phase_span);
+                        ctx.trace_exit(dtx.phase_span);
                     }
                 }
                 Err(e) => {
@@ -981,21 +1067,68 @@ mod tests {
         (sim, coordinator, p1, p2)
     }
 
+    fn transfer_args(account: &str, amount: i64) -> Vec<Value> {
+        vec![Value::from(account), Value::Int(amount)]
+    }
+
     fn transfer(p1: ProcessId, p2: ProcessId, amount: i64) -> StartDtx {
         StartDtx {
             branches: vec![
-                (
-                    p1,
-                    "debit".into(),
-                    vec![Value::from("alice"), Value::Int(amount)],
-                ),
-                (
-                    p2,
-                    "credit".into(),
-                    vec![Value::from("bob"), Value::Int(amount)],
-                ),
+                (p1, "debit".into(), transfer_args("alice", amount)),
+                (p2, "credit".into(), transfer_args("bob", amount)),
             ],
         }
+    }
+
+    /// `mc_scenarios::twopc_payload_fp` fingerprints messages by their
+    /// debug text, so this is what every pinned state count rests on: the
+    /// rendering `#[derive(Debug)]` gave the message when it owned `proc`
+    /// and `args`.
+    #[test]
+    fn execute_req_renders_as_the_message_it_carries() {
+        let start = Payload::new(transfer(ProcessId(0), ProcessId(1), 30));
+        let execute = ExecuteReq::new(7, start, 1);
+        assert_eq!(execute.call(), ("credit", &transfer_args("bob", 30)[..]));
+        assert_eq!(
+            format!("{execute:?}"),
+            r#"ExecuteReq { txid: 7, branch: 1, proc: "credit", args: [Str("bob"), Int(30)] }"#
+        );
+        assert_eq!(
+            format!("{execute:#?}"),
+            "ExecuteReq {\n    txid: 7,\n    branch: 1,\n    proc: \"credit\",\n    \
+             args: [\n        Str(\n            \"bob\",\n        ),\n        \
+             Int(\n            30,\n        ),\n    ],\n}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no branch 2")]
+    fn execute_req_names_a_branch_the_transaction_has() {
+        let start = Payload::new(transfer(ProcessId(0), ProcessId(1), 30));
+        let _ = ExecuteReq::new(7, start, 2);
+    }
+
+    #[test]
+    fn more_branches_than_the_coordinator_tracks_are_refused() {
+        let (mut sim, coordinator, p1, _) = world();
+        let nc = sim.add_node();
+        let with_branches = move |n: usize| StartDtx {
+            branches: (0..n)
+                .map(|i| (p1, "credit".into(), transfer_args(&format!("k{i}"), 1)))
+                .collect(),
+        };
+        sim.spawn(nc, "client", move |_| {
+            Box::new(Client {
+                coordinator,
+                plan: vec![with_branches(MAX_BRANCHES), with_branches(MAX_BRANCHES + 1)],
+                rpc: RpcClient::new(),
+            })
+        });
+        sim.run_for(SimDuration::from_millis(200));
+        assert_eq!(sim.metrics().counter("client.committed"), 1);
+        assert_eq!(sim.metrics().counter("client.aborted"), 1);
+        assert_eq!(sim.metrics().counter("dtx.started"), 1);
+        assert_eq!(sim.metrics().counter("pa.commits"), MAX_BRANCHES as u64);
     }
 
     #[test]

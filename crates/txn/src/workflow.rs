@@ -47,7 +47,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use tca_messaging::rpc::{
-    reply_to, BreakerConfig, RetryBudget, RetryPolicy, RpcClient, RpcEvent, RpcReply, RpcRequest,
+    reply_call, reply_to, BreakerConfig, RetryBudget, RetryPolicy, RpcClient, RpcEvent, RpcReply,
+    RpcRequest,
 };
 use tca_sim::{
     Boot, Ctx, DetHashMap, DetHashSet, Fnv64, NodeId, Payload, Process, ProcessId, ShardMap, Sim,
@@ -568,13 +569,10 @@ impl WorkflowOrchestrator {
         let latency = ctx.now().since(started);
         ctx.metrics().record("workflow.latency", latency);
         if let Some((client, call_id)) = caller {
-            reply_to(
+            reply_call(
                 ctx,
                 client,
-                &RpcRequest {
-                    call_id,
-                    body: Payload::new(()),
-                },
+                call_id,
                 Payload::new(WorkflowOutcome {
                     wf_id: wf,
                     committed,

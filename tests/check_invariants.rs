@@ -254,16 +254,20 @@ mod engine_props {
         model: Model,
         open: [Option<Snapshot>; SLOTS],
         stamp: i64,
+        /// Whether the engine keeps footprints; a restart must not matter.
+        recording: bool,
     }
 
     impl Harness {
-        fn new(every: u64) -> Self {
+        fn new(every: u64, recording: bool) -> Self {
             let config = EngineConfig {
                 checkpoint_every: every,
             };
             let (wal, image) = (DurableLog::new(), DurableCell::new());
+            let mut engine = Engine::new(config.clone(), wal.clone(), image.clone());
+            engine.record_footprints(recording);
             Harness {
-                engine: Engine::new(config.clone(), wal.clone(), image.clone()),
+                engine,
                 config,
                 wal,
                 image,
@@ -279,6 +283,7 @@ mod engine_props {
                 },
                 open: Default::default(),
                 stamp: 0,
+                recording,
             }
         }
 
@@ -346,6 +351,7 @@ mod engine_props {
             self.model.crash();
             self.engine =
                 Engine::recover(self.config.clone(), self.wal.clone(), self.image.clone());
+            self.engine.record_footprints(self.recording);
         }
 
         fn next_value(&mut self) -> Value {
@@ -447,9 +453,13 @@ mod engine_props {
 
     fn incremental_checkpoint_prop(input: &(Vec<(u8, u8, u8)>, usize)) {
         let (script, cadence) = input;
-        let mut harness = Harness::new(CADENCES[*cadence]);
-        for step in script {
-            harness.step(step);
+        // Keeping history or not, the engine matches the one model.
+        for recording in [true, false] {
+            let mut harness = Harness::new(CADENCES[*cadence], recording);
+            for step in script {
+                harness.step(step);
+            }
+            assert!(recording || harness.engine.take_footprints().is_empty());
         }
     }
 

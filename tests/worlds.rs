@@ -8,7 +8,7 @@ use tca::sim::{FaultPlan, NodeId, Payload, ProcessId, Sim, SimDuration, SimTime}
 use tca::storage::{DbMsg, Value};
 use tca::txn::dataflow::DataflowConfig;
 use tca::txn::mc_scenarios::*;
-use tca::txn::twopc::{DecisionReq, ExecuteReq};
+use tca::txn::twopc::{DecisionReq, ExecuteReq, StartDtx};
 use tca::txn::worlds::{
     ActorWorld, DataflowWorld, SagaWorld, ShardedTwoPcWorld, TwoPcWorld, WorkflowWorld,
 };
@@ -186,12 +186,10 @@ const LATE: SimTime = SimTime::from_nanos(350_000_000);
 /// coordinator's back: one branch of a transaction that has no other.
 fn rogue_branch(sim: &mut Sim, participant: ProcessId, proc: &str, args: Vec<Value>) {
     let txid = u64::MAX;
-    let execute = ExecuteReq {
-        txid,
-        branch: 0,
-        proc: proc.into(),
-        args,
+    let start = StartDtx {
+        branches: vec![(participant, proc.into(), args)],
     };
+    let execute = ExecuteReq::new(txid, Payload::new(start), 0);
     sim.inject_at(LATE, participant, Payload::new(execute));
     let commit = DecisionReq { txid, commit: true };
     let after = LATE + SimDuration::from_millis(1);
