@@ -16,7 +16,7 @@ use tca_core::taxonomy::{profile, render_matrix, ProgrammingModel, TxnMechanism}
 use tca_messaging::delivery::{DedupReceiver, DeliveryGuarantee, ReliableSender};
 use tca_messaging::rpc::RetryPolicy;
 use tca_models::dataflow::{deploy, Event, JobBuilder, JobManagerConfig, SinkMode};
-use tca_models::microservice::{Endpoint, Microservice, ServiceCall, ServiceConfig, Step};
+use tca_models::microservice::{Endpoint, Microservice, ServiceCall, Step};
 use tca_models::statefun::{spawn_shards, EntityId, StartOrchestration, StatefunApp};
 use tca_sim::DetHashMap as HashMap;
 use tca_sim::{
@@ -807,7 +807,7 @@ pub fn e8_failure_consistency(seed: u64) -> Vec<Row> {
         let service = sim.spawn(
             n_svc,
             "transfer-svc",
-            Microservice::factory("transfer", endpoints, ServiceConfig::default()),
+            Microservice::factory("transfer", endpoints),
         );
         let factory: RequestFactory = Rc::new(|rng| {
             let from = rng.range(0, 16);
@@ -1031,11 +1031,7 @@ pub fn e9_tpcc(seed: u64) -> Vec<Row> {
                     ),
                 );
             }
-            sim.spawn(
-                n_svc,
-                "tpcc-svc",
-                Microservice::factory("tpcc", endpoints, ServiceConfig::default()),
-            )
+            sim.spawn(n_svc, "tpcc-svc", Microservice::factory("tpcc", endpoints))
         } else {
             db
         };
@@ -1214,9 +1210,7 @@ pub fn e11_isolation_anomalies(seed: u64) -> Vec<Row> {
                     db,
                     iso,
                     key: "stock".into(),
-                    max_sales: 1000,
                     metric: format!("e11c{i}"),
-                    pacing: SimDuration::ZERO,
                 }),
             );
         }
@@ -2132,12 +2126,12 @@ pub fn e20_dataflow_headtohead(seed: u64) -> Vec<Row> {
     // (d) Actor transactions: lock-based coordinator actors over
     // `shards` silos.
     let run_actor = |label: &str, shards: usize, theta: f64| -> Row {
-        use tca_models::actor::{ActorId, ActorSilo, Directory, DirectoryConfig, SiloConfig};
+        use tca_models::actor::{ActorId, ActorSilo, Directory, SiloConfig};
         let mut sim = Sim::with_seed(seed);
         let n_dir = sim.add_node();
         let silo_nodes = sim.add_nodes(shards.min(8));
         let n_load = sim.add_node();
-        let directory = sim.spawn(n_dir, "dir", Directory::factory(DirectoryConfig::default()));
+        let directory = sim.spawn(n_dir, "dir", Directory::factory());
         for i in 0..shards {
             sim.spawn(
                 silo_nodes[i % silo_nodes.len()],
@@ -2330,7 +2324,9 @@ pub fn e21_exactly_once_workflows(seed: u64) -> Vec<Row> {
         rows.push(run(
             &format!("naive    drop={:.0}%", drop * 100.0),
             drop,
-            WorkflowConfig::naive(),
+            WorkflowConfig {
+                exactly_once: false,
+            },
         ));
     }
     rows

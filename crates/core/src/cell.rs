@@ -13,9 +13,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use tca_messaging::rpc::RetryPolicy;
-use tca_models::actor::{
-    actor_state_registry, ActorId, ActorSilo, Directory, DirectoryConfig, SiloConfig,
-};
+use tca_models::actor::{actor_state_registry, ActorId, ActorSilo, Directory, SiloConfig};
 use tca_models::statefun::{spawn_shards, EntityId, StartOrchestration, StatefunApp};
 use tca_sim::{Histogram, NodeId, Payload, ProcessId, Sim, SimDuration, SimRng, SimTime, SpanKind};
 use tca_storage::{DbMsg, DbServer, DbServerConfig, Value};
@@ -32,6 +30,9 @@ use tca_workloads::loadgen::{
 
 use crate::taxonomy::{ProgrammingModel, TxnMechanism};
 
+/// Virtual-time budget for a cell run.
+const BUDGET: SimDuration = SimDuration::from_secs(30);
+
 /// Workload parameters for a cell run.
 #[derive(Debug, Clone)]
 pub struct CellParams {
@@ -45,8 +46,6 @@ pub struct CellParams {
     pub transfers: u64,
     /// Probability a transfer debits account 0 (contention knob).
     pub hot_prob: f64,
-    /// Virtual-time budget for the run.
-    pub budget: SimDuration,
     /// Record causal spans during the run (fills [`CellReport::breakdown`]).
     pub trace: bool,
 }
@@ -59,7 +58,6 @@ impl Default for CellParams {
             clients: 8,
             transfers: 400,
             hot_prob: 0.0,
-            budget: SimDuration::from_secs(30),
             trace: false,
         }
     }
@@ -74,7 +72,7 @@ pub struct CellReport {
     pub committed: u64,
     /// Transfers that failed/aborted.
     pub failed: u64,
-    /// Virtual seconds consumed until quiescence (≤ budget).
+    /// Virtual seconds consumed until quiescence (≤ 30).
     pub sim_seconds: f64,
     /// Committed transfers per virtual second.
     pub throughput: f64,
@@ -294,7 +292,7 @@ fn run_saga_cell(
         sim.schedule_crash(crash, n2);
         sim.schedule_restart(restart, n2);
     }
-    sim.run_for(params.budget);
+    sim.run_for(BUDGET);
     let drift = db_drift(&sim, db, params);
     let conserved = drift.map(|d| d == 0);
     (
@@ -372,7 +370,7 @@ fn run_2pc_cell(params: &CellParams) -> (CellReport, Sim) {
             },
         ),
     );
-    sim.run_for(params.budget);
+    sim.run_for(BUDGET);
     // 2PC participants seed lazily (default balance 100 in registry was
     // for tests); here accounts start at 0 + credits − debits must sum
     // to 0. Conservation audit: sum of balances == 0 net change is
@@ -410,7 +408,7 @@ pub fn deploy_actor_bank(sim: &mut Sim) -> (ProcessId, [NodeId; 2]) {
     let nd = sim.add_node();
     let ndb = sim.add_node();
     let silo_nodes = [sim.add_node(), sim.add_node()];
-    let directory = sim.spawn(nd, "dir", Directory::factory(DirectoryConfig::default()));
+    let directory = sim.spawn(nd, "dir", Directory::factory());
     let db = sim.spawn(
         ndb,
         "state-db",
@@ -460,7 +458,7 @@ fn run_actor_cell(params: &CellParams, transactional: bool) -> (CellReport, Sim)
         "driver",
         ActorClosedLoop::factory(directory, request, params.clients, params.transfers, "cell"),
     );
-    sim.run_for(params.budget);
+    sim.run_for(BUDGET);
     let label = if transactional {
         "actors+txn"
     } else {
@@ -568,7 +566,7 @@ fn run_statefun_cell(params: &CellParams, locked: bool) -> (CellReport, Sim) {
             },
         ),
     );
-    sim.run_for(params.budget);
+    sim.run_for(BUDGET);
     let label = if locked {
         "statefun+locks"
     } else {
@@ -619,7 +617,7 @@ fn run_deterministic_cell(params: &CellParams) -> (CellReport, Sim) {
             },
         ),
     );
-    sim.run_for(params.budget);
+    sim.run_for(BUDGET);
     // Only the ring owner of a key stores it, and only once written: sum
     // what every materialised balance moved from its starting value.
     let conserved = shards

@@ -105,36 +105,20 @@ pub struct BrokerReply {
     pub resp: BrokerResponse,
 }
 
-/// Broker service-time model.
-#[derive(Debug, Clone)]
+/// Latency charged on publish replies (append + fsync) and on every
+/// other reply that makes something durable.
+const PUBLISH_LATENCY: SimDuration = SimDuration::from_micros(80);
+/// Latency charged on fetch replies.
+const FETCH_LATENCY: SimDuration = SimDuration::from_micros(40);
+
+/// Broker settings.
+#[derive(Debug, Clone, Default)]
 pub struct BrokerConfig {
-    /// Latency charged on publish replies (append + fsync).
-    pub publish_latency: SimDuration,
-    /// Latency charged on fetch replies.
-    pub fetch_latency: SimDuration,
     /// Refuse publishes once a topic's deepest unconsumed backlog (see
-    /// [`TopicStore::backlog`]) reaches this many records. `None` (the
-    /// default) keeps the historical accept-everything behaviour.
+    /// [`TopicStore::backlog`]) reaches this many records, answering
+    /// [`BrokerResponse::Backpressure`]. `None` (the default) keeps the
+    /// historical accept-everything behaviour.
     pub max_backlog: Option<u64>,
-}
-
-impl Default for BrokerConfig {
-    fn default() -> Self {
-        BrokerConfig {
-            publish_latency: SimDuration::from_micros(80),
-            fetch_latency: SimDuration::from_micros(40),
-            max_backlog: None,
-        }
-    }
-}
-
-impl BrokerConfig {
-    /// Bound the unconsumed backlog per topic, enabling publish-side
-    /// backpressure ([`BrokerResponse::Backpressure`]).
-    pub fn with_max_backlog(mut self, records: u64) -> Self {
-        self.max_backlog = Some(records);
-        self
-    }
 }
 
 /// The broker process.
@@ -180,7 +164,7 @@ impl Process for Broker {
                     from,
                     token,
                     BrokerResponse::TopicCreated,
-                    self.config.publish_latency,
+                    PUBLISH_LATENCY,
                 );
             }
             BrokerRequest::Publish { topic, key, body } => {
@@ -192,7 +176,7 @@ impl Process for Broker {
                             from,
                             token,
                             BrokerResponse::Backpressure,
-                            self.config.publish_latency,
+                            PUBLISH_LATENCY,
                         );
                         return;
                     }
@@ -202,7 +186,7 @@ impl Process for Broker {
                     Some((partition, offset)) => BrokerResponse::Published { partition, offset },
                     None => BrokerResponse::PublishFailed,
                 };
-                self.reply(ctx, from, token, resp, self.config.publish_latency);
+                self.reply(ctx, from, token, resp, PUBLISH_LATENCY);
             }
             BrokerRequest::Fetch {
                 topic,
@@ -226,7 +210,7 @@ impl Process for Broker {
                         records,
                         next,
                     },
-                    self.config.fetch_latency,
+                    FETCH_LATENCY,
                 );
             }
             BrokerRequest::CommitOffset {
@@ -241,7 +225,7 @@ impl Process for Broker {
                     from,
                     token,
                     BrokerResponse::OffsetCommitted,
-                    self.config.publish_latency,
+                    PUBLISH_LATENCY,
                 );
             }
         }
@@ -422,7 +406,9 @@ mod tests {
         let broker = sim.spawn(
             nb,
             "broker",
-            Broker::factory(BrokerConfig::default().with_max_backlog(10)),
+            Broker::factory(BrokerConfig {
+                max_backlog: Some(10),
+            }),
         );
         sim.spawn(nc, "pub", move |_| Box::new(Publisher { broker, n: 25 }));
         sim.run_for(SimDuration::from_millis(50));

@@ -250,9 +250,6 @@ mod tests {
         count: u64,
     }
     impl Process for CounterApp {
-        fn as_any(&self) -> Option<&dyn std::any::Any> {
-            Some(self)
-        }
         fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
             if let Some(_body) = self.receiver.accept(ctx, from, &payload) {
                 self.count += 1;

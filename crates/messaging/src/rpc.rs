@@ -45,7 +45,7 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// Single attempt: at-most-once semantics.
-    pub fn at_most_once(timeout: SimDuration) -> Self {
+    pub const fn at_most_once(timeout: SimDuration) -> Self {
         RetryPolicy {
             max_attempts: 1,
             timeout,
@@ -56,7 +56,7 @@ impl RetryPolicy {
 
     /// Retry until `max_attempts`: at-least-once semantics (the receiver
     /// may observe duplicates when only the reply was lost).
-    pub fn retrying(max_attempts: u32, timeout: SimDuration) -> Self {
+    pub const fn retrying(max_attempts: u32, timeout: SimDuration) -> Self {
         RetryPolicy {
             max_attempts,
             timeout,

@@ -26,9 +26,6 @@ struct Producer {
 }
 
 impl Process for Producer {
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
     fn on_start(&mut self, ctx: &mut Ctx) {
         ctx.set_timer(SimDuration::from_micros(300), 1);
     }
@@ -53,9 +50,6 @@ struct Applier {
 }
 
 impl Process for Applier {
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
     fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
         if self.receiver.accept(ctx, from, &payload).is_some() {
             ctx.metrics().incr("torture.applied", 1);

@@ -169,31 +169,18 @@ struct SiloHeartbeat;
 // Directory
 // ---------------------------------------------------------------------------
 
-/// Directory configuration.
-#[derive(Debug, Clone)]
-pub struct DirectoryConfig {
-    /// Expected heartbeat interval of silos.
-    pub heartbeat_interval: SimDuration,
-    /// A silo missing heartbeats for this long is declared dead and its
-    /// placements are cleared (enabling migration).
-    pub failure_timeout: SimDuration,
-}
-
-impl Default for DirectoryConfig {
-    fn default() -> Self {
-        DirectoryConfig {
-            heartbeat_interval: SimDuration::from_millis(5),
-            failure_timeout: SimDuration::from_millis(20),
-        }
-    }
-}
+/// Heartbeat period: every silo reports to the directory this often, and
+/// the directory's failure timeout is a multiple of it.
+const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(5);
+/// A silo missing heartbeats for this long (four periods) is declared dead
+/// and its placements are cleared (enabling migration).
+const FAILURE_TIMEOUT: SimDuration = SimDuration::from_nanos(4 * HEARTBEAT_INTERVAL.as_nanos());
 
 const DIR_SWEEP_TAG: u64 = 0xd1c0_0001;
 
 /// The placement directory (the Orleans membership oracle, simplified to
 /// a single process).
 pub struct Directory {
-    config: DirectoryConfig,
     placements: HashMap<ActorId, ProcessId>,
     silos: Vec<(ProcessId, SimTime, bool)>,
     round_robin: usize,
@@ -201,10 +188,9 @@ pub struct Directory {
 
 impl Directory {
     /// Process factory.
-    pub fn factory(config: DirectoryConfig) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
-        move |_| {
+    pub fn factory() -> impl FnMut(&mut Boot) -> Box<dyn Process> {
+        |_| {
             Box::new(Directory {
-                config: config.clone(),
                 placements: HashMap::default(),
                 silos: Vec::new(),
                 round_robin: 0,
@@ -236,7 +222,7 @@ impl Directory {
 
 impl Process for Directory {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.set_timer(self.config.failure_timeout, DIR_SWEEP_TAG);
+        ctx.set_timer(FAILURE_TIMEOUT, DIR_SWEEP_TAG);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
@@ -268,11 +254,10 @@ impl Process for Directory {
         if tag != DIR_SWEEP_TAG {
             return;
         }
-        let deadline = self.config.failure_timeout;
         let now = ctx.now();
         let mut died = Vec::new();
         for (silo, last, alive) in &mut self.silos {
-            if *alive && now.since(*last) > deadline {
+            if *alive && now.since(*last) > FAILURE_TIMEOUT {
                 *alive = false;
                 died.push(*silo);
                 ctx.metrics().incr("dir.silo_declared_dead", 1);
@@ -281,7 +266,7 @@ impl Process for Directory {
         if !died.is_empty() {
             self.placements.retain(|_, silo| !died.contains(silo));
         }
-        ctx.set_timer(self.config.failure_timeout, DIR_SWEEP_TAG);
+        ctx.set_timer(FAILURE_TIMEOUT, DIR_SWEEP_TAG);
     }
 }
 
@@ -558,11 +543,9 @@ impl ActorRouter {
 #[derive(Clone)]
 pub struct SiloConfig {
     /// The placement directory.
-    pub directory: ProcessId,
+    directory: ProcessId,
     /// External database for actor state; `None` = volatile actors.
-    pub state_db: Option<ProcessId>,
-    /// Heartbeat period.
-    pub heartbeat_interval: SimDuration,
+    state_db: Option<ProcessId>,
 }
 
 impl SiloConfig {
@@ -571,15 +554,14 @@ impl SiloConfig {
         SiloConfig {
             directory,
             state_db: None,
-            heartbeat_interval: SimDuration::from_millis(5),
         }
     }
 
     /// Persistent-actor silo writing state through to `db`.
     pub fn persistent(directory: ProcessId, db: ProcessId) -> Self {
         SiloConfig {
+            directory,
             state_db: Some(db),
-            ..SiloConfig::volatile(directory)
         }
     }
 }
@@ -926,7 +908,7 @@ impl ActorSilo {
 impl Process for ActorSilo {
     fn on_start(&mut self, ctx: &mut Ctx) {
         ctx.send(self.config.directory, Payload::new(SiloHeartbeat));
-        ctx.set_timer(self.config.heartbeat_interval, HEARTBEAT_TAG);
+        ctx.set_timer(HEARTBEAT_INTERVAL, HEARTBEAT_TAG);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
@@ -1005,7 +987,7 @@ impl Process for ActorSilo {
     fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
         if tag == HEARTBEAT_TAG {
             ctx.send(self.config.directory, Payload::new(SiloHeartbeat));
-            ctx.set_timer(self.config.heartbeat_interval, HEARTBEAT_TAG);
+            ctx.set_timer(HEARTBEAT_INTERVAL, HEARTBEAT_TAG);
             return;
         }
         if let Some(completions) = self.router.on_timer(ctx, tag) {
@@ -1169,7 +1151,7 @@ mod tests {
         let nd = sim.add_node();
         let ns = sim.add_node();
         let nc = sim.add_node();
-        let directory = sim.spawn(nd, "dir", Directory::factory(DirectoryConfig::default()));
+        let directory = sim.spawn(nd, "dir", Directory::factory());
         sim.spawn(
             ns,
             "silo",
@@ -1210,7 +1192,7 @@ mod tests {
         let ns1 = sim.add_node();
         let ns2 = sim.add_node();
         let nc = sim.add_node();
-        let directory = sim.spawn(nd, "dir", Directory::factory(DirectoryConfig::default()));
+        let directory = sim.spawn(nd, "dir", Directory::factory());
         sim.spawn(
             ns1,
             "silo1",
@@ -1243,7 +1225,7 @@ mod tests {
         let nd = sim.add_node();
         let ns = sim.add_node();
         let nc = sim.add_node();
-        let directory = sim.spawn(nd, "dir", Directory::factory(DirectoryConfig::default()));
+        let directory = sim.spawn(nd, "dir", Directory::factory());
         sim.spawn(
             ns,
             "silo",
@@ -1287,7 +1269,7 @@ mod tests {
         let ns = sim.add_node();
         let ndb = sim.add_node();
         let nc = sim.add_node();
-        let directory = sim.spawn(nd, "dir", Directory::factory(DirectoryConfig::default()));
+        let directory = sim.spawn(nd, "dir", Directory::factory());
         let db = sim.spawn(
             ndb,
             "state-db",
@@ -1337,7 +1319,7 @@ mod tests {
         let ns2 = sim.add_node();
         let ndb = sim.add_node();
         let nc = sim.add_node();
-        let directory = sim.spawn(nd, "dir", Directory::factory(DirectoryConfig::default()));
+        let directory = sim.spawn(nd, "dir", Directory::factory());
         let db = sim.spawn(
             ndb,
             "state-db",

@@ -536,32 +536,6 @@ impl Worker {
             }
         }
     }
-
-    /// Render internal state for harness-side debugging.
-    pub fn debug_state(&self) -> String {
-        let channels: Vec<String> = self
-            .inputs
-            .iter()
-            .map(|(pid, c)| {
-                format!(
-                    "{pid}:next={} buf={} barrier={}",
-                    c.next_seq,
-                    c.reorder.len(),
-                    c.barrier_seen
-                )
-            })
-            .collect();
-        format!(
-            "stage={} idx={} aligning={:?} paused={} epoch={} align_buf={} channels=[{}]",
-            self.stage.name,
-            self.stage_relative_index,
-            self.aligning,
-            self.paused,
-            self.epoch,
-            self.align_buffer.len(),
-            channels.join(", ")
-        )
-    }
 }
 
 /// Wrapper making snapshots storable in a [`tca_sim::Disk`].
@@ -573,10 +547,6 @@ struct SnapshotCell(Rc<TaskSnapshot>);
 // ---------------------------------------------------------------------------
 
 impl Process for Worker {
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx) {
         let manager = self.deployment.manager();
         let lost_state = self.boot_restart;

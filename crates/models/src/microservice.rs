@@ -6,7 +6,9 @@
 //! and leaving state handling to an external database"). An endpoint is a
 //! list of [`Step`]s — database stored-procedure calls, calls to other
 //! services, or local computation over a variable context — executed as an
-//! interruption-free state machine per request. Crash a service node and
+//! interruption-free state machine per request. The service charges no
+//! compute time of its own: a request's latency is that of its downstream
+//! calls, each retried under one fixed policy. Crash a service node and
 //! restart it: in-flight requests die (clients retry), but no state is
 //! lost because the service had none.
 //!
@@ -19,7 +21,7 @@ use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
 use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, SimDuration};
-use tca_storage::{DbMsg, DbReply, DbRequest, DbResponse, Value};
+use tca_storage::{DbMsg, DbReply, DbResponse, Value};
 
 use tca_messaging::rpc::{reply_to, RetryPolicy, RpcClient, RpcEvent, RpcRequest};
 
@@ -160,23 +162,8 @@ impl Endpoint {
     }
 }
 
-/// Service configuration.
-#[derive(Debug, Clone)]
-pub struct ServiceConfig {
-    /// Retry policy for downstream calls (DB and service-to-service).
-    pub downstream_retry: RetryPolicy,
-    /// Simulated handler compute time charged before the first step.
-    pub handler_latency: SimDuration,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            downstream_retry: RetryPolicy::retrying(5, SimDuration::from_millis(10)),
-            handler_latency: SimDuration::from_micros(10),
-        }
-    }
-}
+/// Retry policy for downstream calls (DB and service-to-service).
+const DOWNSTREAM_RETRY: RetryPolicy = RetryPolicy::retrying(5, SimDuration::from_millis(10));
 
 struct Invocation {
     vars: Vars,
@@ -190,7 +177,6 @@ struct Invocation {
 pub struct Microservice {
     name: String,
     endpoints: Rc<HashMap<String, Endpoint>>,
-    config: ServiceConfig,
     rpc: RpcClient,
     /// In-flight requests keyed by a local invocation id (= rpc user_tag).
     active: HashMap<u64, Invocation>,
@@ -202,7 +188,6 @@ impl Microservice {
     pub fn factory(
         name: impl Into<String>,
         endpoints: HashMap<String, Endpoint>,
-        config: ServiceConfig,
     ) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
         let name = name.into();
         let endpoints = Rc::new(endpoints);
@@ -210,7 +195,6 @@ impl Microservice {
             Box::new(Microservice {
                 name: name.clone(),
                 endpoints: Rc::clone(&endpoints),
-                config: config.clone(),
                 rpc: RpcClient::new(),
                 active: HashMap::default(),
                 next_invocation: 0,
@@ -267,35 +251,20 @@ impl Microservice {
                     }
                     // fall through: loop to next step
                 }
-                Step::Db {
-                    db,
-                    proc,
-                    args,
-                    bind,
-                } => {
-                    let args = args(&inv.vars);
-                    let body = Payload::new(DbMsg {
-                        token: bind_token(bind),
-                        req: DbRequest::Call { proc, args },
-                    });
-                    self.rpc
-                        .call(ctx, db, body, self.config.downstream_retry, inv_id);
+                Step::Db { db, proc, args, .. } => {
+                    let body = Payload::new(DbMsg::call(proc, args(&inv.vars)));
+                    self.rpc.call(ctx, db, body, DOWNSTREAM_RETRY, inv_id);
                     return; // parked until the reply
                 }
                 Step::Invoke {
                     service,
                     endpoint,
                     args,
-                    bind,
+                    ..
                 } => {
                     let args = args(&inv.vars);
                     let body = Payload::new(ServiceCall { endpoint, args });
-                    // Stash the bind target in the invocation (only one
-                    // outstanding call at a time, so a single slot works).
-                    inv.vars
-                        .set("__bind", Value::Str(bind.unwrap_or("").to_owned()));
-                    self.rpc
-                        .call(ctx, service, body, self.config.downstream_retry, inv_id);
+                    self.rpc.call(ctx, service, body, DOWNSTREAM_RETRY, inv_id);
                     return;
                 }
             }
@@ -311,76 +280,43 @@ impl Microservice {
             return;
         };
         // A DB reply or a nested service reply.
-        if let Some(db_reply) = body.downcast_ref::<DbReply>() {
+        let outcome = if let Some(db_reply) = body.downcast_ref::<DbReply>() {
             match &db_reply.resp {
-                DbResponse::CallOk { results } => {
-                    if let Some(bind) = token_bind(db_reply.token) {
-                        let value = results.first().cloned().unwrap_or(Value::Null);
-                        inv.vars.set(bind, value);
-                    }
-                    self.advance(ctx, inv_id);
-                }
-                DbResponse::CallFailed { error } => {
-                    let error = error.clone();
-                    self.finish(ctx, inv_id, Err(error));
-                }
-                DbResponse::Aborted { reason } => {
-                    let reason = *reason;
-                    self.finish(ctx, inv_id, Err(format!("db abort: {reason}")));
-                }
-                other => {
-                    let msg = format!("unexpected db response {other:?}");
-                    self.finish(ctx, inv_id, Err(msg));
-                }
+                DbResponse::CallOk { results } => Ok(results),
+                DbResponse::CallFailed { error } => Err(error.clone()),
+                DbResponse::Aborted { reason } => Err(format!("db abort: {reason}")),
+                other => Err(format!("unexpected db response {other:?}")),
             }
         } else if let Some(svc_reply) = body.downcast_ref::<ServiceReply>() {
-            match &svc_reply.result {
-                Ok(values) => {
-                    let bind = match inv.vars.try_get("__bind") {
-                        Some(Value::Str(s)) if !s.is_empty() => Some(s.clone()),
-                        _ => None,
-                    };
-                    if let Some(bind) = bind {
-                        let value = values.first().cloned().unwrap_or(Value::Null);
-                        inv.vars.set(&bind, value);
-                    }
-                    self.advance(ctx, inv_id);
-                }
-                Err(e) => {
-                    let e = e.clone();
-                    self.finish(ctx, inv_id, Err(e));
-                }
-            }
+            svc_reply.result.as_ref().map_err(String::clone)
         } else {
-            self.finish(ctx, inv_id, Err("unexpected downstream payload".into()));
+            Err("unexpected downstream payload".into())
+        };
+        match outcome {
+            Ok(values) => {
+                // One call is in flight per invocation, issued by the step
+                // before the cursor: that step names the bind target.
+                let issued = self
+                    .endpoints
+                    .get(&inv.endpoint)
+                    .and_then(|endpoint| endpoint.steps.get(inv.step - 1));
+                if let Some(
+                    Step::Db {
+                        bind: Some(bind), ..
+                    }
+                    | Step::Invoke {
+                        bind: Some(bind), ..
+                    },
+                ) = issued
+                {
+                    let value = values.first().cloned().unwrap_or(Value::Null);
+                    inv.vars.set(bind, value);
+                }
+                self.advance(ctx, inv_id);
+            }
+            Err(e) => self.finish(ctx, inv_id, Err(e)),
         }
     }
-}
-
-/// Encode an optional bind target into a DB token (static strs only; the
-/// token space doubles as a tiny interning table).
-fn bind_token(bind: Option<&'static str>) -> u64 {
-    match bind {
-        None => 0,
-        Some(s) => {
-            // Stable hash of the name, never 0.
-            let h = tca_sim::fnv1a(s.as_bytes());
-            BIND_NAMES.with(|names| names.borrow_mut().insert(h, s));
-            h.max(1)
-        }
-    }
-}
-
-fn token_bind(token: u64) -> Option<&'static str> {
-    if token == 0 {
-        return None;
-    }
-    BIND_NAMES.with(|names| names.borrow().get(&token).copied())
-}
-
-thread_local! {
-    static BIND_NAMES: std::cell::RefCell<HashMap<u64, &'static str>> =
-        std::cell::RefCell::new(HashMap::default());
 }
 
 impl Process for Microservice {
@@ -595,7 +531,7 @@ mod tests {
         let inventory = sim.spawn(
             n_inv,
             "inventory",
-            Microservice::factory("inventory", inv_endpoints, ServiceConfig::default()),
+            Microservice::factory("inventory", inv_endpoints),
         );
         let mut ord_endpoints = HashMap::default();
         ord_endpoints.insert(
@@ -620,7 +556,7 @@ mod tests {
         let orders = sim.spawn(
             n_ord,
             "orders",
-            Microservice::factory("orders", ord_endpoints, ServiceConfig::default()),
+            Microservice::factory("orders", ord_endpoints),
         );
         (sim, orders)
     }
@@ -710,6 +646,92 @@ mod tests {
         sim.schedule_restart(tca_sim::SimTime::from_nanos(10_000_000), orders_node);
         sim.run_for(SimDuration::from_millis(500));
         assert_eq!(sim.metrics().counter("client.ok"), 3);
+    }
+
+    /// Calls `plan` one call after the other and keeps what each returned.
+    struct Caller {
+        target: ProcessId,
+        rpc: RpcClient,
+        plan: std::vec::IntoIter<ServiceCall>,
+        replies: Vec<Result<Vec<Value>, String>>,
+    }
+
+    impl Caller {
+        fn fire_next(&mut self, ctx: &mut Ctx) {
+            if let Some(call) = self.plan.next() {
+                let policy = RetryPolicy::at_most_once(SimDuration::from_millis(50));
+                self.rpc
+                    .call(ctx, self.target, Payload::new(call), policy, 0);
+            }
+        }
+    }
+
+    impl Process for Caller {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            self.fire_next(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
+            if let Some(RpcEvent::Reply { body, .. }) = self.rpc.on_message(ctx, &payload) {
+                self.replies
+                    .push(body.expect::<ServiceReply>().result.clone());
+                self.fire_next(ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_requests_bind_by_their_own_step() {
+        // Two endpoints bind the same variable from a DB step, at different
+        // positions, around a step that binds nothing (and whose empty
+        // result would bind `Null` if it were mistaken for a binding one).
+        let mut sim = Sim::with_seed(62);
+        let nodes = sim.add_nodes(4);
+        let registry = ProcRegistry::new()
+            .with("echo", |_, args| Ok(vec![args[0].clone()]))
+            .with("touch", |_, _| Ok(vec![]));
+        let db = sim.spawn(
+            nodes[0],
+            "db",
+            DbServer::factory("db", DbServerConfig::default(), registry),
+        );
+        let echo = move || Step::db(db, "echo", |v| vec![v.get("$0").clone()], Some("v"));
+        let touch = move || Step::db(db, "touch", |_| vec![], None);
+        let mut endpoints = HashMap::default();
+        endpoints.insert(
+            "bind-first".to_owned(),
+            Endpoint::new(vec![echo(), touch()], vec!["v"]),
+        );
+        endpoints.insert(
+            "bind-last".to_owned(),
+            Endpoint::new(vec![touch(), echo()], vec!["v"]),
+        );
+        let service = sim.spawn(nodes[1], "svc", Microservice::factory("svc", endpoints));
+        let mut caller = |node, endpoint: &str, values: [i64; 3]| {
+            let plan: Vec<ServiceCall> = values
+                .iter()
+                .map(|&v| ServiceCall {
+                    endpoint: endpoint.into(),
+                    args: vec![Value::Int(v)],
+                })
+                .collect();
+            sim.spawn(node, endpoint.to_owned(), move |_: &mut Boot| {
+                Box::new(Caller {
+                    target: service,
+                    rpc: RpcClient::new(),
+                    plan: plan.clone().into_iter(),
+                    replies: Vec::new(),
+                }) as Box<dyn Process>
+            })
+        };
+        let first = caller(nodes[2], "bind-first", [1, 2, 3]);
+        let last = caller(nodes[3], "bind-last", [10, 20, 30]);
+        sim.run_for(SimDuration::from_millis(100));
+        // Both callers started at time zero: their requests were in flight
+        // at the service together, each at its own step cursor.
+        let replies = |pid| sim.inspect::<Caller>(pid).expect("alive").replies.clone();
+        let ints = |values: [i64; 3]| values.map(|v| Ok(vec![Value::Int(v)])).to_vec();
+        assert_eq!(replies(first), ints([1, 2, 3]));
+        assert_eq!(replies(last), ints([10, 20, 30]));
     }
 
     #[test]

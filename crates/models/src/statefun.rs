@@ -834,32 +834,6 @@ impl StatefunShard {
         self.entities.get(id).map(|e| e.state.clone())
     }
 
-    /// Render internal state for harness-side debugging.
-    pub fn debug_state(&self) -> String {
-        let mut out = String::new();
-        for (key, i) in &self.instances {
-            if i.status != InstanceStatus::Done {
-                out.push_str(&format!(
-                    "instance {key}: {:?} history={} lock_queue={:?} locked={:?}\n",
-                    i.status,
-                    i.history.len(),
-                    i.lock_queue,
-                    i.locked
-                ));
-            }
-        }
-        for (id, e) in &self.entities {
-            if e.lock_holder.is_some() || !e.waiting.is_empty() {
-                out.push_str(&format!(
-                    "entity {id}: holder={:?} waiting={}\n",
-                    e.lock_holder,
-                    e.waiting.len()
-                ));
-            }
-        }
-        out
-    }
-
     fn handle_release(&mut self, ctx: &mut Ctx, release: ReleaseLocks) {
         let mut to_run: Vec<(ProcessId, EntityOpReq)> = Vec::new();
         let mut to_grant: Vec<(ProcessId, LockReq)> = Vec::new();
@@ -901,10 +875,6 @@ impl StatefunShard {
 const REDRIVE_TAG: u64 = 0x5f_0001;
 
 impl Process for StatefunShard {
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx) {
         // Resume every unfinished instance (recovery: deterministic replay
         // against the journaled history re-issues the first missing

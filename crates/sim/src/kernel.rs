@@ -13,6 +13,7 @@
 //! time — exactly the partial-failure model the paper's §4.1 discusses.
 
 use crate::detmap::DetHashSet as HashSet;
+use std::any::Any;
 
 use crate::metrics::{FastCounter, Metrics};
 use crate::network::{Fate, Network, NetworkConfig};
@@ -491,15 +492,12 @@ impl Sim {
         &self.procs[pid.0 as usize].disk
     }
 
-    /// Inspect a live process as its concrete type `T` (the process must
-    /// opt in via [`Process::as_any`]). Used by harnesses for post-run
-    /// audits; returns `None` when the process is down or of another type.
+    /// Inspect a live process as its concrete type `T`. Used by harnesses
+    /// for post-run audits; returns `None` when the process is down or of
+    /// another type.
     pub fn inspect<T: 'static>(&self, pid: ProcessId) -> Option<&T> {
-        self.procs[pid.0 as usize]
-            .state
-            .as_ref()
-            .and_then(|p| p.as_any())
-            .and_then(|any| any.downcast_ref::<T>())
+        let process: &dyn Process = self.procs[pid.0 as usize].state.as_deref()?;
+        (process as &dyn Any).downcast_ref::<T>()
     }
 
     // ----- internals ---------------------------------------------------------

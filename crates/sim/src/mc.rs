@@ -252,8 +252,6 @@ pub struct McConfig {
     pub visited: bool,
     /// Leaf closure mode.
     pub closure: McClosure,
-    /// Shrink violating schedules by greedy choice removal.
-    pub minimize: bool,
 }
 
 impl Default for McConfig {
@@ -267,7 +265,6 @@ impl Default for McConfig {
             por: true,
             visited: true,
             closure: McClosure::RunFor(SimDuration::from_millis(800)),
-            minimize: true,
         }
     }
 }
@@ -328,7 +325,7 @@ impl McScenario {
 /// A violation found during exploration.
 #[derive(Debug, Clone)]
 pub struct McViolation {
-    /// The (minimized, when enabled) reproducing schedule.
+    /// The reproducing schedule, shrunk by greedy choice removal.
     pub schedule: Schedule,
     /// The invariant/audit failure message the schedule reproduces.
     pub message: String,
@@ -619,15 +616,13 @@ pub fn explore(scenario: &McScenario, config: &McConfig) -> McReport {
     };
     explorer.dfs(sim, Vec::new(), 0, 0, 0);
     let mut report = explorer.report;
-    if config.minimize {
-        if let Some(v) = report.violation.take() {
-            let (schedule, message) = minimize(scenario, config, v.schedule, v.message);
-            report.violation = Some(McViolation {
-                schedule,
-                message,
-                raw_len: v.raw_len,
-            });
-        }
+    if let Some(v) = report.violation.take() {
+        let (schedule, message) = minimize(scenario, config, v.schedule, v.message);
+        report.violation = Some(McViolation {
+            schedule,
+            message,
+            raw_len: v.raw_len,
+        });
     }
     report
 }
@@ -1123,9 +1118,6 @@ mod tests {
         fn on_message(&mut self, _ctx: &mut Ctx, _from: ProcessId, _payload: Payload) {
             self.got += 1;
         }
-        fn as_any(&self) -> Option<&dyn std::any::Any> {
-            Some(self)
-        }
     }
 
     /// Two independent deliveries to two different processes: POR should
@@ -1201,9 +1193,6 @@ mod tests {
                 _ => {}
             }
         }
-        fn as_any(&self) -> Option<&dyn std::any::Any> {
-            Some(self)
-        }
     }
 
     fn ordered_scenario() -> McScenario {
@@ -1265,9 +1254,6 @@ mod tests {
     }
     impl Process for Reborn {
         fn on_message(&mut self, _ctx: &mut Ctx, _from: ProcessId, _payload: Payload) {}
-        fn as_any(&self) -> Option<&dyn std::any::Any> {
-            Some(self)
-        }
     }
 
     #[test]
@@ -1392,9 +1378,6 @@ mod tests {
         fn on_message(&mut self, _: &mut Ctx, _: ProcessId, _: Payload) {}
         fn on_timer(&mut self, _ctx: &mut Ctx, tag: u64) {
             self.fired.push(tag);
-        }
-        fn as_any(&self) -> Option<&dyn std::any::Any> {
-            Some(self)
         }
     }
 

@@ -118,10 +118,10 @@ pub fn key_shard(key: &str, shards: usize) -> usize {
     (fnv1a(key.as_bytes()) % shards as u64) as usize
 }
 
-/// Default number of virtual nodes per shard on the consistent-hash ring.
+/// Number of virtual nodes per shard on the consistent-hash ring.
 /// Enough to keep arc ownership within a few percent of uniform for the
 /// fleet sizes the experiments sweep (1–64 shards).
-pub const DEFAULT_VNODES: usize = 64;
+const VNODES: usize = 64;
 
 #[derive(Debug, Clone)]
 enum Placement {
@@ -148,8 +148,7 @@ impl ShardMap {
         }
     }
 
-    /// Consistent-hash ring over `n` shards with [`DEFAULT_VNODES`]
-    /// virtual nodes each.
+    /// Consistent-hash ring over `n` shards, 64 virtual nodes each.
     ///
     /// Growing the fleet moves only ~`1/(n+1)` of the keyspace, which is
     /// why the router uses a ring rather than modulo placement:
@@ -165,22 +164,16 @@ impl ShardMap {
     ///     .count();
     /// assert!(moved < 250, "adding a 9th shard moved {moved}/1000 keys");
     /// ```
-    pub fn ring(n: usize) -> Self {
-        Self::ring_with(n, DEFAULT_VNODES)
-    }
-
-    /// Consistent-hash ring over `n` shards, `vnodes` points per shard.
     ///
     /// Point positions hash the stable label `shard{i}#{v}`, so the ring
-    /// is a pure function of `(n, vnodes)`: every process computes the
-    /// same ring, and shard `i`'s points are unchanged by the presence of
-    /// other shards (the consistent-hashing property).
-    pub fn ring_with(n: usize, vnodes: usize) -> Self {
+    /// is a pure function of `n`: every process computes the same ring,
+    /// and shard `i`'s points are unchanged by the presence of other
+    /// shards (the consistent-hashing property).
+    pub fn ring(n: usize) -> Self {
         assert!(n > 0, "ShardMap over zero shards");
-        assert!(vnodes > 0, "ring with zero vnodes");
-        let mut points = Vec::with_capacity(n * vnodes);
+        let mut points = Vec::with_capacity(n * VNODES);
         for shard in 0..n {
-            for v in 0..vnodes {
+            for v in 0..VNODES {
                 points.push((mix64(fnv1a(format!("shard{shard}#{v}").as_bytes())), shard));
             }
         }

@@ -139,8 +139,12 @@ impl Disk {
     }
 }
 
-/// A deterministic event-driven process.
-pub trait Process {
+/// A deterministic event-driven process. Every process is [`Any`], so a
+/// harness can read its concrete state after a run ([`Sim::inspect`])
+/// without the process doing anything to allow it.
+///
+/// [`Sim::inspect`]: crate::Sim::inspect
+pub trait Process: Any {
     /// Called once when the process (re)starts, after construction.
     fn on_start(&mut self, _ctx: &mut Ctx) {}
 
@@ -149,12 +153,6 @@ pub trait Process {
 
     /// Called when a timer set via [`Ctx::set_timer`] fires.
     fn on_timer(&mut self, _ctx: &mut Ctx, _tag: u64) {}
-
-    /// Expose the concrete type for harness-side inspection (post-run
-    /// audits peeking at server state). Return `Some(self)` to opt in.
-    fn as_any(&self) -> Option<&dyn Any> {
-        None
-    }
 }
 
 /// Construction-time view handed to process factories, giving access to the

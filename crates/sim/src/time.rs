@@ -78,11 +78,6 @@ impl SimDuration {
         self.0 / 1_000_000
     }
 
-    /// Whole microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds as a float (for reporting only).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9

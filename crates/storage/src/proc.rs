@@ -127,11 +127,12 @@ impl ProcRegistry {
     }
 }
 
-/// Like [`run_proc`], but on success the transaction is left **open**
-/// with its locks held; the caller must later `engine.commit(tx)` or
-/// `engine.abort(tx)`. This is the execute phase of two-phase commit:
-/// the participant runs the local work but defers the commit decision to
-/// the coordinator.
+/// Run a registered procedure inside one serializable transaction and,
+/// on success, leave that transaction **open** with its locks held; the
+/// caller must later `engine.commit(tx)` or `engine.abort(tx)`. This is
+/// the execute phase of two-phase commit: the participant runs the local
+/// work but defers the commit decision to the coordinator. A blocked or
+/// failed run is rolled back here.
 pub fn run_proc_open(
     engine: &mut Engine,
     registry: &ProcRegistry,
@@ -164,39 +165,20 @@ pub fn run_proc_open(
     }
 }
 
-/// Execute a registered procedure inside one serializable transaction.
+/// Execute a registered procedure inside one serializable transaction:
+/// [`run_proc_open`], then commit.
 pub fn run_proc(
     engine: &mut Engine,
     registry: &ProcRegistry,
     name: &str,
     args: &[Value],
 ) -> ProcOutcome {
-    let Some(proc) = registry.get(name) else {
-        return ProcOutcome::Failed(format!("unknown procedure `{name}`"));
-    };
-    let tx = engine.begin(IsolationLevel::Serializable);
-    let (result, blocked) = {
-        let mut handle = TxHandle {
-            engine,
-            tx,
-            blocked: false,
-        };
-        let result = proc(&mut handle, args);
-        (result, handle.blocked)
-    };
-    if blocked {
-        engine.abort(tx);
-        return ProcOutcome::Retry;
-    }
-    match result {
-        Ok(values) => match engine.commit(tx).0 {
+    match run_proc_open(engine, registry, name, args) {
+        Ok((tx, values)) => match engine.commit(tx).0 {
             CommitResult::Committed(_) => ProcOutcome::Done(values),
             CommitResult::Aborted(reason) => ProcOutcome::Aborted(reason),
         },
-        Err(msg) => {
-            engine.abort(tx);
-            ProcOutcome::Failed(msg)
-        }
+        Err(outcome) => outcome,
     }
 }
 

@@ -30,7 +30,9 @@ use tca_sim::wire::{RpcReply, RpcRequest};
 use tca_sim::{Boot, Ctx, NodeId, Payload, Process, ProcessId, RecentWindow, ShardMap, Sim};
 
 use crate::proc::ProcRegistry;
-use crate::server::{DbMsg, DbReply, DbRequest, DbResponse, DbServer, DbServerConfig};
+use crate::server::{
+    reply_payload, DbMsg, DbReply, DbRequest, DbResponse, DbServer, DbServerConfig,
+};
 use crate::types::{Key, Value};
 
 /// Ask the router for its shard topology (reply: [`Topology`]).
@@ -143,17 +145,7 @@ impl ShardRouter {
         rpc_call: Option<u64>,
         resp: DbResponse,
     ) {
-        let reply = DbReply { token, resp };
-        match rpc_call {
-            Some(call_id) => ctx.send(
-                client,
-                Payload::new(RpcReply {
-                    call_id,
-                    body: Payload::new(reply),
-                }),
-            ),
-            None => ctx.send(client, Payload::new(reply)),
-        }
+        ctx.send(client, reply_payload(token, rpc_call, resp));
     }
 
     /// Forward a single-shard request (`body` holds the client's
@@ -371,10 +363,6 @@ impl ShardRouter {
 }
 
 impl Process for ShardRouter {
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
         // Shard replies (either shape) come back correlated by the
         // internal id the router assigned on the way out.
@@ -502,9 +490,6 @@ mod tests {
         scanned: usize,
     }
     impl Process for Script {
-        fn as_any(&self) -> Option<&dyn std::any::Any> {
-            Some(self)
-        }
         fn on_start(&mut self, ctx: &mut Ctx) {
             for (i, req) in self.reqs.drain(..).enumerate() {
                 ctx.send(

@@ -181,20 +181,11 @@ pub struct DbReply {
     pub resp: DbResponse,
 }
 
-/// Service-time model for the server.
+/// Service-time model for the server: what deploy sites vary.
 #[derive(Debug, Clone)]
 pub struct DbServerConfig {
-    /// Latency charged on read replies.
-    pub read_latency: SimDuration,
-    /// Latency charged on write replies (buffering only).
-    pub write_latency: SimDuration,
     /// Latency charged on commit replies (fsync of the WAL record).
     pub commit_latency: SimDuration,
-    /// Delay before retrying a stored procedure that hit a lock conflict.
-    pub call_retry_delay: SimDuration,
-    /// How many times to retry a conflicted stored procedure before
-    /// giving up with `Aborted`.
-    pub call_max_retries: u32,
     /// Admission control: reject new requests whose expected queue wait
     /// (time until the server frees up) exceeds this bound, answering
     /// [`DbResponse::Overloaded`] immediately instead of queueing.
@@ -203,25 +194,42 @@ pub struct DbServerConfig {
     /// expired deadline, or a deadline the expected wait makes unmeetable,
     /// are dropped/shed: serving them is guaranteed-wasted capacity.
     pub max_queue_wait: Option<SimDuration>,
-    /// Engine tuning.
-    pub engine: EngineConfig,
 }
 
 impl Default for DbServerConfig {
     fn default() -> Self {
         DbServerConfig {
-            read_latency: SimDuration::from_micros(20),
-            write_latency: SimDuration::from_micros(20),
             commit_latency: SimDuration::from_micros(100),
-            call_retry_delay: SimDuration::from_micros(200),
-            call_max_retries: 32,
             max_queue_wait: None,
-            engine: EngineConfig::default(),
         }
     }
 }
 
+/// Latency charged on read replies (and on every reply that made nothing
+/// durable: `Began`, aborts, failed calls, peeks, scans).
+const READ_LATENCY: SimDuration = SimDuration::from_micros(20);
+/// Latency charged on write replies (buffering only).
+const WRITE_LATENCY: SimDuration = SimDuration::from_micros(20);
+/// Delay before retrying a stored procedure that hit a lock conflict.
+const CALL_RETRY_DELAY: SimDuration = SimDuration::from_micros(200);
+/// How many times to retry a conflicted stored procedure before giving
+/// up with `Aborted`.
+const CALL_MAX_RETRIES: u32 = 32;
+
 const RETRY_TIMER_TAG: u64 = 0x00db_0001;
+
+/// A [`DbReply`] addressed the way its request arrived: bare, or wrapped
+/// in an [`RpcReply`] when the request came through the RPC layer.
+pub(crate) fn reply_payload(token: u64, rpc_call: Option<u64>, resp: DbResponse) -> Payload {
+    let reply = Payload::new(DbReply { token, resp });
+    match rpc_call {
+        Some(call_id) => Payload::new(RpcReply {
+            call_id,
+            body: reply,
+        }),
+        None => reply,
+    }
+}
 
 /// Where (and how) to send a reply: bare [`DbReply`] or wrapped in an
 /// [`RpcReply`] when the request arrived through the RPC layer.
@@ -312,9 +320,9 @@ impl DbServer {
                 crate::wal::Checkpoint<std::collections::BTreeMap<Key, Value>>,
             > = boot.disk.durable("checkpoint");
             let mut engine = if boot.restart {
-                Engine::recover(config.engine.clone(), wal, checkpoint)
+                Engine::recover(EngineConfig::default(), wal, checkpoint)
             } else {
-                Engine::new(config.engine.clone(), wal, checkpoint)
+                Engine::new(EngineConfig::default(), wal, checkpoint)
             };
             // Nothing drains a server's footprints; left on they grow
             // with every commit for as long as the server lives.
@@ -346,63 +354,29 @@ impl DbServer {
         if start > ctx.now() {
             ctx.trace_interval(SpanKind::QueueWait, start, || "queued".into());
         }
-        if let Some(call_id) = addr.rpc_call {
-            // Cache for duplicate retries of the same logical call.
-            self.dedup.set(&(addr.client, call_id), Some(resp.clone()));
-            let inner = Payload::new(DbReply {
-                token: addr.token,
-                resp,
-            });
-            ctx.send_after(
-                addr.client,
-                Payload::new(RpcReply {
-                    call_id,
-                    body: inner,
-                }),
-                lat,
-            );
-        } else {
-            ctx.send_after(
-                addr.client,
-                Payload::new(DbReply {
-                    token: addr.token,
-                    resp,
-                }),
-                lat,
-            );
-        }
+        let reply = self.answer(addr, resp);
+        ctx.send_after(addr.client, reply, lat);
         ctx.trace_exit(addr.span);
         ctx.trace_span_end(addr.span);
     }
 
     /// Answer `Overloaded` immediately, bypassing the service queue:
     /// rejections must cost ~nothing or shedding cannot relieve overload.
+    /// (The cached rejection overwrites the just-inserted `None` dedup
+    /// entry, so duplicate retries replay it instead of waiting forever.)
     fn shed_reply(&mut self, ctx: &mut Ctx, addr: ReturnAddr) {
-        let resp = DbResponse::Overloaded;
+        let reply = self.answer(addr, DbResponse::Overloaded);
+        ctx.send(addr.client, reply);
+    }
+
+    /// The reply to `addr` as a payload. An enveloped call's response is
+    /// cached first: duplicate retries of the same logical call are
+    /// answered from the cache instead of re-executing.
+    fn answer(&mut self, addr: ReturnAddr, resp: DbResponse) -> Payload {
         if let Some(call_id) = addr.rpc_call {
-            // Overwrite the just-inserted `None` dedup entry so duplicate
-            // retries replay the rejection instead of waiting forever.
             self.dedup.set(&(addr.client, call_id), Some(resp.clone()));
-            let inner = Payload::new(DbReply {
-                token: addr.token,
-                resp,
-            });
-            ctx.send(
-                addr.client,
-                Payload::new(RpcReply {
-                    call_id,
-                    body: inner,
-                }),
-            );
-        } else {
-            ctx.send(
-                addr.client,
-                Payload::new(DbReply {
-                    token: addr.token,
-                    resp,
-                }),
-            );
         }
+        reply_payload(addr.token, addr.rpc_call, resp)
     }
 
     /// Admission control. Returns `true` when the request was shed (or
@@ -453,7 +427,7 @@ impl DbServer {
                     continue;
                 }
             };
-            self.reply(ctx, addr, resp, self.config.read_latency);
+            self.reply(ctx, addr, resp, READ_LATENCY);
         }
         // Lock releases may also unblock stored-procedure retries.
         self.kick_retry_timer(ctx);
@@ -461,7 +435,7 @@ impl DbServer {
 
     fn kick_retry_timer(&mut self, ctx: &mut Ctx) {
         if !self.retry_queue.is_empty() && !self.retry_timer_armed {
-            ctx.set_timer(self.config.call_retry_delay, RETRY_TIMER_TAG);
+            ctx.set_timer(CALL_RETRY_DELAY, RETRY_TIMER_TAG);
             self.retry_timer_armed = true;
         }
     }
@@ -489,15 +463,10 @@ impl DbServer {
             }
             ProcOutcome::Failed(error) => {
                 ctx.metrics().incr(&self.counters.calls_failed, 1);
-                self.reply(
-                    ctx,
-                    addr,
-                    DbResponse::CallFailed { error },
-                    self.config.read_latency,
-                );
+                self.reply(ctx, addr, DbResponse::CallFailed { error }, READ_LATENCY);
             }
             ProcOutcome::Retry | ProcOutcome::Aborted(AbortReason::Deadlock)
-                if attempts < self.config.call_max_retries =>
+                if attempts < CALL_MAX_RETRIES =>
             {
                 ctx.metrics().incr(&self.counters.call_retries, 1);
                 // First conflict opens the lock-wait span; later retries of
@@ -514,16 +483,11 @@ impl DbServer {
                     DbResponse::Aborted {
                         reason: AbortReason::Deadlock,
                     },
-                    self.config.read_latency,
+                    READ_LATENCY,
                 );
             }
             ProcOutcome::Aborted(reason) => {
-                self.reply(
-                    ctx,
-                    addr,
-                    DbResponse::Aborted { reason },
-                    self.config.read_latency,
-                );
+                self.reply(ctx, addr, DbResponse::Aborted { reason }, READ_LATENCY);
             }
         }
         None
@@ -541,10 +505,6 @@ impl DbServer {
 }
 
 impl Process for DbServer {
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
         // Accept both bare DbMsg and RPC-enveloped DbMsg. Enveloped
         // requests carry an idempotency key (the call id): duplicates are
@@ -565,7 +525,7 @@ impl Process for DbServer {
                         rpc_call,
                         span: None,
                     };
-                    self.reply(ctx, addr, resp, self.config.read_latency);
+                    self.reply(ctx, addr, resp, READ_LATENCY);
                     return;
                 }
                 Some(None) => {
@@ -591,23 +551,13 @@ impl Process for DbServer {
         match &msg.req {
             &DbRequest::Begin { iso } => {
                 let tx = self.engine.begin(iso);
-                self.reply(
-                    ctx,
-                    addr,
-                    DbResponse::Began { tx },
-                    self.config.read_latency,
-                );
+                self.reply(ctx, addr, DbResponse::Began { tx }, READ_LATENCY);
             }
             &DbRequest::Read { tx, ref key } => {
                 let (result, resumed) = self.engine.read(tx, key);
                 match result {
                     OpResult::Read(value) => {
-                        self.reply(
-                            ctx,
-                            addr,
-                            DbResponse::ReadOk { value },
-                            self.config.read_latency,
-                        );
+                        self.reply(ctx, addr, DbResponse::ReadOk { value }, READ_LATENCY);
                     }
                     OpResult::Blocked => {
                         ctx.metrics().incr(&self.counters.lock_waits, 1);
@@ -615,12 +565,7 @@ impl Process for DbServer {
                         self.parked.insert(tx, ReturnAddr { span, ..addr });
                     }
                     OpResult::Aborted(reason) => {
-                        self.reply(
-                            ctx,
-                            addr,
-                            DbResponse::Aborted { reason },
-                            self.config.read_latency,
-                        );
+                        self.reply(ctx, addr, DbResponse::Aborted { reason }, READ_LATENCY);
                     }
                     OpResult::Written => unreachable!(),
                 }
@@ -634,7 +579,7 @@ impl Process for DbServer {
                 let (result, resumed) = self.engine.write(tx, key, value.clone());
                 match result {
                     OpResult::Written => {
-                        self.reply(ctx, addr, DbResponse::WriteOk, self.config.write_latency);
+                        self.reply(ctx, addr, DbResponse::WriteOk, WRITE_LATENCY);
                     }
                     OpResult::Blocked => {
                         ctx.metrics().incr(&self.counters.lock_waits, 1);
@@ -642,12 +587,7 @@ impl Process for DbServer {
                         self.parked.insert(tx, ReturnAddr { span, ..addr });
                     }
                     OpResult::Aborted(reason) => {
-                        self.reply(
-                            ctx,
-                            addr,
-                            DbResponse::Aborted { reason },
-                            self.config.read_latency,
-                        );
+                        self.reply(ctx, addr, DbResponse::Aborted { reason }, READ_LATENCY);
                     }
                     OpResult::Read(_) => unreachable!(),
                 }
@@ -677,7 +617,7 @@ impl Process for DbServer {
                     DbResponse::Aborted {
                         reason: AbortReason::Requested,
                     },
-                    self.config.write_latency,
+                    WRITE_LATENCY,
                 );
                 self.deliver_resumptions(ctx, resumed);
             }
@@ -694,25 +634,15 @@ impl Process for DbServer {
             }
             DbRequest::Peek { key } => {
                 let value = self.engine.peek(key);
-                self.reply(
-                    ctx,
-                    addr,
-                    DbResponse::PeekOk { value },
-                    self.config.read_latency,
-                );
+                self.reply(ctx, addr, DbResponse::PeekOk { value }, READ_LATENCY);
             }
             DbRequest::Scan { prefix } => {
                 let pairs = self.engine.peek_prefix(prefix);
-                self.reply(
-                    ctx,
-                    addr,
-                    DbResponse::ScanOk { pairs },
-                    self.config.read_latency,
-                );
+                self.reply(ctx, addr, DbResponse::ScanOk { pairs }, READ_LATENCY);
             }
             DbRequest::Load { pairs } => {
                 self.engine.load_batch(pairs.clone());
-                self.reply(ctx, addr, DbResponse::Loaded, self.config.write_latency);
+                self.reply(ctx, addr, DbResponse::Loaded, WRITE_LATENCY);
             }
         }
     }

@@ -374,9 +374,7 @@ pub fn transfer_plan(txid: &str, from: &str, to: &str, amount: i64) -> Vec<Value
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tca_models::actor::{
-        ActorCompletion, ActorRouter, ActorSilo, Directory, DirectoryConfig, SiloConfig,
-    };
+    use tca_models::actor::{ActorCompletion, ActorRouter, ActorSilo, Directory, SiloConfig};
     use tca_sim::{Ctx, Payload, Process, ProcessId, Sim, SimDuration};
 
     struct Driver {
@@ -423,7 +421,7 @@ mod tests {
         let ns1 = sim.add_node();
         let ns2 = sim.add_node();
         let nc = sim.add_node();
-        let directory = sim.spawn(nd, "dir", Directory::factory(DirectoryConfig::default()));
+        let directory = sim.spawn(nd, "dir", Directory::factory());
         for (i, node) in [ns1, ns2].into_iter().enumerate() {
             sim.spawn(
                 node,

@@ -74,6 +74,14 @@ use crate::deterministic::{DetRegistry, SubmitTxn, TxnOutcome};
 // Configuration
 // ---------------------------------------------------------------------------
 
+/// Parallel workers per shard: a wave of `n` hosted transactions costs
+/// `exec_cost × ceil(n / WORKERS)` of virtual time.
+const WORKERS: u64 = 8;
+/// Retransmission sweep: the sequencer re-offers the next unacked epoch
+/// to each lagging shard, and a shard stuck waiting on remote read shares
+/// re-requests them, on this period.
+const RESEND_INTERVAL: SimDuration = SimDuration::from_millis(20);
+
 /// Tuning for the epoch-batched dataflow engine.
 #[derive(Debug, Clone)]
 pub struct DataflowConfig {
@@ -81,19 +89,10 @@ pub struct DataflowConfig {
     pub epoch_interval: SimDuration,
     /// Virtual execution cost of one transaction on one worker core.
     pub exec_cost: SimDuration,
-    /// Parallel workers per shard: a wave of `n` hosted transactions
-    /// costs `exec_cost × ceil(n / workers)` of virtual time.
-    pub workers: usize,
     /// Durable state snapshot cadence (epochs between checkpoints); the
     /// input journal is garbage-collected up to the older of the snapshot
     /// and the fleet watermark.
     pub checkpoint_every: u64,
-    /// Retransmission sweep: the sequencer re-offers the next unacked
-    /// epoch to each lagging shard, and a shard stuck waiting on remote
-    /// read shares re-requests them, on this period.
-    pub resend_interval: SimDuration,
-    /// Virtual nodes per shard on the placement ring.
-    pub vnodes: usize,
 }
 
 impl Default for DataflowConfig {
@@ -101,10 +100,7 @@ impl Default for DataflowConfig {
         DataflowConfig {
             epoch_interval: SimDuration::from_micros(500),
             exec_cost: SimDuration::from_micros(50),
-            workers: 8,
             checkpoint_every: 4,
-            resend_interval: SimDuration::from_millis(20),
-            vnodes: tca_sim::place::DEFAULT_VNODES,
         }
     }
 }
@@ -208,7 +204,7 @@ const RESEND_TAG: u64 = 0xdf_0002;
 /// fires; journals it durably (`ep/{n}` + `last_epoch` on its disk)
 /// before broadcasting, so a closed epoch can always be replayed to a
 /// recovering shard; tracks per-shard acknowledgements and re-offers the
-/// next needed epoch to lagging shards on [`DataflowConfig::resend_interval`].
+/// next needed epoch to lagging shards every `RESEND_INTERVAL`.
 pub struct DfSequencer {
     config: DataflowConfig,
     shards: Rc<RefCell<Vec<ProcessId>>>,
@@ -308,16 +304,12 @@ impl DfSequencer {
     fn arm_resend(&mut self, ctx: &mut Ctx) {
         if !self.resend_timer_armed && self.watermark() < self.last_epoch {
             self.resend_timer_armed = true;
-            ctx.set_timer(self.config.resend_interval, RESEND_TAG);
+            ctx.set_timer(RESEND_INTERVAL, RESEND_TAG);
         }
     }
 }
 
 impl Process for DfSequencer {
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx) {
         // After a restart, closed-but-unacked epochs must flow again.
         self.arm_resend(ctx);
@@ -414,7 +406,7 @@ impl Process for DfSequencer {
                     }
                 }
                 self.resend_timer_armed = true;
-                ctx.set_timer(self.config.resend_interval, RESEND_TAG);
+                ctx.set_timer(RESEND_INTERVAL, RESEND_TAG);
             }
             _ => {}
         }
@@ -840,7 +832,7 @@ impl DfShard {
             if run.waiting > 0 {
                 if !run.stuck_timer_armed {
                     run.stuck_timer_armed = true;
-                    ctx.set_timer(self.config.resend_interval, STUCK_TAG);
+                    ctx.set_timer(RESEND_INTERVAL, STUCK_TAG);
                 }
                 return;
             }
@@ -870,7 +862,7 @@ impl DfShard {
         // One wave of n transactions on w workers costs ceil(n/w) serial
         // execution slots — the parallel-apply model.
         let executed = run.current.len() as u64;
-        let slots = executed.div_ceil(self.config.workers.max(1) as u64);
+        let slots = executed.div_ceil(WORKERS);
         let cost = SimDuration::from_nanos(self.config.exec_cost.as_nanos() * slots);
         if cost > SimDuration::ZERO {
             run.cost_timer_pending = true;
@@ -958,10 +950,6 @@ impl DfShard {
 }
 
 impl Process for DfShard {
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx) {
         // (Re)announce the durable position: after a crash this tells the
         // sequencer where to resume streaming; on first boot it is the
@@ -1055,7 +1043,7 @@ impl Process for DfShard {
                     }
                 }
                 run.stuck_timer_armed = true;
-                ctx.set_timer(self.config.resend_interval, STUCK_TAG);
+                ctx.set_timer(RESEND_INTERVAL, STUCK_TAG);
             }
             _ => {}
         }
@@ -1068,7 +1056,7 @@ impl Process for DfShard {
 
 /// Deploy the epoch-batched dataflow engine: one durable [`DfSequencer`]
 /// on `seq_node` plus `n` [`DfShard`]s round-robin over `shard_nodes`,
-/// partitioned by a consistent-hash ring ([`ShardMap::ring_with`]).
+/// partitioned by a consistent-hash ring ([`ShardMap::ring`]).
 /// Returns `(sequencer, shards)`.
 ///
 /// Clients submit [`SubmitTxn`] values wrapped in
@@ -1131,7 +1119,7 @@ pub fn deploy_dataflow(
     let seq_cell: Rc<std::cell::Cell<ProcessId>> =
         Rc::new(std::cell::Cell::new(ProcessId::EXTERNAL));
     let registry = Rc::new(registry.clone());
-    let map = Rc::new(ShardMap::ring_with(n, config.vnodes));
+    let map = Rc::new(ShardMap::ring(n));
     let mut shard_pids = Vec::new();
     for i in 0..n {
         let node = shard_nodes[i % shard_nodes.len()];
@@ -1200,9 +1188,6 @@ mod tests {
         }
     }
     impl Process for Client {
-        fn as_any(&self) -> Option<&dyn std::any::Any> {
-            Some(self)
-        }
         fn on_start(&mut self, ctx: &mut Ctx) {
             if !self.paced {
                 for i in 0..self.plan.len() {
@@ -1699,7 +1684,7 @@ mod tests {
         const VICTIM: usize = 1;
         let config = DataflowConfig::default();
         let every = config.checkpoint_every;
-        let map = ShardMap::ring_with(3, config.vnodes);
+        let map = ShardMap::ring(3);
         let early = owned_key(&map, VICTIM, "early", 0);
         let hot = owned_key(&map, VICTIM, "hot", 0);
         let late = owned_key(&map, VICTIM, "late", 0);

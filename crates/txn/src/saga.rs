@@ -497,10 +497,6 @@ impl Process for SagaOrchestrator {
             self.handle_db_event(ctx, event);
         }
     }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]

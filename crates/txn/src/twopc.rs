@@ -167,14 +167,16 @@ pub struct DtxOutcome {
 // Participant
 // ---------------------------------------------------------------------------
 
+/// Abort an executed-but-unprepared transaction after this long (the
+/// coordinator presumably died before prepare). Also the participant's
+/// sweep period.
+const EXECUTE_TIMEOUT: SimDuration = SimDuration::from_millis(100);
+/// Commit/abort apply latency (fsync).
+const DECIDE_LATENCY: SimDuration = SimDuration::from_micros(100);
+
 /// Participant configuration.
 #[derive(Debug, Clone)]
 pub struct ParticipantConfig {
-    /// Abort an executed-but-unprepared transaction after this long
-    /// (the coordinator presumably died before prepare).
-    pub execute_timeout: SimDuration,
-    /// Commit/abort apply latency (fsync).
-    pub decide_latency: SimDuration,
     /// Ask the coordinator for the outcome of a branch that has been
     /// prepared this long without hearing a decision (checked on the
     /// sweep timer, so the effective delay is rounded up to a sweep
@@ -192,8 +194,6 @@ pub struct ParticipantConfig {
 impl Default for ParticipantConfig {
     fn default() -> Self {
         ParticipantConfig {
-            execute_timeout: SimDuration::from_millis(100),
-            decide_latency: SimDuration::from_micros(100),
             decision_inquiry_after: SimDuration::from_millis(150),
             accept_late_execute: false,
         }
@@ -382,12 +382,8 @@ impl TwoPcParticipant {
 }
 
 impl Process for TwoPcParticipant {
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.set_timer(self.config.execute_timeout, SWEEP_TAG);
+        ctx.set_timer(EXECUTE_TIMEOUT, SWEEP_TAG);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
@@ -477,7 +473,7 @@ impl Process for TwoPcParticipant {
             ctx.send_after(
                 from,
                 Payload::new(DecisionAck { txid: req.txid }),
-                self.config.decide_latency,
+                DECIDE_LATENCY,
             );
         }
     }
@@ -489,11 +485,12 @@ impl Process for TwoPcParticipant {
         // Unilaterally abort executed-but-unprepared branches that have
         // outlived the timeout. Prepared branches MUST keep blocking.
         let now = ctx.now();
-        let timeout = self.config.execute_timeout;
         let expired: Vec<u64> = self
             .branches
             .iter()
-            .filter(|(_, b)| b.state == BranchState::Executed && now.since(b.executed_at) > timeout)
+            .filter(|(_, b)| {
+                b.state == BranchState::Executed && now.since(b.executed_at) > EXECUTE_TIMEOUT
+            })
             .map(|(&txid, _)| txid)
             .collect();
         for txid in expired {
@@ -526,7 +523,7 @@ impl Process for TwoPcParticipant {
         if in_doubt > 0 {
             ctx.metrics().incr(&self.counters.in_doubt_ticks, in_doubt);
         }
-        ctx.set_timer(timeout, SWEEP_TAG);
+        ctx.set_timer(EXECUTE_TIMEOUT, SWEEP_TAG);
     }
 }
 
@@ -776,10 +773,6 @@ impl TwoPcCoordinator {
 }
 
 impl Process for TwoPcCoordinator {
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx) {
         // Resend journaled decisions rebuilt by the factory (first boot
         // has none). Retries continue from the sweep timer until acked.

@@ -227,92 +227,63 @@ pub fn with_workflow_markers(registry: ProcRegistry) -> ProcRegistry {
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Tuning for both orchestrator and workers.
+/// What deploy sites vary for orchestrator and workers.
 #[derive(Debug, Clone)]
 pub struct WorkflowConfig {
     /// `false` switches workers to the *naive retry baseline*: no intent
     /// log, no idempotence table, no `wf_guard` fence — retries re-apply.
     /// The E21 experiment measures exactly what that costs.
     pub exactly_once: bool,
-    /// Orchestrator re-drive cadence for workflows in limbo (lost reply,
-    /// transient abort, exhausted call).
-    pub sweep_interval: SimDuration,
-    /// Hold-down after a transient step failure before that workflow is
-    /// re-driven. Must exceed the lock-release tail of an aborted step
-    /// transaction (abort decisions propagate on 20 ms retry sweeps):
-    /// re-driving sooner spawns a sibling that collides with its dying
-    /// predecessor's still-held marker lock, aborts, and refuels the
-    /// cycle — a deterministic livelock storm.
-    pub transient_cooldown: SimDuration,
-    /// Orchestrator → worker step-call policy.
-    pub step_policy: RetryPolicy,
-    /// Worker → 2PC-coordinator transaction policy.
-    pub dtx_policy: RetryPolicy,
-    /// Retry token bucket on the orchestrator's client (PR 4).
-    pub budget: Option<RetryBudget>,
-    /// Per-destination circuit breaker on the orchestrator's client.
-    pub breaker: Option<BreakerConfig>,
-    /// Error prefixes classified as *business* failures (terminal; the
-    /// workflow fails). Everything else is transient and re-driven.
-    pub permanent_errors: Vec<String>,
 }
 
 impl Default for WorkflowConfig {
     fn default() -> Self {
-        WorkflowConfig {
-            exactly_once: true,
-            sweep_interval: SimDuration::from_millis(25),
-            transient_cooldown: SimDuration::from_millis(150),
-            // Step retries re-send the SAME wire id: the worker coalesces
-            // them against the in-flight intent or answers from the
-            // idempotence table, so they are pure polls — flat backoff,
-            // patient timeout (a step in flight is a full 2PC round).
-            step_policy: RetryPolicy {
-                max_attempts: 5,
-                timeout: SimDuration::from_millis(100),
-                backoff: 1.0,
-                jitter: 0.0,
-            },
-            // The 2PC coordinator does NOT dedup `StartDtx` by wire id,
-            // so a dtx retry can fork a concurrent *sibling* transaction
-            // for the same step. That is safe — the step's `wf_guard`
-            // branch lets exactly one sibling commit and the others abort
-            // `wfdup:` (reported as already-applied) — but it makes tight
-            // exponential retries counterproductive: siblings briefly
-            // contend on the marker lock. A flat, moderately patient
-            // cadence recovers lost messages quickly while keeping the
-            // sibling window to one extra transaction.
-            dtx_policy: RetryPolicy {
-                max_attempts: 3,
-                timeout: SimDuration::from_millis(120),
-                backoff: 1.0,
-                jitter: 0.0,
-            },
-            budget: Some(RetryBudget::new(1.0, 100.0)),
-            breaker: Some(BreakerConfig::default()),
-            permanent_errors: vec![
-                "insufficient".into(),
-                "out of stock".into(),
-                "unknown".into(),
-            ],
-        }
+        WorkflowConfig { exactly_once: true }
     }
 }
 
-impl WorkflowConfig {
-    /// The naive retry baseline (see [`WorkflowConfig::exactly_once`]).
-    pub fn naive() -> Self {
-        WorkflowConfig {
-            exactly_once: false,
-            ..WorkflowConfig::default()
-        }
-    }
+/// Orchestrator re-drive cadence for workflows in limbo (lost reply,
+/// transient abort, exhausted call).
+const SWEEP_INTERVAL: SimDuration = SimDuration::from_millis(25);
+/// Hold-down after a transient step failure before that workflow is
+/// re-driven. Must exceed the lock-release tail of an aborted step
+/// transaction (abort decisions propagate on 20 ms retry sweeps):
+/// re-driving sooner spawns a sibling that collides with its dying
+/// predecessor's still-held marker lock, aborts, and refuels the
+/// cycle — a deterministic livelock storm.
+const TRANSIENT_COOLDOWN: SimDuration = SimDuration::from_millis(150);
+/// Orchestrator → worker step-call policy. Step retries re-send the SAME
+/// wire id: the worker coalesces them against the in-flight intent or
+/// answers from the idempotence table, so they are pure polls — flat
+/// backoff, patient timeout (a step in flight is a full 2PC round).
+const STEP_POLICY: RetryPolicy = RetryPolicy {
+    max_attempts: 5,
+    timeout: SimDuration::from_millis(100),
+    backoff: 1.0,
+    jitter: 0.0,
+};
+/// Worker → 2PC-coordinator transaction policy. The 2PC coordinator does
+/// NOT dedup `StartDtx` by wire id, so a dtx retry can fork a concurrent
+/// *sibling* transaction for the same step. That is safe — the step's
+/// `wf_guard` branch lets exactly one sibling commit and the others abort
+/// `wfdup:` (reported as already-applied) — but it makes tight
+/// exponential retries counterproductive: siblings briefly contend on the
+/// marker lock. A flat, moderately patient cadence recovers lost messages
+/// quickly while keeping the sibling window to one extra transaction.
+const DTX_POLICY: RetryPolicy = RetryPolicy {
+    max_attempts: 3,
+    timeout: SimDuration::from_millis(120),
+    backoff: 1.0,
+    jitter: 0.0,
+};
+/// Error prefixes classified as *business* failures (terminal; the
+/// workflow fails). Everything else is transient and re-driven.
+const PERMANENT_ERRORS: [&str; 3] = ["insufficient", "out of stock", "unknown"];
 
-    fn is_permanent(&self, error: &str) -> bool {
-        self.permanent_errors
-            .iter()
-            .any(|prefix| error.starts_with(prefix.as_str()))
-    }
+fn is_permanent(error: &str) -> bool {
+    PERMANENT_ERRORS
+        .iter()
+        .any(|prefix| error.starts_with(prefix))
 }
 
 // ---------------------------------------------------------------------------
@@ -344,7 +315,6 @@ type WfJournal = Rc<RefCell<DetHashMap<u64, WfRecord>>>;
 /// crashes on any side. The journal, the workflow-id floor, and the
 /// completed watermark live on disk; everything else is rebuilt on boot.
 pub struct WorkflowOrchestrator {
-    config: WorkflowConfig,
     defs: Rc<DetHashMap<String, WorkflowDef>>,
     workers: Vec<ProcessId>,
     journal: WfJournal,
@@ -358,7 +328,7 @@ pub struct WorkflowOrchestrator {
     /// wf_id → seq currently in flight (volatile; the sweep re-drives).
     in_flight: DetHashMap<u64, u32>,
     /// wf_id → earliest re-drive time after a transient failure
-    /// (volatile; see [`WorkflowConfig::transient_cooldown`]).
+    /// (volatile; see `TRANSIENT_COOLDOWN`).
     cooldown: DetHashMap<u64, SimTime>,
     /// Volatile wire-id disambiguator across re-drives.
     attempts: u64,
@@ -379,7 +349,6 @@ impl WorkflowOrchestrator {
     pub fn factory(
         defs: Vec<WorkflowDef>,
         workers: Vec<ProcessId>,
-        config: WorkflowConfig,
     ) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
         assert!(!workers.is_empty(), "workflow runtime needs >= 1 worker");
         let def_map: DetHashMap<String, WorkflowDef> = defs
@@ -398,15 +367,12 @@ impl WorkflowOrchestrator {
                 .iter()
                 .filter_map(|(&wf, rec)| rec.caller.map(|(pid, call)| ((pid.0, call), wf)))
                 .collect();
-            let mut rpc = RpcClient::new();
-            if let Some(budget) = config.budget {
-                rpc = rpc.with_budget(budget);
-            }
-            if let Some(breaker) = config.breaker {
-                rpc = rpc.with_breaker(breaker);
-            }
+            // Retry token bucket and per-destination circuit breaker on
+            // the orchestrator's client (PR 4).
+            let rpc = RpcClient::new()
+                .with_budget(RetryBudget::new(1.0, 100.0))
+                .with_breaker(BreakerConfig::default());
             Box::new(WorkflowOrchestrator {
-                config: config.clone(),
                 defs: defs.clone(),
                 workers: workers.clone(),
                 journal,
@@ -537,7 +503,7 @@ impl WorkflowOrchestrator {
                 seq,
                 args,
             }),
-            self.config.step_policy,
+            STEP_POLICY,
             wf,
             wire,
         );
@@ -638,8 +604,7 @@ impl WorkflowOrchestrator {
                         .as_deref()
                         .is_some_and(|e| e.contains("lock conflict"));
                     if conflicted {
-                        self.cooldown
-                            .insert(wf, ctx.now() + self.config.transient_cooldown);
+                        self.cooldown.insert(wf, ctx.now() + TRANSIENT_COOLDOWN);
                     }
                     ctx.metrics().incr("workflow.step_retries", 1);
                 } else {
@@ -655,10 +620,6 @@ impl WorkflowOrchestrator {
 }
 
 impl Process for WorkflowOrchestrator {
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx) {
         if self.is_restart {
             // Resume every unfinished chain from its journaled
@@ -683,7 +644,7 @@ impl Process for WorkflowOrchestrator {
                 }
             }
         }
-        ctx.set_timer(self.config.sweep_interval, ORCH_SWEEP_TAG);
+        ctx.set_timer(SWEEP_INTERVAL, ORCH_SWEEP_TAG);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
@@ -777,7 +738,7 @@ impl Process for WorkflowOrchestrator {
                     ctx.send(worker, Payload::new(GcWatermark { below }));
                 }
             }
-            ctx.set_timer(self.config.sweep_interval, ORCH_SWEEP_TAG);
+            ctx.set_timer(SWEEP_INTERVAL, ORCH_SWEEP_TAG);
         }
     }
 }
@@ -1078,7 +1039,7 @@ impl WorkflowWorker {
             ctx,
             self.coordinator,
             Payload::new(StartDtx { branches }),
-            self.config.dtx_policy,
+            DTX_POLICY,
             tag,
             wire,
         );
@@ -1140,7 +1101,7 @@ impl WorkflowWorker {
                     // crashed incarnation) already committed this step.
                     ctx.metrics().incr("workflow.guard_recoveries", 1);
                     self.finish_step(ctx, wf, seq, Ok(vec![]), true);
-                } else if self.config.is_permanent(&error) {
+                } else if is_permanent(&error) {
                     self.finish_step(ctx, wf, seq, Err(error), false);
                 } else {
                     ctx.metrics().incr("workflow.step_transient_aborts", 1);
@@ -1177,10 +1138,6 @@ impl WorkflowWorker {
 }
 
 impl Process for WorkflowWorker {
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx) {
         if !self.is_restart {
             return;
@@ -1319,7 +1276,7 @@ pub fn deploy_workflow(
     let orchestrator = sim.spawn(
         orch_node,
         "wf-orchestrator",
-        WorkflowOrchestrator::factory(defs.to_vec(), workers.clone(), config),
+        WorkflowOrchestrator::factory(defs.to_vec(), workers.clone()),
     );
     WorkflowDeployment {
         orchestrator,
@@ -1583,7 +1540,12 @@ mod tests {
 
     #[test]
     fn naive_mode_skips_every_shield() {
-        let (mut sim, deploy) = build(1, WorkflowConfig::naive());
+        let (mut sim, deploy) = build(
+            1,
+            WorkflowConfig {
+                exactly_once: false,
+            },
+        );
         sim.inject(deploy.orchestrator, start(1, 0, 10));
         sim.run_for(SimDuration::from_millis(400));
         assert_eq!(sim.metrics().counter("workflow.completed"), 1);

@@ -25,9 +25,7 @@
 //!   the coordinator's table is empty.
 
 use tca_messaging::rpc::{RetryPolicy, RpcRequest};
-use tca_models::actor::{
-    ActorCompletion, ActorId, ActorRouter, ActorSilo, Directory, DirectoryConfig, SiloConfig,
-};
+use tca_models::actor::{ActorCompletion, ActorId, ActorRouter, ActorSilo, Directory, SiloConfig};
 use tca_sim::place::FNV_OFFSET;
 use tca_sim::{
     Ctx, FaultPlan, Fnv64, NodeId, Payload, Process, ProcessId, ShardMap, Sim, SimDuration, SimTime,
@@ -999,7 +997,7 @@ impl World for ActorWorld {
         let n_dir = sim.add_node();
         let silo_nodes = [sim.add_node(), sim.add_node()];
         let n_drv = sim.add_node();
-        let directory = sim.spawn(n_dir, "dir", Directory::factory(DirectoryConfig::default()));
+        let directory = sim.spawn(n_dir, "dir", Directory::factory());
         let silos = [0, 1].map(|i| {
             sim.spawn(
                 silo_nodes[i],

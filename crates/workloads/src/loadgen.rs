@@ -539,7 +539,7 @@ mod tests {
     use super::*;
     use std::cell::{Cell, RefCell};
     use tca_models::actor::{
-        ActorLogic, ActorRegistry, ActorSilo, ActorStep, Directory, DirectoryConfig, SiloConfig,
+        ActorLogic, ActorRegistry, ActorSilo, ActorStep, Directory, SiloConfig,
     };
     use tca_storage::{DbMsg, DbServer, DbServerConfig, ProcRegistry};
 
@@ -733,11 +733,7 @@ mod tests {
     fn actor_loop_runs_calls_in_order_and_stops_at_the_first_failure() {
         let mut sim = Sim::with_seed(144);
         let nodes = sim.add_nodes(3);
-        let directory = sim.spawn(
-            nodes[0],
-            "dir",
-            Directory::factory(DirectoryConfig::default()),
-        );
+        let directory = sim.spawn(nodes[0], "dir", Directory::factory());
         let log = Rc::new(RefCell::new(Vec::new()));
         let registry = {
             let log = Rc::clone(&log);

@@ -8,7 +8,7 @@
 //! first-committer-wins turns the races into aborts; serializable 2PL
 //! serializes them. Experiment E11 counts all three.
 
-use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, SimDuration};
+use tca_sim::{Boot, Ctx, Payload, Process, ProcessId};
 use tca_storage::{DbMsg, DbReply, DbRequest, DbResponse, IsolationLevel, TxId, Value};
 
 /// Configuration for one RMW client.
@@ -20,13 +20,13 @@ pub struct RmwConfig {
     pub iso: IsolationLevel,
     /// The contended stock key.
     pub key: String,
-    /// Stop after this many committed sales or when stock reads 0.
-    pub max_sales: u64,
     /// Metric prefix.
     pub metric: String,
-    /// Pause between transactions (0 = back-to-back).
-    pub pacing: SimDuration,
 }
+
+/// A client stops after this many committed sales, or when stock reads 0;
+/// it runs its transactions back to back.
+const MAX_SALES: u64 = 1000;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Phase {
@@ -38,8 +38,6 @@ enum Phase {
     Committing,
     Done,
 }
-
-const NEXT_TAG: u64 = 0x3714_0001;
 
 /// One interactive RMW client (sell one unit per transaction).
 pub struct RmwClient {
@@ -71,7 +69,7 @@ impl RmwClient {
     }
 
     fn start_txn(&mut self, ctx: &mut Ctx) {
-        if self.sales >= self.config.max_sales || self.phase == Phase::Done {
+        if self.sales >= MAX_SALES || self.phase == Phase::Done {
             self.phase = Phase::Done;
             return;
         }
@@ -79,14 +77,6 @@ impl RmwClient {
         self.phase = Phase::Beginning;
         let iso = self.config.iso;
         self.send(ctx, DbRequest::Begin { iso });
-    }
-
-    fn next_txn(&mut self, ctx: &mut Ctx) {
-        if self.config.pacing == SimDuration::ZERO {
-            self.start_txn(ctx);
-        } else {
-            ctx.set_timer(self.config.pacing, NEXT_TAG);
-        }
     }
 
     fn finish_attempt(&mut self, ctx: &mut Ctx, committed: bool) {
@@ -99,7 +89,7 @@ impl RmwClient {
                 .incr(&format!("{}.aborted", self.config.metric), 1);
         }
         self.tx = None;
-        self.next_txn(ctx);
+        self.start_txn(ctx);
     }
 }
 
@@ -168,18 +158,12 @@ impl Process for RmwClient {
             _ => {}
         }
     }
-
-    fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
-        if tag == NEXT_TAG {
-            self.start_txn(ctx);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tca_sim::Sim;
+    use tca_sim::{Sim, SimDuration};
     use tca_storage::{DbServer, DbServerConfig, ProcRegistry};
 
     fn world(iso: IsolationLevel, clients: usize, stock: i64) -> Sim {
@@ -203,9 +187,7 @@ mod tests {
                     db,
                     iso,
                     key: "stock".into(),
-                    max_sales: 1000,
                     metric: format!("c{i}"),
-                    pacing: SimDuration::ZERO,
                 }),
             );
         }

@@ -284,7 +284,6 @@ fn overload_partition_scenario(seed: u64, plan: &FaultPlan) -> Result<(), String
                 // 1ms commits ⇒ capacity ≈ 1k checkouts/s.
                 commit_latency: SimDuration::from_millis(1),
                 max_queue_wait: Some(SimDuration::from_millis(10)),
-                ..DbServerConfig::default()
             },
             single_registry(),
         ),

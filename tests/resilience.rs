@@ -22,9 +22,6 @@ impl Process for BlackHole {
         self.arrivals.insert(ctx.now());
         ctx.metrics().incr("hole.arrivals", 1);
     }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 /// Fires one RPC at start and lets the retry policy do the rest.
@@ -131,7 +128,6 @@ fn propagated_deadlines_shed_doomed_work_end_to_end() {
             DbServerConfig {
                 commit_latency: SimDuration::from_millis(1),
                 max_queue_wait: Some(SimDuration::from_millis(3)),
-                ..DbServerConfig::default()
             },
             ProcRegistry::new().with("bump", |tx, _| {
                 let v = tx.get("x").map(|v| v.as_int()).unwrap_or(0);

@@ -3,7 +3,7 @@
 //! world's audit fails when the world is tampered with from outside.
 
 use tca::messaging::rpc::RpcRequest;
-use tca::models::actor::{ActorId, ActorInvoke};
+use tca::models::actor::{ActorId, ActorInvoke, ActorSilo, Directory};
 use tca::sim::{FaultPlan, NodeId, Payload, ProcessId, Sim, SimDuration, SimTime};
 use tca::storage::{DbMsg, Value};
 use tca::txn::dataflow::DataflowConfig;
@@ -163,6 +163,24 @@ fn every_world_spawns_its_documented_pids_and_names() {
             (MC_WF_ORCH, "wf-orchestrator"),
         ],
     );
+}
+
+/// Every process is inspectable without having opted in: the actor hosts
+/// never did, so no harness could read an actor's state after a run.
+#[test]
+fn a_live_silo_is_inspectable_and_a_crashed_one_is_not() {
+    let mut sim = Sim::with_seed(1);
+    let h = actor().deploy(&mut sim);
+    sim.run_for(SimDuration::from_millis(5));
+    assert!(sim.inspect::<Directory>(h.directory).is_some());
+    assert!(sim.inspect::<ActorSilo>(h.silos[0]).is_some());
+    assert!(
+        sim.inspect::<Directory>(h.silos[0]).is_none(),
+        "a silo is not a directory"
+    );
+    sim.crash_node(sim.node_of(h.silos[0]));
+    assert!(sim.inspect::<ActorSilo>(h.silos[0]).is_none());
+    assert!(sim.inspect::<ActorSilo>(h.silos[1]).is_some());
 }
 
 /// Stage `world` under the benign torture plan, let `tamper` schedule its
