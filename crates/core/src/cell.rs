@@ -371,11 +371,10 @@ fn run_2pc_cell(params: &CellParams) -> (CellReport, Sim) {
         ),
     );
     sim.run_for(BUDGET);
-    // 2PC participants seed lazily (default balance 100 in registry was
-    // for tests); here accounts start at 0 + credits − debits must sum
-    // to 0. Conservation audit: sum of balances == 0 net change is
-    // encoded as: debits == credits, which holds iff both branches
-    // committed together. Audit via participant engines.
+    // Conservation audit, via the participant engines: every account was
+    // seeded with `INITIAL_BALANCE` on first boot and a transfer moves 1
+    // from one to another, so the balances still sum to the seed total
+    // iff every debit committed together with its credit.
     let conserved = {
         let sum = |pid: ProcessId| -> Option<i64> {
             let participant = sim.inspect::<TwoPcParticipant>(pid)?;

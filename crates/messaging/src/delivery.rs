@@ -14,14 +14,10 @@
 //! [`ReliableSender`] implements the sender half, [`DedupReceiver`] the
 //! receiver half. Experiment E2 measures their cost and correctness.
 
-use tca_sim::DetHashMap as HashMap;
-
-use tca_sim::{Ctx, Payload, ProcessId, SimDuration, SpanId, SpanKind};
+use tca_sim::{Ctx, Payload, ProcessId, SimDuration};
 
 use crate::idempotency::{Dedup, IdempotencyStore};
-
-/// Timer namespace for sender retries.
-const SEND_TAG_BASE: u64 = 0x534e_0000_0000_0000;
+use crate::rpc::{reply_call, RetryPolicy, RpcClient, RpcEvent, RpcReply, RpcRequest};
 
 /// The delivery guarantee a sender/receiver pair provides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,37 +41,20 @@ impl std::fmt::Display for DeliveryGuarantee {
     }
 }
 
-/// A one-way application command, sequence-numbered per sender.
-#[derive(Debug, Clone)]
-pub struct Command {
-    /// Per-sender sequence number (doubles as the idempotency key).
-    pub seq: u64,
-    /// Application payload.
-    pub body: Payload,
-}
-
-/// Receiver's acknowledgement of a command.
-#[derive(Debug, Clone)]
-pub struct CommandAck {
-    /// The acknowledged sequence number.
-    pub seq: u64,
-}
-
-struct Outstanding {
-    dest: ProcessId,
-    body: Payload,
-    attempts_left: u32,
-    /// Trace span from first send to ack or give-up.
-    span: Option<SpanId>,
-}
-
 /// Sender half: embed in a process, forward `on_message`/`on_timer`.
+///
+/// A command is an [`RpcClient`] call under a fixed policy — every attempt
+/// waits the same `retry_delay`, no backoff, no jitter — whose wire id is
+/// the per-sender sequence number (which doubles as the idempotency key);
+/// the receiver's ack is the call's reply. The sender therefore owns its
+/// host's RPC timer namespace: a host must not hold an `RpcClient` of its
+/// own beside it. (None does: E2/E13's `CounterProducer`,
+/// `messaging::torture` and `tests/chaos.rs` are the three hosts.)
 pub struct ReliableSender {
-    guarantee: DeliveryGuarantee,
-    retry_delay: SimDuration,
-    max_attempts: u32,
+    /// `None` for at-most-once: one bare send, nothing awaited.
+    policy: Option<RetryPolicy>,
+    rpc: RpcClient,
     next_seq: u64,
-    unacked: HashMap<u64, Outstanding>,
     given_up: u64,
 }
 
@@ -84,12 +63,16 @@ impl ReliableSender {
     /// (`retry_delay`/`max_attempts` are ignored for at-most-once.)
     pub fn new(guarantee: DeliveryGuarantee, retry_delay: SimDuration, max_attempts: u32) -> Self {
         assert!(max_attempts >= 1);
+        let acked = guarantee != DeliveryGuarantee::AtMostOnce;
         ReliableSender {
-            guarantee,
-            retry_delay,
-            max_attempts,
+            policy: acked.then_some(RetryPolicy {
+                max_attempts,
+                timeout: retry_delay,
+                backoff: 1.0,
+                jitter: 0.0,
+            }),
+            rpc: RpcClient::new(),
             next_seq: 0,
-            unacked: HashMap::default(),
             given_up: 0,
         }
     }
@@ -98,75 +81,41 @@ impl ReliableSender {
     pub fn send(&mut self, ctx: &mut Ctx, dest: ProcessId, body: Payload) -> u64 {
         self.next_seq += 1;
         let seq = self.next_seq;
-        // Acked guarantees get a call span from first send to ack or
-        // give-up (retries included); at-most-once has nothing to wait for.
-        let span = if self.guarantee != DeliveryGuarantee::AtMostOnce {
-            ctx.trace_span(SpanKind::RpcCall, || format!("cmd {}", body.tag()))
-        } else {
-            None
-        };
-        ctx.trace_enter(span);
-        ctx.send(
-            dest,
-            Payload::new(Command {
-                seq,
-                body: body.clone(),
-            }),
-        );
-        if self.guarantee != DeliveryGuarantee::AtMostOnce {
-            self.unacked.insert(
-                seq,
-                Outstanding {
-                    dest,
-                    body,
-                    attempts_left: self.max_attempts - 1,
-                    span,
-                },
-            );
-            ctx.set_timer(self.retry_delay, SEND_TAG_BASE | seq);
+        match self.policy {
+            // `call_with_id`, not `call`: the id is ours, and drawing a
+            // nonce would spend simulation randomness.
+            Some(policy) => {
+                self.rpc.call_with_id(ctx, dest, body, policy, 0, seq);
+            }
+            None => ctx.send(dest, Payload::new(RpcRequest { call_id: seq, body })),
         }
-        ctx.trace_exit(span);
         seq
     }
 
     /// Offer an incoming message; returns `true` if it was an ack for us.
     pub fn on_message(&mut self, ctx: &mut Ctx, payload: &Payload) -> bool {
-        let Some(ack) = payload.downcast_ref::<CommandAck>() else {
+        if !payload.is::<RpcReply>() {
             return false;
-        };
-        if let Some(out) = self.unacked.remove(&ack.seq) {
-            ctx.trace_span_end(out.span);
         }
+        // A duplicate or late ack completes nothing; it is still ours.
+        self.rpc.on_message(ctx, payload);
         true
     }
 
     /// Offer a timer; returns `true` if it was a retry timer of ours.
     pub fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) -> bool {
-        if tag & SEND_TAG_BASE != SEND_TAG_BASE {
+        let Some(event) = self.rpc.on_timer(ctx, tag) else {
             return false;
-        }
-        let seq = tag & !SEND_TAG_BASE;
-        let Some(out) = self.unacked.get_mut(&seq) else {
-            return true; // already acked
         };
-        if out.attempts_left == 0 {
-            let out = self.unacked.remove(&seq).expect("present");
-            ctx.trace_span_end(out.span);
+        if let Some(RpcEvent::Failed { .. }) = event {
             self.given_up += 1;
-            ctx.metrics().incr("send.gave_up", 1);
-            return true;
         }
-        out.attempts_left -= 1;
-        let (dest, body) = (out.dest, out.body.clone());
-        ctx.metrics().incr("send.retries", 1);
-        ctx.send(dest, Payload::new(Command { seq, body }));
-        ctx.set_timer(self.retry_delay, SEND_TAG_BASE | seq);
         true
     }
 
     /// Commands not yet acknowledged.
     pub fn unacked(&self) -> usize {
-        self.unacked.len()
+        self.rpc.in_flight()
     }
 
     /// Commands abandoned after exhausting retries.
@@ -196,12 +145,13 @@ impl DedupReceiver {
     /// Offer an incoming message. Returns `Some(body)` when the host
     /// should execute the command's effect — acks are sent automatically.
     pub fn accept(&mut self, ctx: &mut Ctx, from: ProcessId, payload: &Payload) -> Option<Payload> {
-        let command = payload.downcast_ref::<Command>()?;
-        ctx.send(from, Payload::new(CommandAck { seq: command.seq }));
+        let command = payload.downcast_ref::<RpcRequest>()?;
+        let seq = command.call_id;
+        reply_call(ctx, from, seq, Payload::new(()));
         match self.guarantee {
-            DeliveryGuarantee::ExactlyOnce => match self.store.check(from, command.seq) {
+            DeliveryGuarantee::ExactlyOnce => match self.store.check(from, seq) {
                 Dedup::Fresh => {
-                    self.store.record(from, command.seq, None);
+                    self.store.record(from, seq, None);
                     Some(command.body.clone())
                 }
                 Dedup::Duplicate(_) => {
@@ -215,11 +165,11 @@ impl DedupReceiver {
                 // tracks seen seqs here purely for accounting, without
                 // bumping its duplicate-hit counter (`contains`, not
                 // `check`: nothing was filtered).
-                if self.store.contains(from, command.seq) {
+                if self.store.contains(from, seq) {
                     self.duplicates_executed += 1;
                     ctx.metrics().incr("recv.dup_executed", 1);
                 } else {
-                    self.store.record(from, command.seq, None);
+                    self.store.record(from, seq, None);
                 }
                 Some(command.body.clone())
             }

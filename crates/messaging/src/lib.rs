@@ -24,7 +24,7 @@ pub mod rpc;
 pub mod torture;
 
 pub use broker::{Broker, BrokerConfig, BrokerMsg, BrokerReply, BrokerRequest, BrokerResponse};
-pub use delivery::{Command, CommandAck, DedupReceiver, DeliveryGuarantee, ReliableSender};
+pub use delivery::{DedupReceiver, DeliveryGuarantee, ReliableSender};
 pub use idempotency::{Dedup, IdempotencyStore};
 pub use log::{Record, TopicStore};
 pub use outbox::{

@@ -23,6 +23,7 @@
 //! layer assumes a loss-free network and crash-restart failures, exactly
 //! like Flink over TCP.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use tca_sim::{DetHashMap as HashMap, DetHashSet as HashSet};
@@ -242,7 +243,6 @@ impl Deployment {
 const SOURCE_TICK_TAG: u64 = 0xdf_0001;
 
 /// Durable snapshot of one task.
-#[derive(Clone, Default)]
 struct TaskSnapshot {
     /// Keyed state (operators).
     state: HashMap<String, Value>,
@@ -262,6 +262,11 @@ pub struct Worker {
     stage_index: usize,
     stage: Stage,
     deployment: Deployment,
+    /// The durable `snapshots` map, by checkpoint id: the last completed
+    /// checkpoint and whatever was taken since. Older ones are pruned when
+    /// a completion arrives — the manager's `completed` only grows, so no
+    /// `Restore` can name them.
+    snapshots: Rc<RefCell<BTreeMap<u64, TaskSnapshot>>>,
     // --- streaming state ---
     keyed_state: HashMap<String, Value>,
     position: u64,
@@ -333,9 +338,7 @@ impl Worker {
             state: self.keyed_state.clone(),
             position: self.position,
         };
-        ctx.disk()
-            .put(&format!("snapshot/{id}"), SnapshotCell(Rc::new(snap)));
-        ctx.disk().put("latest_snapshot", id);
+        self.snapshots.borrow_mut().insert(id, snap);
         ctx.metrics().incr("dataflow.snapshots", 1);
         ctx.metrics().incr(
             &format!(
@@ -355,11 +358,10 @@ impl Worker {
     }
 
     fn restore(&mut self, ctx: &mut Ctx, checkpoint: u64, epoch: u64) {
-        let snap: Option<SnapshotCell> = ctx.disk().get(&format!("snapshot/{checkpoint}"));
-        match snap {
-            Some(cell) => {
-                self.keyed_state = cell.0.state.clone();
-                self.position = cell.0.position;
+        match self.snapshots.borrow().get(&checkpoint) {
+            Some(snap) => {
+                self.keyed_state = snap.state.clone();
+                self.position = snap.position;
             }
             None => {
                 self.keyed_state = HashMap::default();
@@ -538,10 +540,6 @@ impl Worker {
     }
 }
 
-/// Wrapper making snapshots storable in a [`tca_sim::Disk`].
-#[derive(Clone)]
-struct SnapshotCell(Rc<TaskSnapshot>);
-
 // ---------------------------------------------------------------------------
 // Process impls
 // ---------------------------------------------------------------------------
@@ -586,6 +584,9 @@ impl Process for Worker {
                 self.broadcast_downstream(ctx, StreamMsg::Barrier(trigger.id));
             }
         } else if let Some(complete) = payload.downcast_ref::<CheckpointComplete>() {
+            self.snapshots
+                .borrow_mut()
+                .retain(|&id, _| id >= complete.id);
             if let StageKind::Sink {
                 mode: SinkMode::ExactlyOnce,
                 metric,
@@ -764,6 +765,7 @@ pub fn deploy(
                     stage_index,
                     stage: stage.clone(),
                     deployment: deployment_handle.clone(),
+                    snapshots: boot.disk.durable("snapshots"),
                     keyed_state: HashMap::default(),
                     position: 0,
                     eos: false,
@@ -901,6 +903,40 @@ mod tests {
             "at-least-once delivers everything, possibly more: {alo}"
         );
         assert_eq!(exo, 300, "exactly-once delivers exactly the stream");
+    }
+
+    #[test]
+    fn a_completed_checkpoint_prunes_the_snapshots_before_it() {
+        // 4 000 events stream for 80 ms; a checkpoint every 5 ms.
+        let mut sim = Sim::with_seed(94);
+        let nodes = sim.add_nodes(3);
+        let job = deploy(
+            &mut sim,
+            &nodes,
+            &counting_job(4_000, SinkMode::ExactlyOnce),
+            JobManagerConfig {
+                checkpoint_interval: Some(SimDuration::from_millis(5)),
+            },
+        );
+        sim.run_for(SimDuration::from_millis(57));
+        let manager = sim.inspect::<JobManager>(job.manager()).expect("manager");
+        let completed = manager.completed;
+        assert!(completed >= 10, "only {completed} checkpoints completed");
+        for task in job.all_tasks() {
+            let worker = sim.inspect::<Worker>(task).expect("worker");
+            let kept: Vec<u64> = worker.snapshots.borrow().keys().copied().collect();
+            assert!(kept.len() <= 2, "{} keeps {kept:?}", sim.name_of(task));
+            assert!(kept.contains(&completed), "{kept:?} lacks {completed}");
+        }
+        // A crash after pruning still rolls back to that checkpoint: had
+        // its snapshot gone too, the sources would rewind to offset 0 and
+        // the sink commit the first 50 ms of the stream a second time.
+        sim.crash_node(nodes[2]);
+        sim.run_for(SimDuration::from_millis(10));
+        sim.restart_node(nodes[2]);
+        sim.run_for(SimDuration::from_secs(5));
+        assert_eq!(sim.metrics().counter("dataflow.restores"), 1);
+        assert_eq!(sim.metrics().counter("sink.committed"), 4_000);
     }
 
     #[test]

@@ -71,20 +71,13 @@ pub struct FaultProfile {
     pub max_drop_prob: f64,
     /// Ambient duplication probability is drawn from `[0, max_dup_prob]`.
     pub max_dup_prob: f64,
-    /// Minimum outage (crash-to-restart / cut-to-heal) duration.
-    pub min_outage: SimDuration,
-    /// Maximum outage duration.
-    pub max_outage: SimDuration,
     /// Maximum crash-during-recovery cycles: a crash/restart pair where a
-    /// *second* crash lands within [`FaultProfile::recrash_grace`] of the
-    /// restart — squarely inside the window where the node is replaying
-    /// durable state — followed by a second restart, all before the
-    /// horizon. `0` (the default) generates none and draws nothing, so
-    /// existing profiles produce byte-identical plans.
+    /// *second* crash lands within `RECRASH_GRACE` (15 ms) of the restart
+    /// — squarely inside the window where the node is replaying durable
+    /// state — followed by a second restart, all before the horizon. `0`
+    /// (the default) generates none and draws nothing, so existing
+    /// profiles produce byte-identical plans.
     pub max_recrash_cycles: u32,
-    /// How soon after a restart the second crash of a recrash cycle must
-    /// land (the "recovery window" under attack).
-    pub recrash_grace: SimDuration,
 }
 
 impl Default for FaultProfile {
@@ -95,10 +88,7 @@ impl Default for FaultProfile {
             max_partition_windows: 2,
             max_drop_prob: 0.15,
             max_dup_prob: 0.10,
-            min_outage: SimDuration::from_millis(10),
-            max_outage: SimDuration::from_millis(80),
             max_recrash_cycles: 0,
-            recrash_grace: SimDuration::from_millis(15),
         }
     }
 }
@@ -151,6 +141,14 @@ pub struct FaultPlan {
     pub horizon: SimDuration,
 }
 
+/// Minimum outage (crash-to-restart / cut-to-heal) duration.
+const MIN_OUTAGE: SimDuration = SimDuration::from_millis(10);
+/// Maximum outage duration.
+const MAX_OUTAGE: SimDuration = SimDuration::from_millis(80);
+/// How soon after a restart the second crash of a recrash cycle must
+/// land (the "recovery window" under attack).
+const RECRASH_GRACE: SimDuration = SimDuration::from_millis(15);
+
 impl FaultPlan {
     /// The benign plan: no faults at all (the clean-network baseline every
     /// sweep should include so a broken *scenario* is caught immediately).
@@ -174,11 +172,7 @@ impl FaultPlan {
     /// only from `rng`, so equal seeds give equal plans.
     pub fn generate(rng: &mut SimRng, profile: &FaultProfile, n_crashable: usize) -> Self {
         let horizon_ns = profile.horizon.as_nanos();
-        let outage = |rng: &mut SimRng| {
-            let lo = profile.min_outage.as_nanos();
-            let hi = profile.max_outage.as_nanos().max(lo + 1);
-            rng.range(lo, hi)
-        };
+        let outage = |rng: &mut SimRng| rng.range(MIN_OUTAGE.as_nanos(), MAX_OUTAGE.as_nanos());
         let mut events = Vec::new();
         let drop_prob = rng.unit() * profile.max_drop_prob;
         let dup_prob = rng.unit() * profile.max_dup_prob;
@@ -210,7 +204,7 @@ impl FaultPlan {
             for _ in 0..cycles {
                 let node = rng.index(n_crashable);
                 let first = outage(rng);
-                let gap = rng.range(1, profile.recrash_grace.as_nanos().max(2));
+                let gap = rng.range(1, RECRASH_GRACE.as_nanos());
                 let second = outage(rng);
                 let span = first + gap + second;
                 let latest_start = horizon_ns.saturating_sub(span).max(1);
@@ -403,7 +397,7 @@ mod tests {
                 if let [FaultEvent::Restart { node: r, at: up }, FaultEvent::Crash { node: c, at: down }] =
                     pair
                 {
-                    if r == c && *down > *up && *down - *up <= profile.recrash_grace {
+                    if r == c && *down > *up && *down - *up <= RECRASH_GRACE {
                         saw_recrash = true;
                     }
                 }

@@ -487,11 +487,6 @@ impl Sim {
         &mut self.network
     }
 
-    /// Read access to a process's durable disk (for test assertions).
-    pub fn disk_of(&self, pid: ProcessId) -> &Disk {
-        &self.procs[pid.0 as usize].disk
-    }
-
     /// Inspect a live process as its concrete type `T`. Used by harnesses
     /// for post-run audits; returns `None` when the process is down or of
     /// another type.
@@ -626,9 +621,6 @@ impl Sim {
                 return;
             }
         }
-        // The slot borrow (state box moved out, disk borrowed in place)
-        // coexists with the borrows of `rng`/`metrics`/`tracer` below
-        // because they are disjoint fields of `self`.
         let slot = &mut self.procs[idx];
         let Some(mut state) = slot.state.take() else {
             return;
@@ -645,7 +637,6 @@ impl Sim {
                 pid,
                 node,
                 rng: &mut self.rng,
-                disk: &mut slot.disk,
                 metrics: &mut self.metrics,
                 effects: std::mem::take(&mut self.effects_scratch),
                 timer_seq: &mut self.timer_seq,
@@ -979,6 +970,8 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     /// Echoes every `u64` payload back to the sender, incremented.
     struct Echo;
@@ -1064,33 +1057,43 @@ mod tests {
     #[test]
     fn crash_drops_volatile_state_restart_recovers_disk() {
         struct Counter {
-            count: u64,
+            /// Volatile: messages seen by this incarnation.
+            seen: u64,
+            /// The durable `count` handle: messages seen by all of them.
+            count: Rc<Cell<u64>>,
         }
         impl Process for Counter {
-            fn on_message(&mut self, ctx: &mut Ctx, _: ProcessId, _: Payload) {
-                self.count += 1;
-                ctx.disk().put("count", self.count);
-                ctx.metrics().incr("counter.latest", 0); // touch
+            fn on_message(&mut self, _: &mut Ctx, _: ProcessId, _: Payload) {
+                self.seen += 1;
+                self.count.set(self.count.get() + 1);
             }
         }
         let mut sim = Sim::with_seed(3);
         let n0 = sim.add_node();
         let pid = sim.spawn(n0, "counter", |boot| {
-            let count = boot.disk.get::<u64>("count").unwrap_or(0);
-            Box::new(Counter { count })
+            Box::new(Counter {
+                seen: 0,
+                count: boot.disk.durable("count"),
+            })
         });
+        let counts = |sim: &Sim| {
+            let counter = sim.inspect::<Counter>(pid).expect("counter is up");
+            (counter.seen, counter.count.get())
+        };
         for _ in 0..5 {
             sim.inject(pid, Payload::new(()));
         }
         sim.run_for(SimDuration::from_millis(1));
-        assert_eq!(sim.disk_of(pid).get::<u64>("count"), Some(5));
+        assert_eq!(counts(&sim), (5, 5));
         sim.crash_node(n0);
+        assert!(sim.inspect::<Counter>(pid).is_none());
         sim.restart_node(n0);
+        assert_eq!(counts(&sim), (0, 5));
         // Two more messages after recovery continue from the durable count.
         sim.inject(pid, Payload::new(()));
         sim.inject(pid, Payload::new(()));
         sim.run_for(SimDuration::from_millis(1));
-        assert_eq!(sim.disk_of(pid).get::<u64>("count"), Some(7));
+        assert_eq!(counts(&sim), (2, 7));
     }
 
     #[test]

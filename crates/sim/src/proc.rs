@@ -8,15 +8,13 @@
 //! only happen *between* handler invocations.
 //!
 //! Volatile state (the `Process` value itself) is destroyed by a node crash.
-//! State written to the process's [`Disk`] survives crashes and is handed
-//! back to the process factory on restart — this models durable storage
-//! without byte-level serialization.
+//! The handles a process took from its [`Disk`] when it booted survive, and
+//! the factory takes the same handles again on restart — this models
+//! durable storage without byte-level serialization.
 
 use crate::detmap::DetHashMap as HashMap;
 use std::any::Any;
-use std::cell::Cell;
 use std::fmt;
-use std::rc::Rc;
 
 use crate::metrics::Metrics;
 use crate::payload::Payload;
@@ -60,14 +58,18 @@ pub struct TimerId(pub u64);
 
 /// Durable per-process storage that survives node crashes.
 ///
-/// Values are stored as `Rc<dyn Any>` and read back by cloning the inner
-/// `T`, so a restarted process observes exactly what was persisted and
-/// cannot alias the live copy.
+/// The disk is a set of named *handles* (`Rc<RefCell<_>>`, `Rc<Cell<_>>`,
+/// `DurableLog`, …). A process takes its handles from [`Boot::disk`] when
+/// it is built and from then on updates them in place: the process and the
+/// disk hold the same allocation, so whatever a handler left in a handle
+/// is what the next incarnation finds there. There is no other way in — a
+/// handler has no disk to read, and a test that wants to look at durable
+/// state reads the process's own handle through [`Sim::inspect`].
+///
+/// [`Sim::inspect`]: crate::Sim::inspect
 #[derive(Default)]
 pub struct Disk {
-    entries: HashMap<String, Rc<dyn Any>>,
-    writes: u64,
-    reads: Cell<u64>,
+    entries: HashMap<String, Box<dyn Any>>,
 }
 
 impl Disk {
@@ -76,66 +78,17 @@ impl Disk {
         Disk::default()
     }
 
-    /// Persist `value` under `key`, replacing any previous value.
-    pub fn put<T: Any>(&mut self, key: &str, value: T) {
-        self.writes += 1;
-        self.entries.insert(key.to_owned(), Rc::new(value));
-    }
-
-    /// Read back a clone of the value stored under `key`.
-    ///
-    /// This deep-clones `T`, so a read costs the size of the value: fine
-    /// at boot, a trap in a message handler. Large or frequently updated
-    /// durable state belongs in a shared handle fetched once at boot with
-    /// [`Disk::durable`] and then updated in place.
-    pub fn get<T: Any + Clone>(&self, key: &str) -> Option<T> {
-        self.reads.set(self.reads.get() + 1);
-        self.entries
-            .get(key)
-            .and_then(|v| v.downcast_ref::<T>())
-            .cloned()
-    }
-
-    /// The durable handle stored under `key`, created on first boot.
-    ///
-    /// Durable state lives in a shared handle (`Rc<RefCell<_>>`,
-    /// `DurableLog`, …): the process and the disk hold the same
-    /// allocation, so the handle is fetched once per boot and updated in
-    /// place. Returns the stored handle, or stores and returns
-    /// `T::default()` when there is none (or it has another type). Costs
-    /// one counted read, plus one counted write on creation.
+    /// The durable handle stored under `key`, created on first boot:
+    /// returns a clone of the stored handle, or stores and returns
+    /// `T::default()` when there is none (or it has another type).
     pub fn durable<T: Any + Clone + Default>(&mut self, key: &str) -> T {
-        self.get(key).unwrap_or_else(|| {
-            let handle = T::default();
-            self.put(key, handle.clone());
-            handle
-        })
-    }
-
-    /// Remove `key`; returns whether it existed.
-    pub fn remove(&mut self, key: &str) -> bool {
-        self.writes += 1;
-        self.entries.remove(key).is_some()
-    }
-
-    /// True if `key` is present.
-    pub fn contains(&self, key: &str) -> bool {
-        self.entries.contains_key(key)
-    }
-
-    /// Keys currently stored, in arbitrary order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(|k| k.as_str())
-    }
-
-    /// Number of durable writes performed (for I/O accounting).
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
-    /// Number of durable reads performed.
-    pub fn read_count(&self) -> u64 {
-        self.reads.get()
+        if let Some(handle) = self.entries.get(key).and_then(|h| h.downcast_ref::<T>()) {
+            return handle.clone();
+        }
+        let handle = T::default();
+        self.entries
+            .insert(key.to_owned(), Box::new(handle.clone()));
+        handle
     }
 }
 
@@ -155,8 +108,9 @@ pub trait Process: Any {
     fn on_timer(&mut self, _ctx: &mut Ctx, _tag: u64) {}
 }
 
-/// Construction-time view handed to process factories, giving access to the
-/// durable disk for recovery.
+/// Construction-time view handed to process factories. It is the only way
+/// to the durable disk: a process's durable state is exactly the handles it
+/// takes here.
 pub struct Boot<'a> {
     /// The process's durable storage, surviving from before the crash.
     pub disk: &'a mut Disk,
@@ -251,13 +205,12 @@ pub(crate) enum Effect {
 }
 
 /// The handler-side view of the simulation: clock, randomness, messaging,
-/// timers, durable disk, and metrics.
+/// timers, and metrics.
 pub struct Ctx<'a> {
     pub(crate) now: SimTime,
     pub(crate) pid: ProcessId,
     pub(crate) node: NodeId,
     pub(crate) rng: &'a mut SimRng,
-    pub(crate) disk: &'a mut Disk,
     pub(crate) metrics: &'a mut Metrics,
     pub(crate) effects: Vec<Effect>,
     pub(crate) timer_seq: &'a mut u64,
@@ -352,12 +305,6 @@ impl<'a> Ctx<'a> {
     #[inline]
     pub fn rng(&mut self) -> &mut SimRng {
         self.rng
-    }
-
-    /// The process's durable disk.
-    #[inline]
-    pub fn disk(&mut self) -> &mut Disk {
-        self.disk
     }
 
     /// The run-wide metrics registry.
@@ -484,38 +431,26 @@ impl<'a> Ctx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     #[test]
-    fn disk_typed_roundtrip() {
+    fn durable_returns_the_stored_handle() {
         let mut d = Disk::new();
-        d.put("count", 42u64);
-        d.put("name", String::from("alpha"));
-        assert_eq!(d.get::<u64>("count"), Some(42));
-        assert_eq!(d.get::<String>("name").as_deref(), Some("alpha"));
-        assert_eq!(d.get::<u32>("count"), None, "wrong type reads as None");
-        assert!(d.contains("count"));
-        assert!(d.remove("count"));
-        assert!(!d.contains("count"));
-        assert!(!d.remove("count"));
-    }
-
-    #[test]
-    fn disk_counts_io() {
-        let mut d = Disk::new();
-        d.put("a", 1u8);
-        let _ = d.get::<u8>("a");
-        let _ = d.get::<u8>("b");
-        assert_eq!(d.write_count(), 1);
-        assert_eq!(d.read_count(), 2);
-    }
-
-    #[test]
-    fn disk_get_clones() {
-        let mut d = Disk::new();
-        d.put("v", vec![1, 2, 3]);
-        let mut v: Vec<i32> = d.get("v").unwrap();
-        v.push(4);
-        assert_eq!(d.get::<Vec<i32>>("v").unwrap(), vec![1, 2, 3]);
+        // Created as `T::default()`, once: the second take is the same
+        // allocation, so an in-place update is what a reboot finds.
+        let count: Rc<Cell<u64>> = d.durable("count");
+        assert_eq!(count.get(), 0);
+        count.set(42);
+        let again: Rc<Cell<u64>> = d.durable("count");
+        assert!(Rc::ptr_eq(&count, &again));
+        assert_eq!(again.get(), 42);
+        // A handle of another type replaces what was stored.
+        let other: Rc<Cell<u32>> = d.durable("count");
+        assert_eq!(other.get(), 0);
+        let back: Rc<Cell<u64>> = d.durable("count");
+        assert!(!Rc::ptr_eq(&count, &back));
+        assert_eq!(back.get(), 0);
     }
 
     #[test]

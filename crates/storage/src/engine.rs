@@ -762,6 +762,25 @@ mod tests {
     }
 
     #[test]
+    fn recover_over_empty_handles_is_a_fresh_engine() {
+        // No image, so replay starts at LSN 0 — of an empty tail. This is
+        // what lets a server open its engine one way on every boot.
+        let fresh = engine();
+        let recovered = Engine::recover(
+            EngineConfig::default(),
+            DurableLog::new(),
+            DurableCell::new(),
+        );
+        for e in [&fresh, &recovered] {
+            assert_eq!(e.clock(), 0);
+            assert_eq!(e.next_tx, 0);
+            assert_eq!(e.store().version_count(), 0);
+            assert_eq!(e.wal().len(), 0);
+            assert!(!e.checkpoint.is_set());
+        }
+    }
+
+    #[test]
     fn recovery_uses_checkpoint_and_tail() {
         let wal = DurableLog::new();
         let cp = DurableCell::new();

@@ -9,9 +9,9 @@
 //! result in the experiments.
 //!
 //! Durability: the WAL and checkpoint cell live in the node's durable
-//! [`tca_sim::Disk`]; on restart the factory rebuilds the engine via
-//! [`Engine::recover`]. Fsync and read service times are charged on the
-//! reply path.
+//! [`tca_sim::Disk`]; the factory opens the engine via
+//! [`Engine::recover`] on every boot (the first recovers from empty
+//! handles). Fsync and read service times are charged on the reply path.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -319,11 +319,9 @@ impl DbServer {
             let checkpoint: DurableCell<
                 crate::wal::Checkpoint<std::collections::BTreeMap<Key, Value>>,
             > = boot.disk.durable("checkpoint");
-            let mut engine = if boot.restart {
-                Engine::recover(EngineConfig::default(), wal, checkpoint)
-            } else {
-                Engine::new(EngineConfig::default(), wal, checkpoint)
-            };
+            // On first boot the handles are empty, and recovering from
+            // nothing is a fresh engine.
+            let mut engine = Engine::recover(EngineConfig::default(), wal, checkpoint);
             // Nothing drains a server's footprints; left on they grow
             // with every commit for as long as the server lives.
             engine.record_footprints(false);

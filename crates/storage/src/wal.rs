@@ -87,6 +87,14 @@ impl<T> DurableLog<T> {
         inner.base_lsn + inner.records.len() as u64
     }
 
+    /// LSN of the oldest retained record (`next_lsn` when none is): every
+    /// record below it has been truncated away. A lookup of one LSN checks
+    /// this first — [`DurableLog::with_tail`] clamps a `from` below it up
+    /// to it, and so answers with a *later* record.
+    pub fn first_lsn(&self) -> u64 {
+        self.inner.borrow().base_lsn
+    }
+
     /// Borrow the retained records with LSN ≥ `from` (recovery replay,
     /// checkpoint fold). `f` must not touch this log again: the borrow is
     /// held while it runs.
@@ -213,6 +221,25 @@ mod tests {
         // Truncating below the base is a no-op.
         log.truncate_to(2);
         assert_eq!(tail(&log, 4)[0], 4);
+    }
+
+    #[test]
+    fn lookups_below_the_floor_find_nothing() {
+        let log = DurableLog::new();
+        assert_eq!(log.first_lsn(), 0);
+        for i in 0..10u32 {
+            log.append(i);
+        }
+        log.truncate_to(4);
+        assert_eq!(log.first_lsn(), 4);
+        // A tail asked from below the floor starts *at* the floor: its
+        // first record is LSN 4, not the LSN asked for. Whoever wants
+        // "record 2 or nothing" has to compare with `first_lsn`.
+        assert_eq!(tail(&log, 2), tail(&log, 4));
+        assert_eq!(tail(&log, 2)[0], 4);
+        log.truncate_to(100);
+        assert_eq!(log.first_lsn(), log.next_lsn());
+        assert_eq!(log.first_lsn(), 10);
     }
 
     #[test]

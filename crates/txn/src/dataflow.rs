@@ -26,23 +26,25 @@
 //!    locks, no aborts — serializability is the order itself.
 //! 4. **Exactly-once output.** A shard buffers client outcomes while an
 //!    epoch is in flight and emits them exactly when the epoch completes:
-//!    the same handler atomically journals the epoch's inputs, advances
-//!    the durable `applied` mark, and sends the replies. Epochs at or
-//!    below `applied` are ignored on receipt and never re-emitted, and
-//!    the sequencer's *watermark* — the minimum acknowledged epoch across
-//!    the fleet, monotone by construction — bounds how much share/journal
-//!    history anyone must retain.
+//!    the same handler atomically journals the epoch's inputs — which is
+//!    what advances the durable `applied` mark, the journal's next LSN —
+//!    and sends the replies. Epochs at or below `applied` are ignored on
+//!    receipt and never re-emitted, and the sequencer's *watermark* — the
+//!    minimum acknowledged epoch across the fleet, monotone by
+//!    construction — bounds how much share/journal history anyone must
+//!    retain.
 //! 5. **Checkpoint/recovery.** The durable snapshot is an *in-place
-//!    mirror* of the shard's state (an `Rc` cell on the disk, the idiom
-//!    of `twopc`'s and `workflow`'s durable logs). Every
+//!    mirror* of the shard's state (an `Rc` cell taken from the disk at
+//!    boot, the idiom of `twopc`'s and `workflow`'s durable logs). Every
 //!    `checkpoint_every` epochs the shard patches it with the keys the
 //!    epochs since the last checkpoint touched — the cost of a checkpoint
 //!    is what those epochs wrote, not the size of the state. The input
-//!    journal is garbage-collected up to `min(watermark, snapshot)` —
-//!    local replay needs every epoch after the snapshot, peers' share
-//!    pulls every epoch after the watermark. A crashed shard reboots from
-//!    the mirror, locally re-executes the journaled epochs (their full
-//!    read sets were persisted, so replay needs no network),
+//!    journal — a `DurableLog`, like the sequencer's log of closed epochs
+//!    and the storage engine's WAL — is truncated up to `min(watermark,
+//!    snapshot)`: local replay needs every epoch after the snapshot,
+//!    peers' share pulls every epoch after the watermark. A crashed shard
+//!    reboots from the mirror, locally re-executes the journaled epochs
+//!    (their full read sets were persisted, so replay needs no network),
 //!    re-acknowledges its durable position, and the sequencer streams it
 //!    every later epoch. Peers stuck waiting on the crashed shard's
 //!    shares pull them once the replayer catches up.
@@ -52,20 +54,21 @@
 //! wire, each shard's in-flight run and each shard's durable journal hold
 //! the same allocation and refer to a transaction by its index in it. A
 //! finished run's per-transaction read sets *move* into the journal entry;
-//! nothing an epoch carries is copied per shard, and no handler on the
-//! steady path reads the disk back — it is written, and read at boot.
+//! nothing an epoch carries is copied per shard, and no handler reads
+//! durable state back: the logs and the mirror are handles taken at boot
+//! and updated in place.
 //!
 //! Everything here is opt-in and draw-free: deploying the engine adds
 //! processes but consumes no simulation randomness, so existing
 //! experiment streams are unaffected.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
 use tca_messaging::rpc::{reply_call, RpcRequest};
-use tca_sim::{Boot, Ctx, Disk, Payload, Process, ProcessId, ShardMap, SimDuration};
+use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, ShardMap, SimDuration};
+use tca_storage::wal::DurableLog;
 use tca_storage::Value;
 
 use crate::deterministic::{DetRegistry, SubmitTxn, TxnOutcome};
@@ -106,23 +109,21 @@ impl Default for DataflowConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Durable layout helpers
+// Durable layout
 // ---------------------------------------------------------------------------
 
-/// The run of durable entries `{prefix}{e}` that ends at `e = top`, in
-/// ascending order. Both journals here are appended at the top and
-/// garbage-collected from the bottom, so what is retained is contiguous
-/// and walking down from `top` to the first gap reads exactly that — a
-/// restart costs the retained window, not the history behind it.
-fn durable_tail<T: 'static>(disk: &Disk, prefix: &str, top: u64) -> VecDeque<Rc<T>> {
-    let mut tail = VecDeque::new();
-    for e in (1..=top).rev() {
-        let Some(entry) = disk.get::<Rc<T>>(&format!("{prefix}{e}")) else {
-            break;
-        };
-        tail.push_front(entry);
-    }
-    tail
+/// Both journals here are [`DurableLog`]s that hold one entry per epoch,
+/// and epochs are dense and 1-based: epoch `e` lives at LSN `e − 1`. The
+/// next LSN is therefore the last epoch journaled, the log's first LSN the
+/// last epoch collected, and collecting up to epoch `e` is
+/// `truncate_to(e)`.
+///
+/// The entry of `epoch`, while it is retained. A collected epoch finds
+/// nothing: `with_tail` alone would clamp the lookup up to the oldest
+/// retained entry and answer with another epoch's.
+fn journaled<T>(log: &DurableLog<Rc<T>>, epoch: u64) -> Option<Rc<T>> {
+    let lsn = epoch.checked_sub(1).filter(|&lsn| lsn >= log.first_lsn())?;
+    log.with_tail(lsn, |tail| tail.first().cloned())
 }
 
 // ---------------------------------------------------------------------------
@@ -201,24 +202,22 @@ const RESEND_TAG: u64 = 0xdf_0002;
 /// The epoch-batching global sequencer.
 ///
 /// Closes an epoch when the buffer is non-empty and the epoch timer
-/// fires; journals it durably (`ep/{n}` + `last_epoch` on its disk)
-/// before broadcasting, so a closed epoch can always be replayed to a
-/// recovering shard; tracks per-shard acknowledgements and re-offers the
-/// next needed epoch to lagging shards every `RESEND_INTERVAL`.
+/// fires; appends it to its durable log before broadcasting, so a closed
+/// epoch can always be replayed to a recovering shard; tracks per-shard
+/// acknowledgements and re-offers the next needed epoch to lagging shards
+/// every `RESEND_INTERVAL`.
 pub struct DfSequencer {
     config: DataflowConfig,
     shards: Rc<RefCell<Vec<ProcessId>>>,
     buffer: Vec<DfTxn>,
     /// Last id handed out (the durable `next_id` cell).
     next_id: Rc<Cell<u64>>,
-    last_epoch: u64,
+    /// The durable `epochs` log: every closed epoch above the fleet
+    /// watermark (see [`journaled`] for the numbering). Its next LSN is the
+    /// last epoch closed.
+    log: DurableLog<Rc<Batch>>,
     /// Highest epoch durably applied by each shard.
     acked: Vec<u64>,
-    /// Closed epochs `log_floor + 1 ..= last_epoch`, oldest first: the
-    /// same allocations as the durable `ep/{n}` entries.
-    log: VecDeque<Rc<Batch>>,
-    /// Every epoch at or below this has been dropped from the log.
-    log_floor: u64,
     epoch_timer_armed: bool,
     resend_timer_armed: bool,
 }
@@ -226,17 +225,13 @@ pub struct DfSequencer {
 impl DfSequencer {
     fn boot(config: DataflowConfig, shards: Rc<RefCell<Vec<ProcessId>>>, boot: &mut Boot) -> Self {
         let n = shards.borrow().len().max(1);
-        let last_epoch = boot.disk.get::<u64>("last_epoch").unwrap_or(0);
-        let log = durable_tail::<Batch>(boot.disk, "ep/", last_epoch);
         DfSequencer {
             config,
             shards,
             buffer: Vec::new(),
             next_id: boot.disk.durable("next_id"),
-            last_epoch,
+            log: boot.disk.durable("epochs"),
             acked: vec![0; n],
-            log_floor: last_epoch - log.len() as u64,
-            log,
             epoch_timer_armed: false,
             resend_timer_armed: false,
         }
@@ -249,7 +244,7 @@ impl DfSequencer {
     /// Highest epoch closed (and durably journaled) so far.
     #[must_use]
     pub fn last_epoch(&self) -> u64 {
-        self.last_epoch
+        self.log.next_lsn()
     }
 
     /// Minimum epoch acknowledged by every shard: nothing at or below
@@ -283,26 +278,23 @@ impl DfSequencer {
 
     /// The announcement of `epoch`, if it is still in the log.
     fn batch_for(&self, epoch: u64) -> Option<Payload> {
-        let at = epoch.checked_sub(self.log_floor + 1)?;
-        let batch = self.log.get(at as usize)?;
+        let batch = journaled(&self.log, epoch)?;
         Some(Payload::new(EpochBatch {
             watermark: self.watermark(),
-            batch: Rc::clone(batch),
+            batch,
         }))
     }
 
-    /// Send `shard` the next epoch it needs, if one is closed.
+    /// Send `shard` the next epoch it needs, if one is closed and not yet
+    /// collected.
     fn offer_next(&self, ctx: &mut Ctx, shard: usize) {
-        let next = self.acked[shard] + 1;
-        if next <= self.last_epoch {
-            if let Some(batch) = self.batch_for(next) {
-                ctx.send(self.shards.borrow()[shard], batch);
-            }
+        if let Some(batch) = self.batch_for(self.acked[shard] + 1) {
+            ctx.send(self.shards.borrow()[shard], batch);
         }
     }
 
     fn arm_resend(&mut self, ctx: &mut Ctx) {
-        if !self.resend_timer_armed && self.watermark() < self.last_epoch {
+        if !self.resend_timer_armed && self.watermark() < self.last_epoch() {
             self.resend_timer_armed = true;
             ctx.set_timer(RESEND_INTERVAL, RESEND_TAG);
         }
@@ -345,12 +337,7 @@ impl Process for DfSequencer {
             }
             // History at or below the fleet watermark can never be
             // requested again: every shard has durably applied it.
-            let watermark = self.watermark().min(self.last_epoch);
-            while self.log_floor < watermark {
-                self.log_floor += 1;
-                self.log.pop_front();
-                ctx.disk().remove(&format!("ep/{}", self.log_floor));
-            }
+            self.log.truncate_to(self.watermark());
             // Ack-driven catch-up: stream the next epoch immediately so a
             // recovering shard advances one epoch per round trip instead
             // of one per resend sweep.
@@ -366,25 +353,17 @@ impl Process for DfSequencer {
                 if self.buffer.is_empty() {
                     return;
                 }
-                self.last_epoch += 1;
+                let epoch = self.last_epoch() + 1;
                 let txns = std::mem::take(&mut self.buffer);
                 let waves = Self::layer_waves(&txns);
                 let n_waves = u64::from(waves.iter().copied().max().unwrap_or(0)) + 1;
-                let batch = Rc::new(Batch {
-                    epoch: self.last_epoch,
-                    txns,
-                    waves,
-                });
                 // Journal before announcing: once any shard has seen the
                 // epoch, the sequencer must be able to replay it forever
                 // (until the watermark passes it).
-                ctx.disk()
-                    .put(&format!("ep/{}", self.last_epoch), Rc::clone(&batch));
-                ctx.disk().put("last_epoch", self.last_epoch);
-                self.log.push_back(batch);
+                self.log.append(Rc::new(Batch { epoch, txns, waves }));
                 ctx.metrics().incr("df.epochs", 1);
                 ctx.metrics().incr("df.waves", n_waves);
-                let announce = self.batch_for(self.last_epoch).expect("just journaled");
+                let announce = self.batch_for(epoch).expect("just journaled");
                 for &shard in self.shards.borrow().iter() {
                     ctx.send(shard, announce.clone());
                 }
@@ -396,11 +375,12 @@ impl Process for DfSequencer {
             }
             RESEND_TAG => {
                 self.resend_timer_armed = false;
-                if self.watermark() >= self.last_epoch {
+                let last_epoch = self.last_epoch();
+                if self.watermark() >= last_epoch {
                     return; // fully acknowledged: go quiet
                 }
                 for shard in 0..self.acked.len() {
-                    if self.acked[shard] < self.last_epoch {
+                    if self.acked[shard] < last_epoch {
                         ctx.metrics().incr("df.resends", 1);
                         self.offer_next(ctx, shard);
                     }
@@ -490,9 +470,9 @@ impl HostedTxn {
     }
 }
 
-/// Durable journal entry for one applied epoch (`jrnl/{n}`): the batch
-/// and this shard's hosted transactions in execution order — by wave,
-/// then by position in the batch.
+/// Durable journal entry for one applied epoch: the batch and this
+/// shard's hosted transactions in execution order — by wave, then by
+/// position in the batch.
 struct ShardJournalEntry {
     batch: Rc<Batch>,
     hosted: Vec<HostedTxn>,
@@ -578,22 +558,20 @@ pub struct DfShard {
     state: HashMap<String, Value>,
     /// The durable `snap` cell: `state` as of the last checkpoint.
     snap: Rc<RefCell<Snapshot>>,
-    /// Highest epoch durably applied (mirrors the disk `applied` cell).
-    applied: u64,
     /// Epochs received but not yet runnable (gap or one already running).
     buffered: HashMap<u64, Rc<Batch>>,
     run: Option<EpochRun>,
     /// [`WaveShare`]s received ahead of their epoch, folded in when it
     /// starts. Volatile: a share lost with a crash is pulled again.
     early_shares: HashMap<u64, Vec<Payload>>,
-    /// Journal entries of epochs `jrnl_gc + 1 ..= applied`, oldest first:
-    /// the same allocations as the durable `jrnl/{n}` entries. They feed
-    /// the next checkpoint its dirty keys and answer peers' share pulls
-    /// (a peer still pulling has not acked the epoch, so the watermark —
-    /// and with it journal GC — cannot have passed it).
-    journal: VecDeque<Rc<ShardJournalEntry>>,
-    /// Every `jrnl/{e}` with `e <= jrnl_gc` has been removed.
-    jrnl_gc: u64,
+    /// The durable `journal` log: one entry per applied epoch (see
+    /// [`journaled`] for the numbering), so its next LSN is the highest
+    /// epoch durably applied. The retained entries replay a rebooted shard
+    /// forward from the snapshot, feed the next checkpoint its dirty keys
+    /// and answer peers' share pulls (a peer still pulling has not acked
+    /// the epoch, so the watermark — and with it journal GC — cannot have
+    /// passed it).
+    journal: DurableLog<Rc<ShardJournalEntry>>,
 }
 
 impl DfShard {
@@ -607,9 +585,7 @@ impl DfShard {
         boot: &mut Boot,
     ) -> Self {
         let snap: Rc<RefCell<Snapshot>> = boot.disk.durable("snap");
-        let applied = boot.disk.get::<u64>("applied").unwrap_or(0);
-        let journal = durable_tail::<ShardJournalEntry>(boot.disk, "jrnl/", applied);
-        let jrnl_gc = applied - journal.len() as u64;
+        let journal: DurableLog<Rc<ShardJournalEntry>> = boot.disk.durable("journal");
         let snap_epoch = snap.borrow().epoch;
         let state = snap.borrow().state.iter().cloned().collect();
         let mut shard = DfShard {
@@ -621,27 +597,23 @@ impl DfShard {
             config,
             state,
             snap,
-            applied,
             buffered: HashMap::default(),
             run: None,
             early_shares: HashMap::default(),
-            journal: VecDeque::new(),
-            jrnl_gc,
+            journal: journal.clone(),
         };
         // Recovery: re-execute the journaled epochs between the snapshot
         // and the durable applied mark. Inputs (including remote reads)
         // were persisted with each epoch, so this is pure local compute;
         // outputs were already emitted by the pre-crash incarnation, so
         // nothing is sent.
-        for entry in journal
-            .iter()
-            .skip(snap_epoch.saturating_sub(jrnl_gc) as usize)
-        {
-            for hosted in &entry.hosted {
-                let _ = shard.execute(entry.txn(hosted), &hosted.reads);
+        journal.with_tail(snap_epoch, |replay| {
+            for entry in replay {
+                for hosted in &entry.hosted {
+                    let _ = shard.execute(entry.txn(hosted), &hosted.reads);
+                }
             }
-        }
-        shard.journal = journal;
+        });
         shard
     }
 
@@ -684,12 +656,12 @@ impl DfShard {
             self.sequencer.get(),
             Payload::new(EpochAck {
                 shard: self.index as u32,
-                epoch: self.applied,
+                epoch: self.applied_epoch(),
             }),
         );
     }
 
-    fn gc_below(&mut self, ctx: &mut Ctx, watermark: u64) {
+    fn gc_below(&mut self, watermark: u64) {
         if watermark == 0 {
             return;
         }
@@ -698,17 +670,7 @@ impl DfShard {
         // everything after the snapshot, peers' share pulls need
         // everything after the watermark. Drop what neither can ask for.
         let bound = watermark.min(self.snap.borrow().epoch);
-        while self.jrnl_gc < bound {
-            self.jrnl_gc += 1;
-            self.journal.pop_front();
-            ctx.disk().remove(&format!("jrnl/{}", self.jrnl_gc));
-        }
-    }
-
-    /// The journal entry of an applied epoch, while it is retained.
-    fn journaled(&self, epoch: u64) -> Option<&ShardJournalEntry> {
-        let at = epoch.checked_sub(self.jrnl_gc + 1)?;
-        self.journal.get(at as usize).map(|entry| &**entry)
+        self.journal.truncate_to(bound);
     }
 
     /// Bring the durable mirror up to `epoch`. What changed since the
@@ -717,17 +679,18 @@ impl DfShard {
     /// still retained — journal GC never passes the snapshot.
     fn checkpoint(&mut self, epoch: u64) {
         let mut snap = self.snap.borrow_mut();
-        let since = snap.epoch.saturating_sub(self.jrnl_gc) as usize;
-        for entry in self.journal.range(since..) {
-            for hosted in &entry.hosted {
-                for key in &entry.txn(hosted).read_keys {
-                    // Only owned, written keys are in `state`.
-                    if let Some(value) = self.state.get(key) {
-                        snap.put(key, value);
+        self.journal.with_tail(snap.epoch, |since| {
+            for entry in since {
+                for hosted in &entry.hosted {
+                    for key in &entry.txn(hosted).read_keys {
+                        // Only owned, written keys are in `state`.
+                        if let Some(value) = self.state.get(key) {
+                            snap.put(key, value);
+                        }
                     }
                 }
             }
-        }
+        });
         snap.epoch = epoch;
     }
 
@@ -735,7 +698,7 @@ impl DfShard {
     /// successor of the durable applied mark, then pump its first wave.
     fn try_start(&mut self, ctx: &mut Ctx) {
         while self.run.is_none() {
-            let next = self.applied + 1;
+            let next = self.applied_epoch() + 1;
             let Some(batch) = self.buffered.remove(&next) else {
                 return;
             };
@@ -891,17 +854,15 @@ impl DfShard {
             self.pump(ctx);
             return;
         }
-        // Epoch complete. One handler atomically journals the inputs,
-        // advances the durable applied mark, checkpoints when due, emits
-        // the buffered outcomes, and acknowledges — the exactly-once
-        // boundary (crashes cannot land between these steps).
+        // Epoch complete. One handler atomically journals the inputs —
+        // the append *is* the advance of the durable applied mark —
+        // checkpoints when due, emits the buffered outcomes, and
+        // acknowledges: the exactly-once boundary (crashes cannot land
+        // between these steps).
         let run = self.run.take().expect("completing");
         let epoch = run.epoch();
-        let entry = Rc::new(run.entry);
-        ctx.disk().put(&format!("jrnl/{epoch}"), Rc::clone(&entry));
-        self.journal.push_back(entry);
-        self.applied = epoch;
-        ctx.disk().put("applied", epoch);
+        let lsn = self.journal.append(Rc::new(run.entry));
+        debug_assert_eq!(lsn + 1, epoch, "epochs are journaled densely, in order");
         if epoch.is_multiple_of(self.config.checkpoint_every) {
             self.checkpoint(epoch);
             ctx.metrics().incr("df.checkpoints", 1);
@@ -938,7 +899,7 @@ impl DfShard {
     /// Highest epoch durably applied by this shard.
     #[must_use]
     pub fn applied_epoch(&self) -> u64 {
-        self.applied
+        self.journal.next_lsn()
     }
 
     /// True when no epoch is in flight on this shard (all received work
@@ -960,8 +921,8 @@ impl Process for DfShard {
     fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
         if let Some(announce) = payload.downcast_ref::<EpochBatch>() {
             let epoch = announce.batch.epoch;
-            self.gc_below(ctx, announce.watermark);
-            if epoch <= self.applied {
+            self.gc_below(announce.watermark);
+            if epoch <= self.applied_epoch() {
                 // Duplicate of an applied epoch: the ack may have been
                 // lost, so re-acknowledge, but never re-run or re-emit.
                 self.ack(ctx);
@@ -975,7 +936,7 @@ impl Process for DfShard {
             }
             self.try_start(ctx);
         } else if let Some(share) = payload.downcast_ref::<WaveShare>() {
-            if share.epoch <= self.applied {
+            if share.epoch <= self.applied_epoch() {
                 return;
             }
             match self.run.as_mut() {
@@ -996,11 +957,12 @@ impl Process for DfShard {
             // stays with the run and then with the epoch's journal entry,
             // which is durable — a crashed-and-recovered shard still
             // feeds its peers.
-            let entry = match &self.run {
-                Some(run) if run.epoch() == req.epoch => Some(&run.entry),
-                _ => self.journaled(req.epoch),
+            let applied = journaled(&self.journal, req.epoch);
+            let entry = match (&self.run, &applied) {
+                (Some(run), _) if run.epoch() == req.epoch => &run.entry,
+                (_, Some(entry)) => &**entry,
+                _ => return,
             };
-            let Some(entry) = entry else { return };
             for &txn_id in &req.txn_ids {
                 let share = entry
                     .position(txn_id)
@@ -1576,9 +1538,10 @@ mod tests {
     fn restart_cost_is_bounded_by_retained_history() {
         // One single-transfer epoch per millisecond until ≥ 500 epochs
         // are closed, applied and garbage-collected; then restart a shard
-        // and the sequencer and run eight more epochs. Both must come
-        // back reading and writing only the retained window — the epochs
-        // above the snapshot / watermark — not the history behind it.
+        // and the sequencer and run eight more epochs. What both hold
+        // durably — and so what they come back to and replay — is the
+        // retained window, the epochs above the snapshot / watermark, not
+        // the history behind it.
         const HISTORY: usize = 520;
         const AFTER: usize = 8;
         let plan: Vec<SubmitTxn> = (0..HISTORY + AFTER)
@@ -1591,7 +1554,7 @@ mod tests {
             })
             .collect();
         let config = DataflowConfig::default();
-        let window = config.checkpoint_every + AFTER as u64;
+        let window = (config.checkpoint_every as usize) + AFTER;
         let mut fleet = deploy(plan, 3, config, true);
         let tick = |i: usize| SimTime::from_nanos(1_000_000 * (i as u64 + 1));
         for i in 0..HISTORY {
@@ -1605,19 +1568,29 @@ mod tests {
         let history = last_epoch(&fleet);
         assert!(history >= 500, "only {history} epochs of history");
 
-        let restarted = [fleet.sequencer, fleet.shards[0]];
-        let io = |fleet: &Fleet| {
-            restarted.map(|pid| {
-                let disk = fleet.sim.disk_of(pid);
-                (disk.read_count(), disk.write_count())
-            })
+        let assert_bounded = |fleet: &Fleet, when: &str| {
+            let seq = fleet.sim.inspect::<DfSequencer>(fleet.sequencer);
+            let retained = [
+                ("sequencer's log", seq.expect("sequencer").log.len()),
+                ("shard's journal", fleet.shard(0).journal.len()),
+            ];
+            for (name, len) in retained {
+                assert!(
+                    len <= window,
+                    "{when} the restart the {name} retains {len} entries of {} epochs",
+                    last_epoch(fleet)
+                );
+            }
         };
-        let before = io(&fleet);
-        for pid in restarted {
+        assert_bounded(&fleet, "before");
+        for pid in [fleet.sequencer, fleet.shards[0]] {
             let node = fleet.sim.node_of(pid);
             fleet.sim.crash_node(node);
             fleet.sim.restart_node(node);
         }
+        assert_eq!(last_epoch(&fleet), history, "the log came back");
+        assert_eq!(fleet.shard(0).applied_epoch(), history);
+        assert_bounded(&fleet, "right after");
         for i in HISTORY..HISTORY + AFTER {
             fleet.go_at(tick(i + 5), i);
         }
@@ -1625,40 +1598,75 @@ mod tests {
         assert_eq!(last_epoch(&fleet), history + AFTER as u64);
         assert_eq!(fleet.counter("client.ok"), (HISTORY + AFTER) as u64);
         assert_eq!(fleet.counter("client.dup"), 0);
-
-        for ((name, before), after) in ["sequencer", "shard"].iter().zip(before).zip(io(&fleet)) {
-            let (reads, writes) = (after.0 - before.0, after.1 - before.1);
-            assert!(
-                reads <= window + 4,
-                "{name} restart read the disk {reads} times for a window of {window} epochs"
-            );
-            assert!(
-                writes <= 4 * window,
-                "{name} restart wrote the disk {writes} times for a window of {window} epochs"
-            );
-        }
+        assert_bounded(&fleet, "after");
     }
+
     #[test]
-    fn steady_path_never_reads_the_disk() {
-        // The disk is written on the steady path and read at boot: every
-        // `Disk::get` deep-clones, so a handler that reads state back
-        // pays for its size on every message.
-        let mut fleet = steady_fleet();
-        let pids: Vec<ProcessId> = fleet
-            .shards
-            .iter()
-            .copied()
-            .chain([fleet.sequencer])
+    fn a_collected_epoch_is_neither_re_offered_nor_served_to_a_pull() {
+        // Every transfer crosses shards 0 and 1; shard 2 hosts nothing but
+        // acks every epoch. 24 epochs with everyone up (the watermark
+        // follows, both journals are collected behind it), then shard 2
+        // goes down for 8 more: the watermark stops, so the sequencer's
+        // log and the live shards' journals retain a tail with collected
+        // history below it.
+        const BEFORE: usize = 24;
+        const AFTER: usize = 8;
+        let map = ShardMap::ring(3);
+        let plan: Vec<SubmitTxn> = (0..BEFORE + AFTER)
+            .map(|i| {
+                transfer(
+                    &owned_key(&map, 0, "a", i % 4),
+                    &owned_key(&map, 1, "b", i % 4),
+                    1,
+                )
+            })
             .collect();
-        let reads = |fleet: &Fleet| -> Vec<u64> {
-            pids.iter()
-                .map(|&pid| fleet.sim.disk_of(pid).read_count())
-                .collect()
-        };
-        let at_boot = reads(&fleet);
-        assert!(fleet.sim.try_run_to_quiescence(1_000_000));
-        assert!(fleet.counter("df.epochs") >= 200);
-        assert_eq!(reads(&fleet), at_boot);
+        let mut fleet = deploy(plan, 3, DataflowConfig::default(), true);
+        let tick = |i: usize| SimTime::from_nanos(1_000_000 * (i as u64 + 1));
+        for i in 0..BEFORE + AFTER {
+            fleet.go_at(tick(i), i);
+        }
+        fleet.sim.run_until(tick(BEFORE));
+        let lagging = fleet.sim.node_of(fleet.shards[2]);
+        fleet.sim.crash_node(lagging);
+        fleet.sim.run_until(tick(BEFORE + AFTER + 5));
+        assert_eq!(fleet.counter("client.ok"), (BEFORE + AFTER) as u64);
+
+        // Shard 0: a pull for the newest collected epoch that names the
+        // transactions of the oldest retained one finds nothing, although
+        // the same pull for the retained epoch is served.
+        let journal = &fleet.shard(0).journal;
+        let collected = journal.first_lsn();
+        assert!(0 < collected && collected < journal.next_lsn());
+        assert!(journaled(journal, collected).is_none());
+        let oldest = journaled(journal, collected + 1).expect("retained");
+        assert_eq!(oldest.batch.epoch, collected + 1);
+        let txn_ids: Vec<u64> = oldest.hosted.iter().map(|h| oldest.txn(h).id).collect();
+        assert!(!txn_ids.is_empty());
+        let served = fleet.counter("df.share_replies");
+        for (epoch, replies) in [(collected, 0), (collected + 1, txn_ids.len() as u64)] {
+            let txn_ids = txn_ids.clone();
+            fleet
+                .sim
+                .inject(fleet.shards[0], Payload::new(ShareReq { epoch, txn_ids }));
+            fleet.sim.run_for(SimDuration::from_millis(1));
+            assert_eq!(fleet.counter("df.share_replies"), served + replies);
+        }
+
+        // The sequencer: restarted, it has forgotten every ack, so each
+        // sweep wants to offer each shard epoch 1 — long collected. It
+        // must send nothing (not the oldest epoch it still has) and wait
+        // for the shards to say where they are.
+        let seq_node = fleet.sim.node_of(fleet.sequencer);
+        fleet.sim.crash_node(seq_node);
+        fleet.sim.restart_node(seq_node);
+        let seq = fleet.sim.inspect::<DfSequencer>(fleet.sequencer);
+        let log = &seq.expect("sequencer").log;
+        assert!(0 < log.first_lsn() && log.first_lsn() < log.next_lsn());
+        let (sent, sweeps) = (fleet.counter("net.sent"), fleet.counter("df.resends"));
+        fleet.sim.run_for(RESEND_INTERVAL * 3);
+        assert!(fleet.counter("df.resends") >= sweeps + 6);
+        assert_eq!(fleet.counter("net.sent"), sent);
     }
 
     /// The `i`-th key (of the family `{prefix}{n}`) that `shard` owns.
@@ -1700,7 +1708,8 @@ mod tests {
             fleet.go_at(tick(t), i);
         }
         if crash {
-            while !(fleet.shard(VICTIM).applied == 14 && fleet.shard(VICTIM).run.is_some()) {
+            while !(fleet.shard(VICTIM).applied_epoch() == 14 && fleet.shard(VICTIM).run.is_some())
+            {
                 assert!(fleet.sim.step());
             }
             assert_eq!(fleet.counter("df.checkpoints"), 3 * 3);
@@ -1715,11 +1724,11 @@ mod tests {
                 assert!(fleet.sim.step());
                 for i in 0..3 {
                     let shard = fleet.shard(i);
-                    if shard.applied == applied[i] {
+                    if shard.applied_epoch() == applied[i] {
                         continue;
                     }
-                    applied[i] = shard.applied;
-                    if !shard.applied.is_multiple_of(every) {
+                    applied[i] = shard.applied_epoch();
+                    if !applied[i].is_multiple_of(every) {
                         continue;
                     }
                     // Ticks are far enough apart that no successor epoch
@@ -1731,10 +1740,9 @@ mod tests {
                         .map(|(k, v)| (k.clone(), v.clone()))
                         .collect();
                     live.sort_by(|a, b| a.0.cmp(&b.0));
-                    let disk = fleet.sim.disk_of(fleet.shards[i]);
-                    let snap = disk.get::<Rc<RefCell<Snapshot>>>("snap").expect("mirror");
-                    assert_eq!(snap.borrow().epoch, shard.applied);
-                    assert_eq!(snap.borrow().state, live, "shard {i} at {}", shard.applied);
+                    let snap = shard.snap.borrow();
+                    assert_eq!(snap.epoch, applied[i]);
+                    assert_eq!(snap.state, live, "shard {i} at {}", applied[i]);
                     compared[i] += 1;
                 }
             }
@@ -1760,7 +1768,10 @@ mod tests {
             .sum();
         assert_eq!(money, 4 * 100, "money must be conserved through recovery");
         for i in 0..3 {
-            assert_eq!(crashed.shard(i).applied, twin.shard(i).applied);
+            assert_eq!(
+                crashed.shard(i).applied_epoch(),
+                twin.shard(i).applied_epoch()
+            );
             assert!(crashed.shard(i).is_idle());
         }
     }

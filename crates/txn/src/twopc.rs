@@ -298,11 +298,9 @@ impl TwoPcParticipant {
             let wal = boot.disk.durable("wal");
             let checkpoint = boot.disk.durable("checkpoint");
             let prepared_log: Rc<RefCell<HashSet<u64>>> = boot.disk.durable("prepared");
-            let mut engine = if boot.restart {
-                Engine::recover(EngineConfig::default(), wal, checkpoint)
-            } else {
-                Engine::new(EngineConfig::default(), wal, checkpoint)
-            };
+            // On first boot the handles are empty, and recovering from
+            // nothing is a fresh engine.
+            let mut engine = Engine::recover(EngineConfig::default(), wal, checkpoint);
             if !boot.restart {
                 engine.load_batch(seed.to_vec());
             }
