@@ -839,75 +839,63 @@ impl Sim {
 
     // ----- model-checker hooks ---------------------------------------------
     //
-    // The timing wheel has no removal or iteration API, and pushing a key
-    // behind the wheel's cursor is illegal — but draining it fully and
-    // replacing it with a *fresh* queue (cursor re-anchored at zero) before
-    // re-pushing the original keys is legal and preserves `(time, seq)` pop
-    // order exactly. Every hook below works that way. The drains are O(n)
-    // per call, which is irrelevant for the tiny worlds the checker runs
-    // and costs normal runs nothing: none of these methods sit on the
-    // `step()` path, so the checker is zero-cost when off.
+    // The checker looks at the pending set, takes events out of order and
+    // rewrites keys, none of which `push`/`pop` offer. The queue's two
+    // crate-private primitives do it in place:
+    // `for_each` reads every pending event (no order, no change) and
+    // `refile` re-files the events it keeps from a cursor of zero — as a
+    // fresh queue would — under keys it may rewrite, reusing the pool and
+    // heaps. Keys are unique, so the `(time, seq)` pop order is exactly
+    // what it was. A re-file is O(pool) and allocates nothing, and a scan
+    // that finds nothing dead re-files nothing (DESIGN.md "Model checking"
+    // has what the hooks cost per explored state). None of these methods
+    // sit on the `step()` path, so the checker costs normal runs nothing.
 
-    /// Drain the queue, drop dead events (cancelled timers, stale
-    /// generations), offer each survivor to `f`, and rebuild the queue with
-    /// the survivors in their original order. Used by [`crate::mc`] to
-    /// enumerate the enabled events at a choice point.
+    /// Offer every live pending event to `f`, in no particular order, and
+    /// collect what it returns. Read-only unless a dead event is pending
+    /// (a cancelled timer, or a timer or start from a dead incarnation):
+    /// then the dead ones are removed and cancelled ids consumed, exactly
+    /// as dispatch would. Used by [`crate::mc`] to enumerate the enabled
+    /// events at a choice point.
     pub(crate) fn mc_scan<R>(
         &mut self,
         mut f: impl FnMut(&EventKey, &EventKind) -> Option<R>,
     ) -> Vec<R> {
         let mut out = Vec::new();
-        let mut fresh = EventQueue::new();
-        while let Some((key, kind)) = self.queue.pop() {
-            if self.mc_event_is_dead(&kind) {
-                continue;
-            }
-            if let Some(r) = f(&key, &kind) {
+        let mut any_dead = false;
+        self.queue.for_each(|key, kind| {
+            if mc_event_is_dead(kind, &self.procs, &self.cancelled_timers) {
+                any_dead = true;
+            } else if let Some(r) = f(key, kind) {
                 out.push(r);
             }
-            fresh.push(key, kind);
-        }
-        self.queue = fresh;
-        out
-    }
-
-    /// True for queued events that the kernel would discard without side
-    /// effects on dispatch: cancelled timers (consumed from the cancelled
-    /// set exactly like dispatch would) and timers/starts from a dead
-    /// process incarnation.
-    fn mc_event_is_dead(&mut self, kind: &EventKind) -> bool {
-        match kind {
-            EventKind::Timer {
-                pid,
-                generation,
-                id,
-                ..
-            } => {
-                if !self.cancelled_timers.is_empty() && self.cancelled_timers.remove(id) {
-                    return true;
+        });
+        if any_dead {
+            let (procs, cancelled) = (&self.procs, &mut self.cancelled_timers);
+            self.queue.refile(|_, kind| {
+                if !mc_event_is_dead(&kind, procs, cancelled) {
+                    return Some(kind);
                 }
-                self.procs[pid.0 as usize].generation != *generation
-            }
-            EventKind::Start { pid, generation } => {
-                self.procs[pid.0 as usize].generation != *generation
-            }
-            _ => false,
+                if let EventKind::Timer { id, .. } = kind {
+                    cancelled.remove(&id);
+                }
+                None
+            });
         }
+        out
     }
 
     /// Remove and return the queued event with sequence number `seq`, or
     /// `None` if no such event is pending.
     pub(crate) fn mc_take(&mut self, seq: u64) -> Option<(EventKey, EventKind)> {
         let mut taken = None;
-        let mut fresh = EventQueue::new();
-        while let Some((key, kind)) = self.queue.pop() {
-            if key.seq == seq && taken.is_none() {
-                taken = Some((key, kind));
-            } else {
-                fresh.push(key, kind);
+        self.queue.refile(|key, kind| {
+            if key.seq != seq {
+                return Some(kind);
             }
-        }
-        self.queue = fresh;
+            taken = Some((*key, kind));
+            None
+        });
         taken
     }
 
@@ -932,14 +920,10 @@ impl Sim {
     /// after schedule replay) requires monotone times again.
     pub(crate) fn mc_clamp_queue_to_now(&mut self) {
         let now = self.now;
-        let mut fresh = EventQueue::new();
-        while let Some((mut key, kind)) = self.queue.pop() {
-            if key.time < now {
-                key.time = now;
-            }
-            fresh.push(key, kind);
-        }
-        self.queue = fresh;
+        self.queue.refile(|key, kind| {
+            key.time = key.time.max(now);
+            Some(kind)
+        });
     }
 
     /// Per-process `(has_state, halted)` flags, for the checker's state
@@ -964,6 +948,25 @@ impl Sim {
     /// randomness, which weakens schedule-space pruning).
     pub(crate) fn mc_rng_fingerprint(&self) -> u64 {
         self.rng.state_fingerprint()
+    }
+}
+
+/// True for queued events that the kernel would discard without side
+/// effects on dispatch: cancelled timers and timers/starts from a dead
+/// process incarnation.
+fn mc_event_is_dead(kind: &EventKind, procs: &[ProcSlot], cancelled: &HashSet<TimerId>) -> bool {
+    match kind {
+        EventKind::Timer {
+            pid,
+            generation,
+            id,
+            ..
+        } => {
+            (!cancelled.is_empty() && cancelled.contains(id))
+                || procs[pid.0 as usize].generation != *generation
+        }
+        EventKind::Start { pid, generation } => procs[pid.0 as usize].generation != *generation,
+        _ => false,
     }
 }
 
@@ -1256,6 +1259,92 @@ mod tests {
         sim.run_for(SimDuration::from_millis(10));
         assert_eq!(sim.metrics().counter("deadline.reply_seen"), 1);
         assert_eq!(sim.metrics().counter("deadline.timer_seen"), 1);
+    }
+
+    /// A world holding three dead events — a cancelled timer, a timer and
+    /// a `Start` from a crashed incarnation — and three live deliveries
+    /// `a` (1.5 ms), `b` (1 ms) and `c` (3 ms), pushed in that order.
+    /// Returns it with the seqs of `a`, `b`, `c`.
+    fn dead_and_live_world() -> (Sim, [u64; 3]) {
+        struct Cancels;
+        impl Process for Cancels {
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                let id = ctx.set_timer(SimDuration::from_millis(5), 1);
+                ctx.cancel_timer(id);
+            }
+            fn on_message(&mut self, _: &mut Ctx, _: ProcessId, _: Payload) {}
+        }
+        struct Arms;
+        impl Process for Arms {
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                ctx.set_timer(SimDuration::from_millis(6), 2);
+            }
+            fn on_message(&mut self, _: &mut Ctx, _: ProcessId, _: Payload) {}
+        }
+        let mut sim = Sim::with_seed(11);
+        let n0 = sim.add_node();
+        let n1 = sim.add_node();
+        let p = sim.spawn(n0, "cancels", |_| Box::new(Cancels));
+        sim.spawn(n1, "arms", |_| Box::new(Arms));
+        assert!(sim.step() && sim.step(), "both starts run");
+        // The armed timer's incarnation dies; the restart queues a Start
+        // whose incarnation dies too.
+        sim.crash_node(n1);
+        sim.restart_node(n1);
+        sim.crash_node(n1);
+        let mut seqs = [0; 3];
+        for (seq, at_us) in seqs.iter_mut().zip([1_500, 1_000, 3_000]) {
+            sim.inject_at(SimTime::from_nanos(at_us * 1_000), p, Payload::new(()));
+            *seq = sim.seq;
+        }
+        (sim, seqs)
+    }
+
+    fn pop_all(sim: &mut Sim) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| sim.queue.pop())
+            .map(|(key, _)| (key.time.as_nanos(), key.seq))
+            .collect()
+    }
+
+    #[test]
+    fn mc_scan_removes_dead_events_as_dispatch_would() {
+        let (mut sim, [a, b, c]) = dead_and_live_world();
+        assert_eq!((sim.queue.len(), sim.cancelled_timers.len()), (6, 1));
+        let scan = |sim: &mut Sim| {
+            let mut rows =
+                sim.mc_scan(|key, kind| Some((key.seq, matches!(kind, EventKind::Deliver { .. }))));
+            rows.sort_unstable();
+            rows
+        };
+        let first = scan(&mut sim);
+        assert_eq!(first, vec![(a, true), (b, true), (c, true)]);
+        assert_eq!(sim.queue.len(), 3, "the three dead events are gone");
+        assert!(sim.cancelled_timers.is_empty(), "cancelled id consumed");
+        // Nothing dead is left: the second scan only reads.
+        assert_eq!(scan(&mut sim), first);
+        assert_eq!(sim.queue.len(), 3);
+
+        assert!(sim.mc_take(u64::MAX).is_none());
+        assert_eq!(
+            pop_all(&mut sim),
+            vec![(1_000_000, b), (1_500_000, a), (3_000_000, c)],
+            "taking an absent event moves nothing"
+        );
+    }
+
+    #[test]
+    fn mc_clamp_keeps_clamped_events_in_seq_order() {
+        let (mut sim, [a, b, c]) = dead_and_live_world();
+        let (key, kind) = sim.mc_take(c).expect("c is pending");
+        sim.mc_dispatch(key, kind, true);
+        assert_eq!(sim.now(), SimTime::from_nanos(3_000_000));
+        sim.mc_clamp_queue_to_now();
+        // `b` was due before `a`; clamped to one instant, seq decides.
+        let live: Vec<(u64, u64)> = pop_all(&mut sim)
+            .into_iter()
+            .filter(|&(_, seq)| seq == a || seq == b)
+            .collect();
+        assert_eq!(live, vec![(3_000_000, a), (3_000_000, b)]);
     }
 
     #[test]

@@ -349,6 +349,17 @@ pub struct McReport {
     pub cycles: u64,
     /// Leaves forced by the depth bound.
     pub depth_cap_hits: u64,
+    /// Worlds rebuilt from the scenario builder to rewind to a sibling
+    /// (every child but the first of each explored state).
+    pub rebuilds: u64,
+    /// Choices re-applied by those rebuilds: the sum of their prefix
+    /// lengths.
+    pub replayed_choices: u64,
+    /// Kernel events the leaf closures executed, summed over all leaves.
+    pub closure_events: u64,
+    /// Leaves whose [`McClosure::Quiesce`] budget ran out before the queue
+    /// drained; their audit saw a half-settled world.
+    pub unsettled_leaves: u64,
     /// True when `max_states` stopped the exploration early.
     pub truncated: bool,
     /// True when some handler consumed randomness along an explored
@@ -513,17 +524,24 @@ struct EnabledChoice {
     dep: Dep,
 }
 
-enum ScanEvt {
+/// One pending event as the explorer's single scan per state reports it:
+/// what both [`Explorer::fingerprint`] and [`Explorer::enumerate`] read,
+/// so each delivery's payload is fingerprinted once per state.
+enum Pending {
+    /// A message: a deliver or drop choice, hashed by content.
     Deliver {
         seq: u64,
         to: ProcessId,
         from: ProcessId,
         pfp: Option<u64>,
     },
+    /// A timer or scheduled fault: a tick candidate with its choice
+    /// `class`, and `fp`, its state hash (relative deadline included).
     Timed {
         seq: u64,
         time: SimTime,
         class: u64,
+        fp: u64,
     },
 }
 
@@ -656,8 +674,11 @@ pub fn check_schedule(
 }
 
 /// Heal and restart everything, clamp the queue, then run the configured
-/// closure so the terminal audit sees a settled world.
-fn close_world(sim: &mut Sim, config: &McConfig) {
+/// closure so the terminal audit sees a settled world. Returns `false`
+/// when a [`McClosure::Quiesce`] budget ran out before the queue drained:
+/// the audit then sees a half-settled world, which the explorer counts in
+/// [`McReport::unsettled_leaves`].
+fn close_world(sim: &mut Sim, config: &McConfig) -> bool {
     for &node in &config.crashable {
         if !sim.node_up(node) {
             sim.restart_node(node);
@@ -666,10 +687,11 @@ fn close_world(sim: &mut Sim, config: &McConfig) {
     sim.heal_partitions();
     sim.mc_clamp_queue_to_now();
     match config.closure {
-        McClosure::RunFor(grace) => sim.run_for(grace),
-        McClosure::Quiesce(max_events) => {
-            let _ = sim.try_run_to_quiescence(max_events);
+        McClosure::RunFor(grace) => {
+            sim.run_for(grace);
+            true
         }
+        McClosure::Quiesce(max_events) => sim.try_run_to_quiescence(max_events),
     }
 }
 
@@ -725,7 +747,8 @@ impl Explorer<'_> {
             self.violation(msg);
             return;
         }
-        let fp = self.fingerprint(&mut sim, crashes_used, drops_used);
+        let pending = self.scan(&mut sim);
+        let fp = self.fingerprint(&mut sim, &pending, crashes_used, drops_used);
         if let Some(fp) = fp {
             if self.path_fps.contains(&fp) {
                 self.report.cycles += 1;
@@ -746,7 +769,8 @@ impl Explorer<'_> {
                 stored.push(cur);
             }
         }
-        let choices = self.enumerate(&mut sim, crashes_used, drops_used);
+        // Consumes the scan: nothing of it stays alive down the recursion.
+        let choices = self.enumerate(&sim, pending, crashes_used, drops_used);
         if choices.is_empty() {
             self.report.leaves += 1;
             self.leaf(sim);
@@ -810,7 +834,9 @@ impl Explorer<'_> {
     /// scenario builder and replaying every choice — the stateless-
     /// model-checking rewind (the kernel is not cloneable, and need not
     /// be).
-    fn rebuild(&self) -> Sim {
+    fn rebuild(&mut self) -> Sim {
+        self.report.rebuilds += 1;
+        self.report.replayed_choices += self.prefix.len() as u64;
         let mut sim = (self.scenario.build)();
         drain_starts(&mut sim);
         for &choice in &self.prefix {
@@ -821,7 +847,11 @@ impl Explorer<'_> {
     }
 
     fn leaf(&mut self, mut sim: Sim) {
-        close_world(&mut sim, self.config);
+        let before = sim.events_processed();
+        if !close_world(&mut sim, self.config) {
+            self.report.unsettled_leaves += 1;
+        }
+        self.report.closure_events += sim.events_processed() - before;
         if let Err(msg) = (self.scenario.audit)(&sim) {
             self.violation(msg);
         }
@@ -838,61 +868,88 @@ impl Explorer<'_> {
         self.stop = true;
     }
 
+    /// Every pending event at the current state, in no particular order:
+    /// the one scan per state that `fingerprint` and `enumerate` share.
+    /// Timed events carry both their choice class and their state hash.
+    fn scan(&self, sim: &mut Sim) -> Vec<Pending> {
+        let now = sim.now().as_nanos();
+        let payload_fp = &self.scenario.payload_fp;
+        sim.mc_scan(|key, kind| {
+            let ahead = key.time.as_nanos().saturating_sub(now);
+            let timed = |class: Fnv64, fp: Fnv64| Pending::Timed {
+                seq: key.seq,
+                time: key.time,
+                class: class.finish(),
+                fp: fp.u64(ahead).finish(),
+            };
+            let hash = |tag: u64| Fnv64::new().u64(tag);
+            Some(match kind {
+                EventKind::Deliver {
+                    to, from, payload, ..
+                } => Pending::Deliver {
+                    seq: key.seq,
+                    to: *to,
+                    from: *from,
+                    pfp: payload_fp(payload),
+                },
+                EventKind::Timer { pid, tag, .. } => {
+                    let (pid, tag) = (pid.0 as u64, *tag);
+                    timed(hash(1).u64(pid).u64(tag), hash(21).u64(pid).u64(tag))
+                }
+                EventKind::CrashNode(n) => timed(hash(2).u64(n.0 as u64), hash(22).u64(n.0 as u64)),
+                EventKind::RestartNode(n) => {
+                    timed(hash(3).u64(n.0 as u64), hash(23).u64(n.0 as u64))
+                }
+                EventKind::Partition(sides) => {
+                    let (mut class, mut fp) = (hash(4), hash(24));
+                    for n in sides.0.iter().chain(sides.1.iter()) {
+                        class = class.u64(n.0 as u64);
+                        fp = fp.u64(n.0 as u64);
+                    }
+                    timed(class, fp)
+                }
+                EventKind::HealPartitions => timed(hash(5), hash(25)),
+                EventKind::Start { .. } => {
+                    debug_assert!(false, "starts are drained before every choice point");
+                    return None;
+                }
+            })
+        })
+    }
+
     /// All enabled choices at the current state, in canonical order:
     /// deliveries by sequence number, the tick, drops, then faults.
-    fn enumerate(&self, sim: &mut Sim, crashes_used: u32, drops_used: u32) -> Vec<EnabledChoice> {
-        let payload_fp = &self.scenario.payload_fp;
-        let evts = sim.mc_scan(|key, kind| match kind {
-            EventKind::Deliver {
-                to, from, payload, ..
-            } => Some(ScanEvt::Deliver {
-                seq: key.seq,
-                to: *to,
-                from: *from,
-                pfp: payload_fp(payload),
-            }),
-            EventKind::Timer { pid, tag, .. } => Some(ScanEvt::Timed {
-                seq: key.seq,
-                time: key.time,
-                class: Fnv64::new().u64(1).u64(pid.0 as u64).u64(*tag).finish(),
-            }),
-            EventKind::CrashNode(n) => Some(ScanEvt::Timed {
-                seq: key.seq,
-                time: key.time,
-                class: Fnv64::new().u64(2).u64(n.0 as u64).finish(),
-            }),
-            EventKind::RestartNode(n) => Some(ScanEvt::Timed {
-                seq: key.seq,
-                time: key.time,
-                class: Fnv64::new().u64(3).u64(n.0 as u64).finish(),
-            }),
-            EventKind::Partition(sides) => {
-                let mut h = Fnv64::new().u64(4);
-                for n in sides.0.iter().chain(sides.1.iter()) {
-                    h = h.u64(n.0 as u64);
-                }
-                Some(ScanEvt::Timed {
-                    seq: key.seq,
-                    time: key.time,
-                    class: h.finish(),
-                })
-            }
-            EventKind::HealPartitions => Some(ScanEvt::Timed {
-                seq: key.seq,
-                time: key.time,
-                class: Fnv64::new().u64(5).finish(),
-            }),
-            EventKind::Start { .. } => {
-                debug_assert!(false, "starts are drained before enumeration");
-                None
-            }
-        });
-        let mut delivers: Vec<(u64, ProcessId, ProcessId, Option<u64>)> = Vec::new();
+    fn enumerate(
+        &self,
+        sim: &Sim,
+        pending: Vec<Pending>,
+        crashes_used: u32,
+        drops_used: u32,
+    ) -> Vec<EnabledChoice> {
+        let mut delivers: Vec<(u64, ProcessId, u64)> = Vec::new();
         let mut best_timed: Option<(SimTime, u64, u64)> = None;
-        for evt in evts {
+        for evt in pending {
             match evt {
-                ScanEvt::Deliver { seq, to, from, pfp } => delivers.push((seq, to, from, pfp)),
-                ScanEvt::Timed { seq, time, class } => {
+                Pending::Deliver { seq, to, from, pfp } => {
+                    let class = match pfp {
+                        Some(p) => Fnv64::new()
+                            .u64(0)
+                            .u64(to.0 as u64)
+                            .u64(from.0 as u64)
+                            .u64(p)
+                            .finish(),
+                        // Sequence numbers are path-stable for events
+                        // pending at this state, so this fallback only
+                        // loses cross-path merging — and an opaque payload
+                        // already made the state fingerprint opaque, so
+                        // none was possible anyway.
+                        None => Fnv64::new().u64(6).u64(seq).finish(),
+                    };
+                    delivers.push((seq, to, class));
+                }
+                Pending::Timed {
+                    seq, time, class, ..
+                } => {
                     if best_timed.is_none_or(|(t, s, _)| (time, seq) < (t, s)) {
                         best_timed = Some((time, seq, class));
                     }
@@ -901,20 +958,7 @@ impl Explorer<'_> {
         }
         delivers.sort_unstable_by_key(|&(seq, ..)| seq);
         let mut out = Vec::new();
-        for &(seq, to, from, pfp) in &delivers {
-            let class = match pfp {
-                Some(p) => Fnv64::new()
-                    .u64(0)
-                    .u64(to.0 as u64)
-                    .u64(from.0 as u64)
-                    .u64(p)
-                    .finish(),
-                // Sequence numbers are path-stable for events pending at
-                // this state, so this fallback only loses cross-path
-                // merging — and an opaque payload already made the state
-                // fingerprint opaque, so none was possible anyway.
-                None => Fnv64::new().u64(6).u64(seq).finish(),
-            };
+        for &(seq, to, class) in &delivers {
             out.push(EnabledChoice {
                 choice: Choice::Deliver(seq),
                 class,
@@ -933,16 +977,7 @@ impl Explorer<'_> {
             });
         }
         if drops_used < self.config.max_drops {
-            for &(seq, to, from, pfp) in &delivers {
-                let deliver_class = match pfp {
-                    Some(p) => Fnv64::new()
-                        .u64(0)
-                        .u64(to.0 as u64)
-                        .u64(from.0 as u64)
-                        .u64(p)
-                        .finish(),
-                    None => Fnv64::new().u64(6).u64(seq).finish(),
-                };
+            for &(seq, _, deliver_class) in &delivers {
                 out.push(EnabledChoice {
                     choice: Choice::Drop(seq),
                     class: Fnv64::new().u64(8).u64(deliver_class).finish(),
@@ -972,70 +1007,28 @@ impl Explorer<'_> {
 
     /// Structural state fingerprint, or `None` when the scenario marks
     /// the state opaque. See the module docs for what it covers and why.
-    fn fingerprint(&self, sim: &mut Sim, crashes_used: u32, drops_used: u32) -> Option<u64> {
+    fn fingerprint(
+        &self,
+        sim: &mut Sim,
+        pending: &[Pending],
+        crashes_used: u32,
+        drops_used: u32,
+    ) -> Option<u64> {
         let sfp = (self.scenario.state_fp)(sim)?;
         let now = sim.now();
-        let payload_fp = &self.scenario.payload_fp;
-        let evts: Vec<Option<u64>> = sim.mc_scan(|key, kind| {
-            Some(match kind {
-                EventKind::Deliver {
-                    to, from, payload, ..
-                } => payload_fp(payload).map(|p| {
-                    // No time component: a pending delivery can run at any
-                    // moment, so its scheduled arrival is not state.
-                    Fnv64::new()
-                        .u64(20)
-                        .u64(to.0 as u64)
-                        .u64(from.0 as u64)
-                        .u64(p)
-                        .finish()
-                }),
-                EventKind::Timer { pid, tag, .. } => Some(
-                    Fnv64::new()
-                        .u64(21)
-                        .u64(pid.0 as u64)
-                        .u64(*tag)
-                        .u64(key.time.as_nanos().saturating_sub(now.as_nanos()))
-                        .finish(),
-                ),
-                EventKind::CrashNode(n) => Some(
-                    Fnv64::new()
-                        .u64(22)
-                        .u64(n.0 as u64)
-                        .u64(key.time.as_nanos().saturating_sub(now.as_nanos()))
-                        .finish(),
-                ),
-                EventKind::RestartNode(n) => Some(
-                    Fnv64::new()
-                        .u64(23)
-                        .u64(n.0 as u64)
-                        .u64(key.time.as_nanos().saturating_sub(now.as_nanos()))
-                        .finish(),
-                ),
-                EventKind::Partition(sides) => {
-                    let mut h = Fnv64::new().u64(24);
-                    for n in sides.0.iter().chain(sides.1.iter()) {
-                        h = h.u64(n.0 as u64);
-                    }
-                    Some(
-                        h.u64(key.time.as_nanos().saturating_sub(now.as_nanos()))
-                            .finish(),
-                    )
-                }
-                EventKind::HealPartitions => Some(
-                    Fnv64::new()
-                        .u64(25)
-                        .u64(key.time.as_nanos().saturating_sub(now.as_nanos()))
-                        .finish(),
-                ),
-                EventKind::Start { pid, .. } => {
-                    Some(Fnv64::new().u64(26).u64(pid.0 as u64).finish())
-                }
-            })
-        });
-        let mut event_hashes = Vec::with_capacity(evts.len());
-        for e in evts {
-            event_hashes.push(e?);
+        let mut event_hashes = Vec::with_capacity(pending.len());
+        for evt in pending {
+            event_hashes.push(match *evt {
+                // No time component: a pending delivery can run at any
+                // moment, so its scheduled arrival is not state.
+                Pending::Deliver { to, from, pfp, .. } => Fnv64::new()
+                    .u64(20)
+                    .u64(to.0 as u64)
+                    .u64(from.0 as u64)
+                    .u64(pfp?)
+                    .finish(),
+                Pending::Timed { fp, .. } => fp,
+            });
         }
         event_hashes.sort_unstable();
         let mut h = Fnv64::new()
@@ -1177,6 +1170,49 @@ mod tests {
         assert_eq!(por.states, 4);
         assert_eq!(por.leaves, 1);
         assert!(por.pruned_sleep >= 1);
+        // Both rewind once, to the root's second child, replaying the
+        // empty prefix; every other child continues the live world.
+        assert_eq!((naive.rebuilds, naive.replayed_choices), (1, 0));
+        assert_eq!((por.rebuilds, por.replayed_choices), (1, 0));
+        assert_eq!((naive.unsettled_leaves, por.unsettled_leaves), (0, 0));
+    }
+
+    /// A process that re-arms a timer forever never quiesces.
+    struct Ticker;
+    impl Process for Ticker {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+        fn on_message(&mut self, _: &mut Ctx, _: ProcessId, _: Payload) {}
+        fn on_timer(&mut self, ctx: &mut Ctx, _: u64) {
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+    }
+
+    #[test]
+    fn a_leaf_that_does_not_quiesce_is_counted() {
+        let sc = McScenario::new("ticker", || {
+            let mut sim = mc_sim();
+            let n0 = sim.add_node();
+            sim.spawn(n0, "t", |_| Box::new(Ticker));
+            sim
+        });
+        let report = explore(
+            &sc,
+            &McConfig {
+                max_depth: 2,
+                closure: McClosure::Quiesce(50),
+                ..McConfig::default()
+            },
+        );
+        // Two ticks deep, one depth-capped leaf, whose closure gives up
+        // after 51 events.
+        assert_eq!((report.states, report.depth_cap_hits), (3, 1));
+        assert_eq!((report.unsettled_leaves, report.closure_events), (1, 51));
+        assert!(
+            report.verified(),
+            "an unsettled leaf is reported, not failed"
+        );
     }
 
     /// A process that must see "a" before "b"; delivering "b" first is the
@@ -1316,6 +1352,7 @@ mod tests {
             },
         );
         assert!(no_drops.verified(), "without drops the message arrives");
+        assert_eq!(no_drops.unsettled_leaves, 0);
         let with_drops = explore(
             &sc,
             &McConfig {
@@ -1405,5 +1442,6 @@ mod tests {
             },
         );
         assert!(report.verified(), "timers must fire in order: {report:?}");
+        assert_eq!(report.unsettled_leaves, 0);
     }
 }

@@ -34,6 +34,20 @@
 //! safe for the same reason: surfaced events keep their total order
 //! inside `current`, and new pushes at-or-before the cursor join that
 //! same heap.
+//!
+//! # Looking and re-filing (model checker only)
+//!
+//! The kernel's hot path is `push`/`pop`/`peek_key` and nothing else.
+//! The model checker additionally needs to look at every pending event,
+//! take one out of order and rewrite keys in place. Two crate-private
+//! primitives serve it without a second queue: `EventQueue::for_each`
+//! visits the pool read-only, in no particular order;
+//! `EventQueue::refile` resets the cursor to zero — where a fresh queue
+//! starts — and files every event its callback keeps again, under a key
+//! the callback may rewrite, freeing the rest. Pool and heaps keep their capacity, so a re-file allocates
+//! nothing. Keys are unique, so re-filing the same keys pops the same
+//! sequence; the property test below interleaves re-files with pushes
+//! and pops against the reference heap.
 
 use crate::time::SimTime;
 
@@ -115,6 +129,10 @@ impl MinHeap {
 
     fn is_empty(&self) -> bool {
         self.v.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.v.clear();
     }
 
     #[inline]
@@ -288,6 +306,46 @@ impl<T> EventQueue<T> {
         }
     }
 
+    /// Visit every pending event. Promises no order and changes nothing.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(&EventKey, &T)) {
+        for node in &self.pool {
+            if let Some(value) = &node.value {
+                f(&node.key, value);
+            }
+        }
+    }
+
+    /// Re-file every pending event in place. `f` is handed each event's
+    /// key, which it may rewrite, and its value; returning the value keeps
+    /// the event under the (possibly new) key, `None` frees it. The cursor
+    /// restarts at zero, as in a fresh queue, so a kept key may be any
+    /// time at all; the pool and both heaps keep their capacity. Kept keys
+    /// must stay unique. Visit order is unspecified.
+    pub(crate) fn refile(&mut self, mut f: impl FnMut(&mut EventKey, T) -> Option<T>) {
+        self.cursor = 0;
+        self.slots = [[NIL; SLOTS]; LEVELS];
+        self.occupied = [0; LEVELS];
+        self.current.clear();
+        self.overflow.clear();
+        self.free_head = NIL;
+        self.len = 0;
+        for idx in 0..self.pool.len() {
+            let node = &mut self.pool[idx];
+            match node.value.take().and_then(|v| f(&mut node.key, v)) {
+                Some(value) => {
+                    node.value = Some(value);
+                    let key = node.key;
+                    self.len += 1;
+                    self.place(idx as u32, key);
+                }
+                None => {
+                    node.next = self.free_head;
+                    self.free_head = idx as u32;
+                }
+            }
+        }
+    }
+
     /// File a pool node under the position its key demands: the
     /// `current` heap (due now), a wheel slot (pending), or `overflow`
     /// (beyond horizon). Slot filing is two writes — relink the node as
@@ -383,7 +441,7 @@ impl<T> EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{check, tuple2, u64_in, vec_of};
+    use crate::check::{check, tuple3, u64_in, vec_of};
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -501,30 +559,53 @@ mod tests {
 
     /// The load-bearing test: any schedule of (time, seq-in-push-order)
     /// pops from the wheel in exactly the order the reference heap
-    /// produces, including tie-breaks on equal times — seeded property
-    /// test, shrinking to a minimal counterexample on failure.
+    /// produces, including tie-breaks on equal times and across in-place
+    /// re-files — seeded property test, shrinking to a minimal
+    /// counterexample on failure.
     #[test]
     fn property_wheel_order_equals_reference_heap() {
         // Times span sub-tick (< 2^10 ns), in-wheel, and overflow
         // (> ~70_000 s) ranges; interleave pops to exercise cursor
-        // advancement mid-stream.
-        let schedule = vec_of(tuple2(u64_in(0, 200_000_000_000_000), u64_in(0, 3)), 0, 200);
+        // advancement mid-stream. A non-zero third component re-files
+        // the queue the way the model checker does: it drops a subset of
+        // the events and clamps every key below a floor up to it.
+        let schedule = vec_of(
+            tuple3(u64_in(0, 200_000_000_000_000), u64_in(0, 3), u64_in(0, 4)),
+            0,
+            200,
+        );
         check("timing wheel ≡ reference heap", &schedule, |ops| {
             let mut wheel = EventQueue::new();
             let mut heap: BinaryHeap<Reverse<EventKey>> = BinaryHeap::new();
             let mut popped = Vec::new();
             let mut reference = Vec::new();
             let mut floor = 0u64; // pushes must not precede popped time
-            for (i, &(t, pop_after)) in ops.iter().enumerate() {
+            for (i, &(t, pop_after, refile)) in ops.iter().enumerate() {
                 let k = key(floor + t, i as u64 + 1);
-                wheel.push(k, 0u32);
+                wheel.push(k, k.seq);
                 heap.push(Reverse(k));
                 // Duplicate the *time* under a fresh seq to force ties.
                 let tie = key(floor + t, i as u64 + 1_000_000);
-                wheel.push(tie, 0u32);
+                wheel.push(tie, tie.seq);
                 heap.push(Reverse(tie));
+                if refile > 0 {
+                    let clamp = SimTime::from_nanos(floor + t);
+                    let rekey = |k: &mut EventKey| {
+                        let keep = !(k.seq + refile).is_multiple_of(3);
+                        k.time = k.time.max(clamp);
+                        keep
+                    };
+                    wheel.refile(|k, v| rekey(k).then_some(v));
+                    heap = heap
+                        .into_iter()
+                        .filter_map(|Reverse(mut k)| rekey(&mut k).then_some(Reverse(k)))
+                        .collect();
+                }
                 for _ in 0..pop_after {
-                    let w = wheel.pop().map(|(k, _)| k);
+                    let w = wheel.pop().map(|(k, v)| {
+                        assert_eq!(k.seq, v, "value left its key");
+                        k
+                    });
                     let h = heap.pop().map(|Reverse(k)| k);
                     if let Some(k) = h {
                         floor = k.time.as_nanos();
@@ -557,6 +638,66 @@ mod tests {
             .enumerate()
             .map(|(i, &t)| key(t, i as u64 + 1))
             .collect();
+        sorted.sort();
+        assert_eq!(drain(&mut q), sorted);
+    }
+
+    /// Keys spread over `current` (sub-tick), every wheel level and
+    /// overflow (beyond the ~19.5 h horizon).
+    fn spread_keys(n: u64) -> Vec<EventKey> {
+        let horizon_ns = 1u64 << (GRAN_BITS + LEVELS as u32 * SLOT_BITS);
+        (0..n)
+            .map(|i| {
+                let time = match i % 4 {
+                    0 => i * 7,
+                    1 => i * 7_777_777,
+                    2 => i * 987_654_321_987,
+                    _ => horizon_ns + i * 1_000_003,
+                };
+                key(time, i + 1)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn for_each_visits_exactly_the_pending_multiset() {
+        let mut q = EventQueue::new();
+        for k in spread_keys(64) {
+            q.push(k, 0u32);
+        }
+        // Pop a few so the cursor has moved and events sit in `current`,
+        // in wheel slots and in overflow at once.
+        for _ in 0..5 {
+            q.pop();
+        }
+        let mut seen = Vec::new();
+        q.for_each(|k, _| seen.push(*k));
+        seen.sort();
+        assert_eq!(seen.len(), q.len());
+        assert_eq!(seen, drain(&mut q));
+    }
+
+    #[test]
+    fn refile_reuses_the_pool_and_both_heaps() {
+        let mut q = EventQueue::new();
+        let keys = spread_keys(64);
+        for &k in &keys {
+            q.push(k, 0u32);
+        }
+        let capacity = |q: &EventQueue<u32>| {
+            (
+                q.pool.capacity(),
+                q.current.v.capacity(),
+                q.overflow.v.capacity(),
+            )
+        };
+        let before = capacity(&q);
+        assert!(before.1 > 0 && before.2 > 0, "both heaps are in use");
+        for _ in 0..1_000 {
+            q.refile(|_, v| Some(v));
+        }
+        assert_eq!(capacity(&q), before, "a re-file allocated");
+        let mut sorted = keys;
         sorted.sort();
         assert_eq!(drain(&mut q), sorted);
     }

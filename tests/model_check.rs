@@ -19,7 +19,7 @@
 //! the same scenarios much deeper.
 
 use tca_sim::mc::McClosure;
-use tca_sim::mc::{check_schedule, explore};
+use tca_sim::mc::{check_schedule, explore, McReport};
 use tca_sim::SimDuration;
 use tca_sim::{McConfig, NodeId, Schedule};
 use tca_txn::mc_scenarios::{
@@ -163,6 +163,45 @@ fn checker_verifies_workflow_world_with_worker_crashes() {
         check_schedule(&sc, &cfg, &Schedule::default()),
         None,
         "fault-free replay must pass the workflow audit"
+    );
+}
+
+/// Every counter of one small exploration, pinned: a change in
+/// exploration shape — what is enumerated, pruned, rebuilt or closed —
+/// fails here, not only in the release-mode E18 record. The destructuring
+/// names every field, so a new counter must be pinned too.
+#[test]
+fn twopc_exploration_counters_are_pinned() {
+    let McReport {
+        states,
+        leaves,
+        pruned_visited,
+        pruned_sleep,
+        cycles,
+        depth_cap_hits,
+        rebuilds,
+        replayed_choices,
+        closure_events,
+        unsettled_leaves,
+        truncated,
+        rng_impure,
+        violation,
+    } = explore(&twopc_mc_scenario(1), &twopc_cfg());
+    assert!(violation.is_none() && !truncated && !rng_impure);
+    assert_eq!(
+        (
+            states,
+            leaves,
+            pruned_visited,
+            pruned_sleep,
+            cycles,
+            depth_cap_hits
+        ),
+        (161, 0, 47, 22, 0, 55)
+    );
+    assert_eq!(
+        (rebuilds, replayed_choices, closure_events, unsettled_leaves),
+        (101, 317, 3_463, 0)
     );
 }
 
