@@ -10,9 +10,9 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use tca_core::cell::{
-    deploy_actor_bank, run_cell, run_cell_traced, run_saga_cell_with_outage, CellParams, SUPPORTED,
+    deploy_actor_bank, run_cell, run_cell_traced, CellParams, CellReport, SUPPORTED,
 };
-use tca_core::taxonomy::{profile, render_matrix, ProgrammingModel, TxnMechanism};
+use tca_core::taxonomy::{render_matrix, ProgrammingModel, TxnMechanism};
 use tca_messaging::delivery::{DedupReceiver, DeliveryGuarantee, ReliableSender};
 use tca_messaging::rpc::RetryPolicy;
 use tca_models::dataflow::{deploy, Event, JobBuilder, JobManagerConfig, SinkMode};
@@ -124,37 +124,36 @@ fn load_row(label: &str, load: &LoadSummary) -> Row {
 // F1 — the taxonomy, rendered and executed
 // ---------------------------------------------------------------------------
 
-/// F1: print Figure 1 as a matrix and run every supported cell.
-pub fn f1_taxonomy(seed: u64) -> Vec<Row> {
-    println!("\n=== F1: taxonomy (Figure 1) ===\n{}", render_matrix());
+/// The consistency matrix: every executable cell on the same 200
+/// transfers, without faults (F1) or with the crash of the node its
+/// mechanism claims to survive (E8).
+fn cell_matrix(seed: u64, crash: bool) -> impl Iterator<Item = CellReport> {
     let params = CellParams {
         seed,
         transfers: 200,
+        crash,
         ..CellParams::default()
     };
-    let mut rows = Vec::new();
-    for model in ProgrammingModel::ALL {
-        for mechanism in profile(model).mechanisms.clone() {
-            // Cells not in the executable subset are profile-only.
-            if !SUPPORTED.contains(&(model, mechanism)) {
-                continue;
-            }
-            let report = run_cell(model, mechanism, &params);
-            rows.push(
-                Row::new(report.label.clone())
-                    .col("committed", report.committed)
-                    .col("failed", report.failed)
-                    .col("tput/s", format!("{:.0}", report.throughput))
-                    .col("p50", ms(report.p50_ms))
-                    .col("p99", ms(report.p99_ms))
-                    .col(
-                        "conserved",
-                        report.conserved.map_or("n/a".into(), |c| c.to_string()),
-                    ),
-            );
-        }
-    }
-    rows
+    SUPPORTED
+        .into_iter()
+        .map(move |(model, mechanism)| run_cell(model, mechanism, &params))
+}
+
+/// F1: print Figure 1 as a matrix and run every executable cell: the
+/// matrix's no-fault column.
+pub fn f1_taxonomy(seed: u64) -> Vec<Row> {
+    println!("\n=== F1: taxonomy (Figure 1) ===\n{}", render_matrix());
+    cell_matrix(seed, false)
+        .map(|report| {
+            Row::new(report.label)
+                .col("committed", report.committed)
+                .col("failed", report.failed)
+                .col("tput/s", format!("{:.0}", report.throughput))
+                .col("p50", ms(report.p50_ms))
+                .col("p99", ms(report.p99_ms))
+                .col("conserved", report.conserved)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -295,13 +294,11 @@ pub fn e3_saga_vs_2pc(seed: u64) -> Vec<Row> {
         Row::new("saga")
             .col("tput/s", format!("{:.0}", saga.throughput))
             .col("p50", ms(saga.p50_ms))
-            .col("p99", ms(saga.p99_ms))
-            .col("conserved", format!("{:?}", saga.conserved)),
+            .col("p99", ms(saga.p99_ms)),
         Row::new("2pc")
             .col("tput/s", format!("{:.0}", twopc.throughput))
             .col("p50", ms(twopc.p50_ms))
-            .col("p99", ms(twopc.p99_ms))
-            .col("conserved", format!("{:?}", twopc.conserved)),
+            .col("p99", ms(twopc.p99_ms)),
     ];
     // Blocking demonstration: crash the coordinator mid-protocol. The
     // prepared-but-undecided window is ~1 RTT wide, so we run several
@@ -758,232 +755,19 @@ pub fn e7_serializable_mechanisms(seed: u64) -> Vec<Row> {
 // E8 — consistency after failures, per model
 // ---------------------------------------------------------------------------
 
-/// E8: crash-injection audit — does each model keep the transfer
-/// invariant through a failure?
+/// E8: crash-injection audit — does each cell keep the transfer
+/// invariant when the node its mechanism claims to survive goes down?
+/// The matrix's crash column.
 pub fn e8_failure_consistency(seed: u64) -> Vec<Row> {
-    let mut rows = Vec::new();
-    // (a) Naive microservice workflow: two independent DB steps, crash the
-    // service mid-run. Partial executions break conservation.
-    {
-        let mut sim = Sim::with_seed(seed);
-        let n_db = sim.add_node();
-        let n_svc = sim.add_node();
-        let n_load = sim.add_node();
-        // Not `tca_txn::bank_registry`: an unconditional ±1 with no funds
-        // check, so a half-run workflow always leaves a visible imbalance.
-        let registry = ProcRegistry::new()
-            .with("debit", |tx, args| {
-                let key = args[0].as_str().to_owned();
-                let v = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-                tx.put(&key, Value::Int(v - 1));
-                Ok(vec![])
-            })
-            .with("credit", |tx, args| {
-                let key = args[0].as_str().to_owned();
-                let v = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-                tx.put(&key, Value::Int(v + 1));
-                Ok(vec![])
-            });
-        let db = sim.spawn(
-            n_db,
-            "db",
-            DbServer::factory("db", DbServerConfig::default(), registry),
-        );
-        let pairs: Vec<(String, Value)> = (0..16)
-            .map(|i| (format!("acct/{i}"), Value::Int(1000)))
-            .collect();
-        sim.inject(db, Payload::new(DbMsg::load(pairs)));
-        let mut endpoints = HashMap::default();
-        endpoints.insert(
-            "transfer".to_owned(),
-            Endpoint::new(
-                vec![
-                    Step::db(db, "debit", |v| vec![v.get("$0").clone()], None),
-                    Step::db(db, "credit", |v| vec![v.get("$1").clone()], None),
-                ],
-                vec![],
-            ),
-        );
-        let service = sim.spawn(
-            n_svc,
-            "transfer-svc",
-            Microservice::factory("transfer", endpoints),
-        );
-        let factory: RequestFactory = Rc::new(|rng| {
-            let from = rng.range(0, 16);
-            let to = (from + 1) % 16;
-            Payload::new(ServiceCall {
-                endpoint: "transfer".into(),
-                args: vec![
-                    Value::Str(format!("acct/{from}")),
-                    Value::Str(format!("acct/{to}")),
-                ],
-            })
-        });
-        sim.spawn(
-            n_load,
-            "load",
-            ClosedLoopGen::factory(
-                service,
-                factory,
-                service_classifier(),
-                ClosedLoopConfig {
-                    clients: 8,
-                    limit: Some(300),
-                    metric: "e8a".into(),
-                    retry: RetryPolicy::at_most_once(SimDuration::from_millis(50)),
-                    ..ClosedLoopConfig::default()
-                },
-            ),
-        );
-        // Crash the stateless service twice mid-run.
-        sim.schedule_crash(SimTime::from_nanos(10_000_000), n_svc);
-        sim.schedule_restart(SimTime::from_nanos(20_000_000), n_svc);
-        sim.run_for(SimDuration::from_secs(5));
-        let sum: i64 = {
-            let server = sim.inspect::<DbServer>(db).expect("db");
-            (0..16)
-                .map(|i| {
-                    server
-                        .engine()
-                        .peek(&format!("acct/{i}"))
-                        .map(|v| v.as_int())
-                        .unwrap_or(0)
-                })
-                .sum()
-        };
-        rows.push(
-            Row::new("microservice (no txn)")
-                .col("ok", sim.metrics().counter("e8a.ok"))
-                .col("err", sim.metrics().counter("e8a.err"))
-                .col("balance drift", sum - 16_000)
-                .col("conserved", sum == 16_000),
-        );
-    }
-    // (b) Saga with a crashing orchestrator (journal resume).
-    {
-        let params = CellParams {
-            seed,
-            transfers: 200,
-            ..CellParams::default()
-        };
-        // The orchestrator's node is down over the same window as the
-        // service in (a) and the shard in (c).
-        let outage = (
-            SimTime::from_nanos(10_000_000),
-            SimTime::from_nanos(20_000_000),
-        );
-        let (report, drift) = run_saga_cell_with_outage(&params, outage);
-        rows.push(
-            Row::new("saga (journal)")
+    cell_matrix(seed, true)
+        .map(|report| {
+            Row::new(report.label)
                 .col("ok", report.committed)
                 .col("err", report.failed)
-                .col("balance drift", drift.expect("bank-db is never crashed"))
-                .col("conserved", report.conserved.unwrap_or(false)),
-        );
-    }
-    // (c) Statefun transfer with a crashing shard: exactly-once replay.
-    {
-        let app = StatefunApp::new()
-            .entity(
-                "account",
-                |state, op, args| {
-                    let balance = state.as_int();
-                    match op {
-                        "debit" => {
-                            *state = Value::Int(balance - args[0].as_int());
-                            Ok(vec![])
-                        }
-                        "credit" => {
-                            *state = Value::Int(balance + args[0].as_int());
-                            Ok(vec![])
-                        }
-                        _ => Err("?".into()),
-                    }
-                },
-                |_| Value::Int(1000),
-            )
-            .orchestrator("transfer", |ctx| {
-                let from = ctx.input()[0].as_str().to_owned();
-                let to = ctx.input()[1].as_str().to_owned();
-                ctx.call_entity(EntityId::new("account", from), "debit", vec![Value::Int(1)])?
-                    .ok();
-                let r =
-                    ctx.call_entity(EntityId::new("account", to), "credit", vec![Value::Int(1)])?;
-                Some(r)
-            });
-        let mut sim = Sim::with_seed(seed);
-        let nodes = sim.add_nodes(2);
-        let shards = spawn_shards(&mut sim, &nodes, &app, 2);
-        let n_load = sim.add_node();
-        // Transfers t199 … t0 around a ring of 16 accounts, each sent to
-        // the shard owning its instance key.
-        let remaining = Cell::new(200u64);
-        let shard_list = shards.clone();
-        let route: RequestRouter = Rc::new(move |_| {
-            remaining.set(remaining.get() - 1);
-            let i = remaining.get();
-            StartOrchestration {
-                name: "transfer".into(),
-                instance: format!("t{i}"),
-                input: vec![
-                    Value::Str((i % 16).to_string()),
-                    Value::Str(((i + 1) % 16).to_string()),
-                ],
-            }
-            .route(&shard_list)
-        });
-        sim.spawn(
-            n_load,
-            "driver",
-            ClosedLoopGen::routed(
-                route,
-                orchestration_classifier(),
-                ClosedLoopConfig {
-                    clients: 8,
-                    limit: Some(200),
-                    metric: "e8c".into(),
-                    retry: RetryPolicy::retrying(12, SimDuration::from_millis(30)),
-                    ..ClosedLoopConfig::default()
-                },
-            ),
-        );
-        sim.schedule_crash(SimTime::from_nanos(10_000_000), nodes[0]);
-        sim.schedule_restart(SimTime::from_nanos(30_000_000), nodes[0]);
-        sim.run_for(SimDuration::from_secs(30));
-        // Audit: sum of entity balances must equal 16 × 1000 across
-        // shards — every debit paired with its credit exactly once.
-        let mut sum = 0i64;
-        for account in 0..16u64 {
-            let id = EntityId::new("account", account.to_string());
-            for &shard in &shards {
-                if let Some(s) = sim.inspect::<tca_models::statefun::StatefunShard>(shard) {
-                    if let Some(Value::Int(v)) = s.entity_state(&id) {
-                        sum += v;
-                        break;
-                    }
-                }
-            }
-            // Untouched accounts never materialize; they hold the initial
-            // 1000 implicitly.
-            let touched = shards.iter().any(|&shard| {
-                sim.inspect::<tca_models::statefun::StatefunShard>(shard)
-                    .and_then(|s| s.entity_state(&id))
-                    .is_some()
-            });
-            if !touched {
-                sum += 1000;
-            }
-        }
-        rows.push(
-            Row::new("statefun (replay+dedup)")
-                .col("ok", sim.metrics().counter("e8c.ok"))
-                .col("err", sim.metrics().counter("e8c.err"))
-                .col("balance drift", sum - 16_000)
-                .col("conserved", sum == 16_000),
-        );
-    }
-    rows
+                .col("balance drift", report.drift)
+                .col("conserved", report.conserved)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1290,7 +1074,7 @@ pub fn e12_actor_migration(seed: u64) -> Vec<Row> {
         }
     }
     let mut sim = Sim::with_seed(seed);
-    let (directory, [ns1, ns2]) = deploy_actor_bank(&mut sim);
+    let (directory, _, [ns1, ns2]) = deploy_actor_bank(&mut sim);
     let nc = sim.add_node();
     sim.spawn(nc, "caller", move |_| {
         Box::new(HotCaller {
@@ -2159,46 +1943,45 @@ pub fn e20_dataflow_headtohead(seed: u64) -> Vec<Row> {
         finish(sim, label)
     };
 
+    // One (θ, shards) point: the four mechanisms, each row labelled by its
+    // mechanism alone until `at` places it in a sweep.
+    let point = |theta: f64, shards: usize| -> Vec<Row> {
+        vec![
+            run_dataflow("dataflow", shards, theta, 500),
+            run_twopc("2pc", shards, theta),
+            run_saga("saga", shards, theta),
+            run_actor("actor-txn", shards, theta),
+        ]
+    };
+    let at = |point: &[Row], place: &str| -> Vec<Row> {
+        point
+            .iter()
+            .map(|row| Row {
+                label: format!("{} {place}", row.label),
+                values: row.values.clone(),
+            })
+            .collect()
+    };
     let mut rows = Vec::new();
     // Contention sweep at a fixed 4-shard fleet.
-    for theta in [0.0, 0.8, 0.99] {
-        rows.push(run_dataflow(
-            &format!("dataflow θ={theta}, 4 shards"),
-            4,
-            theta,
-            500,
-        ));
-        rows.push(run_twopc(&format!("2pc θ={theta}, 4 shards"), 4, theta));
-        rows.push(run_saga(&format!("saga θ={theta}, 4 shards"), 4, theta));
-        rows.push(run_actor(
-            &format!("actor-txn θ={theta}, 4 shards"),
-            4,
-            theta,
-        ));
+    let contention: Vec<(f64, Vec<Row>)> = [0.0, 0.8, 0.99]
+        .into_iter()
+        .map(|theta| (theta, point(theta, 4)))
+        .collect();
+    for (theta, rows_at) in &contention {
+        rows.extend(at(rows_at, &format!("θ={theta}, 4 shards")));
     }
-    // Scale-out sweep at fixed θ = 0.8 contention.
+    // Scale-out sweep at fixed θ = 0.8 contention; its 4-shard point is
+    // the contention sweep's, printed again rather than run again.
     for shards in [1usize, 4, 16] {
-        rows.push(run_dataflow(
-            &format!("dataflow θ=0.8, {shards} shard(s)"),
-            shards,
-            0.8,
-            500,
-        ));
-        rows.push(run_twopc(
-            &format!("2pc θ=0.8, {shards} shard(s)"),
-            shards,
-            0.8,
-        ));
-        rows.push(run_saga(
-            &format!("saga θ=0.8, {shards} shard(s)"),
-            shards,
-            0.8,
-        ));
-        rows.push(run_actor(
-            &format!("actor-txn θ=0.8, {shards} shard(s)"),
-            shards,
-            0.8,
-        ));
+        let place = format!("θ=0.8, {shards} shard(s)");
+        let ran = contention
+            .iter()
+            .find(|(theta, _)| shards == 4 && *theta == 0.8);
+        rows.extend(match ran {
+            Some((_, rows_at)) => at(rows_at, &place),
+            None => at(&point(0.8, shards), &place),
+        });
     }
     // Where the claim breaks: the epoch interval is the engine's latency
     // floor. Lengthen it (throughput-oriented batching) and 2PC takes
@@ -2336,25 +2119,33 @@ pub fn e21_exactly_once_workflows(seed: u64) -> Vec<Row> {
 mod tests {
     use super::*;
 
-    /// The record pin: a change that moves any cell's schedule fails
-    /// `cargo test`, not only the CI determinism gate.
-    #[test]
-    fn f1_rows_equal_the_committed_record() {
+    /// `rows` equal the cell block whose title starts with `title` in the
+    /// committed record, one row per executable cell.
+    fn assert_cell_block_is_recorded(title: &str, rows: Vec<Row>) {
         let recorded: Vec<Vec<&str>> = include_str!("../../../experiments_output.txt")
             .lines()
-            .skip_while(|line| !line.starts_with("=== F1: taxonomy cells"))
+            .skip_while(|line| !line.starts_with(&format!("=== {title}")))
             .skip(2) // the title and the column header
             .take_while(|line| !line.trim().is_empty())
             .map(|line| line.split_whitespace().collect())
             .collect();
-        let computed: Vec<Vec<String>> = f1_taxonomy(42)
+        let computed: Vec<Vec<String>> = rows
             .into_iter()
             .map(|row| {
                 let values = row.values.into_iter().map(|(_, value)| value);
                 std::iter::once(row.label).chain(values).collect()
             })
             .collect();
-        assert_eq!(computed.len(), SUPPORTED.len());
-        assert_eq!(computed, recorded);
+        assert_eq!(computed.len(), SUPPORTED.len(), "{title}");
+        assert_eq!(computed, recorded, "{title}");
+    }
+
+    /// The record pin on both columns of the consistency matrix: a change
+    /// that moves any cell's schedule, with or without the crash, fails
+    /// `cargo test`, not only the CI determinism gate.
+    #[test]
+    fn matrix_rows_equal_the_committed_record() {
+        assert_cell_block_is_recorded("F1: taxonomy cells", f1_taxonomy(42));
+        assert_cell_block_is_recorded("E8:", e8_failure_consistency(42));
     }
 }

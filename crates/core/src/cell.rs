@@ -1,8 +1,22 @@
 //! Executable taxonomy cells: every {programming model × transaction
-//! mechanism} combination from Figure 1, deployed and driven with the
-//! same money-transfer micro-workload so the combinations are directly
-//! comparable. This powers experiment F1 (the figure regeneration) and
-//! the E1/E3/E7 performance comparisons.
+//! mechanism} combination from Figure 1 that runs here, deployed and
+//! driven with the same money-transfer micro-workload so the combinations
+//! are directly comparable. A cell is one definition with four parts:
+//!
+//! - its deployment, and the request closure a `workloads::loadgen` loop
+//!   drives it with;
+//! - the node its mechanism claims to survive losing: the service (no
+//!   mechanism), the saga orchestrator, the 2PC coordinator, silo 0
+//!   (actors), shard 0 (stateful functions), and a dataflow shard node
+//!   that does not host the sequencer;
+//! - a ledger audit: the money on the final ledger minus the money
+//!   seeded ([`CellReport::drift`]);
+//! - the crash switch [`CellParams::crash`], which takes that node down
+//!   from 10 ms to 20 ms of virtual time.
+//!
+//! F1 runs every cell with the switch off and E8 with it on: they are the
+//! no-fault and crash columns of one consistency matrix. E1, E3, E7 and
+//! E16 run single cells for performance comparisons.
 //!
 //! The workload: `accounts` accounts with initial balance 1000; clients
 //! repeatedly transfer 1 unit between two accounts (`hot_prob` biases the
@@ -14,8 +28,13 @@ use std::rc::Rc;
 
 use tca_messaging::rpc::RetryPolicy;
 use tca_models::actor::{actor_state_registry, ActorId, ActorSilo, Directory, SiloConfig};
-use tca_models::statefun::{spawn_shards, EntityId, StartOrchestration, StatefunApp};
-use tca_sim::{Histogram, NodeId, Payload, ProcessId, Sim, SimDuration, SimRng, SimTime, SpanKind};
+use tca_models::microservice::{Endpoint, Microservice, ServiceCall, Step};
+use tca_models::statefun::{
+    spawn_shards, EntityId, StartOrchestration, StatefunApp, StatefunShard,
+};
+use tca_sim::{
+    DetHashMap, Histogram, NodeId, Payload, ProcessId, Sim, SimDuration, SimRng, SimTime, SpanKind,
+};
 use tca_storage::{DbMsg, DbServer, DbServerConfig, Value};
 use tca_txn::dataflow::{deploy_dataflow, DataflowConfig, DfShard};
 use tca_txn::deterministic::{transfer_registry_from, SubmitTxn};
@@ -23,15 +42,18 @@ use tca_txn::saga::{SagaOrchestrator, StartSaga};
 use tca_txn::twopc::{ParticipantConfig, StartDtx, TwoPcCoordinator, TwoPcParticipant};
 use tca_txn::{bank_registry, transactional_bank_registry, transfer_plan, transfer_saga};
 use tca_workloads::loadgen::{
-    dtx_classifier, orchestration_classifier, saga_classifier, txn_classifier, ActorClosedLoop,
-    ActorRequestFactory, ClosedLoopConfig, ClosedLoopGen, LoadSummary, RequestFactory,
-    RequestRouter,
+    dtx_classifier, orchestration_classifier, saga_classifier, service_classifier, txn_classifier,
+    ActorClosedLoop, ActorRequestFactory, ClosedLoopConfig, ClosedLoopGen, LoadSummary,
+    RequestFactory, RequestRouter,
 };
 
 use crate::taxonomy::{ProgrammingModel, TxnMechanism};
 
 /// Virtual-time budget for a cell run.
 const BUDGET: SimDuration = SimDuration::from_secs(30);
+
+/// Metric prefix of every cell's load loop.
+const METRIC: &str = "cell";
 
 /// Workload parameters for a cell run.
 #[derive(Debug, Clone)]
@@ -48,6 +70,9 @@ pub struct CellParams {
     pub hot_prob: f64,
     /// Record causal spans during the run (fills [`CellReport::breakdown`]).
     pub trace: bool,
+    /// Crash the node the cell's mechanism claims to survive losing, and
+    /// restart it 10 ms later (E8 on, F1 off).
+    pub crash: bool,
 }
 
 impl Default for CellParams {
@@ -59,6 +84,7 @@ impl Default for CellParams {
             transfers: 400,
             hot_prob: 0.0,
             trace: false,
+            crash: false,
         }
     }
 }
@@ -80,8 +106,11 @@ pub struct CellReport {
     pub p50_ms: f64,
     /// 99th-percentile latency (ms).
     pub p99_ms: f64,
-    /// Whether total money was conserved (None = not auditable here).
-    pub conserved: Option<bool>,
+    /// Money on the final ledger minus the money seeded. It cannot show a
+    /// transfer applied twice in full, which moves no money.
+    pub drift: i64,
+    /// Whether total money was conserved (`drift == 0`).
+    pub conserved: bool,
     /// Virtual-time latency attribution per span kind (empty unless the
     /// run was traced): one histogram of completed-span durations per
     /// [`SpanKind`] observed.
@@ -105,46 +134,57 @@ fn pick_pair(rng: &mut SimRng, params: &CellParams) -> (u64, u64) {
     (from, to)
 }
 
+/// `[from, to, 1]`: a transfer's arguments over [`account_key`]s.
+fn transfer_args(from: u64, to: u64) -> Vec<Value> {
+    vec![
+        Value::Str(account_key(from)),
+        Value::Str(account_key(to)),
+        Value::Int(1),
+    ]
+}
+
 const INITIAL_BALANCE: i64 = 1000;
 
-fn finish_report(label: &str, sim: &Sim, metric: &str, conserved: Option<bool>) -> CellReport {
-    let load = LoadSummary::read(sim, metric);
-    CellReport {
-        label: label.to_owned(),
-        committed: load.ok,
-        failed: load.err,
-        sim_seconds: load.seconds,
-        throughput: load.throughput(),
-        p50_ms: load.p50_ms.unwrap_or(0.0),
-        p99_ms: load.p99_ms.unwrap_or(0.0),
-        conserved,
-        breakdown: sim.tracer().breakdown(),
-    }
-}
-
-/// Build the cell's simulator, honouring the tracing knob.
-fn cell_sim(params: &CellParams) -> Sim {
-    let mut sim = Sim::with_seed(params.seed);
-    if params.trace {
-        sim.set_tracing(true);
-    }
-    sim
-}
-
 /// The closed loop every RPC cell runs: `params.clients` clients,
-/// `params.transfers` requests, results under `cell`.
+/// `params.transfers` requests, results under [`METRIC`].
 fn cell_loop(params: &CellParams) -> ClosedLoopConfig {
     ClosedLoopConfig {
         clients: params.clients,
         limit: Some(params.transfers),
-        metric: "cell".into(),
+        metric: METRIC.into(),
         ..ClosedLoopConfig::default()
     }
 }
 
+/// `pid` as a `T` once a run is over. Every cell process is up by then:
+/// the crash switch restarts its node long before the budget ends.
+fn up<T: 'static>(sim: &Sim, pid: ProcessId) -> &T {
+    sim.inspect(pid)
+        .expect("every cell process is up when the run ends")
+}
+
+/// The ledger audit's sum: `balance(i)` reads account `i`, `None` when it
+/// was never written and so still holds [`INITIAL_BALANCE`].
+fn ledger_drift(accounts: u64, balance: impl Fn(u64) -> Option<Value>) -> i64 {
+    (0..accounts)
+        .map(|i| balance(i).map_or(INITIAL_BALANCE, |v| v.as_int()) - INITIAL_BALANCE)
+        .sum()
+}
+
+/// A deployed cell, load loop spawned, ready to run.
+struct Deployed {
+    label: &'static str,
+    /// The node the cell's mechanism claims to survive losing.
+    survives: NodeId,
+    /// The ledger audit: money on the ledger minus the money seeded.
+    drift: Box<dyn Fn(&Sim) -> i64>,
+}
+
 /// The executable cells: every combination [`run_cell`] accepts, in
-/// Figure 1 order.
-pub const SUPPORTED: [(ProgrammingModel, TxnMechanism); 7] = [
+/// Figure 1 order. Of the mechanisms `taxonomy::profile` lists, only
+/// `(StatefulDataflow, None)` has no cell.
+pub const SUPPORTED: [(ProgrammingModel, TxnMechanism); 8] = [
+    (ProgrammingModel::Microservices, TxnMechanism::None),
     (ProgrammingModel::Microservices, TxnMechanism::Saga),
     (
         ProgrammingModel::Microservices,
@@ -191,35 +231,66 @@ pub fn run_cell_traced(
     (report, json)
 }
 
+/// When [`CellParams::crash`] takes a cell's node down…
+const CRASH_AT: SimTime = SimTime::from_nanos(10_000_000);
+/// …and when it brings the node back.
+const RESTART_AT: SimTime = SimTime::from_nanos(20_000_000);
+
 fn run_cell_inner(
     model: ProgrammingModel,
     mechanism: TxnMechanism,
     params: &CellParams,
 ) -> (CellReport, Sim) {
-    match (model, mechanism) {
-        (ProgrammingModel::Microservices, TxnMechanism::Saga) => {
-            let (report, sim, _) = run_saga_cell(params, None);
-            (report, sim)
+    let mut sim = Sim::with_seed(params.seed);
+    if params.trace {
+        sim.set_tracing(true);
+    }
+    let cell = match (model, mechanism) {
+        (ProgrammingModel::Microservices, TxnMechanism::None) => service_cell(&mut sim, params),
+        (ProgrammingModel::Microservices, TxnMechanism::Saga) => saga_cell(&mut sim, params),
+        (ProgrammingModel::Microservices, TxnMechanism::TwoPhaseCommit) => {
+            twopc_cell(&mut sim, params)
         }
-        (ProgrammingModel::Microservices, TxnMechanism::TwoPhaseCommit) => run_2pc_cell(params),
-        (ProgrammingModel::VirtualActors, TxnMechanism::None) => run_actor_cell(params, false),
+        (ProgrammingModel::VirtualActors, TxnMechanism::None) => {
+            actor_cell(&mut sim, params, false)
+        }
         (ProgrammingModel::VirtualActors, TxnMechanism::ActorTransactions) => {
-            run_actor_cell(params, true)
-        }
-        (ProgrammingModel::StatefulFunctions, TxnMechanism::EntityLocks) => {
-            run_statefun_cell(params, true)
+            actor_cell(&mut sim, params, true)
         }
         (ProgrammingModel::StatefulFunctions, TxnMechanism::None) => {
-            run_statefun_cell(params, false)
+            statefun_cell(&mut sim, params, false)
+        }
+        (ProgrammingModel::StatefulFunctions, TxnMechanism::EntityLocks) => {
+            statefun_cell(&mut sim, params, true)
         }
         (ProgrammingModel::StatefulDataflow, TxnMechanism::DeterministicOrdering) => {
-            run_deterministic_cell(params)
+            dataflow_cell(&mut sim, params)
         }
         (model, mechanism) => panic!("unsupported cell {model} × {mechanism}"),
+    };
+    if params.crash {
+        sim.schedule_crash(CRASH_AT, cell.survives);
+        sim.schedule_restart(RESTART_AT, cell.survives);
     }
+    sim.run_for(BUDGET);
+    let drift = (cell.drift)(&sim);
+    let load = LoadSummary::read(&sim, METRIC);
+    let report = CellReport {
+        label: cell.label.to_owned(),
+        committed: load.ok,
+        failed: load.err,
+        sim_seconds: load.seconds,
+        throughput: load.throughput(),
+        p50_ms: load.p50_ms.unwrap_or(0.0),
+        p99_ms: load.p99_ms.unwrap_or(0.0),
+        drift,
+        conserved: drift == 0,
+        breakdown: sim.tracer().breakdown(),
+    };
+    (report, sim)
 }
 
-// --- microservices + saga --------------------------------------------------
+// --- microservices: no mechanism, saga ---------------------------------------
 
 fn seed_accounts(sim: &mut Sim, db: ProcessId, params: &CellParams) {
     let pairs: Vec<(String, Value)> = (0..params.accounts)
@@ -229,45 +300,87 @@ fn seed_accounts(sim: &mut Sim, db: ProcessId, params: &CellParams) {
 }
 
 /// Money on the ledger of `db` minus what [`seed_accounts`] put there.
-fn db_drift(sim: &Sim, db: ProcessId, params: &CellParams) -> Option<i64> {
-    let server = sim.inspect::<DbServer>(db)?;
-    let sum: i64 = (0..params.accounts)
-        .filter_map(|i| server.engine().peek(&account_key(i)))
-        .map(|v| v.as_int())
-        .sum();
-    Some(sum - params.accounts as i64 * INITIAL_BALANCE)
+fn db_drift(sim: &Sim, db: ProcessId, accounts: u64) -> i64 {
+    let server = up::<DbServer>(sim, db);
+    ledger_drift(accounts, |i| server.engine().peek(&account_key(i)))
 }
 
-/// The saga cell with the orchestrator's node down from `outage.0` to
-/// `outage.1`: sagas in flight at the crash resume from the durable
-/// journal. Returns the report and the ledger's balance drift (0 =
-/// conserved; `None` if the database cannot be inspected). Powers E8.
-pub fn run_saga_cell_with_outage(
-    params: &CellParams,
-    outage: (SimTime, SimTime),
-) -> (CellReport, Option<i64>) {
-    let (report, _, drift) = run_saga_cell(params, Some(outage));
-    (report, drift)
-}
-
-fn run_saga_cell(
-    params: &CellParams,
-    outage: Option<(SimTime, SimTime)>,
-) -> (CellReport, Sim, Option<i64>) {
-    let mut sim = cell_sim(params);
-    let n1 = sim.add_node();
-    let n2 = sim.add_node();
-    let n3 = sim.add_node();
-    // One database holds all accounts (debit/credit are still separate
-    // saga steps with compensation, as in a split deployment).
+/// A bank database on a node of its own, seeded. Debit and credit are
+/// separate stored procedures, as in a split deployment.
+fn bank_db(sim: &mut Sim, params: &CellParams) -> ProcessId {
+    let node = sim.add_node();
     let db = sim.spawn(
-        n1,
+        node,
         "bank-db",
         DbServer::factory("bank", DbServerConfig::default(), bank_registry()),
     );
-    seed_accounts(&mut sim, db, params);
+    seed_accounts(sim, db, params);
+    db
+}
+
+/// A stateless service running a transfer as two independent database
+/// steps, debit then credit: nothing makes the pair atomic.
+fn service_cell(sim: &mut Sim, params: &CellParams) -> Deployed {
+    let db = bank_db(sim, params);
+    let n_svc = sim.add_node();
+    let n_load = sim.add_node();
+    let leg = |proc: &str, account: &'static str| {
+        Step::db(
+            db,
+            proc,
+            move |v| vec![v.get(account).clone(), v.get("$2").clone()],
+            None,
+        )
+    };
+    let mut endpoints = DetHashMap::default();
+    endpoints.insert(
+        "transfer".to_owned(),
+        Endpoint::new(vec![leg("debit", "$0"), leg("credit", "$1")], vec![]),
+    );
+    let service = sim.spawn(
+        n_svc,
+        "transfer-svc",
+        Microservice::factory("transfer", endpoints),
+    );
+    let p = params.clone();
+    let factory: RequestFactory = Rc::new(move |rng| {
+        let (from, to) = pick_pair(rng, &p);
+        Payload::new(ServiceCall {
+            endpoint: "transfer".into(),
+            args: transfer_args(from, to),
+        })
+    });
+    // A naive client: a request lost with the service times out and is not
+    // retried, so a transfer cut between its steps stays cut.
+    sim.spawn(
+        n_load,
+        "load",
+        ClosedLoopGen::factory(
+            service,
+            factory,
+            service_classifier(),
+            ClosedLoopConfig {
+                retry: RetryPolicy::at_most_once(SimDuration::from_millis(50)),
+                ..cell_loop(params)
+            },
+        ),
+    );
+    let accounts = params.accounts;
+    Deployed {
+        label: "microservices+none",
+        survives: n_svc,
+        drift: Box::new(move |sim| db_drift(sim, db, accounts)),
+    }
+}
+
+/// Transfers as sagas: debit, then a credit whose failure compensates the
+/// debit; the orchestrator journals every step and resumes after a crash.
+fn saga_cell(sim: &mut Sim, params: &CellParams) -> Deployed {
+    let db = bank_db(sim, params);
+    let n_orch = sim.add_node();
+    let n_load = sim.add_node();
     let orchestrator = sim.spawn(
-        n2,
+        n_orch,
         "saga",
         SagaOrchestrator::factory(vec![transfer_saga(db)]),
     );
@@ -276,36 +389,25 @@ fn run_saga_cell(
         let (from, to) = pick_pair(rng, &p);
         Payload::new(StartSaga {
             saga: "transfer".into(),
-            args: vec![
-                Value::Str(account_key(from)),
-                Value::Str(account_key(to)),
-                Value::Int(1),
-            ],
+            args: transfer_args(from, to),
         })
     });
     sim.spawn(
-        n3,
+        n_load,
         "load",
         ClosedLoopGen::factory(orchestrator, factory, saga_classifier(), cell_loop(params)),
     );
-    if let Some((crash, restart)) = outage {
-        sim.schedule_crash(crash, n2);
-        sim.schedule_restart(restart, n2);
+    let accounts = params.accounts;
+    Deployed {
+        label: "microservices+saga",
+        survives: n_orch,
+        drift: Box::new(move |sim| db_drift(sim, db, accounts)),
     }
-    sim.run_for(BUDGET);
-    let drift = db_drift(&sim, db, params);
-    let conserved = drift.map(|d| d == 0);
-    (
-        finish_report("microservices+saga", &sim, "cell", conserved),
-        sim,
-        drift,
-    )
 }
 
 // --- microservices + 2pc -----------------------------------------------------
 
-fn run_2pc_cell(params: &CellParams) -> (CellReport, Sim) {
-    let mut sim = cell_sim(params);
+fn twopc_cell(sim: &mut Sim, params: &CellParams) -> Deployed {
     let n1 = sim.add_node();
     let n2 = sim.add_node();
     let n3 = sim.add_node();
@@ -370,31 +472,21 @@ fn run_2pc_cell(params: &CellParams) -> (CellReport, Sim) {
             },
         ),
     );
-    sim.run_for(BUDGET);
-    // Conservation audit, via the participant engines: every account was
-    // seeded with `INITIAL_BALANCE` on first boot and a transfer moves 1
-    // from one to another, so the balances still sum to the seed total
-    // iff every debit committed together with its credit.
-    let conserved = {
-        let sum = |pid: ProcessId| -> Option<i64> {
-            let participant = sim.inspect::<TwoPcParticipant>(pid)?;
-            let mut sum = 0;
-            for i in 0..params.accounts {
-                if let Some(Value::Int(v)) = participant.engine().peek(&account_key(i)) {
-                    sum += v;
-                }
-            }
-            Some(sum)
-        };
-        match (sum(pa), sum(pb)) {
-            (Some(a), Some(b)) => Some(a + b == params.accounts as i64 * INITIAL_BALANCE),
-            _ => None,
-        }
-    };
-    (
-        finish_report("microservices+2pc", &sim, "cell", conserved),
-        sim,
-    )
+    let accounts = params.accounts;
+    Deployed {
+        label: "microservices+2pc",
+        survives: n3,
+        // Each account lives on the participant of its parity.
+        drift: Box::new(move |sim| {
+            ledger_drift(accounts, |i| {
+                [pa, pb].iter().find_map(|&p| {
+                    up::<TwoPcParticipant>(sim, p)
+                        .engine()
+                        .peek(&account_key(i))
+                })
+            })
+        }),
+    }
 }
 
 // --- actors ------------------------------------------------------------------
@@ -402,8 +494,8 @@ fn run_2pc_cell(params: &CellParams) -> (CellReport, Sim) {
 /// The actor deployment of both actor cells and of E12: a directory, a
 /// state database and two persistent silos of transactional bank accounts
 /// (opening balance 1000), each process on a node of its own.
-/// Returns the directory and the two silo nodes.
-pub fn deploy_actor_bank(sim: &mut Sim) -> (ProcessId, [NodeId; 2]) {
+/// Returns the directory, the state database and the two silo nodes.
+pub fn deploy_actor_bank(sim: &mut Sim) -> (ProcessId, ProcessId, [NodeId; 2]) {
     let nd = sim.add_node();
     let ndb = sim.add_node();
     let silo_nodes = [sim.add_node(), sim.add_node()];
@@ -423,14 +515,13 @@ pub fn deploy_actor_bank(sim: &mut Sim) -> (ProcessId, [NodeId; 2]) {
             ),
         );
     }
-    (directory, silo_nodes)
+    (directory, db, silo_nodes)
 }
 
 /// Transfers over actors: plain (debit, then credit — no atomicity) or
 /// transactional (one `run` on a fresh `txncoord` actor).
-fn run_actor_cell(params: &CellParams, transactional: bool) -> (CellReport, Sim) {
-    let mut sim = cell_sim(params);
-    let (directory, _) = deploy_actor_bank(&mut sim);
+fn actor_cell(sim: &mut Sim, params: &CellParams, transactional: bool) -> Deployed {
+    let (directory, db, silo_nodes) = deploy_actor_bank(sim);
     let nc = sim.add_node();
     let p = params.clone();
     let issued = Cell::new(0u64);
@@ -455,15 +546,25 @@ fn run_actor_cell(params: &CellParams, transactional: bool) -> (CellReport, Sim)
     sim.spawn(
         nc,
         "driver",
-        ActorClosedLoop::factory(directory, request, params.clients, params.transfers, "cell"),
+        ActorClosedLoop::factory(directory, request, params.clients, params.transfers, METRIC),
     );
-    sim.run_for(BUDGET);
-    let label = if transactional {
-        "actors+txn"
-    } else {
-        "actors+none"
-    };
-    (finish_report(label, &sim, "cell", None), sim)
+    let accounts = params.accounts;
+    Deployed {
+        label: if transactional {
+            "actors+txn"
+        } else {
+            "actors+none"
+        },
+        survives: silo_nodes[0],
+        // Silos write every account's state through to the state database.
+        drift: Box::new(move |sim| {
+            let server = up::<DbServer>(sim, db);
+            ledger_drift(accounts, |i| {
+                let account = ActorId::new("account", i.to_string());
+                server.engine().peek(&ActorSilo::state_key(&account))
+            })
+        }),
+    }
 }
 
 // --- stateful functions --------------------------------------------------------
@@ -531,13 +632,13 @@ fn statefun_bank_app(locked: bool) -> StatefunApp {
     }
 }
 
-fn run_statefun_cell(params: &CellParams, locked: bool) -> (CellReport, Sim) {
-    let mut sim = cell_sim(params);
+fn statefun_cell(sim: &mut Sim, params: &CellParams, locked: bool) -> Deployed {
     let nodes = sim.add_nodes(2);
-    let shards = spawn_shards(&mut sim, &nodes, &statefun_bank_app(locked), 2);
+    let shards = spawn_shards(sim, &nodes, &statefun_bank_app(locked), 2);
     let nc = sim.add_node();
     let p = params.clone();
     let issued = Cell::new(0u64);
+    let targets = shards.clone();
     // An orchestration lives on the shard owning its instance key.
     let route: RequestRouter = Rc::new(move |rng| {
         let (from, to) = pick_pair(rng, &p);
@@ -551,7 +652,7 @@ fn run_statefun_cell(params: &CellParams, locked: bool) -> (CellReport, Sim) {
                 Value::Int(1),
             ],
         }
-        .route(&shards)
+        .route(&targets)
     });
     sim.spawn(
         nc,
@@ -565,22 +666,33 @@ fn run_statefun_cell(params: &CellParams, locked: bool) -> (CellReport, Sim) {
             },
         ),
     );
-    sim.run_for(BUDGET);
-    let label = if locked {
-        "statefun+locks"
-    } else {
-        "statefun+none"
-    };
-    (finish_report(label, &sim, "cell", None), sim)
+    let accounts = params.accounts;
+    Deployed {
+        label: if locked {
+            "statefun+locks"
+        } else {
+            "statefun+none"
+        },
+        survives: nodes[0],
+        // An entity materialises on its owning shard when first called.
+        drift: Box::new(move |sim| {
+            ledger_drift(accounts, |i| {
+                let account = EntityId::new("account", i.to_string());
+                shards
+                    .iter()
+                    .find_map(|&s| up::<StatefunShard>(sim, s).entity_state(&account))
+            })
+        }),
+    }
 }
 
 // --- deterministic dataflow ------------------------------------------------------
 
-fn run_deterministic_cell(params: &CellParams) -> (CellReport, Sim) {
-    let mut sim = cell_sim(params);
+fn dataflow_cell(sim: &mut Sim, params: &CellParams) -> Deployed {
     let nodes = sim.add_nodes(3);
+    // The sequencer shares nodes[0] with shard 0; nodes[1] hosts shard 1 only.
     let (sequencer, shards) = deploy_dataflow(
-        &mut sim,
+        sim,
         nodes[0],
         &nodes,
         &transfer_registry_from(INITIAL_BALANCE),
@@ -591,16 +703,10 @@ fn run_deterministic_cell(params: &CellParams) -> (CellReport, Sim) {
     let p = params.clone();
     let factory: RequestFactory = Rc::new(move |rng| {
         let (from, to) = pick_pair(rng, &p);
-        let from_key = account_key(from);
-        let to_key = account_key(to);
         Payload::new(SubmitTxn {
             proc: "transfer".into(),
-            args: vec![
-                Value::Str(from_key.clone()),
-                Value::Str(to_key.clone()),
-                Value::Int(1),
-            ],
-            read_keys: vec![from_key, to_key],
+            args: transfer_args(from, to),
+            read_keys: vec![account_key(from), account_key(to)],
         })
     });
     sim.spawn(
@@ -616,29 +722,26 @@ fn run_deterministic_cell(params: &CellParams) -> (CellReport, Sim) {
             },
         ),
     );
-    sim.run_for(BUDGET);
-    // Only the ring owner of a key stores it, and only once written: sum
-    // what every materialised balance moved from its starting value.
-    let conserved = shards
-        .iter()
-        .map(|&pid| {
-            let shard = sim.inspect::<DfShard>(pid)?;
-            let moved = (0..params.accounts)
-                .filter_map(|i| shard.peek(&account_key(i)))
-                .map(|v| v.as_int() - INITIAL_BALANCE);
-            Some(moved.sum::<i64>())
-        })
-        .sum::<Option<i64>>()
-        .map(|delta| delta == 0);
-    (
-        finish_report("dataflow+deterministic", &sim, "cell", conserved),
-        sim,
-    )
+    let accounts = params.accounts;
+    Deployed {
+        label: "dataflow+deterministic",
+        survives: nodes[1],
+        // Only the ring owner of a key stores it, and only once written.
+        drift: Box::new(move |sim| {
+            ledger_drift(accounts, |i| {
+                let key = account_key(i);
+                shards
+                    .iter()
+                    .find_map(|&s| up::<DfShard>(sim, s).peek(&key).cloned())
+            })
+        }),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::taxonomy::profile;
 
     fn quick_params() -> CellParams {
         CellParams {
@@ -650,6 +753,21 @@ mod tests {
     }
 
     #[test]
+    fn cells_are_the_profiled_mechanisms_but_dataflow_none_in_figure_order() {
+        let profiled: Vec<(ProgrammingModel, TxnMechanism)> = ProgrammingModel::ALL
+            .into_iter()
+            .flat_map(|m| profile(m).mechanisms.into_iter().map(move |x| (m, x)))
+            .collect();
+        let (runnable, missing): (Vec<_>, Vec<_>) =
+            profiled.into_iter().partition(|c| SUPPORTED.contains(c));
+        assert_eq!(runnable, SUPPORTED);
+        assert_eq!(
+            missing,
+            [(ProgrammingModel::StatefulDataflow, TxnMechanism::None)]
+        );
+    }
+
+    #[test]
     fn saga_cell_conserves_money() {
         let report = run_cell(
             ProgrammingModel::Microservices,
@@ -658,28 +776,37 @@ mod tests {
         );
         assert_eq!(report.committed + report.failed, 60);
         assert!(report.committed > 0);
-        assert_eq!(report.conserved, Some(true));
+        assert!(report.conserved);
         assert!(report.throughput > 0.0);
     }
 
     #[test]
-    fn saga_cell_survives_an_orchestrator_outage() {
-        // E8's row at the recorded seed: the crash must land on running
-        // sagas (some resume from the journal) and the ledger must still
-        // balance.
+    fn crash_column_at_the_recorded_seed() {
+        // E8's record: every mechanism that claims to survive losing its
+        // node keeps the ledger whole through the crash, and two
+        // independent steps behind a stateless service do not.
         let params = CellParams {
             seed: 42,
             transfers: 200,
+            crash: true,
             ..CellParams::default()
         };
-        let outage = (
-            SimTime::from_nanos(10_000_000),
-            SimTime::from_nanos(20_000_000),
-        );
-        let (report, sim, drift) = run_saga_cell(&params, Some(outage));
-        assert!(sim.metrics().counter("saga.resumed") > 0);
-        assert_eq!(report.committed + report.failed, 200);
-        assert_eq!(drift, Some(0));
+        for (model, mechanism) in SUPPORTED {
+            let (report, sim) = run_cell_inner(model, mechanism, &params);
+            match (model, mechanism) {
+                (ProgrammingModel::Microservices, TxnMechanism::None) => {
+                    assert!(report.drift < 0, "{report:?}");
+                }
+                (ProgrammingModel::VirtualActors, _) => {}
+                _ => assert!(report.conserved, "{report:?}"),
+            }
+            if mechanism == TxnMechanism::Saga {
+                // The crash lands on running sagas: some resume from the
+                // journal.
+                assert!(sim.metrics().counter("saga.resumed") > 0);
+                assert_eq!(report.committed + report.failed, 200);
+            }
+        }
     }
 
     #[test]
@@ -690,7 +817,7 @@ mod tests {
             &quick_params(),
         );
         assert!(report.committed > 0, "{report:?}");
-        assert_eq!(report.conserved, Some(true));
+        assert!(report.conserved);
     }
 
     #[test]
@@ -734,7 +861,7 @@ mod tests {
             &quick_params(),
         );
         assert!(report.committed > 0, "{report:?}");
-        assert_eq!(report.conserved, Some(true));
+        assert!(report.conserved);
     }
 
     #[test]
@@ -760,7 +887,7 @@ mod tests {
             TxnMechanism::ActorTransactions,
         );
         assert_eq!(det.failed, 0, "{det:?}");
-        assert_eq!(det.conserved, Some(true));
+        assert!(det.conserved);
         assert!(
             det.throughput > twopc.throughput && twopc.throughput > actor.throughput,
             "det {:.0}/s, 2pc {:.0}/s, actor-txn {:.0}/s",

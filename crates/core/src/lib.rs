@@ -15,7 +15,7 @@
 //!     &CellParams { transfers: 20, ..CellParams::default() },
 //! );
 //! assert!(report.committed > 0);
-//! assert_eq!(report.conserved, Some(true));
+//! assert!(report.conserved);
 //! ```
 
 #![forbid(unsafe_code)]

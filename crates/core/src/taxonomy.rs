@@ -5,8 +5,8 @@
 //! and three requirements — fault tolerance, consistency, lifecycle.
 //! This module encodes that taxonomy so it can be printed (regenerating
 //! the figure as a matrix), queried, and — via [`crate::cell`] —
-//! *executed*: every claimed combination is backed by a runnable
-//! deployment.
+//! *executed*: every claimed combination but dataflow without a
+//! mechanism is backed by a runnable deployment.
 
 use std::fmt;
 
@@ -108,8 +108,10 @@ pub struct ModelProfile {
     pub scope: StateScope,
     /// Default message-delivery guarantee of the ecosystem.
     pub default_delivery: DeliveryGuarantee,
-    /// Cross-component mechanisms available on this model (in this
-    /// repository, all runnable).
+    /// Cross-component mechanisms available on this model. Each is a
+    /// runnable [`crate::cell`] except `(StatefulDataflow, None)`: the
+    /// one transactional dataflow engine here, `txn::dataflow`, always
+    /// orders deterministically.
     pub mechanisms: Vec<TxnMechanism>,
     /// The model's fault-tolerance story, in one sentence.
     pub fault_tolerance: &'static str,

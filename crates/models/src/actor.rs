@@ -660,7 +660,8 @@ impl ActorSilo {
         }
     }
 
-    fn state_key(id: &ActorId) -> String {
+    /// The state-database row a persistent silo writes `id`'s state to.
+    pub fn state_key(id: &ActorId) -> String {
         format!("actor/{}/{}", id.type_name, id.key)
     }
 

@@ -17,13 +17,21 @@ fn params(seed: u64) -> CellParams {
 
 #[test]
 fn same_seed_same_cell_report() {
-    for (model, mechanism) in SUPPORTED {
-        let a = run_cell(model, mechanism, &params(99));
-        let b = run_cell(model, mechanism, &params(99));
-        assert_eq!(a.committed, b.committed, "{model} x {mechanism}");
-        assert_eq!(a.failed, b.failed);
-        assert_eq!(a.sim_seconds, b.sim_seconds);
-        assert_eq!(a.p99_ms, b.p99_ms);
+    for crash in [false, true] {
+        let params = CellParams {
+            crash,
+            ..params(99)
+        };
+        for (model, mechanism) in SUPPORTED {
+            let a = run_cell(model, mechanism, &params);
+            let b = run_cell(model, mechanism, &params);
+            let cell = format!("{model} x {mechanism}, crash {crash}");
+            assert_eq!(a.committed, b.committed, "{cell}");
+            assert_eq!(a.failed, b.failed, "{cell}");
+            assert_eq!(a.sim_seconds, b.sim_seconds, "{cell}");
+            assert_eq!(a.p99_ms, b.p99_ms, "{cell}");
+            assert_eq!(a.drift, b.drift, "{cell}");
+        }
     }
 }
 
