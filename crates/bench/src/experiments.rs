@@ -26,12 +26,11 @@ use tca_storage::{
     deploy_sharded_db, CacheConfig, DbMsg, DbReply, DbRequest, DbResponse, DbServer,
     DbServerConfig, IsolationLevel, ProcRegistry, TtlCache, Value,
 };
+use tca_txn::bank_registry_from;
 use tca_txn::causal::{CausalMailbox, CausalMessage, VectorClock};
-use tca_txn::{bank_registry_from, transfer_saga};
 use tca_workloads::loadgen::{
-    db_classifier, dtx_classifier, orchestration_classifier, saga_classifier, service_classifier,
-    txn_classifier, ActorClosedLoop, ActorRequestFactory, ClosedLoopConfig, ClosedLoopGen,
-    KeyChooser, LoadSummary, PairChooser, RequestFactory, RequestRouter, ResponseClassifier,
+    db_classifier, dtx_classifier, orchestration_classifier, service_classifier, ClosedLoopConfig,
+    ClosedLoopGen, KeyChooser, LoadSummary, RequestFactory, RequestRouter,
 };
 use tca_workloads::overload::{OverloadConfig, OverloadGen, OverloadPhase};
 use tca_workloads::rmw::{RmwClient, RmwConfig};
@@ -139,20 +138,23 @@ fn cell_matrix(seed: u64, crash: bool) -> impl Iterator<Item = CellReport> {
         .map(move |(model, mechanism)| run_cell(model, mechanism, &params))
 }
 
+/// A cell run as a row: outcomes, throughput, latency and the ledger audit.
+fn report_row(label: impl Into<String>, report: &CellReport) -> Row {
+    Row::new(label)
+        .col("committed", report.committed)
+        .col("failed", report.failed)
+        .col("tput/s", format!("{:.0}", report.throughput))
+        .col("p50", ms(report.p50_ms))
+        .col("p99", ms(report.p99_ms))
+        .col("conserved", report.conserved)
+}
+
 /// F1: print Figure 1 as a matrix and run every executable cell: the
 /// matrix's no-fault column.
 pub fn f1_taxonomy(seed: u64) -> Vec<Row> {
     println!("\n=== F1: taxonomy (Figure 1) ===\n{}", render_matrix());
     cell_matrix(seed, false)
-        .map(|report| {
-            Row::new(report.label)
-                .col("committed", report.committed)
-                .col("failed", report.failed)
-                .col("tput/s", format!("{:.0}", report.throughput))
-                .col("p50", ms(report.p50_ms))
-                .col("p99", ms(report.p99_ms))
-                .col("conserved", report.conserved)
-        })
+        .map(|report| report_row(report.label.clone(), &report))
         .collect()
 }
 
@@ -714,41 +716,63 @@ pub fn e6_checkpoint_interval(seed: u64) -> Vec<Row> {
 // E7 — deterministic ordering vs 2PC vs actor-txn under contention
 // ---------------------------------------------------------------------------
 
-/// E7: serializable mechanisms under a contention sweep.
+/// The contention sweep's hot levels: the probability that a transfer
+/// debits account 0.
+const HOT: [f64; 3] = [0.0, 0.5, 0.9];
+
+/// The transfer mechanisms E7 and E20 compare, with their row labels.
+const MECHANISMS: [(&str, ProgrammingModel, TxnMechanism); 4] = [
+    (
+        "dataflow",
+        ProgrammingModel::StatefulDataflow,
+        TxnMechanism::DeterministicOrdering,
+    ),
+    (
+        "2pc",
+        ProgrammingModel::Microservices,
+        TxnMechanism::TwoPhaseCommit,
+    ),
+    ("saga", ProgrammingModel::Microservices, TxnMechanism::Saga),
+    (
+        "actor-txn",
+        ProgrammingModel::VirtualActors,
+        TxnMechanism::ActorTransactions,
+    ),
+];
+
+/// 300 transfers at contention `hot` on the cells' default fleet.
+fn transfers_at(seed: u64, hot: f64) -> CellParams {
+    CellParams {
+        seed,
+        hot_prob: hot,
+        transfers: 300,
+        ..CellParams::default()
+    }
+}
+
+/// The contention sweep E7 and E20 share: at each [`HOT`] level, one
+/// report per entry of [`MECHANISMS`].
+fn contention(seed: u64) -> [[CellReport; 4]; 3] {
+    HOT.map(|hot| {
+        let params = transfers_at(seed, hot);
+        MECHANISMS.map(|(_, model, mechanism)| run_cell(model, mechanism, &params))
+    })
+}
+
+/// E7: serializable mechanisms under a contention sweep: E20's
+/// contention rows, as columns.
 pub fn e7_serializable_mechanisms(seed: u64) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for hot in [0.0, 0.5, 0.9] {
-        let params = CellParams {
-            seed,
-            hot_prob: hot,
-            transfers: 300,
-            ..CellParams::default()
-        };
-        let det = run_cell(
-            ProgrammingModel::StatefulDataflow,
-            TxnMechanism::DeterministicOrdering,
-            &params,
-        );
-        let twopc = run_cell(
-            ProgrammingModel::Microservices,
-            TxnMechanism::TwoPhaseCommit,
-            &params,
-        );
-        let actor = run_cell(
-            ProgrammingModel::VirtualActors,
-            TxnMechanism::ActorTransactions,
-            &params,
-        );
-        rows.push(
+    HOT.into_iter()
+        .zip(contention(seed))
+        .map(|(hot, [det, twopc, _saga, actor])| {
             Row::new(format!("hot={hot:.1}"))
                 .col("det tput/s", format!("{:.0}", det.throughput))
                 .col("2pc tput/s", format!("{:.0}", twopc.throughput))
                 .col("actor-txn tput/s", format!("{:.0}", actor.throughput))
                 .col("det p50", ms(det.p50_ms))
-                .col("2pc p50", ms(twopc.p50_ms)),
-        );
-    }
-    rows
+                .col("2pc p50", ms(twopc.p50_ms))
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1074,7 +1098,8 @@ pub fn e12_actor_migration(seed: u64) -> Vec<Row> {
         }
     }
     let mut sim = Sim::with_seed(seed);
-    let (directory, _, [ns1, ns2]) = deploy_actor_bank(&mut sim);
+    let (directory, _, silos) = deploy_actor_bank(&mut sim, 2);
+    let (ns1, ns2) = (silos[0], silos[1]);
     let nc = sim.add_node();
     sim.spawn(nc, "caller", move |_| {
         Box::new(HotCaller {
@@ -1713,286 +1738,67 @@ pub fn e19_sharded_scaleout(seed: u64) -> Vec<Row> {
 // E20 — deterministic dataflow vs 2PC / saga / actor transactions
 // ---------------------------------------------------------------------------
 
-const E20_ACCOUNTS: usize = 256;
-const E20_START: i64 = 100;
-const E20_AMOUNT: i64 = 1;
-const E20_REQUESTS: u64 = 300;
-const E20_CLIENTS: usize = 16;
+/// E20's fleet sizes, in partitions per cell.
+const FLEETS: [usize; 4] = [1, 2, 4, 16];
 
-fn e20_acct(i: usize) -> String {
-    format!("acct{i:04}")
-}
+/// E20's long epoch intervals, in milliseconds.
+const LONG_EPOCHS_MS: [u64; 2] = [2, 8];
 
-fn e20_pairs(theta: f64) -> PairChooser {
-    if theta > 0.0 {
-        PairChooser::zipfian(E20_ACCOUNTS, theta)
-    } else {
-        PairChooser::uniform(E20_ACCOUNTS)
-    }
-}
-
-/// E20: the four transaction mechanisms head-to-head on one skewed
-/// multi-key transfer workload (§4.2's central claim, quantified).
+/// E20: the four transaction mechanisms head-to-head on the cells'
+/// transfer workload (§4.2's central claim, quantified). Three sweeps:
 ///
-/// Every system runs the same closed loop: `E20_CLIENTS` clients,
-/// `E20_REQUESTS` transfers between [`PairChooser`]-drawn distinct
-/// account pairs over `E20_ACCOUNTS` keys. Two sweeps:
-///
-/// - **Contention** (fixed 4 shards): θ ∈ {uniform, 0.8, 0.99}. Locking
-///   mechanisms (2PC, actor transactions) degrade as the hot head of the
-///   keyspace grows — aborts, retries, and lock-wait p99 — while the
-///   deterministic engine's wave layering keeps admitting every
-///   transaction without aborts.
-/// - **Scale-out** (fixed θ = 0.8): 1 → 4 → 16 shards, showing where
-///   each mechanism's cross-shard coordination cost lands as the fleet
-///   grows.
-///
-/// Measured crossover (§4.2): with short (500 µs) epochs the
-/// deterministic engine wins every regime — highest throughput, lowest
-/// p50, and zero aborts, while 2PC loses 15–42% of transactions to lock
-/// conflicts as θ grows and actor transactions collapse under lock
-/// timeouts. The claim breaks on the *epoch axis*, not the contention
-/// axis: the epoch interval is a hard latency floor (a closed loop
-/// completes ≈ one transaction per client per epoch), so the final rows
-/// lengthen it — at 2 ms epochs 2PC already beats dataflow on p50 for
-/// uncontended traffic, and at 8 ms epochs on throughput too.
-/// Serializability without aborts is bought with batching latency, and
-/// the price is the epoch length.
+/// - **Contention**, the rows E7 prints as columns: every mechanism at
+///   each `HOT` level on the default fleet.
+/// - **Scale-out** at hot = 0.5 over `FLEETS`, for the three mechanisms
+///   whose cell is partitioned; the saga's cell keeps one database. The
+///   default-fleet point is the contention sweep's, printed again rather
+///   than run again.
+/// - **Epochs**: the dataflow cell uncontended at `LONG_EPOCHS_MS`. The
+///   epoch interval is the engine's latency floor (a closed loop
+///   completes about one transaction per client per epoch), so these rows
+///   show where 2PC overtakes it.
 pub fn e20_dataflow_headtohead(seed: u64) -> Vec<Row> {
-    use tca_txn::{deploy_dataflow, route_branches, DataflowConfig, ShardOp, StartDtx, SubmitTxn};
-
-    let transfer_args = |from: usize, to: usize| {
-        vec![
-            Value::Str(e20_acct(from)),
-            Value::Str(e20_acct(to)),
-            Value::Int(E20_AMOUNT),
-        ]
-    };
-    let finish = |mut sim: Sim, label: &str| -> Row {
-        sim.run_for(SimDuration::from_secs(60));
-        load_row(label, &LoadSummary::read(&sim, "e20"))
-    };
-    // The three RPC systems end alike: the same closed loop against
-    // whatever accepts their transactions.
-    let run_rpc = |mut sim: Sim,
-                   target: ProcessId,
-                   request: RequestFactory,
-                   classify: ResponseClassifier,
-                   label: &str|
-     -> Row {
-        let n_load = sim.add_node();
-        sim.spawn(
-            n_load,
-            "load",
-            ClosedLoopGen::factory(
-                target,
-                request,
-                classify,
-                ClosedLoopConfig {
-                    clients: E20_CLIENTS,
-                    limit: Some(E20_REQUESTS),
-                    metric: "e20".into(),
-                    ..ClosedLoopConfig::default()
-                },
-            ),
-        );
-        finish(sim, label)
-    };
-
-    // (a) Deterministic dataflow: submissions to the epoch sequencer.
-    let run_dataflow = |label: &str, shards: usize, theta: f64, epoch_us: u64| -> Row {
-        let mut sim = Sim::with_seed(seed);
-        let shard_nodes = sim.add_nodes(shards.min(8));
-        let n_seq = sim.add_node();
-        let (sequencer, _) = deploy_dataflow(
-            &mut sim,
-            n_seq,
-            &shard_nodes,
-            &tca_txn::deterministic::transfer_registry_from(E20_START),
-            shards,
-            DataflowConfig {
-                epoch_interval: SimDuration::from_micros(epoch_us),
-                ..DataflowConfig::default()
-            },
-        );
-        let pairs = e20_pairs(theta);
-        let request: RequestFactory = Rc::new(move |rng| {
-            let (from, to) = pairs.pick(rng);
-            Payload::new(SubmitTxn {
-                proc: "transfer".into(),
-                args: transfer_args(from, to),
-                read_keys: vec![e20_acct(from), e20_acct(to)],
-            })
-        });
-        run_rpc(sim, sequencer, request, txn_classifier(), label)
-    };
-
-    // (b) 2PC: one participant per shard, branches routed by the same
-    // consistent-hash ring the dataflow engine places keys with.
-    let run_twopc = |label: &str, shards: usize, theta: f64| -> Row {
-        use tca_txn::{CoordinatorConfig, ParticipantConfig, TwoPcCoordinator, TwoPcParticipant};
-        let mut sim = Sim::with_seed(seed);
-        let nodes = sim.add_nodes(shards.min(8));
-        let n_coord = sim.add_node();
-        let participants: Vec<ProcessId> = (0..shards)
-            .map(|i| {
-                sim.spawn(
-                    nodes[i % nodes.len()],
-                    format!("e20p{i}"),
-                    TwoPcParticipant::factory(
-                        format!("e20p{i}"),
-                        ParticipantConfig::default(),
-                        bank_registry_from(E20_START),
-                    ),
-                )
-            })
-            .collect();
-        let coordinator = sim.spawn(
-            n_coord,
-            "coord",
-            TwoPcCoordinator::factory_with(CoordinatorConfig::default()),
-        );
-        let map = tca_sim::ShardMap::ring(shards);
-        let pairs = e20_pairs(theta);
-        let request: RequestFactory = Rc::new(move |rng| {
-            let (from, to) = pairs.pick(rng);
-            let (from, to) = (e20_acct(from), e20_acct(to));
-            let ops: Vec<ShardOp> = vec![
-                (
-                    from.clone(),
-                    "debit".into(),
-                    vec![Value::Str(from.clone()), Value::Int(E20_AMOUNT)],
-                ),
-                (
-                    to.clone(),
-                    "credit".into(),
-                    vec![Value::Str(to), Value::Int(E20_AMOUNT)],
-                ),
-            ];
-            Payload::new(StartDtx {
-                branches: route_branches(&map, &participants, &ops),
-            })
-        });
-        run_rpc(sim, coordinator, request, dtx_classifier(), label)
-    };
-
-    // (c) Saga: debit + compensated credit through the shard router — the
-    // BASE baseline (atomicity via compensation, no isolation).
-    let run_saga = |label: &str, shards: usize, theta: f64| -> Row {
-        use tca_txn::{SagaOrchestrator, StartSaga};
-        let mut sim = Sim::with_seed(seed);
-        let nodes = sim.add_nodes(shards.min(8));
-        let n_orch = sim.add_node();
-        let (router, _) = deploy_sharded_db(
-            &mut sim,
-            &nodes,
-            "e20g",
-            DbServerConfig::default(),
-            || bank_registry_from(E20_START),
-            shards,
-        );
-        let orchestrator = sim.spawn(
-            n_orch,
-            "saga",
-            SagaOrchestrator::factory(vec![transfer_saga(router)]),
-        );
-        let pairs = e20_pairs(theta);
-        let request: RequestFactory = Rc::new(move |rng| {
-            let (from, to) = pairs.pick(rng);
-            Payload::new(StartSaga {
-                saga: "transfer".into(),
-                args: transfer_args(from, to),
-            })
-        });
-        run_rpc(sim, orchestrator, request, saga_classifier(), label)
-    };
-
-    // (d) Actor transactions: lock-based coordinator actors over
-    // `shards` silos.
-    let run_actor = |label: &str, shards: usize, theta: f64| -> Row {
-        use tca_models::actor::{ActorId, ActorSilo, Directory, SiloConfig};
-        let mut sim = Sim::with_seed(seed);
-        let n_dir = sim.add_node();
-        let silo_nodes = sim.add_nodes(shards.min(8));
-        let n_load = sim.add_node();
-        let directory = sim.spawn(n_dir, "dir", Directory::factory());
-        for i in 0..shards {
-            sim.spawn(
-                silo_nodes[i % silo_nodes.len()],
-                format!("silo{i}"),
-                ActorSilo::factory(
-                    tca_txn::transactional_bank_registry(E20_START),
-                    SiloConfig::volatile(directory),
-                ),
-            );
-        }
-        let pairs = e20_pairs(theta);
-        let issued = Cell::new(0u64);
-        let request: ActorRequestFactory = Rc::new(move |rng| {
-            let (from, to) = pairs.pick(rng);
-            issued.set(issued.get() + 1);
-            let txid = format!("e20t{}", issued.get());
-            let plan = tca_txn::transfer_plan(&txid, &e20_acct(from), &e20_acct(to), E20_AMOUNT);
-            vec![(ActorId::new("txncoord", txid), "run".into(), plan)]
-        });
-        sim.spawn(
-            n_load,
-            "load",
-            ActorClosedLoop::factory(directory, request, E20_CLIENTS, E20_REQUESTS, "e20"),
-        );
-        finish(sim, label)
-    };
-
-    // One (θ, shards) point: the four mechanisms, each row labelled by its
-    // mechanism alone until `at` places it in a sweep.
-    let point = |theta: f64, shards: usize| -> Vec<Row> {
-        vec![
-            run_dataflow("dataflow", shards, theta, 500),
-            run_twopc("2pc", shards, theta),
-            run_saga("saga", shards, theta),
-            run_actor("actor-txn", shards, theta),
-        ]
-    };
-    let at = |point: &[Row], place: &str| -> Vec<Row> {
-        point
-            .iter()
-            .map(|row| Row {
-                label: format!("{} {place}", row.label),
-                values: row.values.clone(),
-            })
-            .collect()
-    };
+    let contended = contention(seed);
+    let fleet = CellParams::default().shards;
     let mut rows = Vec::new();
-    // Contention sweep at a fixed 4-shard fleet.
-    let contention: Vec<(f64, Vec<Row>)> = [0.0, 0.8, 0.99]
-        .into_iter()
-        .map(|theta| (theta, point(theta, 4)))
-        .collect();
-    for (theta, rows_at) in &contention {
-        rows.extend(at(rows_at, &format!("θ={theta}, 4 shards")));
+    for (hot, reports) in HOT.iter().zip(&contended) {
+        for ((name, ..), report) in MECHANISMS.iter().zip(reports) {
+            rows.push(report_row(
+                format!("{name} hot={hot:.1}, {fleet} shards"),
+                report,
+            ));
+        }
     }
-    // Scale-out sweep at fixed θ = 0.8 contention; its 4-shard point is
-    // the contention sweep's, printed again rather than run again.
-    for shards in [1usize, 4, 16] {
-        let place = format!("θ=0.8, {shards} shard(s)");
-        let ran = contention
-            .iter()
-            .find(|(theta, _)| shards == 4 && *theta == 0.8);
-        rows.extend(match ran {
-            Some((_, rows_at)) => at(rows_at, &place),
-            None => at(&point(0.8, shards), &place),
-        });
+    let (hot, at_hot) = (HOT[1], &contended[1]);
+    for shards in FLEETS {
+        for ((name, model, mechanism), ran) in MECHANISMS.into_iter().zip(at_hot) {
+            if mechanism == TxnMechanism::Saga {
+                continue;
+            }
+            let report = if shards == fleet {
+                ran.clone()
+            } else {
+                let params = CellParams {
+                    shards,
+                    ..transfers_at(seed, hot)
+                };
+                run_cell(model, mechanism, &params)
+            };
+            rows.push(report_row(
+                format!("{name} hot={hot:.1}, {shards} shard(s)"),
+                &report,
+            ));
+        }
     }
-    // Where the claim breaks: the epoch interval is the engine's latency
-    // floor. Lengthen it (throughput-oriented batching) and 2PC takes
-    // the latency win on uncontended traffic — compare with the
-    // "2pc θ=0, 4 shards" row above.
-    for epoch_us in [2_000u64, 8_000] {
-        rows.push(run_dataflow(
-            &format!("dataflow θ=0, 4 shards, {}ms epochs", epoch_us / 1000),
-            4,
-            0.0,
-            epoch_us,
+    let ((name, model, mechanism), cold) = (MECHANISMS[0], HOT[0]);
+    for epoch_ms in LONG_EPOCHS_MS {
+        let params = CellParams {
+            epoch: SimDuration::from_millis(epoch_ms),
+            ..transfers_at(seed, cold)
+        };
+        rows.push(report_row(
+            format!("{name} hot={cold:.1}, {fleet} shards, {epoch_ms}ms epochs"),
+            &run_cell(model, mechanism, &params),
         ));
     }
     rows
@@ -2004,6 +1810,8 @@ pub fn e20_dataflow_headtohead(seed: u64) -> Vec<Row> {
 
 /// Chains per run in E21.
 const E21_CHAINS: u64 = 6;
+/// Opening balance of every E21 account.
+const E21_START: i64 = 100;
 /// Hops per chain in E21.
 const E21_STEPS: u32 = 4;
 
@@ -2049,7 +1857,7 @@ pub fn e21_exactly_once_workflows(seed: u64) -> Vec<Row> {
             &worker_nodes,
             n_coord,
             &shard_nodes,
-            &bank_registry_from(E20_START),
+            &bank_registry_from(E21_START),
             &workload.seeds(),
             &workload.defs(),
             config,
@@ -2119,9 +1927,9 @@ pub fn e21_exactly_once_workflows(seed: u64) -> Vec<Row> {
 mod tests {
     use super::*;
 
-    /// `rows` equal the cell block whose title starts with `title` in the
-    /// committed record, one row per executable cell.
-    fn assert_cell_block_is_recorded(title: &str, rows: Vec<Row>) {
+    /// `rows` are the `expected` rows of the one-header block whose title
+    /// starts with `title` in the committed record, word for word.
+    fn assert_cell_block_is_recorded(title: &str, rows: Vec<Row>, expected: usize) {
         let recorded: Vec<Vec<&str>> = include_str!("../../../experiments_output.txt")
             .lines()
             .skip_while(|line| !line.starts_with(&format!("=== {title}")))
@@ -2130,22 +1938,32 @@ mod tests {
             .map(|line| line.split_whitespace().collect())
             .collect();
         let computed: Vec<Vec<String>> = rows
-            .into_iter()
+            .iter()
             .map(|row| {
-                let values = row.values.into_iter().map(|(_, value)| value);
-                std::iter::once(row.label).chain(values).collect()
+                let values = row.values.iter().map(|(_, value)| value);
+                std::iter::once(&row.label)
+                    .chain(values)
+                    .flat_map(|text| text.split_whitespace().map(str::to_owned))
+                    .collect()
             })
             .collect();
-        assert_eq!(computed.len(), SUPPORTED.len(), "{title}");
+        assert_eq!(computed.len(), expected, "{title}");
         assert_eq!(computed, recorded, "{title}");
     }
 
-    /// The record pin on both columns of the consistency matrix: a change
-    /// that moves any cell's schedule, with or without the crash, fails
-    /// `cargo test`, not only the CI determinism gate.
+    /// The record pin on every block built from `core::cell` transfer
+    /// cells: a change that moves any cell's schedule, at any fleet size,
+    /// with or without the crash, fails `cargo test`, not only the CI
+    /// determinism gate.
     #[test]
     fn matrix_rows_equal_the_committed_record() {
-        assert_cell_block_is_recorded("F1: taxonomy cells", f1_taxonomy(42));
-        assert_cell_block_is_recorded("E8:", e8_failure_consistency(42));
+        let cells = SUPPORTED.len();
+        assert_cell_block_is_recorded("F1: taxonomy cells", f1_taxonomy(42), cells);
+        assert_cell_block_is_recorded("E8:", e8_failure_consistency(42), cells);
+        assert_cell_block_is_recorded("E7:", e7_serializable_mechanisms(42), HOT.len());
+        // The saga's cell is not partitioned, so it has no scale-out rows.
+        let scale_out = FLEETS.len() * (MECHANISMS.len() - 1);
+        let e20 = HOT.len() * MECHANISMS.len() + scale_out + LONG_EPOCHS_MS.len();
+        assert_cell_block_is_recorded("E20:", e20_dataflow_headtohead(42), e20);
     }
 }

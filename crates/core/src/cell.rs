@@ -3,22 +3,24 @@
 //! driven with the same money-transfer micro-workload so the combinations
 //! are directly comparable. A cell is one definition with four parts:
 //!
-//! - its deployment, and the request closure a `workloads::loadgen` loop
-//!   drives it with;
+//! - its deployment over [`CellParams::shards`] partitions, and the
+//!   request closure a `workloads::loadgen` loop drives it with;
 //! - the node its mechanism claims to survive losing: the service (no
 //!   mechanism), the saga orchestrator, the 2PC coordinator, silo 0
-//!   (actors), shard 0 (stateful functions), and a dataflow shard node
-//!   that does not host the sequencer;
+//!   (actors), shard 0 (stateful functions), and the last dataflow shard's
+//!   node, which hosts the sequencer only in a one-shard fleet;
 //! - a ledger audit: the money on the final ledger minus the money
 //!   seeded ([`CellReport::drift`]);
 //! - the crash switch [`CellParams::crash`], which takes that node down
 //!   from 10 ms to 20 ms of virtual time.
 //!
 //! F1 runs every cell with the switch off and E8 with it on: they are the
-//! no-fault and crash columns of one consistency matrix. E1, E3, E7 and
-//! E16 run single cells for performance comparisons.
+//! no-fault and crash columns of one consistency matrix. E20 runs the
+//! transfer mechanisms over a contention sweep (whose default-fleet rows
+//! E7 prints), a fleet-size sweep and longer epochs. E1, E3 and E16 run
+//! single cells for performance comparisons.
 //!
-//! The workload: `accounts` accounts with initial balance 1000; clients
+//! The workload: 64 accounts with initial balance 1000; 8 clients
 //! repeatedly transfer 1 unit between two accounts (`hot_prob` biases the
 //! source to account 0, the contention knob). Conservation of money is
 //! the cross-cutting invariant.
@@ -60,14 +62,17 @@ const METRIC: &str = "cell";
 pub struct CellParams {
     /// RNG seed.
     pub seed: u64,
-    /// Number of accounts.
-    pub accounts: u64,
-    /// Concurrent logical clients.
-    pub clients: usize,
     /// Transfers to issue in total.
     pub transfers: u64,
     /// Probability a transfer debits account 0 (contention knob).
     pub hot_prob: f64,
+    /// How many partitions hold the cell's state: 2PC participants,
+    /// persistent actor silos, statefun shards or dataflow shards, each on
+    /// a node of its own. The two microservice cells keep their one
+    /// database.
+    pub shards: usize,
+    /// The dataflow cell's epoch interval, its latency floor.
+    pub epoch: SimDuration,
     /// Record causal spans during the run (fills [`CellReport::breakdown`]).
     pub trace: bool,
     /// Crash the node the cell's mechanism claims to survive losing, and
@@ -79,10 +84,10 @@ impl Default for CellParams {
     fn default() -> Self {
         CellParams {
             seed: 1,
-            accounts: 64,
-            clients: 8,
             transfers: 400,
             hot_prob: 0.0,
+            shards: 2,
+            epoch: DataflowConfig::default().epoch_interval,
             trace: false,
             crash: false,
         }
@@ -121,15 +126,18 @@ fn account_key(i: u64) -> String {
     format!("acct/{i}")
 }
 
+/// Accounts every cell holds.
+const ACCOUNTS: u64 = 64;
+
 fn pick_pair(rng: &mut SimRng, params: &CellParams) -> (u64, u64) {
     let from = if rng.chance(params.hot_prob) {
         0
     } else {
-        rng.range(0, params.accounts)
+        rng.range(0, ACCOUNTS)
     };
-    let mut to = rng.range(0, params.accounts);
+    let mut to = rng.range(0, ACCOUNTS);
     if to == from {
-        to = (to + 1) % params.accounts;
+        to = (to + 1) % ACCOUNTS;
     }
     (from, to)
 }
@@ -145,11 +153,14 @@ fn transfer_args(from: u64, to: u64) -> Vec<Value> {
 
 const INITIAL_BALANCE: i64 = 1000;
 
-/// The closed loop every RPC cell runs: `params.clients` clients,
+/// Concurrent clients of every cell's load loop.
+const CLIENTS: usize = 8;
+
+/// The closed loop every RPC cell runs: [`CLIENTS`] clients,
 /// `params.transfers` requests, results under [`METRIC`].
 fn cell_loop(params: &CellParams) -> ClosedLoopConfig {
     ClosedLoopConfig {
-        clients: params.clients,
+        clients: CLIENTS,
         limit: Some(params.transfers),
         metric: METRIC.into(),
         ..ClosedLoopConfig::default()
@@ -165,8 +176,8 @@ fn up<T: 'static>(sim: &Sim, pid: ProcessId) -> &T {
 
 /// The ledger audit's sum: `balance(i)` reads account `i`, `None` when it
 /// was never written and so still holds [`INITIAL_BALANCE`].
-fn ledger_drift(accounts: u64, balance: impl Fn(u64) -> Option<Value>) -> i64 {
-    (0..accounts)
+fn ledger_drift(balance: impl Fn(u64) -> Option<Value>) -> i64 {
+    (0..ACCOUNTS)
         .map(|i| balance(i).map_or(INITIAL_BALANCE, |v| v.as_int()) - INITIAL_BALANCE)
         .sum()
 }
@@ -292,36 +303,37 @@ fn run_cell_inner(
 
 // --- microservices: no mechanism, saga ---------------------------------------
 
-fn seed_accounts(sim: &mut Sim, db: ProcessId, params: &CellParams) {
-    let pairs: Vec<(String, Value)> = (0..params.accounts)
+/// The accounts `keep` selects, each at [`INITIAL_BALANCE`].
+fn opening_ledger(keep: impl Fn(u64) -> bool) -> Vec<(String, Value)> {
+    (0..ACCOUNTS)
+        .filter(|&i| keep(i))
         .map(|i| (account_key(i), Value::Int(INITIAL_BALANCE)))
-        .collect();
-    sim.inject(db, Payload::new(DbMsg::load(pairs)));
+        .collect()
 }
 
-/// Money on the ledger of `db` minus what [`seed_accounts`] put there.
-fn db_drift(sim: &Sim, db: ProcessId, accounts: u64) -> i64 {
+/// Money on the ledger of `db` minus what [`bank_db`] seeded.
+fn db_drift(sim: &Sim, db: ProcessId) -> i64 {
     let server = up::<DbServer>(sim, db);
-    ledger_drift(accounts, |i| server.engine().peek(&account_key(i)))
+    ledger_drift(|i| server.engine().peek(&account_key(i)))
 }
 
 /// A bank database on a node of its own, seeded. Debit and credit are
 /// separate stored procedures, as in a split deployment.
-fn bank_db(sim: &mut Sim, params: &CellParams) -> ProcessId {
+fn bank_db(sim: &mut Sim) -> ProcessId {
     let node = sim.add_node();
     let db = sim.spawn(
         node,
         "bank-db",
         DbServer::factory("bank", DbServerConfig::default(), bank_registry()),
     );
-    seed_accounts(sim, db, params);
+    sim.inject(db, Payload::new(DbMsg::load(opening_ledger(|_| true))));
     db
 }
 
 /// A stateless service running a transfer as two independent database
 /// steps, debit then credit: nothing makes the pair atomic.
 fn service_cell(sim: &mut Sim, params: &CellParams) -> Deployed {
-    let db = bank_db(sim, params);
+    let db = bank_db(sim);
     let n_svc = sim.add_node();
     let n_load = sim.add_node();
     let leg = |proc: &str, account: &'static str| {
@@ -365,18 +377,17 @@ fn service_cell(sim: &mut Sim, params: &CellParams) -> Deployed {
             },
         ),
     );
-    let accounts = params.accounts;
     Deployed {
         label: "microservices+none",
         survives: n_svc,
-        drift: Box::new(move |sim| db_drift(sim, db, accounts)),
+        drift: Box::new(move |sim| db_drift(sim, db)),
     }
 }
 
 /// Transfers as sagas: debit, then a credit whose failure compensates the
 /// debit; the orchestrator journals every step and resumes after a crash.
 fn saga_cell(sim: &mut Sim, params: &CellParams) -> Deployed {
-    let db = bank_db(sim, params);
+    let db = bank_db(sim);
     let n_orch = sim.add_node();
     let n_load = sim.add_node();
     let orchestrator = sim.spawn(
@@ -397,62 +408,54 @@ fn saga_cell(sim: &mut Sim, params: &CellParams) -> Deployed {
         "load",
         ClosedLoopGen::factory(orchestrator, factory, saga_classifier(), cell_loop(params)),
     );
-    let accounts = params.accounts;
     Deployed {
         label: "microservices+saga",
         survives: n_orch,
-        drift: Box::new(move |sim| db_drift(sim, db, accounts)),
+        drift: Box::new(move |sim| db_drift(sim, db)),
     }
 }
 
 // --- microservices + 2pc -----------------------------------------------------
 
 fn twopc_cell(sim: &mut Sim, params: &CellParams) -> Deployed {
-    let n1 = sim.add_node();
-    let n2 = sim.add_node();
-    let n3 = sim.add_node();
-    let n4 = sim.add_node();
-    // Accounts split across two participants by parity.
-    let seed_for = |parity: u64, params: &CellParams| -> Vec<(String, Value)> {
-        (0..params.accounts)
-            .filter(|i| i % 2 == parity)
-            .map(|i| (account_key(i), Value::Int(INITIAL_BALANCE)))
-            .collect()
-    };
-    let pa = sim.spawn(
-        n1,
-        "bank-a",
-        TwoPcParticipant::factory_seeded(
-            "pa",
-            ParticipantConfig::default(),
-            bank_registry(),
-            seed_for(0, params),
-        ),
-    );
-    let pb = sim.spawn(
-        n2,
-        "bank-b",
-        TwoPcParticipant::factory_seeded(
-            "pb",
-            ParticipantConfig::default(),
-            bank_registry(),
-            seed_for(1, params),
-        ),
-    );
-    let coordinator = sim.spawn(n3, "coordinator", TwoPcCoordinator::factory());
+    let shards = params.shards;
+    assert!(shards <= 26, "2PC participants are lettered a to z");
+    let nodes = sim.add_nodes(shards);
+    let n_coord = sim.add_node();
+    let n_load = sim.add_node();
+    // Account `i` lives on participant `i % shards`: `pa`, `pb`, ….
+    let participants: Vec<ProcessId> = nodes
+        .iter()
+        .enumerate()
+        .map(|(p, &node)| {
+            let letter = char::from(b'a' + p as u8);
+            sim.spawn(
+                node,
+                format!("bank-{letter}"),
+                TwoPcParticipant::factory_seeded(
+                    format!("p{letter}"),
+                    ParticipantConfig::default(),
+                    bank_registry(),
+                    opening_ledger(|i| i as usize % shards == p),
+                ),
+            )
+        })
+        .collect();
+    let part_of = move |i: u64| participants[i as usize % shards];
+    let coordinator = sim.spawn(n_coord, "coordinator", TwoPcCoordinator::factory());
     let p = params.clone();
+    let route = part_of.clone();
     let factory: RequestFactory = Rc::new(move |rng| {
         let (from, to) = pick_pair(rng, &p);
-        let part_of = |i: u64| if i.is_multiple_of(2) { pa } else { pb };
         Payload::new(StartDtx {
             branches: vec![
                 (
-                    part_of(from),
+                    route(from),
                     "debit".into(),
                     vec![Value::Str(account_key(from)), Value::Int(1)],
                 ),
                 (
-                    part_of(to),
+                    route(to),
                     "credit".into(),
                     vec![Value::Str(account_key(to)), Value::Int(1)],
                 ),
@@ -460,7 +463,7 @@ fn twopc_cell(sim: &mut Sim, params: &CellParams) -> Deployed {
         })
     });
     sim.spawn(
-        n4,
+        n_load,
         "load",
         ClosedLoopGen::factory(
             coordinator,
@@ -472,18 +475,14 @@ fn twopc_cell(sim: &mut Sim, params: &CellParams) -> Deployed {
             },
         ),
     );
-    let accounts = params.accounts;
     Deployed {
         label: "microservices+2pc",
-        survives: n3,
-        // Each account lives on the participant of its parity.
+        survives: n_coord,
         drift: Box::new(move |sim| {
-            ledger_drift(accounts, |i| {
-                [pa, pb].iter().find_map(|&p| {
-                    up::<TwoPcParticipant>(sim, p)
-                        .engine()
-                        .peek(&account_key(i))
-                })
+            ledger_drift(|i| {
+                up::<TwoPcParticipant>(sim, part_of(i))
+                    .engine()
+                    .peek(&account_key(i))
             })
         }),
     }
@@ -492,20 +491,20 @@ fn twopc_cell(sim: &mut Sim, params: &CellParams) -> Deployed {
 // --- actors ------------------------------------------------------------------
 
 /// The actor deployment of both actor cells and of E12: a directory, a
-/// state database and two persistent silos of transactional bank accounts
-/// (opening balance 1000), each process on a node of its own.
-/// Returns the directory, the state database and the two silo nodes.
-pub fn deploy_actor_bank(sim: &mut Sim) -> (ProcessId, ProcessId, [NodeId; 2]) {
+/// state database and `silos` persistent silos of transactional bank
+/// accounts (opening balance 1000), each process on a node of its own.
+/// Returns the directory, the state database and the silo nodes.
+pub fn deploy_actor_bank(sim: &mut Sim, silos: usize) -> (ProcessId, ProcessId, Vec<NodeId>) {
     let nd = sim.add_node();
     let ndb = sim.add_node();
-    let silo_nodes = [sim.add_node(), sim.add_node()];
+    let silo_nodes = sim.add_nodes(silos);
     let directory = sim.spawn(nd, "dir", Directory::factory());
     let db = sim.spawn(
         ndb,
         "state-db",
         DbServer::factory("statedb", DbServerConfig::default(), actor_state_registry()),
     );
-    for (i, node) in silo_nodes.into_iter().enumerate() {
+    for (i, &node) in silo_nodes.iter().enumerate() {
         sim.spawn(
             node,
             format!("silo{i}"),
@@ -521,7 +520,7 @@ pub fn deploy_actor_bank(sim: &mut Sim) -> (ProcessId, ProcessId, [NodeId; 2]) {
 /// Transfers over actors: plain (debit, then credit — no atomicity) or
 /// transactional (one `run` on a fresh `txncoord` actor).
 fn actor_cell(sim: &mut Sim, params: &CellParams, transactional: bool) -> Deployed {
-    let (directory, db, silo_nodes) = deploy_actor_bank(sim);
+    let (directory, db, silo_nodes) = deploy_actor_bank(sim, params.shards);
     let nc = sim.add_node();
     let p = params.clone();
     let issued = Cell::new(0u64);
@@ -546,9 +545,8 @@ fn actor_cell(sim: &mut Sim, params: &CellParams, transactional: bool) -> Deploy
     sim.spawn(
         nc,
         "driver",
-        ActorClosedLoop::factory(directory, request, params.clients, params.transfers, METRIC),
+        ActorClosedLoop::factory(directory, request, CLIENTS, params.transfers, METRIC),
     );
-    let accounts = params.accounts;
     Deployed {
         label: if transactional {
             "actors+txn"
@@ -559,7 +557,7 @@ fn actor_cell(sim: &mut Sim, params: &CellParams, transactional: bool) -> Deploy
         // Silos write every account's state through to the state database.
         drift: Box::new(move |sim| {
             let server = up::<DbServer>(sim, db);
-            ledger_drift(accounts, |i| {
+            ledger_drift(|i| {
                 let account = ActorId::new("account", i.to_string());
                 server.engine().peek(&ActorSilo::state_key(&account))
             })
@@ -633,8 +631,8 @@ fn statefun_bank_app(locked: bool) -> StatefunApp {
 }
 
 fn statefun_cell(sim: &mut Sim, params: &CellParams, locked: bool) -> Deployed {
-    let nodes = sim.add_nodes(2);
-    let shards = spawn_shards(sim, &nodes, &statefun_bank_app(locked), 2);
+    let nodes = sim.add_nodes(params.shards);
+    let shards = spawn_shards(sim, &nodes, &statefun_bank_app(locked), params.shards);
     let nc = sim.add_node();
     let p = params.clone();
     let issued = Cell::new(0u64);
@@ -666,7 +664,6 @@ fn statefun_cell(sim: &mut Sim, params: &CellParams, locked: bool) -> Deployed {
             },
         ),
     );
-    let accounts = params.accounts;
     Deployed {
         label: if locked {
             "statefun+locks"
@@ -676,7 +673,7 @@ fn statefun_cell(sim: &mut Sim, params: &CellParams, locked: bool) -> Deployed {
         survives: nodes[0],
         // An entity materialises on its owning shard when first called.
         drift: Box::new(move |sim| {
-            ledger_drift(accounts, |i| {
+            ledger_drift(|i| {
                 let account = EntityId::new("account", i.to_string());
                 shards
                     .iter()
@@ -689,15 +686,18 @@ fn statefun_cell(sim: &mut Sim, params: &CellParams, locked: bool) -> Deployed {
 // --- deterministic dataflow ------------------------------------------------------
 
 fn dataflow_cell(sim: &mut Sim, params: &CellParams) -> Deployed {
-    let nodes = sim.add_nodes(3);
-    // The sequencer shares nodes[0] with shard 0; nodes[1] hosts shard 1 only.
+    let nodes = sim.add_nodes(params.shards);
+    // The sequencer shares nodes[0] with shard 0.
     let (sequencer, shards) = deploy_dataflow(
         sim,
         nodes[0],
         &nodes,
         &transfer_registry_from(INITIAL_BALANCE),
-        3,
-        DataflowConfig::default(),
+        params.shards,
+        DataflowConfig {
+            epoch_interval: params.epoch,
+            ..DataflowConfig::default()
+        },
     );
     let nc = sim.add_node();
     let p = params.clone();
@@ -722,13 +722,12 @@ fn dataflow_cell(sim: &mut Sim, params: &CellParams) -> Deployed {
             },
         ),
     );
-    let accounts = params.accounts;
     Deployed {
         label: "dataflow+deterministic",
-        survives: nodes[1],
+        survives: nodes[nodes.len() - 1],
         // Only the ring owner of a key stores it, and only once written.
         drift: Box::new(move |sim| {
-            ledger_drift(accounts, |i| {
+            ledger_drift(|i| {
                 let key = account_key(i);
                 shards
                     .iter()
@@ -746,8 +745,6 @@ mod tests {
     fn quick_params() -> CellParams {
         CellParams {
             transfers: 60,
-            clients: 4,
-            accounts: 32,
             ..CellParams::default()
         }
     }
@@ -862,6 +859,37 @@ mod tests {
         );
         assert!(report.committed > 0, "{report:?}");
         assert!(report.conserved);
+    }
+
+    #[test]
+    fn partitioned_cells_conserve_at_both_fleet_extremes() {
+        // E20's scale-out sweep runs from one partition to sixteen.
+        for shards in [1, 16] {
+            let params = CellParams {
+                shards,
+                hot_prob: 0.5,
+                ..quick_params()
+            };
+            for (model, mechanism) in [
+                (
+                    ProgrammingModel::Microservices,
+                    TxnMechanism::TwoPhaseCommit,
+                ),
+                (
+                    ProgrammingModel::StatefulDataflow,
+                    TxnMechanism::DeterministicOrdering,
+                ),
+                (
+                    ProgrammingModel::VirtualActors,
+                    TxnMechanism::ActorTransactions,
+                ),
+            ] {
+                let report = run_cell(model, mechanism, &params);
+                assert_eq!(report.committed + report.failed, 60, "{report:?}");
+                assert!(report.committed > 0, "{report:?}");
+                assert!(report.conserved, "{shards} shards: {report:?}");
+            }
+        }
     }
 
     #[test]

@@ -10,20 +10,20 @@
 //! Several components need to answer "which shard owns this key?" — the
 //! deterministic dataflow shards (`tca-txn::dataflow`), the storage
 //! router, cross-shard 2PC branch construction, the statefun shards and
-//! the log's partitioner. They pick one of two placement disciplines:
+//! the log's partitioner. Two functions answer it:
 //!
-//! - [`ShardMap::modulo`] — `hash(key) % n`. Dead simple and what fixed
-//!   fleets (statefun shards, log partitions, keyed dataflow operators)
-//!   use — their frozen schedules depend on it — but resharding moves
-//!   almost every key.
+//! - [`key_shard`] — `hash(key) % n`. Dead simple and what fixed fleets
+//!   (statefun shards, log partitions, keyed dataflow operators) call —
+//!   their frozen schedules depend on it — but resharding moves almost
+//!   every key.
 //! - [`ShardMap::ring`] — a consistent-hash ring with virtual nodes.
 //!   Each shard owns the arcs that its vnode points cover; growing the
 //!   fleet from `n` to `n+1` shards moves only `~1/(n+1)` of the keyspace.
-//!   The storage router and the dataflow engine use this.
+//!   The storage router, sharded 2PC and the dataflow engine use this.
 //!
-//! Both disciplines are pure functions of the key bytes and the shard
-//! count, so every process in a simulation (and every run of the same
-//! seed) computes identical placement without coordination.
+//! Both are pure functions of the key bytes and the shard count, so every
+//! process in a simulation (and every run of the same seed) computes
+//! identical placement without coordination.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -123,31 +123,16 @@ pub fn key_shard(key: &str, shards: usize) -> usize {
 /// fleet sizes the experiments sweep (1–64 shards).
 const VNODES: usize = 64;
 
-#[derive(Debug, Clone)]
-enum Placement {
-    Modulo,
-    /// Ring points sorted by hash; each point maps an arc to a shard.
-    Ring(Vec<(u64, usize)>),
-}
-
-/// A key → shard placement function, shared by routers, coordinators and
-/// generators so they all agree on ownership.
+/// A consistent-hash ring: the key → shard placement shared by routers,
+/// coordinators and generators so they all agree on ownership.
 #[derive(Debug, Clone)]
 pub struct ShardMap {
     shards: usize,
-    placement: Placement,
+    /// Ring points sorted by hash; each point maps an arc to a shard.
+    points: Vec<(u64, usize)>,
 }
 
 impl ShardMap {
-    /// Modulo placement over `n` shards (see [`key_shard`]).
-    pub fn modulo(n: usize) -> Self {
-        assert!(n > 0, "ShardMap over zero shards");
-        ShardMap {
-            shards: n,
-            placement: Placement::Modulo,
-        }
-    }
-
     /// Consistent-hash ring over `n` shards, 64 virtual nodes each.
     ///
     /// Growing the fleet moves only ~`1/(n+1)` of the keyspace, which is
@@ -180,10 +165,7 @@ impl ShardMap {
         // Ties (identical hashes) resolve to the lower shard index —
         // deterministic on every platform.
         points.sort_unstable();
-        ShardMap {
-            shards: n,
-            placement: Placement::Ring(points),
-        }
+        ShardMap { shards: n, points }
     }
 
     /// Number of shards.
@@ -193,16 +175,11 @@ impl ShardMap {
 
     /// The shard owning `key`.
     pub fn owner(&self, key: &str) -> usize {
-        match &self.placement {
-            Placement::Modulo => key_shard(key, self.shards),
-            Placement::Ring(points) => {
-                let h = mix64(fnv1a(key.as_bytes()));
-                // First point clockwise of the key's position; wrap past
-                // the last point back to the first.
-                let idx = points.partition_point(|&(p, _)| p < h);
-                points[if idx == points.len() { 0 } else { idx }].1
-            }
-        }
+        let h = mix64(fnv1a(key.as_bytes()));
+        // First point clockwise of the key's position; wrap past the last
+        // point back to the first.
+        let idx = self.points.partition_point(|&(p, _)| p < h);
+        self.points[if idx == self.points.len() { 0 } else { idx }].1
     }
 
     /// Split `(key, value)`-like items into per-shard groups, preserving

@@ -188,7 +188,8 @@ impl Engine {
     /// image, then replay every WAL record after it (redo-only,
     /// ARIES-lite), both by reference. Transactions active at the crash
     /// never reached the WAL and are thus implicitly aborted — atomicity by
-    /// construction.
+    /// construction. Transaction ids resume above every id the image or
+    /// the tail records, so they keep increasing across a fold.
     pub fn recover(
         config: EngineConfig,
         wal: DurableLog<WalRecord>,
@@ -199,6 +200,7 @@ impl Engine {
             image.map_or(0, |image| {
                 engine.mvcc = MvccStore::from_snapshot(&image.state, image.ts);
                 engine.clock = image.ts;
+                engine.next_tx = image.next_tx;
                 image.covered_lsn
             })
         });
@@ -423,7 +425,7 @@ impl Engine {
     /// because a node only crashes between handlers.
     fn fold_wal(&mut self) {
         let horizon = self.gc_horizon();
-        let (clock, lsn) = (self.clock, self.wal.next_lsn());
+        let (clock, next_tx, lsn) = (self.clock, self.next_tx, self.wal.next_lsn());
         let mut deferred = std::mem::take(&mut self.gc_deferred);
         deferred.retain(|key| !self.mvcc.gc_key(key, horizon));
         self.checkpoint.update(|image| {
@@ -447,6 +449,7 @@ impl Engine {
             });
             image.covered_lsn = lsn;
             image.ts = clock;
+            image.next_tx = next_tx;
         });
         self.wal.truncate_to(lsn);
         deferred.sort_unstable();
@@ -512,7 +515,7 @@ impl Engine {
         }
         let first_ts = self.clock + 1;
         self.clock += pairs.len() as u64;
-        let clock = self.clock;
+        let (clock, next_tx) = (self.clock, self.next_tx);
         self.checkpoint.update(|image| {
             let loaded = pairs.iter().cloned();
             if image.state.is_empty() {
@@ -523,6 +526,7 @@ impl Engine {
                 image.state.extend(loaded);
             }
             image.ts = clock;
+            image.next_tx = next_tx;
         });
         let overwritten = self.mvcc.load(pairs, first_ts);
         self.gc_deferred.extend(overwritten);
@@ -804,6 +808,31 @@ mod tests {
         for i in 0..5 {
             assert_eq!(recovered.peek(&format!("k{i}")), Some(Value::Int(i)));
         }
+    }
+
+    #[test]
+    fn transaction_ids_keep_increasing_across_a_fold() {
+        let wal = DurableLog::new();
+        let cp = DurableCell::new();
+        {
+            let mut e = Engine::new(
+                EngineConfig {
+                    checkpoint_every: 2,
+                },
+                wal.clone(),
+                cp.clone(),
+            );
+            for i in 0..2 {
+                let t = e.begin(IsolationLevel::Serializable);
+                e.write(t, &k(&format!("k{i}")), Some(Value::Int(i)));
+                e.commit(t);
+            }
+        }
+        // The second commit folded the WAL: no tail record names an id.
+        assert_eq!(wal.len(), 0);
+        let mut recovered = Engine::recover(EngineConfig::default(), wal, cp);
+        let tx = recovered.begin(IsolationLevel::Serializable);
+        assert!(tx.0 >= 2, "id {} reused after recovery", tx.0);
     }
 
     #[test]

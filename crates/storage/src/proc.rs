@@ -3,8 +3,11 @@
 //! Co-locating logic with state is the classic cure for chatty interactive
 //! transactions — and is exactly what stateful-function platforms do
 //! (§3.1). A procedure runs inside one engine transaction; it either
-//! commits, aborts with a logic failure, or asks to be retried because an
-//! interactive transaction holds a lock it needs.
+//! commits, aborts with a logic failure, or reports a lock conflict
+//! ([`ProcOutcome::Retry`]): another open transaction holds a lock it
+//! needs. Nothing waits on that lock. The run is rolled back, and its
+//! caller answers at once: a `DbServer` replies `Aborted`, and a 2PC
+//! participant fails the branch.
 
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
@@ -74,7 +77,9 @@ pub enum ProcOutcome {
     /// The procedure's logic rejected the request (constraint violation,
     /// insufficient stock, …). The transaction was rolled back.
     Failed(String),
-    /// A lock conflict with an interactive transaction; retry later.
+    /// A lock another open transaction holds: an interactive one at a
+    /// `DbServer`, a prepared branch at a 2PC participant. The run was
+    /// rolled back; sending it again is the client's choice.
     Retry,
     /// The engine aborted the transaction (deadlock / write conflict).
     Aborted(AbortReason),

@@ -3,17 +3,16 @@
 //! Clients send [`DbMsg`] requests carrying a correlation token; the server
 //! answers with [`DbReply`]. Interactive transactions use `Begin` / `Read`
 //! / `Write` / `Commit` / `Abort`; stored procedures run in one round trip
-//! via `Call`. Operations blocked on a lock park at the server and the
-//! client's reply is delayed until the blocker finishes — the realistic
-//! shape of a lock wait, and the mechanism behind every "blocking protocol"
-//! result in the experiments.
+//! via `Call`. Interactive operations blocked on a lock park at the server
+//! and the client's reply is delayed until the blocker finishes — the
+//! realistic shape of a lock wait. A `Call` that meets such a lock is
+//! answered `Aborted` at once.
 //!
 //! Durability: the WAL and checkpoint cell live in the node's durable
 //! [`tca_sim::Disk`]; the factory opens the engine via
 //! [`Engine::recover`] on every boot (the first recovers from empty
 //! handles). Fsync and read service times are charged on the reply path.
 
-use std::collections::VecDeque;
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
@@ -210,13 +209,6 @@ impl Default for DbServerConfig {
 const READ_LATENCY: SimDuration = SimDuration::from_micros(20);
 /// Latency charged on write replies (buffering only).
 const WRITE_LATENCY: SimDuration = SimDuration::from_micros(20);
-/// Delay before retrying a stored procedure that hit a lock conflict.
-const CALL_RETRY_DELAY: SimDuration = SimDuration::from_micros(200);
-/// How many times to retry a conflicted stored procedure before giving
-/// up with `Aborted`.
-const CALL_MAX_RETRIES: u32 = 32;
-
-const RETRY_TIMER_TAG: u64 = 0x00db_0001;
 
 /// A [`DbReply`] addressed the way its request arrived: bare, or wrapped
 /// in an [`RpcReply`] when the request came through the RPC layer.
@@ -243,13 +235,6 @@ struct ReturnAddr {
     span: Option<SpanId>,
 }
 
-struct ParkedCall {
-    addr: ReturnAddr,
-    proc: String,
-    args: Vec<Value>,
-    attempts: u32,
-}
-
 /// The database server process.
 pub struct DbServer {
     config: DbServerConfig,
@@ -257,9 +242,6 @@ pub struct DbServer {
     registry: Rc<ProcRegistry>,
     /// Who waits for each parked (lock-blocked) interactive operation.
     parked: HashMap<TxId, ReturnAddr>,
-    /// Stored-procedure calls waiting to retry after a lock conflict.
-    retry_queue: VecDeque<ParkedCall>,
-    retry_timer_armed: bool,
     /// Dedup cache for RPC-enveloped requests: retried calls must not
     /// re-execute (`None` = executing, reply not yet produced).
     dedup: RecentWindow<(ProcessId, u64), Option<DbResponse>>,
@@ -275,7 +257,6 @@ pub struct DbServer {
 struct CounterNames {
     calls_ok: String,
     calls_failed: String,
-    call_retries: String,
     commits: String,
     aborts: String,
     lock_waits: String,
@@ -290,7 +271,6 @@ impl CounterNames {
         CounterNames {
             calls_ok: of("calls_ok"),
             calls_failed: of("calls_failed"),
-            call_retries: of("call_retries"),
             commits: of("commits"),
             aborts: of("aborts"),
             lock_waits: of("lock_waits"),
@@ -330,8 +310,6 @@ impl DbServer {
                 engine,
                 registry: Rc::clone(&registry),
                 parked: HashMap::default(),
-                retry_queue: VecDeque::new(),
-                retry_timer_armed: false,
                 dedup: RecentWindow::new(DEDUP_WINDOW),
                 busy_until: tca_sim::SimTime::ZERO,
                 counters: Rc::clone(&counters),
@@ -427,28 +405,13 @@ impl DbServer {
             };
             self.reply(ctx, addr, resp, READ_LATENCY);
         }
-        // Lock releases may also unblock stored-procedure retries.
-        self.kick_retry_timer(ctx);
     }
 
-    fn kick_retry_timer(&mut self, ctx: &mut Ctx) {
-        if !self.retry_queue.is_empty() && !self.retry_timer_armed {
-            ctx.set_timer(CALL_RETRY_DELAY, RETRY_TIMER_TAG);
-            self.retry_timer_armed = true;
-        }
-    }
-
-    /// Run stored procedure `proc` once. `Some(addr)` means it hit a lock
-    /// conflict with retries left: the caller parks the call under that
-    /// address (which carries the lock-wait span) for the retry timer.
-    fn handle_call(
-        &mut self,
-        ctx: &mut Ctx,
-        addr: ReturnAddr,
-        proc: &str,
-        args: &[Value],
-        attempts: u32,
-    ) -> Option<ReturnAddr> {
+    /// Run stored procedure `proc` once and answer it. A procedure runs
+    /// inside one handler, so it conflicts only with an interactive
+    /// transaction holding a lock across handlers; that call is answered
+    /// `Aborted` at once, and the caller decides whether to send it again.
+    fn handle_call(&mut self, ctx: &mut Ctx, addr: ReturnAddr, proc: &str, args: &[Value]) {
         match run_proc(&mut self.engine, &self.registry, proc, args) {
             ProcOutcome::Done(results) => {
                 ctx.metrics().incr(&self.counters.calls_ok, 1);
@@ -462,17 +425,6 @@ impl DbServer {
             ProcOutcome::Failed(error) => {
                 ctx.metrics().incr(&self.counters.calls_failed, 1);
                 self.reply(ctx, addr, DbResponse::CallFailed { error }, READ_LATENCY);
-            }
-            ProcOutcome::Retry | ProcOutcome::Aborted(AbortReason::Deadlock)
-                if attempts < CALL_MAX_RETRIES =>
-            {
-                ctx.metrics().incr(&self.counters.call_retries, 1);
-                // First conflict opens the lock-wait span; later retries of
-                // the same call keep it until the final reply closes it.
-                let span = addr
-                    .span
-                    .or_else(|| ctx.trace_span(SpanKind::LockWait, || format!("conflict {proc}")));
-                return Some(ReturnAddr { span, ..addr });
             }
             ProcOutcome::Retry => {
                 self.reply(
@@ -488,12 +440,6 @@ impl DbServer {
                 self.reply(ctx, addr, DbResponse::Aborted { reason }, READ_LATENCY);
             }
         }
-        None
-    }
-
-    fn park_call(&mut self, ctx: &mut Ctx, call: ParkedCall) {
-        self.retry_queue.push_back(call);
-        self.kick_retry_timer(ctx);
     }
 
     /// Shared engine access for harness-side audits (via `Sim::inspect`).
@@ -619,17 +565,7 @@ impl Process for DbServer {
                 );
                 self.deliver_resumptions(ctx, resumed);
             }
-            DbRequest::Call { proc, args } => {
-                if let Some(addr) = self.handle_call(ctx, addr, proc, args, 0) {
-                    let call = ParkedCall {
-                        addr,
-                        proc: proc.clone(),
-                        args: args.clone(),
-                        attempts: 1,
-                    };
-                    self.park_call(ctx, call);
-                }
-            }
+            DbRequest::Call { proc, args } => self.handle_call(ctx, addr, proc, args),
             DbRequest::Peek { key } => {
                 let value = self.engine.peek(key);
                 self.reply(ctx, addr, DbResponse::PeekOk { value }, READ_LATENCY);
@@ -641,23 +577,6 @@ impl Process for DbServer {
             DbRequest::Load { pairs } => {
                 self.engine.load_batch(pairs.clone());
                 self.reply(ctx, addr, DbResponse::Loaded, WRITE_LATENCY);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
-        if tag != RETRY_TIMER_TAG {
-            return;
-        }
-        self.retry_timer_armed = false;
-        // Retry the whole queue once; conflicts re-enqueue themselves.
-        let batch: Vec<ParkedCall> = self.retry_queue.drain(..).collect();
-        for mut call in batch {
-            let retry = self.handle_call(ctx, call.addr, &call.proc, &call.args, call.attempts);
-            if let Some(addr) = retry {
-                call.addr = addr;
-                call.attempts += 1;
-                self.park_call(ctx, call);
             }
         }
     }
@@ -685,6 +604,7 @@ mod tests {
                 DbResponse::CallOk { .. } => ctx.metrics().incr("client.call_ok", 1),
                 DbResponse::CallFailed { .. } => ctx.metrics().incr("client.call_failed", 1),
                 DbResponse::Overloaded => ctx.metrics().incr("client.overloaded", 1),
+                DbResponse::Aborted { .. } => ctx.metrics().incr("client.aborted", 1),
                 DbResponse::Loaded => ctx.metrics().incr("client.loaded", 1),
                 DbResponse::PeekOk {
                     value: Some(Value::Int(v)),
@@ -763,15 +683,20 @@ mod tests {
     }
 
     #[test]
-    fn conflicted_call_parks_and_retries_until_the_lock_is_free() {
+    fn conflicted_call_aborts_at_once_and_runs_once_the_lock_is_free() {
         let mut sim = Sim::with_seed(5);
         let n0 = sim.add_node();
+        let n1 = sim.add_node();
         let db = sim.spawn(
             n0,
             "db",
             DbServer::factory("db", DbServerConfig::default(), bump_registry()),
         );
         let bare = |req| Payload::new(DbMsg { token: 0, req });
+        let bump = || DbRequest::Call {
+            proc: "bump".into(),
+            args: vec![Value::from("x")],
+        };
         // An interactive transaction takes the X lock on `x`...
         sim.inject(
             db,
@@ -787,22 +712,27 @@ mod tests {
                 value: Some(Value::Int(10)),
             }),
         );
-        // ...so the call conflicts, is parked with its own copy of the
-        // request, and is retried on the timer while the lock is held.
-        sim.inject(
-            db,
-            bare(DbRequest::Call {
-                proc: "bump".into(),
-                args: vec![Value::from("x")],
-            }),
-        );
+        // ...so the call conflicts and is answered `Aborted` at once.
+        sim.spawn(n1, "first", move |_| {
+            Box::new(OneShot {
+                db,
+                req: Some(bump()),
+            })
+        });
         sim.run_for(SimDuration::from_millis(1));
-        let retries = sim.metrics().counter("db.call_retries");
-        assert!(retries >= 2, "parked and re-parked: {retries}");
+        assert_eq!(sim.metrics().counter("client.aborted"), 1);
         assert_eq!(sim.metrics().counter("db.calls_ok"), 0);
+        // Sent again after the interactive commit, the same call runs.
         sim.inject(db, bare(DbRequest::Commit { tx: TxId(0) }));
         sim.run_for(SimDuration::from_millis(1));
-        assert_eq!(sim.metrics().counter("db.calls_ok"), 1);
+        sim.spawn(n1, "again", move |_| {
+            Box::new(OneShot {
+                db,
+                req: Some(bump()),
+            })
+        });
+        sim.run_for(SimDuration::from_millis(1));
+        assert_eq!(sim.metrics().counter("client.call_ok"), 1);
         let server = sim.inspect::<DbServer>(db).expect("db");
         assert_eq!(server.engine().peek("x"), Some(Value::Int(11)));
     }

@@ -185,6 +185,9 @@ pub struct Checkpoint<S> {
     pub covered_lsn: u64,
     /// Engine logical clock at checkpoint time.
     pub ts: Timestamp,
+    /// The engine's next transaction id at checkpoint time: the folded
+    /// records no longer tell recovery which ids were used.
+    pub next_tx: u64,
 }
 
 #[cfg(test)]

@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn touched_shards_deduplicates() {
-        let map = ShardMap::modulo(3);
+        let map = ShardMap::ring(3);
         let ops = vec![op("a"), op("a"), op("b"), op("acct42")];
         let shards = touched_shards(&map, &ops);
         assert!(!shards.is_empty() && shards.len() <= 3);

@@ -11,8 +11,6 @@ use tca::core::taxonomy::{ProgrammingModel, TxnMechanism};
 fn main() {
     let params = CellParams {
         seed: 11,
-        accounts: 64,
-        clients: 8,
         transfers: 300,
         hot_prob: 0.0,
         ..CellParams::default()

@@ -101,10 +101,9 @@ else
     exit 1
 fi
 
-# Dataflow pair: E20 is the only workload exercising the epoch-batched
-# deterministic engine head-to-head against 2PC, sagas, and actor
-# transactions, plus the multi-key PairChooser's rejection sampling — two
-# runs at a fourth seed must agree byte-for-byte.
+# Dataflow pair: E20 is the only workload running the transfer cells at
+# fleet sizes other than the default (1 to 16 partitions) and at longer
+# dataflow epochs — two runs at a fourth seed must agree byte-for-byte.
 DSEED=$((SEED + 17))
 OUT_D1="$(mktemp)"
 OUT_D2="$(mktemp)"

@@ -183,15 +183,16 @@ mod engine_props {
     /// tracked independently of the engine: the committed map, the clock,
     /// the checkpoint cadence (commits of *any* kind count), and the two
     /// things recovery derives from what is retained — the clock (image
-    /// `ts`, or the last logged write) and the next transaction id (one
-    /// past the largest id in the retained tail; ids restart at 0 once a
-    /// fold truncated it).
+    /// `ts`, or the last logged write) and the next transaction id (the
+    /// larger of the one the image recorded when last written and one
+    /// past the largest id in the retained tail).
     struct Model {
         state: BTreeMap<String, Value>,
         clock: u64,
         next_tx: u64,
         durable_clock: u64,
         tail: usize,
+        image_next_tx: u64,
         tail_next_tx: u64,
         since_checkpoint: u64,
         every: u64,
@@ -201,7 +202,12 @@ mod engine_props {
         fn fold(&mut self) {
             self.durable_clock = self.clock;
             self.tail = 0;
+            self.image_next_tx = self.next_tx;
             self.tail_next_tx = 0;
+        }
+
+        fn recovered_next_tx(&self) -> u64 {
+            self.image_next_tx.max(self.tail_next_tx)
         }
 
         /// A commit of `tx`; returns whether it triggered a checkpoint.
@@ -235,7 +241,7 @@ mod engine_props {
 
         fn crash(&mut self) {
             self.clock = self.durable_clock;
-            self.next_tx = self.tail_next_tx;
+            self.next_tx = self.recovered_next_tx();
             self.since_checkpoint = 0;
         }
     }
@@ -277,6 +283,7 @@ mod engine_props {
                     next_tx: 0,
                     durable_clock: 0,
                     tail: 0,
+                    image_next_tx: 0,
                     tail_next_tx: 0,
                     since_checkpoint: 0,
                     every,
@@ -445,7 +452,7 @@ mod engine_props {
             assert_eq!(probe.clock(), self.model.durable_clock, "recovered clock");
             assert_eq!(
                 probe.begin(IsolationLevel::ReadCommitted),
-                TxId(self.model.tail_next_tx),
+                TxId(self.model.recovered_next_tx()),
                 "recovered next transaction id"
             );
         }

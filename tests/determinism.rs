@@ -9,23 +9,23 @@ fn params(seed: u64) -> CellParams {
     CellParams {
         seed,
         transfers: 80,
-        clients: 4,
-        accounts: 32,
         ..CellParams::default()
     }
 }
 
 #[test]
 fn same_seed_same_cell_report() {
-    for crash in [false, true] {
+    // The default fleet with and without the crash, and a wider fleet.
+    for (crash, shards) in [(false, 2), (true, 2), (false, 4)] {
         let params = CellParams {
             crash,
+            shards,
             ..params(99)
         };
         for (model, mechanism) in SUPPORTED {
             let a = run_cell(model, mechanism, &params);
             let b = run_cell(model, mechanism, &params);
-            let cell = format!("{model} x {mechanism}, crash {crash}");
+            let cell = format!("{model} x {mechanism}, crash {crash}, {shards} shards");
             assert_eq!(a.committed, b.committed, "{cell}");
             assert_eq!(a.failed, b.failed, "{cell}");
             assert_eq!(a.sim_seconds, b.sim_seconds, "{cell}");
