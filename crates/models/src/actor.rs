@@ -396,6 +396,16 @@ impl ActorRouter {
         }
     }
 
+    /// True when no invocation is pending: none in flight, looking up,
+    /// parked for a retry or failed and not yet surfaced. An idle router
+    /// produces no completion until the next [`ActorRouter::invoke`].
+    pub fn is_idle(&self) -> bool {
+        self.in_flight.is_empty()
+            && self.lookups.is_empty()
+            && self.retry_parked.is_empty()
+            && self.failed.is_empty()
+    }
+
     /// Offer an incoming message; returns completions ready for the host.
     pub fn on_message(&mut self, ctx: &mut Ctx, payload: &Payload) -> Vec<ActorCompletion> {
         if let Some(location) = payload.downcast_ref::<DirLocation>() {

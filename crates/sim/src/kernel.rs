@@ -334,8 +334,7 @@ impl Sim {
     /// Run until no events remain, giving up (without panicking) once more
     /// than `max_events` events have executed. Returns `true` when the
     /// queue drained, `false` when the budget ran out first — the
-    /// recoverable form of [`Sim::run_to_quiescence`] that bounded
-    /// executors such as the model checker's closure use.
+    /// recoverable form of [`Sim::run_to_quiescence`].
     pub fn try_run_to_quiescence(&mut self, max_events: u64) -> bool {
         let start = self.events_processed;
         while self.step() {
@@ -924,6 +923,30 @@ impl Sim {
             key.time = key.time.max(now);
             Some(kind)
         });
+    }
+
+    /// Execute the earliest pending event if it is due by `until`, as
+    /// [`Sim::run_until`] would; `false` when none is. One step of the
+    /// checker's leaf closure, which looks at the world between steps.
+    pub(crate) fn mc_step_until(&mut self, until: SimTime) -> bool {
+        match self.queue.peek_key() {
+            Some(key) if key.time <= until => self.step(),
+            _ => false,
+        }
+    }
+
+    /// True when every pending event is a timer (dead ones included), so
+    /// no message, start or scheduled fault is left. Read-only.
+    pub(crate) fn mc_only_timers_pending(&self) -> bool {
+        let mut only_timers = true;
+        self.queue
+            .for_each(|_, kind| only_timers &= matches!(kind, EventKind::Timer { .. }));
+        only_timers
+    }
+
+    /// True when no event is pending at all.
+    pub(crate) fn mc_queue_is_empty(&self) -> bool {
+        self.queue.is_empty()
     }
 
     /// Per-process `(has_state, halted)` flags, for the checker's state

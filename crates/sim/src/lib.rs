@@ -53,9 +53,7 @@ pub use check::{torture, torture_plan, TortureConfig};
 pub use detmap::{DetHashMap, DetHashSet, DetState};
 pub use faults::{FaultEvent, FaultPlan, FaultProfile};
 pub use kernel::{Sim, SimConfig};
-pub use mc::{
-    Choice, McClosure, McConfig, McReport, McScenario, McViolation, ReplayError, Schedule,
-};
+pub use mc::{Choice, McConfig, McReport, McScenario, McViolation, ReplayError, Schedule};
 pub use metrics::{FastCounter, Histogram, Metrics};
 pub use network::{Network, NetworkConfig, ScriptedFate};
 pub use payload::Payload;

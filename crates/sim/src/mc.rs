@@ -32,6 +32,19 @@
 //! every choice point, mirroring the kernel, where no message can beat a
 //! process's `Start` to the front of the queue.
 //!
+//! ## Closing a leaf
+//!
+//! Before the terminal audit a leaf is *closed*: crashed nodes restart,
+//! partitions heal, and the kernel runs in its own order until the world
+//! has settled or [`McConfig::grace`] has elapsed. Settled means the queue
+//! is empty, or only timers are pending and the scenario's
+//! [`McScenario::settled`] hook holds — the hook vouches that nothing the
+//! audit reads can change any more, so the sweeps and heartbeats left
+//! would only burn events. The closure injects no fault, so under the
+//! hook's contract stopping there changes no audited value. A leaf that
+//! reaches the grace bound first is counted in
+//! [`McReport::unsettled_leaves`].
+//!
 //! ## Soundness of the pruning
 //!
 //! Sleep sets are Godefroid's classic construction: after a choice's
@@ -216,21 +229,6 @@ impl Sim {
 // Configuration and scenario hooks
 // ---------------------------------------------------------------------------
 
-/// How a leaf state is closed out before the terminal audit runs.
-///
-/// Protocols with periodic sweep timers never quiesce, so their leaves run
-/// for a grace period (like the torture harness) during which retries,
-/// timeouts and recovery resolve every in-flight transaction; timer-free
-/// worlds can instead drain to quiescence with a bounded event budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum McClosure {
-    /// Run the kernel normally for this much virtual time.
-    RunFor(SimDuration),
-    /// Run until the queue drains, giving up after this many events
-    /// (via [`Sim::try_run_to_quiescence`]).
-    Quiesce(u64),
-}
-
 /// Exploration bounds and toggles.
 #[derive(Debug, Clone)]
 pub struct McConfig {
@@ -250,8 +248,9 @@ pub struct McConfig {
     pub por: bool,
     /// Hashed-state visited set on/off.
     pub visited: bool,
-    /// Leaf closure mode.
-    pub closure: McClosure,
+    /// Longest a leaf closure may run, in virtual time, before the audit
+    /// judges the world anyway (see [`McScenario::settled`]).
+    pub grace: SimDuration,
 }
 
 impl Default for McConfig {
@@ -264,7 +263,7 @@ impl Default for McConfig {
             crashable: Vec::new(),
             por: true,
             visited: true,
-            closure: McClosure::RunFor(SimDuration::from_millis(800)),
+            grace: SimDuration::from_millis(800),
         }
     }
 }
@@ -275,6 +274,8 @@ pub type PayloadFpFn = Box<dyn Fn(&Payload) -> Option<u64>>;
 pub type StateFpFn = Box<dyn Fn(&Sim) -> Option<u64>>;
 /// A boxed invariant/audit hook returning a violation message on failure.
 pub type CheckFn = Box<dyn Fn(&Sim) -> Result<(), String>>;
+/// A boxed settledness hook (see [`McScenario::settled`]).
+pub type SettledFn = Box<dyn Fn(&Sim) -> bool>;
 
 /// A model-checking scenario: how to build the world and how to judge it.
 ///
@@ -301,6 +302,12 @@ pub struct McScenario {
     /// Terminal audit run at leaves after closure (e.g. atomicity,
     /// exactly-once, no stuck locks — the torture harness audits).
     pub audit: CheckFn,
+    /// True once, with no further fault injected, nothing `audit` reads
+    /// can change any more. A leaf closure stops at the first state where
+    /// this holds and only timers are pending, instead of running out
+    /// [`McConfig::grace`]. `false` (the default) is always sound: the
+    /// closure then runs until the queue drains or the grace elapses.
+    pub settled: SettledFn,
 }
 
 impl McScenario {
@@ -314,6 +321,7 @@ impl McScenario {
             state_fp: Box::new(|_| None),
             step_invariant: Box::new(|_| Ok(())),
             audit: Box::new(|_| Ok(())),
+            settled: Box::new(|_| false),
         }
     }
 }
@@ -357,8 +365,8 @@ pub struct McReport {
     pub replayed_choices: u64,
     /// Kernel events the leaf closures executed, summed over all leaves.
     pub closure_events: u64,
-    /// Leaves whose [`McClosure::Quiesce`] budget ran out before the queue
-    /// drained; their audit saw a half-settled world.
+    /// Leaves whose closure reached [`McConfig::grace`] before the world
+    /// settled; their audit judged it as it stood then.
     pub unsettled_leaves: u64,
     /// True when `max_states` stopped the exploration early.
     pub truncated: bool,
@@ -669,16 +677,16 @@ pub fn check_schedule(
             return Some(msg);
         }
     }
-    close_world(&mut sim, config);
+    close_world(&mut sim, scenario, config);
     (scenario.audit)(&sim).err()
 }
 
-/// Heal and restart everything, clamp the queue, then run the configured
-/// closure so the terminal audit sees a settled world. Returns `false`
-/// when a [`McClosure::Quiesce`] budget ran out before the queue drained:
-/// the audit then sees a half-settled world, which the explorer counts in
-/// [`McReport::unsettled_leaves`].
-fn close_world(sim: &mut Sim, config: &McConfig) -> bool {
+/// Heal and restart everything, clamp the queue, then run events in
+/// kernel order until the world has settled — the queue is empty, or only
+/// timers are pending and [`McScenario::settled`] holds — or
+/// [`McConfig::grace`] has elapsed. Returns `false` in the last case,
+/// which the explorer counts in [`McReport::unsettled_leaves`].
+fn close_world(sim: &mut Sim, scenario: &McScenario, config: &McConfig) -> bool {
     for &node in &config.crashable {
         if !sim.node_up(node) {
             sim.restart_node(node);
@@ -686,12 +694,16 @@ fn close_world(sim: &mut Sim, config: &McConfig) -> bool {
     }
     sim.heal_partitions();
     sim.mc_clamp_queue_to_now();
-    match config.closure {
-        McClosure::RunFor(grace) => {
-            sim.run_for(grace);
-            true
+    let until = sim.now() + config.grace;
+    loop {
+        // The hook is cheap and usually false; the scan only runs once it
+        // holds.
+        if sim.mc_queue_is_empty() || ((scenario.settled)(sim) && sim.mc_only_timers_pending()) {
+            return true;
         }
-        McClosure::Quiesce(max_events) => sim.try_run_to_quiescence(max_events),
+        if !sim.mc_step_until(until) {
+            return false;
+        }
     }
 }
 
@@ -848,7 +860,7 @@ impl Explorer<'_> {
 
     fn leaf(&mut self, mut sim: Sim) {
         let before = sim.events_processed();
-        if !close_world(&mut sim, self.config) {
+        if !close_world(&mut sim, self.scenario, self.config) {
             self.report.unsettled_leaves += 1;
         }
         self.report.closure_events += sim.events_processed() - before;
@@ -1141,10 +1153,9 @@ mod tests {
         sc
     }
 
-    fn quiesce_config() -> McConfig {
+    fn deep_config() -> McConfig {
         McConfig {
             max_depth: 10,
-            closure: McClosure::Quiesce(1000),
             ..McConfig::default()
         }
     }
@@ -1152,14 +1163,14 @@ mod tests {
     #[test]
     fn por_prunes_independent_interleavings() {
         let sc = two_sinks_scenario();
-        let por = explore(&sc, &quiesce_config());
+        let por = explore(&sc, &deep_config());
         assert!(por.verified(), "no invariant can fail here");
         let naive = explore(
             &sc,
             &McConfig {
                 por: false,
                 visited: false,
-                ..quiesce_config()
+                ..deep_config()
             },
         );
         assert!(naive.verified());
@@ -1201,18 +1212,65 @@ mod tests {
             &sc,
             &McConfig {
                 max_depth: 2,
-                closure: McClosure::Quiesce(50),
                 ..McConfig::default()
             },
         );
-        // Two ticks deep, one depth-capped leaf, whose closure gives up
-        // after 51 events.
+        // Two ticks deep, one depth-capped leaf, whose closure ticks once
+        // a millisecond until the 800 ms grace bound.
         assert_eq!((report.states, report.depth_cap_hits), (3, 1));
-        assert_eq!((report.unsettled_leaves, report.closure_events), (1, 51));
+        assert_eq!((report.unsettled_leaves, report.closure_events), (1, 800));
         assert!(
             report.verified(),
             "an unsettled leaf is reported, not failed"
         );
+    }
+
+    /// A ticker next to a sink with one message injected, closed at the
+    /// root (`max_depth` 0) under a hook that always holds.
+    fn settled_at_root(mut sc: McScenario) -> McReport {
+        sc.settled = Box::new(|_| true);
+        explore(
+            &sc,
+            &McConfig {
+                max_depth: 0,
+                ..McConfig::default()
+            },
+        )
+    }
+
+    #[test]
+    fn a_settled_leaf_with_a_delivery_pending_runs_until_only_timers_are_left() {
+        let mut sc = McScenario::new("ticker+sink", || {
+            let mut sim = mc_sim();
+            let n0 = sim.add_node();
+            sim.spawn(n0, "t", |_| Box::new(Ticker));
+            let sink = sim.spawn(n0, "s", |_| Box::new(Sink { got: 0 }));
+            sim.inject(sink, Payload::new(1u64));
+            sim
+        });
+        sc.audit = Box::new(|sim| match sim.inspect::<Sink>(ProcessId(1)).unwrap().got {
+            1 => Ok(()),
+            got => Err(format!(
+                "closure stopped with the delivery pending: got {got}"
+            )),
+        });
+        let report = settled_at_root(sc);
+        assert!(report.verified(), "{:?}", report.violation);
+        // The delivery runs, then only the ticker's timer is left.
+        assert_eq!((report.depth_cap_hits, report.closure_events), (1, 1));
+        assert_eq!(report.unsettled_leaves, 0);
+    }
+
+    #[test]
+    fn a_leaf_settled_at_once_runs_no_closure_event() {
+        let report = settled_at_root(McScenario::new("ticker", || {
+            let mut sim = mc_sim();
+            let n0 = sim.add_node();
+            sim.spawn(n0, "t", |_| Box::new(Ticker));
+            sim
+        }));
+        assert_eq!((report.depth_cap_hits, report.closure_events), (1, 0));
+        assert_eq!(report.unsettled_leaves, 0);
     }
 
     /// A process that must see "a" before "b"; delivering "b" first is the
@@ -1262,7 +1320,7 @@ mod tests {
     #[test]
     fn violation_is_found_minimized_and_replayable() {
         let sc = ordered_scenario();
-        let report = explore(&sc, &quiesce_config());
+        let report = explore(&sc, &deep_config());
         let v = report.violation.expect("ordering bug must be found");
         assert_eq!(v.message, "b arrived before a");
         // Minimal repro: deliver "b" alone.
@@ -1278,7 +1336,7 @@ mod tests {
         assert!(sim.inspect::<Ordered>(ProcessId(0)).unwrap().broken);
         // check_schedule reports the same violation.
         assert_eq!(
-            check_schedule(&sc, &quiesce_config(), &parsed).as_deref(),
+            check_schedule(&sc, &deep_config(), &parsed).as_deref(),
             Some("b arrived before a")
         );
     }
@@ -1311,7 +1369,6 @@ mod tests {
         let config = McConfig {
             max_crashes: 1,
             crashable: vec![NodeId(0)],
-            closure: McClosure::Quiesce(100),
             ..McConfig::default()
         };
         let report = explore(&sc, &config);
@@ -1344,20 +1401,13 @@ mod tests {
                 Err(format!("message lost: got {got}"))
             }
         });
-        let no_drops = explore(
-            &sc,
-            &McConfig {
-                closure: McClosure::Quiesce(100),
-                ..McConfig::default()
-            },
-        );
+        let no_drops = explore(&sc, &McConfig::default());
         assert!(no_drops.verified(), "without drops the message arrives");
         assert_eq!(no_drops.unsettled_leaves, 0);
         let with_drops = explore(
             &sc,
             &McConfig {
                 max_drops: 1,
-                closure: McClosure::Quiesce(100),
                 ..McConfig::default()
             },
         );
@@ -1396,7 +1446,7 @@ mod tests {
     #[test]
     fn exploration_is_deterministic() {
         let run = || {
-            let report = explore(&two_sinks_scenario(), &quiesce_config());
+            let report = explore(&two_sinks_scenario(), &deep_config());
             (report.states, report.leaves, report.pruned_sleep)
         };
         assert_eq!(run(), run());
@@ -1434,13 +1484,7 @@ mod tests {
                 Ok(())
             }
         });
-        let report = explore(
-            &sc,
-            &McConfig {
-                closure: McClosure::Quiesce(100),
-                ..McConfig::default()
-            },
-        );
+        let report = explore(&sc, &McConfig::default());
         assert!(report.verified(), "timers must fire in order: {report:?}");
         assert_eq!(report.unsettled_leaves, 0);
     }

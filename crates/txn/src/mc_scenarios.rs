@@ -16,6 +16,14 @@
 //! enabling visited-set merging; the saga, actor and dataflow scenarios
 //! run opaque (no fingerprints), which soundly degrades the checker to
 //! pure depth-bounded DFS with sleep-set POR.
+//!
+//! Each scenario's [`McScenario::settled`] hook is its world's
+//! [`World::settled`]: once it holds and no further fault is injected,
+//! nothing the audit reads can change any more, so a leaf closure stops
+//! as soon as it holds and only timers are pending rather than running
+//! the full grace period. The actor, 2PC and sharded-2PC worlds implement
+//! it; the saga world needs no hook (its queue drains), and the dataflow
+//! and workflow worlds keep the always-sound `false`.
 
 use std::cell::OnceCell;
 use std::rc::Rc;
@@ -76,6 +84,8 @@ fn mc_world<W: World + 'static>(name: &str, world: W) -> McScenario {
     sc.step_invariant = Box::new(move |sim| w.step_invariant(sim, h.get().expect("built")));
     let (w, h) = hook();
     sc.audit = Box::new(move |sim| w.audit(sim, h.get().expect("built"), None));
+    let (w, h) = hook();
+    sc.settled = Box::new(move |sim| w.settled(sim, h.get().expect("built")));
     sc
 }
 

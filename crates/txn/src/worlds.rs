@@ -5,12 +5,13 @@
 //! the spawn order and process names are part of the definition, pinned
 //! schedules address them), *submit* (request `i` at a virtual time the
 //! caller picks) and *audit* (what must hold once the world is quiescent,
-//! plus the step invariant and state fingerprint where the mechanism has
-//! one). [`crate::torture`] drives a world under a seeded [`FaultPlan`],
-//! [`crate::mc_scenarios`] hands it to the exhaustive checker, and the
-//! regression suites in `tests/` deploy the same definitions. What varies
-//! between those callers — transfer count, amount, start balances, shared
-//! or per-transfer keys — is the fields of the world structs.
+//! plus the step invariant, state fingerprint and settledness test where
+//! the mechanism has one). [`crate::torture`] drives a world under a
+//! seeded [`FaultPlan`], [`crate::mc_scenarios`] hands it to the
+//! exhaustive checker, and the regression suites in `tests/` deploy the
+//! same definitions. What varies between those callers — transfer count,
+//! amount, start balances, shared or per-transfer keys — is the fields of
+//! the world structs.
 //!
 //! The invariants the audits share:
 //!
@@ -23,6 +24,17 @@
 //! - **no stuck locks** — with every node back up and the system
 //!   quiescent, no branch is in doubt, no engine transaction is open, and
 //!   the coordinator's table is empty.
+//!
+//! [`World::settled`] lets a closure stop before its grace period is up.
+//! Its contract: once it holds and no further fault is injected, nothing
+//! [`World::audit`] reads can change any more — the sweeps, heartbeats and
+//! retry timers still pending are no-ops for the audit. The model
+//! checker's leaf closure stops at the first state where it holds and
+//! only timers are pending. `false`, the default, is always sound. The
+//! actor world settles when its driver has finished its script and its
+//! router is idle (the audit reads only driver counters, which move only
+//! on a router completion); the 2PC worlds settle when the tier is
+//! quiescent in the sense of [`twopc_quiescent`].
 
 use tca_messaging::rpc::{RetryPolicy, RpcRequest};
 use tca_models::actor::{ActorCompletion, ActorId, ActorRouter, ActorSilo, Directory, SiloConfig};
@@ -97,6 +109,13 @@ pub trait World {
     /// Fingerprint of all behaviour-relevant state; `None` = opaque.
     fn state_fp(&self, _sim: &Sim, _h: &Self::Handles) -> Option<u64> {
         None
+    }
+
+    /// True once, with no further fault injected, nothing
+    /// [`World::audit`] reads can change any more (see the module docs).
+    /// `false` is always sound.
+    fn settled(&self, _sim: &Sim, _h: &Self::Handles) -> bool {
+        false
     }
 
     /// The post-quiescence invariants. `plan` is the torture plan the run
@@ -418,6 +437,10 @@ impl World for TwoPcWorld {
         Some(fp)
     }
 
+    fn settled(&self, sim: &Sim, h: &TwoPcHandles) -> bool {
+        twopc_quiescent(sim, &[h.pa, h.pb], h.coordinator).is_ok()
+    }
+
     fn audit(&self, sim: &Sim, h: &TwoPcHandles, plan: Option<&FaultPlan>) -> Result<(), String> {
         let commits = sim.metrics().counter("pa.commits");
         let pb_commits = sim.metrics().counter("pb.commits");
@@ -634,6 +657,10 @@ impl World for ShardedTwoPcWorld {
             fp = fnv_bytes(fp, &v.to_le_bytes());
         }
         Some(fp)
+    }
+
+    fn settled(&self, sim: &Sim, h: &ShardedHandles) -> bool {
+        twopc_quiescent(sim, &h.participants, h.coordinator).is_ok()
     }
 
     fn audit(&self, sim: &Sim, h: &ShardedHandles, plan: Option<&FaultPlan>) -> Result<(), String> {
@@ -904,9 +931,15 @@ impl World for SagaWorld {
 // Actor transactions
 // ---------------------------------------------------------------------------
 
+/// The `(ok, err)` counters an actor driver step's completion is counted
+/// under.
+type Outcomes = (&'static str, &'static str);
+const TXN_OUTCOMES: Outcomes = ("torture.txn_ok", "torture.txn_err");
+const READ_OUTCOMES: Outcomes = ("torture.read_ok", "torture.read_err");
+
 /// One step of the actor driver's script: target, method, arguments and
-/// the metric family (`txn` or `read`) its completion is counted under.
-type ActorCall = (ActorId, String, Vec<Value>, &'static str);
+/// the counters its completion is counted under.
+type ActorCall = (ActorId, String, Vec<Value>, Outcomes);
 
 /// The actor world's client: runs its script sequentially, advancing on
 /// each completion and counting outcomes under `torture.*`.
@@ -927,20 +960,25 @@ impl ActorDriver {
     fn absorb(&mut self, ctx: &mut Ctx, completions: Vec<ActorCompletion>) {
         for completion in completions {
             let tag = completion.user_tag as usize;
-            let kind = self.plan[tag.saturating_sub(1)].3;
+            let (ok, err) = self.plan[tag.saturating_sub(1)].3;
             match completion.result {
                 Ok(values) => {
-                    ctx.metrics().incr(&format!("torture.{kind}_ok"), 1);
-                    if kind == "read" {
+                    ctx.metrics().incr(ok, 1);
+                    if ok == READ_OUTCOMES.0 {
                         if let Some(v) = values.first() {
                             ctx.metrics().incr("torture.read_sum", v.as_int() as u64);
                         }
                     }
                 }
-                Err(_) => ctx.metrics().incr(&format!("torture.{kind}_err"), 1),
+                Err(_) => ctx.metrics().incr(err, 1),
             }
             self.next(ctx);
         }
+    }
+    /// The script has run to its end and no call is pending: no counter
+    /// the audit reads can move again.
+    fn finished(&self) -> bool {
+        self.at == self.plan.len() && self.router.is_idle()
     }
 }
 
@@ -1014,7 +1052,7 @@ impl World for ActorWorld {
                 ActorId::new("txncoord", &txid),
                 "run".to_string(),
                 transfer_plan(&txid, "a", "b", self.amount),
-                "txn",
+                TXN_OUTCOMES,
             )
         });
         let reads = ["a", "b"].map(|key| {
@@ -1022,7 +1060,7 @@ impl World for ActorWorld {
                 ActorId::new("account", key),
                 "read".to_string(),
                 vec![],
-                "read",
+                READ_OUTCOMES,
             )
         });
         let plan: Vec<ActorCall> = transfers.chain(reads).collect();
@@ -1054,16 +1092,21 @@ impl World for ActorWorld {
         (Vec::new(), Vec::new())
     }
 
+    fn settled(&self, sim: &Sim, h: &ActorHandles) -> bool {
+        sim.inspect::<ActorDriver>(h.driver)
+            .is_some_and(ActorDriver::finished)
+    }
+
     fn audit(&self, sim: &Sim, _h: &ActorHandles, plan: Option<&FaultPlan>) -> Result<(), String> {
         let counter = |name: &str| sim.metrics().counter(name);
-        let (txn_ok, txn_err) = (counter("torture.txn_ok"), counter("torture.txn_err"));
+        let (txn_ok, txn_err) = (counter(TXN_OUTCOMES.0), counter(TXN_OUTCOMES.1));
         if txn_ok + txn_err != self.transfers {
             return Err(format!(
                 "driver stuck: {txn_ok} ok + {txn_err} err of {} transactions",
                 self.transfers
             ));
         }
-        let read_ok = counter("torture.read_ok");
+        let read_ok = counter(READ_OUTCOMES.0);
         if read_ok != 2 {
             return Err(format!("final balance reads incomplete: {read_ok}/2"));
         }
