@@ -10,7 +10,7 @@
 //!    transactions and closes an *epoch* on a timer, assigning every
 //!    transaction a position in one global order. Each closed epoch is
 //!    durably journaled before it is announced, then broadcast to all
-//!    shards and retransmitted until acknowledged.
+//!    shards and re-offered to a shard whose acknowledgements stall.
 //! 2. **Conflict detection.** At epoch close, the sequencer layers the
 //!    batch into *waves* by read/write-key analysis: a transaction's wave
 //!    is one past the deepest earlier transaction it shares a key with,
@@ -22,8 +22,10 @@
 //!    executes concurrently in virtual time (the wave costs
 //!    `exec_cost × ceil(txns/workers)` instead of the serial sum); shards
 //!    advance wave by wave, exchanging *read shares* for cross-shard
-//!    transactions and pulling lost shares with a retry request. No
-//!    locks, no aborts — serializability is the order itself.
+//!    transactions. The pull is loss recovery: armed per stalled wave,
+//!    cancelled on execute, so a share request goes out only once a wave
+//!    has really waited `RESEND_INTERVAL`. No locks, no aborts —
+//!    serializability is the order itself.
 //! 4. **Exactly-once output.** A shard buffers client outcomes while an
 //!    epoch is in flight and emits them exactly when the epoch completes:
 //!    the same handler atomically journals the epoch's inputs — which is
@@ -67,7 +69,7 @@ use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
 use tca_messaging::rpc::{reply_call, RpcRequest};
-use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, ShardMap, SimDuration};
+use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, ShardMap, SimDuration, TimerId};
 use tca_storage::wal::DurableLog;
 use tca_storage::Value;
 
@@ -80,9 +82,12 @@ use crate::deterministic::{DetRegistry, SubmitTxn, TxnOutcome};
 /// Parallel workers per shard: a wave of `n` hosted transactions costs
 /// `exec_cost × ceil(n / WORKERS)` of virtual time.
 const WORKERS: u64 = 8;
-/// Retransmission sweep: the sequencer re-offers the next unacked epoch
-/// to each lagging shard, and a shard stuck waiting on remote read shares
-/// re-requests them, on this period.
+/// Loss-recovery period. Both retries fire only for work still owed: the
+/// sequencer's sweep re-offers the next epoch to a lagging shard whose
+/// ack has not moved since the previous sweep, and a shard pulls the
+/// shares of a wave that has waited this long — the pull timer is armed
+/// when the wave starts waiting and cancelled when it executes. On a
+/// loss-free network neither sends anything.
 const RESEND_INTERVAL: SimDuration = SimDuration::from_millis(20);
 
 /// Tuning for the epoch-batched dataflow engine.
@@ -204,8 +209,9 @@ const RESEND_TAG: u64 = 0xdf_0002;
 /// Closes an epoch when the buffer is non-empty and the epoch timer
 /// fires; appends it to its durable log before broadcasting, so a closed
 /// epoch can always be replayed to a recovering shard; tracks per-shard
-/// acknowledgements and re-offers the next needed epoch to lagging shards
-/// every `RESEND_INTERVAL`.
+/// acknowledgements and, every `RESEND_INTERVAL`, re-offers the next
+/// needed epoch to each lagging shard whose acknowledgement has not moved
+/// since the previous sweep.
 pub struct DfSequencer {
     config: DataflowConfig,
     shards: Rc<RefCell<Vec<ProcessId>>>,
@@ -218,6 +224,9 @@ pub struct DfSequencer {
     log: DurableLog<Rc<Batch>>,
     /// Highest epoch durably applied by each shard.
     acked: Vec<u64>,
+    /// `acked` as of the previous resend sweep: a lagging shard is
+    /// re-offered an epoch only once its entry here equals its ack.
+    swept: Vec<u64>,
     epoch_timer_armed: bool,
     resend_timer_armed: bool,
 }
@@ -232,6 +241,9 @@ impl DfSequencer {
             next_id: boot.disk.durable("next_id"),
             log: boot.disk.durable("epochs"),
             acked: vec![0; n],
+            // Equal to `acked`: a restarted sequencer re-offers on its
+            // first sweep to every shard that has not acked since.
+            swept: vec![0; n],
             epoch_timer_armed: false,
             resend_timer_armed: false,
         }
@@ -376,14 +388,21 @@ impl Process for DfSequencer {
             RESEND_TAG => {
                 self.resend_timer_armed = false;
                 let last_epoch = self.last_epoch();
-                if self.watermark() >= last_epoch {
-                    return; // fully acknowledged: go quiet
-                }
                 for shard in 0..self.acked.len() {
-                    if self.acked[shard] < last_epoch {
+                    // A shard whose ack moved since the last sweep is
+                    // applying epochs, and each one it needs next went out
+                    // with its ack or its broadcast: only a stalled shard
+                    // may have lost one.
+                    let acked = self.acked[shard];
+                    let stalled = self.swept[shard] == acked;
+                    self.swept[shard] = acked;
+                    if stalled && acked < last_epoch {
                         ctx.metrics().incr("df.resends", 1);
                         self.offer_next(ctx, shard);
                     }
+                }
+                if self.watermark() >= last_epoch {
+                    return; // fully acknowledged: go quiet
                 }
                 self.resend_timer_armed = true;
                 ctx.set_timer(RESEND_INTERVAL, RESEND_TAG);
@@ -517,7 +536,9 @@ struct EpochRun {
     outcomes: Vec<(ProcessId, u64, TxnOutcome)>,
     /// Set when a wave has been executed and its cost timer is pending.
     cost_timer_pending: bool,
-    stuck_timer_armed: bool,
+    /// The share pull-retry of the current wave: armed when it starts
+    /// waiting, cancelled when it executes.
+    stuck_timer: Option<TimerId>,
 }
 
 impl EpochRun {
@@ -722,7 +743,7 @@ impl DfShard {
                 waiting: 0,
                 outcomes: Vec::new(),
                 cost_timer_pending: false,
-                stuck_timer_armed: false,
+                stuck_timer: None,
             };
             for early in self.early_shares.remove(&next).unwrap_or_default() {
                 run.absorb(early.expect::<WaveShare>());
@@ -785,7 +806,8 @@ impl DfShard {
     }
 
     /// Execute the current wave if every hosted transaction in it has a
-    /// complete read set; otherwise arm the share pull-retry timer.
+    /// complete read set; otherwise arm the share pull-retry timer, once
+    /// per waiting wave.
     fn pump(&mut self, ctx: &mut Ctx) {
         {
             let Some(run) = self.run.as_mut() else { return };
@@ -793,11 +815,14 @@ impl DfShard {
                 return; // wave already executed, waiting out its cost
             }
             if run.waiting > 0 {
-                if !run.stuck_timer_armed {
-                    run.stuck_timer_armed = true;
-                    ctx.set_timer(RESEND_INTERVAL, STUCK_TAG);
+                if run.stuck_timer.is_none() {
+                    run.stuck_timer = Some(ctx.set_timer(RESEND_INTERVAL, STUCK_TAG));
                 }
                 return;
+            }
+            // The wave has every read it needs: nothing is owed to it.
+            if let Some(id) = run.stuck_timer.take() {
+                ctx.cancel_timer(id);
             }
         }
         // Execute every hosted transaction of the wave "at once": apply
@@ -821,7 +846,6 @@ impl DfShard {
                 ));
             }
         }
-        run.stuck_timer_armed = false;
         // One wave of n transactions on w workers costs ceil(n/w) serial
         // execution slots — the parallel-apply model.
         let executed = run.current.len() as u64;
@@ -979,13 +1003,12 @@ impl Process for DfShard {
         match tag {
             WAVE_TAG => self.advance_wave(ctx),
             STUCK_TAG => {
+                // Armed only while a wave waits, cancelled when it
+                // executes: this wave has waited `RESEND_INTERVAL` for
+                // remote shares. Pull them from every other participant
+                // of each incomplete transaction.
                 let Some(run) = self.run.as_mut() else { return };
-                run.stuck_timer_armed = false;
-                if run.cost_timer_pending || run.waiting == 0 {
-                    return;
-                }
-                // Still waiting on remote shares: pull them from every
-                // other participant of each incomplete transaction.
+                debug_assert!(run.waiting > 0, "a pull timer outlived its wave");
                 let peers = self.shards.borrow();
                 let mut owed: Vec<Vec<u64>> = vec![Vec::new(); peers.len()];
                 for hosted in &run.entry.hosted[run.current.clone()] {
@@ -1004,8 +1027,7 @@ impl Process for DfShard {
                         ctx.send(peers[p], Payload::new(ShareReq { epoch, txn_ids }));
                     }
                 }
-                run.stuck_timer_armed = true;
-                ctx.set_timer(RESEND_INTERVAL, STUCK_TAG);
+                run.stuck_timer = Some(ctx.set_timer(RESEND_INTERVAL, STUCK_TAG));
             }
             _ => {}
         }
@@ -1122,7 +1144,7 @@ mod tests {
     use super::*;
     use crate::deterministic::transfer_registry;
     use tca_messaging::rpc::{RetryPolicy, RpcClient, RpcEvent};
-    use tca_sim::{Sim, SimTime};
+    use tca_sim::{ScriptedFate, Sim, SimTime};
 
     /// Harness → [`Client`]: submit `plan[i]` now (paced clients only).
     struct Go(usize);
@@ -1485,19 +1507,17 @@ mod tests {
         );
         assert_eq!(sim.metrics().counter("client.ok"), 1);
     }
-    /// The open-loop stream the schedule pins below were recorded on:
-    /// 2 000 transfers over 64 accounts (hot enough to layer waves), one
-    /// every 100µs, on 8 shards.
-    fn steady_fleet() -> Fleet {
-        let plan: Vec<SubmitTxn> = (0..2_000usize)
+    /// An open-loop stream of `n` transfers over 64 accounts (hot enough
+    /// to layer waves), one every 100µs, on `shards` shards.
+    fn steady_fleet(n: usize, shards: usize, config: DataflowConfig) -> Fleet {
+        let plan: Vec<SubmitTxn> = (0..n)
             .map(|i| {
                 let from = (i * 7) % 64;
                 let to = (from + 1 + (i * 13) % 63) % 64;
                 transfer(&format!("acct{from:02}"), &format!("acct{to:02}"), 1)
             })
             .collect();
-        let n = plan.len();
-        let mut fleet = deploy(plan, 8, DataflowConfig::default(), true);
+        let mut fleet = deploy(plan, shards, config, true);
         for i in 0..n {
             fleet.go_at(SimTime::from_nanos(1_000_000 + 100_000 * i as u64), i);
         }
@@ -1506,27 +1526,27 @@ mod tests {
 
     #[test]
     fn steady_run_schedule_is_pinned() {
-        // Host-side optimisations must not move one simulated event: these
-        // are the values the engine produced before its first perf pass.
-        let mut fleet = steady_fleet();
+        // Host-side optimisations must not move one simulated event. The
+        // run is loss-free, so neither retry sends anything.
+        let mut fleet = steady_fleet(2_000, 8, DataflowConfig::default());
         assert!(fleet.sim.try_run_to_quiescence(1_000_000));
-        assert_eq!(fleet.sim.events_processed(), 43_526);
+        assert_eq!(fleet.sim.events_processed(), 35_553);
         assert_eq!(fleet.sim.now().as_nanos(), 30_200_900_000);
         let pinned = [
-            ("net.sent", 32_546),
+            ("net.sent", 26_683),
             ("df.submitted", 2_000),
-            ("df.epochs", 344),
-            ("df.waves", 476),
+            ("df.epochs", 347),
+            ("df.waves", 466),
             ("df.applied", 3_758),
             ("df.logic_failures", 0),
             ("df.checkpoints", 688),
             ("df.completed", 2_000),
             ("df.ok", 2_000),
             ("df.err", 0),
-            ("df.epochs_applied", 2_752),
-            ("df.resends", 79),
-            ("df.share_reqs", 2_801),
-            ("df.share_replies", 2_902),
+            ("df.epochs_applied", 2_776),
+            ("df.resends", 0),
+            ("df.share_reqs", 0),
+            ("df.share_replies", 0),
             ("client.ok", 2_000),
             ("client.dup", 0),
         ];
@@ -1534,6 +1554,124 @@ mod tests {
             assert_eq!(fleet.counter(name), value, "{name}");
         }
     }
+
+    #[test]
+    fn a_loss_free_run_sends_no_recovery_traffic() {
+        // Pulls and re-offers are loss recovery: with every message
+        // delivered, no wave waits `RESEND_INTERVAL` and no shard's ack
+        // stalls across a sweep, whatever the fleet size and epoch.
+        const N: usize = 400;
+        for shards in [1, 2, 8, 16] {
+            for epoch_us in [500, 2_000] {
+                let config = DataflowConfig {
+                    epoch_interval: SimDuration::from_micros(epoch_us),
+                    ..DataflowConfig::default()
+                };
+                let mut fleet = steady_fleet(N, shards, config);
+                assert!(fleet.sim.try_run_to_quiescence(1_000_000));
+                let at = format!("{shards} shards, {epoch_us}µs epochs");
+                assert_eq!(fleet.counter("client.ok"), N as u64, "{at}");
+                assert_eq!(fleet.counter("df.share_reqs"), 0, "{at}");
+                assert_eq!(fleet.counter("df.resends"), 0, "{at}");
+            }
+        }
+    }
+
+    /// One cross-shard transfer of 10 from shard 0's `a` to shard 1's `b`
+    /// per entry of `at_ms`, submitted at those instants, on two shards.
+    fn two_shard_transfers(at_ms: &[u64]) -> (Fleet, [String; 2]) {
+        let map = ShardMap::ring(2);
+        let keys = [owned_key(&map, 0, "a", 0), owned_key(&map, 1, "b", 0)];
+        let plan = at_ms.iter().map(|_| transfer(&keys[0], &keys[1], 10));
+        let mut fleet = deploy(plan.collect(), 2, DataflowConfig::default(), true);
+        for (i, &ms) in at_ms.iter().enumerate() {
+            fleet.go_at(SimTime::from_nanos(ms * 1_000_000), i);
+        }
+        (fleet, keys)
+    }
+
+    /// Every transfer answered once, each shard at `epoch`, and the money
+    /// of `keys` (100 each at start) conserved.
+    fn assert_settled(fleet: &Fleet, keys: &[String; 2], transfers: u64, epoch: u64) {
+        assert_eq!(fleet.counter("client.ok"), transfers);
+        assert_eq!(fleet.counter("client.dup"), 0, "exactly-once output");
+        assert_eq!(
+            fleet.counter("df.applied"),
+            2 * transfers,
+            "run once per shard"
+        );
+        for i in 0..2 {
+            assert_eq!(fleet.shard(i).applied_epoch(), epoch, "shard {i}");
+        }
+        let money: i64 = keys
+            .iter()
+            .map(|k| fleet.peek(k).expect("written").as_int())
+            .sum();
+        assert_eq!(money, 200);
+    }
+
+    #[test]
+    fn a_lost_share_is_pulled_after_the_wave_has_waited() {
+        // Drop shard 0's one push to shard 1: shard 0 completes the epoch
+        // on shard 1's share, while shard 1 waits until its pull timer
+        // fires and shard 0 answers from its journal.
+        let (mut fleet, keys) = two_shard_transfers(&[1]);
+        let [s0, s1] = [0, 1].map(|i| fleet.sim.node_of(fleet.shards[i]));
+        fleet
+            .sim
+            .network_mut()
+            .script_fate(s0, s1, 0, ScriptedFate::Drop);
+        // The wave starts waiting after the epoch closes, well after the
+        // submit: one interval past the submit, nothing is pulled yet.
+        fleet
+            .sim
+            .run_until(SimTime::from_nanos(1_000_000) + RESEND_INTERVAL);
+        assert_eq!(fleet.counter("df.share_reqs"), 0);
+        assert_eq!(fleet.shard(0).applied_epoch(), 1);
+        assert_eq!(fleet.shard(1).applied_epoch(), 0, "the share is still owed");
+        fleet.sim.run_for(RESEND_INTERVAL * 5);
+        assert_eq!(fleet.counter("df.share_reqs"), 1, "one pull recovers it");
+        assert_eq!(fleet.counter("df.share_replies"), 1);
+        assert_settled(&fleet, &keys, 1, 1);
+    }
+
+    #[test]
+    fn a_lost_batch_is_re_offered_within_two_sweeps() {
+        // Two epochs; the sequencer's broadcast of the second to shard 1
+        // is lost, and shard 0 waits on shard 1's share of it. Both acks
+        // moved (to epoch 1) before the first sweep after the loss, so
+        // that sweep re-offers nothing; the next one finds both stalled
+        // and re-offers epoch 2 to each.
+        let (mut fleet, keys) = two_shard_transfers(&[1, 5]);
+        let seq = fleet.sim.node_of(fleet.sequencer);
+        let s1 = fleet.sim.node_of(fleet.shards[1]);
+        fleet
+            .sim
+            .network_mut()
+            .script_fate(seq, s1, 1, ScriptedFate::Drop);
+        // Epoch 2 closes one interval after its submit reaches the
+        // sequencer: by 6 ms.
+        let lost = SimTime::from_nanos(6_000_000);
+        fleet
+            .sim
+            .run_until(lost + RESEND_INTERVAL + SimDuration::from_millis(1));
+        assert_eq!(
+            fleet.counter("df.resends"),
+            0,
+            "the first sweep saw acks move"
+        );
+        assert_eq!(fleet.shard(1).applied_epoch(), 1);
+        fleet
+            .sim
+            .run_until(lost + RESEND_INTERVAL * 2 + SimDuration::from_millis(2));
+        assert_eq!(
+            fleet.counter("df.resends"),
+            2,
+            "one re-offer per stalled shard"
+        );
+        assert_settled(&fleet, &keys, 2, 2);
+    }
+
     #[test]
     fn restart_cost_is_bounded_by_retained_history() {
         // One single-transfer epoch per millisecond until ≥ 500 epochs

@@ -101,12 +101,16 @@ fn checker_verifies_dataflow_world_with_shard_crashes() {
     // batch arrives but before the epoch is durably applied. The
     // checkpoint + journal-replay + re-ack recovery path must keep
     // exactly-once emission, atomicity, and conservation green at every
-    // closed leaf. Runs opaque, so depth stays small in debug mode; the
-    // CI model-check job pushes the same world deeper.
+    // closed leaf. A drop budget covers the other recovery paths: a lost
+    // share is pulled and a lost batch re-offered only once the work
+    // stalls, so a lost message must be explored, not merely survived by
+    // a retry that fires anyway. Runs opaque, so depth stays small in
+    // debug mode; the CI model-check job pushes the same world deeper.
     let sc = dataflow_mc_scenario(1);
     let cfg = McConfig {
         max_depth: 6,
         max_crashes: 1,
+        max_drops: 1,
         crashable: vec![NodeId(0)],
         ..McConfig::default()
     };
@@ -532,10 +536,11 @@ fn deep_exploration_sweep() {
             },
         ),
         (
-            "dataflow×1 depth 7 +1 crash on either shard",
+            "dataflow×1 depth 7 +1 crash on either shard +1 drop",
             dataflow_mc_scenario(1),
             McConfig {
                 max_depth: 7,
+                max_drops: 1,
                 crashable: vec![NodeId(0), NodeId(1)],
                 ..base.clone()
             },
