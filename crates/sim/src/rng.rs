@@ -153,9 +153,38 @@ impl SimRng {
 /// `theta = 0` is uniform; YCSB's default hot-spot setting is `theta ≈ 0.99`.
 /// Sampling is inverse-CDF with a binary search over precomputed cumulative
 /// weights: O(n) memory, O(log n) per sample, deterministic.
+///
+/// The uniform case builds no table. Its entry `i` would be exactly
+/// `fl((i+1)/n)` — every weight is 1.0, so the running total is the exact
+/// integer `i+1` and the normalising division is correctly rounded — so
+/// [`Zipf::sample`] computes the entry instead of storing it: it starts at
+/// `⌊u·n⌋` and steps to the smallest `i` with `fl((i+1)/n) ≥ u`, which is
+/// the index the table's search returns for every `u`. Same draw, same
+/// index, O(1) time and memory.
 #[derive(Clone, Debug)]
 pub struct Zipf {
+    n: usize,
+    /// Cumulative weights, normalised so the last is exactly 1.0; empty
+    /// when `theta = 0`.
     cumulative: Vec<f64>,
+}
+
+/// The normalised cumulative weights `1/(i+1)^theta` over `[0, n)`, the
+/// last exactly 1.0.
+fn cumulative(n: usize, theta: f64) -> Vec<f64> {
+    let mut cumulative = Vec::with_capacity(n);
+    let mut total = 0.0;
+    for i in 0..n {
+        total += 1.0 / ((i + 1) as f64).powf(theta);
+        cumulative.push(total);
+    }
+    for c in &mut cumulative {
+        *c /= total;
+    }
+    if let Some(last) = cumulative.last_mut() {
+        *last = 1.0;
+    }
+    cumulative
 }
 
 impl Zipf {
@@ -163,35 +192,34 @@ impl Zipf {
     pub fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "Zipf over empty domain");
         assert!(theta >= 0.0, "negative skew");
-        let mut cumulative = Vec::with_capacity(n);
-        let mut total = 0.0;
-        for i in 0..n {
-            total += 1.0 / ((i + 1) as f64).powf(theta);
-            cumulative.push(total);
-        }
-        // Normalise so the last entry is exactly 1.0.
-        for c in &mut cumulative {
-            *c /= total;
-        }
-        if let Some(last) = cumulative.last_mut() {
-            *last = 1.0;
-        }
-        Zipf { cumulative }
+        let cumulative = if theta == 0.0 {
+            Vec::new()
+        } else {
+            cumulative(n, theta)
+        };
+        Zipf { n, cumulative }
     }
 
     /// Number of items in the domain.
     pub fn len(&self) -> usize {
-        self.cumulative.len()
+        self.n
     }
 
-    /// True when the domain has a single element.
+    /// Always false: the domain is never empty.
     pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
+        self.n == 0
     }
 
     /// Draw an index in `[0, n)`; index 0 is the most popular.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.unit();
+        self.index(rng.unit())
+    }
+
+    /// The index a draw of `u` in `[0, 1)` selects.
+    fn index(&self, u: f64) -> usize {
+        if self.cumulative.is_empty() {
+            return self.uniform_index(u);
+        }
         match self
             .cumulative
             .binary_search_by(|c| c.partial_cmp(&u).expect("NaN in cumulative"))
@@ -199,6 +227,20 @@ impl Zipf {
             Ok(i) => i,
             Err(i) => i.min(self.cumulative.len() - 1),
         }
+    }
+
+    /// The smallest `i` with `fl((i+1)/n) ≥ u`: what the uniform table's
+    /// search would return, found from `⌊u·n⌋` in a step or two.
+    fn uniform_index(&self, u: f64) -> usize {
+        let n = self.n as f64;
+        let mut i = ((u * n) as usize).min(self.n - 1);
+        while i > 0 && i as f64 / n >= u {
+            i -= 1;
+        }
+        while i + 1 < self.n && ((i + 1) as f64 / n) < u {
+            i += 1;
+        }
+        i
     }
 }
 
@@ -382,6 +424,63 @@ mod tests {
             .sum();
         // 3 degrees of freedom; 16.3 is the p ≈ 0.001 cut-off.
         assert!(chi2 < 16.3, "chi2={chi2}, counts={counts:?}");
+    }
+
+    /// The table the uniform sampler used to search, for comparison.
+    fn uniform_table(n: usize) -> Zipf {
+        Zipf {
+            n,
+            cumulative: cumulative(n, 0.0),
+        }
+    }
+
+    #[test]
+    fn uniform_index_is_the_table_search() {
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let next_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for n in [1, 2, 3, 7, 1_000, 4_096, 250_000, 1_000_003] {
+            let (fast, table) = (Zipf::new(n, 0.0), uniform_table(n));
+            assert!(fast.cumulative.is_empty());
+            let mut rng = SimRng::new(n as u64);
+            for _ in 0..200_000 {
+                let u = rng.unit();
+                assert_eq!(fast.index(u), table.index(u), "n={n} u={u:e}");
+            }
+            assert_eq!(fast.index(0.0), table.index(0.0), "n={n} u=0");
+            for i in 0..n {
+                let edge = (i + 1) as f64 / n as f64;
+                for u in [next_down(edge), edge, next_up(edge)] {
+                    if u < 1.0 {
+                        assert_eq!(fast.index(u), table.index(u), "n={n} u={u:e}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The first draws of `ycsb-read`'s key chooser, recorded from the
+    /// table search before the uniform case stopped building it.
+    #[test]
+    fn uniform_known_answers() {
+        let z = Zipf::new(250_000, 0.0);
+        let draws = |seed| {
+            let mut rng = SimRng::new(seed);
+            (0..16).map(|_| z.sample(&mut rng)).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            draws(42),
+            [
+                20965, 94745, 170010, 231173, 247950, 192434, 179814, 212502, 190343, 145837,
+                170613, 72669, 200256, 80352, 177787, 219441
+            ]
+        );
+        assert_eq!(
+            draws(7),
+            [
+                175144, 69687, 209906, 245274, 247715, 218193, 15188, 26108, 100926, 37954, 135341,
+                182964, 234741, 220212, 112854, 140219
+            ]
+        );
     }
 
     #[test]

@@ -37,6 +37,17 @@
 //! [`Engine::take_footprints`] — and the long-lived owners that never
 //! drain ([`crate::server::DbServer`], the 2PC participant) turn it off
 //! when they build theirs.
+//!
+//! A transaction that runs alone takes no locks. `begin_alone_if_idle` is
+//! for a caller that begins, runs and ends a transaction inside one call
+//! — a stored procedure ([`crate::proc::run_proc`]). If no other
+//! transaction is open when it begins, none can begin before it ends, so
+//! every lock it asked for would be granted and every release would wake
+//! no one: it skips the lock table on read, write, commit and abort. The
+//! result is exact, not approximate — the same values, the same WAL
+//! records, the same footprints. Anything that keeps a transaction open
+//! across calls (interactive sessions, the 2PC execute phase) begins with
+//! [`Engine::begin`] and keeps full two-phase locking.
 
 use std::collections::BTreeMap;
 use tca_sim::DetHashMap as HashMap;
@@ -122,6 +133,9 @@ struct ActiveTx {
     writes: BTreeMap<Key, Option<Value>>,
     reads: Vec<(Key, Timestamp)>,
     pending: Option<PendingOp>,
+    /// Begun by `begin_alone_if_idle` with no other transaction open: it
+    /// takes and releases no locks.
+    alone: bool,
 }
 
 /// The transactional engine.
@@ -218,6 +232,19 @@ impl Engine {
 
     /// Start a transaction at the given isolation level.
     pub fn begin(&mut self, iso: IsolationLevel) -> TxId {
+        self.start(iso, false)
+    }
+
+    /// Start a serializable transaction that the caller commits or aborts
+    /// before it returns, with no other call on this engine in between.
+    /// When no other transaction is open, it runs alone and takes no
+    /// locks (see the module docs).
+    pub(crate) fn begin_alone_if_idle(&mut self) -> TxId {
+        let alone = self.active.is_empty();
+        self.start(IsolationLevel::Serializable, alone)
+    }
+
+    fn start(&mut self, iso: IsolationLevel, alone: bool) -> TxId {
         let tx = TxId(self.next_tx);
         self.next_tx += 1;
         self.active.insert(
@@ -228,6 +255,7 @@ impl Engine {
                 writes: BTreeMap::new(),
                 reads: Vec::new(),
                 pending: None,
+                alone,
             },
         );
         tx
@@ -271,6 +299,7 @@ impl Engine {
             IsolationLevel::SnapshotIsolation => {
                 observed(self.mvcc.version_at(key, state.begin_ts))
             }
+            IsolationLevel::Serializable if state.alone => self.observe_latest(key),
             IsolationLevel::Serializable => match self.locks.acquire(tx, key, LockMode::Shared) {
                 Acquire::Granted => self.observe_latest(key),
                 Acquire::Waiting => {
@@ -297,8 +326,8 @@ impl Engine {
         key: &str,
         value: Option<Value>,
     ) -> (OpResult, Vec<Resumption>) {
-        let iso = self.active.get(&tx).expect("active").iso;
-        if iso == IsolationLevel::Serializable {
+        let state = self.active.get(&tx).expect("active");
+        if state.iso == IsolationLevel::Serializable && !state.alone {
             match self.locks.acquire(tx, key, LockMode::Exclusive) {
                 Acquire::Granted => {}
                 Acquire::Waiting => {
@@ -370,6 +399,9 @@ impl Engine {
         if self.commits_since_checkpoint >= self.config.checkpoint_every {
             self.take_checkpoint();
         }
+        if state.alone {
+            return (CommitResult::Committed(commit_ts), Vec::new());
+        }
         let granted = self.locks.release_all(tx);
         let resumed = self.resume(granted);
         (CommitResult::Committed(commit_ts), resumed)
@@ -385,8 +417,11 @@ impl Engine {
     }
 
     fn internal_abort(&mut self, tx: TxId, reason: AbortReason) -> Vec<Resumption> {
-        self.active.remove(&tx);
+        let alone = self.active.remove(&tx).is_some_and(|state| state.alone);
         *self.aborts.entry(reason).or_insert(0) += 1;
+        if alone {
+            return Vec::new();
+        }
         let granted = self.locks.release_all(tx);
         self.resume(granted)
     }

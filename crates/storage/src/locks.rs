@@ -115,24 +115,21 @@ impl LockTable {
     /// Release everything `tx` holds or waits for. Returns the transactions
     /// whose queued request became granted, in grant order.
     pub fn release_all(&mut self, tx: TxId) -> Vec<TxId> {
-        let mut touched: Vec<Key> = Vec::new();
-        if let Some(keys) = self.held.remove(&tx) {
-            for key in keys {
-                if let Some(state) = self.locks.get_mut(&key) {
-                    state.holders.remove(&tx);
-                }
-                touched.push(key);
+        let held = self.held.remove(&tx).unwrap_or_default();
+        for key in &held {
+            if let Some(state) = self.locks.get_mut(key) {
+                state.holders.remove(&tx);
             }
         }
         if let Some(key) = self.waiting_on.remove(&tx) {
             self.remove_waiter(tx, &key);
         }
         let mut granted = Vec::new();
-        for key in touched {
-            self.promote(&key, &mut granted);
-            if let Some(state) = self.locks.get(&key) {
+        for key in &held {
+            self.promote(key, &mut granted);
+            if let Some(state) = self.locks.get(key) {
                 if state.holders.is_empty() && state.waiters.is_empty() {
-                    self.locks.remove(&key);
+                    self.locks.remove(key);
                 }
             }
         }

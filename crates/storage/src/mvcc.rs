@@ -6,9 +6,17 @@
 //! them: per written key by [`MvccStore::gc_key`] (what the engine's
 //! checkpoint does), or for the whole store by [`MvccStore::gc`] (the
 //! reference the per-key path is tested against).
+//!
+//! The keys are a hash index, so a point read or an install is one hash
+//! of the key and no tree descent. Order is paid for only where it is
+//! observed: [`MvccStore::scan_latest`] collects the keys under its
+//! prefix and sorts them, which gives scans, `peek_prefix` and the
+//! router's scan merge the key order an ordered map gave. Everything else
+//! (GC, counts) is order-free.
 
-use std::collections::btree_map::Entry;
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
+use tca_sim::DetHashMap as HashMap;
 
 use crate::types::{Key, Timestamp, Value};
 
@@ -24,7 +32,7 @@ pub struct Version {
 /// A multi-versioned key-value store.
 #[derive(Debug, Default, Clone)]
 pub struct MvccStore {
-    data: BTreeMap<Key, Vec<Version>>,
+    data: HashMap<Key, Vec<Version>>,
 }
 
 /// Drop the versions of one key that no snapshot at or after `horizon` can
@@ -65,9 +73,14 @@ impl MvccStore {
     /// Install a committed version of `key` at `ts`.
     ///
     /// Panics if `ts` is not newer than the key's latest version — commits
-    /// must be applied in timestamp order.
-    pub fn install(&mut self, key: &Key, ts: Timestamp, value: Option<Value>) {
-        let versions = self.data.entry(key.clone()).or_default();
+    /// must be applied in timestamp order. The key is copied only when it
+    /// has no history yet.
+    pub fn install(&mut self, key: &str, ts: Timestamp, value: Option<Value>) {
+        let version = Version { ts, value };
+        let Some(versions) = self.data.get_mut(key) else {
+            self.data.insert(key.to_owned(), vec![version]);
+            return;
+        };
         if let Some(last) = versions.last() {
             assert!(
                 ts >= last.ts,
@@ -75,7 +88,7 @@ impl MvccStore {
                 last.ts
             );
         }
-        versions.push(Version { ts, value });
+        versions.push(version);
     }
 
     /// Bulk-install `pairs` as committed versions at `first_ts`,
@@ -84,6 +97,7 @@ impl MvccStore {
     /// one version.
     pub fn load(&mut self, pairs: Vec<(Key, Value)>, first_ts: Timestamp) -> Vec<Key> {
         let mut overwritten = Vec::new();
+        self.data.reserve(pairs.len());
         for ((key, value), ts) in pairs.into_iter().zip(first_ts..) {
             let version = Version {
                 ts,
@@ -178,20 +192,24 @@ impl MvccStore {
         self.data.values().map(Vec::len).sum()
     }
 
-    /// Iterate over keys in a range with their latest values (simple scans).
+    /// The live keys under `prefix` with their latest values, in key order.
     pub fn scan_latest<'a>(
         &'a self,
         prefix: &'a str,
     ) -> impl Iterator<Item = (&'a Key, &'a Value)> + 'a {
-        self.data
-            .range(prefix.to_owned()..)
-            .take_while(move |(k, _)| k.starts_with(prefix))
+        let mut live: Vec<(&Key, &Value)> = self
+            .data
+            .iter()
+            .filter(|(k, _)| k.starts_with(prefix))
             .filter_map(|(k, versions)| {
                 versions
                     .last()
                     .and_then(|v| v.value.as_ref())
                     .map(|v| (k, v))
             })
+            .collect();
+        live.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        live.into_iter()
     }
 }
 

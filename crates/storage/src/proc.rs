@@ -8,6 +8,14 @@
 //! needs. Nothing waits on that lock. The run is rolled back, and its
 //! caller answers at once: a `DbServer` replies `Aborted`, and a 2PC
 //! participant fails the branch.
+//!
+//! [`run_proc`] begins, runs and commits inside one call, so when no other
+//! transaction is open at the engine it runs alone and takes no locks
+//! (the engine's run-alone rule): nothing can begin before it ends, so
+//! every lock would have been granted and every release would have woken
+//! no one. It reads, writes, commits and logs exactly what it would under
+//! two-phase locking. [`run_proc_open`] leaves its transaction open across
+//! handlers and always locks.
 
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
@@ -144,10 +152,24 @@ pub fn run_proc_open(
     name: &str,
     args: &[Value],
 ) -> Result<(TxId, Vec<Value>), ProcOutcome> {
+    run_body(engine, registry, name, args, |engine| {
+        engine.begin(IsolationLevel::Serializable)
+    })
+}
+
+/// Look `name` up, begin a transaction with `begin`, and run the
+/// procedure in it; a blocked or failed run is rolled back.
+fn run_body(
+    engine: &mut Engine,
+    registry: &ProcRegistry,
+    name: &str,
+    args: &[Value],
+    begin: impl FnOnce(&mut Engine) -> TxId,
+) -> Result<(TxId, Vec<Value>), ProcOutcome> {
     let Some(proc) = registry.get(name) else {
         return Err(ProcOutcome::Failed(format!("unknown procedure `{name}`")));
     };
-    let tx = engine.begin(IsolationLevel::Serializable);
+    let tx = begin(engine);
     let (result, blocked) = {
         let mut handle = TxHandle {
             engine,
@@ -170,15 +192,15 @@ pub fn run_proc_open(
     }
 }
 
-/// Execute a registered procedure inside one serializable transaction:
-/// [`run_proc_open`], then commit.
+/// Execute a registered procedure inside one serializable transaction and
+/// commit it, taking no locks when it runs alone (see the module docs).
 pub fn run_proc(
     engine: &mut Engine,
     registry: &ProcRegistry,
     name: &str,
     args: &[Value],
 ) -> ProcOutcome {
-    match run_proc_open(engine, registry, name, args) {
+    match run_body(engine, registry, name, args, Engine::begin_alone_if_idle) {
         Ok((tx, values)) => match engine.commit(tx).0 {
             CommitResult::Committed(_) => ProcOutcome::Done(values),
             CommitResult::Aborted(reason) => ProcOutcome::Aborted(reason),
@@ -280,6 +302,84 @@ mod tests {
             ProcOutcome::Done(vec![])
         );
         assert_eq!(e.peek("k"), Some(Value::Int(3)));
+    }
+
+    /// Calls alone, a call on a key an interactive transaction holds, a
+    /// call beside it on another key, and an interactive write after
+    /// calls that took no locks; rendered as outcomes, then WAL records,
+    /// then footprints.
+    fn alone_script(e: &mut Engine) -> Vec<String> {
+        let reg = ProcRegistry::new().with("bump", |tx, args| {
+            let key = args[0].as_str().to_owned();
+            let v = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
+            tx.put(&key, Value::Int(v + 1));
+            Ok(vec![Value::Int(v + 1)])
+        });
+        let call = |e: &mut Engine, key: &str| {
+            format!("{:?}", run_proc(e, &reg, "bump", &[Value::from(key)]))
+        };
+        e.load_batch(vec![
+            ("x".to_owned(), Value::Int(10)),
+            ("y".to_owned(), Value::Int(20)),
+        ]);
+        let mut seen = vec![call(e, "x"), call(e, "y"), call(e, "z")];
+        let t = e.begin(IsolationLevel::Serializable);
+        seen.push(format!("{:?}", e.write(t, "x", Some(Value::Int(0))).0));
+        seen.push(call(e, "x"));
+        seen.push(call(e, "y"));
+        seen.push(format!("{:?}", e.commit(t)));
+        seen.push(call(e, "x"));
+        seen.push(call(e, "y"));
+        let t = e.begin(IsolationLevel::Serializable);
+        seen.push(format!("{:?}", e.read(t, "y").0));
+        seen.push(format!("{:?}", e.write(t, "x", Some(Value::Int(5))).0));
+        seen.push(format!("{:?}", e.commit(t)));
+        seen.push(call(e, "x"));
+        e.wal().with_tail(0, |tail| {
+            seen.extend(tail.iter().map(|r| format!("{r:?}")));
+        });
+        seen.extend(e.take_footprints().iter().map(|f| format!("{f:?}")));
+        seen
+    }
+
+    /// The rendering was taken from the commit before procedures that run
+    /// alone stopped taking locks.
+    #[test]
+    fn procedures_alone_are_what_they_were_under_locks() {
+        let expected = [
+            "Done([Int(11)])",
+            "Done([Int(21)])",
+            "Done([Int(1)])",
+            "Written",
+            "Retry",
+            "Done([Int(22)])",
+            "(Committed(7), [])",
+            "Done([Int(1)])",
+            "Done([Int(23)])",
+            "Read(Some(Int(23)))",
+            "Written",
+            "(Committed(10), [])",
+            "Done([Int(6)])",
+            r#"WalRecord { tx: TxId(0), commit_ts: 3, writes: [("x", Some(Int(11)))] }"#,
+            r#"WalRecord { tx: TxId(1), commit_ts: 4, writes: [("y", Some(Int(21)))] }"#,
+            r#"WalRecord { tx: TxId(2), commit_ts: 5, writes: [("z", Some(Int(1)))] }"#,
+            r#"WalRecord { tx: TxId(5), commit_ts: 6, writes: [("y", Some(Int(22)))] }"#,
+            r#"WalRecord { tx: TxId(3), commit_ts: 7, writes: [("x", Some(Int(0)))] }"#,
+            r#"WalRecord { tx: TxId(6), commit_ts: 8, writes: [("x", Some(Int(1)))] }"#,
+            r#"WalRecord { tx: TxId(7), commit_ts: 9, writes: [("y", Some(Int(23)))] }"#,
+            r#"WalRecord { tx: TxId(8), commit_ts: 10, writes: [("x", Some(Int(5)))] }"#,
+            r#"WalRecord { tx: TxId(9), commit_ts: 11, writes: [("x", Some(Int(6)))] }"#,
+            r#"TxFootprint { tx: TxId(0), commit_ts: 3, iso: Serializable, reads: [("x", 1)], writes: ["x"] }"#,
+            r#"TxFootprint { tx: TxId(1), commit_ts: 4, iso: Serializable, reads: [("y", 2)], writes: ["y"] }"#,
+            r#"TxFootprint { tx: TxId(2), commit_ts: 5, iso: Serializable, reads: [("z", 0)], writes: ["z"] }"#,
+            r#"TxFootprint { tx: TxId(5), commit_ts: 6, iso: Serializable, reads: [("y", 4)], writes: ["y"] }"#,
+            r#"TxFootprint { tx: TxId(3), commit_ts: 7, iso: Serializable, reads: [], writes: ["x"] }"#,
+            r#"TxFootprint { tx: TxId(6), commit_ts: 8, iso: Serializable, reads: [("x", 7)], writes: ["x"] }"#,
+            r#"TxFootprint { tx: TxId(7), commit_ts: 9, iso: Serializable, reads: [("y", 6)], writes: ["y"] }"#,
+            r#"TxFootprint { tx: TxId(8), commit_ts: 10, iso: Serializable, reads: [("y", 9)], writes: ["x"] }"#,
+            r#"TxFootprint { tx: TxId(9), commit_ts: 11, iso: Serializable, reads: [("x", 10)], writes: ["x"] }"#,
+        ];
+        assert_eq!(alone_script(&mut engine()), expected);
     }
 
     #[test]

@@ -365,14 +365,18 @@ impl ShardRouter {
 impl Process for ShardRouter {
     fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
         // Shard replies (either shape) come back correlated by the
-        // internal id the router assigned on the way out.
+        // internal id the router assigned on the way out. One whose entry
+        // is gone — evicted, or lost with a restart — is a straggler.
         if let Some(reply) = payload.downcast_ref::<RpcReply>() {
-            if self.pending.contains_key(&reply.call_id) {
-                let inner = reply.body.expect::<DbReply>();
-                let resp = inner.resp.clone();
-                self.handle_reply(ctx, reply.call_id, resp);
+            if !self.pending.contains_key(&reply.call_id) {
+                let call_id = reply.call_id;
+                ctx.trace_event(|| format!("dropped: reply to unknown call {call_id}"));
                 return;
             }
+            let inner = reply.body.expect::<DbReply>();
+            let resp = inner.resp.clone();
+            self.handle_reply(ctx, reply.call_id, resp);
+            return;
         }
         if let Some(reply) = payload.downcast_ref::<DbReply>() {
             let (token, resp) = (reply.token, reply.resp.clone());
@@ -687,6 +691,33 @@ mod tests {
             2,
             "both replies relayed"
         );
+    }
+
+    /// A shard's reply that reaches a restarted router, whose pending map
+    /// was lost with the crash, is dropped as a straggler.
+    #[test]
+    fn a_reply_to_a_lost_call_is_dropped() {
+        let (mut sim, router, shards) = world(4);
+        let router_node = sim.node_of(router);
+        let map = ShardMap::ring(4);
+        let key = (0..)
+            .map(|i| format!("user{i:08}"))
+            .find(|key| sim.node_of(shards[map.owner(key)]) != router_node)
+            .expect("a key owned off the router's node");
+        sim.inject(
+            router,
+            Payload::new(RpcRequest {
+                call_id: 1,
+                body: Payload::new(DbMsg::call("kv_rmw", vec![Value::Str(key)])),
+            }),
+        );
+        while sim.metrics().counter("db-router.forwarded") < 1 {
+            assert!(sim.step(), "the call is forwarded");
+        }
+        sim.crash_node(router_node);
+        sim.restart_node(router_node);
+        sim.run_for(SimDuration::from_millis(10));
+        assert_eq!(sim.metrics().counter("db-router.replies"), 0);
     }
 
     #[test]

@@ -1,21 +1,23 @@
-//! What a committed 2PC transfer costs the host's allocator, and that it
-//! leaves nothing behind.
+//! What a committed 2PC transfer and a stored-procedure read cost the
+//! host's allocator, and that a transfer leaves nothing behind.
 //!
 //! Two bank participants and a coordinator serve one client that commits
 //! transfers back to back over a fixed set of accounts, so every bounded
 //! structure (lock table, version chains, WAL between checkpoints, the
 //! recently-decided window) reaches its steady size and anything that
-//! still grows is history nobody reads. The allocator below counts for
-//! the calling thread only: each test measures its own simulation.
+//! still grows is history nobody reads. A single `DbServer` serves YCSB
+//! reads to one client the same way. The allocator below counts for the
+//! calling thread only: each test measures its own simulation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use tca::messaging::{RetryPolicy, RpcClient, RpcEvent};
 use tca::sim::{Ctx, Payload, Process, ProcessId, Sim, SimDuration};
-use tca::storage::Value;
+use tca::storage::{DbMsg, DbReply, DbResponse, DbServer, DbServerConfig, Value};
 use tca::txn::worlds::bank_registry_from;
 use tca::txn::{DtxOutcome, ParticipantConfig, StartDtx, TwoPcCoordinator, TwoPcParticipant};
+use tca::workloads::ycsb::{self, YcsbScale};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -118,10 +120,10 @@ fn bank_world() -> Sim {
     sim
 }
 
-/// Step `sim` until the teller has seen `commits` transfers commit.
-fn run_to(sim: &mut Sim, commits: u64) {
-    while sim.metrics().counter("teller.committed") < commits {
-        assert!(sim.step(), "the teller never stops");
+/// Step `sim` until its client's `counter` reaches `n`.
+fn run_to(sim: &mut Sim, counter: &str, n: u64) {
+    while sim.metrics().counter(counter) < n {
+        assert!(sim.step(), "the client never stops");
     }
 }
 
@@ -132,14 +134,15 @@ const CHECKPOINT: u64 = 1024;
 
 #[test]
 fn a_committed_transfer_stays_within_its_allocation_budget() {
-    // Client, kernel and network included. Measured 50; copying the
+    // Client, kernel and network included. Measured 46; copying the
     // request body at every layer and formatting a counter name per
-    // message made it 93.
+    // message made it 93, and copying each installed key and collecting
+    // the released keys into a `Vec` made it 50.
     const BUDGET: u64 = 60;
     let mut sim = bank_world();
-    run_to(&mut sim, CHECKPOINT);
+    run_to(&mut sim, "teller.committed", CHECKPOINT);
     let before = ALLOCATIONS.get();
-    run_to(&mut sim, 2 * CHECKPOINT);
+    run_to(&mut sim, "teller.committed", 2 * CHECKPOINT);
     let per_transfer = (ALLOCATIONS.get() - before) / CHECKPOINT;
     assert!(
         per_transfer <= BUDGET,
@@ -155,12 +158,91 @@ fn retained_heap_does_not_grow_with_commits() {
     // 4.2 MiB over this run.
     const SLACK: i64 = 64 * 1024;
     let mut sim = bank_world();
-    run_to(&mut sim, 5 * CHECKPOINT);
+    run_to(&mut sim, "teller.committed", 5 * CHECKPOINT);
     let before = LIVE_BYTES.get();
-    run_to(&mut sim, 15 * CHECKPOINT);
+    run_to(&mut sim, "teller.committed", 15 * CHECKPOINT);
     let grown = LIVE_BYTES.get() - before;
     assert!(
         grown <= SLACK,
         "{grown} B retained by 10 × {CHECKPOINT} more commits, slack {SLACK}"
+    );
+}
+
+/// Keys the reader cycles through: `user{i % RECORDS}`.
+const RECORDS: usize = 64;
+
+/// One `ycsb_read` call at a time, the next as soon as the last replies.
+struct Reader {
+    server: ProcessId,
+    sent: u64,
+    rpc: RpcClient,
+}
+
+impl Reader {
+    fn call(&mut self, ctx: &mut Ctx, msg: DbMsg) {
+        let policy = RetryPolicy::at_most_once(SimDuration::from_secs(10));
+        self.rpc
+            .call(ctx, self.server, Payload::new(msg), policy, self.sent);
+        self.sent += 1;
+    }
+
+    fn read(&mut self, ctx: &mut Ctx) {
+        let key = format!("user{:08}", self.sent as usize % RECORDS);
+        self.call(ctx, DbMsg::call("ycsb_read", vec![Value::Str(key)]));
+    }
+}
+
+impl Process for Reader {
+    fn on_start(&mut self, ctx: &mut Ctx) {
+        let scale = YcsbScale {
+            records: RECORDS,
+            theta: 0.0,
+        };
+        self.call(ctx, DbMsg::load(ycsb::seed(&scale)));
+    }
+    fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
+        if let Some(RpcEvent::Reply { body, .. }) = self.rpc.on_message(ctx, &payload) {
+            match &body.expect::<DbReply>().resp {
+                DbResponse::Loaded => {}
+                DbResponse::CallOk { results } => {
+                    assert!(matches!(results[0], Value::Int(_)), "every key is loaded");
+                    ctx.metrics().incr("reader.read", 1);
+                }
+                other => panic!("{other:?}"),
+            }
+            self.read(ctx);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
+        let _ = self.rpc.on_timer(ctx, tag);
+    }
+}
+
+#[test]
+fn a_read_call_stays_within_its_allocation_budget() {
+    // Client, kernel and network included. Measured 10: the procedure
+    // runs alone and takes no locks. Through the lock table it is 14.
+    const BUDGET: u64 = 12;
+    let mut sim = Sim::with_seed(21);
+    let nodes = sim.add_nodes(2);
+    let server = sim.spawn(
+        nodes[0],
+        "db",
+        DbServer::factory("db", DbServerConfig::default(), ycsb::registry()),
+    );
+    sim.spawn(nodes[1], "reader", move |_| {
+        Box::new(Reader {
+            server,
+            sent: 0,
+            rpc: RpcClient::new(),
+        })
+    });
+    run_to(&mut sim, "reader.read", CHECKPOINT);
+    let before = ALLOCATIONS.get();
+    run_to(&mut sim, "reader.read", 2 * CHECKPOINT);
+    let per_read = (ALLOCATIONS.get() - before) / CHECKPOINT;
+    assert!(
+        per_read <= BUDGET,
+        "{per_read} allocations per read call, budget {BUDGET}"
     );
 }

@@ -12,7 +12,9 @@ use tca::sim::{Histogram, SimDuration, SimRng, Zipf};
 
 mod mvcc_props {
     use super::*;
-    use tca::storage::{MvccStore, Value};
+    use std::collections::BTreeMap;
+    use tca::storage::mvcc::Version;
+    use tca::storage::{Key, MvccStore, Value};
 
     /// Reads at any snapshot see the newest version at or below it.
     #[test]
@@ -80,6 +82,109 @@ mod mvcc_props {
                 }
             },
         );
+    }
+
+    /// An ordered-map model of the version store: what the hash-indexed
+    /// store must agree with.
+    #[derive(Default)]
+    struct Model {
+        data: BTreeMap<Key, Vec<Version>>,
+    }
+
+    impl Model {
+        /// Compact one key against `horizon`; returns (reclaimed, settled).
+        fn compact(&mut self, key: &str, horizon: u64) -> (usize, bool) {
+            let Some(versions) = self.data.get_mut(key) else {
+                return (0, true);
+            };
+            let keep_from = versions.iter().rposition(|v| v.ts <= horizon).unwrap_or(0);
+            versions.drain(..keep_from);
+            let dead =
+                versions.len() == 1 && versions[0].value.is_none() && versions[0].ts <= horizon;
+            let settled = dead || (versions.len() == 1 && versions[0].value.is_some());
+            if dead {
+                self.data.remove(key);
+            }
+            (keep_from, settled)
+        }
+    }
+
+    /// Keys under prefixes that nest (`a/` lies under `a`, so does `ab/`).
+    fn key(id: u8) -> Key {
+        format!("{}{}", ["a/", "ab/", "b/"][id as usize % 3], id / 3)
+    }
+
+    /// Random installs, tombstones, loads and both GCs leave the store
+    /// reading, counting and scanning like the ordered model.
+    #[test]
+    fn store_matches_an_ordered_model() {
+        let ops_gen = vec_of(tuple3(u8_in(0, 6), u8_in(0, 11), i64_in(0, 100)), 1, 60);
+        check("store_matches_an_ordered_model", &ops_gen, |ops| {
+            let (mut store, mut model) = (MvccStore::new(), Model::default());
+            let mut clock = 0u64;
+            for &(op, id, value) in ops {
+                let k = key(id);
+                let horizon = value as u64 % (clock + 1);
+                match op {
+                    0..=2 => {
+                        clock += 1;
+                        let value = (op < 2).then_some(Value::Int(value));
+                        store.install(&k, clock, value.clone());
+                        let version = Version { ts: clock, value };
+                        model.data.entry(k).or_default().push(version);
+                    }
+                    3 => {
+                        let pairs = vec![(k, Value::Int(value)), (key(id / 2), Value::Int(-value))];
+                        let mut overwritten = Vec::new();
+                        for (i, (k, v)) in pairs.iter().enumerate() {
+                            let versions = model.data.entry(k.clone()).or_default();
+                            if !versions.is_empty() {
+                                overwritten.push(k.clone());
+                            }
+                            let ts = clock + 1 + i as u64;
+                            versions.push(Version {
+                                ts,
+                                value: Some(v.clone()),
+                            });
+                        }
+                        assert_eq!(store.load(pairs, clock + 1), overwritten);
+                        clock += 2;
+                    }
+                    4 => {
+                        let keys: Vec<Key> = model.data.keys().cloned().collect();
+                        let reclaimed: usize =
+                            keys.iter().map(|k| model.compact(k, horizon).0).sum();
+                        assert_eq!(store.gc(horizon), reclaimed);
+                    }
+                    _ => assert_eq!(store.gc_key(&k, horizon), model.compact(&k, horizon).1),
+                }
+                let versions: usize = model.data.values().map(Vec::len).sum();
+                assert_eq!(store.version_count(), versions);
+                for id in 0..12 {
+                    let k = key(id);
+                    let latest = model.data.get(&k).and_then(|v| v.last()).map(|v| v.ts);
+                    assert_eq!(store.latest_ts(&k), latest, "{k}");
+                    for at in 0..=clock {
+                        let seen = model
+                            .data
+                            .get(&k)
+                            .and_then(|v| v.iter().rev().find(|v| v.ts <= at))
+                            .and_then(|v| v.value.as_ref());
+                        assert_eq!(store.read_at(&k, at), seen, "{k} at {at}");
+                    }
+                }
+                for prefix in ["", "a", "a/", "ab/", "b/", "c"] {
+                    let scanned: Vec<_> = store.scan_latest(prefix).collect();
+                    let ordered: Vec<_> = model
+                        .data
+                        .range(prefix.to_owned()..)
+                        .take_while(|(k, _)| k.starts_with(prefix))
+                        .filter_map(|(k, v)| v.last()?.value.as_ref().map(|v| (k, v)))
+                        .collect();
+                    assert_eq!(scanned, ordered, "scan {prefix:?}");
+                }
+            }
+        });
     }
 }
 
