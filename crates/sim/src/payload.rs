@@ -5,6 +5,16 @@
 //! is a pointer bump, which makes the network's *duplicate delivery* fault
 //! (§3.2 of the paper) free to model. Receivers downcast to the concrete
 //! message type they understand.
+//!
+//! A receiver may also *take* from a body it alone owns:
+//! [`Payload::get_mut`] hands out `&mut T` only when no other handle to
+//! the allocation exists. Anyone who could still read the body — a
+//! network duplicate not yet delivered, an RPC client's retry buffer, a
+//! cache entry, or every other sender of an interned zero-sized marker —
+//! holds such a handle, so a shared body never yields and the receiver
+//! falls back to a copy in exactly the cases where one is needed. Taking
+//! is therefore unobservable: nothing that reads the body afterwards
+//! exists.
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -81,6 +91,15 @@ impl Payload {
         self.inner.value.downcast_ref::<T>()
     }
 
+    /// Borrow the payload mutably as `T`, if that is its concrete type
+    /// and this handle is the only one to the allocation (see the module
+    /// doc). `None` while any clone is alive, for an interned zero-sized
+    /// marker, and for any other type.
+    #[inline]
+    pub fn get_mut<T: Any>(&mut self) -> Option<&mut T> {
+        Rc::get_mut(&mut self.inner)?.value.downcast_mut::<T>()
+    }
+
     /// Borrow the payload as `T`, panicking with a useful message otherwise.
     ///
     /// Use at points where receiving any other type is a programming error.
@@ -153,6 +172,21 @@ mod tests {
         let p = Payload::new(Ping(1));
         assert!(p.tag().contains("Ping"));
         assert!(format!("{p:?}").contains("Ping"));
+    }
+
+    #[test]
+    fn get_mut_yields_only_to_the_sole_owner() {
+        let mut p = Payload::new(Ping(3));
+        p.get_mut::<Ping>().expect("sole owner").0 = 4;
+        assert_eq!(p.expect::<Ping>().0, 4);
+        let q = p.clone();
+        assert!(p.get_mut::<Ping>().is_none(), "a clone is alive");
+        drop(q);
+        assert_eq!(p.get_mut::<Ping>(), Some(&mut Ping(4)), "the clone is gone");
+        assert!(p.get_mut::<Pong>().is_none(), "wrong type");
+        // An interned marker is shared by the cache itself.
+        let mut z = Payload::new(Pong);
+        assert!(z.get_mut::<Pong>().is_none(), "interned ZST");
     }
 
     #[test]

@@ -21,7 +21,19 @@
 //!
 //! Retried RPC calls are forwarded with a *stable* internal call id, so
 //! the owning shard's dedup cache replays instead of re-executing — the
-//! router adds a hop without weakening exactly-once semantics.
+//! router adds a hop without weakening exactly-once semantics. Fan-outs
+//! reach the shards bare, so the router dedups them itself: a retry of an
+//! enveloped `Scan` or `Load` still under way is dropped (the eventual
+//! reply covers it), and one that arrives after the answer is sent that
+//! answer again, until the call's entry leaves the dedup window. A
+//! retried `Load` is therefore never applied again over later writes.
+//!
+//! The router moves what it alone holds. A `Load` whose message has no
+//! other handle gives its pairs up to the split rather than being copied
+//! ([`Payload::get_mut`]), and the shard moves each group into its engine
+//! the same way. An enveloped single's reply already carries the client's
+//! token, because the client's own body went to the shard, so the shard's
+//! reply body is relayed by handle.
 
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
@@ -31,7 +43,7 @@ use tca_sim::{Boot, Ctx, NodeId, Payload, Process, ProcessId, RecentWindow, Shar
 
 use crate::proc::ProcRegistry;
 use crate::server::{
-    reply_payload, DbMsg, DbReply, DbRequest, DbResponse, DbServer, DbServerConfig,
+    load_pairs, reply_payload, DbMsg, DbReply, DbRequest, DbResponse, DbServer, DbServerConfig,
 };
 use crate::types::{Key, Value};
 
@@ -65,6 +77,9 @@ enum Pending {
         outstanding: usize,
         scan: Option<Vec<(Key, Value)>>,
     },
+    /// An enveloped fan-out that has been answered: the answer, sent
+    /// again to late retries of the same call until `by_call` evicts it.
+    Answered(DbResponse),
 }
 
 const ROUTER_DEDUP_WINDOW: usize = 65_536;
@@ -84,9 +99,10 @@ pub struct ShardRouter {
     map: ShardMap,
     shards: Vec<ProcessId>,
     next_internal: u64,
-    /// Internal correlation id → where the reply goes. Entries for
-    /// RPC-enveloped singles stay until evicted so late client retries
-    /// replay through the shard's dedup cache.
+    /// Internal correlation id → where the reply goes. Entries of
+    /// RPC-enveloped calls stay until evicted so late client retries
+    /// replay: a single's through the shard's dedup cache, a fan-out's
+    /// from its `Answered` entry.
     pending: HashMap<u64, Pending>,
     /// (client, client call id) → internal id: keeps the internal id
     /// stable across client retries of the same logical call.
@@ -131,9 +147,52 @@ impl ShardRouter {
         &self.map
     }
 
-    fn alloc_internal(&mut self) -> u64 {
+    /// The internal id of `client`'s request, and whether it is new. An
+    /// enveloped call keeps one id across its retries; a bare request
+    /// always gets a new one.
+    fn internal_id(&mut self, client: ProcessId, rpc_call: Option<u64>) -> (u64, bool) {
+        if let Some(call_id) = rpc_call {
+            if let Some(&internal) = self.by_call.get(&(client, call_id)) {
+                return (internal, false);
+            }
+        }
         self.next_internal += 1;
-        self.next_internal
+        let internal = self.next_internal;
+        if let Some(call_id) = rpc_call {
+            if let Some((_, old)) = self.by_call.insert((client, call_id), internal) {
+                self.pending.remove(&old);
+            }
+        }
+        (internal, true)
+    }
+
+    /// The internal id for a fan-out, or `None` when the request is a
+    /// retry of an enveloped fan-out: one still under way is dropped, its
+    /// eventual reply covers it, and one already answered is answered
+    /// again.
+    fn fanout_id(
+        &mut self,
+        ctx: &mut Ctx,
+        client: ProcessId,
+        token: u64,
+        rpc_call: Option<u64>,
+    ) -> Option<u64> {
+        let (internal, fresh) = self.internal_id(client, rpc_call);
+        if fresh {
+            return Some(internal);
+        }
+        match self.pending.get(&internal) {
+            Some(Pending::Answered(resp)) => {
+                let resp = resp.clone();
+                self.respond(ctx, client, token, rpc_call, resp);
+                None
+            }
+            Some(_) => {
+                ctx.trace_event(|| format!("dropped: retry of fan-out {internal} under way"));
+                None
+            }
+            None => Some(internal),
+        }
     }
 
     /// Answer the client directly (reject / synthesized replies).
@@ -159,20 +218,7 @@ impl ShardRouter {
         shard: usize,
     ) {
         let msg = body.expect::<DbMsg>();
-        // Stable internal id across retries of the same enveloped call.
-        let internal = match rpc_call {
-            Some(call_id) => match self.by_call.get(&(client, call_id)) {
-                Some(&internal) => internal,
-                None => {
-                    let internal = self.alloc_internal();
-                    if let Some((_, old)) = self.by_call.insert((client, call_id), internal) {
-                        self.pending.remove(&old);
-                    }
-                    internal
-                }
-            },
-            None => self.alloc_internal(),
-        };
+        let (internal, _) = self.internal_id(client, rpc_call);
         self.pending.entry(internal).or_insert(Pending::Single {
             client,
             token: msg.token,
@@ -200,14 +246,12 @@ impl ShardRouter {
         }
     }
 
-    /// Route the client's [`DbMsg`] in `body`.
-    fn handle_request(
-        &mut self,
-        ctx: &mut Ctx,
-        client: ProcessId,
-        body: &Payload,
-        rpc_call: Option<u64>,
-    ) {
+    /// Route the client's [`DbMsg`], bare or RPC-enveloped in `payload`.
+    fn handle_request(&mut self, ctx: &mut Ctx, client: ProcessId, payload: &mut Payload) {
+        let (body, rpc_call) = match payload.downcast_ref::<RpcRequest>() {
+            Some(req) => (&req.body, Some(req.call_id)),
+            None => (&*payload, None),
+        };
         let msg = body.expect::<DbMsg>();
         match &msg.req {
             DbRequest::Call { args, .. } => match args.first() {
@@ -235,7 +279,9 @@ impl ShardRouter {
                 self.forward(ctx, client, body, rpc_call, shard);
             }
             DbRequest::Scan { prefix } => {
-                let internal = self.alloc_internal();
+                let Some(internal) = self.fanout_id(ctx, client, msg.token, rpc_call) else {
+                    return;
+                };
                 self.pending.insert(
                     internal,
                     Pending::Fanout {
@@ -259,39 +305,11 @@ impl ShardRouter {
                     );
                 }
             }
-            DbRequest::Load { pairs } => {
-                let groups = self.map.split_by_owner(pairs.clone(), |(k, _)| k.as_str());
-                let targets: Vec<(ProcessId, Vec<(Key, Value)>)> = groups
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, group)| !group.is_empty())
-                    .map(|(shard, group)| (self.shards[shard], group))
-                    .collect();
-                if targets.is_empty() {
-                    // Empty load: nothing to distribute, ack immediately.
-                    self.respond(ctx, client, msg.token, rpc_call, DbResponse::Loaded);
-                    return;
-                }
-                let internal = self.alloc_internal();
-                self.pending.insert(
-                    internal,
-                    Pending::Fanout {
-                        client,
-                        token: msg.token,
-                        rpc_call,
-                        outstanding: targets.len(),
-                        scan: None,
-                    },
-                );
-                ctx.metrics().incr(&self.counters.fanout, 1);
-                for (target, group) in targets {
-                    ctx.send(
-                        target,
-                        Payload::new(DbMsg {
-                            token: internal,
-                            req: DbRequest::Load { pairs: group },
-                        }),
-                    );
+            DbRequest::Load { .. } => {
+                let token = msg.token;
+                if let Some(internal) = self.fanout_id(ctx, client, token, rpc_call) {
+                    let pairs = load_pairs(payload);
+                    self.load(ctx, internal, client, token, rpc_call, pairs);
                 }
             }
             DbRequest::Begin { .. }
@@ -316,66 +334,137 @@ impl ShardRouter {
         }
     }
 
-    fn handle_reply(&mut self, ctx: &mut Ctx, internal: u64, resp: DbResponse) {
-        let (client, token, rpc_call, drop_entry, final_resp) =
-            match self.pending.get_mut(&internal) {
-                // Evicted entry or duplicate fan-out straggler.
-                None => return,
-                Some(Pending::Single {
-                    client,
-                    token,
-                    rpc_call,
-                }) => {
-                    // Bare requests are never retried through us; drop the
-                    // entry. Enveloped entries stay for dedup replays.
-                    (*client, *token, *rpc_call, rpc_call.is_none(), resp)
-                }
-                Some(Pending::Fanout {
-                    client,
-                    token,
-                    rpc_call,
-                    outstanding,
-                    scan,
-                }) => {
-                    if let (Some(merged), DbResponse::ScanOk { pairs }) = (scan.as_mut(), &resp) {
-                        merged.extend(pairs.iter().cloned());
-                    }
-                    *outstanding -= 1;
-                    if *outstanding > 0 {
-                        return;
-                    }
-                    let final_resp = match scan.take() {
-                        Some(mut merged) => {
-                            merged.sort_by(|a, b| a.0.cmp(&b.0));
-                            DbResponse::ScanOk { pairs: merged }
-                        }
-                        None => DbResponse::Loaded,
-                    };
-                    (*client, *token, *rpc_call, true, final_resp)
-                }
-            };
-        if drop_entry {
+    /// Split `pairs` by owner and send each shard its group by move; the
+    /// client is answered once every shard has acked.
+    fn load(
+        &mut self,
+        ctx: &mut Ctx,
+        internal: u64,
+        client: ProcessId,
+        token: u64,
+        rpc_call: Option<u64>,
+        pairs: Vec<(Key, Value)>,
+    ) {
+        let groups = self.map.split_by_owner(pairs, |(k, _)| k.as_str());
+        let targets: Vec<(ProcessId, Vec<(Key, Value)>)> = groups
+            .into_iter()
+            .enumerate()
+            .filter(|(_, group)| !group.is_empty())
+            .map(|(shard, group)| (self.shards[shard], group))
+            .collect();
+        if targets.is_empty() {
+            // Empty load: nothing to distribute, ack immediately.
+            self.answer(ctx, internal, client, token, rpc_call, DbResponse::Loaded);
+            return;
+        }
+        self.pending.insert(
+            internal,
+            Pending::Fanout {
+                client,
+                token,
+                rpc_call,
+                outstanding: targets.len(),
+                scan: None,
+            },
+        );
+        ctx.metrics().incr(&self.counters.fanout, 1);
+        for (target, group) in targets {
+            ctx.send(
+                target,
+                Payload::new(DbMsg {
+                    token: internal,
+                    req: DbRequest::Load { pairs: group },
+                }),
+            );
+        }
+    }
+
+    /// Answer a request the router completed: a bare single or any
+    /// fan-out. An enveloped fan-out's answer stays in `pending` for its
+    /// late retries; a bare request's entry goes, as it is never retried
+    /// through the router.
+    fn answer(
+        &mut self,
+        ctx: &mut Ctx,
+        internal: u64,
+        client: ProcessId,
+        token: u64,
+        rpc_call: Option<u64>,
+        resp: DbResponse,
+    ) {
+        if rpc_call.is_some() {
+            self.pending
+                .insert(internal, Pending::Answered(resp.clone()));
+        } else {
             self.pending.remove(&internal);
         }
+        self.respond(ctx, client, token, rpc_call, resp);
+    }
+
+    /// A bare shard reply: the answer to a bare single, or one shard's
+    /// share of a fan-out.
+    fn handle_reply(&mut self, ctx: &mut Ctx, internal: u64, resp: DbResponse) {
+        let (client, token, rpc_call, final_resp) = match self.pending.get_mut(&internal) {
+            // Evicted entry, or a straggler of a finished fan-out.
+            None | Some(Pending::Answered(_)) => return,
+            Some(&mut Pending::Single {
+                client,
+                token,
+                rpc_call,
+            }) => (client, token, rpc_call, resp),
+            Some(Pending::Fanout {
+                client,
+                token,
+                rpc_call,
+                outstanding,
+                scan,
+            }) => {
+                if let (Some(merged), DbResponse::ScanOk { pairs }) = (scan.as_mut(), &resp) {
+                    merged.extend(pairs.iter().cloned());
+                }
+                *outstanding -= 1;
+                if *outstanding > 0 {
+                    return;
+                }
+                let final_resp = match scan.take() {
+                    Some(mut merged) => {
+                        merged.sort_by(|a, b| a.0.cmp(&b.0));
+                        DbResponse::ScanOk { pairs: merged }
+                    }
+                    None => DbResponse::Loaded,
+                };
+                (*client, *token, *rpc_call, final_resp)
+            }
+        };
         ctx.metrics().incr(&self.counters.replies, 1);
-        self.respond(ctx, client, token, rpc_call, final_resp);
+        self.answer(ctx, internal, client, token, rpc_call, final_resp);
     }
 }
 
 impl Process for ShardRouter {
-    fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
+    fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, mut payload: Payload) {
         // Shard replies (either shape) come back correlated by the
         // internal id the router assigned on the way out. One whose entry
         // is gone — evicted, or lost with a restart — is a straggler.
         if let Some(reply) = payload.downcast_ref::<RpcReply>() {
-            if !self.pending.contains_key(&reply.call_id) {
-                let call_id = reply.call_id;
-                ctx.trace_event(|| format!("dropped: reply to unknown call {call_id}"));
-                return;
+            // Only an enveloped single goes to a shard enveloped. The shard
+            // answered the client's own body, so its reply already carries
+            // the client's token: relay it by handle.
+            match self.pending.get(&reply.call_id) {
+                Some(&Pending::Single {
+                    client,
+                    rpc_call: Some(call_id),
+                    ..
+                }) => {
+                    ctx.metrics().incr(&self.counters.replies, 1);
+                    let body = reply.body.clone();
+                    ctx.send(client, Payload::new(RpcReply { call_id, body }));
+                }
+                _ => {
+                    let call_id = reply.call_id;
+                    ctx.trace_event(|| format!("dropped: reply to unknown call {call_id}"));
+                }
             }
-            let inner = reply.body.expect::<DbReply>();
-            let resp = inner.resp.clone();
-            self.handle_reply(ctx, reply.call_id, resp);
             return;
         }
         if let Some(reply) = payload.downcast_ref::<DbReply>() {
@@ -393,11 +482,7 @@ impl Process for ShardRouter {
             return;
         }
         // Client requests: bare DbMsg or RPC-enveloped DbMsg.
-        let (body, rpc_call) = match payload.downcast_ref::<RpcRequest>() {
-            Some(req) => (&req.body, Some(req.call_id)),
-            None => (&payload, None),
-        };
-        self.handle_request(ctx, from, body, rpc_call);
+        self.handle_request(ctx, from, &mut payload);
     }
 }
 
@@ -718,6 +803,106 @@ mod tests {
         sim.restart_node(router_node);
         sim.run_for(SimDuration::from_millis(10));
         assert_eq!(sim.metrics().counter("db-router.replies"), 0);
+    }
+
+    /// A shard's contents, clock and version count.
+    type ShardState = (Vec<(Key, Value)>, crate::Timestamp, usize);
+
+    /// Each shard's state once `load` has reached the router of a fresh
+    /// 4-shard world and settled.
+    fn loaded_shards(load: Payload) -> Vec<ShardState> {
+        let (mut sim, router, shards) = world(4);
+        sim.inject(router, load);
+        sim.run_to_quiescence(100_000);
+        assert_eq!(sim.metrics().counter("db-router.replies"), 1, "load acked");
+        shards
+            .iter()
+            .map(|&pid| {
+                let engine = sim.inspect::<DbServer>(pid).expect("shard").engine();
+                let contents = engine.peek_prefix("");
+                (contents, engine.clock(), engine.store().version_count())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_load_is_the_same_moved_or_copied() {
+        let pairs = || -> Vec<(Key, Value)> {
+            (0..2_000)
+                .map(|i| (format!("user{i:08}"), Value::Int(i)))
+                .collect()
+        };
+        let moved = loaded_shards(Payload::new(DbMsg::load(pairs())));
+        // A handle the test keeps forces the router to copy.
+        let held = Payload::new(DbMsg::load(pairs()));
+        let copied = loaded_shards(held.clone());
+        let kept = match &held.expect::<DbMsg>().req {
+            DbRequest::Load { pairs } => pairs.len(),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(kept, 2_000, "a shared body is never taken from");
+        let enveloped = loaded_shards(Payload::new(RpcRequest {
+            call_id: 1,
+            body: Payload::new(DbMsg::load(pairs())),
+        }));
+        assert_eq!(moved, copied);
+        assert_eq!(moved, enveloped);
+        let held: usize = moved.iter().map(|(contents, ..)| contents.len()).sum();
+        assert_eq!(held, 2_000);
+        assert!(moved.iter().all(|(contents, ..)| !contents.is_empty()));
+    }
+
+    /// Sends every injected message on to the router as its own request,
+    /// and counts the `Loaded` answers that come back enveloped.
+    struct Proxy {
+        router: ProcessId,
+    }
+    impl Process for Proxy {
+        fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
+            if from == ProcessId::EXTERNAL {
+                ctx.send(self.router, payload);
+            } else if let Some(reply) = payload.downcast_ref::<RpcReply>() {
+                assert_eq!(reply.call_id, 77);
+                if reply.body.expect::<DbReply>().resp == DbResponse::Loaded {
+                    ctx.metrics().incr("client.loaded", 1);
+                }
+            }
+        }
+    }
+
+    /// Fan-outs reach the shards bare, so only the router can tell a
+    /// retried `Load` from a new one; applied again it would put the
+    /// loaded value back over a committed write.
+    #[test]
+    fn a_retried_load_is_answered_not_reapplied() {
+        let (mut sim, router, shards) = world(4);
+        // On the router's node, two sends in a row arrive in order.
+        let node = sim.node_of(router);
+        let proxy = sim.spawn(node, "client", move |_| Box::new(Proxy { router }));
+        let load = Payload::new(RpcRequest {
+            call_id: 77,
+            body: Payload::new(DbMsg::load(vec![("k".into(), Value::Int(0))])),
+        });
+        // A retry racing the original is dropped: one answer covers both.
+        sim.inject(proxy, load.clone());
+        sim.inject(proxy, load.clone());
+        sim.run_to_quiescence(10_000);
+        assert_eq!(sim.metrics().counter("client.loaded"), 1);
+        let bump = DbMsg::call("kv_rmw", vec![Value::Str("k".into())]);
+        sim.inject(proxy, Payload::new(bump));
+        sim.run_to_quiescence(10_000);
+        // A late retry is answered again, not fanned out again.
+        sim.inject(proxy, load);
+        sim.run_to_quiescence(10_000);
+        assert_eq!(sim.metrics().counter("client.loaded"), 2);
+        assert_eq!(sim.metrics().counter("db-router.fanout"), 1);
+        let owner = shards[ShardMap::ring(4).owner("k")];
+        let db = sim.inspect::<DbServer>(owner).expect("shard");
+        assert_eq!(
+            db.engine().peek("k"),
+            Some(Value::Int(1)),
+            "the bump survives"
+        );
     }
 
     #[test]

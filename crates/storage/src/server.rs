@@ -8,6 +8,12 @@
 //! realistic shape of a lock wait. A `Call` that meets such a lock is
 //! answered `Aborted` at once.
 //!
+//! A bulk `Load` hands its pairs to [`Engine::load_batch`] by move when
+//! the server holds the only handle to the message, as it does for a
+//! router's per-shard group. A body anyone else could still read — a
+//! network duplicate, a client's retry buffer — is copied instead
+//! ([`tca_sim::Payload::get_mut`]).
+//!
 //! Durability: the WAL and checkpoint cell live in the node's durable
 //! [`tca_sim::Disk`]; the factory opens the engine via
 //! [`Engine::recover`] on every boot (the first recovers from empty
@@ -220,6 +226,37 @@ pub(crate) fn reply_payload(token: u64, rpc_call: Option<u64>, resp: DbResponse)
             body: reply,
         }),
         None => reply,
+    }
+}
+
+/// The pairs of the `Load` in `payload`, a bare or RPC-enveloped
+/// [`DbMsg`]: moved out when the caller holds the only handle to the
+/// message, copied when anyone else could still read it.
+///
+/// # Panics
+/// When `payload` does not hold a `Load`.
+pub(crate) fn load_pairs(payload: &mut Payload) -> Vec<(Key, Value)> {
+    let owned = if payload.is::<RpcRequest>() {
+        payload
+            .get_mut::<RpcRequest>()
+            .and_then(|req| req.body.get_mut::<DbMsg>())
+    } else {
+        payload.get_mut::<DbMsg>()
+    };
+    if let Some(DbMsg {
+        req: DbRequest::Load { pairs },
+        ..
+    }) = owned
+    {
+        return std::mem::take(pairs);
+    }
+    let msg = match payload.downcast_ref::<RpcRequest>() {
+        Some(req) => req.body.expect::<DbMsg>(),
+        None => payload.expect::<DbMsg>(),
+    };
+    match &msg.req {
+        DbRequest::Load { pairs } => pairs.clone(),
+        other => panic!("load_pairs: not a Load: {other:?}"),
     }
 }
 
@@ -449,7 +486,7 @@ impl DbServer {
 }
 
 impl Process for DbServer {
-    fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
+    fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, mut payload: Payload) {
         // Accept both bare DbMsg and RPC-enveloped DbMsg. Enveloped
         // requests carry an idempotency key (the call id): duplicates are
         // answered from cache rather than re-executed.
@@ -574,8 +611,8 @@ impl Process for DbServer {
                 let pairs = self.engine.peek_prefix(prefix);
                 self.reply(ctx, addr, DbResponse::ScanOk { pairs }, READ_LATENCY);
             }
-            DbRequest::Load { pairs } => {
-                self.engine.load_batch(pairs.clone());
+            DbRequest::Load { .. } => {
+                self.engine.load_batch(load_pairs(&mut payload));
                 self.reply(ctx, addr, DbResponse::Loaded, WRITE_LATENCY);
             }
         }

@@ -2,6 +2,8 @@
 //! traditional OLTP metrics and workloads; YCSB is the standard KV mix
 //! used to characterize state-access patterns).
 
+use std::fmt::Write;
+
 use crate::loadgen::KeyChooser;
 use tca_sim::SimRng;
 use tca_storage::{Key, ProcRegistry, Value};
@@ -41,10 +43,21 @@ impl Default for YcsbScale {
     }
 }
 
+/// The key of record `i`: `format!("user{i:08}")`, built in one
+/// allocation of exactly its length. A bulk load moves its keys into the
+/// shards' version stores, so spare capacity here would be held there for
+/// as long as the record lives.
+pub fn user_key(i: usize) -> Key {
+    let digits = i.checked_ilog10().map_or(1, |log| log as usize + 1).max(8);
+    let mut key = String::with_capacity("user".len() + digits);
+    write!(key, "user{i:08}").expect("writing to a String cannot fail");
+    key
+}
+
 /// Seed records `user0 … userN-1`.
 pub fn seed(scale: &YcsbScale) -> Vec<(Key, Value)> {
     (0..scale.records)
-        .map(|i| (format!("user{i:08}"), Value::Int(i as i64)))
+        .map(|i| (user_key(i), Value::Int(i as i64)))
         .collect()
 }
 
@@ -91,35 +104,31 @@ impl YcsbSampler {
         }
     }
 
-    fn key(&self, index: usize) -> String {
-        format!("user{index:08}")
-    }
-
     /// Sample the next operation: `(procedure, args)`.
     pub fn next_txn(&mut self, rng: &mut SimRng) -> (String, Vec<Value>) {
         let hot = self.chooser.pick(rng);
         match self.workload {
             YcsbWorkload::A => {
                 if rng.chance(0.5) {
-                    ("ycsb_read".into(), vec![Value::Str(self.key(hot))])
+                    ("ycsb_read".into(), vec![Value::Str(user_key(hot))])
                 } else {
                     (
                         "ycsb_update".into(),
-                        vec![Value::Str(self.key(hot)), Value::Int(rng.next_u64() as i64)],
+                        vec![Value::Str(user_key(hot)), Value::Int(rng.next_u64() as i64)],
                     )
                 }
             }
             YcsbWorkload::B => {
                 if rng.chance(0.95) {
-                    ("ycsb_read".into(), vec![Value::Str(self.key(hot))])
+                    ("ycsb_read".into(), vec![Value::Str(user_key(hot))])
                 } else {
                     (
                         "ycsb_update".into(),
-                        vec![Value::Str(self.key(hot)), Value::Int(rng.next_u64() as i64)],
+                        vec![Value::Str(user_key(hot)), Value::Int(rng.next_u64() as i64)],
                     )
                 }
             }
-            YcsbWorkload::C => ("ycsb_read".into(), vec![Value::Str(self.key(hot))]),
+            YcsbWorkload::C => ("ycsb_read".into(), vec![Value::Str(user_key(hot))]),
             YcsbWorkload::D => {
                 if rng.chance(0.95) {
                     // Read latest: most recent inserts are hottest.
@@ -127,14 +136,14 @@ impl YcsbSampler {
                     let back = self.chooser.pick(rng).min(newest.saturating_sub(1));
                     (
                         "ycsb_read".into(),
-                        vec![Value::Str(self.key(newest - 1 - back))],
+                        vec![Value::Str(user_key(newest - 1 - back))],
                     )
                 } else {
                     let index = self.records + self.inserted;
                     self.inserted += 1;
                     (
                         "ycsb_insert".into(),
-                        vec![Value::Str(self.key(index)), Value::Int(index as i64)],
+                        vec![Value::Str(user_key(index)), Value::Int(index as i64)],
                     )
                 }
             }
@@ -143,21 +152,21 @@ impl YcsbSampler {
                     // Short scan: encoded as a read of the start key (the
                     // harness issues DbRequest::Scan directly for true
                     // scans; the proc interface approximates cost).
-                    ("ycsb_read".into(), vec![Value::Str(self.key(hot))])
+                    ("ycsb_read".into(), vec![Value::Str(user_key(hot))])
                 } else {
                     let index = self.records + self.inserted;
                     self.inserted += 1;
                     (
                         "ycsb_insert".into(),
-                        vec![Value::Str(self.key(index)), Value::Int(index as i64)],
+                        vec![Value::Str(user_key(index)), Value::Int(index as i64)],
                     )
                 }
             }
             YcsbWorkload::F => {
                 if rng.chance(0.5) {
-                    ("ycsb_read".into(), vec![Value::Str(self.key(hot))])
+                    ("ycsb_read".into(), vec![Value::Str(user_key(hot))])
                 } else {
-                    ("ycsb_rmw".into(), vec![Value::Str(self.key(hot))])
+                    ("ycsb_rmw".into(), vec![Value::Str(user_key(hot))])
                 }
             }
         }
@@ -179,6 +188,16 @@ mod tests {
             engine.load(&key, value);
         }
         engine
+    }
+
+    #[test]
+    fn user_key_is_format() {
+        let edges = [99_999_999, 100_000_000, usize::MAX];
+        for i in (0..300_000).chain(edges) {
+            let key = user_key(i);
+            assert_eq!(key, format!("user{i:08}"));
+            assert_eq!(key.capacity(), key.len(), "{key} has spare capacity");
+        }
     }
 
     #[test]

@@ -1,20 +1,24 @@
-//! What a committed 2PC transfer and a stored-procedure read cost the
-//! host's allocator, and that a transfer leaves nothing behind.
+//! What a committed 2PC transfer, a stored-procedure read and a loaded
+//! pair cost the host's allocator, and that a transfer leaves nothing
+//! behind.
 //!
 //! Two bank participants and a coordinator serve one client that commits
 //! transfers back to back over a fixed set of accounts, so every bounded
 //! structure (lock table, version chains, WAL between checkpoints, the
 //! recently-decided window) reaches its steady size and anything that
 //! still grows is history nobody reads. A single `DbServer` serves YCSB
-//! reads to one client the same way. The allocator below counts for the
-//! calling thread only: each test measures its own simulation.
+//! reads to one client the same way, and a sharded database takes one
+//! bulk load. The allocator below counts for the calling thread only:
+//! each test measures its own simulation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use tca::messaging::{RetryPolicy, RpcClient, RpcEvent};
 use tca::sim::{Ctx, Payload, Process, ProcessId, Sim, SimDuration};
-use tca::storage::{DbMsg, DbReply, DbResponse, DbServer, DbServerConfig, Value};
+use tca::storage::{
+    deploy_sharded_db, DbMsg, DbReply, DbResponse, DbServer, DbServerConfig, Value,
+};
 use tca::txn::worlds::bank_registry_from;
 use tca::txn::{DtxOutcome, ParticipantConfig, StartDtx, TwoPcCoordinator, TwoPcParticipant};
 use tca::workloads::ycsb::{self, YcsbScale};
@@ -244,5 +248,37 @@ fn a_read_call_stays_within_its_allocation_budget() {
     assert!(
         per_read <= BUDGET,
         "{per_read} allocations per read call, budget {BUDGET}"
+    );
+}
+
+#[test]
+fn a_bulk_load_moves_its_pairs() {
+    // From building the keys to the last shard's ack, kernel and network
+    // included. Measured 3.10 per pair: its key, the checkpoint image's
+    // copy of that key, its one-version chain, and a share of the groups
+    // and tables. Copying the batch at the router and each group at its
+    // shard made it 6.11.
+    const PAIRS: usize = 20_000;
+    const BUDGET: f64 = 4.0;
+    let mut sim = Sim::with_seed(21);
+    let nodes = sim.add_nodes(8);
+    let config = DbServerConfig::default();
+    let (router, _) = deploy_sharded_db(&mut sim, &nodes, "ycsb", config, ycsb::registry, 16);
+    let before = ALLOCATIONS.get();
+    let scale = YcsbScale {
+        records: PAIRS,
+        theta: 0.0,
+    };
+    sim.inject(router, Payload::new(DbMsg::load(ycsb::seed(&scale))));
+    sim.run_to_quiescence(1_000_000);
+    let per_pair = (ALLOCATIONS.get() - before) as f64 / PAIRS as f64;
+    assert_eq!(
+        sim.metrics().counter("ycsb-router.replies"),
+        1,
+        "load acked"
+    );
+    assert!(
+        per_pair <= BUDGET,
+        "{per_pair:.2} allocations per loaded pair, budget {BUDGET}"
     );
 }
