@@ -21,19 +21,23 @@
 //!
 //! Retried RPC calls are forwarded with a *stable* internal call id, so
 //! the owning shard's dedup cache replays instead of re-executing — the
-//! router adds a hop without weakening exactly-once semantics. Fan-outs
-//! reach the shards bare, so the router dedups them itself: a retry of an
-//! enveloped `Scan` or `Load` still under way is dropped (the eventual
-//! reply covers it), and one that arrives after the answer is sent that
-//! answer again, until the call's entry leaves the dedup window. A
-//! retried `Load` is therefore never applied again over later writes.
+//! router adds a hop without weakening exactly-once semantics. An
+//! enveloped `Load` keeps that id too, and each shard receives its group
+//! enveloped under it. A retry that arrives while the load is under way
+//! sends again the groups whose shards have not answered — recovering a
+//! lost group, a lost ack or a group dropped past its deadline — and the
+//! shards' dedup applies each group once; each shard's answer counts
+//! once. After every shard has applied its group, late retries are
+//! answered `Loaded` by the router itself until the call leaves the dedup
+//! window, so a retried `Load` is never applied again over later writes.
+//! A shard that sheds its group answers `Overloaded`, and so does the
+//! fan-out, as a shed single does. A `Scan` is read-only: every request,
+//! retried or not, scans again.
 //!
 //! The router moves what it alone holds. A `Load` whose message has no
 //! other handle gives its pairs up to the split rather than being copied
 //! ([`Payload::get_mut`]), and the shard moves each group into its engine
-//! the same way. An enveloped single's reply already carries the client's
-//! token, because the client's own body went to the shard, so the shard's
-//! reply body is relayed by handle.
+//! the same way.
 
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
@@ -68,18 +72,25 @@ enum Pending {
         token: u64,
         rpc_call: Option<u64>,
     },
-    /// Fan-out (`Load`/`Scan`): collect `outstanding` shard replies, then
-    /// answer the client once. `scan` accumulates merged scan results.
-    Fanout {
-        client: ProcessId,
-        token: u64,
-        rpc_call: Option<u64>,
-        outstanding: usize,
-        scan: Option<Vec<(Key, Value)>>,
-    },
-    /// An enveloped fan-out that has been answered: the answer, sent
-    /// again to late retries of the same call until `by_call` evicts it.
-    Answered(DbResponse),
+    /// Fan-out (`Load`/`Scan`), boxed: an enveloped single's entry stays
+    /// for the whole dedup window, so every entry is kept small.
+    Fanout(Box<Fanout>),
+    /// An enveloped `Load` that every shard has applied: late retries of
+    /// the call are answered `Loaded` until `by_call` evicts it.
+    Loaded,
+}
+
+/// A fan-out under way: collect one answer from each shard in `awaiting`,
+/// then answer the client once. `scan` accumulates merged scan results;
+/// `failed` keeps the first share that went wrong.
+#[derive(Debug, Clone)]
+struct Fanout {
+    client: ProcessId,
+    token: u64,
+    rpc_call: Option<u64>,
+    awaiting: Vec<ProcessId>,
+    scan: Option<Vec<(Key, Value)>>,
+    failed: Option<DbResponse>,
 }
 
 const ROUTER_DEDUP_WINDOW: usize = 65_536;
@@ -99,10 +110,10 @@ pub struct ShardRouter {
     map: ShardMap,
     shards: Vec<ProcessId>,
     next_internal: u64,
-    /// Internal correlation id → where the reply goes. Entries of
-    /// RPC-enveloped calls stay until evicted so late client retries
-    /// replay: a single's through the shard's dedup cache, a fan-out's
-    /// from its `Answered` entry.
+    /// Internal correlation id → where the reply goes. An enveloped
+    /// single's entry, and an applied enveloped load's `Loaded` marker,
+    /// stay until evicted so late client retries replay: the single's
+    /// through the shard's dedup cache, the load's from the marker.
     pending: HashMap<u64, Pending>,
     /// (client, client call id) → internal id: keeps the internal id
     /// stable across client retries of the same logical call.
@@ -147,52 +158,25 @@ impl ShardRouter {
         &self.map
     }
 
-    /// The internal id of `client`'s request, and whether it is new. An
-    /// enveloped call keeps one id across its retries; a bare request
-    /// always gets a new one.
-    fn internal_id(&mut self, client: ProcessId, rpc_call: Option<u64>) -> (u64, bool) {
-        if let Some(call_id) = rpc_call {
-            if let Some(&internal) = self.by_call.get(&(client, call_id)) {
-                return (internal, false);
-            }
-        }
+    fn alloc_internal(&mut self) -> u64 {
         self.next_internal += 1;
-        let internal = self.next_internal;
-        if let Some(call_id) = rpc_call {
-            if let Some((_, old)) = self.by_call.insert((client, call_id), internal) {
-                self.pending.remove(&old);
-            }
-        }
-        (internal, true)
+        self.next_internal
     }
 
-    /// The internal id for a fan-out, or `None` when the request is a
-    /// retry of an enveloped fan-out: one still under way is dropped, its
-    /// eventual reply covers it, and one already answered is answered
-    /// again.
-    fn fanout_id(
-        &mut self,
-        ctx: &mut Ctx,
-        client: ProcessId,
-        token: u64,
-        rpc_call: Option<u64>,
-    ) -> Option<u64> {
-        let (internal, fresh) = self.internal_id(client, rpc_call);
-        if fresh {
-            return Some(internal);
+    /// The internal id of `client`'s request: an enveloped call keeps one
+    /// id across its retries, a bare request always gets a new one.
+    fn internal_id(&mut self, client: ProcessId, rpc_call: Option<u64>) -> u64 {
+        let Some(call_id) = rpc_call else {
+            return self.alloc_internal();
+        };
+        if let Some(&internal) = self.by_call.get(&(client, call_id)) {
+            return internal;
         }
-        match self.pending.get(&internal) {
-            Some(Pending::Answered(resp)) => {
-                let resp = resp.clone();
-                self.respond(ctx, client, token, rpc_call, resp);
-                None
-            }
-            Some(_) => {
-                ctx.trace_event(|| format!("dropped: retry of fan-out {internal} under way"));
-                None
-            }
-            None => Some(internal),
+        let internal = self.alloc_internal();
+        if let Some((_, old)) = self.by_call.insert((client, call_id), internal) {
+            self.pending.remove(&old);
         }
+        internal
     }
 
     /// Answer the client directly (reject / synthesized replies).
@@ -218,7 +202,7 @@ impl ShardRouter {
         shard: usize,
     ) {
         let msg = body.expect::<DbMsg>();
-        let (internal, _) = self.internal_id(client, rpc_call);
+        let internal = self.internal_id(client, rpc_call);
         self.pending.entry(internal).or_insert(Pending::Single {
             client,
             token: msg.token,
@@ -279,18 +263,17 @@ impl ShardRouter {
                 self.forward(ctx, client, body, rpc_call, shard);
             }
             DbRequest::Scan { prefix } => {
-                let Some(internal) = self.fanout_id(ctx, client, msg.token, rpc_call) else {
-                    return;
-                };
+                let internal = self.alloc_internal();
                 self.pending.insert(
                     internal,
-                    Pending::Fanout {
+                    Pending::Fanout(Box::new(Fanout {
                         client,
                         token: msg.token,
                         rpc_call,
-                        outstanding: self.shards.len(),
+                        awaiting: self.shards.clone(),
                         scan: Some(Vec::new()),
-                    },
+                        failed: None,
+                    })),
                 );
                 ctx.metrics().incr(&self.counters.fanout, 1);
                 for &shard in &self.shards {
@@ -307,10 +290,13 @@ impl ShardRouter {
             }
             DbRequest::Load { .. } => {
                 let token = msg.token;
-                if let Some(internal) = self.fanout_id(ctx, client, token, rpc_call) {
-                    let pairs = load_pairs(payload);
-                    self.load(ctx, internal, client, token, rpc_call, pairs);
+                let internal = self.internal_id(client, rpc_call);
+                if let Some(Pending::Loaded) = self.pending.get(&internal) {
+                    self.respond(ctx, client, token, rpc_call, DbResponse::Loaded);
+                    return;
                 }
+                let pairs = load_pairs(payload);
+                self.load(ctx, internal, client, token, rpc_call, pairs);
             }
             DbRequest::Begin { .. }
             | DbRequest::Read { .. }
@@ -335,7 +321,9 @@ impl ShardRouter {
     }
 
     /// Split `pairs` by owner and send each shard its group by move; the
-    /// client is answered once every shard has acked.
+    /// client is answered once every shard has answered. A retry of an
+    /// enveloped load still under way sends again only the groups whose
+    /// shards have not answered.
     fn load(
         &mut self,
         ctx: &mut Ctx,
@@ -352,92 +340,117 @@ impl ShardRouter {
             .filter(|(_, group)| !group.is_empty())
             .map(|(shard, group)| (self.shards[shard], group))
             .collect();
+        // A group goes bare, or enveloped under the call's stable id, so
+        // that the shard's dedup applies a group sent again only once.
+        let group_msg = |group| {
+            let msg = Payload::new(DbMsg {
+                token: internal,
+                req: DbRequest::Load { pairs: group },
+            });
+            match rpc_call {
+                Some(_) => Payload::new(RpcRequest {
+                    call_id: internal,
+                    body: msg,
+                }),
+                None => msg,
+            }
+        };
+        if let Some(Pending::Fanout(fanout)) = self.pending.get(&internal) {
+            let awaiting = &fanout.awaiting;
+            ctx.trace_event(|| format!("resending fan-out {internal} to {awaiting:?}"));
+            for (target, group) in targets {
+                if awaiting.contains(&target) {
+                    ctx.send(target, group_msg(group));
+                }
+            }
+            return;
+        }
         if targets.is_empty() {
             // Empty load: nothing to distribute, ack immediately.
-            self.answer(ctx, internal, client, token, rpc_call, DbResponse::Loaded);
+            self.respond(ctx, client, token, rpc_call, DbResponse::Loaded);
             return;
         }
         self.pending.insert(
             internal,
-            Pending::Fanout {
+            Pending::Fanout(Box::new(Fanout {
                 client,
                 token,
                 rpc_call,
-                outstanding: targets.len(),
+                awaiting: targets.iter().map(|&(target, _)| target).collect(),
                 scan: None,
-            },
+                failed: None,
+            })),
         );
         ctx.metrics().incr(&self.counters.fanout, 1);
         for (target, group) in targets {
-            ctx.send(
-                target,
-                Payload::new(DbMsg {
-                    token: internal,
-                    req: DbRequest::Load { pairs: group },
-                }),
-            );
+            ctx.send(target, group_msg(group));
         }
     }
 
-    /// Answer a request the router completed: a bare single or any
-    /// fan-out. An enveloped fan-out's answer stays in `pending` for its
-    /// late retries; a bare request's entry goes, as it is never retried
-    /// through the router.
-    fn answer(
-        &mut self,
-        ctx: &mut Ctx,
-        internal: u64,
-        client: ProcessId,
-        token: u64,
-        rpc_call: Option<u64>,
-        resp: DbResponse,
-    ) {
-        if rpc_call.is_some() {
-            self.pending
-                .insert(internal, Pending::Answered(resp.clone()));
-        } else {
-            self.pending.remove(&internal);
-        }
-        self.respond(ctx, client, token, rpc_call, resp);
-    }
-
-    /// A bare shard reply: the answer to a bare single, or one shard's
-    /// share of a fan-out.
-    fn handle_reply(&mut self, ctx: &mut Ctx, internal: u64, resp: DbResponse) {
-        let (client, token, rpc_call, final_resp) = match self.pending.get_mut(&internal) {
+    /// Shard `from`'s answer to a single, or its share of a fan-out.
+    fn handle_reply(&mut self, ctx: &mut Ctx, from: ProcessId, internal: u64, resp: DbResponse) {
+        let (client, token, rpc_call, resp) = match self.pending.get_mut(&internal) {
             // Evicted entry, or a straggler of a finished fan-out.
-            None | Some(Pending::Answered(_)) => return,
+            None | Some(Pending::Loaded) => return,
             Some(&mut Pending::Single {
                 client,
                 token,
                 rpc_call,
-            }) => (client, token, rpc_call, resp),
-            Some(Pending::Fanout {
-                client,
-                token,
-                rpc_call,
-                outstanding,
-                scan,
             }) => {
-                if let (Some(merged), DbResponse::ScanOk { pairs }) = (scan.as_mut(), &resp) {
-                    merged.extend(pairs.iter().cloned());
+                // A bare single is never retried through the router; an
+                // enveloped one keeps its entry for its retries.
+                if rpc_call.is_none() {
+                    self.pending.remove(&internal);
                 }
-                *outstanding -= 1;
-                if *outstanding > 0 {
+                (client, token, rpc_call, resp)
+            }
+            Some(Pending::Fanout(fanout)) => {
+                let Fanout {
+                    client,
+                    token,
+                    rpc_call,
+                    awaiting,
+                    scan,
+                    failed,
+                } = &mut **fanout;
+                // A shard answers a group sent again, or a network
+                // duplicate, once more: only its first answer counts.
+                let Some(at) = awaiting.iter().position(|&shard| shard == from) else {
+                    return;
+                };
+                awaiting.swap_remove(at);
+                match (scan.as_mut(), resp) {
+                    (Some(merged), DbResponse::ScanOk { pairs }) => merged.extend(pairs),
+                    (None, DbResponse::Loaded) => {}
+                    (_, other) => {
+                        failed.get_or_insert(other);
+                    }
+                }
+                if !awaiting.is_empty() {
                     return;
                 }
-                let final_resp = match scan.take() {
-                    Some(mut merged) => {
+                let resp = match (failed.take(), scan.take()) {
+                    (Some(failure), _) => failure,
+                    (None, Some(mut merged)) => {
                         merged.sort_by(|a, b| a.0.cmp(&b.0));
                         DbResponse::ScanOk { pairs: merged }
                     }
-                    None => DbResponse::Loaded,
+                    (None, None) => DbResponse::Loaded,
                 };
-                (*client, *token, *rpc_call, final_resp)
+                let (client, token, rpc_call) = (*client, *token, *rpc_call);
+                // An applied enveloped load stays answered for its late
+                // retries. Any other fan-out is forgotten: a retry of a
+                // failed load asks the shards again, and they replay.
+                if rpc_call.is_some() && resp == DbResponse::Loaded {
+                    self.pending.insert(internal, Pending::Loaded);
+                } else {
+                    self.pending.remove(&internal);
+                }
+                (client, token, rpc_call, resp)
             }
         };
         ctx.metrics().incr(&self.counters.replies, 1);
-        self.answer(ctx, internal, client, token, rpc_call, final_resp);
+        self.respond(ctx, client, token, rpc_call, resp);
     }
 }
 
@@ -447,29 +460,18 @@ impl Process for ShardRouter {
         // internal id the router assigned on the way out. One whose entry
         // is gone — evicted, or lost with a restart — is a straggler.
         if let Some(reply) = payload.downcast_ref::<RpcReply>() {
-            // Only an enveloped single goes to a shard enveloped. The shard
-            // answered the client's own body, so its reply already carries
-            // the client's token: relay it by handle.
-            match self.pending.get(&reply.call_id) {
-                Some(&Pending::Single {
-                    client,
-                    rpc_call: Some(call_id),
-                    ..
-                }) => {
-                    ctx.metrics().incr(&self.counters.replies, 1);
-                    let body = reply.body.clone();
-                    ctx.send(client, Payload::new(RpcReply { call_id, body }));
-                }
-                _ => {
-                    let call_id = reply.call_id;
-                    ctx.trace_event(|| format!("dropped: reply to unknown call {call_id}"));
-                }
+            let call_id = reply.call_id;
+            if !self.pending.contains_key(&call_id) {
+                ctx.trace_event(|| format!("dropped: reply to unknown call {call_id}"));
+                return;
             }
+            let resp = reply.body.expect::<DbReply>().resp.clone();
+            self.handle_reply(ctx, from, call_id, resp);
             return;
         }
         if let Some(reply) = payload.downcast_ref::<DbReply>() {
             let (token, resp) = (reply.token, reply.resp.clone());
-            self.handle_reply(ctx, token, resp);
+            self.handle_reply(ctx, from, token, resp);
             return;
         }
         if payload.downcast_ref::<GetTopology>().is_some() {
@@ -557,7 +559,7 @@ pub fn deploy_sharded_db(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tca_sim::SimDuration;
+    use tca_sim::{ScriptedFate, SimDuration};
 
     fn kv_registry() -> ProcRegistry {
         ProcRegistry::new()
@@ -606,16 +608,13 @@ mod tests {
     }
 
     fn world(n: usize) -> (Sim, ProcessId, Vec<ProcessId>) {
+        world_with(n, DbServerConfig::default())
+    }
+
+    fn world_with(n: usize, config: DbServerConfig) -> (Sim, ProcessId, Vec<ProcessId>) {
         let mut sim = Sim::with_seed(77);
         let nodes: Vec<NodeId> = (0..4).map(|_| sim.add_node()).collect();
-        let (router, shards) = deploy_sharded_db(
-            &mut sim,
-            &nodes,
-            "db",
-            DbServerConfig::default(),
-            kv_registry,
-            n,
-        );
+        let (router, shards) = deploy_sharded_db(&mut sim, &nodes, "db", config, kv_registry, n);
         (sim, router, shards)
     }
 
@@ -853,7 +852,8 @@ mod tests {
     }
 
     /// Sends every injected message on to the router as its own request,
-    /// and counts the `Loaded` answers that come back enveloped.
+    /// and counts the `Loaded` and `Overloaded` answers that come back
+    /// enveloped.
     struct Proxy {
         router: ProcessId,
     }
@@ -862,28 +862,52 @@ mod tests {
             if from == ProcessId::EXTERNAL {
                 ctx.send(self.router, payload);
             } else if let Some(reply) = payload.downcast_ref::<RpcReply>() {
-                assert_eq!(reply.call_id, 77);
-                if reply.body.expect::<DbReply>().resp == DbResponse::Loaded {
-                    ctx.metrics().incr("client.loaded", 1);
+                match reply.body.expect::<DbReply>().resp {
+                    DbResponse::Loaded => ctx.metrics().incr("client.loaded", 1),
+                    DbResponse::Overloaded => ctx.metrics().incr("client.overloaded", 1),
+                    _ => {}
                 }
             }
         }
     }
 
-    /// Fan-outs reach the shards bare, so only the router can tell a
-    /// retried `Load` from a new one; applied again it would put the
-    /// loaded value back over a committed write.
-    #[test]
-    fn a_retried_load_is_answered_not_reapplied() {
-        let (mut sim, router, shards) = world(4);
-        // On the router's node, two sends in a row arrive in order.
+    /// A world of four shards with a [`Proxy`] on the router's node, where
+    /// two sends in a row arrive in order.
+    fn proxied(config: DbServerConfig) -> (Sim, ProcessId, ProcessId, Vec<ProcessId>) {
+        let (mut sim, router, shards) = world_with(4, config);
         let node = sim.node_of(router);
         let proxy = sim.spawn(node, "client", move |_| Box::new(Proxy { router }));
-        let load = Payload::new(RpcRequest {
-            call_id: 77,
-            body: Payload::new(DbMsg::load(vec![("k".into(), Value::Int(0))])),
-        });
-        // A retry racing the original is dropped: one answer covers both.
+        (sim, router, proxy, shards)
+    }
+
+    fn enveloped_load(call_id: u64, key: &str) -> Payload {
+        Payload::new(RpcRequest {
+            call_id,
+            body: Payload::new(DbMsg::load(vec![(key.into(), Value::Int(0))])),
+        })
+    }
+
+    /// A key whose shard lives off the router's node, and that shard.
+    fn off_node_key(sim: &Sim, router: ProcessId, shards: &[ProcessId]) -> (Key, ProcessId) {
+        let map = ShardMap::ring(shards.len());
+        (0..)
+            .map(|i| format!("user{i:08}"))
+            .map(|key| {
+                let owner = shards[map.owner(&key)];
+                (key, owner)
+            })
+            .find(|&(_, owner)| sim.node_of(owner) != sim.node_of(router))
+            .expect("a key owned off the router's node")
+    }
+
+    /// Applied again, a retried `Load` would put the loaded value back
+    /// over a committed write.
+    #[test]
+    fn a_retried_load_is_answered_not_reapplied() {
+        let (mut sim, _, proxy, shards) = proxied(DbServerConfig::default());
+        let load = enveloped_load(77, "k");
+        // A retry racing the original reaches the shard under the same
+        // id: the shard's dedup replays, and one answer goes back.
         sim.inject(proxy, load.clone());
         sim.inject(proxy, load.clone());
         sim.run_to_quiescence(10_000);
@@ -903,6 +927,64 @@ mod tests {
             Some(Value::Int(1)),
             "the bump survives"
         );
+    }
+
+    /// The router has no timer: a load whose group or ack was lost
+    /// finishes when the client retries, and each shard applies its group
+    /// once.
+    #[test]
+    fn a_retry_recovers_a_lost_group_or_ack() {
+        for lost_ack in [false, true] {
+            let (mut sim, router, proxy, shards) = proxied(DbServerConfig::default());
+            let (key, owner) = off_node_key(&sim, router, &shards);
+            let (src, dst) = match lost_ack {
+                false => (sim.node_of(router), sim.node_of(owner)),
+                true => (sim.node_of(owner), sim.node_of(router)),
+            };
+            let nth = sim.network_mut().link_count(src, dst);
+            sim.network_mut()
+                .script_fate(src, dst, nth, ScriptedFate::Drop);
+            let load = enveloped_load(77, &key);
+            sim.inject(proxy, load.clone());
+            sim.run_to_quiescence(10_000);
+            assert_eq!(sim.metrics().counter("client.loaded"), 0, "lost");
+            sim.inject(proxy, load);
+            sim.run_to_quiescence(10_000);
+            assert_eq!(sim.metrics().counter("client.loaded"), 1, "recovered");
+            let engine = sim.inspect::<DbServer>(owner).expect("shard").engine();
+            assert_eq!(engine.peek(&key), Some(Value::Int(0)));
+            assert_eq!(engine.store().version_count(), 1, "applied once");
+        }
+    }
+
+    /// A shard that sheds its group has not applied it: the load answers
+    /// `Overloaded`, never `Loaded`, and so do its retries, as a shed
+    /// single's do.
+    #[test]
+    fn a_shed_group_fails_the_load() {
+        // Any wait at all sheds: a second group behind the first is shed.
+        let config = DbServerConfig {
+            max_queue_wait: Some(SimDuration::ZERO),
+            ..DbServerConfig::default()
+        };
+        let (mut sim, router, proxy, shards) = proxied(config);
+        // A key on the router's node, so both groups arrive in order.
+        let key = (0..)
+            .map(|i| format!("user{i:08}"))
+            .find(|key| sim.node_of(shards[ShardMap::ring(4).owner(key)]) == sim.node_of(router))
+            .expect("a key owned on the router's node");
+        let owner = shards[ShardMap::ring(4).owner(&key)];
+        let first = DbMsg::load(vec![(key.clone(), Value::Int(1))]);
+        sim.inject(router, Payload::new(first));
+        let load = enveloped_load(77, &key);
+        sim.inject(proxy, load.clone());
+        sim.run_to_quiescence(10_000);
+        sim.inject(proxy, load);
+        sim.run_to_quiescence(10_000);
+        assert_eq!(sim.metrics().counter("client.overloaded"), 2);
+        assert_eq!(sim.metrics().counter("client.loaded"), 0);
+        let db = sim.inspect::<DbServer>(owner).expect("shard");
+        assert_eq!(db.engine().peek(&key), Some(Value::Int(1)));
     }
 
     #[test]
