@@ -19,35 +19,48 @@
 //! deterministic dataflow) rather than an interactive session pinned to
 //! one server.
 //!
-//! Retried RPC calls are forwarded with a *stable* internal call id, so
-//! the owning shard's dedup cache replays instead of re-executing — the
-//! router adds a hop without weakening exactly-once semantics. An
-//! enveloped `Load` keeps that id too, and each shard receives its group
-//! enveloped under it. A retry that arrives while the load is under way
-//! sends again the groups whose shards have not answered — recovering a
-//! lost group, a lost ack or a group dropped past its deadline — and the
-//! shards' dedup applies each group once; each shard's answer counts
-//! once. After every shard has applied its group, late retries are
-//! answered `Loaded` by the router itself until the call leaves the dedup
-//! window, so a retried `Load` is never applied again over later writes.
-//! A shard that sheds its group answers `Overloaded`, and so does the
-//! fan-out, as a shed single does. A `Scan` is read-only: every request,
-//! retried or not, scans again.
+//! An enveloped request is relayed, not remembered. The router hands the
+//! client's `RpcRequest` to the owning shard as it is, with the client's
+//! id beside it. The shard deduplicates the call under the client's own
+//! call id, exactly as if the client had sent it direct, and its reply
+//! goes back through the router to the client unchanged. A retry, however
+//! late, is relayed again and answered from the shard's dedup window, so
+//! the router adds a hop without weakening exactly-once semantics, and
+//! keeps nothing once a call is answered. A crash of the router loses no
+//! enveloped call: a reply that crosses a restart still reaches its
+//! client.
+//!
+//! An enveloped fan-out sends each shard its group under the client's
+//! call id too, and waits, keyed by that call, until every shard has
+//! answered once. A retry while it is under way sends again the groups
+//! whose shards have not answered, which recovers a lost group, a lost
+//! ack or a group dropped past its deadline. A retry after it finished
+//! fans out again, and every shard replays its recorded answer, so a
+//! retried `Load` is never applied again over later writes. A shard that
+//! sheds its group answers `Overloaded`, and so does the fan-out, as a
+//! shed single does.
+//!
+//! Only a bare request, which carries no call id, is correlated by the
+//! router, under an internal id it allocates. Each incarnation of the
+//! router starts its ids at its boot time in nanoseconds, so a reply sent
+//! to an earlier incarnation does not answer a later request.
 //!
 //! The router moves what it alone holds. A `Load` whose message has no
 //! other handle gives its pairs up to the split rather than being copied
 //! ([`Payload::get_mut`]), and the shard moves each group into its engine
 //! the same way.
 
+use std::collections::hash_map::Entry;
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
 use tca_sim::wire::{RpcReply, RpcRequest};
-use tca_sim::{Boot, Ctx, NodeId, Payload, Process, ProcessId, RecentWindow, ShardMap, Sim};
+use tca_sim::{Boot, Ctx, NodeId, Payload, Process, ProcessId, ShardMap, Sim};
 
 use crate::proc::ProcRegistry;
 use crate::server::{
     load_pairs, reply_payload, DbMsg, DbReply, DbRequest, DbResponse, DbServer, DbServerConfig,
+    Relay, Relayed,
 };
 use crate::types::{Key, Value};
 
@@ -63,27 +76,28 @@ pub struct Topology {
     pub shards: Vec<ProcessId>,
 }
 
-/// Where a forwarded request's reply must go.
-#[derive(Debug, Clone)]
+/// A request whose answer the router waits on: a bare one under the
+/// internal id it went out with, an enveloped fan-out under its client's
+/// own call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Waiting {
+    Bare(u64),
+    Call(ProcessId, u64),
+}
+
+/// What the router does with a shard's answer.
+#[derive(Debug)]
 enum Pending {
-    /// Single-shard forward: relay the one reply.
-    Single {
-        client: ProcessId,
-        token: u64,
-        rpc_call: Option<u64>,
-    },
-    /// Fan-out (`Load`/`Scan`), boxed: an enveloped single's entry stays
-    /// for the whole dedup window, so every entry is kept small.
-    Fanout(Box<Fanout>),
-    /// An enveloped `Load` that every shard has applied: late retries of
-    /// the call are answered `Loaded` until `by_call` evicts it.
-    Loaded,
+    /// A bare single: pass the one reply on under the client's token.
+    Single { client: ProcessId, token: u64 },
+    /// A fan-out (`Load`/`Scan`) under way.
+    Fanout(Fanout),
 }
 
 /// A fan-out under way: collect one answer from each shard in `awaiting`,
 /// then answer the client once. `scan` accumulates merged scan results;
 /// `failed` keeps the first share that went wrong.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Fanout {
     client: ProcessId,
     token: u64,
@@ -92,8 +106,6 @@ struct Fanout {
     scan: Option<Vec<(Key, Value)>>,
     failed: Option<DbResponse>,
 }
-
-const ROUTER_DEDUP_WINDOW: usize = 65_536;
 
 /// The router's per-instance counter names (`"<name>.forwarded"` etc.),
 /// formatted once per factory instead of once per request.
@@ -109,15 +121,13 @@ pub struct ShardRouter {
     counters: Rc<CounterNames>,
     map: ShardMap,
     shards: Vec<ProcessId>,
+    /// The last internal id given to a bare request. An incarnation
+    /// starts from its boot time in nanoseconds, above the ids of every
+    /// earlier one that sent fewer than one request per nanosecond.
     next_internal: u64,
-    /// Internal correlation id → where the reply goes. An enveloped
-    /// single's entry, and an applied enveloped load's `Loaded` marker,
-    /// stay until evicted so late client retries replay: the single's
-    /// through the shard's dedup cache, the load's from the marker.
-    pending: HashMap<u64, Pending>,
-    /// (client, client call id) → internal id: keeps the internal id
-    /// stable across client retries of the same logical call.
-    by_call: RecentWindow<(ProcessId, u64), u64>,
+    /// Bare requests and enveloped fan-outs under way. An enveloped
+    /// single leaves nothing here.
+    pending: HashMap<Waiting, Pending>,
 }
 
 impl ShardRouter {
@@ -136,14 +146,13 @@ impl ShardRouter {
             fanout: format!("{name}.fanout"),
             rejected: format!("{name}.rejected"),
         });
-        move |_| {
+        move |boot| {
             Box::new(ShardRouter {
                 counters: Rc::clone(&counters),
                 map: map.clone(),
                 shards: shards.clone(),
-                next_internal: 0,
+                next_internal: boot.now.as_nanos(),
                 pending: HashMap::default(),
-                by_call: RecentWindow::new(ROUTER_DEDUP_WINDOW),
             })
         }
     }
@@ -163,71 +172,20 @@ impl ShardRouter {
         self.next_internal
     }
 
-    /// The internal id of `client`'s request: an enveloped call keeps one
-    /// id across its retries, a bare request always gets a new one.
-    fn internal_id(&mut self, client: ProcessId, rpc_call: Option<u64>) -> u64 {
-        let Some(call_id) = rpc_call else {
-            return self.alloc_internal();
-        };
-        if let Some(&internal) = self.by_call.get(&(client, call_id)) {
-            return internal;
-        }
-        let internal = self.alloc_internal();
-        if let Some((_, old)) = self.by_call.insert((client, call_id), internal) {
-            self.pending.remove(&old);
-        }
-        internal
-    }
-
-    /// Answer the client directly (reject / synthesized replies).
-    fn respond(
+    /// Answer the client at once with `CallFailed`.
+    fn reject(
         &self,
         ctx: &mut Ctx,
         client: ProcessId,
         token: u64,
         rpc_call: Option<u64>,
-        resp: DbResponse,
+        error: &str,
     ) {
+        ctx.metrics().incr(&self.counters.rejected, 1);
+        let resp = DbResponse::CallFailed {
+            error: error.into(),
+        };
         ctx.send(client, reply_payload(token, rpc_call, resp));
-    }
-
-    /// Forward a single-shard request (`body` holds the client's
-    /// [`DbMsg`]), recording where the reply goes.
-    fn forward(
-        &mut self,
-        ctx: &mut Ctx,
-        client: ProcessId,
-        body: &Payload,
-        rpc_call: Option<u64>,
-        shard: usize,
-    ) {
-        let msg = body.expect::<DbMsg>();
-        let internal = self.internal_id(client, rpc_call);
-        self.pending.entry(internal).or_insert(Pending::Single {
-            client,
-            token: msg.token,
-            rpc_call,
-        });
-        ctx.metrics().incr(&self.counters.forwarded, 1);
-        let target = self.shards[shard];
-        match rpc_call {
-            // The shard echoes the client's token, so the client's body
-            // goes on as it is: a reference count, not a copy.
-            Some(_) => ctx.send(
-                target,
-                Payload::new(RpcRequest {
-                    call_id: internal,
-                    body: body.clone(),
-                }),
-            ),
-            None => ctx.send(
-                target,
-                Payload::new(DbMsg {
-                    token: internal,
-                    req: msg.req.clone(),
-                }),
-            ),
-        }
     }
 
     /// Route the client's [`DbMsg`], bare or RPC-enveloped in `payload`.
@@ -237,182 +195,147 @@ impl ShardRouter {
             None => (&*payload, None),
         };
         let msg = body.expect::<DbMsg>();
-        match &msg.req {
+        let token = msg.token;
+        let key = match &msg.req {
             DbRequest::Call { args, .. } => match args.first() {
-                Some(Value::Str(key)) => {
-                    let shard = self.map.owner(key);
-                    self.forward(ctx, client, body, rpc_call, shard);
-                }
+                Some(Value::Str(key)) => key,
                 _ => {
-                    ctx.metrics().incr(&self.counters.rejected, 1);
-                    self.respond(
-                        ctx,
-                        client,
-                        msg.token,
-                        rpc_call,
-                        DbResponse::CallFailed {
-                            error: "router: first Call argument must be the \
-                                    partition key (a string)"
-                                .into(),
-                        },
-                    );
+                    let error = "router: first Call argument must be the partition key (a string)";
+                    return self.reject(ctx, client, token, rpc_call, error);
                 }
             },
-            DbRequest::Peek { key } => {
-                let shard = self.map.owner(key);
-                self.forward(ctx, client, body, rpc_call, shard);
-            }
+            DbRequest::Peek { key } => key,
             DbRequest::Scan { prefix } => {
-                let internal = self.alloc_internal();
-                self.pending.insert(
-                    internal,
-                    Pending::Fanout(Box::new(Fanout {
-                        client,
-                        token: msg.token,
-                        rpc_call,
-                        awaiting: self.shards.clone(),
-                        scan: Some(Vec::new()),
-                        failed: None,
-                    })),
-                );
-                ctx.metrics().incr(&self.counters.fanout, 1);
-                for &shard in &self.shards {
-                    ctx.send(
+                let scan = |&shard| {
+                    (
                         shard,
-                        Payload::new(DbMsg {
-                            token: internal,
-                            req: DbRequest::Scan {
-                                prefix: prefix.clone(),
-                            },
-                        }),
-                    );
-                }
+                        DbRequest::Scan {
+                            prefix: prefix.clone(),
+                        },
+                    )
+                };
+                let groups = self.shards.iter().map(scan).collect();
+                return self.fan_out(ctx, client, token, rpc_call, groups, true);
             }
             DbRequest::Load { .. } => {
-                let token = msg.token;
-                let internal = self.internal_id(client, rpc_call);
-                if let Some(Pending::Loaded) = self.pending.get(&internal) {
-                    self.respond(ctx, client, token, rpc_call, DbResponse::Loaded);
-                    return;
-                }
                 let pairs = load_pairs(payload);
-                self.load(ctx, internal, client, token, rpc_call, pairs);
+                let split = self.map.split_by_owner(pairs, |(k, _)| k.as_str());
+                let groups = (self.shards.iter().zip(split))
+                    .filter(|(_, pairs)| !pairs.is_empty())
+                    .map(|(&shard, pairs)| (shard, DbRequest::Load { pairs }))
+                    .collect();
+                return self.fan_out(ctx, client, token, rpc_call, groups, false);
             }
             DbRequest::Begin { .. }
             | DbRequest::Read { .. }
             | DbRequest::Write { .. }
             | DbRequest::Commit { .. }
             | DbRequest::Abort { .. } => {
-                ctx.metrics().incr(&self.counters.rejected, 1);
-                self.respond(
-                    ctx,
-                    client,
-                    msg.token,
-                    rpc_call,
-                    DbResponse::CallFailed {
-                        error: "router: interactive transactions are shard-local; \
-                                use 2PC (one participant per shard) for cross-shard \
-                                writes"
-                            .into(),
-                    },
-                );
+                let error = "router: interactive transactions are shard-local; use 2PC \
+                             (one participant per shard) for cross-shard writes";
+                return self.reject(ctx, client, token, rpc_call, error);
             }
-        }
+        };
+        let target = self.shards[self.map.owner(key)];
+        ctx.metrics().incr(&self.counters.forwarded, 1);
+        let forward = match rpc_call {
+            // The shard answers the client's call itself, through us.
+            Some(_) => Payload::new(Relay {
+                client,
+                request: payload.clone(),
+                group: false,
+            }),
+            None => {
+                let req = msg.req.clone();
+                let internal = self.alloc_internal();
+                let single = Pending::Single { client, token };
+                self.pending.insert(Waiting::Bare(internal), single);
+                Payload::new(DbMsg {
+                    token: internal,
+                    req,
+                })
+            }
+        };
+        ctx.send(target, forward);
     }
 
-    /// Split `pairs` by owner and send each shard its group by move; the
-    /// client is answered once every shard has answered. A retry of an
-    /// enveloped load still under way sends again only the groups whose
-    /// shards have not answered.
-    fn load(
+    /// Send each shard in `groups` its share of the client's request, and
+    /// answer the client once every one has answered. A bare fan-out goes
+    /// out under a new internal id. An enveloped one is relayed under the
+    /// client's call id, so each shard dedups its group, and a retry while
+    /// it is under way sends again only the groups not yet answered.
+    fn fan_out(
         &mut self,
         ctx: &mut Ctx,
-        internal: u64,
         client: ProcessId,
         token: u64,
         rpc_call: Option<u64>,
-        pairs: Vec<(Key, Value)>,
+        groups: Vec<(ProcessId, DbRequest)>,
+        scan: bool,
     ) {
-        let groups = self.map.split_by_owner(pairs, |(k, _)| k.as_str());
-        let targets: Vec<(ProcessId, Vec<(Key, Value)>)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, group)| !group.is_empty())
-            .map(|(shard, group)| (self.shards[shard], group))
-            .collect();
-        // A group goes bare, or enveloped under the call's stable id, so
-        // that the shard's dedup applies a group sent again only once.
-        let group_msg = |group| {
-            let msg = Payload::new(DbMsg {
-                token: internal,
-                req: DbRequest::Load { pairs: group },
-            });
-            match rpc_call {
-                Some(_) => Payload::new(RpcRequest {
-                    call_id: internal,
-                    body: msg,
-                }),
-                None => msg,
-            }
+        let waiting = match rpc_call {
+            Some(call_id) => Waiting::Call(client, call_id),
+            None => Waiting::Bare(self.alloc_internal()),
         };
-        if let Some(Pending::Fanout(fanout)) = self.pending.get(&internal) {
+        let group_msg = |req| match waiting {
+            Waiting::Bare(internal) => Payload::new(DbMsg {
+                token: internal,
+                req,
+            }),
+            Waiting::Call(client, call_id) => Payload::new(Relay {
+                client,
+                request: Payload::new(RpcRequest {
+                    call_id,
+                    body: Payload::new(DbMsg { token, req }),
+                }),
+                group: true,
+            }),
+        };
+        if let Some(Pending::Fanout(fanout)) = self.pending.get(&waiting) {
             let awaiting = &fanout.awaiting;
-            ctx.trace_event(|| format!("resending fan-out {internal} to {awaiting:?}"));
-            for (target, group) in targets {
+            ctx.trace_event(|| format!("resending fan-out {waiting:?} to {awaiting:?}"));
+            for (target, req) in groups {
                 if awaiting.contains(&target) {
-                    ctx.send(target, group_msg(group));
+                    ctx.send(target, group_msg(req));
                 }
             }
             return;
         }
-        if targets.is_empty() {
+        if groups.is_empty() {
             // Empty load: nothing to distribute, ack immediately.
-            self.respond(ctx, client, token, rpc_call, DbResponse::Loaded);
+            ctx.send(client, reply_payload(token, rpc_call, DbResponse::Loaded));
             return;
         }
-        self.pending.insert(
-            internal,
-            Pending::Fanout(Box::new(Fanout {
-                client,
-                token,
-                rpc_call,
-                awaiting: targets.iter().map(|&(target, _)| target).collect(),
-                scan: None,
-                failed: None,
-            })),
-        );
+        let fanout = Fanout {
+            client,
+            token,
+            rpc_call,
+            awaiting: groups.iter().map(|&(target, _)| target).collect(),
+            scan: scan.then(Vec::new),
+            failed: None,
+        };
+        self.pending.insert(waiting, Pending::Fanout(fanout));
         ctx.metrics().incr(&self.counters.fanout, 1);
-        for (target, group) in targets {
-            ctx.send(target, group_msg(group));
+        for (target, req) in groups {
+            ctx.send(target, group_msg(req));
         }
     }
 
-    /// Shard `from`'s answer to a single, or its share of a fan-out.
-    fn handle_reply(&mut self, ctx: &mut Ctx, from: ProcessId, internal: u64, resp: DbResponse) {
-        let (client, token, rpc_call, resp) = match self.pending.get_mut(&internal) {
-            // Evicted entry, or a straggler of a finished fan-out.
-            None | Some(Pending::Loaded) => return,
-            Some(&mut Pending::Single {
-                client,
-                token,
-                rpc_call,
+    /// Shard `from`'s answer to a bare single, or its share of a fan-out.
+    fn handle_reply(&mut self, ctx: &mut Ctx, from: ProcessId, waiting: Waiting, resp: DbResponse) {
+        // No entry: a straggler of a finished fan-out, or the answer to a
+        // request an earlier incarnation sent.
+        let Entry::Occupied(mut entry) = self.pending.entry(waiting) else {
+            return;
+        };
+        let resp = match entry.get_mut() {
+            Pending::Single { .. } => resp,
+            Pending::Fanout(Fanout {
+                awaiting,
+                scan,
+                failed,
+                ..
             }) => {
-                // A bare single is never retried through the router; an
-                // enveloped one keeps its entry for its retries.
-                if rpc_call.is_none() {
-                    self.pending.remove(&internal);
-                }
-                (client, token, rpc_call, resp)
-            }
-            Some(Pending::Fanout(fanout)) => {
-                let Fanout {
-                    client,
-                    token,
-                    rpc_call,
-                    awaiting,
-                    scan,
-                    failed,
-                } = &mut **fanout;
                 // A shard answers a group sent again, or a network
                 // duplicate, once more: only its first answer counts.
                 let Some(at) = awaiting.iter().position(|&shard| shard == from) else {
@@ -429,49 +352,43 @@ impl ShardRouter {
                 if !awaiting.is_empty() {
                     return;
                 }
-                let resp = match (failed.take(), scan.take()) {
+                match (failed.take(), scan.take()) {
                     (Some(failure), _) => failure,
                     (None, Some(mut merged)) => {
                         merged.sort_by(|a, b| a.0.cmp(&b.0));
                         DbResponse::ScanOk { pairs: merged }
                     }
                     (None, None) => DbResponse::Loaded,
-                };
-                let (client, token, rpc_call) = (*client, *token, *rpc_call);
-                // An applied enveloped load stays answered for its late
-                // retries. Any other fan-out is forgotten: a retry of a
-                // failed load asks the shards again, and they replay.
-                if rpc_call.is_some() && resp == DbResponse::Loaded {
-                    self.pending.insert(internal, Pending::Loaded);
-                } else {
-                    self.pending.remove(&internal);
                 }
-                (client, token, rpc_call, resp)
             }
         };
+        let (client, token, rpc_call) = match entry.remove() {
+            Pending::Single { client, token } => (client, token, None),
+            Pending::Fanout(fanout) => (fanout.client, fanout.token, fanout.rpc_call),
+        };
         ctx.metrics().incr(&self.counters.replies, 1);
-        self.respond(ctx, client, token, rpc_call, resp);
+        ctx.send(client, reply_payload(token, rpc_call, resp));
     }
 }
 
 impl Process for ShardRouter {
     fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, mut payload: Payload) {
-        // Shard replies (either shape) come back correlated by the
-        // internal id the router assigned on the way out. One whose entry
-        // is gone — evicted, or lost with a restart — is a straggler.
-        if let Some(reply) = payload.downcast_ref::<RpcReply>() {
-            let call_id = reply.call_id;
-            if !self.pending.contains_key(&call_id) {
-                ctx.trace_event(|| format!("dropped: reply to unknown call {call_id}"));
-                return;
+        if let Some(relayed) = payload.downcast_ref::<Relayed>() {
+            let reply = relayed.reply.expect::<RpcReply>();
+            if relayed.group {
+                let waiting = Waiting::Call(relayed.client, reply.call_id);
+                let resp = reply.body.expect::<DbReply>().resp.clone();
+                self.handle_reply(ctx, from, waiting, resp);
+            } else {
+                // A single's reply, as the shard addressed it.
+                ctx.metrics().incr(&self.counters.replies, 1);
+                ctx.send(relayed.client, relayed.reply.clone());
             }
-            let resp = reply.body.expect::<DbReply>().resp.clone();
-            self.handle_reply(ctx, from, call_id, resp);
             return;
         }
         if let Some(reply) = payload.downcast_ref::<DbReply>() {
-            let (token, resp) = (reply.token, reply.resp.clone());
-            self.handle_reply(ctx, from, token, resp);
+            let (waiting, resp) = (Waiting::Bare(reply.token), reply.resp.clone());
+            self.handle_reply(ctx, from, waiting, resp);
             return;
         }
         if payload.downcast_ref::<GetTopology>().is_some() {
@@ -777,33 +694,6 @@ mod tests {
         );
     }
 
-    /// A shard's reply that reaches a restarted router, whose pending map
-    /// was lost with the crash, is dropped as a straggler.
-    #[test]
-    fn a_reply_to_a_lost_call_is_dropped() {
-        let (mut sim, router, shards) = world(4);
-        let router_node = sim.node_of(router);
-        let map = ShardMap::ring(4);
-        let key = (0..)
-            .map(|i| format!("user{i:08}"))
-            .find(|key| sim.node_of(shards[map.owner(key)]) != router_node)
-            .expect("a key owned off the router's node");
-        sim.inject(
-            router,
-            Payload::new(RpcRequest {
-                call_id: 1,
-                body: Payload::new(DbMsg::call("kv_rmw", vec![Value::Str(key)])),
-            }),
-        );
-        while sim.metrics().counter("db-router.forwarded") < 1 {
-            assert!(sim.step(), "the call is forwarded");
-        }
-        sim.crash_node(router_node);
-        sim.restart_node(router_node);
-        sim.run_for(SimDuration::from_millis(10));
-        assert_eq!(sim.metrics().counter("db-router.replies"), 0);
-    }
-
     /// A shard's contents, clock and version count.
     type ShardState = (Vec<(Key, Value)>, crate::Timestamp, usize);
 
@@ -852,23 +742,42 @@ mod tests {
     }
 
     /// Sends every injected message on to the router as its own request,
-    /// and counts the `Loaded` and `Overloaded` answers that come back
-    /// enveloped.
+    /// and keeps every answer that comes back, bare or enveloped. It also
+    /// counts the `Loaded` and `Overloaded` ones.
     struct Proxy {
         router: ProcessId,
+        answers: Vec<DbResponse>,
     }
     impl Process for Proxy {
         fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
             if from == ProcessId::EXTERNAL {
                 ctx.send(self.router, payload);
-            } else if let Some(reply) = payload.downcast_ref::<RpcReply>() {
-                match reply.body.expect::<DbReply>().resp {
-                    DbResponse::Loaded => ctx.metrics().incr("client.loaded", 1),
-                    DbResponse::Overloaded => ctx.metrics().incr("client.overloaded", 1),
-                    _ => {}
-                }
+                return;
             }
+            let reply = match payload.downcast_ref::<RpcReply>() {
+                Some(reply) => reply.body.expect::<DbReply>(),
+                None => payload.expect::<DbReply>(),
+            };
+            match reply.resp {
+                DbResponse::Loaded => ctx.metrics().incr("client.loaded", 1),
+                DbResponse::Overloaded => ctx.metrics().incr("client.overloaded", 1),
+                _ => {}
+            }
+            self.answers.push(reply.resp.clone());
         }
+    }
+
+    fn spawn_proxy(sim: &mut Sim, node: NodeId, router: ProcessId) -> ProcessId {
+        sim.spawn(node, "client", move |_| {
+            Box::new(Proxy {
+                router,
+                answers: Vec::new(),
+            })
+        })
+    }
+
+    fn answers(sim: &Sim, proxy: ProcessId) -> &[DbResponse] {
+        &sim.inspect::<Proxy>(proxy).expect("proxy").answers
     }
 
     /// A world of four shards with a [`Proxy`] on the router's node, where
@@ -876,15 +785,27 @@ mod tests {
     fn proxied(config: DbServerConfig) -> (Sim, ProcessId, ProcessId, Vec<ProcessId>) {
         let (mut sim, router, shards) = world_with(4, config);
         let node = sim.node_of(router);
-        let proxy = sim.spawn(node, "client", move |_| Box::new(Proxy { router }));
+        let proxy = spawn_proxy(&mut sim, node, router);
         (sim, router, proxy, shards)
     }
 
-    fn enveloped_load(call_id: u64, key: &str) -> Payload {
+    fn enveloped(call_id: u64, msg: DbMsg) -> Payload {
         Payload::new(RpcRequest {
             call_id,
-            body: Payload::new(DbMsg::load(vec![(key.into(), Value::Int(0))])),
+            body: Payload::new(msg),
         })
+    }
+
+    fn enveloped_load(call_id: u64, key: &str) -> Payload {
+        enveloped(call_id, DbMsg::load(vec![(key.into(), Value::Int(0))]))
+    }
+
+    fn bump(key: &str) -> DbMsg {
+        DbMsg::call("kv_rmw", vec![Value::Str(key.into())])
+    }
+
+    fn token_0(req: DbRequest) -> DbMsg {
+        DbMsg { token: 0, req }
     }
 
     /// A key whose shard lives off the router's node, and that shard.
@@ -900,6 +821,108 @@ mod tests {
             .expect("a key owned off the router's node")
     }
 
+    /// Crash and restart the router's node once the router has forwarded
+    /// its first request, with the reply still to come.
+    fn restart_router_in_flight(sim: &mut Sim, router: ProcessId) {
+        while sim.metrics().counter("db-router.forwarded") < 1 {
+            assert!(sim.step(), "the call is forwarded");
+        }
+        let node = sim.node_of(router);
+        sim.crash_node(node);
+        sim.restart_node(node);
+    }
+
+    /// The router holds nothing a relayed reply needs, so a reply that
+    /// reaches a restarted router still goes on to its client, once.
+    #[test]
+    fn a_reply_crossing_a_router_restart_reaches_its_client() {
+        let (mut sim, router, shards) = world(4);
+        let (key, _) = off_node_key(&sim, router, &shards);
+        let node = sim.add_node();
+        let proxy = spawn_proxy(&mut sim, node, router);
+        sim.inject(proxy, enveloped(1, bump(&key)));
+        restart_router_in_flight(&mut sim, router);
+        sim.run_to_quiescence(10_000);
+        let ok = DbResponse::CallOk {
+            results: vec![Value::Int(1)],
+        };
+        assert_eq!(answers(&sim, proxy), [ok]);
+        assert_eq!(sim.metrics().counter("db-router.replies"), 1);
+    }
+
+    /// A bare request is answered under an internal id. A restarted
+    /// router starts its ids at its boot time, so the reply to a request
+    /// of the crashed incarnation does not answer a new one that reuses
+    /// the client's token.
+    #[test]
+    fn a_bare_reply_crossing_a_restart_answers_no_new_call() {
+        let (mut sim, router, shards) = world(4);
+        let (key, _) = off_node_key(&sim, router, &shards);
+        let node = sim.add_node();
+        let proxy = spawn_proxy(&mut sim, node, router);
+        sim.inject(proxy, Payload::new(bump(&key)));
+        restart_router_in_flight(&mut sim, router);
+        sim.inject(proxy, Payload::new(token_0(DbRequest::Peek { key })));
+        sim.run_to_quiescence(10_000);
+        let peeked = DbResponse::PeekOk {
+            value: Some(Value::Int(1)),
+        };
+        assert_eq!(answers(&sim, proxy), [peeked]);
+    }
+
+    /// A retry sent after its reply was relayed reaches the shard again
+    /// and is answered from the shard's dedup window, not run again.
+    #[test]
+    fn a_late_retry_is_replayed_not_rerun() {
+        let (mut sim, _, proxy, shards) = proxied(DbServerConfig::default());
+        let call = enveloped(9, bump("k"));
+        sim.inject(proxy, call.clone());
+        sim.run_to_quiescence(10_000);
+        sim.inject(proxy, call);
+        sim.run_to_quiescence(10_000);
+        let owner = ShardMap::ring(4).owner("k");
+        assert_eq!(sim.metrics().counter(&format!("db-s{owner}.deduped")), 1);
+        let ok = DbResponse::CallOk {
+            results: vec![Value::Int(1)],
+        };
+        assert_eq!(answers(&sim, proxy), [ok.clone(), ok]);
+        let engine = sim
+            .inspect::<DbServer>(shards[owner])
+            .expect("shard")
+            .engine();
+        assert_eq!(engine.store().version_count(), 1, "one version of k");
+    }
+
+    /// Enveloped singles and fan-outs, each with a retry racing it and a
+    /// late one, all answered: the router has no entry left for any.
+    #[test]
+    fn a_router_keeps_nothing_once_calls_are_answered() {
+        let (mut sim, router, proxy, _) = proxied(DbServerConfig::default());
+        let pairs = (0..20).map(|i| (format!("user{i:08}"), Value::Int(i)));
+        let msgs = [
+            DbMsg::load(pairs.collect()),
+            bump("user00000003"),
+            token_0(DbRequest::Peek {
+                key: "user00000004".into(),
+            }),
+            token_0(DbRequest::Scan {
+                prefix: "user".into(),
+            }),
+        ];
+        for (call_id, msg) in (1..).zip(msgs) {
+            let call = enveloped(call_id, msg);
+            sim.inject(proxy, call.clone());
+            sim.inject(proxy, call.clone());
+            sim.run_to_quiescence(10_000);
+            sim.inject(proxy, call);
+            sim.run_to_quiescence(10_000);
+        }
+        // A fan-out answers a racing retry once; a single answers each.
+        assert_eq!(answers(&sim, proxy).len(), 2 + 3 + 3 + 2);
+        let left = &sim.inspect::<ShardRouter>(router).expect("router").pending;
+        assert!(left.is_empty(), "{left:?}");
+    }
+
     /// Applied again, a retried `Load` would put the loaded value back
     /// over a committed write.
     #[test]
@@ -912,16 +935,19 @@ mod tests {
         sim.inject(proxy, load.clone());
         sim.run_to_quiescence(10_000);
         assert_eq!(sim.metrics().counter("client.loaded"), 1);
-        let bump = DbMsg::call("kv_rmw", vec![Value::Str("k".into())]);
-        sim.inject(proxy, Payload::new(bump));
+        sim.inject(proxy, Payload::new(bump("k")));
         sim.run_to_quiescence(10_000);
-        // A late retry is answered again, not fanned out again.
+        // A late retry fans out again, and the shard replays `Loaded`.
         sim.inject(proxy, load);
         sim.run_to_quiescence(10_000);
         assert_eq!(sim.metrics().counter("client.loaded"), 2);
-        assert_eq!(sim.metrics().counter("db-router.fanout"), 1);
-        let owner = shards[ShardMap::ring(4).owner("k")];
-        let db = sim.inspect::<DbServer>(owner).expect("shard");
+        let owner = ShardMap::ring(4).owner("k");
+        assert_eq!(
+            sim.metrics().counter(&format!("db-s{owner}.deduped")),
+            2,
+            "the racing and the late retry are replayed"
+        );
+        let db = sim.inspect::<DbServer>(shards[owner]).expect("shard");
         assert_eq!(
             db.engine().peek("k"),
             Some(Value::Int(1)),

@@ -14,6 +14,15 @@
 //! network duplicate, a client's retry buffer — is copied instead
 //! ([`tca_sim::Payload::get_mut`]).
 //!
+//! Exactly-once for RPC-enveloped requests lives here. The server
+//! deduplicates a call under `(client, call_id)`, the identity the
+//! client gave it, and records the `RpcReply` it sent, by handle: a
+//! duplicate gets that very payload back, and nothing is cloned. A shard
+//! router relays an enveloped request to its shard with the client's id
+//! beside it, so a routed call is deduplicated here too, under the same
+//! key, and its reply goes back through the router to the client
+//! unchanged. The router itself remembers nothing about the call.
+//!
 //! Durability: the WAL and checkpoint cell live in the node's durable
 //! [`tca_sim::Disk`]; the factory opens the engine via
 //! [`Engine::recover`] on every boot (the first recovers from empty
@@ -260,6 +269,38 @@ pub(crate) fn load_pairs(payload: &mut Payload) -> Vec<(Key, Value)> {
     }
 }
 
+/// A client's [`RpcRequest`] that a shard router relays to its owning
+/// shard: the shard serves it as `client`'s own call, and answers the
+/// router with a [`Relayed`].
+pub(crate) struct Relay {
+    /// Who sent the call to the router.
+    pub(crate) client: ProcessId,
+    /// The client's `RpcRequest`, or one of a fan-out's groups under the
+    /// client's call id.
+    pub(crate) request: Payload,
+    /// One shard's share of a fan-out: the router merges its answer and
+    /// never passes it on to the client as it is.
+    pub(crate) group: bool,
+}
+
+/// A shard's answer to a [`Relay`]: `reply` is the [`RpcReply`] for
+/// `client`, by handle.
+pub(crate) struct Relayed {
+    /// Where `reply` goes.
+    pub(crate) client: ProcessId,
+    /// The reply, as the shard recorded it for the call.
+    pub(crate) reply: Payload,
+    /// Echoed from the [`Relay`].
+    pub(crate) group: bool,
+}
+
+/// The router a relayed request came through.
+#[derive(Debug, Clone, Copy)]
+struct Via {
+    router: ProcessId,
+    group: bool,
+}
+
 /// Where (and how) to send a reply: bare [`DbReply`] or wrapped in an
 /// [`RpcReply`] when the request arrived through the RPC layer.
 #[derive(Debug, Clone, Copy)]
@@ -267,9 +308,28 @@ struct ReturnAddr {
     client: ProcessId,
     token: u64,
     rpc_call: Option<u64>,
+    /// Set when a router relayed the request: the reply goes back
+    /// through it.
+    via: Option<Via>,
     /// Lock-wait span opened when the request parked; the reply path
     /// closes it and parents the response hop under it.
     span: Option<SpanId>,
+}
+
+/// `reply` on its way to `addr`'s client: straight there, or back to the
+/// router that relayed the request.
+fn addressed(addr: ReturnAddr, reply: Payload) -> (ProcessId, Payload) {
+    match addr.via {
+        None => (addr.client, reply),
+        Some(Via { router, group }) => (
+            router,
+            Payload::new(Relayed {
+                client: addr.client,
+                reply,
+                group,
+            }),
+        ),
+    }
 }
 
 /// The database server process.
@@ -279,9 +339,10 @@ pub struct DbServer {
     registry: Rc<ProcRegistry>,
     /// Who waits for each parked (lock-blocked) interactive operation.
     parked: HashMap<TxId, ReturnAddr>,
-    /// Dedup cache for RPC-enveloped requests: retried calls must not
-    /// re-execute (`None` = executing, reply not yet produced).
-    dedup: RecentWindow<(ProcessId, u64), Option<DbResponse>>,
+    /// Dedup cache for RPC-enveloped requests, by `(client, call_id)`:
+    /// retried calls must not re-execute. It holds the `RpcReply` sent
+    /// (`None` = executing, reply not yet produced).
+    dedup: RecentWindow<(ProcessId, u64), Option<Payload>>,
     /// Single-server queueing model: the instant the server frees up.
     /// Each reply occupies the server for its service time, so offered
     /// load beyond capacity queues — making saturation observable.
@@ -355,6 +416,18 @@ impl DbServer {
     }
 
     fn reply(&mut self, ctx: &mut Ctx, addr: ReturnAddr, resp: DbResponse, lat: SimDuration) {
+        let reply = self.answer(addr, resp);
+        self.serve(ctx, addr, reply, lat);
+    }
+
+    /// Send `reply`, addressed by [`addressed`], after `lat` of service.
+    fn serve(
+        &mut self,
+        ctx: &mut Ctx,
+        addr: ReturnAddr,
+        (to, reply): (ProcessId, Payload),
+        lat: SimDuration,
+    ) {
         // M/D/1-style service: this request occupies the server for `lat`
         // starting when the server frees up.
         let start = self.busy_until.max(ctx.now());
@@ -367,8 +440,7 @@ impl DbServer {
         if start > ctx.now() {
             ctx.trace_interval(SpanKind::QueueWait, start, || "queued".into());
         }
-        let reply = self.answer(addr, resp);
-        ctx.send_after(addr.client, reply, lat);
+        ctx.send_after(to, reply, lat);
         ctx.trace_exit(addr.span);
         ctx.trace_span_end(addr.span);
     }
@@ -378,18 +450,19 @@ impl DbServer {
     /// (The cached rejection overwrites the just-inserted `None` dedup
     /// entry, so duplicate retries replay it instead of waiting forever.)
     fn shed_reply(&mut self, ctx: &mut Ctx, addr: ReturnAddr) {
-        let reply = self.answer(addr, DbResponse::Overloaded);
-        ctx.send(addr.client, reply);
+        let (to, reply) = self.answer(addr, DbResponse::Overloaded);
+        ctx.send(to, reply);
     }
 
-    /// The reply to `addr` as a payload. An enveloped call's response is
-    /// cached first: duplicate retries of the same logical call are
-    /// answered from the cache instead of re-executing.
-    fn answer(&mut self, addr: ReturnAddr, resp: DbResponse) -> Payload {
+    /// The reply to `addr` and where it goes. An enveloped call's reply
+    /// is recorded by handle first: duplicate retries of the same logical
+    /// call get this payload instead of re-executing.
+    fn answer(&mut self, addr: ReturnAddr, resp: DbResponse) -> (ProcessId, Payload) {
+        let reply = reply_payload(addr.token, addr.rpc_call, resp);
         if let Some(call_id) = addr.rpc_call {
-            self.dedup.set(&(addr.client, call_id), Some(resp.clone()));
+            self.dedup.set(&(addr.client, call_id), Some(reply.clone()));
         }
-        reply_payload(addr.token, addr.rpc_call, resp)
+        addressed(addr, reply)
     }
 
     /// Admission control. Returns `true` when the request was shed (or
@@ -487,6 +560,21 @@ impl DbServer {
 
 impl Process for DbServer {
     fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, mut payload: Payload) {
+        // A router relays a client's enveloped request: serve it as the
+        // client's own call, and answer through the router. The relay is
+        // dropped here, so a group the router alone held can still be
+        // moved into the engine.
+        let (mut client, mut via) = (from, None);
+        if let Some(relay) = payload.downcast_ref::<Relay>() {
+            (client, via) = (
+                relay.client,
+                Some(Via {
+                    router: from,
+                    group: relay.group,
+                }),
+            );
+            payload = relay.request.clone();
+        }
         // Accept both bare DbMsg and RPC-enveloped DbMsg. Enveloped
         // requests carry an idempotency key (the call id): duplicates are
         // answered from cache rather than re-executed.
@@ -495,18 +583,19 @@ impl Process for DbServer {
         } else {
             (payload.expect::<DbMsg>(), None)
         };
+        let addr = ReturnAddr {
+            client,
+            token: msg.token,
+            rpc_call,
+            via,
+            span: None,
+        };
         if let Some(call_id) = rpc_call {
-            match self.dedup.get(&(from, call_id)) {
-                Some(Some(cached)) => {
+            match self.dedup.get(&(client, call_id)) {
+                Some(Some(recorded)) => {
                     ctx.metrics().incr(&self.counters.deduped, 1);
-                    let resp = cached.clone();
-                    let addr = ReturnAddr {
-                        client: from,
-                        token: msg.token,
-                        rpc_call,
-                        span: None,
-                    };
-                    self.reply(ctx, addr, resp, READ_LATENCY);
+                    let reply = addressed(addr, recorded.clone());
+                    self.serve(ctx, addr, reply, READ_LATENCY);
                     return;
                 }
                 Some(None) => {
@@ -516,16 +605,10 @@ impl Process for DbServer {
                     return;
                 }
                 None => {
-                    self.dedup.insert((from, call_id), None);
+                    self.dedup.insert((client, call_id), None);
                 }
             }
         }
-        let addr = ReturnAddr {
-            client: from,
-            token: msg.token,
-            rpc_call,
-            span: None,
-        };
         if self.admission_shed(ctx, addr) {
             return;
         }
@@ -856,6 +939,73 @@ mod tests {
         assert_eq!(sim.metrics().counter("db.calls_ok"), 1, "bump ran once");
         let server = sim.inspect::<DbServer>(db).expect("db");
         assert_eq!(server.engine().peek("x"), Some(Value::Int(1)));
+    }
+
+    /// Sends call 7 (a bump of `x`) on start and again on its timer, and
+    /// keeps each reply.
+    struct Repeater {
+        db: ProcessId,
+        replies: Vec<(u64, u64, DbResponse)>,
+    }
+    impl Repeater {
+        fn send(&self, ctx: &mut Ctx, token: u64) {
+            let body = Payload::new(DbMsg {
+                token,
+                req: DbRequest::Call {
+                    proc: "bump".into(),
+                    args: vec![Value::from("x")],
+                },
+            });
+            ctx.send(self.db, Payload::new(RpcRequest { call_id: 7, body }));
+        }
+    }
+    impl Process for Repeater {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            self.send(ctx, 1);
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
+            let reply = payload.expect::<RpcReply>();
+            let inner = reply.body.expect::<DbReply>();
+            let record = (reply.call_id, inner.token, inner.resp.clone());
+            self.replies.push(record);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx, _tag: u64) {
+            self.send(ctx, 2);
+        }
+    }
+
+    /// A duplicate of an answered call is not run again: it gets the
+    /// reply the server recorded for the call, the original's token
+    /// included.
+    #[test]
+    fn a_duplicate_gets_the_recorded_reply() {
+        let mut sim = Sim::with_seed(4);
+        let n0 = sim.add_node();
+        let n1 = sim.add_node();
+        let db = sim.spawn(
+            n0,
+            "db",
+            DbServer::factory("db", DbServerConfig::default(), bump_registry()),
+        );
+        let client = sim.spawn(n1, "client", move |_| {
+            Box::new(Repeater {
+                db,
+                replies: Vec::new(),
+            })
+        });
+        sim.run_for(SimDuration::from_millis(5));
+        let recorded = (
+            7,
+            1,
+            DbResponse::CallOk {
+                results: vec![Value::Int(1)],
+            },
+        );
+        let replies = &sim.inspect::<Repeater>(client).expect("client").replies;
+        assert_eq!(replies, &[recorded.clone(), recorded]);
+        assert_eq!(sim.metrics().counter("db.deduped"), 1);
+        assert_eq!(sim.metrics().counter("db.calls_ok"), 1, "bump ran once");
     }
 
     #[test]
