@@ -11,19 +11,19 @@
 //! as explicit choices), the world deployed on it, and every request
 //! injected at time zero.
 //!
-//! The 2PC, sharded-2PC and workflow scenarios carry full state
-//! fingerprints (protocol digests + balances + message contents),
-//! enabling visited-set merging; the saga, actor and dataflow scenarios
-//! run opaque (no fingerprints), which soundly degrades the checker to
-//! pure depth-bounded DFS with sleep-set POR.
+//! The 2PC scenarios (both layouts of [`TwoPcWorld`]) and the workflow
+//! scenario carry full state fingerprints (protocol digests + balances +
+//! message contents), enabling visited-set merging; the saga, actor and
+//! dataflow scenarios run opaque (no fingerprints), which soundly
+//! degrades the checker to pure depth-bounded DFS with sleep-set POR.
 //!
 //! Each scenario's [`McScenario::settled`] hook is its world's
 //! [`World::settled`]: once it holds and no further fault is injected,
 //! nothing the audit reads can change any more, so a leaf closure stops
 //! as soon as it holds and only timers are pending rather than running
-//! the full grace period. The actor, 2PC and sharded-2PC worlds implement
-//! it; the saga world needs no hook (its queue drains), and the dataflow
-//! and workflow worlds keep the always-sound `false`.
+//! the full grace period. The actor and 2PC worlds implement it; the saga
+//! world needs no hook (its queue drains), and the dataflow and workflow
+//! worlds keep the always-sound `false`.
 
 use std::cell::OnceCell;
 use std::rc::Rc;
@@ -34,13 +34,13 @@ use tca_sim::{NetworkConfig, Payload, ProcessId, RpcReply, Sim, SimConfig, SimDu
 
 use crate::dataflow::DataflowConfig;
 use crate::twopc::{
-    CoordinatorConfig, DecisionAck, DecisionInquiry, DecisionReq, DtxOutcome, ExecuteReq,
-    ExecuteResp, ParticipantConfig, PrepareReq, StartDtx, Vote,
+    DecisionAck, DecisionInquiry, DecisionReq, DtxOutcome, ExecuteReq, ExecuteResp, PrepareReq,
+    StartDtx, Vote,
 };
 use crate::workflow::{GcWatermark, StartWorkflow, StepOutcome, StepReq, WorkflowOutcome};
 use crate::worlds::{
-    cross_shard_pairs, fnv_bytes, ActorWorld, DataflowWorld, SagaWorld, ShardedTwoPcWorld,
-    TwoPcWorld, WorkflowWorld, World,
+    cross_shard_pairs, fnv_bytes, ActorWorld, DataflowWorld, SagaWorld, TwoPcWorld, WorkflowWorld,
+    World,
 };
 
 /// Fixed-latency, loss-free network: the checker's choice enumeration
@@ -110,20 +110,22 @@ fn rpc_fp(p: &Payload, body_fp: fn(&Payload) -> Option<u64>) -> Option<u64> {
 // 2PC
 // ---------------------------------------------------------------------------
 
-/// Starting balance of each debit account (`a0`, `a1`, …) on participant
-/// A in the 2PC worlds.
+/// Starting balance of every debit account in the 2PC scenarios: `a0`,
+/// `a1`, … on `bank-a`, or each ring pair's debit account on its shard.
 pub const MC_ALICE_START: i64 = 150;
-/// Starting balance of each credit account (`b0`, `b1`, …) on participant
-/// B in the 2PC worlds.
+/// Starting balance of every credit account in the 2PC scenarios: `b0`,
+/// `b1`, … on `bank-b`, or each ring pair's credit account on its shard.
 pub const MC_BOB_START: i64 = 100;
 /// Per-transfer amount in [`twopc_mc_scenario`].
 pub const MC_TWOPC_AMOUNT: i64 = 10;
 
-/// Participant A's pid in the 2PC worlds (spawn order is fixed).
+/// The first participant's pid (`bank-a` or `shard0`) in the 2PC
+/// scenarios (spawn order is fixed).
 pub const MC_PA: ProcessId = ProcessId(0);
-/// Participant B's pid in the 2PC worlds.
+/// The second participant's pid (`bank-b` or `shard1`) in the 2PC
+/// scenarios.
 pub const MC_PB: ProcessId = ProcessId(1);
-/// The coordinator's pid in the 2PC worlds.
+/// The coordinator's pid in the 2PC scenarios.
 pub const MC_COORD: ProcessId = ProcessId(2);
 
 /// Content fingerprint for every message the 2PC world sends. Returns
@@ -142,46 +144,53 @@ pub fn twopc_payload_fp(p: &Payload) -> Option<u64> {
         .or_else(|| fp_as::<StartDtx>(p, 11))
 }
 
-fn twopc_scenario(transfers: u64, amount: i64, participant: ParticipantConfig) -> McScenario {
-    let world = TwoPcWorld {
-        transfers,
-        amount,
-        alice_start: MC_ALICE_START,
-        bob_start: MC_BOB_START,
-        shared_keys: false,
-        participant,
-        coordinator: CoordinatorConfig::default(),
-    };
-    let mut sc = mc_world("twopc", world);
+fn twopc_scenario(name: &str, world: TwoPcWorld) -> McScenario {
+    let mut sc = mc_world(name, world);
     sc.payload_fp = Box::new(twopc_payload_fp);
     sc
 }
 
-/// The standard 2PC checking world: two participants, one coordinator,
-/// `transfers` transfers — transfer `i` on its own `a{i}` → `b{i}` pair —
-/// injected at time zero.
+/// The world of [`twopc_mc_scenario`]: [`TwoPcWorld::two_banks`] with
+/// `transfers` transfers of [`MC_TWOPC_AMOUNT`], transfer `i` on its own
+/// `a{i}` → `b{i}` pair.
+pub fn twopc_mc_world(transfers: u64) -> TwoPcWorld {
+    TwoPcWorld::two_banks(
+        transfers,
+        MC_TWOPC_AMOUNT,
+        MC_ALICE_START,
+        MC_BOB_START,
+        false,
+    )
+}
+
+/// The world of [`sharded_twopc_mc_scenario`]: [`TwoPcWorld::ring`] over
+/// two shards with `transfers` cross-shard transfers of
+/// [`MC_TWOPC_AMOUNT`].
+pub fn sharded_twopc_mc_world(transfers: u64) -> TwoPcWorld {
+    TwoPcWorld::ring(2, transfers, MC_TWOPC_AMOUNT, MC_ALICE_START, MC_BOB_START)
+}
+
+/// The standard 2PC checking world, [`twopc_mc_world`]: two participants,
+/// one coordinator, `transfers` transfers — transfer `i` on its own
+/// `a{i}` → `b{i}` pair — injected at time zero.
 /// Invariants: no zombie branches at any state; atomicity, conservation
 /// and no-stuck-locks at closed leaves.
 pub fn twopc_mc_scenario(transfers: u64) -> McScenario {
-    twopc_scenario(transfers, MC_TWOPC_AMOUNT, ParticipantConfig::default())
+    twopc_scenario("twopc", twopc_mc_world(transfers))
 }
 
 /// The seeded-mutation self-test world: one transfer whose debit branch
 /// *fails* (amount exceeds alice's balance, so the coordinator aborts
 /// while an `ExecuteReq` may still be in flight), with the participant's
 /// late-execute guard disabled via
-/// [`ParticipantConfig::accept_late_execute`]. The checker must find the
-/// decision/execute race this reintroduces (PR 2's late-ExecuteReq bug)
-/// as a zombie-branch invariant violation.
+/// [`crate::twopc::ParticipantConfig::accept_late_execute`]. The checker
+/// must find the decision/execute race this reintroduces (the fixed
+/// late-`ExecuteReq` bug) as a zombie-branch invariant violation.
 pub fn twopc_late_execute_mutation_scenario() -> McScenario {
-    twopc_scenario(
-        1,
-        MC_ALICE_START + 1,
-        ParticipantConfig {
-            accept_late_execute: true,
-            ..ParticipantConfig::default()
-        },
-    )
+    let mut world =
+        TwoPcWorld::two_banks(1, MC_ALICE_START + 1, MC_ALICE_START, MC_BOB_START, false);
+    world.participant.accept_late_execute = true;
+    twopc_scenario("twopc", world)
 }
 
 /// Pinned minimal schedule for the **same-instant coordinator reincarnation
@@ -208,17 +217,13 @@ pub fn twopc_txid_reuse_schedule() -> Schedule {
         .expect("pinned schedule parses")
 }
 
-/// The sharded 2PC checking world: two ring shards (pids [`MC_PA`] and
-/// [`MC_PB`]), a coordinator ([`MC_COORD`]), and `transfers` cross-shard
-/// transfers of [`MC_TWOPC_AMOUNT`] from [`MC_ALICE_START`] debit
-/// accounts to [`MC_BOB_START`] credit accounts. Carries full state
-/// fingerprints (protocol digests + every shard's balances); invariants
-/// as in [`ShardedTwoPcWorld`].
+/// The sharded 2PC checking world, [`sharded_twopc_mc_world`]: two ring
+/// shards (pids [`MC_PA`] and [`MC_PB`]), a coordinator ([`MC_COORD`]),
+/// and `transfers` cross-shard transfers. Carries full state fingerprints
+/// (protocol digests + every shard's balances); invariants as in
+/// [`TwoPcWorld`].
 pub fn sharded_twopc_mc_scenario(transfers: u64) -> McScenario {
-    let world = ShardedTwoPcWorld::new(2, transfers, MC_TWOPC_AMOUNT, MC_ALICE_START, MC_BOB_START);
-    let mut sc = mc_world("sharded-twopc", world);
-    sc.payload_fp = Box::new(twopc_payload_fp);
-    sc
+    twopc_scenario("sharded-twopc", sharded_twopc_mc_world(transfers))
 }
 
 // ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@
 use tca_sim::{FaultPlan, Sim, SimTime};
 
 use crate::dataflow::DataflowConfig;
-use crate::twopc::{CoordinatorConfig, ParticipantConfig};
 use crate::worlds::{ActorWorld, DataflowWorld, SagaWorld, TwoPcWorld, WorkflowWorld, World};
 
 /// Deploy `world` on a fresh `Sim::with_seed(seed)`, schedule `plan` onto
@@ -55,16 +54,7 @@ pub fn torture_world<W: World>(world: &W, seed: u64, plan: &FaultPlan) -> Result
 /// aborted, balances must reflect exactly the committed count, and
 /// nothing may hold a lock.
 pub fn twopc_torture_scenario(seed: u64, plan: &FaultPlan) -> Result<(), String> {
-    let world = TwoPcWorld {
-        transfers: 8,
-        amount: 10,
-        alice_start: 150,
-        bob_start: 100,
-        shared_keys: true,
-        participant: ParticipantConfig::default(),
-        coordinator: CoordinatorConfig::default(),
-    };
-    torture_world(&world, seed, plan)
+    torture_world(&TwoPcWorld::two_banks(8, 10, 150, 100, true), seed, plan)
 }
 
 /// Saga torture: stock + payment databases, a crashable orchestrator,

@@ -11,7 +11,8 @@
 //! exhaustive checker, and the regression suites in `tests/` deploy the
 //! same definitions. What varies between those callers — transfer count,
 //! amount, start balances, shared or per-transfer keys — is the fields of
-//! the world structs.
+//! the world structs, or, for 2PC, the arguments of the constructor that
+//! lays the world out: one 2PC world, as two banks or as a ring of shards.
 //!
 //! The invariants the audits share:
 //!
@@ -33,7 +34,7 @@
 //! only timers are pending. `false`, the default, is always sound. The
 //! actor world settles when its driver has finished its script and its
 //! router is idle (the audit reads only driver counters, which move only
-//! on a router completion); the 2PC worlds settle when the tier is
+//! on a router completion); the 2PC world settles when the tier is
 //! quiescent in the sense of [`twopc_quiescent`].
 
 use tca_messaging::rpc::{RetryPolicy, RpcRequest};
@@ -48,7 +49,6 @@ use crate::actor_txn::{transactional_bank_registry, transfer_plan};
 use crate::dataflow::{deploy_dataflow, DataflowConfig, DfSequencer, DfShard};
 use crate::deterministic::{transfer_registry, SubmitTxn};
 use crate::saga::{SagaDef, SagaOrchestrator, SagaStep, StartSaga};
-use crate::sharding::{route_branches, ShardOp};
 use crate::twopc::{
     CoordinatorConfig, ParticipantConfig, StartDtx, TwoPcCoordinator, TwoPcParticipant,
 };
@@ -63,7 +63,7 @@ use crate::workflow::{
 /// coordinator retries every 20 ms).
 pub const GRACE: SimDuration = SimDuration::from_millis(800);
 
-/// One checking world. Implemented by the six worlds below and consumed
+/// One checking world. Implemented by the five worlds below and consumed
 /// by the torture driver ([`crate::torture::torture_world`]) and the
 /// model-checking driver in [`crate::mc_scenarios`].
 pub trait World {
@@ -246,23 +246,6 @@ pub fn twopc_quiescent(
     Ok(())
 }
 
-/// No branch may stay open for a txid the participant already saw decided:
-/// nothing would ever release its locks.
-fn no_zombie_branches(sim: &Sim, participants: &[(ProcessId, &str)]) -> Result<(), String> {
-    for &(pid, name) in participants {
-        if let Some(p) = sim.inspect::<TwoPcParticipant>(pid) {
-            let zombies = p.zombie_branches();
-            if zombies > 0 {
-                return Err(format!(
-                    "{name}: {zombies} branch(es) open for already-decided txids \
-                     (locks nothing will release)"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Fold the participants' and the coordinator's protocol digests into `h`.
 fn twopc_digests(sim: &Sim, mut h: u64, participants: &[ProcessId], coord: ProcessId) -> u64 {
     let digests = participants.iter().map(|&pid| {
@@ -287,209 +270,6 @@ fn rpc(call_id: u64, body: impl std::any::Any) -> Payload {
 
 // ---------------------------------------------------------------------------
 // Two-phase commit
-// ---------------------------------------------------------------------------
-
-/// The 2PC world: two bank participants (`bank-a` holding the debit
-/// accounts, `bank-b` the credit accounts) and a coordinator, running
-/// `transfers` debit/credit transactions of `amount`.
-///
-/// Invariants: no zombie branches at any state; at quiescence atomicity
-/// (both banks committed the same branches, each pair debited what it
-/// credited), exactly-once (balances moved by exactly the committed
-/// count), and no stuck locks.
-pub struct TwoPcWorld {
-    /// Transfers the drivers submit.
-    pub transfers: u64,
-    /// Amount each transfer moves.
-    pub amount: i64,
-    /// Starting balance of every debit account on participant A.
-    pub alice_start: i64,
-    /// Starting balance of every credit account on participant B.
-    pub bob_start: i64,
-    /// `true`: every transfer moves `alice` → `bob`, so transactions
-    /// contend on locks. `false`: transfer `i` owns the pair `a{i}` →
-    /// `b{i}` — distinct transactions never conflict on locks, so any
-    /// coupling between them the checker observes is protocol state
-    /// leaking across transactions, exactly the class of bug lock
-    /// conflicts would otherwise mask.
-    pub shared_keys: bool,
-    /// Participant tuning (the seeded-mutation world flips a guard here).
-    pub participant: ParticipantConfig,
-    /// Coordinator retry cadence and deadlines.
-    pub coordinator: CoordinatorConfig,
-}
-
-/// Pids of a deployed [`TwoPcWorld`], in spawn order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TwoPcHandles {
-    /// `bank-a` (metrics prefix `pa`).
-    pub pa: ProcessId,
-    /// `bank-b` (metrics prefix `pb`).
-    pub pb: ProcessId,
-    /// `coordinator`.
-    pub coordinator: ProcessId,
-}
-
-impl TwoPcWorld {
-    fn pairs(&self) -> u64 {
-        if self.shared_keys {
-            1
-        } else {
-            self.transfers
-        }
-    }
-
-    /// The `(debit, credit)` account keys transfer `i` moves money between.
-    pub fn keys(&self, i: u64) -> (String, String) {
-        if self.shared_keys {
-            ("alice".into(), "bob".into())
-        } else {
-            (format!("a{i}"), format!("b{i}"))
-        }
-    }
-
-    /// The distributed transaction for transfer `i`.
-    pub fn start_dtx(&self, h: &TwoPcHandles, i: u64) -> StartDtx {
-        let (debit, credit) = self.keys(i);
-        let args = |key: String| vec![Value::from(key), Value::Int(self.amount)];
-        StartDtx {
-            branches: vec![
-                (h.pa, "debit".into(), args(debit)),
-                (h.pb, "credit".into(), args(credit)),
-            ],
-        }
-    }
-}
-
-impl World for TwoPcWorld {
-    type Handles = TwoPcHandles;
-
-    fn deploy(&self, sim: &mut Sim) -> TwoPcHandles {
-        let n_a = sim.add_node();
-        let n_b = sim.add_node();
-        let n_coord = sim.add_node();
-        let (debits, credits): (Vec<_>, Vec<_>) = (0..self.pairs()).map(|i| self.keys(i)).unzip();
-        let seeds = |keys: Vec<String>, start: i64| -> Vec<_> {
-            keys.into_iter()
-                .map(|key| (key, Value::Int(start)))
-                .collect()
-        };
-        let pa = sim.spawn(
-            n_a,
-            "bank-a",
-            TwoPcParticipant::factory_seeded(
-                "pa",
-                self.participant.clone(),
-                bank_registry(),
-                seeds(debits, self.alice_start),
-            ),
-        );
-        let pb = sim.spawn(
-            n_b,
-            "bank-b",
-            TwoPcParticipant::factory_seeded(
-                "pb",
-                self.participant.clone(),
-                bank_registry(),
-                seeds(credits, self.bob_start),
-            ),
-        );
-        let coordinator = sim.spawn(
-            n_coord,
-            "coordinator",
-            TwoPcCoordinator::factory_with(self.coordinator.clone()),
-        );
-        TwoPcHandles {
-            pa,
-            pb,
-            coordinator,
-        }
-    }
-
-    fn requests(&self) -> u64 {
-        self.transfers
-    }
-
-    fn submit(&self, sim: &mut Sim, h: &TwoPcHandles, i: u64, at: SimTime) {
-        sim.inject_at(at, h.coordinator, rpc(i, self.start_dtx(h, i)));
-    }
-
-    // Only the coordinator crashes (the blocking role the paper focuses
-    // on); participants keep their volatile branch tables, partitions and
-    // loss stress every link.
-    fn fault_targets(&self, h: &TwoPcHandles) -> (Vec<ProcessId>, Vec<ProcessId>) {
-        (vec![h.coordinator], vec![h.pa, h.pb, h.coordinator])
-    }
-
-    fn step_invariant(&self, sim: &Sim, h: &TwoPcHandles) -> Result<(), String> {
-        no_zombie_branches(sim, &[(h.pa, "pa"), (h.pb, "pb")])
-    }
-
-    fn state_fp(&self, sim: &Sim, h: &TwoPcHandles) -> Option<u64> {
-        let mut fp = twopc_digests(sim, fnv_bytes(12, &[]), &[h.pa, h.pb], h.coordinator);
-        for i in 0..self.pairs() {
-            let (debit, credit) = self.keys(i);
-            for (pid, key) in [(h.pa, debit), (h.pb, credit)] {
-                let v = peek(sim, pid, &key).map_or(u64::MAX, |v| v as u64);
-                fp = fnv_bytes(fp, &v.to_le_bytes());
-            }
-        }
-        Some(fp)
-    }
-
-    fn settled(&self, sim: &Sim, h: &TwoPcHandles) -> bool {
-        twopc_quiescent(sim, &[h.pa, h.pb], h.coordinator).is_ok()
-    }
-
-    fn audit(&self, sim: &Sim, h: &TwoPcHandles, plan: Option<&FaultPlan>) -> Result<(), String> {
-        let commits = sim.metrics().counter("pa.commits");
-        let pb_commits = sim.metrics().counter("pb.commits");
-        if commits != pb_commits {
-            return Err(format!(
-                "atomicity: pa committed {commits} branches, pb {pb_commits}"
-            ));
-        }
-        if is_benign(plan) && commits != self.transfers {
-            return Err(format!(
-                "benign plan must commit all {} transfers, got {commits}",
-                self.transfers
-            ));
-        }
-        // Per account pair: both sides moved the same amount, and that
-        // amount is a whole number of transfers no larger than the pair
-        // carries (one with per-transfer keys, all of them on shared keys).
-        let carries = if self.shared_keys { self.transfers } else { 1 } as i64;
-        let mut applied = 0;
-        for i in 0..self.pairs() {
-            let (debit, credit) = self.keys(i);
-            let debited = self.alice_start - must_peek(sim, h.pa, &debit)?;
-            let credited = must_peek(sim, h.pb, &credit)? - self.bob_start;
-            if debited != credited {
-                return Err(format!(
-                    "atomicity: {debit} was debited {debited} but {credit} credited {credited}"
-                ));
-            }
-            let times = debited / self.amount;
-            if debited % self.amount != 0 || !(0..=carries).contains(&times) {
-                return Err(format!(
-                    "exactly-once: {debit} → {credit} moved {debited}, not 0..={carries} × {}",
-                    self.amount
-                ));
-            }
-            applied += times;
-        }
-        if applied != commits as i64 {
-            return Err(format!(
-                "exactly-once/conservation: {commits} commits but balances moved {applied} × {}",
-                self.amount
-            ));
-        }
-        twopc_quiescent(sim, &[h.pa, h.pb], h.coordinator)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded 2PC (cross-shard transfers through the placement ring)
 // ---------------------------------------------------------------------------
 
 /// For each of `transfers` transfers, a `(debit key, credit key)` pair
@@ -521,86 +301,176 @@ pub fn cross_shard_pairs(shards: usize, transfers: u64) -> Vec<(String, String)>
         .collect()
 }
 
-/// The sharded 2PC world: one [`TwoPcParticipant`] per shard of a
-/// consistent-hash ring (`shard{s}`, metrics prefix `s{s}`), a
-/// coordinator, and cross-shard transfers whose branches are built by
-/// [`route_branches`] — the same addressing path the sharded experiments
-/// use.
+/// The 2PC world: [`TwoPcParticipant`]s over a bank, a coordinator, and
+/// `transfers` debit/credit transactions of `amount`, transfer `i` on
+/// account pair `i % pairs`. Its two layouts are data the constructors
+/// compute once: [`TwoPcWorld::two_banks`] puts the debit accounts on one
+/// bank and the credit accounts on another, [`TwoPcWorld::ring`] puts one
+/// participant on each shard of a consistent-hash ring and makes every
+/// transfer cross-shard.
 ///
-/// Invariants match [`TwoPcWorld`]: no zombie branches at any state;
-/// atomicity / exactly-once / conservation *across shards* and no stuck
-/// locks or in-doubt branches at quiescence.
-pub struct ShardedTwoPcWorld {
-    /// Amount each transfer moves.
-    pub amount: i64,
-    /// Starting balance of every debit account.
-    pub debit_start: i64,
-    /// Starting balance of every credit account.
-    pub credit_start: i64,
-    map: ShardMap,
-    pairs: Vec<(String, String)>,
+/// Invariants: no zombie branches at any state; at quiescence atomicity
+/// (each pair debited what it credited, and each participant committed
+/// one branch per applied transfer that touches it), exactly-once (each
+/// pair moved a whole number of transfers, no more than it carries), and
+/// no stuck locks.
+pub struct TwoPcWorld {
+    /// Participant tuning (the seeded-mutation world flips a guard here).
+    pub participant: ParticipantConfig,
+    /// Coordinator retry cadence and deadlines.
+    pub coordinator: CoordinatorConfig,
+    transfers: u64,
+    amount: i64,
+    /// Starting balance of every debit account, then of every credit one.
+    starts: [i64; 2],
+    /// `(process name, metrics prefix)` of each participant, in spawn order.
+    members: Vec<(String, String)>,
+    /// Per pair, the debit then the credit account, each behind the index
+    /// of the participant holding it; the two are never the same one.
+    pairs: Vec<[(usize, String); 2]>,
 }
 
-/// Pids of a deployed [`ShardedTwoPcWorld`].
+/// Pids of a deployed [`TwoPcWorld`], in spawn order.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedHandles {
-    /// One participant per shard, in ring order.
+pub struct TwoPcHandles {
+    /// One participant per member of the layout.
     pub participants: Vec<ProcessId>,
     /// `coordinator`, spawned last.
     pub coordinator: ProcessId,
 }
 
-impl ShardedTwoPcWorld {
-    /// `transfers` [`cross_shard_pairs`] over `shards` ring shards.
-    pub fn new(
+impl TwoPcWorld {
+    /// Two banks: `bank-a` (metrics prefix `pa`) holds the debit accounts,
+    /// `bank-b` (`pb`) the credit accounts. `shared_keys`: every transfer
+    /// moves `alice` → `bob`, so transactions contend on locks. Otherwise
+    /// transfer `i` owns the pair `a{i}` → `b{i}` — distinct transactions
+    /// never conflict on locks, so any coupling between them the checker
+    /// observes is protocol state leaking across transactions, exactly the
+    /// class of bug lock conflicts would otherwise mask.
+    pub fn two_banks(
+        transfers: u64,
+        amount: i64,
+        debit_start: i64,
+        credit_start: i64,
+        shared_keys: bool,
+    ) -> Self {
+        let keys = if shared_keys {
+            vec![("alice".into(), "bob".into())]
+        } else {
+            (0..transfers)
+                .map(|i| (format!("a{i}"), format!("b{i}")))
+                .collect()
+        };
+        TwoPcWorld::laid_out(
+            [("bank-a", "pa"), ("bank-b", "pb")]
+                .map(|(name, prefix)| (name.into(), prefix.into()))
+                .into(),
+            keys.into_iter().map(|(d, c)| [(0, d), (1, c)]).collect(),
+            transfers,
+            amount,
+            [debit_start, credit_start],
+        )
+    }
+
+    /// One participant per shard of a consistent-hash ring (`shard{s}`,
+    /// metrics prefix `s{s}`) and `transfers` [`cross_shard_pairs`], each
+    /// account on the shard [`ShardMap::owner`] names — the lookup
+    /// [`crate::sharding::route_branches`] addresses the sharded
+    /// experiments' branches with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards < 2` (no transfer could cross shards).
+    pub fn ring(
         shards: usize,
         transfers: u64,
         amount: i64,
         debit_start: i64,
         credit_start: i64,
     ) -> Self {
-        ShardedTwoPcWorld {
+        let map = ShardMap::ring(shards);
+        TwoPcWorld::laid_out(
+            (0..shards)
+                .map(|s| (format!("shard{s}"), format!("s{s}")))
+                .collect(),
+            cross_shard_pairs(shards, transfers)
+                .into_iter()
+                .map(|(d, c)| [d, c].map(|key| (map.owner(&key), key)))
+                .collect(),
+            transfers,
             amount,
-            debit_start,
-            credit_start,
-            map: ShardMap::ring(shards),
-            pairs: cross_shard_pairs(shards, transfers),
+            [debit_start, credit_start],
+        )
+    }
+
+    fn laid_out(
+        members: Vec<(String, String)>,
+        pairs: Vec<[(usize, String); 2]>,
+        transfers: u64,
+        amount: i64,
+        starts: [i64; 2],
+    ) -> Self {
+        TwoPcWorld {
+            participant: ParticipantConfig::default(),
+            coordinator: CoordinatorConfig::default(),
+            transfers,
+            amount,
+            starts,
+            members,
+            pairs,
         }
     }
 
-    fn owner(&self, h: &ShardedHandles, key: &str) -> ProcessId {
-        h.participants[self.map.owner(key)]
+    /// The metrics prefix of each participant, in spawn order.
+    pub fn prefixes(&self) -> impl Iterator<Item = &str> {
+        self.members.iter().map(|(_, prefix)| prefix.as_str())
     }
 
-    /// Every account with its starting balance.
-    fn accounts(&self) -> impl Iterator<Item = (&String, i64)> {
-        self.pairs
-            .iter()
-            .flat_map(|(d, c)| [(d, self.debit_start), (c, self.credit_start)])
+    /// Every account, pair by pair, the debit account first.
+    pub fn accounts(&self) -> impl Iterator<Item = &str> {
+        self.pairs.iter().flatten().map(|(_, key)| key.as_str())
+    }
+
+    /// The distributed transaction for transfer `i`: the debit branch,
+    /// then the credit branch, each at the participant holding its account.
+    pub fn start_dtx(&self, h: &TwoPcHandles, i: u64) -> StartDtx {
+        let pair = &self.pairs[i as usize % self.pairs.len()];
+        let branches = ["debit", "credit"]
+            .into_iter()
+            .zip(pair)
+            .map(|(proc, (at, key))| {
+                let args = vec![Value::from(key.as_str()), Value::Int(self.amount)];
+                (h.participants[*at], proc.to_owned(), args)
+            })
+            .collect();
+        StartDtx { branches }
     }
 }
 
-impl World for ShardedTwoPcWorld {
-    type Handles = ShardedHandles;
+impl World for TwoPcWorld {
+    type Handles = TwoPcHandles;
 
-    fn deploy(&self, sim: &mut Sim) -> ShardedHandles {
-        let shard_nodes = sim.add_nodes(self.map.shards());
+    fn deploy(&self, sim: &mut Sim) -> TwoPcHandles {
+        let nodes = sim.add_nodes(self.members.len());
         let n_coord = sim.add_node();
-        let participants = shard_nodes
-            .iter()
+        let participants = nodes
+            .into_iter()
+            .zip(&self.members)
             .enumerate()
-            .map(|(s, &node)| {
+            .map(|(m, (node, (name, prefix)))| {
                 let seeds = self
-                    .accounts()
-                    .filter(|(key, _)| self.map.owner(key) == s)
-                    .map(|(key, start)| (key.clone(), Value::Int(start)))
+                    .pairs
+                    .iter()
+                    .flat_map(|pair| pair.iter().zip(self.starts))
+                    .filter(|((at, _), _)| *at == m)
+                    .map(|((_, key), start)| (key.clone(), Value::Int(start)))
                     .collect();
                 sim.spawn(
                     node,
-                    format!("shard{s}"),
+                    name.as_str(),
                     TwoPcParticipant::factory_seeded(
-                        format!("s{s}"),
-                        ParticipantConfig::default(),
+                        prefix.clone(),
+                        self.participant.clone(),
                         bank_registry(),
                         seeds,
                     ),
@@ -610,94 +480,103 @@ impl World for ShardedTwoPcWorld {
         let coordinator = sim.spawn(
             n_coord,
             "coordinator",
-            TwoPcCoordinator::factory_with(CoordinatorConfig::default()),
+            TwoPcCoordinator::factory_with(self.coordinator.clone()),
         );
-        ShardedHandles {
+        TwoPcHandles {
             participants,
             coordinator,
         }
     }
 
     fn requests(&self) -> u64 {
-        self.pairs.len() as u64
+        self.transfers
     }
 
-    fn submit(&self, sim: &mut Sim, h: &ShardedHandles, i: u64, at: SimTime) {
-        let (debit, credit) = self.pairs[i as usize].clone();
-        let op = |key: String, proc: &str| -> ShardOp {
-            let args = vec![Value::from(key.clone()), Value::Int(self.amount)];
-            (key, proc.into(), args)
-        };
-        let ops = [op(debit, "debit"), op(credit, "credit")];
-        let branches = route_branches(&self.map, &h.participants, &ops);
-        sim.inject_at(at, h.coordinator, rpc(i, StartDtx { branches }));
+    fn submit(&self, sim: &mut Sim, h: &TwoPcHandles, i: u64, at: SimTime) {
+        sim.inject_at(at, h.coordinator, rpc(i, self.start_dtx(h, i)));
     }
 
-    // Only the coordinator crashes (participant branch tables are
-    // volatile); partitions and loss may hit every link.
-    fn fault_targets(&self, h: &ShardedHandles) -> (Vec<ProcessId>, Vec<ProcessId>) {
-        let mut cut = h.participants.clone();
-        cut.push(h.coordinator);
+    // Only the coordinator crashes (the blocking role the paper focuses
+    // on); participants keep their volatile branch tables, partitions and
+    // loss stress every link.
+    fn fault_targets(&self, h: &TwoPcHandles) -> (Vec<ProcessId>, Vec<ProcessId>) {
+        let cut = [h.participants.as_slice(), &[h.coordinator]].concat();
         (vec![h.coordinator], cut)
     }
 
-    fn step_invariant(&self, sim: &Sim, h: &ShardedHandles) -> Result<(), String> {
-        let named: Vec<_> = h
-            .participants
-            .iter()
-            .map(|&pid| (pid, sim.name_of(pid)))
-            .collect();
-        no_zombie_branches(sim, &named)
+    // No branch may stay open for a txid the participant already saw
+    // decided: nothing would ever release its locks.
+    fn step_invariant(&self, sim: &Sim, h: &TwoPcHandles) -> Result<(), String> {
+        for (&pid, prefix) in h.participants.iter().zip(self.prefixes()) {
+            let zombies = sim
+                .inspect::<TwoPcParticipant>(pid)
+                .map_or(0, |p| p.zombie_branches());
+            if zombies > 0 {
+                return Err(format!(
+                    "{prefix}: {zombies} branch(es) open for already-decided txids \
+                     (locks nothing will release)"
+                ));
+            }
+        }
+        Ok(())
     }
 
-    fn state_fp(&self, sim: &Sim, h: &ShardedHandles) -> Option<u64> {
-        let mut fp = twopc_digests(sim, fnv_bytes(13, &[]), &h.participants, h.coordinator);
-        for (key, _) in self.accounts() {
-            let v = peek(sim, self.owner(h, key), key).map_or(u64::MAX, |v| v as u64);
+    fn state_fp(&self, sim: &Sim, h: &TwoPcHandles) -> Option<u64> {
+        let mut fp = twopc_digests(sim, fnv_bytes(12, &[]), &h.participants, h.coordinator);
+        for (at, key) in self.pairs.iter().flatten() {
+            let v = peek(sim, h.participants[*at], key).map_or(u64::MAX, |v| v as u64);
             fp = fnv_bytes(fp, &v.to_le_bytes());
         }
         Some(fp)
     }
 
-    fn settled(&self, sim: &Sim, h: &ShardedHandles) -> bool {
+    fn settled(&self, sim: &Sim, h: &TwoPcHandles) -> bool {
         twopc_quiescent(sim, &h.participants, h.coordinator).is_ok()
     }
 
-    fn audit(&self, sim: &Sim, h: &ShardedHandles, plan: Option<&FaultPlan>) -> Result<(), String> {
-        // Atomicity per transfer: each account moves in exactly one
-        // transfer, so the debit applied iff the credit applied, and at
-        // most once. Conservation across the fleet follows: no pair mints
-        // or destroys money, and no account is outside a pair.
-        let mut committed = 0u64;
-        for (t, (debit, credit)) in self.pairs.iter().enumerate() {
-            let debited = self.debit_start - must_peek(sim, self.owner(h, debit), debit)?;
-            let credited = must_peek(sim, self.owner(h, credit), credit)? - self.credit_start;
+    fn audit(&self, sim: &Sim, h: &TwoPcHandles, plan: Option<&FaultPlan>) -> Result<(), String> {
+        // Per account pair: both sides moved the same amount, and that
+        // amount is a whole number of transfers no larger than the pair
+        // carries (one with per-transfer keys, all of them on shared keys).
+        let n = self.pairs.len() as u64;
+        let mut applied = 0;
+        let mut touching = vec![0; self.members.len()];
+        for (p, pair) in self.pairs.iter().enumerate() {
+            let [(d_at, debit), (c_at, credit)] = pair;
+            let debited = self.starts[0] - must_peek(sim, h.participants[*d_at], debit)?;
+            let credited = must_peek(sim, h.participants[*c_at], credit)? - self.starts[1];
             if debited != credited {
                 return Err(format!(
-                    "cross-shard atomicity: transfer {t} debited {debited} but credited {credited}"
+                    "atomicity: {debit} was debited {debited} but {credit} credited {credited}"
                 ));
             }
-            if debited != 0 && debited != self.amount {
+            let times = debited / self.amount;
+            let carries = ((self.transfers + n - 1 - p as u64) / n) as i64;
+            if debited % self.amount != 0 || !(0..=carries).contains(&times) {
                 return Err(format!(
-                    "exactly-once: transfer {t} moved {debited}, not 0 or {}",
+                    "exactly-once: {debit} → {credit} moved {debited}, not 0..={carries} × {}",
                     self.amount
                 ));
             }
-            committed += u64::from(debited == self.amount);
+            applied += times;
+            touching[*d_at] += times;
+            touching[*c_at] += times;
         }
-        // Branch commits must pair up: two per committed transfer.
-        let branch_commits: u64 = (0..h.participants.len())
-            .map(|s| sim.metrics().counter(&format!("s{s}.commits")))
-            .sum();
-        if branch_commits != 2 * committed {
-            return Err(format!(
-                "atomicity: {branch_commits} branch commits for {committed} committed transfers"
-            ));
+        // Each participant committed one branch per applied transfer that
+        // touches it: no branch committed without its balance moving.
+        for (prefix, applied) in self.prefixes().zip(touching) {
+            let commits = sim.metrics().counter(&format!("{prefix}.commits")) as i64;
+            if commits != applied {
+                return Err(format!(
+                    "atomicity: {prefix} committed {commits} branches but balances moved \
+                     {applied} transfers through it"
+                ));
+            }
         }
-        if is_benign(plan) && committed != self.requests() {
+        if is_benign(plan) && applied != self.transfers as i64 {
             return Err(format!(
-                "benign plan must commit all {} transfers, got {committed}",
-                self.requests()
+                "benign plan must commit all {} transfers, got {applied}",
+                self.transfers
             ));
         }
         twopc_quiescent(sim, &h.participants, h.coordinator)

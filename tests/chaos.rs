@@ -12,7 +12,7 @@ use tca::sim::{
     Process, ProcessId, Sim, SimConfig, SimDuration, SimTime, TortureConfig,
 };
 use tca::storage::{DbMsg, DbServer, DbServerConfig, ProcRegistry, Value};
-use tca::txn::worlds::ShardedTwoPcWorld;
+use tca::txn::worlds::TwoPcWorld;
 use tca::txn::{
     actor_torture_scenario, dataflow_torture_scenario, saga_torture_scenario,
     workflow_torture_scenario, ParticipantConfig, TwoPcParticipant, World,
@@ -395,7 +395,7 @@ fn overload_partition_torture_sweep() {
     torture("overload-partition", &config, overload_partition_scenario);
 }
 
-/// Cross-shard 2PC torture: the sharded 2PC world of `tca::txn::worlds` —
+/// Cross-shard 2PC torture: `tca::txn::worlds::TwoPcWorld::ring` —
 /// three `TwoPcParticipant` shards own a keyspace through the same
 /// consistent-hash ring the router uses, and every transfer's debit and
 /// credit live on *different* shards, so commitment always spans the
@@ -409,7 +409,7 @@ fn overload_partition_torture_sweep() {
 /// anywhere after heal + grace.
 fn sharded_twopc_scenario(seed: u64, plan: &FaultPlan) -> Result<(), String> {
     const TRANSFERS: u64 = 8;
-    let world = ShardedTwoPcWorld::new(3, TRANSFERS, 10, 100, 100);
+    let world = TwoPcWorld::ring(3, TRANSFERS, 10, 100, 100);
     let mut sim = Sim::with_seed(seed);
     let handles = world.deploy(&mut sim);
     let (crashable, partitionable) = world.fault_nodes(&sim, &handles);
@@ -443,8 +443,9 @@ fn sharded_twopc_scenario(seed: u64, plan: &FaultPlan) -> Result<(), String> {
     world.audit(&sim, &handles, Some(&faulty))?;
     // The window is a fault even under the benign plan, so only the six
     // transfers before it are owed a commit (two branch commits each).
-    let branch_commits: u64 = (0..3)
-        .map(|s| sim.metrics().counter(&format!("s{s}.commits")))
+    let branch_commits: u64 = world
+        .prefixes()
+        .map(|prefix| sim.metrics().counter(&format!("{prefix}.commits")))
         .sum();
     if plan.is_benign() && branch_commits < 2 * (TRANSFERS - 2) {
         return Err(format!(

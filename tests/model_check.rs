@@ -28,10 +28,11 @@ use tca_sim::mc::{check_schedule, explore, McReport, McScenario};
 use tca_sim::{McConfig, NodeId, Schedule, Sim, SimDuration};
 use tca_txn::mc_scenarios::{
     actor_mc_scenario, dataflow_mc_scenario, saga_id_reuse_schedule, saga_mc_scenario,
-    sharded_twopc_mc_scenario, twopc_late_execute_mutation_scenario, twopc_mc_scenario,
-    twopc_txid_reuse_schedule, workflow_mc_scenario, MC_PA, MC_PB,
+    sharded_twopc_mc_scenario, sharded_twopc_mc_world, twopc_late_execute_mutation_scenario,
+    twopc_mc_scenario, twopc_mc_world, twopc_txid_reuse_schedule, workflow_mc_scenario, MC_PA,
+    MC_PB,
 };
-use tca_txn::worlds::{cross_shard_pairs, peek};
+use tca_txn::worlds::{peek, TwoPcWorld};
 
 fn twopc_cfg() -> McConfig {
     McConfig {
@@ -68,9 +69,9 @@ fn checker_verifies_small_twopc_and_agrees_with_closure_audit() {
 
 #[test]
 fn checker_verifies_cross_shard_twopc_world() {
-    // The two-shard transfer world: branches addressed through the
-    // consistent-hash ring (route_branches), one participant per touched
-    // shard. Bounded exploration with a coordinator crash must verify
+    // The two-shard transfer world: each branch at the participant the
+    // consistent-hash ring names for its account, one per touched shard.
+    // Bounded exploration with a coordinator crash must verify
     // atomicity/conservation *across shards* at every closed leaf, and the
     // fault-free schedule must replay clean through the same audit.
     let sc = sharded_twopc_mc_scenario(1);
@@ -175,12 +176,9 @@ fn checker_verifies_workflow_world_with_worker_crashes() {
     );
 }
 
-/// Every counter of one small exploration, pinned: a change in
-/// exploration shape — what is enumerated, pruned, rebuilt or closed —
-/// fails here, not only in the release-mode E18 record. The destructuring
-/// names every field, so a new counter must be pinned too.
-#[test]
-fn twopc_exploration_counters_are_pinned() {
+/// Every counter of `r`, in field order. The destructuring names every
+/// field, so a new counter must be pinned too.
+fn counters(r: &McReport) -> [u64; 10] {
     let McReport {
         states,
         leaves,
@@ -192,65 +190,86 @@ fn twopc_exploration_counters_are_pinned() {
         replayed_choices,
         closure_events,
         unsettled_leaves,
-        truncated,
-        rng_impure,
-        violation,
-    } = explore(&twopc_mc_scenario(1), &twopc_cfg());
-    assert!(violation.is_none() && !truncated && !rng_impure);
-    assert_eq!(
+        truncated: _,
+        rng_impure: _,
+        violation: _,
+    } = *r;
+    [
+        states,
+        leaves,
+        pruned_visited,
+        pruned_sleep,
+        cycles,
+        depth_cap_hits,
+        rebuilds,
+        replayed_choices,
+        closure_events,
+        unsettled_leaves,
+    ]
+}
+
+/// Every counter of one small exploration, pinned: a change in
+/// exploration shape — what is enumerated, pruned, rebuilt or closed —
+/// fails here, not only in the release-mode E18 record.
+#[test]
+fn twopc_exploration_counters_are_pinned() {
+    let r = explore(&twopc_mc_scenario(1), &twopc_cfg());
+    assert!(r.violation.is_none() && !r.truncated && !r.rng_impure);
+    assert_eq!(counters(&r), [161, 0, 47, 22, 0, 55, 101, 317, 666, 0]);
+}
+
+/// The two 2PC layouts are one world under two names: a two-shard ring
+/// carrying one transfer explores exactly as two banks carrying one
+/// transfer on its own pair, counter for counter, at E18's 2PC×1
+/// configurations (about 6 s in a debug build). A layout that drifts
+/// structurally — a node, a seed or a branch out of place — fails here.
+#[test]
+fn both_twopc_layouts_explore_alike() {
+    let base = McConfig {
+        max_states: 5_000_000,
+        max_crashes: 1,
+        max_drops: 1,
+        crashable: vec![NodeId(2)],
+        ..McConfig::default()
+    };
+    let configs = [
         (
-            states,
-            leaves,
-            pruned_visited,
-            pruned_sleep,
-            cycles,
-            depth_cap_hits
+            McConfig {
+                max_depth: 9,
+                ..base.clone()
+            },
+            [2_574, 0, 1_061, 677, 0, 565, 1_625, 10_635, 7_245, 0],
         ),
-        (161, 0, 47, 22, 0, 55)
-    );
-    assert_eq!(
-        (rebuilds, replayed_choices, closure_events, unsettled_leaves),
-        (101, 317, 666, 0)
-    );
+        (
+            McConfig {
+                max_depth: 12,
+                max_crashes: 2,
+                ..base
+            },
+            [
+                19_449, 0, 8_769, 9_249, 0, 4_793, 13_561, 131_173, 71_310, 0,
+            ],
+        ),
+    ];
+    for (cfg, pinned) in configs {
+        let depth = cfg.max_depth;
+        let banks = explore(&twopc_mc_scenario(1), &cfg);
+        let ring = explore(&sharded_twopc_mc_scenario(1), &cfg);
+        assert!(banks.verified() && ring.verified(), "depth {depth}");
+        assert_eq!(counters(&banks), pinned, "two banks, depth {depth}");
+        assert_eq!(counters(&ring), pinned, "ring, depth {depth}");
+    }
 }
 
 /// The same pin for the opaque actor world, whose leaves settle once the
 /// driver's script is done rather than after 800 ms of heartbeats.
 #[test]
 fn actor_exploration_counters_are_pinned() {
-    let McReport {
-        states,
-        leaves,
-        pruned_visited,
-        pruned_sleep,
-        cycles,
-        depth_cap_hits,
-        rebuilds,
-        replayed_choices,
-        closure_events,
-        unsettled_leaves,
-        truncated,
-        rng_impure,
-        violation,
-    } = explore(&actor_mc_scenario(2), &actor_cfg(4));
+    let r = explore(&actor_mc_scenario(2), &actor_cfg(4));
     // The actor world's RPC clients draw a call-id nonce, so sleep sets
     // are off here (E18's actor row shows no sleep-pruned states either).
-    assert!(violation.is_none() && !truncated && rng_impure);
-    assert_eq!(
-        (
-            states,
-            leaves,
-            pruned_visited,
-            pruned_sleep,
-            cycles,
-            depth_cap_hits
-        ),
-        (279, 0, 0, 0, 0, 204)
-    );
-    assert_eq!(
-        (rebuilds, replayed_choices, closure_events, unsettled_leaves),
-        (203, 538, 11_984, 0)
-    );
+    assert!(r.violation.is_none() && !r.truncated && r.rng_impure);
+    assert_eq!(counters(&r), [279, 0, 0, 0, 0, 204, 203, 538, 11_984, 0]);
 }
 
 fn actor_cfg(max_depth: usize) -> McConfig {
@@ -272,31 +291,19 @@ fn actor_audited() -> Audited {
     })
 }
 
-/// The 2PC audits' inputs: each participant's branch commits under
-/// `prefixes`, and every account in `keys` as each participant holds it
-/// (`i64::MIN` where it holds none).
-fn twopc_audited(prefixes: [&'static str; 2], keys: Vec<String>) -> Audited {
+/// A two-participant 2PC audit's inputs, read from `world`'s layout: each
+/// participant's branch commits, and every account as each participant
+/// holds it (`i64::MIN` where it holds none).
+fn twopc_audited(world: &TwoPcWorld) -> Audited {
+    let commits: Vec<String> = world.prefixes().map(|p| format!("{p}.commits")).collect();
+    let keys: Vec<String> = world.accounts().map(str::to_owned).collect();
     Rc::new(move |sim| {
-        let commits = prefixes
-            .iter()
-            .map(|p| sim.metrics().counter(&format!("{p}.commits")) as i64);
+        let commits = commits.iter().map(|c| sim.metrics().counter(c) as i64);
         let balances = keys
             .iter()
             .flat_map(|key| [MC_PA, MC_PB].map(|pid| peek(sim, pid, key).unwrap_or(i64::MIN)));
         commits.chain(balances).collect()
     })
-}
-
-fn plain_twopc_audited(transfers: u64) -> Audited {
-    let keys = (0..transfers).flat_map(|i| [format!("a{i}"), format!("b{i}")]);
-    twopc_audited(["pa", "pb"], keys.collect())
-}
-
-fn sharded_twopc_audited(transfers: u64) -> Audited {
-    let keys = cross_shard_pairs(2, transfers)
-        .into_iter()
-        .flat_map(|(debit, credit)| [debit, credit]);
-    twopc_audited(["s0", "s1"], keys.collect())
 }
 
 /// Explore the scenario `make` builds twice, once with its world's
@@ -374,13 +381,13 @@ fn settled_closures_hand_the_audit_what_a_full_grace_would() {
         "2pc×1 +1 crash",
         || twopc_mc_scenario(1),
         &twopc_cfg(),
-        plain_twopc_audited(1),
+        twopc_audited(&twopc_mc_world(1)),
     );
     assert_settling_changes_no_audit(
         "sharded-2pc×1 +1 crash",
         || sharded_twopc_mc_scenario(1),
         &twopc_cfg(),
-        sharded_twopc_audited(1),
+        twopc_audited(&sharded_twopc_mc_world(1)),
     );
 }
 
@@ -409,7 +416,7 @@ fn settled_closures_hand_the_audit_what_a_full_grace_would_at_e18_depths() {
             max_drops: 1,
             ..base.clone()
         },
-        plain_twopc_audited(2),
+        twopc_audited(&twopc_mc_world(2)),
     );
     assert_settling_changes_no_audit(
         "2pc×1 depth 12 +2 crashes +1 drop",
@@ -420,7 +427,7 @@ fn settled_closures_hand_the_audit_what_a_full_grace_would_at_e18_depths() {
             max_drops: 1,
             ..base.clone()
         },
-        plain_twopc_audited(1),
+        twopc_audited(&twopc_mc_world(1)),
     );
     assert_settling_changes_no_audit(
         "sharded-2pc×1 depth 9 +1 crash +1 drop",
@@ -430,7 +437,7 @@ fn settled_closures_hand_the_audit_what_a_full_grace_would_at_e18_depths() {
             max_drops: 1,
             ..base
         },
-        sharded_twopc_audited(1),
+        twopc_audited(&sharded_twopc_mc_world(1)),
     );
 }
 

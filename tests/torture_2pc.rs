@@ -20,7 +20,7 @@ use tca::sim::{
     torture, Ctx, FaultProfile, NodeId, Payload, Process, ProcessId, ScriptedFate, Sim,
     SimDuration, SimTime, TortureConfig,
 };
-use tca::txn::worlds::{peek, twopc_quiescent, TwoPcHandles, TwoPcWorld};
+use tca::txn::worlds::{peek, twopc_quiescent, TwoPcWorld};
 use tca::txn::{
     twopc_torture_scenario, CoordinatorConfig, DtxOutcome, ParticipantConfig, StartDtx,
     TwoPcCoordinator, TwoPcParticipant, World,
@@ -114,22 +114,16 @@ fn world(
     participant: ParticipantConfig,
     coordinator_config: CoordinatorConfig,
 ) -> Deployed {
-    let world = TwoPcWorld {
-        transfers: 1,
-        amount,
-        alice_start: 100,
-        bob_start: 100,
-        shared_keys: true,
-        participant,
-        coordinator: coordinator_config,
-    };
+    let mut world = TwoPcWorld::two_banks(1, amount, 100, 100, true);
+    world.participant = participant;
+    world.coordinator = coordinator_config;
     let mut sim = Sim::with_seed(seed);
     let handles = world.deploy(&mut sim);
-    let TwoPcHandles {
-        pa,
-        pb,
-        coordinator,
-    } = handles;
+    let (pa, pb, coordinator) = (
+        handles.participants[0],
+        handles.participants[1],
+        handles.coordinator,
+    );
     let start = world.start_dtx(&handles, 0);
     let (n_a, n_b, n_coord) = (sim.node_of(pa), sim.node_of(pb), sim.node_of(coordinator));
     let nc = sim.add_node();

@@ -10,28 +10,23 @@ use tca::txn::dataflow::DataflowConfig;
 use tca::txn::mc_scenarios::*;
 use tca::txn::twopc::{DecisionReq, ExecuteReq, StartDtx};
 use tca::txn::worlds::{
-    ActorWorld, DataflowWorld, SagaWorld, ShardedTwoPcWorld, TwoPcWorld, WorkflowWorld,
+    ActorWorld, DataflowWorld, SagaWorld, TwoPcHandles, TwoPcWorld, WorkflowWorld,
 };
-use tca::txn::{
-    stage_world, step_marker_key, torture_world, CoordinatorConfig, ParticipantConfig, World,
-};
+use tca::txn::{stage_world, step_marker_key, torture_world, World};
 
 // The worlds at the sizes the torture sweeps use.
 
 fn twopc() -> TwoPcWorld {
-    TwoPcWorld {
-        transfers: 8,
-        amount: 10,
-        alice_start: 150,
-        bob_start: 100,
-        shared_keys: true,
-        participant: ParticipantConfig::default(),
-        coordinator: CoordinatorConfig::default(),
-    }
+    TwoPcWorld::two_banks(8, 10, 150, 100, true)
 }
 
-fn sharded(shards: usize, transfers: u64) -> ShardedTwoPcWorld {
-    ShardedTwoPcWorld::new(shards, transfers, 10, 100, 100)
+fn sharded(shards: usize, transfers: u64) -> TwoPcWorld {
+    TwoPcWorld::ring(shards, transfers, 10, 100, 100)
+}
+
+/// A 2PC world's participants, then its coordinator.
+fn twopc_pids(h: &TwoPcHandles) -> Vec<ProcessId> {
+    [h.participants.clone(), vec![h.coordinator]].concat()
 }
 
 fn saga() -> SagaWorld {
@@ -105,7 +100,7 @@ fn assert_spawns<W: World>(
 fn every_world_spawns_its_documented_pids_and_names() {
     assert_spawns(
         &twopc(),
-        |h| vec![h.pa, h.pb, h.coordinator],
+        twopc_pids,
         &[
             (MC_PA, "bank-a"),
             (MC_PB, "bank-b"),
@@ -114,7 +109,7 @@ fn every_world_spawns_its_documented_pids_and_names() {
     );
     assert_spawns(
         &sharded(2, 1),
-        |h| [h.participants.clone(), vec![h.coordinator]].concat(),
+        twopc_pids,
         &[
             (MC_PA, "shard0"),
             (MC_PB, "shard1"),
@@ -224,7 +219,7 @@ fn every_audit_catches_a_write_no_transaction_made() {
         (
             "2pc",
             audit_after(&twopc(), |sim, h| {
-                rogue_branch(sim, h.pb, "credit", credit("bob"))
+                rogue_branch(sim, h.participants[1], "credit", credit("bob"))
             }),
             "atomicity",
         ),
