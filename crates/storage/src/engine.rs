@@ -22,10 +22,18 @@
 //! the dirty set — is folded into the checkpoint image held in place in
 //! its [`DurableCell`], the keys it names are compacted one by one against
 //! the oldest open snapshot, and the WAL is truncated. A key that snapshot
-//! still pins waits on a short deferred list for the next checkpoint. A
-//! bulk load goes straight into the image. Nothing on this path copies or
-//! walks the whole keyspace; [`Engine::recover`] reads image and tail by
-//! reference.
+//! still pins waits on a short deferred list for the next checkpoint.
+//! Nothing on this path copies or walks the whole keyspace.
+//!
+//! A loaded keyspace is held once. The first bulk load into an empty
+//! engine becomes a [`Base`]: one immutable map, shared by `Rc` between
+//! the version store (which lays its chains over it) and the checkpoint
+//! image, an [`EngineImage`] of that base plus a delta of what was folded
+//! since. A later load goes into the delta and the chains. Because
+//! neither side ever writes the base, sharing it between volatile state
+//! and a durable handle is sound: a crash cannot tear it, and
+//! [`Engine::recover`] takes the image's base by reference, installs the
+//! delta and replays the tail, at the cost of what was written.
 //!
 //! Keys come in as `&str` and are copied where they are first stored: a
 //! lock entry, a transaction's first write to the key, a parked
@@ -50,10 +58,11 @@
 //! [`Engine::begin`] and keeps full two-phase locking.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
 use crate::locks::{Acquire, LockMode, LockTable};
-use crate::mvcc::{MvccStore, Version};
+use crate::mvcc::{Base, MvccStore, VersionRef};
 use crate::types::{AbortReason, IsolationLevel, Key, Timestamp, TxId, Value};
 use crate::wal::{Checkpoint, DurableCell, DurableLog, WalRecord};
 
@@ -70,6 +79,53 @@ impl Default for EngineConfig {
         EngineConfig {
             checkpoint_every: 1024,
         }
+    }
+}
+
+/// The engine's checkpoint image: the base of its first bulk load, shared
+/// with the version store, and the committed state folded over it since.
+#[derive(Debug, Clone, Default)]
+pub struct EngineImage {
+    /// The first bulk load into the empty engine (empty if none), never
+    /// mutated.
+    base: Rc<Base>,
+    /// Folded writes: a value per written key, or a tombstone for a
+    /// deleted base key (a deleted key with no base version is absent).
+    delta: BTreeMap<Key, Option<Value>>,
+}
+
+impl EngineImage {
+    /// The first bulk load into the empty engine (empty if none).
+    pub fn base(&self) -> &Rc<Base> {
+        &self.base
+    }
+
+    /// What was folded over the base: a value per written key, or a
+    /// tombstone for a deleted base key.
+    pub fn delta(&self) -> &BTreeMap<Key, Option<Value>> {
+        &self.delta
+    }
+
+    /// Fold one committed write (`None` = delete) into the delta.
+    fn fold(&mut self, key: &Key, value: Option<&Value>) {
+        if value.is_none() && !self.base.contains_key(key) {
+            self.delta.remove(key);
+        } else if let Some(slot) = self.delta.get_mut(key) {
+            *slot = value.cloned();
+        } else {
+            self.delta.insert(key.clone(), value.cloned());
+        }
+    }
+
+    /// The committed state the image holds, base and delta merged (audits
+    /// and tests; it copies the whole keyspace).
+    pub fn materialize(&self) -> BTreeMap<Key, Value> {
+        let base = self.base.iter().map(|(k, v)| (k, &v.value));
+        let unshadowed = base.filter(|(k, _)| !self.delta.contains_key(*k));
+        unshadowed
+            .chain(&self.delta)
+            .filter_map(|(k, v)| Some((k.clone(), v.clone()?)))
+            .collect()
     }
 }
 
@@ -144,7 +200,7 @@ pub struct Engine {
     mvcc: MvccStore,
     locks: LockTable,
     wal: DurableLog<WalRecord>,
-    checkpoint: DurableCell<Checkpoint<BTreeMap<Key, Value>>>,
+    checkpoint: DurableCell<Checkpoint<EngineImage>>,
     clock: Timestamp,
     next_tx: u64,
     active: HashMap<TxId, ActiveTx>,
@@ -163,12 +219,12 @@ pub struct Engine {
 
 /// What a read of `version` observes: the value, and for the checker the
 /// commit timestamp that wrote it (0 = observed absence).
-fn observed(version: Option<&Version>) -> (Option<Value>, Timestamp) {
+fn observed(version: Option<VersionRef<'_>>) -> (Option<Value>, Timestamp) {
     match version {
-        Some(Version {
+        Some(VersionRef {
             ts,
             value: Some(value),
-        }) => (Some(value.clone()), *ts),
+        }) => (Some(value.clone()), ts),
         _ => (None, 0),
     }
 }
@@ -178,7 +234,7 @@ impl Engine {
     pub fn new(
         config: EngineConfig,
         wal: DurableLog<WalRecord>,
-        checkpoint: DurableCell<Checkpoint<BTreeMap<Key, Value>>>,
+        checkpoint: DurableCell<Checkpoint<EngineImage>>,
     ) -> Self {
         Engine {
             config,
@@ -198,21 +254,23 @@ impl Engine {
         }
     }
 
-    /// Rebuild an engine from its durable state: read the checkpoint
-    /// image, then replay every WAL record after it (redo-only,
-    /// ARIES-lite), both by reference. Transactions active at the crash
+    /// Rebuild an engine from its durable state: share the checkpoint
+    /// image's base, install its delta, then replay every WAL record after
+    /// it (redo-only, ARIES-lite), all by reference — the cost is the delta
+    /// and the tail, not the keyspace. Transactions active at the crash
     /// never reached the WAL and are thus implicitly aborted — atomicity by
     /// construction. Transaction ids resume above every id the image or
     /// the tail records, so they keep increasing across a fold.
     pub fn recover(
         config: EngineConfig,
         wal: DurableLog<WalRecord>,
-        checkpoint: DurableCell<Checkpoint<BTreeMap<Key, Value>>>,
+        checkpoint: DurableCell<Checkpoint<EngineImage>>,
     ) -> Self {
         let mut engine = Engine::new(config, wal, checkpoint);
         let replay_from = engine.checkpoint.with(|image| {
             image.map_or(0, |image| {
-                engine.mvcc = MvccStore::from_snapshot(&image.state, image.ts);
+                let (base, delta) = (Rc::clone(&image.state.base), &image.state.delta);
+                engine.mvcc = MvccStore::from_image(base, delta, image.ts);
                 engine.clock = image.ts;
                 engine.next_tx = image.next_tx;
                 image.covered_lsn
@@ -466,17 +524,7 @@ impl Engine {
         self.checkpoint.update(|image| {
             self.wal.with_tail(image.covered_lsn, |tail| {
                 for (key, value) in tail.iter().flat_map(|record| &record.writes) {
-                    match value {
-                        Some(value) => match image.state.get_mut(key) {
-                            Some(slot) => *slot = value.clone(),
-                            None => {
-                                image.state.insert(key.clone(), value.clone());
-                            }
-                        },
-                        None => {
-                            image.state.remove(key);
-                        }
-                    }
+                    image.state.fold(key, value.as_ref());
                     if !self.mvcc.gc_key(key, horizon) {
                         deferred.push(key.clone());
                     }
@@ -538,10 +586,12 @@ impl Engine {
     }
 
     /// Bulk-load initial data outside any transaction (setup only). The
-    /// batch is a base image, not WAL records: the pairs go straight into
-    /// the checkpoint image — durable when the handler returns, like an
-    /// append — and the keys move into the version store. Pair `i` gets
-    /// timestamp `clock + 1 + i`.
+    /// batch is not WAL records but part of the checkpoint image — durable
+    /// when the handler returns, like an append. Into an empty engine it
+    /// is the base, moved into one map the version store and the image
+    /// share; into a non-empty one, its keys move into the version store
+    /// and copies go into the image's delta. Pair `i` gets timestamp
+    /// `clock + 1 + i`.
     pub fn load_batch(&mut self, pairs: Vec<(Key, Value)>) {
         // The image must cover every record older than what it is about to
         // hold, or replay would put an older write over a loaded key.
@@ -551,19 +601,25 @@ impl Engine {
         let first_ts = self.clock + 1;
         self.clock += pairs.len() as u64;
         let (clock, next_tx) = (self.clock, self.next_tx);
+        let mut overwritten = Vec::new();
         self.checkpoint.update(|image| {
-            let loaded = pairs.iter().cloned();
-            if image.state.is_empty() {
-                // Built from the sorted batch in one go, nodes come out
-                // full; ascending single inserts leave them half empty.
-                image.state = loaded.collect();
+            if self.mvcc.is_empty() {
+                // An empty store means an empty image: both get the batch
+                // as their one shared base.
+                let base = self.mvcc.load_base(pairs, first_ts);
+                image.state = EngineImage {
+                    base,
+                    delta: BTreeMap::new(),
+                };
             } else {
-                image.state.extend(loaded);
+                for (key, value) in &pairs {
+                    image.state.fold(key, Some(value));
+                }
+                overwritten = self.mvcc.load(pairs, first_ts);
             }
             image.ts = clock;
             image.next_tx = next_tx;
         });
-        let overwritten = self.mvcc.load(pairs, first_ts);
         self.gc_deferred.extend(overwritten);
     }
 
@@ -843,6 +899,48 @@ mod tests {
         for i in 0..5 {
             assert_eq!(recovered.peek(&format!("k{i}")), Some(Value::Int(i)));
         }
+    }
+
+    #[test]
+    fn recovery_shares_the_loaded_base() {
+        let (wal, cp) = (DurableLog::new(), DurableCell::new());
+        let mut e = Engine::new(EngineConfig::default(), wal.clone(), cp.clone());
+        e.load_batch(vec![
+            (k("a"), Value::Int(1)),
+            (k("b"), Value::Int(2)),
+            (k("z"), Value::Int(0)),
+        ]);
+        let base = cp.with(|image| Rc::clone(image.expect("loaded").state.base()));
+        assert!(Rc::ptr_eq(e.store().base(), &base), "one map, not two");
+        let t = e.begin(IsolationLevel::Serializable);
+        e.write(t, "a", Some(Value::Int(3)));
+        e.write(t, "b", None);
+        e.commit(t);
+        e.take_checkpoint();
+        // A later load goes over the base, not into it.
+        e.load(&k("c"), Value::Int(4));
+        let mut recovered = Engine::recover(EngineConfig::default(), wal, cp.clone());
+        assert!(Rc::ptr_eq(recovered.store().base(), &base));
+        cp.with(|image| {
+            let image = image.expect("loaded");
+            assert!(Rc::ptr_eq(image.state.base(), &base));
+            assert_eq!(image.state.delta().len(), 3, "a, b's tombstone and c");
+        });
+        assert_eq!(
+            base["a"].value,
+            Some(Value::Int(1)),
+            "the base is never written"
+        );
+        assert_eq!(base.len(), 3);
+        assert_eq!(recovered.peek_prefix(""), e.peek_prefix(""));
+        assert_eq!(recovered.peek("b"), None);
+        // An untouched base key reads at the image's timestamp, as every
+        // recovered version does.
+        let t = recovered.begin(IsolationLevel::SnapshotIsolation);
+        recovered.read(t, "z");
+        recovered.commit(t);
+        let reads = &recovered.take_footprints()[0].reads;
+        assert_eq!(reads, &vec![(k("z"), e.clock())]);
     }
 
     #[test]

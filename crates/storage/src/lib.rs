@@ -28,7 +28,9 @@ pub mod types;
 pub mod wal;
 
 pub use cache::{CacheConfig, TtlCache};
-pub use engine::{CommitResult, Engine, EngineConfig, OpResult, Resumption, TxFootprint};
+pub use engine::{
+    CommitResult, Engine, EngineConfig, EngineImage, OpResult, Resumption, TxFootprint,
+};
 pub use idempotence::{IdemCheck, IdempotenceTable, SharedIdempotence, StepReply};
 pub use locks::{Acquire, LockMode, LockTable};
 pub use mvcc::MvccStore;

@@ -13,9 +13,21 @@
 //! prefix and sorts them, which gives scans, `peek_prefix` and the
 //! router's scan merge the key order an ordered map gave. Everything else
 //! (GC, counts) is order-free.
+//!
+//! A store may stand over a [`Base`]: the keyspace of an engine's first
+//! bulk load, one version per key, in a map the store shares by `Rc`
+//! with the engine's checkpoint image and never writes. The version
+//! chains are then an overlay. A read looks in the overlay, then in the
+//! base. The first install on a base key starts its chain with a copy of
+//! the base version, so from then on the chain alone is that key's
+//! history, exactly as if the key had been installed. GC keeps a
+//! tombstone that shadows a base key, which would otherwise read again.
+//! A store recovered from an image stamps every base version with the
+//! image's timestamp, as a store rebuilt from a materialized image would.
 
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
 use crate::types::{Key, Timestamp, Value};
@@ -29,10 +41,84 @@ pub struct Version {
     pub value: Option<Value>,
 }
 
+/// A version as a read sees it, borrowed from the store.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VersionRef<'a> {
+    /// Commit timestamp that produced this version.
+    pub ts: Timestamp,
+    /// The value, or `None` for a delete tombstone.
+    pub value: Option<&'a Value>,
+}
+
+impl<'a> From<&'a Version> for VersionRef<'a> {
+    fn from(version: &'a Version) -> Self {
+        VersionRef {
+            ts: version.ts,
+            value: version.value.as_ref(),
+        }
+    }
+}
+
+/// The keyspace of a first bulk load: one version per key, shared by
+/// the store and the checkpoint image and never mutated.
+pub type Base = HashMap<Key, Version>;
+
+/// A [`Base`] and the timestamp its versions read at.
+#[derive(Debug, Default, Clone)]
+struct BaseLayer {
+    map: Rc<Base>,
+    /// After recovery, the image's timestamp stamps every base version;
+    /// on the live path each keeps its own.
+    stamp: Option<Timestamp>,
+}
+
+impl BaseLayer {
+    fn get(&self, key: &str) -> Option<VersionRef<'_>> {
+        let version = self.map.get(key)?;
+        Some(VersionRef {
+            ts: self.stamp.unwrap_or(version.ts),
+            value: version.value.as_ref(),
+        })
+    }
+
+    /// A key's chain as its first install over the base starts it.
+    fn chain(&self, key: &str, version: Version) -> Vec<Version> {
+        let Some(base) = self.get(key) else {
+            return vec![version];
+        };
+        let mut chain = Vec::with_capacity(2);
+        chain.push(Version {
+            ts: base.ts,
+            value: base.value.cloned(),
+        });
+        append(&mut chain, key, version);
+        chain
+    }
+}
+
 /// A multi-versioned key-value store.
 #[derive(Debug, Default, Clone)]
 pub struct MvccStore {
+    base: BaseLayer,
+    /// Version chains: every key with no base version, and every base
+    /// key installed since.
     data: HashMap<Key, Vec<Version>>,
+}
+
+/// Push `version` onto `key`'s chain.
+///
+/// Panics if `version` is older than the chain's latest — commits must
+/// be applied in timestamp order.
+fn append(versions: &mut Vec<Version>, key: &str, version: Version) {
+    if let Some(last) = versions.last() {
+        assert!(
+            version.ts >= last.ts,
+            "out-of-order install on {key}: {} < {}",
+            version.ts,
+            last.ts
+        );
+    }
+    versions.push(version);
 }
 
 /// Drop the versions of one key that no snapshot at or after `horizon` can
@@ -55,40 +141,75 @@ impl MvccStore {
         MvccStore::default()
     }
 
-    /// A store holding every pair of a materialized `snapshot` as one
-    /// version at `ts` (recovery from a checkpoint image).
-    pub fn from_snapshot(snapshot: &BTreeMap<Key, Value>, ts: Timestamp) -> Self {
-        let version = |v: &Value| Version {
+    /// A store over `base` with every version stamped `ts`, and every
+    /// entry of `delta` (a value, or a tombstone over a base key) as one
+    /// version at `ts` on top: recovery from a checkpoint image. Costs
+    /// the delta, not the base.
+    pub(crate) fn from_image(
+        base: Rc<Base>,
+        delta: &BTreeMap<Key, Option<Value>>,
+        ts: Timestamp,
+    ) -> Self {
+        let version = |value: &Option<Value>| Version {
             ts,
-            value: Some(v.clone()),
+            value: value.clone(),
         };
         MvccStore {
-            data: snapshot
+            base: BaseLayer {
+                map: base,
+                stamp: Some(ts),
+            },
+            data: delta
                 .iter()
                 .map(|(k, v)| (k.clone(), vec![version(v)]))
                 .collect(),
         }
     }
 
+    /// Make `pairs` the base of this empty store, as versions at
+    /// `first_ts`, `first_ts + 1`, … in order (a key repeated in the
+    /// batch keeps its last), taking the keys instead of cloning them.
+    /// Returns the base for the checkpoint image to share.
+    ///
+    /// Panics if the store is not empty.
+    pub(crate) fn load_base(&mut self, pairs: Vec<(Key, Value)>, first_ts: Timestamp) -> Rc<Base> {
+        assert!(self.is_empty(), "a base goes under an empty store");
+        let mut base = Base::with_capacity_and_hasher(pairs.len(), Default::default());
+        for ((key, value), ts) in pairs.into_iter().zip(first_ts..) {
+            let value = Some(value);
+            base.insert(key, Version { ts, value });
+        }
+        self.base = BaseLayer {
+            map: Rc::new(base),
+            stamp: None,
+        };
+        Rc::clone(&self.base.map)
+    }
+
+    /// The base this store stands over (empty if it has none).
+    pub fn base(&self) -> &Rc<Base> {
+        &self.base.map
+    }
+
+    /// Whether the store holds no version at all.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.data.is_empty() && self.base.map.is_empty()
+    }
+
     /// Install a committed version of `key` at `ts`.
     ///
     /// Panics if `ts` is not newer than the key's latest version — commits
     /// must be applied in timestamp order. The key is copied only when it
-    /// has no history yet.
+    /// has no chain yet.
     pub fn install(&mut self, key: &str, ts: Timestamp, value: Option<Value>) {
         let version = Version { ts, value };
-        let Some(versions) = self.data.get_mut(key) else {
-            self.data.insert(key.to_owned(), vec![version]);
-            return;
-        };
-        if let Some(last) = versions.last() {
-            assert!(
-                ts >= last.ts,
-                "out-of-order install on {key}: {ts} < {}",
-                last.ts
-            );
+        match self.data.get_mut(key) {
+            Some(versions) => append(versions, key, version),
+            None => {
+                let chain = self.base.chain(key, version);
+                self.data.insert(key.to_owned(), chain);
+            }
         }
-        versions.push(version);
     }
 
     /// Bulk-install `pairs` as committed versions at `first_ts`,
@@ -105,7 +226,11 @@ impl MvccStore {
             };
             match self.data.entry(key) {
                 Entry::Vacant(slot) => {
-                    slot.insert(vec![version]);
+                    let chain = self.base.chain(slot.key(), version);
+                    if chain.len() > 1 {
+                        overwritten.push(slot.key().clone());
+                    }
+                    slot.insert(chain);
                 }
                 Entry::Occupied(mut slot) => {
                     overwritten.push(slot.key().clone());
@@ -117,25 +242,31 @@ impl MvccStore {
     }
 
     /// The newest version of `key` (possibly a tombstone), if it has any.
-    pub fn latest(&self, key: &str) -> Option<&Version> {
-        self.data.get(key)?.last()
+    pub fn latest(&self, key: &str) -> Option<VersionRef<'_>> {
+        match self.data.get(key) {
+            Some(versions) => versions.last().map(VersionRef::from),
+            None => self.base.get(key),
+        }
     }
 
     /// The newest version of `key` at or below snapshot `ts`.
-    pub fn version_at(&self, key: &str, ts: Timestamp) -> Option<&Version> {
-        self.data.get(key)?.iter().rev().find(|v| v.ts <= ts)
+    pub fn version_at(&self, key: &str, ts: Timestamp) -> Option<VersionRef<'_>> {
+        match self.data.get(key) {
+            Some(versions) => versions.iter().rev().find(|v| v.ts <= ts).map(Into::into),
+            None => self.base.get(key).filter(|v| v.ts <= ts),
+        }
     }
 
     /// Read the newest version of `key` visible at snapshot `ts`.
     ///
     /// Returns `None` if the key did not exist (or was deleted) at `ts`.
     pub fn read_at(&self, key: &str, ts: Timestamp) -> Option<&Value> {
-        self.version_at(key, ts)?.value.as_ref()
+        self.version_at(key, ts)?.value
     }
 
     /// Read the latest committed version of `key`.
     pub fn read_latest(&self, key: &str) -> Option<&Value> {
-        self.latest(key)?.value.as_ref()
+        self.latest(key)?.value
     }
 
     /// Timestamp of the newest version of `key`, if any version exists.
@@ -145,7 +276,7 @@ impl MvccStore {
 
     /// Whether any committed version of `key` exists (including tombstones).
     pub fn has_history(&self, key: &str) -> bool {
-        self.data.contains_key(key)
+        self.data.contains_key(key) || self.base.map.contains_key(key)
     }
 
     /// Drop versions no snapshot at or after `horizon` can see.
@@ -155,16 +286,18 @@ impl MvccStore {
     /// versions reclaimed.
     pub fn gc(&mut self, horizon: Timestamp) -> usize {
         let mut reclaimed = 0;
-        self.data.retain(|_, versions| {
+        let base = &self.base.map;
+        self.data.retain(|key, versions| {
             reclaimed += compact(versions, horizon);
-            !dead(versions, horizon)
+            !dead(versions, horizon) || base.contains_key(key)
         });
         reclaimed
     }
 
     /// [`MvccStore::gc`] for one key. Returns whether the key is settled —
-    /// gone, or down to one live version — so that no later horizon can
-    /// reclaim anything from it before its next install; an unsettled key
+    /// gone, down to one live version, or down to the tombstone that
+    /// shadows its base version — so that no later horizon can reclaim
+    /// anything from it before its next install; an unsettled key
     /// (versions a snapshot still pins, a tombstone not yet dead) has to be
     /// visited again.
     pub fn gc_key(&mut self, key: &str, horizon: Timestamp) -> bool {
@@ -173,23 +306,36 @@ impl MvccStore {
         };
         compact(versions, horizon);
         if dead(versions, horizon) {
-            self.data.remove(key);
+            if !self.base.map.contains_key(key) {
+                self.data.remove(key);
+            }
             return true;
         }
         versions.len() == 1 && versions[0].value.is_some()
     }
 
+    /// Base versions no chain has taken over.
+    fn unshadowed_base(&self) -> impl Iterator<Item = (&Key, &Version)> {
+        self.base
+            .map
+            .iter()
+            .filter(|(k, _)| !self.data.contains_key(k.as_str()))
+    }
+
     /// Number of live keys (with a non-tombstone latest version).
     pub fn live_keys(&self) -> usize {
-        self.data
+        let chains = self
+            .data
             .values()
             .filter(|v| v.last().is_some_and(|v| v.value.is_some()))
-            .count()
+            .count();
+        chains + self.unshadowed_base().count()
     }
 
     /// Total number of stored versions (for GC accounting).
     pub fn version_count(&self) -> usize {
-        self.data.values().map(Vec::len).sum()
+        let chains: usize = self.data.values().map(Vec::len).sum();
+        chains + self.unshadowed_base().count()
     }
 
     /// The live keys under `prefix` with their latest values, in key order.
@@ -197,16 +343,19 @@ impl MvccStore {
         &'a self,
         prefix: &'a str,
     ) -> impl Iterator<Item = (&'a Key, &'a Value)> + 'a {
-        let mut live: Vec<(&Key, &Value)> = self
+        let chains = self
             .data
             .iter()
             .filter(|(k, _)| k.starts_with(prefix))
-            .filter_map(|(k, versions)| {
-                versions
-                    .last()
-                    .and_then(|v| v.value.as_ref())
-                    .map(|v| (k, v))
-            })
+            .filter_map(|(k, versions)| Some((k, versions.last()?)));
+        let base = self
+            .base
+            .map
+            .iter()
+            .filter(|(k, _)| k.starts_with(prefix) && !self.data.contains_key(k.as_str()));
+        let mut live: Vec<(&Key, &Value)> = chains
+            .chain(base)
+            .filter_map(|(k, v)| v.value.as_ref().map(|v| (k, v)))
             .collect();
         live.sort_unstable_by(|a, b| a.0.cmp(b.0));
         live.into_iter()
@@ -277,16 +426,68 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrip() {
-        let image: BTreeMap<Key, Value> =
-            [(k("a"), Value::Int(1)), (k("b"), Value::from("x"))].into();
-        let restored = MvccStore::from_snapshot(&image, 12);
+    fn image_roundtrip() {
+        let mut live = MvccStore::new();
+        let base = live.load_base(vec![(k("a"), Value::Int(1)), (k("b"), Value::from("x"))], 3);
+        assert_eq!(live.latest_ts("a"), Some(3));
+        assert_eq!(live.latest_ts("b"), Some(4));
+        let delta: BTreeMap<Key, Option<Value>> =
+            [(k("b"), None), (k("c"), Some(Value::Int(2)))].into();
+        let restored = MvccStore::from_image(base, &delta, 12);
+        assert!(Rc::ptr_eq(restored.base(), live.base()));
         assert_eq!(restored.read_latest("a"), Some(&Value::Int(1)));
-        assert_eq!(restored.read_latest("b"), Some(&Value::from("x")));
-        assert_eq!(restored.read_latest("c"), None);
+        assert_eq!(restored.read_latest("b"), None);
+        assert_eq!(restored.read_latest("c"), Some(&Value::Int(2)));
+        // Every recovered version reads at the image's timestamp.
         assert_eq!(restored.latest_ts("a"), Some(12));
+        assert_eq!(restored.read_at("a", 11), None);
         let latest: Vec<_> = restored.scan_latest("").collect();
-        assert_eq!(latest, image.iter().collect::<Vec<_>>());
+        assert_eq!(
+            latest,
+            vec![(&k("a"), &Value::Int(1)), (&k("c"), &Value::Int(2))]
+        );
+        assert_eq!(restored.live_keys(), 2);
+    }
+
+    #[test]
+    fn a_base_key_starts_its_chain_on_first_install() {
+        let mut s = MvccStore::new();
+        s.load_base(vec![(k("a"), Value::Int(1)), (k("b"), Value::Int(2))], 1);
+        assert_eq!(s.version_count(), 2);
+        s.install("a", 5, Some(Value::Int(3)));
+        assert_eq!(s.read_at("a", 4), Some(&Value::Int(1)));
+        assert_eq!(s.read_at("a", 5), Some(&Value::Int(3)));
+        assert_eq!(s.version_count(), 3);
+        assert!(!s.gc_key("a", 4), "the snapshot at 4 pins the base version");
+        assert!(s.gc_key("a", 5));
+        assert_eq!(s.read_at("a", 4), None, "collected, as a chain would be");
+        assert_eq!(s.version_count(), 2);
+        // The base itself is untouched.
+        assert_eq!(s.base()["a"].value, Some(Value::Int(1)));
+    }
+
+    #[test]
+    fn gc_keeps_a_tombstone_that_shadows_a_base_key() {
+        let mut s = MvccStore::new();
+        s.load_base(vec![(k("a"), Value::Int(1))], 1);
+        s.install("a", 2, None);
+        let mut whole = s.clone();
+        assert!(s.gc_key("a", 9));
+        assert_eq!(whole.gc(9), 1);
+        for store in [&s, &whole] {
+            assert_eq!(store.read_latest("a"), None);
+            assert!(store.has_history("a"));
+            assert_eq!(store.live_keys(), 0);
+            assert_eq!(store.scan_latest("").count(), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out-of-order install")]
+    fn out_of_order_install_over_the_base_panics() {
+        let mut s = MvccStore::new();
+        s.load_base(vec![(k("a"), Value::Int(1))], 10);
+        s.install("a", 5, Some(Value::Int(0)));
     }
 
     #[test]
@@ -324,6 +525,14 @@ mod tests {
         assert_eq!(s.latest_ts("a"), Some(5));
         assert_eq!(s.latest_ts("b"), Some(6));
         assert_eq!(s.read_at("b", 5), Some(&Value::Int(0)));
+        assert_eq!(s.version_count(), 3);
+        // Over a base, a loaded base key is an overwrite too.
+        let mut s = MvccStore::new();
+        s.load_base(vec![(k("b"), Value::Int(0))], 1);
+        let overwritten = s.load(vec![(k("a"), Value::Int(1)), (k("b"), Value::Int(2))], 5);
+        assert_eq!(overwritten, vec![k("b")]);
+        assert_eq!(s.read_at("b", 5), Some(&Value::Int(0)));
+        assert_eq!(s.read_at("b", 6), Some(&Value::Int(2)));
         assert_eq!(s.version_count(), 3);
     }
 

@@ -12,7 +12,9 @@
 //! the server holds the only handle to the message, as it does for a
 //! router's per-shard group. A body anyone else could still read — a
 //! network duplicate, a client's retry buffer — is copied instead
-//! ([`tca_sim::Payload::get_mut`]).
+//! ([`tca_sim::Payload::get_mut`]). The first load a fresh server takes
+//! becomes its engine's base, held once for the version store and the
+//! checkpoint image, and a restart reads it back by reference.
 //!
 //! Exactly-once for RPC-enveloped requests lives here. The server
 //! deduplicates a call under `(client, call_id)`, the identity the
@@ -36,10 +38,10 @@ use tca_sim::{
     Boot, Ctx, Payload, Process, ProcessId, RecentWindow, SimDuration, SpanId, SpanKind,
 };
 
-use crate::engine::{CommitResult, Engine, EngineConfig, OpResult};
+use crate::engine::{CommitResult, Engine, EngineConfig, EngineImage, OpResult};
 use crate::proc::{run_proc, ProcOutcome, ProcRegistry};
 use crate::types::{AbortReason, IsolationLevel, Key, Timestamp, TxId, Value};
-use crate::wal::{DurableCell, DurableLog};
+use crate::wal::{Checkpoint, DurableCell, DurableLog};
 
 /// A client request to the database server.
 #[derive(Debug, Clone)]
@@ -394,9 +396,7 @@ impl DbServer {
         let registry = Rc::new(registry);
         move |boot| {
             let wal: DurableLog<crate::wal::WalRecord> = boot.disk.durable("wal");
-            let checkpoint: DurableCell<
-                crate::wal::Checkpoint<std::collections::BTreeMap<Key, Value>>,
-            > = boot.disk.durable("checkpoint");
+            let checkpoint: DurableCell<Checkpoint<EngineImage>> = boot.disk.durable("checkpoint");
             // On first boot the handles are empty, and recovering from
             // nothing is a fresh engine.
             let mut engine = Engine::recover(EngineConfig::default(), wal, checkpoint);

@@ -293,7 +293,9 @@ impl TwoPcParticipant {
     ) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
         let counters = Rc::new(CounterNames::new(&name.into()));
         let registry = Rc::new(registry);
-        let seed = Rc::new(seed);
+        // Taken on first boot: the accounts then exist once, as the
+        // engine's base, and a restart reads them back from the image.
+        let mut seed = Some(seed);
         move |boot| {
             let wal = boot.disk.durable("wal");
             let checkpoint = boot.disk.durable("checkpoint");
@@ -302,7 +304,7 @@ impl TwoPcParticipant {
             // nothing is a fresh engine.
             let mut engine = Engine::recover(EngineConfig::default(), wal, checkpoint);
             if !boot.restart {
-                engine.load_batch(seed.to_vec());
+                engine.load_batch(seed.take().unwrap_or_default());
             }
             // Nothing drains a participant's footprints; left on they grow
             // with every commit for as long as the participant lives.
@@ -589,13 +591,14 @@ struct Dtx {
     phase_span: Option<SpanId>,
 }
 
-/// The durable decision journal: txid → (commit?, participants).
+/// The durable decision journal: txid → participants of a committed
+/// transaction.
 ///
-/// Presumed abort means only COMMIT entries are written; journaling the
-/// participant list alongside the decision is what lets a *restarted*
-/// coordinator resend an undelivered commit instead of leaving prepared
-/// participants blocked forever.
-type DecisionJournal = Rc<RefCell<HashMap<u64, (bool, Vec<ProcessId>)>>>;
+/// Presumed abort means only COMMIT decisions are written, so an entry
+/// is the decision; journaling the participant list with it is what lets
+/// a *restarted* coordinator resend an undelivered commit instead of
+/// leaving prepared participants blocked forever.
+type DecisionJournal = Rc<RefCell<HashMap<u64, Vec<ProcessId>>>>;
 
 /// The 2PC coordinator process.
 pub struct TwoPcCoordinator {
@@ -632,7 +635,7 @@ impl TwoPcCoordinator {
             // participant execute-timeout, prepared ones by the decision
             // inquiry (answered "abort" for unknown txids).
             let mut txns: HashMap<u64, Dtx> = HashMap::default();
-            for (&txid, (commit, participants)) in decisions.borrow().iter() {
+            for (&txid, participants) in decisions.borrow().iter() {
                 let participants: HashSet<ProcessId> = participants.iter().copied().collect();
                 txns.insert(
                     txid,
@@ -641,7 +644,7 @@ impl TwoPcCoordinator {
                         participants,
                         phase: DtxPhase::Deciding,
                         pending_branches: 0,
-                        commit: *commit,
+                        commit: true,
                         error: None,
                         caller: None,
                         started: boot.now,
@@ -698,7 +701,7 @@ impl TwoPcCoordinator {
         let decisions = self.decisions.borrow();
         let mut journal: Vec<(u64, u64)> = decisions
             .iter()
-            .map(|(&txid, (commit, parts))| (txid, (*commit as u64) << 32 | parts.len() as u64))
+            .map(|(&txid, parts)| (txid, parts.len() as u64))
             .collect();
         journal.sort_unstable();
         mix(journal.len() as u64);
@@ -729,7 +732,7 @@ impl TwoPcCoordinator {
         if commit {
             let mut list: Vec<ProcessId> = dtx.participants.iter().copied().collect();
             list.sort();
-            self.decisions.borrow_mut().insert(txid, (true, list));
+            self.decisions.borrow_mut().insert(txid, list);
         }
         dtx.pending.clone_from(&dtx.participants);
         ctx.trace_enter(dtx.phase_span);
@@ -933,8 +936,7 @@ impl Process for TwoPcCoordinator {
                     // decision was COMMIT (transient window before the
                     // factory rebuild — answer truthfully); otherwise
                     // presumed abort: no journal entry means no commit.
-                    let journaled = self.decisions.borrow().get(&txid).map(|(c, _)| *c);
-                    let commit = journaled.unwrap_or(false);
+                    let commit = self.decisions.borrow().contains_key(&txid);
                     if !commit {
                         ctx.metrics().incr("dtx.presumed_aborts", 1);
                     }

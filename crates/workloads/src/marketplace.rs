@@ -219,9 +219,12 @@ mod tests {
             DurableLog::new(),
             DurableCell::new(),
         );
-        for (key, value) in stock_seed(scale).into_iter().chain(payment_seed(scale)) {
-            engine.load(&key, value);
-        }
+        engine.load_batch(
+            stock_seed(scale)
+                .into_iter()
+                .chain(payment_seed(scale))
+                .collect(),
+        );
         engine
     }
 

@@ -231,9 +231,7 @@ mod tests {
             DurableLog::new(),
             DurableCell::new(),
         );
-        for (key, value) in seed(scale) {
-            engine.load(&key, value);
-        }
+        engine.load_batch(seed(scale));
         engine
     }
 

@@ -1,6 +1,6 @@
 //! What a committed 2PC transfer, a stored-procedure read and a loaded
-//! pair cost the host's allocator, and that a transfer leaves nothing
-//! behind.
+//! pair cost the host's allocator, that a transfer leaves nothing
+//! behind, and that a loaded pair is held once.
 //!
 //! Two bank participants and a coordinator serve one client that commits
 //! transfers back to back over a fixed set of accounts, so every bounded
@@ -281,17 +281,22 @@ fn a_routed_read_call_stays_within_its_budget() {
 #[test]
 fn a_bulk_load_moves_its_pairs() {
     // From building the keys to the last shard's ack, kernel and network
-    // included. Measured 3.10 per pair: its key, the checkpoint image's
-    // copy of that key, its one-version chain, and a share of the groups
-    // and tables. Copying the batch at the router and each group at its
-    // shard made it 6.11.
+    // included. Measured 1.01 per pair: its key, and a share of the
+    // groups, the shards' base maps and the tables. A one-version chain
+    // per key, beside a checkpoint image holding its own copy of every
+    // key, made it 3.10; copying the batch at the router and each group
+    // at its shard made it 6.11.
     const PAIRS: usize = 20_000;
-    const BUDGET: f64 = 4.0;
+    const BUDGET: f64 = 2.0;
+    // What the load leaves live, per pair. Measured 118.6 B: the key and
+    // its slot in the one base its shard's store and image share, a hash
+    // table some 60 % full. The chain and the image's copy made it 203.3.
+    const LIVE_BUDGET: f64 = 130.0;
     let mut sim = Sim::with_seed(21);
     let nodes = sim.add_nodes(8);
     let config = DbServerConfig::default();
     let (router, _) = deploy_sharded_db(&mut sim, &nodes, "ycsb", config, ycsb::registry, 16);
-    let before = ALLOCATIONS.get();
+    let (before, live_before) = (ALLOCATIONS.get(), LIVE_BYTES.get());
     let scale = YcsbScale {
         records: PAIRS,
         theta: 0.0,
@@ -299,6 +304,7 @@ fn a_bulk_load_moves_its_pairs() {
     sim.inject(router, Payload::new(DbMsg::load(ycsb::seed(&scale))));
     sim.run_to_quiescence(1_000_000);
     let per_pair = (ALLOCATIONS.get() - before) as f64 / PAIRS as f64;
+    let live_per_pair = (LIVE_BYTES.get() - live_before) as f64 / PAIRS as f64;
     assert_eq!(
         sim.metrics().counter("ycsb-router.replies"),
         1,
@@ -307,5 +313,9 @@ fn a_bulk_load_moves_its_pairs() {
     assert!(
         per_pair <= BUDGET,
         "{per_pair:.2} allocations per loaded pair, budget {BUDGET}"
+    );
+    assert!(
+        live_per_pair <= LIVE_BUDGET,
+        "{live_per_pair:.1} B live per loaded pair, budget {LIVE_BUDGET}"
     );
 }

@@ -191,9 +191,10 @@ mod mvcc_props {
 mod engine_props {
     use super::*;
     use std::collections::BTreeMap;
+    use std::rc::Rc;
     use tca::storage::{
-        Checkpoint, CommitResult, DurableCell, DurableLog, Engine, EngineConfig, IsolationLevel,
-        OpResult, TxId, Value, WalRecord,
+        Checkpoint, CommitResult, DurableCell, DurableLog, Engine, EngineConfig, EngineImage,
+        IsolationLevel, OpResult, TxId, Value, WalRecord,
     };
 
     /// Serializable transfers conserve total money for ANY schedule of
@@ -360,7 +361,7 @@ mod engine_props {
     struct Harness {
         config: EngineConfig,
         wal: DurableLog<WalRecord>,
-        image: DurableCell<Checkpoint<BTreeMap<String, Value>>>,
+        image: DurableCell<Checkpoint<EngineImage>>,
         engine: Engine,
         model: Model,
         open: [Option<Snapshot>; SLOTS],
@@ -523,15 +524,28 @@ mod engine_props {
         fn assert_image_is_current(&self) {
             self.image.with(|image| {
                 let image = image.expect("an image exists after a checkpoint or a load");
-                assert_eq!(image.state, self.model.state, "image ≠ committed state");
+                let state = image.state.materialize();
+                assert_eq!(state, self.model.state, "image ≠ committed state");
                 assert_eq!(image.ts, self.model.clock);
                 assert_eq!(image.covered_lsn, self.wal.next_lsn());
             });
             assert!(self.wal.is_empty(), "a fold truncates the WAL");
         }
 
+        /// The engine's store and the image share one base, never a copy.
+        fn assert_base_is_shared(&self, engine: &Engine) {
+            self.image.with(|image| {
+                let (image, store) = (image.map(|i| i.state.base()), engine.store().base());
+                match image {
+                    Some(image) if !image.is_empty() => assert!(Rc::ptr_eq(image, store)),
+                    _ => assert!(store.is_empty(), "a base the image does not hold"),
+                }
+            });
+        }
+
         fn assert_consistent(&mut self) {
             let committed: Vec<_> = self.model.state.clone().into_iter().collect();
+            self.assert_base_is_shared(&self.engine);
             assert_eq!(self.engine.clock(), self.model.clock);
             assert_eq!(self.engine.peek_prefix(""), committed);
             assert_eq!(self.wal.len(), self.model.tail);
@@ -554,6 +568,7 @@ mod engine_props {
             let mut probe =
                 Engine::recover(self.config.clone(), self.wal.clone(), self.image.clone());
             assert_eq!(probe.peek_prefix(""), committed, "recovered state");
+            self.assert_base_is_shared(&probe);
             assert_eq!(probe.clock(), self.model.durable_clock, "recovered clock");
             assert_eq!(
                 probe.begin(IsolationLevel::ReadCommitted),
@@ -565,9 +580,17 @@ mod engine_props {
 
     fn incremental_checkpoint_prop(input: &(Vec<(u8, u8, u8)>, usize)) {
         let (script, cadence) = input;
-        // Keeping history or not, the engine matches the one model.
-        for recording in [true, false] {
+        // Keeping history or not, the engine matches the one model; and
+        // the same script runs again over a base: every key bulk-loaded
+        // into the fresh engine first, so its overwrites, deletes, GC,
+        // checkpoints and crashes all land on base keys.
+        for (recording, base) in [(true, false), (false, false), (true, true)] {
             let mut harness = Harness::new(CADENCES[*cadence], recording);
+            if base {
+                let pairs = (0..KEYS).map(|i| (key(i), harness.next_value())).collect();
+                harness.load(pairs);
+                harness.assert_consistent();
+            }
             for step in script {
                 harness.step(step);
             }
@@ -593,9 +616,9 @@ mod engine_props {
     }
 
     /// The two ways the fold can go wrong, each as the shortest script
-    /// that shows it: a tombstone the fold must take out of the image, and
-    /// a version a snapshot pinned at one checkpoint that only the
-    /// deferred list brings back to the next.
+    /// that shows it: a tombstone the fold must take out of the image (or,
+    /// over a base key, keep in it), and a version a snapshot pinned at
+    /// one checkpoint that only the deferred list brings back to the next.
     #[test]
     fn incremental_checkpoint_pinned_scripts() {
         regression(
@@ -612,11 +635,27 @@ mod engine_props {
             ),
             incremental_checkpoint_prop,
         );
+        regression(
+            "base load k0..k2, delete k1 (checkpoint), crash, overwrite k0 and \
+             delete k2 (checkpoint), load k1 over its tombstone, crash",
+            &(
+                vec![
+                    (4, 0, 2),
+                    (2, 1, 0),
+                    (10, 0, 0),
+                    (3, 0, 2),
+                    (5, 1, 0),
+                    (10, 0, 0),
+                ],
+                0,
+            ),
+            incremental_checkpoint_prop,
+        );
     }
 
     /// A checkpoint costs what was written since the last one: read-only
-    /// intervals leave every value of the image where it was, and `k`
-    /// updated keys change exactly `k` entries.
+    /// intervals leave the loaded base and every value in it where they
+    /// were, and `k` updated keys put exactly `k` entries in the delta.
     #[test]
     fn checkpoint_touches_only_what_was_written() {
         const EVERY: u64 = 64;
@@ -631,10 +670,24 @@ mod engine_props {
                 .map(|i| (name(i), Value::Str(format!("payload-{i}"))))
                 .collect(),
         );
+        let base = image.with(|image| Rc::clone(image.expect("loaded").state.base()));
+        assert!(Rc::ptr_eq(&base, engine.store().base()), "held once");
+        // Every value's address in the image, the delta's over the base's.
         let addresses = || -> Vec<*const u8> {
             image.with(|image| {
-                let image = image.expect("loaded");
-                image.state.values().map(|v| v.as_str().as_ptr()).collect()
+                let image = &image.expect("loaded").state;
+                assert!(Rc::ptr_eq(image.base(), &base), "the base was replaced");
+                (0..10_000)
+                    .map(|i| match image.delta().get(&name(i)) {
+                        Some(value) => value.as_ref().expect("no deletes").as_str().as_ptr(),
+                        None => image.base()[&name(i)]
+                            .value
+                            .as_ref()
+                            .unwrap()
+                            .as_str()
+                            .as_ptr(),
+                    })
+                    .collect()
             })
         };
         let read_only_commit = |engine: &mut Engine, i: u64| {
@@ -656,6 +709,7 @@ mod engine_props {
             addresses() == loaded,
             "a read-only interval rebuilt the image"
         );
+        assert!(image.with(|image| image.expect("loaded").state.delta().is_empty()));
 
         let updated = [7, 1_000, 5_000, 9_999];
         for &i in &updated {
@@ -674,9 +728,13 @@ mod engine_props {
         assert_eq!(moved, updated.map(|i| i as usize));
         image.with(|image| {
             let state = &image.expect("loaded").state;
+            let delta: Vec<&String> = state.delta().keys().collect();
+            assert_eq!(delta, updated.map(name).iter().collect::<Vec<_>>());
+            let state = state.materialize();
             assert_eq!(state[&name(7)], Value::Str("update-7".into()));
             assert_eq!(state[&name(8)], Value::Str("payload-8".into()));
         });
+        assert_eq!(base[&name(7)].value, Some(Value::Str("payload-7".into())));
     }
 
     /// An SI read records the commit timestamp of the version it saw, not
