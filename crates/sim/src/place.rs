@@ -184,10 +184,18 @@ impl ShardMap {
 
     /// Split `(key, value)`-like items into per-shard groups, preserving
     /// input order within each group. Groups for unowned shards are empty.
+    ///
+    /// Each group is allocated at its exact length: a shard may keep its
+    /// group as it arrives for as long as it lives, spare capacity and
+    /// all.
     pub fn split_by_owner<T>(&self, items: Vec<T>, key_of: impl Fn(&T) -> &str) -> Vec<Vec<T>> {
-        let mut groups: Vec<Vec<T>> = (0..self.shards).map(|_| Vec::new()).collect();
-        for item in items {
-            let shard = self.owner(key_of(&item));
+        let owners: Vec<usize> = items.iter().map(|item| self.owner(key_of(item))).collect();
+        let mut counts = vec![0; self.shards];
+        for &shard in &owners {
+            counts[shard] += 1;
+        }
+        let mut groups: Vec<Vec<T>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (item, shard) in items.into_iter().zip(owners) {
             groups[shard].push(item);
         }
         groups
@@ -281,6 +289,7 @@ mod tests {
         assert_eq!(groups.len(), 4);
         assert_eq!(groups.iter().map(Vec::len).sum::<usize>(), 100);
         for (shard, group) in groups.iter().enumerate() {
+            assert_eq!(group.capacity(), group.len(), "no spare capacity");
             let mut last = None;
             for (key, seq) in group {
                 assert_eq!(map.owner(key), shard);

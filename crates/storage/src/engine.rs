@@ -25,9 +25,10 @@
 //! still pins waits on a short deferred list for the next checkpoint.
 //! Nothing on this path copies or walks the whole keyspace.
 //!
-//! A loaded keyspace is held once. The first bulk load into an empty
-//! engine becomes a [`Base`]: one immutable map, shared by `Rc` between
-//! the version store (which lays its chains over it) and the checkpoint
+//! A loaded keyspace is held once, and densely. The first bulk load into
+//! an empty engine becomes a [`Base`]: the load's own pair vector under a
+//! read-only hash index, never mutated, shared by `Rc` between the
+//! version store (which lays its chains over it) and the checkpoint
 //! image, an [`EngineImage`] of that base plus a delta of what was folded
 //! since. A later load goes into the delta and the chains. Because
 //! neither side ever writes the base, sharing it between volatile state
@@ -120,11 +121,16 @@ impl EngineImage {
     /// The committed state the image holds, base and delta merged (audits
     /// and tests; it copies the whole keyspace).
     pub fn materialize(&self) -> BTreeMap<Key, Value> {
-        let base = self.base.iter().map(|(k, v)| (k, &v.value));
-        let unshadowed = base.filter(|(k, _)| !self.delta.contains_key(*k));
-        unshadowed
-            .chain(&self.delta)
-            .filter_map(|(k, v)| Some((k.clone(), v.clone()?)))
+        let base = self
+            .base
+            .iter()
+            .filter(|(k, _)| !self.delta.contains_key(*k));
+        let delta = self
+            .delta
+            .iter()
+            .filter_map(|(k, v)| Some((k, v.as_ref()?)));
+        base.chain(delta)
+            .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
     }
 }
@@ -588,10 +594,10 @@ impl Engine {
     /// Bulk-load initial data outside any transaction (setup only). The
     /// batch is not WAL records but part of the checkpoint image — durable
     /// when the handler returns, like an append. Into an empty engine it
-    /// is the base, moved into one map the version store and the image
-    /// share; into a non-empty one, its keys move into the version store
-    /// and copies go into the image's delta. Pair `i` gets timestamp
-    /// `clock + 1 + i`.
+    /// is the base: the vector itself, kept under a read-only index, which
+    /// the version store and the image share. Into a non-empty one, its
+    /// keys move into the version store and copies go into the image's
+    /// delta. Pair `i` gets timestamp `clock + 1 + i`.
     pub fn load_batch(&mut self, pairs: Vec<(Key, Value)>) {
         // The image must cover every record older than what it is about to
         // hold, or replay would put an older write over a loaded key.
@@ -911,7 +917,7 @@ mod tests {
             (k("z"), Value::Int(0)),
         ]);
         let base = cp.with(|image| Rc::clone(image.expect("loaded").state.base()));
-        assert!(Rc::ptr_eq(e.store().base(), &base), "one map, not two");
+        assert!(Rc::ptr_eq(e.store().base(), &base), "one base, not two");
         let t = e.begin(IsolationLevel::Serializable);
         e.write(t, "a", Some(Value::Int(3)));
         e.write(t, "b", None);
@@ -927,8 +933,8 @@ mod tests {
             assert_eq!(image.state.delta().len(), 3, "a, b's tombstone and c");
         });
         assert_eq!(
-            base["a"].value,
-            Some(Value::Int(1)),
+            base.get("a").unwrap().value,
+            Some(&Value::Int(1)),
             "the base is never written"
         );
         assert_eq!(base.len(), 3);

@@ -15,20 +15,40 @@
 //! (GC, counts) is order-free.
 //!
 //! A store may stand over a [`Base`]: the keyspace of an engine's first
-//! bulk load, one version per key, in a map the store shares by `Rc`
-//! with the engine's checkpoint image and never writes. The version
-//! chains are then an overlay. A read looks in the overlay, then in the
-//! base. The first install on a base key starts its chain with a copy of
-//! the base version, so from then on the chain alone is that key's
-//! history, exactly as if the key had been installed. GC keeps a
-//! tombstone that shadows a base key, which would otherwise read again.
-//! A store recovered from an image stamps every base version with the
-//! image's timestamp, as a store rebuilt from a materialized image would.
+//! bulk load, one version per key, which the store shares by `Rc` with
+//! the engine's checkpoint image and never writes. The version chains
+//! are then an overlay. A read looks in the overlay, then in the base.
+//! The first install on a base key starts its chain with a copy of the
+//! base version, so from then on the chain alone is that key's history,
+//! exactly as if the key had been installed. GC keeps a tombstone that
+//! shadows a base key, which would otherwise read again. A store
+//! recovered from an image stamps every base version with the image's
+//! timestamp, as a store rebuilt from a materialized image would.
+//!
+//! A base is held densely: it is most of a loaded service's heap for as
+//! long as the service runs. It keeps the load's own pair vector as it
+//! arrived, and pair `i` reads at the load's first timestamp plus `i`,
+//! so no version and no timestamp is stored per pair. Over the vector
+//! sits an open-addressed index: a power-of-two number of `u64` slots, at
+//! most 7/8 full, probed linearly. A slot holds a 32-bit tag of the key's
+//! hash and the pair's position + 1; zero marks a free slot. A probe
+//! compares keys only when the tag matches, so stepping past another
+//! key's slot costs no string comparison and no visit to its pair.
+//!
+//! The hash is `mix64(fnv1a(key))`. The slot comes from its low bits and
+//! the tag from its high bits, and raw FNV-1a's high bits barely differ
+//! between keys that differ only in their last character: sequential
+//! keys would share tags, and every probe would compare keys again.
+//!
+//! A key repeated in a batch is indexed at its last pair and reads at
+//! that pair's timestamp. The earlier pairs stay in the vector,
+//! unreachable, and [`Base::len`] and [`Base::iter`] skip them.
 
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use tca_sim::DetHashMap as HashMap;
+use tca_sim::place::mix64;
+use tca_sim::{fnv1a, DetHashMap as HashMap};
 
 use crate::types::{Key, Timestamp, Value};
 
@@ -59,14 +79,136 @@ impl<'a> From<&'a Version> for VersionRef<'a> {
     }
 }
 
-/// The keyspace of a first bulk load: one version per key, shared by
-/// the store and the checkpoint image and never mutated.
-pub type Base = HashMap<Key, Version>;
+/// The keyspace of a first bulk load, shared by the store and the
+/// checkpoint image and never mutated: the load's pairs in their order,
+/// under a tagged open-addressed index (see the module doc).
+#[derive(Debug, Default)]
+pub struct Base {
+    /// The pairs as loaded; pair `i` reads at `first_ts + i`. A pair that
+    /// a later one repeats is unreachable.
+    pairs: Vec<(Key, Value)>,
+    first_ts: Timestamp,
+    /// `FREE`, or a key's hash tag in the high half and the position + 1
+    /// of its last pair in the low half. Empty, or a power of two long
+    /// and at most 7/8 full.
+    index: Vec<u64>,
+    /// Number of distinct keys.
+    len: usize,
+}
+
+const FREE: u64 = 0;
+/// The slot bits that hold the tag.
+const TAG: u64 = !(u32::MAX as u64);
+
+fn hash(key: &str) -> u64 {
+    mix64(fnv1a(key.as_bytes()))
+}
+
+/// The pair position an occupied slot points at.
+fn position(slot: u64) -> usize {
+    (slot & !TAG) as usize - 1
+}
+
+impl Base {
+    /// `pairs` as versions at `first_ts`, `first_ts + 1`, … in order, a
+    /// key repeated in the batch keeping its last. The vector is kept as
+    /// it is, spare capacity included.
+    pub fn new(pairs: Vec<(Key, Value)>, first_ts: Timestamp) -> Self {
+        assert!(
+            pairs.len() < u32::MAX as usize,
+            "a base indexes u32 positions"
+        );
+        let slots = match pairs.len() {
+            0 => 0,
+            n => (n * 8).div_ceil(7).next_power_of_two(),
+        };
+        let mut base = Base {
+            pairs,
+            first_ts,
+            index: vec![FREE; slots],
+            len: 0,
+        };
+        for position in 0..base.pairs.len() {
+            let key = &base.pairs[position].0;
+            let hash = hash(key);
+            let i = match base.probe(key, hash) {
+                Ok(i) => i,
+                Err(i) => {
+                    base.len += 1;
+                    i
+                }
+            };
+            base.index[i] = (hash & TAG) | (position as u64 + 1);
+        }
+        base
+    }
+
+    /// The slot holding `key`, or the free slot that ends its probe. The
+    /// index must not be empty.
+    fn probe(&self, key: &str, hash: u64) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.index[i];
+            if slot == FREE {
+                return Err(i);
+            }
+            if slot & TAG == hash & TAG && self.pairs[position(slot)].0 == key {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The position of `key`'s pair.
+    fn find(&self, key: &str) -> Option<usize> {
+        if self.index.is_empty() {
+            return None;
+        }
+        let i = self.probe(key, hash(key)).ok()?;
+        Some(position(self.index[i]))
+    }
+
+    /// `key`'s version.
+    pub fn get(&self, key: &str) -> Option<VersionRef<'_>> {
+        let position = self.find(key)?;
+        Some(VersionRef {
+            ts: self.first_ts + position as Timestamp,
+            value: Some(&self.pairs[position].1),
+        })
+    }
+
+    /// Whether `key` has a version.
+    pub fn contains_key(&self, key: &str) -> bool {
+        self.find(key).is_some()
+    }
+
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the base holds no key.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every key with its value, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Key, &Value)> {
+        self.index
+            .iter()
+            .filter(|&&slot| slot != FREE)
+            .map(|&slot| {
+                let (key, value) = &self.pairs[position(slot)];
+                (key, value)
+            })
+    }
+}
 
 /// A [`Base`] and the timestamp its versions read at.
 #[derive(Debug, Default, Clone)]
 struct BaseLayer {
-    map: Rc<Base>,
+    shared: Rc<Base>,
     /// After recovery, the image's timestamp stamps every base version;
     /// on the live path each keeps its own.
     stamp: Option<Timestamp>,
@@ -74,10 +216,10 @@ struct BaseLayer {
 
 impl BaseLayer {
     fn get(&self, key: &str) -> Option<VersionRef<'_>> {
-        let version = self.map.get(key)?;
+        let version = self.shared.get(key)?;
         Some(VersionRef {
             ts: self.stamp.unwrap_or(version.ts),
-            value: version.value.as_ref(),
+            ..version
         })
     }
 
@@ -156,7 +298,7 @@ impl MvccStore {
         };
         MvccStore {
             base: BaseLayer {
-                map: base,
+                shared: base,
                 stamp: Some(ts),
             },
             data: delta
@@ -174,26 +316,21 @@ impl MvccStore {
     /// Panics if the store is not empty.
     pub(crate) fn load_base(&mut self, pairs: Vec<(Key, Value)>, first_ts: Timestamp) -> Rc<Base> {
         assert!(self.is_empty(), "a base goes under an empty store");
-        let mut base = Base::with_capacity_and_hasher(pairs.len(), Default::default());
-        for ((key, value), ts) in pairs.into_iter().zip(first_ts..) {
-            let value = Some(value);
-            base.insert(key, Version { ts, value });
-        }
         self.base = BaseLayer {
-            map: Rc::new(base),
+            shared: Rc::new(Base::new(pairs, first_ts)),
             stamp: None,
         };
-        Rc::clone(&self.base.map)
+        Rc::clone(&self.base.shared)
     }
 
     /// The base this store stands over (empty if it has none).
     pub fn base(&self) -> &Rc<Base> {
-        &self.base.map
+        &self.base.shared
     }
 
     /// Whether the store holds no version at all.
     pub(crate) fn is_empty(&self) -> bool {
-        self.data.is_empty() && self.base.map.is_empty()
+        self.data.is_empty() && self.base.shared.is_empty()
     }
 
     /// Install a committed version of `key` at `ts`.
@@ -276,7 +413,7 @@ impl MvccStore {
 
     /// Whether any committed version of `key` exists (including tombstones).
     pub fn has_history(&self, key: &str) -> bool {
-        self.data.contains_key(key) || self.base.map.contains_key(key)
+        self.data.contains_key(key) || self.base.shared.contains_key(key)
     }
 
     /// Drop versions no snapshot at or after `horizon` can see.
@@ -286,7 +423,7 @@ impl MvccStore {
     /// versions reclaimed.
     pub fn gc(&mut self, horizon: Timestamp) -> usize {
         let mut reclaimed = 0;
-        let base = &self.base.map;
+        let base = &self.base.shared;
         self.data.retain(|key, versions| {
             reclaimed += compact(versions, horizon);
             !dead(versions, horizon) || base.contains_key(key)
@@ -306,7 +443,7 @@ impl MvccStore {
         };
         compact(versions, horizon);
         if dead(versions, horizon) {
-            if !self.base.map.contains_key(key) {
+            if !self.base.shared.contains_key(key) {
                 self.data.remove(key);
             }
             return true;
@@ -315,9 +452,9 @@ impl MvccStore {
     }
 
     /// Base versions no chain has taken over.
-    fn unshadowed_base(&self) -> impl Iterator<Item = (&Key, &Version)> {
+    fn unshadowed_base(&self) -> impl Iterator<Item = (&Key, &Value)> {
         self.base
-            .map
+            .shared
             .iter()
             .filter(|(k, _)| !self.data.contains_key(k.as_str()))
     }
@@ -347,16 +484,11 @@ impl MvccStore {
             .data
             .iter()
             .filter(|(k, _)| k.starts_with(prefix))
-            .filter_map(|(k, versions)| Some((k, versions.last()?)));
+            .filter_map(|(k, versions)| Some((k, versions.last()?.value.as_ref()?)));
         let base = self
-            .base
-            .map
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix) && !self.data.contains_key(k.as_str()));
-        let mut live: Vec<(&Key, &Value)> = chains
-            .chain(base)
-            .filter_map(|(k, v)| v.value.as_ref().map(|v| (k, v)))
-            .collect();
+            .unshadowed_base()
+            .filter(|(k, _)| k.starts_with(prefix));
+        let mut live: Vec<(&Key, &Value)> = chains.chain(base).collect();
         live.sort_unstable_by(|a, b| a.0.cmp(b.0));
         live.into_iter()
     }
@@ -463,7 +595,67 @@ mod tests {
         assert_eq!(s.read_at("a", 4), None, "collected, as a chain would be");
         assert_eq!(s.version_count(), 2);
         // The base itself is untouched.
-        assert_eq!(s.base()["a"].value, Some(Value::Int(1)));
+        assert_eq!(s.base().get("a").unwrap().value, Some(&Value::Int(1)));
+    }
+
+    #[test]
+    fn a_repeated_base_key_keeps_its_last_pair() {
+        let mut s = MvccStore::new();
+        let pairs = vec![
+            (k("a"), Value::Int(1)),
+            (k("b"), Value::Int(2)),
+            (k("a"), Value::Int(3)),
+            (k("c"), Value::Int(4)),
+        ];
+        let base = s.load_base(pairs, 10);
+        let a = base.get("a").unwrap();
+        assert_eq!((a.ts, a.value), (12, Some(&Value::Int(3))));
+        assert_eq!(s.latest_ts("a"), Some(12));
+        assert_eq!(s.read_at("a", 11), None, "the first pair is unreachable");
+        assert_eq!(base.len(), 3);
+        let mut keys: Vec<_> = base.iter().map(|(key, _)| key.as_str()).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, ["a", "b", "c"]);
+        assert_eq!(s.live_keys(), 3);
+        assert_eq!(s.version_count(), 3);
+    }
+
+    #[test]
+    fn an_absent_key_probes_past_the_end_of_the_index() {
+        // Seven keys whose probes all start in the last of eight slots
+        // fill it and wrap into the first six, leaving slot 6 free.
+        let last = |key: &str| hash(key) as usize & 7 == 7;
+        let mut names = (0..).map(|i| format!("key{i}")).filter(|key| last(key));
+        let pairs: Vec<_> = (0..7)
+            .map(|i| (names.next().unwrap(), Value::Int(i)))
+            .collect();
+        let base = Base::new(pairs.clone(), 1);
+        assert_eq!(base.index.len(), 8);
+        assert_eq!(base.index[6], FREE);
+        for (key, value) in &pairs {
+            assert_eq!(base.get(key).unwrap().value, Some(value));
+        }
+        let absent = names.next().unwrap();
+        assert_eq!(base.get(&absent), None);
+        assert!(!base.contains_key(&absent));
+    }
+
+    #[test]
+    fn the_empty_base_holds_no_key() {
+        for base in [Base::default(), Base::new(Vec::new(), 1)] {
+            for key in ["", "a", "user00000001"] {
+                assert_eq!(base.get(key), None);
+                assert!(!base.contains_key(key));
+            }
+            assert!(base.is_empty());
+            assert_eq!(base.iter().count(), 0);
+        }
+        let mut s = MvccStore::new();
+        s.load_base(Vec::new(), 1);
+        assert_eq!(s.read_latest("a"), None);
+        assert!(!s.has_history("a"));
+        s.install("a", 2, Some(Value::Int(1)));
+        assert_eq!(s.read_latest("a"), Some(&Value::Int(1)));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use tca::sim::{Histogram, SimDuration, SimRng, Zipf};
 mod mvcc_props {
     use super::*;
     use std::collections::BTreeMap;
-    use tca::storage::mvcc::Version;
+    use tca::storage::mvcc::{Base, Version};
     use tca::storage::{Key, MvccStore, Value};
 
     /// Reads at any snapshot see the newest version at or below it.
@@ -112,6 +112,50 @@ mod mvcc_props {
     /// Keys under prefixes that nest (`a/` lies under `a`, so does `ab/`).
     fn key(id: u8) -> Key {
         format!("{}{}", ["a/", "ab/", "b/"][id as usize % 3], id / 3)
+    }
+
+    /// A base built from a batch with repeated keys reads like an ordered
+    /// map the batch was inserted into pair by pair, the last pair of a
+    /// key winning: same values, same timestamps, same keys, and no key
+    /// the batch lacks.
+    #[test]
+    fn base_matches_an_ordered_model() {
+        let input_gen = tuple2(
+            vec_of(tuple2(u8_in(0, 40), i64_in(0, 100)), 0, 120),
+            u64_in(1, 1000),
+        );
+        check(
+            "base_matches_an_ordered_model",
+            &input_gen,
+            |(batch, first_ts)| {
+                // Keys that differ only in their last characters.
+                let name = |id: u8| format!("user{id:03}");
+                let pairs: Vec<(Key, Value)> = batch
+                    .iter()
+                    .map(|&(id, v)| (name(id), Value::Int(v)))
+                    .collect();
+                let mut model = BTreeMap::new();
+                for (ts, (key, value)) in (*first_ts..).zip(&pairs) {
+                    model.insert(key.clone(), (ts, value.clone()));
+                }
+                let base = Base::new(pairs, *first_ts);
+                for id in 0..=60 {
+                    let key = name(id);
+                    let expected = model.get(&key).map(|(ts, value)| (*ts, value));
+                    let got = base
+                        .get(&key)
+                        .map(|v| (v.ts, v.value.expect("a base holds values")));
+                    assert_eq!(got, expected, "{key}");
+                    assert_eq!(base.contains_key(&key), expected.is_some(), "{key}");
+                }
+                assert_eq!(base.len(), model.len());
+                assert_eq!(base.is_empty(), model.is_empty());
+                let mut listed: Vec<_> = base.iter().collect();
+                listed.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                let ordered: Vec<_> = model.iter().map(|(k, (_, v))| (k, v)).collect();
+                assert_eq!(listed, ordered);
+            },
+        );
     }
 
     /// Random installs, tombstones, loads and both GCs leave the store
@@ -680,9 +724,11 @@ mod engine_props {
                 (0..10_000)
                     .map(|i| match image.delta().get(&name(i)) {
                         Some(value) => value.as_ref().expect("no deletes").as_str().as_ptr(),
-                        None => image.base()[&name(i)]
+                        None => image
+                            .base()
+                            .get(&name(i))
+                            .unwrap()
                             .value
-                            .as_ref()
                             .unwrap()
                             .as_str()
                             .as_ptr(),
@@ -734,7 +780,10 @@ mod engine_props {
             assert_eq!(state[&name(7)], Value::Str("update-7".into()));
             assert_eq!(state[&name(8)], Value::Str("payload-8".into()));
         });
-        assert_eq!(base[&name(7)].value, Some(Value::Str("payload-7".into())));
+        assert_eq!(
+            base.get(&name(7)).unwrap().value,
+            Some(&Value::Str("payload-7".into()))
+        );
     }
 
     /// An SI read records the commit timestamp of the version it saw, not
