@@ -1867,10 +1867,7 @@ pub fn e21_exactly_once_workflows(seed: u64) -> Vec<Row> {
             sim.inject_at(
                 SimTime::ZERO + SimDuration::from_millis(1 + 16 * i),
                 deploy.orchestrator,
-                Payload::new(RpcRequest {
-                    call_id,
-                    body: Payload::new(start),
-                }),
+                Payload::new(RpcRequest::new(call_id, Payload::new(start))),
             );
         }
         // One worker dies mid-stream and comes back: the window where

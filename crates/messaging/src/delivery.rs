@@ -87,7 +87,7 @@ impl ReliableSender {
             Some(policy) => {
                 self.rpc.call_with_id(ctx, dest, body, policy, 0, seq);
             }
-            None => ctx.send(dest, Payload::new(RpcRequest { call_id: seq, body })),
+            None => ctx.send(dest, Payload::new(RpcRequest::new(seq, body))),
         }
         seq
     }

@@ -16,6 +16,17 @@
 //! calls fast while a destination is failing. All three are opt-in and the
 //! defaults preserve the historical byte-for-byte deterministic behaviour
 //! (no extra RNG draws unless jitter is enabled).
+//!
+//! Every request also tells its receiver which earlier calls the client
+//! has settled — answered, failed or shed — in [`RpcRequest::settled`]:
+//! the wire ids below the client's oldest call still pending. A receiver
+//! that keeps replies for duplicates may free those (RIFL's
+//! client-acknowledged completion records); a reply that still reaches
+//! the client for one of them is discarded like any reply to a call it no
+//! longer awaits. A client that chooses its own ids
+//! ([`RpcClient::call_with_id`] only) claims nothing.
+
+use std::ops::Range;
 
 use tca_sim::DetHashMap as HashMap;
 
@@ -181,6 +192,9 @@ struct Pending {
     /// sent; the zero-delay timer fails the call without touching the
     /// breaker's failure accounting.
     shed: bool,
+    /// Issued through [`RpcClient::call_with_id`]: its wire id may lie
+    /// anywhere, inside the settled claim's interval included.
+    foreign: bool,
 }
 
 /// Client-side RPC state machine, embedded in a host process.
@@ -197,6 +211,11 @@ pub struct RpcClient {
     pending: HashMap<u64, Pending>,
     /// wire id → local seq, for reply matching.
     by_wire: HashMap<u64, u64>,
+    /// Every local seq in `1..=done` is settled: `done + 1` is the oldest
+    /// call still pending, or the next one to be issued.
+    done: u64,
+    /// Pending calls with a caller-chosen wire id.
+    foreign_pending: usize,
     /// Retry token bucket (`None` = unlimited retries, the legacy mode).
     budget: Option<RetryBudget>,
     /// Current bucket balance.
@@ -315,8 +334,7 @@ impl RpcClient {
         if self.nonce == 0 {
             self.nonce = ctx.rng().next_u64().max(1);
         }
-        let wire_id = self.nonce.wrapping_add(self.next_seq + 1);
-        self.call_with_id(ctx, dest, body, policy, user_tag, wire_id)
+        self.issue(ctx, dest, body, policy, user_tag, None)
     }
 
     /// Like [`RpcClient::call`], but with a caller-chosen wire id. Use a
@@ -332,9 +350,26 @@ impl RpcClient {
         user_tag: u64,
         wire_id: u64,
     ) -> CallId {
+        self.issue(ctx, dest, body, policy, user_tag, Some(wire_id))
+    }
+
+    /// Issue a call under the caller's `chosen` wire id, or else under
+    /// the next one of the nonce's.
+    fn issue(
+        &mut self,
+        ctx: &mut Ctx,
+        dest: ProcessId,
+        body: Payload,
+        policy: RetryPolicy,
+        user_tag: u64,
+        chosen: Option<u64>,
+    ) -> CallId {
         assert!(policy.max_attempts >= 1);
         self.next_seq += 1;
         let seq = self.next_seq;
+        let wire_id = chosen.unwrap_or_else(|| self.nonce.wrapping_add(seq));
+        let foreign = chosen.is_some();
+        self.foreign_pending += usize::from(foreign);
         // Admission: a request whose deadline already passed, or whose
         // destination breaker is open, is shed without touching the wire.
         // The host still learns of it through its normal completion path —
@@ -353,6 +388,7 @@ impl RpcClient {
                     wire_id,
                     span: None,
                     shed: true,
+                    foreign,
                 },
             );
             self.by_wire.insert(wire_id, seq);
@@ -368,21 +404,12 @@ impl RpcClient {
         // fired from that timer stay inside the same call subtree.
         let span = ctx.trace_span(SpanKind::RpcCall, || format!("rpc {}", body.tag()));
         ctx.trace_enter(span);
-        ctx.send(
-            dest,
-            Payload::new(RpcRequest {
-                call_id: wire_id,
-                body: body.clone(),
-            }),
-        );
-        ctx.metrics().incr("rpc.calls", 1);
-        ctx.set_timer(policy.timeout, RPC_TAG_BASE | seq);
-        ctx.trace_exit(span);
+        // Pending first, so the claim the request carries leaves it out.
         self.pending.insert(
             seq,
             Pending {
                 dest,
-                body,
+                body: body.clone(),
                 policy,
                 attempts_left: policy.max_attempts - 1,
                 current_timeout: policy.timeout,
@@ -390,10 +417,56 @@ impl RpcClient {
                 wire_id,
                 span,
                 shed: false,
+                foreign,
             },
         );
         self.by_wire.insert(wire_id, seq);
+        ctx.send(dest, self.request(wire_id, body));
+        ctx.metrics().incr("rpc.calls", 1);
+        ctx.set_timer(policy.timeout, RPC_TAG_BASE | seq);
+        ctx.trace_exit(span);
         CallId(wire_id)
+    }
+
+    /// Call `wire_id`'s request, with the client's settled claim.
+    fn request(&self, wire_id: u64, body: Payload) -> Payload {
+        Payload::new(RpcRequest {
+            call_id: wire_id,
+            body,
+            settled: self.settled(),
+        })
+    }
+
+    /// The wire ids this client issued and no longer awaits: those of
+    /// every [`RpcClient::call`] older than its oldest call still
+    /// pending, cut short below any pending caller-chosen id, and never
+    /// past `u64::MAX`. Empty before the nonce is drawn; draws nothing.
+    fn settled(&self) -> Range<u64> {
+        if self.nonce == 0 {
+            return 0..0;
+        }
+        let start = self.nonce.saturating_add(1);
+        let mut end = self.nonce.saturating_add(self.done + 1);
+        if self.foreign_pending > 0 {
+            for pending in self.pending.values() {
+                if pending.foreign && (start..end).contains(&pending.wire_id) {
+                    end = pending.wire_id;
+                }
+            }
+        }
+        start..end
+    }
+
+    /// Take call `seq` out of the pending set, and move the settled
+    /// floor past every call now done: amortised O(1), since the floor
+    /// only rises.
+    fn finish(&mut self, seq: u64) -> Option<Pending> {
+        let pending = self.pending.remove(&seq)?;
+        self.foreign_pending -= usize::from(pending.foreign);
+        while self.done < self.next_seq && !self.pending.contains_key(&(self.done + 1)) {
+            self.done += 1;
+        }
+        Some(pending)
     }
 
     /// Offer an incoming message. Returns the completion event if it was a
@@ -401,7 +474,7 @@ impl RpcClient {
     pub fn on_message(&mut self, ctx: &mut Ctx, payload: &Payload) -> Option<RpcEvent> {
         let reply = payload.downcast_ref::<RpcReply>()?;
         let seq = self.by_wire.remove(&reply.call_id)?;
-        let pending = self.pending.remove(&seq)?;
+        let pending = self.finish(seq)?;
         ctx.trace_span_end(pending.span);
         self.breaker_record(ctx, pending.dest, true);
         Some(RpcEvent::Reply {
@@ -437,7 +510,7 @@ impl RpcClient {
             }
         };
         if pending.shed || exhausted || deadline_dead || budget_dead {
-            let pending = self.pending.remove(&seq).expect("present");
+            let pending = self.finish(seq).expect("present");
             self.by_wire.remove(&pending.wire_id);
             ctx.metrics().incr("rpc.failures", 1);
             if deadline_dead {
@@ -468,13 +541,7 @@ impl RpcClient {
         }
         let (dest, body, wire_id) = (pending.dest, pending.body.clone(), pending.wire_id);
         ctx.metrics().incr("rpc.retries", 1);
-        ctx.send(
-            dest,
-            Payload::new(RpcRequest {
-                call_id: wire_id,
-                body,
-            }),
-        );
+        ctx.send(dest, self.request(wire_id, body));
         ctx.set_timer(wait, RPC_TAG_BASE | seq);
         Some(None)
     }
@@ -752,6 +819,236 @@ mod tests {
         assert_eq!(m.counter("rpc.calls"), 0, "nothing sent");
         assert_eq!(m.counter("server.handled"), 0);
         assert_eq!(m.counter("caller.failures"), 1, "host still sees Failed");
+    }
+
+    /// Records every request's id and settled claim, and answers each
+    /// after the number of milliseconds its `u64` body names; `0` never.
+    #[derive(Default)]
+    struct Delayer {
+        seen: Vec<(u64, Range<u64>)>,
+    }
+    impl Process for Delayer {
+        fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
+            let req = payload.expect::<RpcRequest>();
+            self.seen.push((req.call_id, req.settled.clone()));
+            let after = *req.body.expect::<u64>();
+            if after > 0 {
+                let reply = RpcReply {
+                    call_id: req.call_id,
+                    body: req.body.clone(),
+                };
+                ctx.send_after(from, Payload::new(reply), SimDuration::from_millis(after));
+            }
+        }
+    }
+
+    /// One call of a [`Claimer`]'s plan: the server answers it after
+    /// `reply_after` ms (`0`: never), and the client gives up after
+    /// `timeout` ms. `with_id` calls under the wire id that many past the
+    /// nonce (the first call's id minus one).
+    #[derive(Clone, Copy)]
+    struct Step {
+        reply_after: u64,
+        timeout: u64,
+        with_id: Option<u64>,
+    }
+
+    fn step(reply_after: u64) -> Step {
+        Step {
+            reply_after,
+            timeout: 100,
+            with_id: None,
+        }
+    }
+
+    /// Runs its plan one batch per 10 ms tick, and checks after every
+    /// event that its claim covers no call it still awaits.
+    struct Claimer {
+        server: ProcessId,
+        rpc: RpcClient,
+        plan: Vec<Vec<Step>>,
+        issued: Vec<u64>,
+    }
+    const NEXT_BATCH: u64 = 0x7e57_0002;
+    impl Claimer {
+        fn check(&self) {
+            let settled = self.rpc.settled();
+            for pending in self.rpc.pending.values() {
+                assert!(
+                    !settled.contains(&pending.wire_id),
+                    "claim {settled:?} covers pending call {}",
+                    pending.wire_id
+                );
+            }
+        }
+        fn batch(&mut self, ctx: &mut Ctx) {
+            if self.plan.is_empty() {
+                return;
+            }
+            for step in self.plan.remove(0) {
+                let policy = RetryPolicy::at_most_once(SimDuration::from_millis(step.timeout));
+                let body = Payload::new(step.reply_after);
+                let CallId(wire_id) = match step.with_id {
+                    None => self.rpc.call(ctx, self.server, body, policy, 0),
+                    Some(past_nonce) => {
+                        let id = self.issued[0] - 1 + past_nonce;
+                        self.rpc.call_with_id(ctx, self.server, body, policy, 0, id)
+                    }
+                };
+                self.issued.push(wire_id);
+                self.check();
+            }
+            ctx.set_timer(SimDuration::from_millis(10), NEXT_BATCH);
+        }
+    }
+    impl Process for Claimer {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            self.batch(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
+            let _ = self.rpc.on_message(ctx, &payload);
+            self.check();
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
+            if tag == NEXT_BATCH {
+                self.batch(ctx);
+            } else {
+                let _ = self.rpc.on_timer(ctx, tag);
+                self.check();
+            }
+        }
+    }
+
+    /// A world of one [`Claimer`] running `plan` against a [`Delayer`];
+    /// returns the sim, the client's node, and both pids.
+    fn claim_world(plan: Vec<Vec<Step>>) -> (Sim, tca_sim::NodeId, ProcessId, ProcessId) {
+        let mut sim = Sim::with_seed(15);
+        let n0 = sim.add_node();
+        let n1 = sim.add_node();
+        let server = sim.spawn(n1, "server", |_| Box::<Delayer>::default());
+        let client = sim.spawn(n0, "client", move |_| {
+            Box::new(Claimer {
+                server,
+                rpc: RpcClient::new(),
+                plan: plan.clone(),
+                issued: Vec::new(),
+            })
+        });
+        (sim, n0, client, server)
+    }
+
+    fn seen(sim: &Sim, server: ProcessId) -> &[(u64, Range<u64>)] {
+        &sim.inspect::<Delayer>(server).expect("server").seen
+    }
+
+    #[test]
+    fn calls_completing_out_of_order_are_settled_below_the_oldest_pending() {
+        // The first call is slowest: until it completes, the later ones
+        // that have are not claimed.
+        let plan = vec![
+            vec![step(15), step(2), step(2)],
+            vec![step(2)],
+            vec![],
+            vec![step(2)],
+        ];
+        let (mut sim, _, client, server) = claim_world(plan);
+        sim.run_for(SimDuration::from_millis(100));
+        let issued = sim
+            .inspect::<Claimer>(client)
+            .expect("client")
+            .issued
+            .clone();
+        let [a, _, _, d, e] = issued[..] else {
+            panic!("{issued:?}")
+        };
+        let claims: Vec<_> = seen(&sim, server).iter().map(|(_, c)| c.clone()).collect();
+        assert_eq!(claims[..3], [a..a, a..a, a..a], "nothing settled at first");
+        assert_eq!(claims[3], a..a, "the first call still pending at 10 ms");
+        assert_eq!(claims[4], a..e, "all four settled at 30 ms");
+        assert_eq!(d + 1, e);
+    }
+
+    #[test]
+    fn a_failed_call_is_settled() {
+        let lost = Step {
+            reply_after: 0,
+            timeout: 3,
+            with_id: None,
+        };
+        let (mut sim, _, client, server) = claim_world(vec![vec![lost], vec![step(1)]]);
+        sim.run_for(SimDuration::from_millis(50));
+        let issued = &sim.inspect::<Claimer>(client).expect("client").issued;
+        assert_eq!(sim.metrics().counter("rpc.failures"), 1);
+        assert_eq!(seen(&sim, server)[1], (issued[1], issued[0]..issued[1]));
+    }
+
+    #[test]
+    fn a_pending_chosen_id_inside_the_interval_cuts_the_claim_short() {
+        // Three calls complete; a caller-chosen id equal to the second
+        // one's is then pending, so the next claim stops below it.
+        let with_id = Step {
+            reply_after: 0,
+            timeout: 100,
+            with_id: Some(2),
+        };
+        let plan = vec![
+            vec![step(1), step(1), step(1)],
+            vec![with_id],
+            vec![step(1)],
+        ];
+        let (mut sim, _, client, server) = claim_world(plan);
+        sim.run_for(SimDuration::from_millis(50));
+        let issued = &sim.inspect::<Claimer>(client).expect("client").issued;
+        let first = issued[0];
+        assert_eq!(issued[3], first + 1, "the chosen id is the second call's");
+        assert_eq!(seen(&sim, server)[4].1, first..first + 1);
+        // Once it fails, the claim reaches the oldest pending call again.
+        sim.run_for(SimDuration::from_millis(150));
+        let client = sim.inspect::<Claimer>(client).expect("client");
+        assert_eq!(client.rpc.in_flight(), 0);
+        assert_eq!(client.rpc.settled(), first..first + 5);
+    }
+
+    #[test]
+    fn a_restarted_client_claims_only_its_own_ids() {
+        let plan = vec![vec![step(1)], vec![step(1)]];
+        let (mut sim, node, client, server) = claim_world(plan);
+        sim.run_for(SimDuration::from_millis(30));
+        let old = sim
+            .inspect::<Claimer>(client)
+            .expect("client")
+            .issued
+            .clone();
+        sim.crash_node(node);
+        sim.restart_node(node);
+        sim.run_for(SimDuration::from_millis(30));
+        let new = &sim.inspect::<Claimer>(client).expect("client").issued;
+        assert_ne!(old[0], new[0], "a fresh nonce");
+        let seen = seen(&sim, server);
+        assert_eq!(seen[1].1, old[0]..old[1]);
+        assert_eq!(seen[2].1, new[0]..new[0], "nothing of its own settled yet");
+        assert_eq!(seen[3].1, new[0]..new[1]);
+        for (_, claim) in &seen[2..] {
+            assert!(!old.iter().any(|id| claim.contains(id)), "{claim:?}");
+        }
+    }
+
+    #[test]
+    fn a_claim_stops_short_of_u64_max() {
+        let mut rpc = RpcClient::new();
+        (rpc.nonce, rpc.done) = (u64::MAX - 2, 5);
+        assert_eq!(rpc.settled(), u64::MAX - 1..u64::MAX);
+        rpc.nonce = u64::MAX;
+        assert!(rpc.settled().is_empty());
+    }
+
+    #[test]
+    fn a_client_without_a_nonce_claims_nothing() {
+        // A `call_with_id`-only client never draws one, however many of
+        // its calls are done.
+        let mut rpc = RpcClient::new();
+        rpc.done = 3;
+        assert_eq!(rpc.settled(), 0..0);
     }
 
     #[test]

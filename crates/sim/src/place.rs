@@ -187,16 +187,20 @@ impl ShardMap {
     ///
     /// Each group is allocated at its exact length: a shard may keep its
     /// group as it arrives for as long as it lives, spare capacity and
-    /// all.
+    /// all. The owner list beside the items takes 4 bytes an item: the
+    /// items, it and the groups are all live at once.
     pub fn split_by_owner<T>(&self, items: Vec<T>, key_of: impl Fn(&T) -> &str) -> Vec<Vec<T>> {
-        let owners: Vec<usize> = items.iter().map(|item| self.owner(key_of(item))).collect();
+        assert!(u32::try_from(self.shards).is_ok(), "shard count fits u32");
+        let owners: Vec<u32> = (items.iter())
+            .map(|item| self.owner(key_of(item)) as u32)
+            .collect();
         let mut counts = vec![0; self.shards];
         for &shard in &owners {
-            counts[shard] += 1;
+            counts[shard as usize] += 1;
         }
         let mut groups: Vec<Vec<T>> = counts.into_iter().map(Vec::with_capacity).collect();
         for (item, shard) in items.into_iter().zip(owners) {
-            groups[shard].push(item);
+            groups[shard as usize].push(item);
         }
         groups
     }

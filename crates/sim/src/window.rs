@@ -65,6 +65,12 @@ impl<K: Hash + Eq + Clone, V> RecentWindow<K, V> {
         self.map.get(key)
     }
 
+    /// The value remembered for `key`, to change in place; its age stays.
+    #[inline]
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.map.get_mut(key)
+    }
+
     /// Whether `key` is remembered.
     #[inline]
     pub fn contains(&self, key: &K) -> bool {

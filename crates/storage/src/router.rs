@@ -26,19 +26,22 @@
 //! goes back through the router to the client unchanged. A retry, however
 //! late, is relayed again and answered from the shard's dedup window, so
 //! the router adds a hop without weakening exactly-once semantics, and
-//! keeps nothing once a call is answered. A crash of the router loses no
-//! enveloped call: a reply that crosses a restart still reaches its
-//! client.
+//! keeps nothing once a call is answered. The request keeps the client's
+//! settled claim, so the shard frees what the client no longer awaits. A
+//! crash of the router loses no enveloped call: a reply that crosses a
+//! restart still reaches its client.
 //!
 //! An enveloped fan-out sends each shard its group under the client's
-//! call id too, and waits, keyed by that call, until every shard has
-//! answered once. A retry while it is under way sends again the groups
-//! whose shards have not answered, which recovers a lost group, a lost
-//! ack or a group dropped past its deadline. A retry after it finished
-//! fans out again, and every shard replays its recorded answer, so a
-//! retried `Load` is never applied again over later writes. A shard that
-//! sheds its group answers `Overloaded`, and so does the fan-out, as a
-//! shed single does.
+//! call id too, with the client's settled claim, and waits, keyed by that
+//! call, until every shard has answered once. A retry while it is under
+//! way sends again the groups whose shards have not answered, which
+//! recovers a lost group, a lost ack or a group dropped past its
+//! deadline. A retry after it finished fans out again, and every shard
+//! replays its recorded answer — or answers `Settled` once the client has
+//! settled the call — so a retried `Load` is never applied again over
+//! later writes. A shard that sheds its group answers `Overloaded`, and
+//! so does the fan-out, as a shed single does; a `Settled` share fails
+//! the fan-out the same way, and the client discards that answer.
 //!
 //! Only a bare request, which carries no call id, is correlated by the
 //! router, under an internal id it allocates. Each incarnation of the
@@ -51,6 +54,7 @@
 //! the same way.
 
 use std::collections::hash_map::Entry;
+use std::ops::Range;
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
@@ -190,10 +194,11 @@ impl ShardRouter {
 
     /// Route the client's [`DbMsg`], bare or RPC-enveloped in `payload`.
     fn handle_request(&mut self, ctx: &mut Ctx, client: ProcessId, payload: &mut Payload) {
-        let (body, rpc_call) = match payload.downcast_ref::<RpcRequest>() {
-            Some(req) => (&req.body, Some(req.call_id)),
+        let (body, call) = match payload.downcast_ref::<RpcRequest>() {
+            Some(req) => (&req.body, Some((req.call_id, req.settled.clone()))),
             None => (&*payload, None),
         };
+        let rpc_call = call.as_ref().map(|&(call_id, _)| call_id);
         let msg = body.expect::<DbMsg>();
         let token = msg.token;
         let key = match &msg.req {
@@ -215,7 +220,7 @@ impl ShardRouter {
                     )
                 };
                 let groups = self.shards.iter().map(scan).collect();
-                return self.fan_out(ctx, client, token, rpc_call, groups, true);
+                return self.fan_out(ctx, client, token, call, groups, true);
             }
             DbRequest::Load { .. } => {
                 let pairs = load_pairs(payload);
@@ -224,7 +229,7 @@ impl ShardRouter {
                     .filter(|(_, pairs)| !pairs.is_empty())
                     .map(|(&shard, pairs)| (shard, DbRequest::Load { pairs }))
                     .collect();
-                return self.fan_out(ctx, client, token, rpc_call, groups, false);
+                return self.fan_out(ctx, client, token, call, groups, false);
             }
             DbRequest::Begin { .. }
             | DbRequest::Read { .. }
@@ -261,18 +266,24 @@ impl ShardRouter {
 
     /// Send each shard in `groups` its share of the client's request, and
     /// answer the client once every one has answered. A bare fan-out goes
-    /// out under a new internal id. An enveloped one is relayed under the
-    /// client's call id, so each shard dedups its group, and a retry while
-    /// it is under way sends again only the groups not yet answered.
+    /// out under a new internal id. An enveloped one, `call` = its id and
+    /// settled claim, is relayed under the client's call id with the
+    /// claim, so each shard dedups its group and frees what the client
+    /// settled; a retry while it is under way sends again only the groups
+    /// not yet answered.
     fn fan_out(
         &mut self,
         ctx: &mut Ctx,
         client: ProcessId,
         token: u64,
-        rpc_call: Option<u64>,
+        call: Option<(u64, Range<u64>)>,
         groups: Vec<(ProcessId, DbRequest)>,
         scan: bool,
     ) {
+        let (rpc_call, settled) = match call {
+            Some((call_id, settled)) => (Some(call_id), settled),
+            None => (None, 0..0),
+        };
         let waiting = match rpc_call {
             Some(call_id) => Waiting::Call(client, call_id),
             None => Waiting::Bare(self.alloc_internal()),
@@ -282,14 +293,15 @@ impl ShardRouter {
                 token: internal,
                 req,
             }),
-            Waiting::Call(client, call_id) => Payload::new(Relay {
-                client,
-                request: Payload::new(RpcRequest {
-                    call_id,
-                    body: Payload::new(DbMsg { token, req }),
-                }),
-                group: true,
-            }),
+            Waiting::Call(client, call_id) => {
+                let mut request = RpcRequest::new(call_id, Payload::new(DbMsg { token, req }));
+                request.settled = settled.clone();
+                Payload::new(Relay {
+                    client,
+                    request: Payload::new(request),
+                    group: true,
+                })
+            }
         };
         if let Some(Pending::Fanout(fanout)) = self.pending.get(&waiting) {
             let awaiting = &fanout.awaiting;
@@ -652,16 +664,16 @@ mod tests {
     impl Process for Enveloped {
         fn on_start(&mut self, ctx: &mut Ctx) {
             let msg = || {
-                Payload::new(RpcRequest {
-                    call_id: 9,
-                    body: Payload::new(DbMsg {
+                Payload::new(RpcRequest::new(
+                    9,
+                    Payload::new(DbMsg {
                         token: 5,
                         req: DbRequest::Call {
                             proc: "kv_rmw".into(),
                             args: vec![Value::Str("hotkey".into())],
                         },
                     }),
-                })
+                ))
             };
             // Duplicate send at t=0 (a client retry racing the original).
             ctx.send(self.router, msg());
@@ -730,10 +742,10 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert_eq!(kept, 2_000, "a shared body is never taken from");
-        let enveloped = loaded_shards(Payload::new(RpcRequest {
-            call_id: 1,
-            body: Payload::new(DbMsg::load(pairs())),
-        }));
+        let enveloped = loaded_shards(Payload::new(RpcRequest::new(
+            1,
+            Payload::new(DbMsg::load(pairs())),
+        )));
         assert_eq!(moved, copied);
         assert_eq!(moved, enveloped);
         let held: usize = moved.iter().map(|(contents, ..)| contents.len()).sum();
@@ -790,10 +802,7 @@ mod tests {
     }
 
     fn enveloped(call_id: u64, msg: DbMsg) -> Payload {
-        Payload::new(RpcRequest {
-            call_id,
-            body: Payload::new(msg),
-        })
+        Payload::new(RpcRequest::new(call_id, Payload::new(msg)))
     }
 
     fn enveloped_load(call_id: u64, key: &str) -> Payload {
@@ -953,6 +962,41 @@ mod tests {
             Some(Value::Int(1)),
             "the bump survives"
         );
+    }
+
+    /// A late retry of an enveloped `Scan` its client has since settled
+    /// fans out again; every shard answers `Settled`, and the router
+    /// merges those shares into one answer, as it merges any failure.
+    #[test]
+    fn a_late_retry_of_a_settled_scan_is_answered_once() {
+        let (mut sim, router, proxy, _) = proxied(DbServerConfig::default());
+        let scan = || {
+            token_0(DbRequest::Scan {
+                prefix: "user".into(),
+            })
+        };
+        let late = enveloped(9, scan());
+        sim.inject(proxy, late.clone());
+        sim.run_to_quiescence(10_000);
+        // The client's next call settles call 9 on every shard.
+        let mut next = RpcRequest::new(10, Payload::new(scan()));
+        next.settled = 9..10;
+        sim.inject(proxy, Payload::new(next));
+        sim.run_to_quiescence(10_000);
+        sim.inject(proxy, late);
+        sim.run_to_quiescence(10_000);
+        let scanned = DbResponse::ScanOk { pairs: Vec::new() };
+        let answered = [scanned.clone(), scanned, DbResponse::Settled];
+        assert_eq!(answers(&sim, proxy), answered);
+        for shard in 0..4 {
+            let deduped = sim.metrics().counter(&format!("db-s{shard}.deduped"));
+            assert_eq!(
+                deduped, 1,
+                "shard {shard} answers the retry from its window"
+            );
+        }
+        let left = &sim.inspect::<ShardRouter>(router).expect("router").pending;
+        assert!(left.is_empty(), "{left:?}");
     }
 
     /// The router has no timer: a load whose group or ack was lost

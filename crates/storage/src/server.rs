@@ -18,11 +18,17 @@
 //!
 //! Exactly-once for RPC-enveloped requests lives here. The server
 //! deduplicates a call under `(client, call_id)`, the identity the
-//! client gave it, and records the `RpcReply` it sent, by handle: a
-//! duplicate gets that very payload back, and nothing is cloned. A shard
-//! router relays an enveloped request to its shard with the client's id
-//! beside it, so a routed call is deduplicated here too, under the same
-//! key, and its reply goes back through the router to the client
+//! client gave it, and records the `RpcReply` it sent, by handle: until
+//! the client settles the call, a duplicate gets that very payload back,
+//! and nothing is cloned. Each enveloped request carries its client's
+//! settled claim ([`RpcRequest::settled`]), the ids it no longer awaits;
+//! the server then keeps only the key of each covered record, under a
+//! zero-sized `Settled` marker, so the reply is freed. A later duplicate
+//! of a settled call is still not run again: it is answered
+//! [`DbResponse::Settled`], which its client discards. A shard router
+//! relays an enveloped request to its shard with the client's id beside
+//! it, so a routed call is deduplicated and settled here too, under the
+//! same key, and its reply goes back through the router to the client
 //! unchanged. The router itself remembers nothing about the call.
 //!
 //! Durability: the WAL and checkpoint cell live in the node's durable
@@ -30,6 +36,8 @@
 //! [`Engine::recover`] on every boot (the first recovers from empty
 //! handles). Fsync and read service times are charged on the reply path.
 
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
@@ -186,6 +194,10 @@ pub enum DbResponse {
     /// deep (or the request could no longer make its deadline). Sent
     /// immediately, bypassing the service queue — shedding must be cheap.
     Overloaded,
+    /// The call was answered before, and its client has since settled
+    /// it: the recorded reply is gone, and the call is not run again.
+    /// Only a duplicate the client no longer awaits gets this.
+    Settled,
 }
 
 /// Envelope: response plus the request's correlation token.
@@ -303,6 +315,11 @@ struct Via {
     group: bool,
 }
 
+/// What a settled record keeps in place of its reply: a zero-sized
+/// marker, so every settled record shares one interned payload.
+#[derive(Debug, Clone, Copy)]
+struct Settled;
+
 /// Where (and how) to send a reply: bare [`DbReply`] or wrapped in an
 /// [`RpcReply`] when the request arrived through the RPC layer.
 #[derive(Debug, Clone, Copy)]
@@ -343,8 +360,14 @@ pub struct DbServer {
     parked: HashMap<TxId, ReturnAddr>,
     /// Dedup cache for RPC-enveloped requests, by `(client, call_id)`:
     /// retried calls must not re-execute. It holds the `RpcReply` sent
-    /// (`None` = executing, reply not yet produced).
+    /// (`None` = executing, reply not yet produced), or a [`Settled`]
+    /// marker once the client has settled the call.
     dedup: RecentWindow<(ProcessId, u64), Option<Payload>>,
+    /// Per client, the call ids whose recorded reply the client has not
+    /// settled yet, in record order; at most [`DEDUP_WINDOW`] each.
+    unsettled: HashMap<ProcessId, VecDeque<u64>>,
+    /// The interned [`Settled`] marker, kept at hand.
+    settled: Payload,
     /// Single-server queueing model: the instant the server frees up.
     /// Each reply occupies the server for its service time, so offered
     /// load beyond capacity queues — making saturation observable.
@@ -409,6 +432,8 @@ impl DbServer {
                 registry: Rc::clone(&registry),
                 parked: HashMap::default(),
                 dedup: RecentWindow::new(DEDUP_WINDOW),
+                unsettled: HashMap::default(),
+                settled: Payload::new(Settled),
                 busy_until: tca_sim::SimTime::ZERO,
                 counters: Rc::clone(&counters),
             })
@@ -460,9 +485,37 @@ impl DbServer {
     fn answer(&mut self, addr: ReturnAddr, resp: DbResponse) -> (ProcessId, Payload) {
         let reply = reply_payload(addr.token, addr.rpc_call, resp);
         if let Some(call_id) = addr.rpc_call {
-            self.dedup.set(&(addr.client, call_id), Some(reply.clone()));
+            if self.dedup.set(&(addr.client, call_id), Some(reply.clone())) {
+                let ids = self.unsettled.entry(addr.client).or_default();
+                if ids.len() == DEDUP_WINDOW {
+                    ids.pop_front();
+                }
+                ids.push_back(call_id);
+            }
         }
         addressed(addr, reply)
+    }
+
+    /// Free the recorded reply of each of `client`'s oldest unsettled
+    /// calls that its claim `settled` covers; the key stays, under the
+    /// [`Settled`] marker. A record whose call is executing again is left
+    /// as it is.
+    fn settle(&mut self, client: ProcessId, settled: &Range<u64>) {
+        if settled.is_empty() {
+            return;
+        }
+        let Some(ids) = self.unsettled.get_mut(&client) else {
+            return;
+        };
+        while let Some(&call_id) = ids.front() {
+            if !settled.contains(&call_id) {
+                break;
+            }
+            ids.pop_front();
+            if let Some(Some(reply)) = self.dedup.get_mut(&(client, call_id)) {
+                *reply = self.settled.clone();
+            }
+        }
     }
 
     /// Admission control. Returns `true` when the request was shed (or
@@ -579,6 +632,7 @@ impl Process for DbServer {
         // requests carry an idempotency key (the call id): duplicates are
         // answered from cache rather than re-executed.
         let (msg, rpc_call) = if let Some(req) = payload.downcast_ref::<RpcRequest>() {
+            self.settle(client, &req.settled);
             (req.body.expect::<DbMsg>(), Some(req.call_id))
         } else {
             (payload.expect::<DbMsg>(), None)
@@ -594,7 +648,12 @@ impl Process for DbServer {
             match self.dedup.get(&(client, call_id)) {
                 Some(Some(recorded)) => {
                     ctx.metrics().incr(&self.counters.deduped, 1);
-                    let reply = addressed(addr, recorded.clone());
+                    let recorded = if recorded.is::<Settled>() {
+                        reply_payload(addr.token, rpc_call, DbResponse::Settled)
+                    } else {
+                        recorded.clone()
+                    };
+                    let reply = addressed(addr, recorded);
                     self.serve(ctx, addr, reply, READ_LATENCY);
                     return;
                 }
@@ -888,7 +947,7 @@ mod tests {
                     token: call_id,
                     req,
                 });
-                ctx.send(self.db, Payload::new(RpcRequest { call_id, body }));
+                ctx.send(self.db, Payload::new(RpcRequest::new(call_id, body)));
             }
             ctx.set_deadline(None);
             ctx.set_timer(self.gap, 0);
@@ -956,7 +1015,7 @@ mod tests {
                     args: vec![Value::from("x")],
                 },
             });
-            ctx.send(self.db, Payload::new(RpcRequest { call_id: 7, body }));
+            ctx.send(self.db, Payload::new(RpcRequest::new(7, body)));
         }
     }
     impl Process for Repeater {
@@ -1006,6 +1065,197 @@ mod tests {
         assert_eq!(replies, &[recorded.clone(), recorded]);
         assert_eq!(sim.metrics().counter("db.deduped"), 1);
         assert_eq!(sim.metrics().counter("db.calls_ok"), 1, "bump ran once");
+    }
+
+    /// Sends its script one enveloped request per 2 ms tick, each under
+    /// its call id as token and with the settled claim the script gives,
+    /// and keeps every reply with the time it arrived.
+    struct Settler {
+        db: ProcessId,
+        script: Vec<(u64, Range<u64>, DbRequest)>,
+        replies: Vec<(tca_sim::SimTime, u64, DbResponse)>,
+    }
+    impl Settler {
+        fn step(&mut self, ctx: &mut Ctx) {
+            if self.script.is_empty() {
+                return;
+            }
+            let (call_id, settled, req) = self.script.remove(0);
+            let body = Payload::new(DbMsg {
+                token: call_id,
+                req,
+            });
+            let mut request = RpcRequest::new(call_id, body);
+            request.settled = settled;
+            ctx.send(self.db, Payload::new(request));
+            ctx.set_timer(SimDuration::from_millis(2), 0);
+        }
+    }
+    impl Process for Settler {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            self.step(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
+            let reply = payload.expect::<RpcReply>();
+            let resp = reply.body.expect::<DbReply>().resp.clone();
+            self.replies.push((ctx.now(), reply.call_id, resp));
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx, _tag: u64) {
+            self.step(ctx);
+        }
+    }
+
+    fn bump_x() -> DbRequest {
+        DbRequest::Call {
+            proc: "bump".into(),
+            args: vec![Value::from("x")],
+        }
+    }
+
+    fn peek(key: &str) -> DbRequest {
+        DbRequest::Peek { key: key.into() }
+    }
+
+    /// A server and a [`Settler`] running `script`: the sim, the server
+    /// and the client.
+    fn settler_world(script: Vec<(u64, Range<u64>, DbRequest)>) -> (Sim, ProcessId, ProcessId) {
+        let mut sim = Sim::with_seed(6);
+        let n0 = sim.add_node();
+        let n1 = sim.add_node();
+        let db = sim.spawn(
+            n0,
+            "db",
+            DbServer::factory("db", DbServerConfig::default(), bump_registry()),
+        );
+        let client = sim.spawn(n1, "client", move |_| {
+            Box::new(Settler {
+                db,
+                script: script.clone(),
+                replies: Vec::new(),
+            })
+        });
+        (sim, db, client)
+    }
+
+    fn replies(sim: &Sim, client: ProcessId) -> &[(tca_sim::SimTime, u64, DbResponse)] {
+        &sim.inspect::<Settler>(client).expect("client").replies
+    }
+
+    /// A duplicate of a call its client has settled is answered
+    /// `Settled`, when and as often as the recorded reply would have
+    /// been; one the claim stops short of still gets the recorded reply.
+    #[test]
+    fn a_duplicate_of_a_settled_call_is_answered_settled_on_time() {
+        let run = |claim: Range<u64>| {
+            let script = vec![
+                (7, 0..0, bump_x()),
+                (8, claim, peek("x")),
+                (7, 0..0, bump_x()),
+            ];
+            let (mut sim, _, client) = settler_world(script);
+            sim.run_for(SimDuration::from_millis(10));
+            assert_eq!(sim.metrics().counter("db.deduped"), 1);
+            assert_eq!(sim.metrics().counter("db.calls_ok"), 1, "bump ran once");
+            replies(&sim, client).to_vec()
+        };
+        let settled = run(7..8);
+        let unsettled = run(1..7);
+        let ok = DbResponse::CallOk {
+            results: vec![Value::Int(1)],
+        };
+        assert_eq!(settled[2].1, 7);
+        assert_eq!(settled[2].2, DbResponse::Settled);
+        assert_eq!(unsettled[2].2, ok, "the recorded reply");
+        assert_eq!(settled[2].0, unsettled[2].0, "the same service time");
+        assert_eq!(settled[..2], unsettled[..2]);
+    }
+
+    /// A call still executing when its client claims it settled (say, it
+    /// gave up waiting) keeps its executing record: it is answered once
+    /// it runs, and settled by a later claim.
+    #[test]
+    fn an_executing_record_survives_a_covering_claim() {
+        let write = DbRequest::Write {
+            tx: TxId(1),
+            key: "x".into(),
+            value: Some(Value::Int(2)),
+        };
+        let script = vec![
+            (
+                5,
+                0..0,
+                DbRequest::Begin {
+                    iso: IsolationLevel::Serializable,
+                },
+            ),
+            (7, 0..0, write), // parks behind tx 0's lock
+            (8, 1..8, peek("y")),
+            (9, 1..9, peek("y")),
+            (7, 0..0, peek("y")),
+        ];
+        let (mut sim, db, client) = settler_world(script);
+        let bare = |req| Payload::new(DbMsg { token: 0, req });
+        sim.inject(
+            db,
+            bare(DbRequest::Begin {
+                iso: IsolationLevel::Serializable,
+            }),
+        );
+        let locked = DbRequest::Write {
+            tx: TxId(0),
+            key: "x".into(),
+            value: Some(Value::Int(1)),
+        };
+        sim.inject(db, bare(locked));
+        sim.run_for(SimDuration::from_millis(5));
+        let key = (client, 7);
+        let server = sim.inspect::<DbServer>(db).expect("db");
+        assert!(matches!(server.dedup.get(&key), Some(None)), "executing");
+        let began = server.dedup.get(&(client, 5)).expect("recorded");
+        assert!(began.as_ref().is_some_and(|p| p.is::<Settled>()));
+        sim.inject(db, bare(DbRequest::Commit { tx: TxId(0) }));
+        sim.run_for(SimDuration::from_millis(10));
+        let answered: Vec<_> = replies(&sim, client)
+            .iter()
+            .map(|(_, call_id, resp)| (*call_id, resp.clone()))
+            .collect();
+        let peeked = DbResponse::PeekOk { value: None };
+        assert_eq!(
+            answered,
+            [
+                (5, DbResponse::Began { tx: TxId(1) }),
+                (8, peeked.clone()),
+                (7, DbResponse::WriteOk),
+                (9, peeked),
+                (7, DbResponse::Settled),
+            ]
+        );
+    }
+
+    /// A client that never claims anything settles nothing, and what the
+    /// server keeps for it stays within the window.
+    #[test]
+    fn a_claimless_clients_bookkeeping_stays_bounded() {
+        let mut sim = Sim::with_seed(8);
+        let n0 = sim.add_node();
+        let n1 = sim.add_node();
+        let db = sim.spawn(
+            n0,
+            "db",
+            DbServer::factory("db", DbServerConfig::default(), bump_registry()),
+        );
+        let calls = DEDUP_WINDOW as u64 + 8;
+        let client = sim.spawn(n1, "client", move |_| {
+            Box::new(Scripted {
+                db,
+                steps: vec![(100..100 + calls, false)],
+                gap: SimDuration::from_secs(1),
+            })
+        });
+        sim.run_for(SimDuration::from_secs(5));
+        let server = sim.inspect::<DbServer>(db).expect("db");
+        assert_eq!(server.unsettled[&client].len(), DEDUP_WINDOW);
+        assert_eq!(server.dedup.len(), DEDUP_WINDOW);
     }
 
     #[test]

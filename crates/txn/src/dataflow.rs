@@ -1075,7 +1075,7 @@ impl Process for DfShard {
 ///     args: vec![Value::Str("a".into()), Value::Str("b".into()), Value::Int(10)],
 ///     read_keys: vec!["a".into(), "b".into()],
 /// };
-/// sim.inject(sequencer, Payload::new(RpcRequest { call_id: 1, body: Payload::new(transfer) }));
+/// sim.inject(sequencer, Payload::new(RpcRequest::new(1, Payload::new(transfer))));
 /// sim.run_for(SimDuration::from_millis(30));
 ///
 /// // Each key is visible on its ring owner; accounts start at 100.

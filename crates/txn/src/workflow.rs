@@ -1314,13 +1314,13 @@ mod tests {
     }
 
     fn start(i: u64, base: i64, amount: i64) -> Payload {
-        Payload::new(RpcRequest {
-            call_id: i,
-            body: Payload::new(StartWorkflow {
+        Payload::new(RpcRequest::new(
+            i,
+            Payload::new(StartWorkflow {
                 workflow: "chain".into(),
                 args: vec![Value::Int(base), Value::Int(amount)],
             }),
-        })
+        ))
     }
 
     fn build(workers: usize, config: WorkflowConfig) -> (Sim, WorkflowDeployment) {

@@ -262,10 +262,7 @@ fn twopc_digests(sim: &Sim, mut h: u64, participants: &[ProcessId], coord: Proce
 }
 
 fn rpc(call_id: u64, body: impl std::any::Any) -> Payload {
-    Payload::new(RpcRequest {
-        call_id,
-        body: Payload::new(body),
-    })
+    Payload::new(RpcRequest::new(call_id, Payload::new(body)))
 }
 
 // ---------------------------------------------------------------------------

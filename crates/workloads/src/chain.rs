@@ -182,10 +182,7 @@ mod tests {
             let (call_id, start) = workload.start_request(i);
             sim.inject(
                 deploy.orchestrator,
-                Payload::new(RpcRequest {
-                    call_id,
-                    body: Payload::new(start),
-                }),
+                Payload::new(RpcRequest::new(call_id, Payload::new(start))),
             );
         }
         sim.run_for(SimDuration::from_millis(500));

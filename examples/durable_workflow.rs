@@ -125,16 +125,16 @@ fn main() {
         sim.inject_at(
             SimTime::ZERO + SimDuration::from_millis(1 + 12 * i),
             deploy.orchestrator,
-            Payload::new(RpcRequest {
-                call_id: i,
-                body: Payload::new(StartWorkflow {
+            Payload::new(RpcRequest::new(
+                i,
+                Payload::new(StartWorkflow {
                     workflow: "fulfil".into(),
                     args: vec![
                         Value::Str(format!("wallet:cust{}", i % CUSTOMERS)),
                         Value::Int(QUANTITY),
                     ],
                 }),
-            }),
+            )),
         );
     }
 

@@ -251,10 +251,7 @@ fn every_audit_catches_a_write_no_transaction_made() {
                         method: "credit".into(),
                         args: vec![Value::Int(20)],
                     };
-                    let request = RpcRequest {
-                        call_id: u64::MAX,
-                        body: Payload::new(credit),
-                    };
+                    let request = RpcRequest::new(u64::MAX, Payload::new(credit));
                     sim.inject_at(SimTime::from_nanos(3_000_000), silo, Payload::new(request));
                 }
             }),
