@@ -1042,6 +1042,82 @@ mod tests {
         assert!(rpc.settled().is_empty());
     }
 
+    /// Two clients in one process draw two nonces, and a database server
+    /// keeps their unsettled calls apart: each one's claim frees its own
+    /// recorded replies, whatever the other has outstanding, so a late
+    /// duplicate of either first call is answered `Settled`.
+    #[test]
+    fn two_clients_in_one_process_settle_apart_at_a_server() {
+        use tca_storage::{DbMsg, DbReply, DbResponse, DbServer, DbServerConfig, ProcRegistry};
+        fn bump() -> Payload {
+            Payload::new(DbMsg::call("bump", vec![]))
+        }
+        struct Pair {
+            db: ProcessId,
+            rpcs: [RpcClient; 2],
+            /// Which client makes each call, one after the other.
+            order: std::vec::IntoIter<usize>,
+            /// The wire id of each answered call, per client.
+            answered: [Vec<u64>; 2],
+            /// The answers to the hand-sent duplicates.
+            duplicates: Vec<DbResponse>,
+        }
+        impl Pair {
+            fn next(&mut self, ctx: &mut Ctx) {
+                let Some(i) = self.order.next() else {
+                    // Re-send each client's first call, claiming nothing.
+                    for ids in &self.answered {
+                        ctx.send(self.db, Payload::new(RpcRequest::new(ids[0], bump())));
+                    }
+                    return;
+                };
+                let policy = RetryPolicy::at_most_once(SimDuration::from_millis(50));
+                self.rpcs[i].call(ctx, self.db, bump(), policy, 0);
+            }
+        }
+        impl Process for Pair {
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                self.next(ctx);
+            }
+            fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
+                let reply = payload.expect::<RpcReply>();
+                let owner = (0..2).find(|&i| self.rpcs[i].on_message(ctx, &payload).is_some());
+                match owner {
+                    Some(i) => {
+                        self.answered[i].push(reply.call_id);
+                        self.next(ctx);
+                    }
+                    None => {
+                        let resp = reply.body.expect::<DbReply>().resp.clone();
+                        self.duplicates.push(resp);
+                    }
+                }
+            }
+        }
+        let mut sim = Sim::with_seed(9);
+        let n0 = sim.add_node();
+        let n1 = sim.add_node();
+        let registry = ProcRegistry::new().with("bump", |_, _| Ok(vec![]));
+        let db = sim.spawn(
+            n0,
+            "db",
+            DbServer::factory("db", DbServerConfig::default(), registry),
+        );
+        let pair = sim.spawn(n1, "pair", move |_| {
+            Box::new(Pair {
+                db,
+                rpcs: [RpcClient::new(), RpcClient::new()],
+                order: vec![0, 1, 1, 0].into_iter(),
+                answered: [Vec::new(), Vec::new()],
+                duplicates: Vec::new(),
+            })
+        });
+        sim.run_for(SimDuration::from_millis(20));
+        let pair = sim.inspect::<Pair>(pair).expect("pair");
+        assert_eq!(pair.answered.each_ref().map(Vec::len), [2, 2]);
+        assert_eq!(pair.duplicates, [DbResponse::Settled, DbResponse::Settled]);
+    }
+
     #[test]
     fn a_client_without_a_nonce_claims_nothing() {
         // A `call_with_id`-only client never draws one, however many of

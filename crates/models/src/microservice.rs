@@ -380,99 +380,6 @@ impl Process for Microservice {
     }
 }
 
-/// Client helper: a process that issues service calls and collects
-/// latencies — the "edge" of the system. Used by tests and workloads.
-pub struct ServiceClient {
-    target: ProcessId,
-    rpc: RpcClient,
-    policy: RetryPolicy,
-    plan: Vec<ServiceCall>,
-    issued: usize,
-    metric: String,
-    started: HashMap<u64, tca_sim::SimTime>,
-}
-
-impl ServiceClient {
-    /// A client that fires the calls in `plan` sequentially (next call
-    /// issued when the previous completes), recording latencies under
-    /// `<metric>.latency` and outcomes under `<metric>.ok/err`.
-    pub fn sequential(
-        target: ProcessId,
-        plan: Vec<ServiceCall>,
-        metric: impl Into<String>,
-    ) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
-        let metric = metric.into();
-        move |_| {
-            Box::new(ServiceClient {
-                target,
-                rpc: RpcClient::new(),
-                policy: RetryPolicy::retrying(8, SimDuration::from_millis(20)),
-                plan: plan.clone(),
-                issued: 0,
-                metric: metric.clone(),
-                started: HashMap::default(),
-            })
-        }
-    }
-
-    fn fire_next(&mut self, ctx: &mut Ctx) {
-        if self.issued >= self.plan.len() {
-            return;
-        }
-        let call = self.plan[self.issued].clone();
-        self.issued += 1;
-        let tag = self.issued as u64;
-        self.started.insert(tag, ctx.now());
-        self.rpc
-            .call(ctx, self.target, Payload::new(call), self.policy, tag);
-    }
-
-    fn complete(&mut self, ctx: &mut Ctx, tag: u64, ok: bool) {
-        if let Some(start) = self.started.remove(&tag) {
-            let elapsed = ctx.now().since(start);
-            ctx.metrics()
-                .record(&format!("{}.latency", self.metric), elapsed);
-        }
-        let suffix = if ok { "ok" } else { "err" };
-        ctx.metrics().incr(&format!("{}.{suffix}", self.metric), 1);
-        self.fire_next(ctx);
-    }
-}
-
-impl Process for ServiceClient {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        self.fire_next(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
-        if let Some(event) = self.rpc.on_message(ctx, &payload) {
-            match event {
-                RpcEvent::Reply { user_tag, body, .. } => {
-                    let ok = body
-                        .downcast_ref::<ServiceReply>()
-                        .is_some_and(|r| r.result.is_ok());
-                    self.complete(ctx, user_tag, ok);
-                }
-                RpcEvent::Failed { user_tag, .. } => self.complete(ctx, user_tag, false),
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
-        if let Some(Some(event)) = self.rpc.on_timer(ctx, tag) {
-            match event {
-                RpcEvent::Reply { user_tag, body, .. } => {
-                    let ok = body
-                        .downcast_ref::<ServiceReply>()
-                        .is_some_and(|r| r.result.is_ok());
-                    self.complete(ctx, user_tag, ok);
-                }
-                RpcEvent::Failed { user_tag, .. } => self.complete(ctx, user_tag, false),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,108 +468,53 @@ mod tests {
         (sim, orders)
     }
 
-    #[test]
-    fn cross_service_workflow_completes() {
-        let (mut sim, orders) = world();
-        let n_client = sim.add_node();
-        sim.spawn(
-            n_client,
-            "client",
-            ServiceClient::sequential(
-                orders,
-                vec![ServiceCall {
-                    endpoint: "place".into(),
-                    args: vec![Value::Int(1)],
-                }],
-                "client",
-            ),
-        );
-        sim.run_for(SimDuration::from_millis(100));
-        assert_eq!(sim.metrics().counter("client.ok"), 1);
-        assert_eq!(sim.metrics().counter("svc.orders.place.ok"), 1);
-        assert_eq!(sim.metrics().counter("svc.inventory.reserve.ok"), 1);
-    }
-
-    #[test]
-    fn stock_exhaustion_propagates_as_error() {
-        let (mut sim, orders) = world();
-        let n_client = sim.add_node();
-        let calls: Vec<ServiceCall> = (0..5)
-            .map(|_| ServiceCall {
-                endpoint: "place".into(),
-                args: vec![Value::Int(1)],
-            })
-            .collect();
-        sim.spawn(
-            n_client,
-            "client",
-            ServiceClient::sequential(orders, calls, "client"),
-        );
-        sim.run_for(SimDuration::from_millis(500));
-        // Seeded 3 units: 3 succeed, 2 fail.
-        assert_eq!(sim.metrics().counter("client.ok"), 3);
-        assert_eq!(sim.metrics().counter("client.err"), 2);
-    }
-
-    #[test]
-    fn unknown_endpoint_is_an_error_not_a_hang() {
-        let (mut sim, orders) = world();
-        let n_client = sim.add_node();
-        sim.spawn(
-            n_client,
-            "client",
-            ServiceClient::sequential(
-                orders,
-                vec![ServiceCall {
-                    endpoint: "nope".into(),
-                    args: vec![],
-                }],
-                "client",
-            ),
-        );
-        sim.run_for(SimDuration::from_millis(100));
-        assert_eq!(sim.metrics().counter("client.err"), 1);
-    }
-
-    #[test]
-    fn service_restart_loses_no_state_because_it_has_none() {
-        let (mut sim, orders) = world();
-        let n_client = sim.add_node();
-        let calls: Vec<ServiceCall> = (0..3)
-            .map(|_| ServiceCall {
-                endpoint: "place".into(),
-                args: vec![Value::Int(1)],
-            })
-            .collect();
-        sim.spawn(
-            n_client,
-            "client",
-            ServiceClient::sequential(orders, calls, "client"),
-        );
-        // Crash the order service mid-run; its statelessness + client
-        // retries mean all 3 orders still complete.
-        let orders_node = sim.node_of(orders);
-        sim.schedule_crash(tca_sim::SimTime::from_nanos(2_000_000), orders_node);
-        sim.schedule_restart(tca_sim::SimTime::from_nanos(10_000_000), orders_node);
-        sim.run_for(SimDuration::from_millis(500));
-        assert_eq!(sim.metrics().counter("client.ok"), 3);
-    }
-
-    /// Calls `plan` one call after the other and keeps what each returned.
+    /// Calls `plan` one call after the other under `policy`, keeps what
+    /// each reply returned and counts the calls that got no reply.
     struct Caller {
         target: ProcessId,
         rpc: RpcClient,
+        policy: RetryPolicy,
         plan: std::vec::IntoIter<ServiceCall>,
         replies: Vec<Result<Vec<Value>, String>>,
+        failed: usize,
     }
 
     impl Caller {
+        fn spawn(
+            sim: &mut Sim,
+            target: ProcessId,
+            plan: Vec<ServiceCall>,
+            policy: RetryPolicy,
+        ) -> ProcessId {
+            let node = sim.add_node();
+            sim.spawn(node, "client", move |_: &mut Boot| {
+                Box::new(Caller {
+                    target,
+                    rpc: RpcClient::new(),
+                    policy,
+                    plan: plan.clone().into_iter(),
+                    replies: Vec::new(),
+                    failed: 0,
+                }) as Box<dyn Process>
+            })
+        }
+
         fn fire_next(&mut self, ctx: &mut Ctx) {
             if let Some(call) = self.plan.next() {
-                let policy = RetryPolicy::at_most_once(SimDuration::from_millis(50));
                 self.rpc
-                    .call(ctx, self.target, Payload::new(call), policy, 0);
+                    .call(ctx, self.target, Payload::new(call), self.policy, 0);
             }
+        }
+
+        fn complete(&mut self, ctx: &mut Ctx, event: RpcEvent) {
+            match event {
+                RpcEvent::Reply { body, .. } => {
+                    self.replies
+                        .push(body.expect::<ServiceReply>().result.clone());
+                }
+                RpcEvent::Failed { .. } => self.failed += 1,
+            }
+            self.fire_next(ctx);
         }
     }
 
@@ -671,12 +523,86 @@ mod tests {
             self.fire_next(ctx);
         }
         fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
-            if let Some(RpcEvent::Reply { body, .. }) = self.rpc.on_message(ctx, &payload) {
-                self.replies
-                    .push(body.expect::<ServiceReply>().result.clone());
-                self.fire_next(ctx);
+            if let Some(event) = self.rpc.on_message(ctx, &payload) {
+                self.complete(ctx, event);
             }
         }
+        fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
+            if let Some(Some(event)) = self.rpc.on_timer(ctx, tag) {
+                self.complete(ctx, event);
+            }
+        }
+    }
+
+    /// How many of `client`'s calls were answered `Ok`, how many were
+    /// answered `Err` by the service, and how many got no reply at all.
+    fn outcomes(sim: &Sim, client: ProcessId) -> (usize, usize, usize) {
+        let caller = sim.inspect::<Caller>(client).expect("alive");
+        let ok = caller.replies.iter().filter(|r| r.is_ok()).count();
+        (ok, caller.replies.len() - ok, caller.failed)
+    }
+
+    fn place(n: usize) -> Vec<ServiceCall> {
+        (0..n)
+            .map(|_| ServiceCall {
+                endpoint: "place".into(),
+                args: vec![Value::Int(1)],
+            })
+            .collect()
+    }
+
+    const ONCE: RetryPolicy = RetryPolicy::at_most_once(SimDuration::from_millis(50));
+
+    #[test]
+    fn cross_service_workflow_completes() {
+        let (mut sim, orders) = world();
+        let client = Caller::spawn(&mut sim, orders, place(1), ONCE);
+        sim.run_for(SimDuration::from_millis(100));
+        assert_eq!(outcomes(&sim, client), (1, 0, 0));
+        assert_eq!(sim.metrics().counter("svc.orders.place.ok"), 1);
+        assert_eq!(sim.metrics().counter("svc.inventory.reserve.ok"), 1);
+    }
+
+    #[test]
+    fn stock_exhaustion_propagates_as_error() {
+        let (mut sim, orders) = world();
+        let client = Caller::spawn(&mut sim, orders, place(5), ONCE);
+        sim.run_for(SimDuration::from_millis(500));
+        // Seeded 3 units: 3 succeed, and the service answers the other 2
+        // with the inventory's error.
+        assert_eq!(outcomes(&sim, client), (3, 2, 0));
+        let replies = &sim.inspect::<Caller>(client).expect("alive").replies;
+        assert!(replies[3..]
+            .iter()
+            .all(|r| r.as_ref().is_err_and(|e| e.contains("out of stock"))));
+    }
+
+    #[test]
+    fn unknown_endpoint_is_an_error_not_a_hang() {
+        let (mut sim, orders) = world();
+        let nope = vec![ServiceCall {
+            endpoint: "nope".into(),
+            args: vec![],
+        }];
+        let client = Caller::spawn(&mut sim, orders, nope, ONCE);
+        sim.run_for(SimDuration::from_millis(100));
+        assert_eq!(outcomes(&sim, client), (0, 1, 0));
+        let replies = &sim.inspect::<Caller>(client).expect("alive").replies;
+        assert_eq!(replies[0], Err("unknown endpoint `nope`".to_owned()));
+    }
+
+    #[test]
+    fn service_restart_loses_no_state_because_it_has_none() {
+        let (mut sim, orders) = world();
+        let retrying = RetryPolicy::retrying(8, SimDuration::from_millis(20));
+        let client = Caller::spawn(&mut sim, orders, place(3), retrying);
+        // Crash the order service mid-run; its statelessness + client
+        // retries mean all 3 orders still complete.
+        let orders_node = sim.node_of(orders);
+        sim.schedule_crash(tca_sim::SimTime::from_nanos(2_000_000), orders_node);
+        sim.schedule_restart(tca_sim::SimTime::from_nanos(10_000_000), orders_node);
+        sim.run_for(SimDuration::from_millis(500));
+        assert_eq!(outcomes(&sim, client), (3, 0, 0));
     }
 
     #[test]
@@ -685,7 +611,7 @@ mod tests {
         // positions, around a step that binds nothing (and whose empty
         // result would bind `Null` if it were mistaken for a binding one).
         let mut sim = Sim::with_seed(62);
-        let nodes = sim.add_nodes(4);
+        let nodes = sim.add_nodes(2);
         let registry = ProcRegistry::new()
             .with("echo", |_, args| Ok(vec![args[0].clone()]))
             .with("touch", |_, _| Ok(vec![]));
@@ -706,7 +632,7 @@ mod tests {
             Endpoint::new(vec![touch(), echo()], vec!["v"]),
         );
         let service = sim.spawn(nodes[1], "svc", Microservice::factory("svc", endpoints));
-        let mut caller = |node, endpoint: &str, values: [i64; 3]| {
+        let mut caller = |endpoint: &str, values: [i64; 3]| {
             let plan: Vec<ServiceCall> = values
                 .iter()
                 .map(|&v| ServiceCall {
@@ -714,17 +640,10 @@ mod tests {
                     args: vec![Value::Int(v)],
                 })
                 .collect();
-            sim.spawn(node, endpoint.to_owned(), move |_: &mut Boot| {
-                Box::new(Caller {
-                    target: service,
-                    rpc: RpcClient::new(),
-                    plan: plan.clone().into_iter(),
-                    replies: Vec::new(),
-                }) as Box<dyn Process>
-            })
+            Caller::spawn(&mut sim, service, plan, ONCE)
         };
-        let first = caller(nodes[2], "bind-first", [1, 2, 3]);
-        let last = caller(nodes[3], "bind-last", [10, 20, 30]);
+        let first = caller("bind-first", [1, 2, 3]);
+        let last = caller("bind-last", [10, 20, 30]);
         sim.run_for(SimDuration::from_millis(100));
         // Both callers started at time zero: their requests were in flight
         // at the service together, each at its own step cursor.

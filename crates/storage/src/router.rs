@@ -975,7 +975,10 @@ mod tests {
                 prefix: "user".into(),
             })
         };
-        let late = enveloped(9, scan());
+        // A client whose nonce is 8: its claims start at 9.
+        let mut first = RpcRequest::new(9, Payload::new(scan()));
+        first.settled = 9..9;
+        let late = Payload::new(first);
         sim.inject(proxy, late.clone());
         sim.run_to_quiescence(10_000);
         // The client's next call settles call 9 on every shard.

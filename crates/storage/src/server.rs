@@ -327,6 +327,10 @@ struct ReturnAddr {
     client: ProcessId,
     token: u64,
     rpc_call: Option<u64>,
+    /// The client incarnation that sent an enveloped request: the start
+    /// of its settled claim, `nonce + 1` for an `RpcClient`'s calls. `0`
+    /// when the request claims nothing or is bare.
+    incarnation: u64,
     /// Set when a router relayed the request: the reply goes back
     /// through it.
     via: Option<Via>,
@@ -363,9 +367,13 @@ pub struct DbServer {
     /// (`None` = executing, reply not yet produced), or a [`Settled`]
     /// marker once the client has settled the call.
     dedup: RecentWindow<(ProcessId, u64), Option<Payload>>,
-    /// Per client, the call ids whose recorded reply the client has not
-    /// settled yet, in record order; at most [`DEDUP_WINDOW`] each.
-    unsettled: HashMap<ProcessId, VecDeque<u64>>,
+    /// Per client, the call ids whose recorded reply it has not settled
+    /// yet: one queue per incarnation, in record order, the incarnations
+    /// in order of first record; at most [`DEDUP_WINDOW`] ids in all. A
+    /// restarted client, or a second client in one process, claims under
+    /// its own incarnation, so ids it will never settle do not stand in
+    /// front of its own.
+    unsettled: HashMap<ProcessId, Vec<(u64, VecDeque<u64>)>>,
     /// The interned [`Settled`] marker, kept at hand.
     settled: Payload,
     /// Single-server queueing model: the instant the server frees up.
@@ -486,25 +494,39 @@ impl DbServer {
         let reply = reply_payload(addr.token, addr.rpc_call, resp);
         if let Some(call_id) = addr.rpc_call {
             if self.dedup.set(&(addr.client, call_id), Some(reply.clone())) {
-                let ids = self.unsettled.entry(addr.client).or_default();
-                if ids.len() == DEDUP_WINDOW {
-                    ids.pop_front();
+                let queues = self.unsettled.entry(addr.client).or_default();
+                if queues.iter().map(|(_, ids)| ids.len()).sum::<usize>() == DEDUP_WINDOW {
+                    // The oldest incarnation gives up its oldest id, and
+                    // incarnations left with none are forgotten.
+                    queues.retain(|(_, ids)| !ids.is_empty());
+                    queues[0].1.pop_front();
                 }
-                ids.push_back(call_id);
+                let at = match queues.iter().position(|&(inc, _)| inc == addr.incarnation) {
+                    Some(at) => at,
+                    None => {
+                        queues.push((addr.incarnation, VecDeque::new()));
+                        queues.len() - 1
+                    }
+                };
+                queues[at].1.push_back(call_id);
             }
         }
         addressed(addr, reply)
     }
 
-    /// Free the recorded reply of each of `client`'s oldest unsettled
-    /// calls that its claim `settled` covers; the key stays, under the
-    /// [`Settled`] marker. A record whose call is executing again is left
-    /// as it is.
+    /// Free the recorded reply of each of the oldest unsettled calls of
+    /// `client`'s incarnation `settled.start` that its claim `settled`
+    /// covers; the key stays, under the [`Settled`] marker. A record whose
+    /// call is executing again is left as it is.
     fn settle(&mut self, client: ProcessId, settled: &Range<u64>) {
         if settled.is_empty() {
             return;
         }
-        let Some(ids) = self.unsettled.get_mut(&client) else {
+        let Some((_, ids)) = self
+            .unsettled
+            .get_mut(&client)
+            .and_then(|queues| queues.iter_mut().find(|(inc, _)| *inc == settled.start))
+        else {
             return;
         };
         while let Some(&call_id) = ids.front() {
@@ -631,16 +653,21 @@ impl Process for DbServer {
         // Accept both bare DbMsg and RPC-enveloped DbMsg. Enveloped
         // requests carry an idempotency key (the call id): duplicates are
         // answered from cache rather than re-executed.
-        let (msg, rpc_call) = if let Some(req) = payload.downcast_ref::<RpcRequest>() {
+        let (msg, rpc_call, incarnation) = if let Some(req) = payload.downcast_ref::<RpcRequest>() {
             self.settle(client, &req.settled);
-            (req.body.expect::<DbMsg>(), Some(req.call_id))
+            (
+                req.body.expect::<DbMsg>(),
+                Some(req.call_id),
+                req.settled.start,
+            )
         } else {
-            (payload.expect::<DbMsg>(), None)
+            (payload.expect::<DbMsg>(), None, 0)
         };
         let addr = ReturnAddr {
             client,
             token: msg.token,
             rpc_call,
+            incarnation,
             via,
             span: None,
         };
@@ -1148,9 +1175,9 @@ mod tests {
     fn a_duplicate_of_a_settled_call_is_answered_settled_on_time() {
         let run = |claim: Range<u64>| {
             let script = vec![
-                (7, 0..0, bump_x()),
+                (7, 7..7, bump_x()),
                 (8, claim, peek("x")),
-                (7, 0..0, bump_x()),
+                (7, 7..7, bump_x()),
             ];
             let (mut sim, _, client) = settler_world(script);
             sim.run_for(SimDuration::from_millis(10));
@@ -1159,7 +1186,7 @@ mod tests {
             replies(&sim, client).to_vec()
         };
         let settled = run(7..8);
-        let unsettled = run(1..7);
+        let unsettled = run(7..7);
         let ok = DbResponse::CallOk {
             results: vec![Value::Int(1)],
         };
@@ -1183,15 +1210,15 @@ mod tests {
         let script = vec![
             (
                 5,
-                0..0,
+                1..1,
                 DbRequest::Begin {
                     iso: IsolationLevel::Serializable,
                 },
             ),
-            (7, 0..0, write), // parks behind tx 0's lock
+            (7, 1..1, write), // parks behind tx 0's lock
             (8, 1..8, peek("y")),
             (9, 1..9, peek("y")),
-            (7, 0..0, peek("y")),
+            (7, 1..1, peek("y")),
         ];
         let (mut sim, db, client) = settler_world(script);
         let bare = |req| Payload::new(DbMsg { token: 0, req });
@@ -1232,6 +1259,114 @@ mod tests {
         );
     }
 
+    /// The records of `client` that hold the [`Settled`] marker.
+    fn settled_records(server: &DbServer, client: ProcessId) -> Vec<u64> {
+        let mut ids: Vec<u64> = server
+            .dedup
+            .keys()
+            .filter(|&&(pid, call_id)| {
+                pid == client
+                    && server
+                        .dedup
+                        .get(&(pid, call_id))
+                        .is_some_and(|r| r.as_ref().is_some_and(|p| p.is::<Settled>()))
+            })
+            .map(|&(_, call_id)| call_id)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// A restarted client claims under its new incarnation: the ids of
+    /// its predecessor, which nothing will settle, do not stand in front
+    /// of its own.
+    #[test]
+    fn a_restarted_clients_claim_frees_its_own_replies() {
+        let script = vec![
+            (1, 1..1, peek("x")),
+            (2, 1..2, peek("x")),
+            (1001, 1001..1001, peek("x")),
+            (1002, 1001..1002, peek("x")),
+        ];
+        let (mut sim, db, client) = settler_world(script);
+        sim.run_for(SimDuration::from_millis(10));
+        let server = sim.inspect::<DbServer>(db).expect("db");
+        assert_eq!(settled_records(server, client), [1, 1001]);
+    }
+
+    /// Sends each incarnation's calls at once, one incarnation per
+    /// millisecond; every call claims nothing, under its incarnation.
+    struct Restarter {
+        db: ProcessId,
+        incarnations: Vec<Range<u64>>,
+    }
+    impl Restarter {
+        fn step(&mut self, ctx: &mut Ctx) {
+            if self.incarnations.is_empty() {
+                return;
+            }
+            let ids = self.incarnations.remove(0);
+            for call_id in ids.clone() {
+                let body = Payload::new(DbMsg {
+                    token: call_id,
+                    req: peek("x"),
+                });
+                let mut request = RpcRequest::new(call_id, body);
+                request.settled = ids.start..ids.start;
+                ctx.send(self.db, Payload::new(request));
+            }
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+    }
+    impl Process for Restarter {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            self.step(ctx);
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx, _from: ProcessId, _payload: Payload) {}
+        fn on_timer(&mut self, ctx: &mut Ctx, _tag: u64) {
+            self.step(ctx);
+        }
+    }
+
+    /// A client restarted again and again leaves ids behind under each
+    /// incarnation it ran as; together they stay within the window, the
+    /// oldest incarnation's ids giving way first.
+    #[test]
+    fn a_restarted_clients_bookkeeping_stays_bounded() {
+        let mut sim = Sim::with_seed(9);
+        let n0 = sim.add_node();
+        let n1 = sim.add_node();
+        let db = sim.spawn(
+            n0,
+            "db",
+            DbServer::factory("db", DbServerConfig::default(), bump_registry()),
+        );
+        let each = DEDUP_WINDOW as u64 / 4 + 1;
+        let starts = [1, 1_000_001, 2_000_001, 3_000_001];
+        let client = sim.spawn(n1, "client", move |_| {
+            Box::new(Restarter {
+                db,
+                incarnations: starts.iter().map(|&s| s..s + each).collect(),
+            })
+        });
+        sim.run_for(SimDuration::from_secs(5));
+        let server = sim.inspect::<DbServer>(db).expect("db");
+        let queues: Vec<(u64, usize)> = server.unsettled[&client]
+            .iter()
+            .map(|(inc, ids)| (*inc, ids.len()))
+            .collect();
+        let each = each as usize;
+        assert_eq!(
+            queues,
+            [
+                (starts[0], each - 4),
+                (starts[1], each),
+                (starts[2], each),
+                (starts[3], each)
+            ]
+        );
+    }
+
     /// A client that never claims anything settles nothing, and what the
     /// server keeps for it stays within the window.
     #[test]
@@ -1254,7 +1389,7 @@ mod tests {
         });
         sim.run_for(SimDuration::from_secs(5));
         let server = sim.inspect::<DbServer>(db).expect("db");
-        assert_eq!(server.unsettled[&client].len(), DEDUP_WINDOW);
+        assert_eq!(server.unsettled[&client][0].1.len(), DEDUP_WINDOW);
         assert_eq!(server.dedup.len(), DEDUP_WINDOW);
     }
 

@@ -36,6 +36,7 @@
 
 pub mod actor_txn;
 pub mod causal;
+mod chain_journal;
 pub mod checker;
 pub mod dataflow;
 pub mod deterministic;

@@ -21,9 +21,8 @@
 //! [`World::settled`]: once it holds and no further fault is injected,
 //! nothing the audit reads can change any more, so a leaf closure stops
 //! as soon as it holds and only timers are pending rather than running
-//! the full grace period. The actor and 2PC worlds implement it; the saga
-//! world needs no hook (its queue drains), and the dataflow and workflow
-//! worlds keep the always-sound `false`.
+//! the full grace period. The actor, 2PC and saga worlds implement it;
+//! the dataflow and workflow worlds keep the always-sound `false`.
 
 use std::cell::OnceCell;
 use std::rc::Rc;
@@ -259,12 +258,15 @@ pub fn saga_mc_scenario(sagas: u64) -> McScenario {
 
 /// Pinned minimal schedule for the **same-instant orchestrator
 /// reincarnation instance-id-reuse bug** the checker found in
-/// `SagaOrchestrator` (fixed by the durable `saga_last_id` cell): finish
-/// one checkout (erasing its journal entry), crash + restart the
-/// orchestrator without advancing time, then start a second checkout —
-/// the restarted incarnation recomputes the same boot epoch, reuses the
-/// finished saga's instance id, and the databases dedup the new saga's
-/// steps against the dead saga's cached replies instead of executing.
+/// `SagaOrchestrator` (fixed by the journal's durable id floor): finish
+/// one checkout, crash + restart the orchestrator without advancing time,
+/// then start a second checkout. Before the fix, finished entries were
+/// erased from the journal and ids were epoched on boot time, so the
+/// restarted incarnation recomputed the same epoch and reused the
+/// finished saga's instance id, and the databases deduplicated the new
+/// saga's steps against the dead saga's cached replies instead of
+/// executing them. Finished entries now keep their verdict and ids come
+/// from the floor alone.
 ///
 /// # Panics
 ///

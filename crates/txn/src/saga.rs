@@ -8,12 +8,16 @@
 //! states between steps — the fundamental trade the BASE world makes, and
 //! what experiment E3 compares against 2PC.
 //!
-//! The orchestrator journals progress durably; after a crash it resumes
-//! in-flight sagas from the journal. Step execution on resume is
-//! at-least-once (as in most production saga frameworks), so step
-//! procedures should be idempotent or tolerate re-execution.
+//! The orchestrator's instance table is a durable `ChainJournal`: every
+//! handler changes the journaled entry in place, and after a crash the
+//! orchestrator resumes the unfinished sagas from it, oldest first, each
+//! answering its journaled caller when it finishes. A re-sent
+//! [`StartSaga`] (same caller and call id) never starts a second saga: it
+//! is answered with the recorded outcome once the saga has finished and
+//! ignored while it runs. Step execution on resume is at-least-once (as
+//! in most production saga frameworks), so step procedures should be
+//! idempotent or tolerate re-execution.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 use tca_sim::DetHashMap as HashMap;
 
@@ -21,6 +25,8 @@ use tca_messaging::rpc::{reply_call, reply_to, RetryPolicy, RpcClient, RpcEvent,
 use tca_models::microservice::Vars;
 use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, SimDuration, SpanId, SpanKind};
 use tca_storage::{DbMsg, DbReply, DbResponse, Value};
+
+use crate::chain_journal::{ChainJournal, Verdict};
 
 /// Argument builder over the saga's variable context.
 pub type ArgsFn = Rc<dyn Fn(&Vars) -> Vec<Value>>;
@@ -106,47 +112,68 @@ enum Phase {
     Compensating,
 }
 
-/// Durable journal entry for one saga instance.
-#[derive(Clone)]
-struct JournalEntry {
+/// A saga instance's journaled progress.
+struct SagaRecord {
     saga: String,
     vars: Vars,
+    /// Forward steps `0..cursor` have committed.
     cursor: usize,
     phase: Phase,
+    /// Steps `0..comp_cursor` may still need their undo.
     comp_cursor: usize,
+    /// Why the saga compensates; moved into its verdict when it finishes.
     failure: Option<String>,
 }
 
-#[derive(Clone, Default)]
-struct SagaJournal {
-    inner: Rc<RefCell<HashMap<u64, JournalEntry>>>,
+impl SagaRecord {
+    /// The next call of the saga `def`: database, procedure, arguments and
+    /// `(phase tag << 32) | step index`, moving the compensation cursor
+    /// past steps with nothing to undo. `None` once the saga is over. The
+    /// cursors count only answered calls: a resumed saga re-sends the call
+    /// that was in flight, under the same wire id.
+    fn next_call(&mut self, def: &SagaDef) -> Option<(ProcessId, String, Vec<Value>, u64)> {
+        match self.phase {
+            Phase::Forward => {
+                let step = def.steps.get(self.cursor)?;
+                let args = (step.args)(&self.vars);
+                Some((
+                    step.db,
+                    step.proc.clone(),
+                    args,
+                    (1 << 32) | self.cursor as u64,
+                ))
+            }
+            Phase::Compensating => {
+                while self.comp_cursor > 0 && def.steps[self.comp_cursor - 1].compensation.is_none()
+                {
+                    self.comp_cursor -= 1;
+                }
+                let index = self.comp_cursor.checked_sub(1)?;
+                let step = &def.steps[index];
+                let (proc, args) = step.compensation.as_ref()?;
+                let tag = (2 << 32) | index as u64;
+                Some((step.db, proc.clone(), args(&self.vars), tag))
+            }
+        }
+    }
 }
 
-struct Instance {
-    entry: JournalEntry,
-    caller: Option<(ProcessId, u64)>,
-    /// Trace span covering the whole saga (fresh starts only; resumed
-    /// instances have lost their pre-crash tree and run untraced).
-    span: Option<SpanId>,
-    /// Trace span of the step or compensation currently in flight.
-    step_span: Option<SpanId>,
+/// Trace spans of a running instance. A resumed instance has lost its
+/// pre-crash tree and runs without a saga span.
+#[derive(Default)]
+struct Spans {
+    /// Covers the whole saga (fresh starts only).
+    saga: Option<SpanId>,
+    /// The step or compensation currently in flight.
+    step: Option<SpanId>,
 }
 
 /// The saga orchestrator process.
 pub struct SagaOrchestrator {
     defs: Rc<HashMap<String, SagaDef>>,
     rpc: RpcClient,
-    journal: SagaJournal,
-    instances: HashMap<u64, Instance>,
-    next_instance: u64,
-    /// Durable high-water mark of allocated instance ids. The journal
-    /// alone cannot provide this: finished sagas are *erased* from it, so
-    /// an orchestrator that crashes and restarts within the same virtual
-    /// nanosecond (same boot epoch) would re-allocate a finished saga's
-    /// id — and since step idempotency keys derive from the id, the
-    /// databases would replay the dead saga's cached replies instead of
-    /// executing the new one.
-    last_id: Rc<RefCell<u64>>,
+    journal: ChainJournal<SagaRecord>,
+    spans: HashMap<u64, Spans>,
     retry: RetryPolicy,
 }
 
@@ -167,44 +194,11 @@ impl SagaOrchestrator {
         let defs: Rc<HashMap<String, SagaDef>> =
             Rc::new(defs.into_iter().map(|d| (d.name.clone(), d)).collect());
         move |boot| {
-            let journal: SagaJournal = boot.disk.durable("saga_journal");
-            // Resume in-flight instances (no caller to answer anymore —
-            // clients retry with a new request; dedup is their concern).
-            let mut instances = HashMap::default();
-            let mut max_id = 0;
-            for (&id, entry) in journal.inner.borrow().iter() {
-                max_id = max_id.max(id);
-                instances.insert(
-                    id,
-                    Instance {
-                        entry: entry.clone(),
-                        caller: None,
-                        span: None,
-                        step_span: None,
-                    },
-                );
-            }
-            // Instance ids must be unique across restarts, not just within
-            // one incarnation: step idempotency keys are derived from the
-            // instance id, so a restarted orchestrator that reused the id
-            // of a saga that finished (and was erased) before the crash
-            // would collide with its keys — and the databases would replay
-            // the dead saga's cached step replies instead of executing.
-            // Epoch the counter on boot time, like the 2PC coordinator.
-            // The epoch is not enough on its own: a crash + restart within
-            // one virtual nanosecond recomputes the same epoch, and erased
-            // (finished) instances no longer bump `max_id` — so the floor
-            // of every id ever allocated is kept durably too.
-            let epoch = boot.now.as_nanos() << 8;
-            let last_id: Rc<RefCell<u64>> = boot.disk.durable("saga_last_id");
-            let floor = *last_id.borrow();
             Box::new(SagaOrchestrator {
                 defs: Rc::clone(&defs),
                 rpc: RpcClient::new(),
-                journal,
-                instances,
-                next_instance: max_id.max(epoch).max(floor) + 1,
-                last_id,
+                journal: ChainJournal::open(boot.disk, "saga_journal", "saga_floor"),
+                spans: HashMap::default(),
                 retry,
             })
         }
@@ -213,191 +207,132 @@ impl SagaOrchestrator {
     /// Number of saga instances not yet terminal — the no-stuck audit:
     /// after faults heal and the system quiesces, this must be zero.
     pub fn open_instances(&self) -> usize {
-        self.instances.len()
+        self.journal.unfinished().len()
     }
 
-    fn persist(&self, id: u64) {
-        if let Some(instance) = self.instances.get(&id) {
-            self.journal
-                .inner
-                .borrow_mut()
-                .insert(id, instance.entry.clone());
-        }
-    }
-
-    fn erase(&self, id: u64) {
-        self.journal.inner.borrow_mut().remove(&id);
-    }
-
-    /// Issue the current step (forward) or compensation (backward).
+    /// Issue the current step (forward) or compensation (backward), or
+    /// finish the saga when none is left.
     fn advance(&mut self, ctx: &mut Ctx, id: u64) {
-        {
-            let (db, proc, args) = {
-                let Some(instance) = self.instances.get_mut(&id) else {
-                    return;
-                };
-                // A journaled instance can name a saga this incarnation no
-                // longer defines (e.g. a deployment shrank the def set
+        let call = {
+            let Some(mut record) = self.journal.get_mut(id) else {
+                return;
+            };
+            match self.defs.get(&record.saga) {
+                // A journaled instance can name a saga this incarnation
+                // no longer defines (e.g. a deployment shrank the def set
                 // before recovery). The orchestrator must degrade, not
                 // panic: fail the instance back to its caller and count it.
-                let def = match self.defs.get(&instance.entry.saga) {
-                    Some(def) => def.clone(),
-                    None => {
-                        ctx.metrics().incr("saga.def_missing", 1);
-                        instance.entry.failure = Some(format!(
-                            "unknown saga `{}` at recovery",
-                            instance.entry.saga
-                        ));
-                        self.finish(ctx, id, false);
-                        return;
-                    }
-                };
-                match instance.entry.phase {
-                    Phase::Forward => {
-                        if instance.entry.cursor >= def.steps.len() {
-                            self.finish(ctx, id, true);
-                            return;
-                        }
-                        let step = &def.steps[instance.entry.cursor];
-                        (
-                            step.db,
-                            step.proc.clone(),
-                            (step.args)(&instance.entry.vars),
-                        )
-                    }
-                    Phase::Compensating => {
-                        // Walk backward to the next step with a compensation.
-                        loop {
-                            if instance.entry.comp_cursor == 0 {
-                                self.finish(ctx, id, false);
-                                return;
-                            }
-                            instance.entry.comp_cursor -= 1;
-                            let step = &def.steps[instance.entry.comp_cursor];
-                            if let Some((proc, args)) = &step.compensation {
-                                break (step.db, proc.clone(), args(&instance.entry.vars));
-                            }
-                        }
-                    }
+                None => {
+                    ctx.metrics().incr("saga.def_missing", 1);
+                    record.failure = Some(format!("unknown saga `{}` at recovery", record.saga));
+                    Err(false)
                 }
-            };
-            self.persist(id);
-            // Deterministic idempotency key per (instance, phase, step):
-            // a resumed orchestrator re-issues the same wire id, so the
-            // database's dedup cache replays the result instead of
-            // re-executing the step (exactly-once steps across crashes).
-            let (phase_tag, step_index, instance_span) = {
-                let instance = self.instances.get(&id).expect("present");
-                match instance.entry.phase {
-                    Phase::Forward => (1u64, instance.entry.cursor as u64, instance.span),
-                    Phase::Compensating => (2u64, instance.entry.comp_cursor as u64, instance.span),
-                }
-            };
-            let wire_id = 0x5a6a_0000u64
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(id)
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add((phase_tag << 32) | step_index);
-            // Step spans are children of the saga span; the RPC (with its
-            // retries) nests inside the step.
-            let kind = if phase_tag == 1 {
-                SpanKind::SagaStep
-            } else {
-                SpanKind::SagaCompensation
-            };
-            ctx.trace_enter(instance_span);
-            let step_span = ctx.trace_span(kind, || proc.clone());
-            ctx.trace_exit(instance_span);
-            ctx.trace_enter(step_span);
-            self.rpc.call_with_id(
-                ctx,
-                db,
-                Payload::new(DbMsg::call(proc, args)),
-                self.retry,
-                id,
-                wire_id,
-            );
-            ctx.trace_exit(step_span);
-            if let Some(instance) = self.instances.get_mut(&id) {
-                instance.step_span = step_span;
+                Some(def) => record.next_call(def).ok_or(record.phase == Phase::Forward),
             }
-        }
+        };
+        let (db, proc, args, tag) = match call {
+            Ok(call) => call,
+            Err(committed) => return self.finish(ctx, id, committed),
+        };
+        // Deterministic idempotency key per (instance, phase, step): a
+        // resumed orchestrator re-issues the same wire id, so the
+        // database's dedup cache replays the result instead of
+        // re-executing the step (exactly-once steps across crashes).
+        let wire_id = 0x5a6a_0000u64
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(id)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(tag);
+        // Step spans are children of the saga span; the RPC (with its
+        // retries) nests inside the step.
+        let kind = if tag >> 32 == 1 {
+            SpanKind::SagaStep
+        } else {
+            SpanKind::SagaCompensation
+        };
+        let spans = self.spans.entry(id).or_default();
+        ctx.trace_enter(spans.saga);
+        spans.step = ctx.trace_span(kind, || proc.clone());
+        ctx.trace_exit(spans.saga);
+        let step_span = spans.step;
+        ctx.trace_enter(step_span);
+        self.rpc.call_with_id(
+            ctx,
+            db,
+            Payload::new(DbMsg::call(proc, args)),
+            self.retry,
+            id,
+            wire_id,
+        );
+        ctx.trace_exit(step_span);
     }
 
     fn on_step_result(&mut self, ctx: &mut Ctx, id: u64, result: Result<Vec<Value>, String>) {
-        let phase = {
-            let Some(instance) = self.instances.get_mut(&id) else {
+        {
+            let Some(mut record) = self.journal.get_mut(id) else {
                 return;
             };
-            ctx.trace_span_end(instance.step_span.take());
-            instance.entry.phase
-        };
-        match phase {
-            Phase::Forward => match result {
-                Ok(values) => {
-                    let instance = self.instances.get_mut(&id).expect("present");
-                    let def = self.defs.get(&instance.entry.saga).expect("def");
-                    if let Some(bind) = def.steps[instance.entry.cursor].bind {
-                        instance
-                            .entry
-                            .vars
-                            .set(bind, values.first().cloned().unwrap_or(Value::Null));
+            if let Some(spans) = self.spans.get_mut(&id) {
+                ctx.trace_span_end(spans.step.take());
+            }
+            match (record.phase, result) {
+                (Phase::Forward, Ok(values)) => {
+                    let def = self.defs.get(&record.saga).expect("advance found the def");
+                    if let Some(bind) = def.steps[record.cursor].bind {
+                        let value = values.first().cloned().unwrap_or(Value::Null);
+                        record.vars.set(bind, value);
                     }
-                    instance.entry.cursor += 1;
+                    record.cursor += 1;
                     ctx.metrics().incr("saga.steps", 1);
-                    self.persist(id);
-                    self.advance(ctx, id);
                 }
-                Err(error) => {
-                    let instance = self.instances.get_mut(&id).expect("present");
-                    instance.entry.phase = Phase::Compensating;
-                    instance.entry.comp_cursor = instance.entry.cursor;
-                    instance.entry.failure = Some(error);
-                    self.persist(id);
-                    self.advance(ctx, id);
+                (Phase::Forward, Err(error)) => {
+                    record.phase = Phase::Compensating;
+                    record.comp_cursor = record.cursor;
+                    record.failure = Some(error);
                 }
-            },
-            Phase::Compensating => {
                 // Compensations must not fail logically; a transport
-                // failure is retried by rpc. A CallFailed here indicates a
-                // non-idempotent compensation — count it loudly.
-                if result.is_err() {
-                    ctx.metrics().incr("saga.compensation_failures", 1);
-                } else {
-                    ctx.metrics().incr("saga.compensations", 1);
+                // failure is retried by rpc. A CallFailed here indicates
+                // a non-idempotent compensation — count it loudly.
+                (Phase::Compensating, result) => {
+                    record.comp_cursor -= 1;
+                    let metric = if result.is_err() {
+                        "saga.compensation_failures"
+                    } else {
+                        "saga.compensations"
+                    };
+                    ctx.metrics().incr(metric, 1);
                 }
-                self.advance(ctx, id);
             }
         }
+        self.advance(ctx, id);
     }
 
     fn finish(&mut self, ctx: &mut Ctx, id: u64, committed: bool) {
-        let Some(instance) = self.instances.remove(&id) else {
+        let Some(error) = self.journal.get_mut(id).map(|mut r| r.failure.take()) else {
             return;
         };
-        self.erase(id);
+        let verdict = Verdict {
+            committed,
+            error: error.clone(),
+        };
+        let Some((client, call_id)) = self.journal.finish(id, verdict).map(|entry| entry.caller)
+        else {
+            return;
+        };
+        let spans = self.spans.remove(&id).unwrap_or_default();
         let metric = if committed {
             "saga.committed"
         } else {
             "saga.compensated"
         };
         ctx.metrics().incr(metric, 1);
-        if let Some((client, call_id)) = instance.caller {
-            // The reply hop is part of the saga span; end the span once the
-            // outcome has been handed to the network.
-            ctx.trace_enter(instance.span);
-            reply_call(
-                ctx,
-                client,
-                call_id,
-                Payload::new(SagaOutcome {
-                    committed,
-                    error: instance.entry.failure,
-                }),
-            );
-            ctx.trace_exit(instance.span);
-        }
-        ctx.trace_span_end(instance.span);
+        // The reply hop is part of the saga span; end the span once the
+        // outcome has been handed to the network.
+        ctx.trace_enter(spans.saga);
+        let outcome = Payload::new(SagaOutcome { committed, error });
+        reply_call(ctx, client, call_id, outcome);
+        ctx.trace_exit(spans.saga);
+        ctx.trace_span_end(spans.saga);
     }
 
     fn handle_db_event(&mut self, ctx: &mut Ctx, event: RpcEvent) {
@@ -420,9 +355,8 @@ impl SagaOrchestrator {
 
 impl Process for SagaOrchestrator {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        // Resume journaled instances.
-        let ids: Vec<u64> = self.instances.keys().copied().collect();
-        for id in ids {
+        // Resume the journaled instances, oldest first.
+        for id in self.journal.unfinished() {
             ctx.metrics().incr("saga.resumed", 1);
             self.advance(ctx, id);
         }
@@ -439,6 +373,20 @@ impl Process for SagaOrchestrator {
         let Some(start) = request.body.downcast_ref::<StartSaga>() else {
             return;
         };
+        // A re-sent start is answered once its saga has finished, and
+        // ignored while it runs: it never starts a second saga.
+        let caller = (from, request.call_id);
+        if let Some((_, verdict)) = self.journal.started(caller) {
+            if let Some(Verdict { committed, error }) = verdict {
+                reply_to(
+                    ctx,
+                    from,
+                    request,
+                    Payload::new(SagaOutcome { committed, error }),
+                );
+            }
+            return;
+        }
         if ctx.deadline_expired() {
             // Starting a saga after the caller's deadline has lapsed
             // burns forward steps that will immediately need
@@ -467,28 +415,18 @@ impl Process for SagaOrchestrator {
             );
             return;
         }
-        let id = self.next_instance;
-        self.next_instance += 1;
-        *self.last_id.borrow_mut() = id;
-        let span = ctx.trace_span(SpanKind::Saga, || format!("saga {}", start.saga));
-        self.instances.insert(
-            id,
-            Instance {
-                entry: JournalEntry {
-                    saga: start.saga.clone(),
-                    vars: Vars::from_args(&start.args),
-                    cursor: 0,
-                    phase: Phase::Forward,
-                    comp_cursor: 0,
-                    failure: None,
-                },
-                caller: Some((from, request.call_id)),
-                span,
-                step_span: None,
-            },
-        );
+        let record = SagaRecord {
+            saga: start.saga.clone(),
+            vars: Vars::from_args(&start.args),
+            cursor: 0,
+            phase: Phase::Forward,
+            comp_cursor: 0,
+            failure: None,
+        };
+        let id = self.journal.start(caller, record);
+        let saga = ctx.trace_span(SpanKind::Saga, || format!("saga {}", start.saga));
+        self.spans.insert(id, Spans { saga, step: None });
         ctx.metrics().incr("saga.started", 1);
-        self.persist(id);
         self.advance(ctx, id);
     }
 
@@ -724,6 +662,42 @@ mod tests {
             .inspect::<SagaOrchestrator>(orchestrator)
             .expect("orchestrator alive");
         assert_eq!(orch.open_instances(), 0, "no instance left stuck");
+    }
+
+    /// A client's `StartSaga` times out while the orchestrator is down and
+    /// is re-sent under the same call id just after the orchestrator
+    /// restarts and resumes the journaled saga. The re-sent start must not
+    /// fork a second saga: stock moves once and the client hears one
+    /// outcome.
+    #[test]
+    fn a_resent_start_after_a_restart_runs_one_saga() {
+        let (mut sim, orchestrator, stock_db, _) = world(5, 100);
+        let nc = sim.add_node();
+        sim.spawn(nc, "client", move |_| {
+            Box::new(Client {
+                orchestrator,
+                plan: vec![checkout(("item1", "alice", 10))],
+                rpc: RpcClient::new(),
+            })
+        });
+        let orch_node = sim.node_of(orchestrator);
+        // Down mid-saga, back up just before the client's first retry
+        // (its timeout is 50 ms), so the retry lands while the resumed
+        // saga runs.
+        sim.schedule_crash(tca_sim::SimTime::from_nanos(1_500_000), orch_node);
+        sim.schedule_restart(tca_sim::SimTime::from_nanos(49_500_000), orch_node);
+        sim.run_for(SimDuration::from_millis(300));
+        let counter = |name| sim.metrics().counter(name);
+        assert_eq!(counter("saga.resumed"), 1, "crashed mid-saga");
+        assert!(counter("rpc.retries") >= 1, "the client re-sent its start");
+        assert_eq!(counter("saga.started"), 1, "one saga started");
+        assert_eq!(counter("saga.committed"), 1);
+        let stock = sim
+            .inspect::<DbServer>(stock_db)
+            .and_then(|db| db.engine().peek("item1"));
+        assert_eq!(stock, Some(Value::Int(4)), "stock moved once");
+        let outcomes = counter("client.committed") + counter("client.compensated");
+        assert_eq!(outcomes, 1, "the client heard one outcome");
     }
 
     #[test]

@@ -56,6 +56,7 @@ use tca_sim::{
 };
 use tca_storage::{IdemCheck, ProcRegistry, SharedIdempotence, StepReply, Value};
 
+use crate::chain_journal::{ChainJournal, Verdict};
 use crate::sharding::{route_branches, ShardOp};
 use crate::twopc::{DtxOutcome, ParticipantConfig, StartDtx, TwoPcCoordinator, TwoPcParticipant};
 
@@ -290,38 +291,30 @@ fn is_permanent(error: &str) -> bool {
 // Orchestrator
 // ---------------------------------------------------------------------------
 
-/// One workflow instance's durable journal entry: args, the continuation
-/// cursor (`completed_seq`), and the terminal verdict.
-#[derive(Debug, Clone)]
+/// One workflow instance's journaled record: args and the continuation
+/// cursor (`completed_seq`); caller and verdict sit beside it in its
+/// `ChainEntry`.
 struct WfRecord {
     workflow: String,
     args: Vec<Value>,
     /// Steps `0..completed_seq` are durably applied; the continuation is
     /// step `completed_seq`.
     completed_seq: u32,
-    done: bool,
-    committed: bool,
-    error: Option<String>,
-    caller: Option<(ProcessId, u64)>,
     started: SimTime,
 }
-
-type WfJournal = Rc<RefCell<DetHashMap<u64, WfRecord>>>;
 
 /// Drives workflow chains to termination from a durable journal.
 ///
 /// Owns the tail-call contract: the client hands the chain over once and
 /// the orchestrator retries, resumes, and completes it regardless of
-/// crashes on any side. The journal, the workflow-id floor, and the
-/// completed watermark live on disk; everything else is rebuilt on boot.
+/// crashes on any side. The journal (with its workflow-id floor, so a
+/// same-instant restart reuses no id whose steps may still be in flight)
+/// and the completed watermark live on disk; everything else is rebuilt
+/// on boot.
 pub struct WorkflowOrchestrator {
     defs: Rc<DetHashMap<String, WorkflowDef>>,
     workers: Vec<ProcessId>,
-    journal: WfJournal,
-    /// Durable high-water mark of assigned workflow ids (same idea as the
-    /// coordinator's txid floor: a same-instant restart must not reuse
-    /// ids whose steps may still be in flight).
-    wf_floor: Rc<RefCell<u64>>,
+    journal: ChainJournal<WfRecord>,
     /// Durable: every workflow with id below this is terminal.
     done_below: Rc<RefCell<u64>>,
     rpc: RpcClient,
@@ -332,9 +325,6 @@ pub struct WorkflowOrchestrator {
     cooldown: DetHashMap<u64, SimTime>,
     /// Volatile wire-id disambiguator across re-drives.
     attempts: u64,
-    /// (caller, call id) → wf_id, rebuilt from the journal on boot so a
-    /// re-sent [`StartWorkflow`] never forks a second instance.
-    started_dedup: DetHashMap<(u32, u64), u64>,
     is_restart: bool,
 }
 
@@ -357,16 +347,10 @@ impl WorkflowOrchestrator {
             .collect();
         let defs = Rc::new(def_map);
         move |boot| {
-            let journal: WfJournal = boot.disk.durable("wf_journal");
-            let wf_floor: Rc<RefCell<u64>> = boot.disk.durable("wf_floor");
+            let journal = ChainJournal::open(boot.disk, "wf_journal", "wf_floor");
             let done_below: Rc<RefCell<u64>> = boot.disk.durable("wf_done_below");
             // Workflow ids start at 1, and so does the watermark.
             done_below.replace_with(|&mut below| below.max(1));
-            let started_dedup: DetHashMap<(u32, u64), u64> = journal
-                .borrow()
-                .iter()
-                .filter_map(|(&wf, rec)| rec.caller.map(|(pid, call)| ((pid.0, call), wf)))
-                .collect();
             // Retry token bucket and per-destination circuit breaker on
             // the orchestrator's client (PR 4).
             let rpc = RpcClient::new()
@@ -376,13 +360,11 @@ impl WorkflowOrchestrator {
                 defs: defs.clone(),
                 workers: workers.clone(),
                 journal,
-                wf_floor,
                 done_below,
                 rpc,
                 in_flight: DetHashMap::default(),
                 cooldown: DetHashMap::default(),
                 attempts: 0,
-                started_dedup,
                 is_restart: boot.restart,
             })
         }
@@ -391,7 +373,7 @@ impl WorkflowOrchestrator {
     /// Workflows not yet terminal (the "stranded" audit: must be 0 once
     /// the cluster heals and the grace period passes).
     pub fn open_workflows(&self) -> usize {
-        self.journal.borrow().values().filter(|r| !r.done).count()
+        self.journal.unfinished().len()
     }
 
     /// The completed watermark: every id below it is terminal.
@@ -402,15 +384,15 @@ impl WorkflowOrchestrator {
     /// `(wf_id, completed_seq, in_flight)` for every non-terminal
     /// workflow, sorted — torture audits print this on a stranding.
     pub fn open_workflow_states(&self) -> Vec<(u64, u32, bool)> {
-        let mut open: Vec<(u64, u32, bool)> = self
-            .journal
-            .borrow()
-            .iter()
-            .filter(|(_, rec)| !rec.done)
-            .map(|(&wf, rec)| (wf, rec.completed_seq, self.in_flight.contains_key(&wf)))
-            .collect();
-        open.sort_unstable();
-        open
+        let entries = self.journal.entries();
+        self.journal
+            .unfinished()
+            .into_iter()
+            .map(|wf| {
+                let seq = entries[&wf].record.completed_seq;
+                (wf, seq, self.in_flight.contains_key(&wf))
+            })
+            .collect()
     }
 
     /// Order-insensitive digest of journal, cursors, floor, watermark,
@@ -418,22 +400,22 @@ impl WorkflowOrchestrator {
     pub fn state_digest(&self) -> u64 {
         let mut h = Fnv64::new();
         let mut mix = |v: u64| h = h.u64(v);
-        mix(*self.wf_floor.borrow());
+        mix(self.journal.floor());
         mix(*self.done_below.borrow());
         let mut entries: Vec<u64> = self
             .journal
-            .borrow()
+            .entries()
             .iter()
-            .map(|(&wf, rec)| {
-                let error = rec
-                    .error
-                    .as_ref()
+            .map(|(&wf, entry)| {
+                let verdict = entry.verdict.as_ref();
+                let error = verdict
+                    .and_then(|v| v.error.as_ref())
                     .map_or(0, |e| Fnv64::seeded(1).bytes(e.as_bytes()).finish());
                 Fnv64::new()
                     .u64(wf)
-                    .u64(rec.completed_seq as u64)
-                    .u64(rec.done as u64)
-                    .u64(rec.committed as u64)
+                    .u64(entry.record.completed_seq as u64)
+                    .u64(verdict.is_some() as u64)
+                    .u64(verdict.is_some_and(|v| v.committed) as u64)
                     .u64(error)
                     .finish()
             })
@@ -466,11 +448,11 @@ impl WorkflowOrchestrator {
             return;
         }
         let (workflow, args, seq) = {
-            let journal = self.journal.borrow();
-            let Some(rec) = journal.get(&wf) else { return };
-            if rec.done {
+            let entries = self.journal.entries();
+            let Some(entry) = entries.get(&wf).filter(|e| e.verdict.is_none()) else {
                 return;
-            }
+            };
+            let rec = &entry.record;
             (rec.workflow.clone(), rec.args.clone(), rec.completed_seq)
         };
         let total_steps = match self.defs.get(&workflow) {
@@ -512,18 +494,16 @@ impl WorkflowOrchestrator {
     }
 
     fn complete(&mut self, ctx: &mut Ctx, wf: u64, committed: bool, error: Option<String>) {
-        let (caller, started) = {
-            let mut journal = self.journal.borrow_mut();
-            let Some(rec) = journal.get_mut(&wf) else {
-                return;
-            };
-            if rec.done {
-                return;
-            }
-            rec.done = true;
-            rec.committed = committed;
-            rec.error = error.clone();
-            (rec.caller, rec.started)
+        let verdict = Verdict {
+            committed,
+            error: error.clone(),
+        };
+        let Some(((client, call_id), started)) = self
+            .journal
+            .finish(wf, verdict)
+            .map(|entry| (entry.caller, entry.record.started))
+        else {
+            return;
         };
         self.in_flight.remove(&wf);
         let metric = if committed {
@@ -534,34 +514,30 @@ impl WorkflowOrchestrator {
         ctx.metrics().incr(metric, 1);
         let latency = ctx.now().since(started);
         ctx.metrics().record("workflow.latency", latency);
-        if let Some((client, call_id)) = caller {
-            reply_call(
-                ctx,
-                client,
-                call_id,
-                Payload::new(WorkflowOutcome {
-                    wf_id: wf,
-                    committed,
-                    error,
-                }),
-            );
-        }
+        let outcome = WorkflowOutcome {
+            wf_id: wf,
+            committed,
+            error,
+        };
+        reply_call(ctx, client, call_id, Payload::new(outcome));
         // Advance the completed watermark and let workers collect the
         // idempotence entries it covers.
-        let below = {
-            let journal = self.journal.borrow();
-            let mut below = self.done_below.borrow_mut();
-            let mut advanced = false;
-            while journal.get(&below).is_some_and(|r| r.done) {
-                *below += 1;
-                advanced = true;
-            }
-            advanced.then_some(*below)
-        };
-        if let Some(below) = below {
-            for &worker in &self.workers.clone() {
-                ctx.send(worker, Payload::new(GcWatermark { below }));
-            }
+        let old = *self.done_below.borrow();
+        let mut below = old;
+        while self.journal.is_finished(below) {
+            below += 1;
+        }
+        if below > old {
+            *self.done_below.borrow_mut() = below;
+            self.gossip_watermark(ctx);
+        }
+    }
+
+    /// Send the completed watermark to every worker.
+    fn gossip_watermark(&self, ctx: &mut Ctx) {
+        let below = *self.done_below.borrow();
+        for &worker in &self.workers {
+            ctx.send(worker, Payload::new(GcWatermark { below }));
         }
     }
 
@@ -581,13 +557,8 @@ impl WorkflowOrchestrator {
                 }
                 self.in_flight.remove(&wf);
                 if outcome.committed {
-                    {
-                        let mut journal = self.journal.borrow_mut();
-                        if let Some(rec) = journal.get_mut(&wf) {
-                            if rec.completed_seq <= seq {
-                                rec.completed_seq = seq + 1;
-                            }
-                        }
+                    if let Some(mut rec) = self.journal.get_mut(wf) {
+                        rec.completed_seq = rec.completed_seq.max(seq + 1);
                     }
                     // Tail-call the continuation immediately.
                     self.drive(ctx, wf);
@@ -625,23 +596,12 @@ impl Process for WorkflowOrchestrator {
             // Resume every unfinished chain from its journaled
             // continuation; workers answer re-driven completed steps from
             // their idempotence tables.
-            let mut unfinished: Vec<u64> = self
-                .journal
-                .borrow()
-                .iter()
-                .filter(|(_, rec)| !rec.done)
-                .map(|(&wf, _)| wf)
-                .collect();
-            unfinished.sort_unstable();
-            for wf in unfinished {
+            for wf in self.journal.unfinished() {
                 ctx.metrics().incr("workflow.replays", 1);
                 self.drive(ctx, wf);
             }
-            let below = *self.done_below.borrow();
-            if below > 1 {
-                for &worker in &self.workers.clone() {
-                    ctx.send(worker, Payload::new(GcWatermark { below }));
-                }
+            if *self.done_below.borrow() > 1 {
+                self.gossip_watermark(ctx);
             }
         }
         ctx.set_timer(SWEEP_INTERVAL, ORCH_SWEEP_TAG);
@@ -659,15 +619,9 @@ impl Process for WorkflowOrchestrator {
             return;
         };
         // A re-sent start must not fork a second instance.
-        if let Some(&wf) = self.started_dedup.get(&(from.0, request.call_id)) {
-            let terminal = {
-                let journal = self.journal.borrow();
-                journal
-                    .get(&wf)
-                    .filter(|rec| rec.done)
-                    .map(|rec| (rec.committed, rec.error.clone()))
-            };
-            if let Some((committed, error)) = terminal {
+        let caller = (from, request.call_id);
+        if let Some((wf, verdict)) = self.journal.started(caller) {
+            if let Some(Verdict { committed, error }) = verdict {
                 reply_to(
                     ctx,
                     from,
@@ -681,25 +635,13 @@ impl Process for WorkflowOrchestrator {
             }
             return;
         }
-        let wf = {
-            let mut floor = self.wf_floor.borrow_mut();
-            *floor += 1;
-            *floor
+        let record = WfRecord {
+            workflow: start.workflow.clone(),
+            args: start.args.clone(),
+            completed_seq: 0,
+            started: ctx.now(),
         };
-        self.started_dedup.insert((from.0, request.call_id), wf);
-        self.journal.borrow_mut().insert(
-            wf,
-            WfRecord {
-                workflow: start.workflow.clone(),
-                args: start.args.clone(),
-                completed_seq: 0,
-                done: false,
-                committed: false,
-                error: None,
-                caller: Some((from, request.call_id)),
-                started: ctx.now(),
-            },
-        );
+        let wf = self.journal.start(caller, record);
         ctx.metrics().incr("workflow.started", 1);
         self.drive(ctx, wf);
     }
@@ -714,16 +656,8 @@ impl Process for WorkflowOrchestrator {
         if tag == ORCH_SWEEP_TAG {
             let now = ctx.now();
             self.cooldown.retain(|_, &mut until| until > now);
-            let mut limbo: Vec<u64> = self
-                .journal
-                .borrow()
-                .iter()
-                .filter(|(wf, rec)| {
-                    !rec.done && !self.in_flight.contains_key(wf) && !self.cooldown.contains_key(wf)
-                })
-                .map(|(&wf, _)| wf)
-                .collect();
-            limbo.sort_unstable();
+            let mut limbo = self.journal.unfinished();
+            limbo.retain(|wf| !self.in_flight.contains_key(wf) && !self.cooldown.contains_key(wf));
             for wf in limbo {
                 self.drive(ctx, wf);
             }
@@ -732,11 +666,8 @@ impl Process for WorkflowOrchestrator {
             // otherwise leave a worker's idempotence table uncollected
             // forever. Idempotent at the receiver (watermarks are
             // monotone).
-            let below = *self.done_below.borrow();
-            if below > 1 {
-                for &worker in &self.workers.clone() {
-                    ctx.send(worker, Payload::new(GcWatermark { below }));
-                }
+            if *self.done_below.borrow() > 1 {
+                self.gossip_watermark(ctx);
             }
             ctx.set_timer(SWEEP_INTERVAL, ORCH_SWEEP_TAG);
         }
@@ -876,7 +807,24 @@ impl WorkflowWorker {
         h.finish()
     }
 
-    fn reply_step(&mut self, ctx: &mut Ctx, wf: u64, seq: u32, outcome: StepOutcome) {
+    /// Answer step `(wf, seq)`'s latest caller: committed when `result`
+    /// is `Ok`, else failed with its error, `transient` or terminal.
+    fn reply_step(
+        &mut self,
+        ctx: &mut Ctx,
+        (wf, seq): (u64, u32),
+        result: Result<(), String>,
+        already_applied: bool,
+        transient: bool,
+    ) {
+        let outcome = StepOutcome {
+            wf_id: wf,
+            seq,
+            committed: result.is_ok(),
+            already_applied,
+            transient,
+            error: result.err(),
+        };
         let caller = self.callers.remove(&(wf, seq)).or_else(|| {
             self.intents
                 .borrow()
@@ -902,43 +850,18 @@ impl WorkflowWorker {
                 IdemCheck::Duplicate(reply) => {
                     ctx.metrics().incr("workflow.steps_deduped", 1);
                     self.callers.insert(key, (from, call_id));
-                    let outcome = match reply {
-                        Ok(_) => StepOutcome {
-                            wf_id: step.wf_id,
-                            seq: step.seq,
-                            committed: true,
-                            already_applied: true,
-                            transient: false,
-                            error: None,
-                        },
-                        Err(e) => StepOutcome {
-                            wf_id: step.wf_id,
-                            seq: step.seq,
-                            committed: false,
-                            already_applied: true,
-                            transient: false,
-                            error: Some(e),
-                        },
-                    };
-                    self.reply_step(ctx, step.wf_id, step.seq, outcome);
+                    self.reply_step(ctx, key, reply.map(|_| ()), true, false);
                     return;
                 }
                 IdemCheck::BelowWatermark(watermark) => {
                     ctx.metrics().incr("workflow.below_watermark", 1);
                     self.callers.insert(key, (from, call_id));
-                    let outcome = StepOutcome {
-                        wf_id: step.wf_id,
-                        seq: step.seq,
-                        committed: false,
-                        already_applied: false,
-                        transient: false,
-                        error: Some(format!(
-                            "duplicate step {}:{} below idempotence GC watermark {}: \
-                             rejected, not re-executed",
-                            step.wf_id, step.seq, watermark
-                        )),
-                    };
-                    self.reply_step(ctx, step.wf_id, step.seq, outcome);
+                    let error = format!(
+                        "duplicate step {}:{} below idempotence GC watermark {}: \
+                         rejected, not re-executed",
+                        step.wf_id, step.seq, watermark
+                    );
+                    self.reply_step(ctx, key, Err(error), false, false);
                     return;
                 }
                 IdemCheck::Fresh => {}
@@ -991,23 +914,12 @@ impl WorkflowWorker {
             .and_then(|def| def.steps.get(seq as usize))
             .cloned();
         let Some(step_def) = step_def else {
-            let outcome = StepOutcome {
-                wf_id: wf,
-                seq,
-                committed: false,
-                already_applied: false,
-                transient: false,
-                error: Some(format!("unknown step {workflow}[{seq}]")),
-            };
+            let error = format!("unknown step {workflow}[{seq}]");
             if self.config.exactly_once {
-                self.idem.borrow_mut().record(
-                    wf,
-                    seq,
-                    Err(format!("unknown step {workflow}[{seq}]")),
-                );
+                self.idem.borrow_mut().record(wf, seq, Err(error.clone()));
                 self.intents.borrow_mut().remove(&key);
             }
-            self.reply_step(ctx, wf, seq, outcome);
+            self.reply_step(ctx, key, Err(error), false, false);
             return;
         };
         let marker = step_marker_key(wf, seq);
@@ -1052,28 +964,11 @@ impl WorkflowWorker {
             ctx.metrics().incr("workflow.idem_writes", 1);
             self.intents.borrow_mut().remove(&(wf, seq));
         }
-        let outcome = match reply {
-            Ok(_) => {
-                ctx.metrics().incr("workflow.steps_applied", 1);
-                StepOutcome {
-                    wf_id: wf,
-                    seq,
-                    committed: true,
-                    already_applied: found,
-                    transient: false,
-                    error: None,
-                }
-            }
-            Err(e) => StepOutcome {
-                wf_id: wf,
-                seq,
-                committed: false,
-                already_applied: false,
-                transient: false,
-                error: Some(e),
-            },
-        };
-        self.reply_step(ctx, wf, seq, outcome);
+        if reply.is_ok() {
+            ctx.metrics().incr("workflow.steps_applied", 1);
+        }
+        let found = found && reply.is_ok();
+        self.reply_step(ctx, (wf, seq), reply.map(|_| ()), found, false);
     }
 
     fn on_dtx_event(&mut self, ctx: &mut Ctx, event: RpcEvent) {
@@ -1105,15 +1000,7 @@ impl WorkflowWorker {
                     self.finish_step(ctx, wf, seq, Err(error), false);
                 } else {
                     ctx.metrics().incr("workflow.step_transient_aborts", 1);
-                    let reply = StepOutcome {
-                        wf_id: wf,
-                        seq,
-                        committed: false,
-                        already_applied: false,
-                        transient: true,
-                        error: Some(error),
-                    };
-                    self.reply_step(ctx, wf, seq, reply);
+                    self.reply_step(ctx, (wf, seq), Err(error), false, true);
                 }
             }
             RpcEvent::Failed { user_tag: tag, .. } => {
@@ -1123,15 +1010,8 @@ impl WorkflowWorker {
                 self.pending.remove(&tag);
                 self.executing.remove(&(wf, seq));
                 ctx.metrics().incr("workflow.dtx_call_failures", 1);
-                let reply = StepOutcome {
-                    wf_id: wf,
-                    seq,
-                    committed: false,
-                    already_applied: false,
-                    transient: true,
-                    error: Some("coordinator unreachable".into()),
-                };
-                self.reply_step(ctx, wf, seq, reply);
+                let error = "coordinator unreachable".to_owned();
+                self.reply_step(ctx, (wf, seq), Err(error), false, true);
             }
         }
     }

@@ -35,7 +35,9 @@
 //! actor world settles when its driver has finished its script and its
 //! router is idle (the audit reads only driver counters, which move only
 //! on a router completion); the 2PC world settles when the tier is
-//! quiescent in the sense of [`twopc_quiescent`].
+//! quiescent in the sense of [`twopc_quiescent`]; the saga world settles
+//! when its orchestrator is up with no unfinished journal entry and
+//! neither database has an engine transaction open.
 
 use tca_messaging::rpc::{RetryPolicy, RpcRequest};
 use tca_models::actor::{ActorCompletion, ActorId, ActorRouter, ActorSilo, Directory, SiloConfig};
@@ -753,6 +755,20 @@ impl World for SagaWorld {
             vec![h.orchestrator],
             vec![h.stock_db, h.pay_db, h.orchestrator],
         )
+    }
+
+    // Settled once the orchestrator is up with no unfinished journal entry
+    // and neither database has an engine transaction open: no step call
+    // is pending then, so what stays queued are timers of answered calls.
+    fn settled(&self, sim: &Sim, h: &SagaHandles) -> bool {
+        let idle = |pid| {
+            sim.inspect::<DbServer>(pid)
+                .is_some_and(|s| s.engine().active_count() == 0)
+        };
+        sim.inspect::<SagaOrchestrator>(h.orchestrator)
+            .is_some_and(|o| o.open_instances() == 0)
+            && idle(h.stock_db)
+            && idle(h.pay_db)
     }
 
     fn audit(&self, sim: &Sim, h: &SagaHandles, plan: Option<&FaultPlan>) -> Result<(), String> {

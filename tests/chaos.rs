@@ -574,3 +574,17 @@ fn regression_saga_instance_ids_survive_orchestrator_restart() {
     let plan = torture_plan(2, 2, &FaultProfile::default());
     saga_torture_scenario(2, &plan).expect("replayed ids must not fake saga commits");
 }
+
+#[test]
+fn regression_saga_resume_resends_the_undo_in_flight() {
+    // Found by the saga torture sweep at seed 153, plan #2 (rerun with
+    // TCA_TORTURE_SEEDS=153..154). A saga whose charge failed sent its
+    // `unreserve`, and the orchestrator crashed before the answer came.
+    // The journaled compensation cursor had already moved past the step,
+    // so the resumed saga finished "compensated" without the undo, which
+    // the lossy network had dropped (6 committed but stock moved 7). The
+    // cursor now passes a step only once its undo has answered, and a
+    // resumed saga re-sends the undo under the same wire id.
+    let plan = torture_plan(153, 2, &FaultProfile::default());
+    saga_torture_scenario(153, &plan).expect("a resumed saga must finish its undo");
+}

@@ -30,7 +30,7 @@ use tca_txn::mc_scenarios::{
     actor_mc_scenario, dataflow_mc_scenario, saga_id_reuse_schedule, saga_mc_scenario,
     sharded_twopc_mc_scenario, sharded_twopc_mc_world, twopc_late_execute_mutation_scenario,
     twopc_mc_scenario, twopc_mc_world, twopc_txid_reuse_schedule, workflow_mc_scenario, MC_PA,
-    MC_PB,
+    MC_PB, MC_SAGA_PAY, MC_SAGA_STOCK,
 };
 use tca_txn::worlds::{peek, TwoPcWorld};
 
@@ -306,6 +306,17 @@ fn twopc_audited(world: &TwoPcWorld) -> Audited {
     })
 }
 
+/// The saga audit's inputs: its counters, the stock and the balance.
+fn saga_audited() -> Audited {
+    Rc::new(|sim| {
+        let counters = ["committed", "compensated", "compensation_failures"]
+            .map(|c| sim.metrics().counter(&format!("saga.{c}")) as i64);
+        let held = [(MC_SAGA_STOCK, "item1"), (MC_SAGA_PAY, "alice")]
+            .map(|(pid, key)| peek(sim, pid, key).unwrap_or(i64::MIN));
+        counters.into_iter().chain(held).collect()
+    })
+}
+
 /// Explore the scenario `make` builds twice, once with its world's
 /// `settled` hook and once with `|_| false`, recording at every leaf what
 /// `audited` reads and the audit's verdict. Exploration must not change,
@@ -389,6 +400,12 @@ fn settled_closures_hand_the_audit_what_a_full_grace_would() {
         &twopc_cfg(),
         twopc_audited(&sharded_twopc_mc_world(1)),
     );
+    assert_settling_changes_no_audit(
+        "saga×1 +1 crash",
+        || saga_mc_scenario(1),
+        &twopc_cfg(),
+        saga_audited(),
+    );
 }
 
 /// The settle equivalence at E18's depths, for the CI `model-check` job
@@ -435,9 +452,18 @@ fn settled_closures_hand_the_audit_what_a_full_grace_would_at_e18_depths() {
         &McConfig {
             max_depth: 9,
             max_drops: 1,
-            ..base
+            ..base.clone()
         },
         twopc_audited(&sharded_twopc_mc_world(1)),
+    );
+    assert_settling_changes_no_audit(
+        "saga×1 depth 8 +1 crash",
+        || saga_mc_scenario(1),
+        &McConfig {
+            max_depth: 8,
+            ..base
+        },
+        saga_audited(),
     );
 }
 
