@@ -123,6 +123,10 @@ pub fn key_shard(key: &str, shards: usize) -> usize {
 /// fleet sizes the experiments sweep (1–64 shards).
 const VNODES: usize = 64;
 
+/// How many chunks [`ShardMap::split_by_owner`] moves a batch in: what it
+/// holds beyond the batch is one chunk's pieces, an eighth of the batch.
+const SPLIT_CHUNKS: usize = 8;
+
 /// A consistent-hash ring: the key → shard placement shared by routers,
 /// coordinators and generators so they all agree on ownership.
 #[derive(Debug, Clone)]
@@ -187,22 +191,46 @@ impl ShardMap {
     ///
     /// Each group is allocated at its exact length: a shard may keep its
     /// group as it arrives for as long as it lives, spare capacity and
-    /// all. The owner list beside the items takes 4 bytes an item: the
-    /// items, it and the groups are all live at once.
-    pub fn split_by_owner<T>(&self, items: Vec<T>, key_of: impl Fn(&T) -> &str) -> Vec<Vec<T>> {
+    /// all. The batch is given back while the groups are built, never
+    /// held beside all of them: an eighth of the items at a time, from the
+    /// tail, moves into exact-length pieces, one per shard, and the batch
+    /// and its owner list (4 bytes an item) shrink to what is left. Then
+    /// each shard's pieces are joined front to back. Beyond the items
+    /// themselves, the owner list and one chunk's pieces are live at the
+    /// peak, and later one group beside the pieces it takes in.
+    pub fn split_by_owner<T>(&self, mut items: Vec<T>, key_of: impl Fn(&T) -> &str) -> Vec<Vec<T>> {
         assert!(u32::try_from(self.shards).is_ok(), "shard count fits u32");
-        let owners: Vec<u32> = (items.iter())
+        let mut owners: Vec<u32> = (items.iter())
             .map(|item| self.owner(key_of(item)) as u32)
             .collect();
-        let mut counts = vec![0; self.shards];
-        for &shard in &owners {
-            counts[shard as usize] += 1;
+        let n = items.len();
+        // `pieces[c][shard]`: chunk `c`, counted from the tail.
+        let mut pieces: Vec<Vec<Vec<T>>> = Vec::with_capacity(SPLIT_CHUNKS);
+        for c in (0..SPLIT_CHUNKS).rev() {
+            let start = n * c / SPLIT_CHUNKS;
+            let mut counts = vec![0; self.shards];
+            for &shard in &owners[start..] {
+                counts[shard as usize] += 1;
+            }
+            let mut chunk: Vec<Vec<T>> = counts.into_iter().map(Vec::with_capacity).collect();
+            for (item, &shard) in items.drain(start..).zip(&owners[start..]) {
+                chunk[shard as usize].push(item);
+            }
+            owners.truncate(start);
+            items.shrink_to_fit();
+            owners.shrink_to_fit();
+            pieces.push(chunk);
         }
-        let mut groups: Vec<Vec<T>> = counts.into_iter().map(Vec::with_capacity).collect();
-        for (item, shard) in items.into_iter().zip(owners) {
-            groups[shard as usize].push(item);
-        }
-        groups
+        (0..self.shards)
+            .map(|shard| {
+                let len = pieces.iter().map(|chunk| chunk[shard].len()).sum();
+                let mut group = Vec::with_capacity(len);
+                for chunk in pieces.iter_mut().rev() {
+                    group.extend(std::mem::take(&mut chunk[shard]));
+                }
+                group
+            })
+            .collect()
     }
 }
 
@@ -285,20 +313,41 @@ mod tests {
         assert!(modulo_moved > moved * 2, "{modulo_moved} vs {moved}");
     }
 
+    /// The split as one pass over the batch: each item pushed onto its
+    /// owner's group.
+    fn split_in_one_pass(map: &ShardMap, items: &[(String, u64)]) -> Vec<Vec<(String, u64)>> {
+        let mut groups = vec![Vec::new(); map.shards()];
+        for item in items {
+            groups[map.owner(&item.0)].push(item.clone());
+        }
+        groups
+    }
+
     #[test]
     fn split_by_owner_preserves_order_and_ownership() {
-        let map = ShardMap::ring(4);
-        let pairs: Vec<(String, u64)> = (0..100).map(|i| (format!("k{i}"), i)).collect();
-        let groups = map.split_by_owner(pairs.clone(), |(k, _)| k.as_str());
-        assert_eq!(groups.len(), 4);
-        assert_eq!(groups.iter().map(Vec::len).sum::<usize>(), 100);
-        for (shard, group) in groups.iter().enumerate() {
-            assert_eq!(group.capacity(), group.len(), "no spare capacity");
-            let mut last = None;
-            for (key, seq) in group {
-                assert_eq!(map.owner(key), shard);
-                assert!(last.is_none_or(|prev| prev < *seq), "order preserved");
-                last = Some(*seq);
+        let keys = |n: u64, distinct: u64| -> Vec<(String, u64)> {
+            (0..n)
+                .map(|i| (format!("user{:08}", i % distinct), i))
+                .collect()
+        };
+        let mut spare = keys(37, 37);
+        spare.reserve(100);
+        let cases = [
+            ("empty", 4, Vec::new()),
+            ("one shard", 1, keys(50, 50)),
+            ("more shards than items", 16, keys(5, 5)),
+            ("fewer items than chunks", 3, keys(7, 7)),
+            ("repeated keys", 4, keys(300, 40)),
+            ("spare capacity", 4, spare),
+            ("many", 16, keys(10_001, 10_001)),
+        ];
+        for (case, shards, items) in cases {
+            let map = ShardMap::ring(shards);
+            let expected = split_in_one_pass(&map, &items);
+            let groups = map.split_by_owner(items, |(k, _)| k.as_str());
+            assert_eq!(groups, expected, "{case}");
+            for group in &groups {
+                assert_eq!(group.capacity(), group.len(), "{case}: spare capacity");
             }
         }
     }

@@ -29,16 +29,20 @@
 //! long as the service runs. It keeps the load's own pair vector as it
 //! arrived, and pair `i` reads at the load's first timestamp plus `i`,
 //! so no version and no timestamp is stored per pair. Over the vector
-//! sits an open-addressed index: a power-of-two number of `u64` slots, at
-//! most 7/8 full, probed linearly. A slot holds a 32-bit tag of the key's
-//! hash and the pair's position + 1; zero marks a free slot. A probe
-//! compares keys only when the tag matches, so stepping past another
-//! key's slot costs no string comparison and no visit to its pair.
+//! sits an open-addressed index of exactly ⌈8n/7⌉ `u64` slots for `n`
+//! pairs, so at most 7/8 full, probed linearly and wrapping at the end.
+//! A slot holds a 32-bit tag of the key's hash and the pair's position +
+//! 1; zero marks a free slot. A probe compares keys only when the tag
+//! matches, so stepping past another key's slot costs no string
+//! comparison and no visit to its pair. The length is exact, not rounded
+//! up to a power of two as a mask would need, so the index is close to
+//! 7/8 full at any size.
 //!
-//! The hash is `mix64(fnv1a(key))`. The slot comes from its low bits and
-//! the tag from its high bits, and raw FNV-1a's high bits barely differ
-//! between keys that differ only in their last character: sequential
-//! keys would share tags, and every probe would compare keys again.
+//! The hash is `mix64(fnv1a(key))`. A probe starts at its low 32 bits
+//! scaled to the index length (a multiply-shift), and the tag is its high
+//! 32 bits. Raw FNV-1a's high bits barely differ between keys that differ
+//! only in their last character: sequential keys would share tags, and
+//! every probe would compare keys again.
 //!
 //! A key repeated in a batch is indexed at its last pair and reads at
 //! that pair's timestamp. The earlier pairs stay in the vector,
@@ -89,8 +93,8 @@ pub struct Base {
     pairs: Vec<(Key, Value)>,
     first_ts: Timestamp,
     /// `FREE`, or a key's hash tag in the high half and the position + 1
-    /// of its last pair in the low half. Empty, or a power of two long
-    /// and at most 7/8 full.
+    /// of its last pair in the low half. ⌈8n/7⌉ slots for `n` pairs, so
+    /// at most 7/8 full.
     index: Vec<u64>,
     /// Number of distinct keys.
     len: usize,
@@ -102,6 +106,13 @@ const TAG: u64 = !(u32::MAX as u64);
 
 fn hash(key: &str) -> u64 {
     mix64(fnv1a(key.as_bytes()))
+}
+
+/// The slot a probe for `hash` starts at in an index of `slots`: the
+/// hash's low half scaled to the index (multiply-shift), so the index
+/// need not be a power of two long.
+fn home(hash: u64, slots: usize) -> usize {
+    ((u128::from(hash & !TAG) * slots as u128) >> 32) as usize
 }
 
 /// The pair position an occupied slot points at.
@@ -118,10 +129,7 @@ impl Base {
             pairs.len() < u32::MAX as usize,
             "a base indexes u32 positions"
         );
-        let slots = match pairs.len() {
-            0 => 0,
-            n => (n * 8).div_ceil(7).next_power_of_two(),
-        };
+        let slots = (pairs.len() * 8).div_ceil(7);
         let mut base = Base {
             pairs,
             first_ts,
@@ -146,8 +154,7 @@ impl Base {
     /// The slot holding `key`, or the free slot that ends its probe. The
     /// index must not be empty.
     fn probe(&self, key: &str, hash: u64) -> Result<usize, usize> {
-        let mask = self.index.len() - 1;
-        let mut i = hash as usize & mask;
+        let mut i = home(hash, self.index.len());
         loop {
             let slot = self.index[i];
             if slot == FREE {
@@ -156,7 +163,10 @@ impl Base {
             if slot & TAG == hash & TAG && self.pairs[position(slot)].0 == key {
                 return Ok(i);
             }
-            i = (i + 1) & mask;
+            i += 1;
+            if i == self.index.len() {
+                i = 0;
+            }
         }
     }
 
@@ -622,9 +632,10 @@ mod tests {
 
     #[test]
     fn an_absent_key_probes_past_the_end_of_the_index() {
-        // Seven keys whose probes all start in the last of eight slots
-        // fill it and wrap into the first six, leaving slot 6 free.
-        let last = |key: &str| hash(key) as usize & 7 == 7;
+        // Seven keys take ⌈8·7/7⌉ = 8 slots. Those whose probes all start
+        // in the last slot fill it and wrap into the first six, leaving
+        // slot 6 free.
+        let last = |key: &str| home(hash(key), 8) == 7;
         let mut names = (0..).map(|i| format!("key{i}")).filter(|key| last(key));
         let pairs: Vec<_> = (0..7)
             .map(|i| (names.next().unwrap(), Value::Int(i)))

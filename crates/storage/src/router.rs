@@ -51,7 +51,10 @@
 //! The router moves what it alone holds. A `Load` whose message has no
 //! other handle gives its pairs up to the split rather than being copied
 //! ([`Payload::get_mut`]), and the shard moves each group into its engine
-//! the same way.
+//! the same way. The split itself gives the batch back while it builds
+//! the groups ([`ShardMap::split_by_owner`]), so a pair is held once on
+//! its way from the client's batch to its shard's base, bar an eighth of
+//! the batch in flight.
 
 use std::collections::hash_map::Entry;
 use std::ops::Range;

@@ -204,10 +204,11 @@ impl SagaOrchestrator {
         }
     }
 
-    /// Number of saga instances not yet terminal — the no-stuck audit:
-    /// after faults heal and the system quiesces, this must be zero.
-    pub fn open_instances(&self) -> usize {
-        self.journal.unfinished().len()
+    /// The ids of the saga instances not yet terminal, ascending — the
+    /// no-stuck audit: after faults heal and the system quiesces, there
+    /// must be none.
+    pub fn open_instances(&self) -> Vec<u64> {
+        self.journal.unfinished()
     }
 
     /// Issue the current step (forward) or compensation (backward), or
@@ -661,7 +662,7 @@ mod tests {
         let orch = sim
             .inspect::<SagaOrchestrator>(orchestrator)
             .expect("orchestrator alive");
-        assert_eq!(orch.open_instances(), 0, "no instance left stuck");
+        assert_eq!(orch.open_instances(), [], "no instance left stuck");
     }
 
     /// A client's `StartSaga` times out while the orchestrator is down and

@@ -766,7 +766,7 @@ impl World for SagaWorld {
                 .is_some_and(|s| s.engine().active_count() == 0)
         };
         sim.inspect::<SagaOrchestrator>(h.orchestrator)
-            .is_some_and(|o| o.open_instances() == 0)
+            .is_some_and(|o| o.open_instances().is_empty())
             && idle(h.stock_db)
             && idle(h.pay_db)
     }
@@ -777,6 +777,27 @@ impl World for SagaWorld {
             return Err(format!(
                 "{comp_failures} compensations failed (dropped undo = leaked effect)"
             ));
+        }
+        // A saga still open, or a step's engine transaction, explains a
+        // conservation miss: name it first.
+        let open = sim
+            .inspect::<SagaOrchestrator>(h.orchestrator)
+            .map(|o| o.open_instances())
+            .ok_or("cannot inspect orchestrator")?;
+        if !open.is_empty() {
+            return Err(format!(
+                "saga instances {open:?} never reached a terminal state"
+            ));
+        }
+        for pid in [h.stock_db, h.pay_db] {
+            let name = sim.name_of(pid);
+            let active = sim
+                .inspect::<DbServer>(pid)
+                .map(|s| s.engine().active_count())
+                .ok_or_else(|| format!("cannot inspect {name}"))?;
+            if active != 0 {
+                return Err(format!("{name} has {active} open engine transactions"));
+            }
         }
         // Conservation + exactly-once: each committed checkout moves one
         // unit of stock and `price` of money; compensated ones move nothing
@@ -795,25 +816,6 @@ impl World for SagaWorld {
             return Err(format!(
                 "benign plan must commit exactly the affordable checkouts, got {committed}"
             ));
-        }
-        let open = sim
-            .inspect::<SagaOrchestrator>(h.orchestrator)
-            .map(|o| o.open_instances())
-            .ok_or("cannot inspect orchestrator")?;
-        if open != 0 {
-            return Err(format!(
-                "{open} saga instances never reached a terminal state"
-            ));
-        }
-        for pid in [h.stock_db, h.pay_db] {
-            let name = sim.name_of(pid);
-            let active = sim
-                .inspect::<DbServer>(pid)
-                .map(|s| s.engine().active_count())
-                .ok_or_else(|| format!("cannot inspect {name}"))?;
-            if active != 0 {
-                return Err(format!("{name} has {active} open engine transactions"));
-            }
         }
         Ok(())
     }

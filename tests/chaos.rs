@@ -570,7 +570,8 @@ fn regression_saga_instance_ids_survive_orchestrator_restart() {
     // collided, the database's idempotency cache replayed the dead saga's
     // recorded replies, and a fresh saga "committed" with no real effect
     // (6 committed but stock moved 5 and balance moved 50). Instance ids
-    // are now epoched on boot time, like 2PC transaction ids.
+    // now come from a durable floor in the journal, the highest id ever
+    // handed out, so a restarted orchestrator never reuses one.
     let plan = torture_plan(2, 2, &FaultProfile::default());
     saga_torture_scenario(2, &plan).expect("replayed ids must not fake saga commits");
 }
