@@ -123,6 +123,13 @@ pub fn key_shard(key: &str, shards: usize) -> usize {
 /// fleet sizes the experiments sweep (1–64 shards).
 const VNODES: usize = 64;
 
+/// How far to shift a ring position right to get its bucket, on a ring of
+/// `points` points: as many buckets as the largest power of two that is
+/// at most `points`, so a bucket holds about one point.
+fn bucket_shift(points: usize) -> u32 {
+    64 - points.ilog2()
+}
+
 /// How many chunks [`ShardMap::split_by_owner`] moves a batch in: what it
 /// holds beyond the batch is one chunk's pieces, an eighth of the batch.
 const SPLIT_CHUNKS: usize = 8;
@@ -132,8 +139,24 @@ const SPLIT_CHUNKS: usize = 8;
 #[derive(Debug, Clone)]
 pub struct ShardMap {
     shards: usize,
-    /// Ring points sorted by hash; each point maps an arc to a shard.
-    points: Vec<(u64, usize)>,
+    /// Ring points sorted by position; each point maps an arc to a shard.
+    /// The first `2^bits` of them also hold the bucket table, `bits`
+    /// being the floor of the base-2 log of the number of points.
+    points: Vec<Point>,
+}
+
+/// One ring point, and one entry of [`ShardMap`]'s bucket table: 16
+/// bytes, as a `(u64, usize)` point alone took.
+#[derive(Debug, Clone, Copy)]
+struct Point {
+    /// The point's position; it owns the arc that ends here.
+    hash: u64,
+    shard: u32,
+    /// For the point at index `b`: the first point whose position's top
+    /// `bits` bits are `b` or more, so bucket `b`'s points start here and
+    /// end where bucket `b + 1`'s start. At an index past the last
+    /// bucket, the number of points.
+    bucket: u32,
 }
 
 impl ShardMap {
@@ -160,6 +183,7 @@ impl ShardMap {
     /// shards (the consistent-hashing property).
     pub fn ring(n: usize) -> Self {
         assert!(n > 0, "ShardMap over zero shards");
+        assert!(u32::try_from(n * VNODES).is_ok(), "ring points fit u32");
         let mut points = Vec::with_capacity(n * VNODES);
         for shard in 0..n {
             for v in 0..VNODES {
@@ -169,6 +193,21 @@ impl ShardMap {
         // Ties (identical hashes) resolve to the lower shard index —
         // deterministic on every platform.
         points.sort_unstable();
+        let shift = bucket_shift(points.len());
+        let mut first = 0;
+        let points = (0..points.len())
+            .map(|b| {
+                while first < points.len() && points[first].0 >> shift < b as u64 {
+                    first += 1;
+                }
+                let (hash, shard) = points[b];
+                Point {
+                    hash,
+                    shard: shard as u32,
+                    bucket: first as u32,
+                }
+            })
+            .collect();
         ShardMap { shards: n, points }
     }
 
@@ -177,13 +216,21 @@ impl ShardMap {
         self.shards
     }
 
-    /// The shard owning `key`.
+    /// The shard owning `key`: the first point clockwise of the key's
+    /// position, wrapping past the last point back to the first. Only the
+    /// points of the position's bucket are searched, about one.
     pub fn owner(&self, key: &str) -> usize {
-        let h = mix64(fnv1a(key.as_bytes()));
-        // First point clockwise of the key's position; wrap past the last
-        // point back to the first.
-        let idx = self.points.partition_point(|&(p, _)| p < h);
-        self.points[if idx == self.points.len() { 0 } else { idx }].1
+        self.owner_at(mix64(fnv1a(key.as_bytes())))
+    }
+
+    /// The shard owning ring position `h`.
+    fn owner_at(&self, h: u64) -> usize {
+        let len = self.points.len();
+        let b = (h >> bucket_shift(len)) as usize;
+        let lo = self.points[b].bucket as usize;
+        let hi = (self.points.get(b + 1)).map_or(len, |next| next.bucket as usize);
+        let idx = lo + self.points[lo..hi].partition_point(|p| p.hash < h);
+        self.points[if idx == len { 0 } else { idx }].shard as usize
     }
 
     /// Split `(key, value)`-like items into per-shard groups, preserving
@@ -311,6 +358,36 @@ mod tests {
             })
             .count();
         assert!(modulo_moved > moved * 2, "{modulo_moved} vs {moved}");
+    }
+
+    /// The owner of the point at or clockwise of `h`, searched over the
+    /// whole ring.
+    fn owner_by_full_search(map: &ShardMap, h: u64) -> usize {
+        let idx = map.points.partition_point(|p| p.hash < h);
+        map.points[if idx == map.points.len() { 0 } else { idx }].shard as usize
+    }
+
+    #[test]
+    fn bucketed_owner_matches_the_full_search() {
+        // Every key of the benchmark's 250 000-record YCSB keyspace
+        // (`workloads::ycsb::seed`) on its 16-shard ring.
+        let map = ShardMap::ring(16);
+        for i in 0..250_000 {
+            let h = mix64(fnv1a(format!("user{i:08}").as_bytes()));
+            assert_eq!(map.owner_at(h), owner_by_full_search(&map, h), "user{i:08}");
+        }
+        for n in [1, 2, 5, 8, 16, 64] {
+            let map = ShardMap::ring(n);
+            let (first, last) = (map.points[0].hash, map.points[n * VNODES - 1].hash);
+            let edges = [0, first - 1, first, first + 1, last - 1, last, last + 1];
+            let samples = (0..2_000).map(|i| mix64(fnv1a(format!("k{i}").as_bytes())));
+            for h in edges.into_iter().chain([u64::MAX]).chain(samples) {
+                let owner = owner_by_full_search(&map, h);
+                assert_eq!(map.owner_at(h), owner, "{n}: {h:#x}");
+            }
+            let wrapped = map.points[0].shard as usize;
+            assert_eq!(map.owner_at(last + 1), wrapped, "{n}: wraps");
+        }
     }
 
     /// The split as one pass over the batch: each item pushed onto its

@@ -119,10 +119,16 @@ impl<K: Hash + Eq + Clone, V> RecentWindow<K, V> {
         }
     }
 
-    /// Forget `key`, returning its value.
+    /// Forget `key`, returning its value. A key at the front of the
+    /// order queue leaves it at once, with any stale entries behind it;
+    /// elsewhere its entry goes stale until it reaches the front.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let value = self.map.remove(key)?;
         *self.stale.entry(key.clone()).or_insert(0) += 1;
+        while (self.order.front()).is_some_and(|front| self.stale.contains_key(front)) {
+            let front = self.order.pop_front().expect("a front entry");
+            self.forget_stale(&front);
+        }
         if self.order.len() - self.map.len() > self.capacity {
             self.compact();
         }
@@ -202,6 +208,25 @@ mod tests {
         assert_eq!(w.insert(3, ()), Some((2, ())));
         assert!(w.contains(&1) && w.contains(&3));
         assert_eq!(w.insert(4, ()), Some((1, ())));
+    }
+
+    #[test]
+    fn a_removal_at_the_front_leaves_no_stale_entry() {
+        let mut w = RecentWindow::new(8);
+        for key in 0..4u32 {
+            w.insert(key, ());
+        }
+        w.remove(&1);
+        w.remove(&2);
+        assert_eq!(w.order.len(), 4, "behind the front, entries go stale");
+        w.remove(&0);
+        assert_eq!(w.order, [3], "the front takes the stale entries behind it");
+        assert!(w.stale.is_empty());
+        w.insert(1, ());
+        w.remove(&3);
+        assert_eq!(w.order, [1]);
+        assert_eq!(w.insert(4, ()), None);
+        assert!(w.contains(&1) && w.contains(&4));
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //! the client settles the call, a duplicate gets that very payload back,
 //! and nothing is cloned. Each enveloped request carries its client's
 //! settled claim ([`RpcRequest::settled`]), the ids it no longer awaits;
-//! the server then keeps only the key of each covered record, under a
-//! zero-sized `Settled` marker, so the reply is freed. A later duplicate
-//! of a settled call is still not run again: it is answered
-//! [`DbResponse::Settled`], which its client discards. A shard router
+//! the server then drops each covered record from its dedup window and
+//! keeps only the call id, in its client incarnation's ascending list of
+//! settled ids, so the reply is freed. A later duplicate of a settled
+//! call is still not run again: it is answered [`DbResponse::Settled`],
+//! which its client discards. A shard router
 //! relays an enveloped request to its shard with the client's id beside
 //! it, so a routed call is deduplicated and settled here too, under the
 //! same key, and its reply goes back through the router to the client
@@ -315,10 +316,48 @@ struct Via {
     group: bool,
 }
 
-/// What a settled record keeps in place of its reply: a zero-sized
-/// marker, so every settled record shares one interned payload.
-#[derive(Debug, Clone, Copy)]
-struct Settled;
+/// What the server keeps of one client incarnation's calls once they
+/// are answered. An incarnation is the start of its settled claim:
+/// `nonce + 1` for an `RpcClient`, `0` for a client that claims nothing.
+#[derive(Debug, Default)]
+struct Incarnation {
+    start: u64,
+    /// Ids whose recorded reply is not settled yet, in record order.
+    unsettled: VecDeque<u64>,
+    /// Ids settled, ascending: their records have left the window, and a
+    /// duplicate is answered [`DbResponse::Settled`].
+    settled: VecDeque<u64>,
+    /// When `settled` last went from empty to holding an id, in the
+    /// server's settle order: the bound takes from the lowest first.
+    since: u64,
+}
+
+impl Incarnation {
+    /// Whether `call_id` is settled: O(1) for an id above the last one,
+    /// as a fresh call's is, and a binary search otherwise.
+    fn has_settled(&self, call_id: u64) -> bool {
+        match (self.settled.front(), self.settled.back()) {
+            (Some(&first), Some(&last)) if (first..=last).contains(&call_id) => {
+                self.settled.binary_search(&call_id).is_ok()
+            }
+            _ => false,
+        }
+    }
+
+    /// Add `call_id` to `settled` at its sorted place, almost always the
+    /// back; `false` when it is there already.
+    fn settle(&mut self, call_id: u64) -> bool {
+        if self.settled.back().is_some_and(|&last| last >= call_id) {
+            match self.settled.binary_search(&call_id) {
+                Ok(_) => return false,
+                Err(at) => self.settled.insert(at, call_id),
+            }
+        } else {
+            self.settled.push_back(call_id);
+        }
+        true
+    }
+}
 
 /// Where (and how) to send a reply: bare [`DbReply`] or wrapped in an
 /// [`RpcReply`] when the request arrived through the RPC layer.
@@ -364,18 +403,19 @@ pub struct DbServer {
     parked: HashMap<TxId, ReturnAddr>,
     /// Dedup cache for RPC-enveloped requests, by `(client, call_id)`:
     /// retried calls must not re-execute. It holds the `RpcReply` sent
-    /// (`None` = executing, reply not yet produced), or a [`Settled`]
-    /// marker once the client has settled the call.
+    /// (`None` = executing, reply not yet produced) until the client
+    /// settles the call.
     dedup: RecentWindow<(ProcessId, u64), Option<Payload>>,
-    /// Per client, the call ids whose recorded reply it has not settled
-    /// yet: one queue per incarnation, in record order, the incarnations
-    /// in order of first record; at most [`DEDUP_WINDOW`] ids in all. A
+    /// Per client, its incarnations in order of first record. A
     /// restarted client, or a second client in one process, claims under
     /// its own incarnation, so ids it will never settle do not stand in
-    /// front of its own.
-    unsettled: HashMap<ProcessId, Vec<(u64, VecDeque<u64>)>>,
-    /// The interned [`Settled`] marker, kept at hand.
-    settled: Payload,
+    /// front of its own. At most [`DEDUP_WINDOW`] unsettled ids per
+    /// client, and settled ids in all.
+    calls: HashMap<ProcessId, Vec<Incarnation>>,
+    /// Settled ids held, over every incarnation.
+    settled: usize,
+    /// Incarnations that came to hold settled ids, so far.
+    settle_order: u64,
     /// Single-server queueing model: the instant the server frees up.
     /// Each reply occupies the server for its service time, so offered
     /// load beyond capacity queues — making saturation observable.
@@ -440,8 +480,9 @@ impl DbServer {
                 registry: Rc::clone(&registry),
                 parked: HashMap::default(),
                 dedup: RecentWindow::new(DEDUP_WINDOW),
-                unsettled: HashMap::default(),
-                settled: Payload::new(Settled),
+                calls: HashMap::default(),
+                settled: 0,
+                settle_order: 0,
                 busy_until: tca_sim::SimTime::ZERO,
                 counters: Rc::clone(&counters),
             })
@@ -494,50 +535,83 @@ impl DbServer {
         let reply = reply_payload(addr.token, addr.rpc_call, resp);
         if let Some(call_id) = addr.rpc_call {
             if self.dedup.set(&(addr.client, call_id), Some(reply.clone())) {
-                let queues = self.unsettled.entry(addr.client).or_default();
-                if queues.iter().map(|(_, ids)| ids.len()).sum::<usize>() == DEDUP_WINDOW {
+                let incs = self
+                    .calls
+                    .entry(addr.client)
+                    .or_insert_with(|| Vec::with_capacity(1));
+                let unsettled: usize = incs.iter().map(|inc| inc.unsettled.len()).sum();
+                if unsettled == DEDUP_WINDOW {
                     // The oldest incarnation gives up its oldest id, and
-                    // incarnations left with none are forgotten.
-                    queues.retain(|(_, ids)| !ids.is_empty());
-                    queues[0].1.pop_front();
+                    // incarnations left with no ids are forgotten.
+                    incs.retain(|inc| !inc.unsettled.is_empty() || !inc.settled.is_empty());
+                    if let Some(oldest) = incs.iter_mut().find(|inc| !inc.unsettled.is_empty()) {
+                        oldest.unsettled.pop_front();
+                    }
                 }
-                let at = match queues.iter().position(|&(inc, _)| inc == addr.incarnation) {
+                let at = match incs.iter().position(|inc| inc.start == addr.incarnation) {
                     Some(at) => at,
                     None => {
-                        queues.push((addr.incarnation, VecDeque::new()));
-                        queues.len() - 1
+                        incs.push(Incarnation {
+                            start: addr.incarnation,
+                            ..Incarnation::default()
+                        });
+                        incs.len() - 1
                     }
                 };
-                queues[at].1.push_back(call_id);
+                incs[at].unsettled.push_back(call_id);
             }
         }
         addressed(addr, reply)
     }
 
-    /// Free the recorded reply of each of the oldest unsettled calls of
-    /// `client`'s incarnation `settled.start` that its claim `settled`
-    /// covers; the key stays, under the [`Settled`] marker. A record whose
-    /// call is executing again is left as it is.
-    fn settle(&mut self, client: ProcessId, settled: &Range<u64>) {
-        if settled.is_empty() {
+    /// Settle each of the oldest unsettled calls of `client`'s
+    /// incarnation `claim.start` that its claim covers: a recorded call
+    /// leaves the window, its reply freed, and its id joins the
+    /// incarnation's settled ids. A record whose call is executing again
+    /// is left as it is.
+    fn settle(&mut self, client: ProcessId, claim: &Range<u64>) {
+        if claim.is_empty() {
             return;
         }
-        let Some((_, ids)) = self
-            .unsettled
+        let Some(inc) = self
+            .calls
             .get_mut(&client)
-            .and_then(|queues| queues.iter_mut().find(|(inc, _)| *inc == settled.start))
+            .and_then(|incs| incs.iter_mut().find(|inc| inc.start == claim.start))
         else {
             return;
         };
-        while let Some(&call_id) = ids.front() {
-            if !settled.contains(&call_id) {
+        while let Some(&call_id) = inc.unsettled.front() {
+            if !claim.contains(&call_id) {
                 break;
             }
-            ids.pop_front();
-            if let Some(Some(reply)) = self.dedup.get_mut(&(client, call_id)) {
-                *reply = self.settled.clone();
+            inc.unsettled.pop_front();
+            if !matches!(self.dedup.get(&(client, call_id)), Some(Some(_))) {
+                continue;
             }
+            self.dedup.remove(&(client, call_id));
+            if inc.settled.is_empty() {
+                inc.since = self.settle_order;
+                self.settle_order += 1;
+            }
+            self.settled += usize::from(inc.settle(call_id));
         }
+        while self.settled > DEDUP_WINDOW {
+            // The incarnation that has held settled ids the longest
+            // forgets its lowest.
+            let oldest = (self.calls.values_mut().flatten())
+                .filter(|inc| !inc.settled.is_empty())
+                .min_by_key(|inc| inc.since)
+                .expect("settled ids held");
+            oldest.settled.pop_front();
+            self.settled -= 1;
+        }
+    }
+
+    /// Whether `client` has settled `call_id`, under any incarnation.
+    fn has_settled(&self, client: ProcessId, call_id: u64) -> bool {
+        self.calls
+            .get(&client)
+            .is_some_and(|incs| incs.iter().any(|inc| inc.has_settled(call_id)))
     }
 
     /// Admission control. Returns `true` when the request was shed (or
@@ -672,28 +746,26 @@ impl Process for DbServer {
             span: None,
         };
         if let Some(call_id) = rpc_call {
-            match self.dedup.get(&(client, call_id)) {
-                Some(Some(recorded)) => {
-                    ctx.metrics().incr(&self.counters.deduped, 1);
-                    let recorded = if recorded.is::<Settled>() {
-                        reply_payload(addr.token, rpc_call, DbResponse::Settled)
-                    } else {
-                        recorded.clone()
-                    };
-                    let reply = addressed(addr, recorded);
-                    self.serve(ctx, addr, reply, READ_LATENCY);
-                    return;
-                }
+            let recorded = match self.dedup.get(&(client, call_id)) {
+                Some(Some(recorded)) => Some(recorded.clone()),
                 Some(None) => {
                     // Original still executing (e.g. parked on a lock);
                     // drop the duplicate — the eventual reply covers it.
                     ctx.metrics().incr(&self.counters.deduped, 1);
                     return;
                 }
-                None => {
-                    self.dedup.insert((client, call_id), None);
+                None if self.has_settled(client, call_id) => {
+                    Some(reply_payload(addr.token, rpc_call, DbResponse::Settled))
                 }
+                None => None,
+            };
+            if let Some(recorded) = recorded {
+                ctx.metrics().incr(&self.counters.deduped, 1);
+                let reply = addressed(addr, recorded);
+                self.serve(ctx, addr, reply, READ_LATENCY);
+                return;
             }
+            self.dedup.insert((client, call_id), None);
         }
         if self.admission_shed(ctx, addr) {
             return;
@@ -1238,8 +1310,11 @@ mod tests {
         let key = (client, 7);
         let server = sim.inspect::<DbServer>(db).expect("db");
         assert!(matches!(server.dedup.get(&key), Some(None)), "executing");
-        let began = server.dedup.get(&(client, 5)).expect("recorded");
-        assert!(began.as_ref().is_some_and(|p| p.is::<Settled>()));
+        assert!(
+            !server.dedup.contains(&(client, 5)),
+            "settled: out of the window"
+        );
+        assert_eq!(settled_records(server, client), [5]);
         sim.inject(db, bare(DbRequest::Commit { tx: TxId(0) }));
         sim.run_for(SimDuration::from_millis(10));
         let answered: Vec<_> = replies(&sim, client)
@@ -1259,19 +1334,12 @@ mod tests {
         );
     }
 
-    /// The records of `client` that hold the [`Settled`] marker.
+    /// The ids `client` has settled, over its incarnations, ascending.
     fn settled_records(server: &DbServer, client: ProcessId) -> Vec<u64> {
-        let mut ids: Vec<u64> = server
-            .dedup
-            .keys()
-            .filter(|&&(pid, call_id)| {
-                pid == client
-                    && server
-                        .dedup
-                        .get(&(pid, call_id))
-                        .is_some_and(|r| r.as_ref().is_some_and(|p| p.is::<Settled>()))
-            })
-            .map(|&(_, call_id)| call_id)
+        let incs = server.calls.get(&client).map_or(&[][..], Vec::as_slice);
+        let mut ids: Vec<u64> = incs
+            .iter()
+            .flat_map(|inc| inc.settled.iter().copied())
             .collect();
         ids.sort_unstable();
         ids
@@ -1294,45 +1362,52 @@ mod tests {
         assert_eq!(settled_records(server, client), [1, 1001]);
     }
 
-    /// Sends each incarnation's calls at once, one incarnation per
-    /// millisecond; every call claims nothing, under its incarnation.
-    struct Restarter {
+    /// Sends each step's calls at once, one step per millisecond: peeks
+    /// under the step's ids, each with the step's settled claim, whose
+    /// start is the calls' incarnation. Keeps every reply.
+    struct Batches {
         db: ProcessId,
-        incarnations: Vec<Range<u64>>,
+        steps: Vec<(Range<u64>, Range<u64>)>,
+        replies: Vec<(u64, DbResponse)>,
     }
-    impl Restarter {
+    impl Batches {
         fn step(&mut self, ctx: &mut Ctx) {
-            if self.incarnations.is_empty() {
+            if self.steps.is_empty() {
                 return;
             }
-            let ids = self.incarnations.remove(0);
-            for call_id in ids.clone() {
-                let body = Payload::new(DbMsg {
-                    token: call_id,
-                    req: peek("x"),
-                });
-                let mut request = RpcRequest::new(call_id, body);
-                request.settled = ids.start..ids.start;
+            let (ids, claim) = self.steps.remove(0);
+            for call_id in ids {
+                let mut request = RpcRequest::new(call_id, with_token(call_id, peek("x")));
+                request.settled = claim.clone();
                 ctx.send(self.db, Payload::new(request));
             }
             ctx.set_timer(SimDuration::from_millis(1), 0);
         }
     }
-    impl Process for Restarter {
+    impl Process for Batches {
         fn on_start(&mut self, ctx: &mut Ctx) {
             self.step(ctx);
         }
-        fn on_message(&mut self, _ctx: &mut Ctx, _from: ProcessId, _payload: Payload) {}
+        fn on_message(&mut self, _ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
+            let reply = payload.expect::<RpcReply>();
+            let resp = reply.body.expect::<DbReply>().resp.clone();
+            self.replies.push((reply.call_id, resp));
+        }
         fn on_timer(&mut self, ctx: &mut Ctx, _tag: u64) {
             self.step(ctx);
         }
     }
 
-    /// A client restarted again and again leaves ids behind under each
-    /// incarnation it ran as; together they stay within the window, the
-    /// oldest incarnation's ids giving way first.
-    #[test]
-    fn a_restarted_clients_bookkeeping_stays_bounded() {
+    /// `req` under token `call_id`.
+    fn with_token(call_id: u64, req: DbRequest) -> Payload {
+        Payload::new(DbMsg {
+            token: call_id,
+            req,
+        })
+    }
+
+    /// A server and a [`Batches`] client running `steps`, run for 5 s.
+    fn batches_world(steps: Vec<(Range<u64>, Range<u64>)>) -> (Sim, ProcessId, ProcessId) {
         let mut sim = Sim::with_seed(9);
         let n0 = sim.add_node();
         let n1 = sim.add_node();
@@ -1341,19 +1416,30 @@ mod tests {
             "db",
             DbServer::factory("db", DbServerConfig::default(), bump_registry()),
         );
-        let each = DEDUP_WINDOW as u64 / 4 + 1;
-        let starts = [1, 1_000_001, 2_000_001, 3_000_001];
         let client = sim.spawn(n1, "client", move |_| {
-            Box::new(Restarter {
+            Box::new(Batches {
                 db,
-                incarnations: starts.iter().map(|&s| s..s + each).collect(),
+                steps: steps.clone(),
+                replies: Vec::new(),
             })
         });
         sim.run_for(SimDuration::from_secs(5));
+        (sim, db, client)
+    }
+
+    /// A client restarted again and again leaves ids behind under each
+    /// incarnation it ran as; together they stay within the window, the
+    /// oldest incarnation's ids giving way first.
+    #[test]
+    fn a_restarted_clients_bookkeeping_stays_bounded() {
+        let each = DEDUP_WINDOW as u64 / 4 + 1;
+        let starts = [1, 1_000_001, 2_000_001, 3_000_001];
+        let (sim, db, client) =
+            batches_world(starts.iter().map(|&s| (s..s + each, s..s)).collect());
         let server = sim.inspect::<DbServer>(db).expect("db");
-        let queues: Vec<(u64, usize)> = server.unsettled[&client]
+        let queues: Vec<(u64, usize)> = server.calls[&client]
             .iter()
-            .map(|(inc, ids)| (*inc, ids.len()))
+            .map(|inc| (inc.start, inc.unsettled.len()))
             .collect();
         let each = each as usize;
         assert_eq!(
@@ -1389,8 +1475,228 @@ mod tests {
         });
         sim.run_for(SimDuration::from_secs(5));
         let server = sim.inspect::<DbServer>(db).expect("db");
-        assert_eq!(server.unsettled[&client][0].1.len(), DEDUP_WINDOW);
+        assert_eq!(server.calls[&client][0].unsettled.len(), DEDUP_WINDOW);
         assert_eq!(server.dedup.len(), DEDUP_WINDOW);
+    }
+
+    /// Past [`DEDUP_WINDOW`] settled ids the server forgets the lowest
+    /// ones: a late duplicate of one runs again, and every other settled
+    /// call is still answered `Settled`.
+    #[test]
+    fn settled_ids_past_the_bound_forget_the_lowest() {
+        const K: u64 = 3;
+        let total = DEDUP_WINDOW as u64 + K;
+        // Ids 1..=total in batches, each claiming every earlier batch;
+        // then one call that claims them all, and late duplicates.
+        let mut steps: Vec<_> = (1..=total)
+            .step_by(4_096)
+            .map(|start| (start..(start + 4_096).min(total + 1), 1..start))
+            .collect();
+        steps.push((total + 1..total + 2, 1..total + 1));
+        steps.push((1..K + 3, 1..total + 1));
+        let (sim, db, client) = batches_world(steps);
+        let server = sim.inspect::<DbServer>(db).expect("db");
+        let settled = settled_records(server, client);
+        assert_eq!(settled.len(), DEDUP_WINDOW);
+        assert_eq!(settled[0], K + 1, "the lowest {K} forgotten");
+        assert_eq!(server.settled, DEDUP_WINDOW);
+        let replies = &sim.inspect::<Batches>(client).expect("client").replies;
+        let peeked = DbResponse::PeekOk { value: None };
+        for id in 1..K + 3 {
+            let answers: Vec<_> = (replies.iter())
+                .filter(|&&(call_id, _)| call_id == id)
+                .map(|(_, resp)| resp.clone())
+                .collect();
+            let late = if id <= K {
+                peeked.clone()
+            } else {
+                DbResponse::Settled
+            };
+            assert_eq!(answers, [peeked.clone(), late], "call {id}");
+        }
+        assert_eq!(sim.metrics().counter("db.deduped"), 2);
+    }
+
+    /// The harness's hand: a [`Puppet`] sends it on to the server.
+    struct Forward(Payload);
+
+    /// Sends on each request the harness hands it, and keeps each reply.
+    struct Puppet {
+        db: ProcessId,
+        replies: Vec<(u64, DbResponse)>,
+    }
+    impl Process for Puppet {
+        fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
+            if let Some(Forward(request)) = payload.downcast_ref::<Forward>() {
+                ctx.send(self.db, request.clone());
+                return;
+            }
+            let reply = payload.expect::<RpcReply>();
+            let resp = reply.body.expect::<DbReply>().resp.clone();
+            self.replies.push((reply.call_id, resp));
+        }
+    }
+
+    /// What the reference model knows of one call.
+    #[derive(Debug, Clone)]
+    enum Known {
+        Executing,
+        Recorded(DbResponse),
+        Settled,
+    }
+
+    /// The server's dedup rules, inside its bounds, written plainly: a
+    /// call executes once; a duplicate gets the recorded reply, or
+    /// `Settled` once a claim of its incarnation reached it in record
+    /// order, and is dropped while the call executes.
+    #[derive(Default)]
+    struct Model {
+        calls: std::collections::BTreeMap<(usize, u64), Known>,
+        /// Per client, `(incarnation, unsettled ids in record order)`.
+        unsettled: [Vec<(u64, VecDeque<u64>)>; 2],
+        /// Per client, the replies it should get, in order.
+        expected: [Vec<(u64, DbResponse)>; 2],
+    }
+    impl Model {
+        fn record(&mut self, client: usize, incarnation: u64, call_id: u64, resp: DbResponse) {
+            self.calls
+                .insert((client, call_id), Known::Recorded(resp.clone()));
+            let queues = &mut self.unsettled[client];
+            match queues.iter_mut().find(|(inc, _)| *inc == incarnation) {
+                Some((_, ids)) => ids.push_back(call_id),
+                None => queues.push((incarnation, VecDeque::from([call_id]))),
+            }
+            self.expected[client].push((call_id, resp));
+        }
+
+        /// A request for `call_id` under `claim`; `fresh` is its reply
+        /// when it runs, `None` when it parks.
+        fn request(
+            &mut self,
+            client: usize,
+            call_id: u64,
+            claim: Range<u64>,
+            fresh: Option<DbResponse>,
+        ) {
+            let queue = self.unsettled[client]
+                .iter_mut()
+                .find(|(inc, _)| *inc == claim.start);
+            if let Some((_, ids)) = queue {
+                while let Some(&id) = ids.front().filter(|id| claim.contains(id)) {
+                    ids.pop_front();
+                    if let Some(known @ Known::Recorded(_)) = self.calls.get_mut(&(client, id)) {
+                        *known = Known::Settled;
+                    }
+                }
+            }
+            match self.calls.get(&(client, call_id)).cloned() {
+                Some(Known::Recorded(resp)) => self.expected[client].push((call_id, resp)),
+                Some(Known::Settled) => self.expected[client].push((call_id, DbResponse::Settled)),
+                Some(Known::Executing) => {}
+                None => match fresh {
+                    Some(resp) => self.record(client, claim.start, call_id, resp),
+                    None => {
+                        self.calls.insert((client, call_id), Known::Executing);
+                    }
+                },
+            }
+        }
+    }
+
+    /// Random scripts from two clients, the second restarting (its
+    /// predecessor's duplicates still arriving), with covering and
+    /// short claims, duplicates, and a call parked on a lock that is
+    /// answered after later calls: every answer is the model's.
+    #[test]
+    fn every_answer_is_the_reference_models() {
+        use tca_sim::check::{check, tuple3, u64_in, vec_of};
+        // Per send op: (client, incarnation).
+        const SENDERS: [(usize, u64); 4] = [(0, 1_000), (1, 5_000), (1, 9_000), (0, 1_000)];
+        const PARKED: u64 = 1_006;
+        let op = tuple3(u64_in(0, 6), u64_in(0, 6), u64_in(0, 8));
+        check("dedup answers", &vec_of(op, 1, 40), |script| {
+            let mut sim = Sim::with_seed(12);
+            let n0 = sim.add_node();
+            let n1 = sim.add_node();
+            let db = sim.spawn(
+                n0,
+                "db",
+                DbServer::factory("db", DbServerConfig::default(), bump_registry()),
+            );
+            let puppet = move |_: &mut Boot| -> Box<dyn Process> {
+                Box::new(Puppet {
+                    db,
+                    replies: Vec::new(),
+                })
+            };
+            let clients = [sim.spawn(n1, "a", puppet), sim.spawn(n1, "b", puppet)];
+            // Tx 0 holds `x`'s lock; tx 1 parks behind it.
+            let bare = |req| Payload::new(DbMsg { token: 0, req });
+            let begin = || {
+                bare(DbRequest::Begin {
+                    iso: IsolationLevel::Serializable,
+                })
+            };
+            sim.inject(db, begin());
+            let locked = DbRequest::Write {
+                tx: TxId(0),
+                key: "x".into(),
+                value: Some(Value::Int(1)),
+            };
+            sim.inject(db, bare(locked));
+            sim.inject(db, begin());
+            let send = |sim: &mut Sim, client: usize, call_id: u64, claim: Range<u64>, req| {
+                let mut request = RpcRequest::new(call_id, with_token(call_id, req));
+                request.settled = claim;
+                sim.inject(
+                    clients[client],
+                    Payload::new(Forward(Payload::new(request))),
+                );
+            };
+            let mut model = Model::default();
+            let (mut parked, mut released) = (None, false);
+            for &(kind, id, claimed) in script {
+                match kind {
+                    0..=3 => {
+                        let (client, incarnation) = SENDERS[kind as usize];
+                        let call_id = incarnation + id;
+                        let claim = incarnation..incarnation + claimed;
+                        let bump = DbRequest::Call {
+                            proc: "bump".into(),
+                            args: vec![Value::from(format!("c{call_id}"))],
+                        };
+                        send(&mut sim, client, call_id, claim.clone(), bump);
+                        let ran = DbResponse::CallOk {
+                            results: vec![Value::Int(1)],
+                        };
+                        model.request(client, call_id, claim, Some(ran));
+                    }
+                    4 => {
+                        let claim = 1_000..1_000 + claimed;
+                        let write = DbRequest::Write {
+                            tx: TxId(1),
+                            key: "x".into(),
+                            value: Some(Value::Int(2)),
+                        };
+                        send(&mut sim, 0, PARKED, claim.clone(), write);
+                        model.request(0, PARKED, claim.clone(), None);
+                        parked.get_or_insert(claim.start);
+                    }
+                    _ => {
+                        if let (Some(incarnation), false) = (parked, released) {
+                            released = true;
+                            sim.inject(db, bare(DbRequest::Commit { tx: TxId(0) }));
+                            model.record(0, incarnation, PARKED, DbResponse::WriteOk);
+                        }
+                    }
+                }
+                sim.run_for(SimDuration::from_millis(2));
+            }
+            for (client, &pid) in clients.iter().enumerate() {
+                let replies = &sim.inspect::<Puppet>(pid).expect("client").replies;
+                assert_eq!(replies, &model.expected[client], "client {client}");
+            }
+        });
     }
 
     #[test]
