@@ -44,8 +44,8 @@
 //! go into one are not built while it is off. A bare engine keeps it on —
 //! its users are tests, audits and checker cells that drain
 //! [`Engine::take_footprints`] — and the long-lived owners that never
-//! drain ([`crate::server::DbServer`], the 2PC participant) turn it off
-//! when they build theirs.
+//! drain ([`crate::server::DbServer`], the 2PC participant) build theirs
+//! with [`Engine::boot`], which turns it off.
 //!
 //! A transaction that runs alone takes no locks. `begin_alone_if_idle` is
 //! for a caller that begins, runs and ends a transaction inside one call
@@ -60,7 +60,7 @@
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use tca_sim::DetHashMap as HashMap;
+use tca_sim::{DetHashMap as HashMap, Disk};
 
 use crate::locks::{Acquire, LockMode, LockTable};
 use crate::mvcc::{Base, MvccStore, VersionRef};
@@ -291,6 +291,19 @@ impl Engine {
                 engine.next_tx = engine.next_tx.max(record.tx.0 + 1);
             }
         });
+        engine
+    }
+
+    /// The engine a long-lived server process boots with: recovered, under
+    /// the default config, from `disk`'s `"wal"` and `"checkpoint"` handles
+    /// (a fresh engine on first boot, when both are empty), with footprint
+    /// recording off — nothing drains a server's footprints, so left on
+    /// they grow with every commit for as long as the server lives.
+    pub fn boot(disk: &mut Disk) -> Self {
+        let wal = disk.durable("wal");
+        let checkpoint = disk.durable("checkpoint");
+        let mut engine = Engine::recover(EngineConfig::default(), wal, checkpoint);
+        engine.record_footprints(false);
         engine
     }
 

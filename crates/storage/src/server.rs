@@ -47,10 +47,9 @@ use tca_sim::{
     Boot, Ctx, Payload, Process, ProcessId, RecentWindow, SimDuration, SpanId, SpanKind,
 };
 
-use crate::engine::{CommitResult, Engine, EngineConfig, EngineImage, OpResult};
+use crate::engine::{CommitResult, Engine, OpResult};
 use crate::proc::{run_proc, ProcOutcome, ProcRegistry};
 use crate::types::{AbortReason, IsolationLevel, Key, Timestamp, TxId, Value};
-use crate::wal::{Checkpoint, DurableCell, DurableLog};
 
 /// A client request to the database server.
 #[derive(Debug, Clone)]
@@ -466,17 +465,9 @@ impl DbServer {
         let counters = Rc::new(CounterNames::new(&name.into()));
         let registry = Rc::new(registry);
         move |boot| {
-            let wal: DurableLog<crate::wal::WalRecord> = boot.disk.durable("wal");
-            let checkpoint: DurableCell<Checkpoint<EngineImage>> = boot.disk.durable("checkpoint");
-            // On first boot the handles are empty, and recovering from
-            // nothing is a fresh engine.
-            let mut engine = Engine::recover(EngineConfig::default(), wal, checkpoint);
-            // Nothing drains a server's footprints; left on they grow
-            // with every commit for as long as the server lives.
-            engine.record_footprints(false);
             Box::new(DbServer {
                 config: config.clone(),
-                engine,
+                engine: Engine::boot(boot.disk),
                 registry: Rc::clone(&registry),
                 parked: HashMap::default(),
                 dedup: RecentWindow::new(DEDUP_WINDOW),

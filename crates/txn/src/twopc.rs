@@ -29,9 +29,7 @@ use tca_messaging::rpc::{reply_call, reply_to, RpcRequest};
 use tca_sim::{
     Boot, Ctx, Fnv64, Payload, Process, ProcessId, RecentWindow, SimDuration, SpanId, SpanKind,
 };
-use tca_storage::{
-    proc::run_proc_open, Engine, EngineConfig, ProcOutcome, ProcRegistry, TxId, Value,
-};
+use tca_storage::{proc::run_proc_open, Engine, ProcOutcome, ProcRegistry, TxId, Value};
 
 // ---------------------------------------------------------------------------
 // Wire messages
@@ -297,18 +295,11 @@ impl TwoPcParticipant {
         // engine's base, and a restart reads them back from the image.
         let mut seed = Some(seed);
         move |boot| {
-            let wal = boot.disk.durable("wal");
-            let checkpoint = boot.disk.durable("checkpoint");
+            let mut engine = Engine::boot(boot.disk);
             let prepared_log: Rc<RefCell<HashSet<u64>>> = boot.disk.durable("prepared");
-            // On first boot the handles are empty, and recovering from
-            // nothing is a fresh engine.
-            let mut engine = Engine::recover(EngineConfig::default(), wal, checkpoint);
             if !boot.restart {
                 engine.load_batch(seed.take().unwrap_or_default());
             }
-            // Nothing drains a participant's footprints; left on they grow
-            // with every commit for as long as the participant lives.
-            engine.record_footprints(false);
             Box::new(TwoPcParticipant {
                 counters: Rc::clone(&counters),
                 config: config.clone(),
