@@ -75,6 +75,7 @@ use crate::place::Fnv64;
 use crate::proc::{NodeId, ProcessId};
 use crate::time::{SimDuration, SimTime};
 
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::str::FromStr;
 
@@ -560,7 +561,10 @@ struct Explorer<'a> {
     /// path means a handler drew randomness.
     base_rng_fp: u64,
     /// fingerprint → sleep-class sets it was previously explored with.
-    visited: HashMap<u64, Vec<Vec<u64>>>,
+    visited: Visited,
+    /// The current state's sleep classes, sorted and deduplicated: a
+    /// scratch buffer reused across states.
+    classes: Vec<u64>,
     /// Fingerprints of the states on the current DFS path.
     path_fps: Vec<u64>,
     /// Choices taken to reach the current state.
@@ -634,7 +638,8 @@ pub fn explore(scenario: &McScenario, config: &McConfig) -> McReport {
         scenario,
         config,
         base_rng_fp,
-        visited: HashMap::default(),
+        visited: Visited::default(),
+        classes: Vec::new(),
         path_fps: Vec::new(),
         prefix: Vec::new(),
         report: McReport::default(),
@@ -770,15 +775,15 @@ impl Explorer<'_> {
         }
         if self.config.visited {
             if let Some(fp) = fp {
-                let mut cur: Vec<u64> = sleep.iter().map(|e| e.class).collect();
+                let cur = &mut self.classes;
+                cur.clear();
+                cur.extend(sleep.iter().map(|e| e.class));
                 cur.sort_unstable();
                 cur.dedup();
-                let stored = self.visited.entry(fp).or_default();
-                if stored.iter().any(|s| is_subset(s, &cur)) {
+                if !self.visited.insert_unless_covered(fp, cur) {
                     self.report.pruned_visited += 1;
                     return;
                 }
-                stored.push(cur);
             }
         }
         // Consumes the scan: nothing of it stays alive down the recursion.
@@ -1073,6 +1078,60 @@ impl Explorer<'_> {
     }
 }
 
+/// The visited set: every fingerprinted state and the sleep-class sets
+/// it was explored with, in one flat arena. A fingerprint costs one map
+/// slot; a stored set, one header word and a word per class.
+#[derive(Default)]
+struct Visited {
+    /// fingerprint → index in `arena` of its newest record.
+    newest: HashMap<u64, u32>,
+    /// Records back to back. A record is a header word — its class count
+    /// in the low half, the index of the same fingerprint's previous
+    /// record (or [`Visited::NONE`]) in the high half — followed by its
+    /// sorted, deduplicated classes.
+    arena: Vec<u64>,
+}
+
+impl Visited {
+    /// The previous-record index of a fingerprint's first record.
+    const NONE: u32 = u32::MAX;
+
+    /// Store `cur` (sorted, deduplicated) for `fp` and return `true`,
+    /// unless a set already stored for `fp` is a subset of it: that
+    /// earlier visit slept on no more choices than this one would, so it
+    /// explored every successor this one must, and the answer is `false`.
+    fn insert_unless_covered(&mut self, fp: u64, cur: &[u64]) -> bool {
+        assert!(
+            self.arena.len() < Self::NONE as usize,
+            "visited arena under 2^32 - 1 words"
+        );
+        let at = self.arena.len() as u32;
+        let prev = match self.newest.entry(fp) {
+            Entry::Vacant(slot) => {
+                slot.insert(at);
+                Self::NONE
+            }
+            Entry::Occupied(mut slot) => {
+                let mut rec = *slot.get();
+                while rec != Self::NONE {
+                    let header = self.arena[rec as usize];
+                    let start = rec as usize + 1;
+                    let stored = &self.arena[start..start + (header as u32) as usize];
+                    if is_subset(stored, cur) {
+                        return false;
+                    }
+                    rec = (header >> 32) as u32;
+                }
+                slot.insert(at)
+            }
+        };
+        let len = u32::try_from(cur.len()).expect("a sleep set under 2^32 classes");
+        self.arena.push(u64::from(prev) << 32 | u64::from(len));
+        self.arena.extend_from_slice(cur);
+        true
+    }
+}
+
 /// Is sorted `a` a subset of sorted `b`?
 fn is_subset(a: &[u64], b: &[u64]) -> bool {
     let mut it = b.iter();
@@ -1092,6 +1151,7 @@ fn is_subset(a: &[u64], b: &[u64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{check, tuple2, u64_in, vec_of};
     use crate::kernel::SimConfig;
     use crate::network::NetworkConfig;
     use crate::proc::{Ctx, Process};
@@ -1487,5 +1547,34 @@ mod tests {
         let report = explore(&sc, &McConfig::default());
         assert!(report.verified(), "timers must fire in order: {report:?}");
         assert_eq!(report.unsettled_leaves, 0);
+    }
+
+    /// The flat visited set decides as a map from each fingerprint to its
+    /// list of stored class sets would, call by call: prune when a stored
+    /// set is a subset of the current one, store the current one if not.
+    #[test]
+    fn the_flat_visited_set_decides_as_a_set_list_would() {
+        let calls = vec_of(tuple2(u64_in(0, 5), vec_of(u64_in(0, 6), 0, 5)), 0, 80);
+        check("visited arena matches set lists", &calls, |calls| {
+            let mut visited = Visited::default();
+            let mut model: HashMap<u64, Vec<Vec<u64>>> = HashMap::default();
+            for (i, (fp, classes)) in calls.iter().enumerate() {
+                let mut cur = classes.clone();
+                cur.sort_unstable();
+                cur.dedup();
+                let stored = model.entry(*fp).or_default();
+                let fresh = !stored.iter().any(|s| is_subset(s, &cur));
+                if fresh {
+                    stored.push(cur.clone());
+                }
+                assert_eq!(
+                    visited.insert_unless_covered(*fp, &cur),
+                    fresh,
+                    "call {i}: fp {fp}, classes {cur:?}"
+                );
+            }
+            let words: usize = model.values().flatten().map(|s| 1 + s.len()).sum();
+            assert_eq!(visited.arena.len(), words, "one header per stored set");
+        });
     }
 }

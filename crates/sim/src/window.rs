@@ -80,29 +80,33 @@ impl<K: Hash + Eq + Clone, V> RecentWindow<K, V> {
     /// Remember `key → value`. A key already present keeps its age and
     /// takes the new value; a new key is the youngest, and when it
     /// overflows the window the oldest `(key, value)` is evicted and
-    /// returned.
+    /// returned. The oldest goes before the new key comes in, so neither
+    /// the table nor the order queue ever holds `capacity + 1` keys.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
-        match self.map.entry(key) {
+        let full = self.map.len() >= self.capacity;
+        let key = match self.map.entry(key) {
             Entry::Occupied(mut slot) => {
                 slot.insert(value);
                 return None;
             }
-            Entry::Vacant(slot) => {
+            Entry::Vacant(slot) if !full => {
                 self.order.push_back(slot.key().clone());
                 slot.insert(value);
+                return None;
             }
-        }
-        if self.map.len() <= self.capacity {
-            return None;
-        }
-        loop {
+            Entry::Vacant(slot) => slot.into_key(),
+        };
+        let evicted = loop {
             let oldest = self.order.pop_front().expect("a live key per map entry");
             if self.forget_stale(&oldest) {
                 continue;
             }
             let value = self.map.remove(&oldest).expect("live order entry");
-            return Some((oldest, value));
-        }
+            break (oldest, value);
+        };
+        self.order.push_back(key.clone());
+        self.map.insert(key, value);
+        Some(evicted)
     }
 
     /// Overwrite the value of a key that is still remembered; `false`
@@ -239,5 +243,20 @@ mod tests {
         }
         assert_eq!(w.len(), 1);
         assert!(w.order.len() <= 2 * w.capacity, "{}", w.order.len());
+    }
+
+    #[test]
+    fn a_full_window_does_not_grow_its_order_queue() {
+        let capacity = 4096;
+        let mut w = RecentWindow::new(capacity);
+        for key in 0..10 * capacity as u64 {
+            w.insert(key, ());
+        }
+        assert_eq!(w.len(), capacity);
+        assert!(
+            w.order.capacity() < 2 * capacity,
+            "order queue of capacity {} for a window of {capacity}",
+            w.order.capacity()
+        );
     }
 }

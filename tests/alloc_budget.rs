@@ -1,7 +1,7 @@
-//! What a committed 2PC transfer, a stored-procedure read and a loaded
-//! pair cost the host's allocator, that a transfer leaves nothing
-//! behind, that a settled call leaves only its id, and that a loaded
-//! pair is held once.
+//! What a committed 2PC transfer, a stored-procedure read, a loaded pair
+//! and a model-checked state cost the host's allocator, that a transfer
+//! leaves nothing behind, that a settled call leaves only its id, and
+//! that a loaded pair is held once.
 //!
 //! Two bank participants and a coordinator serve one client that commits
 //! transfers back to back over a fixed set of accounts, so every bounded
@@ -9,17 +9,21 @@
 //! recently-decided window) reaches its steady size and anything that
 //! still grows is history nobody reads. A single `DbServer` serves YCSB
 //! reads to one client the same way, and a sharded database takes one
-//! bulk load. The allocator below counts for the calling thread only:
-//! each test measures its own simulation.
+//! bulk load. The model checker explores E18's 2PC×1 configuration,
+//! where the visited set is most of what it holds. The allocator below
+//! counts for the calling thread only: each test measures its own
+//! simulation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use tca::messaging::{RetryPolicy, RpcClient, RpcEvent};
+use tca::sim::mc::{explore, McConfig};
 use tca::sim::{Ctx, NodeId, Payload, Process, ProcessId, Sim, SimDuration};
 use tca::storage::{
     deploy_sharded_db, DbMsg, DbReply, DbResponse, DbServer, DbServerConfig, Value,
 };
+use tca::txn::mc_scenarios::twopc_mc_scenario;
 use tca::txn::worlds::bank_registry_from;
 use tca::txn::{DtxOutcome, ParticipantConfig, StartDtx, TwoPcCoordinator, TwoPcParticipant};
 use tca::workloads::ycsb::{self, YcsbScale};
@@ -398,5 +402,35 @@ fn a_bulk_load_moves_its_pairs() {
     assert!(
         peak_per_pair <= PEAK_BUDGET,
         "{peak_per_pair:.1} B peak per loaded pair, budget {PEAK_BUDGET}"
+    );
+}
+
+#[test]
+fn an_explored_state_stays_within_its_heap_budget() {
+    // The most an exploration holds at once, per explored state, worlds
+    // and rewinds included. Measured 35.8 B: the visited set's 8 807
+    // fingerprints in a map of 16-byte slots, at most 7/8 full, and its
+    // arena of 23 455 words — a header per stored sleep set and 8 bytes a
+    // class — in a vector that doubles as it grows. A vector of sleep
+    // sets per fingerprint, each set a vector of its own, made it 82.5.
+    const BUDGET: f64 = 40.0;
+    let scenario = twopc_mc_scenario(1);
+    let config = McConfig {
+        max_depth: 12,
+        max_states: 5_000_000,
+        max_crashes: 2,
+        max_drops: 1,
+        crashable: vec![NodeId(2)],
+        ..McConfig::default()
+    };
+    let live_before = LIVE_BYTES.get();
+    reset_peak();
+    let report = explore(&scenario, &config);
+    let peak_per_state = (PEAK_BYTES.get() - live_before) as f64 / report.states as f64;
+    assert!(report.verified() && !report.truncated, "{report:?}");
+    assert_eq!(report.states, 19_449, "E18's 2PC×1 configuration");
+    assert!(
+        peak_per_state <= BUDGET,
+        "{peak_per_state:.1} B peak per explored state, budget {BUDGET}"
     );
 }
