@@ -20,10 +20,20 @@
 //! every `checkpoint_every` commits (read-only ones count: the cadence
 //! fixes the clock a restart resumes from) the retained WAL — which *is*
 //! the dirty set — is folded into the checkpoint image held in place in
-//! its [`DurableCell`], the keys it names are compacted one by one against
-//! the oldest open snapshot, and the WAL is truncated. A key that snapshot
-//! still pins waits on a short deferred list for the next checkpoint.
-//! Nothing on this path copies or walks the whole keyspace.
+//! its [`DurableCell`], and the WAL is truncated. Nothing on this path
+//! copies or walks the whole keyspace.
+//!
+//! A committed key keeps one version. Only a snapshot-isolation
+//! transaction reads below a key's latest version; every other read,
+//! and SI's write validation, reads the latest. So the GC horizon is the
+//! oldest open SI snapshot, or the clock when none is open, and a commit
+//! compacts each chain it writes against it as it installs
+//! ([`MvccStore::install_and_compact`]): with no snapshot open, a written
+//! key is left with its new version alone, in place of the old one. A
+//! key an SI snapshot still pins goes on a deferred set, and the fold
+//! revisits only that set, so it costs the keys snapshots held back, not
+//! the keys the WAL names. Recovery replays the tail through the same
+//! install.
 //!
 //! A loaded keyspace is held once, and densely. The first bulk load into
 //! an empty engine becomes a [`Base`]: the load's own pair vector under a
@@ -60,7 +70,7 @@
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use tca_sim::{DetHashMap as HashMap, Disk};
+use tca_sim::{DetHashMap as HashMap, DetHashSet as HashSet, Disk};
 
 use crate::locks::{Acquire, LockMode, LockTable};
 use crate::mvcc::{Base, MvccStore, VersionRef};
@@ -211,10 +221,13 @@ pub struct Engine {
     next_tx: u64,
     active: HashMap<TxId, ActiveTx>,
     commits_since_checkpoint: u64,
-    /// Keys a checkpoint visited but could not settle (versions an open
+    /// Open snapshot-isolation transactions: while there are none, the
+    /// GC horizon is the clock and finding it scans nothing.
+    snapshots_open: usize,
+    /// Keys an install or a fold could not settle (versions an open
     /// snapshot pins, a tombstone newer than the horizon, a load over
     /// existing history): the next checkpoint compacts them again.
-    gc_deferred: Vec<Key>,
+    gc_deferred: HashSet<Key>,
     /// Whether commits record a [`TxFootprint`]
     /// ([`Engine::record_footprints`]).
     recording: bool,
@@ -252,7 +265,8 @@ impl Engine {
             next_tx: 0,
             active: HashMap::default(),
             commits_since_checkpoint: 0,
-            gc_deferred: Vec::new(),
+            snapshots_open: 0,
+            gc_deferred: HashSet::default(),
             recording: true,
             footprints: Vec::new(),
             aborts: HashMap::default(),
@@ -262,10 +276,11 @@ impl Engine {
 
     /// Rebuild an engine from its durable state: share the checkpoint
     /// image's base, install its delta, then replay every WAL record after
-    /// it (redo-only, ARIES-lite), all by reference — the cost is the delta
-    /// and the tail, not the keyspace. Transactions active at the crash
-    /// never reached the WAL and are thus implicitly aborted — atomicity by
-    /// construction. Transaction ids resume above every id the image or
+    /// it (redo-only, ARIES-lite) through the commit path's install, all
+    /// by reference — the cost is the delta and the tail, not the
+    /// keyspace, and with no transaction open each replayed key keeps one
+    /// version. Transactions active at the crash never reached the WAL
+    /// and are thus implicitly aborted — atomicity by construction. Transaction ids resume above every id the image or
     /// the tail records, so they keep increasing across a fold.
     pub fn recover(
         config: EngineConfig,
@@ -282,13 +297,15 @@ impl Engine {
                 image.covered_lsn
             })
         });
-        engine.wal.with_tail(replay_from, |tail| {
+        let wal = engine.wal.clone();
+        wal.with_tail(replay_from, |tail| {
             for record in tail {
-                for (key, value) in &record.writes {
-                    engine.mvcc.install(key, record.commit_ts, value.clone());
-                }
                 engine.clock = engine.clock.max(record.commit_ts);
                 engine.next_tx = engine.next_tx.max(record.tx.0 + 1);
+                let horizon = engine.gc_horizon();
+                for (key, value) in &record.writes {
+                    engine.install(key, record.commit_ts, value.clone(), horizon);
+                }
             }
         });
         engine
@@ -324,6 +341,9 @@ impl Engine {
     fn start(&mut self, iso: IsolationLevel, alone: bool) -> TxId {
         let tx = TxId(self.next_tx);
         self.next_tx += 1;
+        if iso == IsolationLevel::SnapshotIsolation {
+            self.snapshots_open += 1;
+        }
         self.active.insert(
             tx,
             ActiveTx {
@@ -447,7 +467,7 @@ impl Engine {
                 return (CommitResult::Aborted(AbortReason::WriteConflict), resumed);
             }
         }
-        let mut state = self.active.remove(&tx).expect("active");
+        let mut state = self.end(tx).expect("active");
         self.clock += 1;
         let commit_ts = self.clock;
         if self.recording {
@@ -460,9 +480,10 @@ impl Engine {
             });
         }
         if !state.writes.is_empty() {
+            let horizon = self.gc_horizon();
             let mut writes = Vec::with_capacity(state.writes.len());
             for (key, value) in state.writes {
-                self.mvcc.install(&key, commit_ts, value.clone());
+                self.install(&key, commit_ts, value.clone(), horizon);
                 writes.push((key, value));
             }
             self.wal.append(WalRecord {
@@ -494,13 +515,32 @@ impl Engine {
     }
 
     fn internal_abort(&mut self, tx: TxId, reason: AbortReason) -> Vec<Resumption> {
-        let alone = self.active.remove(&tx).is_some_and(|state| state.alone);
+        let alone = self.end(tx).is_some_and(|state| state.alone);
         *self.aborts.entry(reason).or_insert(0) += 1;
         if alone {
             return Vec::new();
         }
         let granted = self.locks.release_all(tx);
         self.resume(granted)
+    }
+
+    /// Take `tx` out of the open transactions.
+    fn end(&mut self, tx: TxId) -> Option<ActiveTx> {
+        let state = self.active.remove(&tx)?;
+        if state.iso == IsolationLevel::SnapshotIsolation {
+            self.snapshots_open -= 1;
+        }
+        Some(state)
+    }
+
+    /// Install one committed write, compacting its key against
+    /// `horizon`; a key a snapshot still pins is deferred to the next
+    /// checkpoint.
+    fn install(&mut self, key: &str, ts: Timestamp, value: Option<Value>, horizon: Timestamp) {
+        let settled = self.mvcc.install_and_compact(key, ts, value, horizon);
+        if !settled && !self.gc_deferred.contains(key) {
+            self.gc_deferred.insert(key.to_owned());
+        }
     }
 
     /// Retry the parked operation of every newly granted transaction.
@@ -524,29 +564,27 @@ impl Engine {
     }
 
     /// Take a checkpoint now: fold the retained WAL into the image,
-    /// truncate it, and compact the versions it wrote.
+    /// truncate it, and compact the keys snapshots held back.
     pub fn take_checkpoint(&mut self) {
         self.fold_wal();
         self.commits_since_checkpoint = 0;
     }
 
     /// The retained WAL is the dirty set: patch the checkpoint image in
-    /// place with every record it does not cover yet, compact each written
-    /// key in the same pass, then truncate. Costs what was written since
-    /// the last fold — O(1) after a read-only interval — and is atomic
-    /// because a node only crashes between handlers.
+    /// place with every record it does not cover yet, then truncate.
+    /// Costs what was written since the last fold — O(1) after a
+    /// read-only interval — and is atomic because a node only crashes
+    /// between handlers. The keys written since were compacted as they
+    /// were installed; only the deferred ones are compacted again.
     fn fold_wal(&mut self) {
         let horizon = self.gc_horizon();
         let (clock, next_tx, lsn) = (self.clock, self.next_tx, self.wal.next_lsn());
-        let mut deferred = std::mem::take(&mut self.gc_deferred);
-        deferred.retain(|key| !self.mvcc.gc_key(key, horizon));
+        let mvcc = &mut self.mvcc;
+        self.gc_deferred.retain(|key| !mvcc.gc_key(key, horizon));
         self.checkpoint.update(|image| {
             self.wal.with_tail(image.covered_lsn, |tail| {
                 for (key, value) in tail.iter().flat_map(|record| &record.writes) {
                     image.state.fold(key, value.as_ref());
-                    if !self.mvcc.gc_key(key, horizon) {
-                        deferred.push(key.clone());
-                    }
                 }
             });
             image.covered_lsn = lsn;
@@ -554,9 +592,6 @@ impl Engine {
             image.next_tx = next_tx;
         });
         self.wal.truncate_to(lsn);
-        deferred.sort_unstable();
-        deferred.dedup();
-        self.gc_deferred = deferred;
     }
 
     fn observe_latest(&self, key: &str) -> (Option<Value>, Timestamp) {
@@ -584,11 +619,17 @@ impl Engine {
             .collect()
     }
 
-    /// Oldest snapshot any open transaction reads at (the clock when none
-    /// is open): versions below the newest one at or under it are garbage.
+    /// The oldest snapshot an SI transaction reads at (the clock when
+    /// none is open): versions below the newest one at or under it are
+    /// garbage. Read-committed and serializable transactions read only
+    /// latest versions, so they pin nothing.
     pub fn gc_horizon(&self) -> Timestamp {
+        if self.snapshots_open == 0 {
+            return self.clock;
+        }
         self.active
             .values()
+            .filter(|t| t.iso == IsolationLevel::SnapshotIsolation)
             .map(|t| t.begin_ts)
             .min()
             .unwrap_or(self.clock)
@@ -1081,6 +1122,79 @@ mod tests {
         e.write(t, &k("a"), None);
         e.commit(t);
         assert_eq!(e.peek("a"), None);
+    }
+
+    /// Commit `value` to `key` in one transaction at `iso`.
+    fn put(e: &mut Engine, iso: IsolationLevel, key: &str, value: Option<Value>) {
+        let t = e.begin(iso);
+        assert_eq!(e.write(t, key, value).0, OpResult::Written);
+        assert!(matches!(e.commit(t).0, CommitResult::Committed(_)));
+    }
+
+    #[test]
+    fn only_snapshots_pin_history() {
+        let (wal, cp) = (DurableLog::new(), DurableCell::new());
+        let mut e = Engine::new(EngineConfig::default(), wal.clone(), cp.clone());
+        // Open, and holding a lock no commit below asks for.
+        let held = e.begin(IsolationLevel::Serializable);
+        e.read(held, "elsewhere");
+        for i in 0..320 {
+            let iso = [IsolationLevel::Serializable, IsolationLevel::ReadCommitted][i % 2];
+            put(
+                &mut e,
+                iso,
+                &format!("k{}", i % 64),
+                Some(Value::Int(i as i64)),
+            );
+        }
+        assert_eq!(e.wal().len(), 320, "mid-cycle: nothing folded yet");
+        assert_eq!(e.store().version_count(), 64, "one version a key");
+        assert_eq!(e.gc_horizon(), e.clock());
+        assert!(e.gc_deferred.is_empty());
+        // Replay leaves the same: one version a key.
+        let recovered = Engine::recover(EngineConfig::default(), wal, cp);
+        assert_eq!(recovered.store().version_count(), 64);
+        assert_eq!(recovered.peek("k63"), Some(Value::Int(319)));
+    }
+
+    #[test]
+    fn a_snapshot_keeps_its_version_until_the_fold_after_it_ends() {
+        let mut e = engine();
+        let ser = IsolationLevel::Serializable;
+        put(&mut e, ser, "a", Some(Value::Int(1)));
+        put(&mut e, ser, "a", Some(Value::Int(2)));
+        let snapshot = e.begin(IsolationLevel::SnapshotIsolation);
+        assert_eq!(e.gc_horizon(), e.clock());
+        for i in 3..=10 {
+            put(&mut e, ser, "a", Some(Value::Int(i)));
+        }
+        // Version 1 went when 2 was installed; 2 is what the snapshot
+        // reads, and 3..=10 are newer than it.
+        assert_eq!(e.store().version_count(), 9);
+        assert_eq!(e.read(snapshot, "a").0, OpResult::Read(Some(Value::Int(2))));
+        assert!(e.gc_deferred.contains("a"));
+        e.commit(snapshot);
+        assert_eq!(e.gc_horizon(), e.clock());
+        assert_eq!(e.store().version_count(), 9, "nothing installed since");
+        e.take_checkpoint();
+        assert_eq!(e.store().version_count(), 1, "the fold after it ends");
+        assert!(e.gc_deferred.is_empty());
+        assert_eq!(e.peek("a"), Some(Value::Int(10)));
+    }
+
+    #[test]
+    fn a_delete_with_nothing_under_it_leaves_no_history() {
+        let mut e = engine();
+        e.load(&k("based"), Value::Int(0));
+        let ser = IsolationLevel::Serializable;
+        put(&mut e, ser, "a", Some(Value::Int(1)));
+        put(&mut e, ser, "a", None);
+        assert!(!e.store().has_history("a"));
+        // A tombstone over a base key is history: it hides the base.
+        put(&mut e, ser, "based", None);
+        assert!(e.store().has_history("based"));
+        assert_eq!(e.peek("based"), None);
+        assert_eq!(e.store().version_count(), 1);
     }
 
     #[test]

@@ -3,9 +3,21 @@
 //! Each key maps to a list of versions ordered by commit timestamp. Reads
 //! at a snapshot timestamp see the newest version at or below it; deletes
 //! are tombstones. Old versions are reclaimed once no snapshot can observe
-//! them: per written key by [`MvccStore::gc_key`] (what the engine's
-//! checkpoint does), or for the whole store by [`MvccStore::gc`] (the
-//! reference the per-key path is tested against).
+//! them, and the reclaiming happens where the chain is written:
+//! [`MvccStore::install_and_compact`] takes the horizon — the oldest
+//! snapshot that may still read — and compacts the chain it appends to
+//! in the same step. A version at or below the horizon hides every older
+//! one from every reader, so it replaces the chain in place: a key no
+//! snapshot reads below its latest write is one version in a one-slot
+//! vector, however often it is written. A delete of a key with nothing
+//! under it leaves no chain at all. Only a chain that a snapshot pins
+//! grows, and the install says so (it returns whether the key is
+//! settled), so that its owner can revisit it with [`MvccStore::gc_key`]
+//! once the horizon has moved. [`MvccStore::install`] is the same
+//! install under horizon 0, which every snapshot is at or above: it
+//! keeps all history, as a bare store or a bulk [`MvccStore::load`]
+//! does. [`MvccStore::gc`] compacts the whole store: the reference the
+//! per-key paths are tested against.
 //!
 //! The keys are a hash index, so a point read or an install is one hash
 //! of the key and no tree descent. Order is paid for only where it is
@@ -57,7 +69,7 @@ use tca_sim::{fnv1a, DetHashMap as HashMap};
 use crate::types::{Key, Timestamp, Value};
 
 /// One committed version of a key.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Version {
     /// Commit timestamp that produced this version.
     pub ts: Timestamp,
@@ -233,17 +245,17 @@ impl BaseLayer {
         })
     }
 
-    /// A key's chain as its first install over the base starts it.
-    fn chain(&self, key: &str, version: Version) -> Vec<Version> {
+    /// A key's chain as its first install over the base starts it,
+    /// compacted against `horizon`.
+    fn chain(&self, key: &str, version: Version, horizon: Timestamp) -> Vec<Version> {
         let Some(base) = self.get(key) else {
             return vec![version];
         };
-        let mut chain = Vec::with_capacity(2);
-        chain.push(Version {
+        let mut chain = vec![Version {
             ts: base.ts,
             value: base.value.cloned(),
-        });
-        append(&mut chain, key, version);
+        }];
+        append(&mut chain, key, version, horizon);
         chain
     }
 }
@@ -257,11 +269,13 @@ pub struct MvccStore {
     data: HashMap<Key, Vec<Version>>,
 }
 
-/// Push `version` onto `key`'s chain.
+/// Add `version` to `key`'s chain and compact the chain against
+/// `horizon`. A version at or below the horizon is the only one any
+/// snapshot can still see, so it takes the place of the whole chain.
 ///
 /// Panics if `version` is older than the chain's latest — commits must
 /// be applied in timestamp order.
-fn append(versions: &mut Vec<Version>, key: &str, version: Version) {
+fn append(versions: &mut Vec<Version>, key: &str, version: Version, horizon: Timestamp) {
     if let Some(last) = versions.last() {
         assert!(
             version.ts >= last.ts,
@@ -270,14 +284,28 @@ fn append(versions: &mut Vec<Version>, key: &str, version: Version) {
             last.ts
         );
     }
-    versions.push(version);
+    if version.ts > horizon {
+        versions.push(version);
+        compact(versions, horizon);
+    } else if let [only] = versions.as_mut_slice() {
+        *only = version;
+    } else {
+        versions.clear();
+        versions.push(version);
+        versions.shrink_to_fit();
+    }
 }
 
 /// Drop the versions of one key that no snapshot at or after `horizon` can
-/// see, keeping the newest one at or below it; returns how many went.
+/// see, keeping the newest one at or below it; returns how many went. A
+/// chain left with one version gives back the slots it grew while a
+/// snapshot pinned it.
 fn compact(versions: &mut Vec<Version>, horizon: Timestamp) -> usize {
     let keep_from = versions.iter().rposition(|v| v.ts <= horizon).unwrap_or(0);
     versions.drain(..keep_from);
+    if keep_from > 0 && versions.len() == 1 {
+        versions.shrink_to_fit();
+    }
     keep_from
 }
 
@@ -285,6 +313,13 @@ fn compact(versions: &mut Vec<Version>, horizon: Timestamp) -> usize {
 /// horizon, which reads the same as no history at all.
 fn dead(versions: &[Version], horizon: Timestamp) -> bool {
     versions.len() == 1 && versions[0].value.is_none() && versions[0].ts <= horizon
+}
+
+/// Whether a live chain compacted against the horizon is down to one
+/// value, so that no later horizon can reclaim anything from it before
+/// its next install.
+fn lone_value(versions: &[Version]) -> bool {
+    versions.len() == 1 && versions[0].value.is_some()
 }
 
 impl MvccStore {
@@ -343,18 +378,57 @@ impl MvccStore {
         self.data.is_empty() && self.base.shared.is_empty()
     }
 
-    /// Install a committed version of `key` at `ts`.
+    /// Install a committed version of `key` at `ts`, keeping every older
+    /// version: [`MvccStore::install_and_compact`] under horizon 0.
     ///
-    /// Panics if `ts` is not newer than the key's latest version — commits
-    /// must be applied in timestamp order. The key is copied only when it
-    /// has no chain yet.
+    /// Panics if `ts` is older than the key's latest version — commits
+    /// must be applied in timestamp order.
     pub fn install(&mut self, key: &str, ts: Timestamp, value: Option<Value>) {
+        self.install_and_compact(key, ts, value, 0);
+    }
+
+    /// Install a committed version of `key` at `ts` and compact the key
+    /// against `horizon`, the oldest snapshot that may still read it:
+    /// afterwards the chain is what [`MvccStore::gc`] at `horizon` would
+    /// leave of it. Returns whether the key is settled, as
+    /// [`MvccStore::gc_key`] does; an unsettled key has versions a
+    /// snapshot pins, or a tombstone newer than the horizon.
+    ///
+    /// Panics if `ts` is older than the key's latest version — commits
+    /// must be applied in timestamp order. The key is copied only when it
+    /// gets a chain it had not.
+    pub fn install_and_compact(
+        &mut self,
+        key: &str,
+        ts: Timestamp,
+        value: Option<Value>,
+        horizon: Timestamp,
+    ) -> bool {
         let version = Version { ts, value };
+        let base = &self.base.shared;
         match self.data.get_mut(key) {
-            Some(versions) => append(versions, key, version),
+            Some(versions) => {
+                append(versions, key, version, horizon);
+                if !dead(versions, horizon) {
+                    return lone_value(versions);
+                }
+                if !base.contains_key(key) {
+                    self.data.remove(key);
+                }
+                true
+            }
             None => {
-                let chain = self.base.chain(key, version);
-                self.data.insert(key.to_owned(), chain);
+                let chain = self.base.chain(key, version, horizon);
+                if !dead(&chain, horizon) {
+                    let settled = lone_value(&chain);
+                    self.data.insert(key.to_owned(), chain);
+                    return settled;
+                }
+                // A dead tombstone is kept only where it hides a base key.
+                if base.contains_key(key) {
+                    self.data.insert(key.to_owned(), chain);
+                }
+                true
             }
         }
     }
@@ -373,7 +447,7 @@ impl MvccStore {
             };
             match self.data.entry(key) {
                 Entry::Vacant(slot) => {
-                    let chain = self.base.chain(slot.key(), version);
+                    let chain = self.base.chain(slot.key(), version, 0);
                     if chain.len() > 1 {
                         overwritten.push(slot.key().clone());
                     }
@@ -421,6 +495,12 @@ impl MvccStore {
         self.latest(key).map(|v| v.ts)
     }
 
+    /// `key`'s version chain, oldest first: empty if the key has no
+    /// history, or only its base version (audits and tests).
+    pub fn chain(&self, key: &str) -> &[Version] {
+        self.data.get(key).map_or(&[], Vec::as_slice)
+    }
+
     /// Whether any committed version of `key` exists (including tombstones).
     pub fn has_history(&self, key: &str) -> bool {
         self.data.contains_key(key) || self.base.shared.contains_key(key)
@@ -452,13 +532,13 @@ impl MvccStore {
             return true;
         };
         compact(versions, horizon);
-        if dead(versions, horizon) {
-            if !self.base.shared.contains_key(key) {
-                self.data.remove(key);
-            }
-            return true;
+        if !dead(versions, horizon) {
+            return lone_value(versions);
         }
-        versions.len() == 1 && versions[0].value.is_some()
+        if !self.base.shared.contains_key(key) {
+            self.data.remove(key);
+        }
+        true
     }
 
     /// Base versions no chain has taken over.
@@ -717,6 +797,47 @@ mod tests {
             assert_eq!(s.read_at(key, 25), reference.read_at(key, 25));
             assert_eq!(s.latest_ts(key), reference.latest_ts(key));
         }
+    }
+
+    #[test]
+    fn an_install_compacts_the_chain_it_writes() {
+        let mut s = MvccStore::new();
+        s.load_base(vec![(k("based"), Value::Int(0))], 1);
+        // Each step: (key, ts, value, horizon, settled, chain length).
+        let steps = [
+            ("a", 2, Some(1), 2, true, 1),
+            ("a", 3, Some(2), 3, true, 1),
+            ("a", 4, Some(3), 3, false, 2),
+            ("a", 5, Some(4), 4, false, 2),
+            ("a", 6, None, 4, false, 3),
+            ("a", 7, Some(5), 7, true, 1),
+            ("a", 8, None, 8, true, 0),
+            ("based", 9, Some(6), 1, false, 2),
+            ("based", 10, None, 10, true, 1),
+        ];
+        for (key, ts, value, horizon, settled, len) in steps {
+            let value = value.map(Value::Int);
+            let mut reference = s.clone();
+            reference.install(key, ts, value.clone());
+            reference.gc(horizon);
+            assert_eq!(
+                s.install_and_compact(key, ts, value, horizon),
+                settled,
+                "{key}@{ts}"
+            );
+            assert_eq!(s.chain(key).len(), len, "{key}@{ts}");
+            assert_eq!(
+                s.chain(key),
+                reference.chain(key),
+                "{key}@{ts}: as gc leaves it"
+            );
+            if len == 1 {
+                assert_eq!(s.data[key].capacity(), 1, "{key}@{ts}: one slot");
+            }
+        }
+        assert!(!s.has_history("a"), "a dead tombstone leaves nothing");
+        assert_eq!(s.read_latest("based"), None);
+        assert!(s.has_history("based"), "the tombstone shadows the base");
     }
 
     #[test]

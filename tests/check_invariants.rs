@@ -158,11 +158,12 @@ mod mvcc_props {
         );
     }
 
-    /// Random installs, tombstones, loads and both GCs leave the store
+    /// Random installs (keeping history, or compacting as the engine's
+    /// commits do), tombstones, loads and both GCs leave the store
     /// reading, counting and scanning like the ordered model.
     #[test]
     fn store_matches_an_ordered_model() {
-        let ops_gen = vec_of(tuple3(u8_in(0, 6), u8_in(0, 11), i64_in(0, 100)), 1, 60);
+        let ops_gen = vec_of(tuple3(u8_in(0, 7), u8_in(0, 11), i64_in(0, 100)), 1, 60);
         check("store_matches_an_ordered_model", &ops_gen, |ops| {
             let (mut store, mut model) = (MvccStore::new(), Model::default());
             let mut clock = 0u64;
@@ -199,6 +200,17 @@ mod mvcc_props {
                         let reclaimed: usize =
                             keys.iter().map(|k| model.compact(k, horizon).0).sum();
                         assert_eq!(store.gc(horizon), reclaimed);
+                    }
+                    5 => {
+                        // A commit's install: the horizon is at most the
+                        // clock, and may be past the new version.
+                        clock += 1;
+                        let horizon = horizon.max(clock * (value as u64 % 2));
+                        let value = (value % 3 > 0).then_some(Value::Int(value));
+                        let settled = store.install_and_compact(&k, clock, value.clone(), horizon);
+                        let version = Version { ts: clock, value };
+                        model.data.entry(k.clone()).or_default().push(version);
+                        assert_eq!(settled, model.compact(&k, horizon).1);
                     }
                     _ => assert_eq!(store.gc_key(&k, horizon), model.compact(&k, horizon).1),
                 }
@@ -451,17 +463,27 @@ mod engine_props {
             tx
         }
 
-        /// Commit `tx` on both sides; after a checkpoint the image must be
-        /// the committed map and the engine's own GC must have left a
-        /// whole-store GC nothing to do.
+        /// Commit `tx` on both sides. Each key the commit wrote must be
+        /// compacted as a whole-store GC at the engine's horizon would
+        /// leave it; after a checkpoint the image must be the committed
+        /// map and the engine's own GC must have left a whole-store GC
+        /// nothing to do.
         fn commit(&mut self, tx: TxId, writes: &[(String, Option<Value>)]) {
             let (result, _) = self.engine.commit(tx);
             let checkpoint = self.model.commit(tx, writes);
             assert_eq!(result, CommitResult::Committed(self.model.clock));
+            let store = self.engine.store();
+            let mut reference = store.clone();
+            reference.gc(self.engine.gc_horizon());
+            for (key, _) in writes {
+                assert_eq!(
+                    store.chain(key),
+                    reference.chain(key),
+                    "{key} after the commit that wrote it"
+                );
+            }
             if checkpoint {
                 self.assert_image_is_current();
-                let mut reference = self.engine.store().clone();
-                reference.gc(self.engine.gc_horizon());
                 assert_eq!(
                     self.engine.store().version_count(),
                     reference.version_count(),
