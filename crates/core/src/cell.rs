@@ -37,7 +37,7 @@ use tca_models::statefun::{
 use tca_sim::{
     DetHashMap, Histogram, NodeId, Payload, ProcessId, Sim, SimDuration, SimRng, SimTime, SpanKind,
 };
-use tca_storage::{DbMsg, DbServer, DbServerConfig, Value};
+use tca_storage::{DbMsg, DbServer, DbServerConfig, Pairs, Value};
 use tca_txn::dataflow::{deploy_dataflow, DataflowConfig, DfShard};
 use tca_txn::deterministic::{transfer_registry_from, SubmitTxn};
 use tca_txn::saga::{SagaOrchestrator, StartSaga};
@@ -304,7 +304,7 @@ fn run_cell_inner(
 // --- microservices: no mechanism, saga ---------------------------------------
 
 /// The accounts `keep` selects, each at [`INITIAL_BALANCE`].
-fn opening_ledger(keep: impl Fn(u64) -> bool) -> Vec<(String, Value)> {
+fn opening_ledger(keep: impl Fn(u64) -> bool) -> Pairs {
     (0..ACCOUNTS)
         .filter(|&i| keep(i))
         .map(|i| (account_key(i), Value::Int(INITIAL_BALANCE)))

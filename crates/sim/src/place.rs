@@ -130,10 +130,6 @@ fn bucket_shift(points: usize) -> u32 {
     64 - points.ilog2()
 }
 
-/// How many chunks [`ShardMap::split_by_owner`] moves a batch in: what it
-/// holds beyond the batch is one chunk's pieces, an eighth of the batch.
-const SPLIT_CHUNKS: usize = 8;
-
 /// A consistent-hash ring: the key → shard placement shared by routers,
 /// coordinators and generators so they all agree on ownership.
 #[derive(Debug, Clone)]
@@ -232,53 +228,6 @@ impl ShardMap {
         let idx = lo + self.points[lo..hi].partition_point(|p| p.hash < h);
         self.points[if idx == len { 0 } else { idx }].shard as usize
     }
-
-    /// Split `(key, value)`-like items into per-shard groups, preserving
-    /// input order within each group. Groups for unowned shards are empty.
-    ///
-    /// Each group is allocated at its exact length: a shard may keep its
-    /// group as it arrives for as long as it lives, spare capacity and
-    /// all. The batch is given back while the groups are built, never
-    /// held beside all of them: an eighth of the items at a time, from the
-    /// tail, moves into exact-length pieces, one per shard, and the batch
-    /// and its owner list (4 bytes an item) shrink to what is left. Then
-    /// each shard's pieces are joined front to back. Beyond the items
-    /// themselves, the owner list and one chunk's pieces are live at the
-    /// peak, and later one group beside the pieces it takes in.
-    pub fn split_by_owner<T>(&self, mut items: Vec<T>, key_of: impl Fn(&T) -> &str) -> Vec<Vec<T>> {
-        assert!(u32::try_from(self.shards).is_ok(), "shard count fits u32");
-        let mut owners: Vec<u32> = (items.iter())
-            .map(|item| self.owner(key_of(item)) as u32)
-            .collect();
-        let n = items.len();
-        // `pieces[c][shard]`: chunk `c`, counted from the tail.
-        let mut pieces: Vec<Vec<Vec<T>>> = Vec::with_capacity(SPLIT_CHUNKS);
-        for c in (0..SPLIT_CHUNKS).rev() {
-            let start = n * c / SPLIT_CHUNKS;
-            let mut counts = vec![0; self.shards];
-            for &shard in &owners[start..] {
-                counts[shard as usize] += 1;
-            }
-            let mut chunk: Vec<Vec<T>> = counts.into_iter().map(Vec::with_capacity).collect();
-            for (item, &shard) in items.drain(start..).zip(&owners[start..]) {
-                chunk[shard as usize].push(item);
-            }
-            owners.truncate(start);
-            items.shrink_to_fit();
-            owners.shrink_to_fit();
-            pieces.push(chunk);
-        }
-        (0..self.shards)
-            .map(|shard| {
-                let len = pieces.iter().map(|chunk| chunk[shard].len()).sum();
-                let mut group = Vec::with_capacity(len);
-                for chunk in pieces.iter_mut().rev() {
-                    group.extend(std::mem::take(&mut chunk[shard]));
-                }
-                group
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -370,7 +319,8 @@ mod tests {
     #[test]
     fn bucketed_owner_matches_the_full_search() {
         // Every key of the benchmark's 250 000-record YCSB keyspace
-        // (`workloads::ycsb::seed`) on its 16-shard ring.
+        // (`workloads::ycsb::seed`) on its 16-shard ring: the owners the
+        // shard router's load split looks up, one chunk at a time.
         let map = ShardMap::ring(16);
         for i in 0..250_000 {
             let h = mix64(fnv1a(format!("user{i:08}").as_bytes()));
@@ -387,45 +337,6 @@ mod tests {
             }
             let wrapped = map.points[0].shard as usize;
             assert_eq!(map.owner_at(last + 1), wrapped, "{n}: wraps");
-        }
-    }
-
-    /// The split as one pass over the batch: each item pushed onto its
-    /// owner's group.
-    fn split_in_one_pass(map: &ShardMap, items: &[(String, u64)]) -> Vec<Vec<(String, u64)>> {
-        let mut groups = vec![Vec::new(); map.shards()];
-        for item in items {
-            groups[map.owner(&item.0)].push(item.clone());
-        }
-        groups
-    }
-
-    #[test]
-    fn split_by_owner_preserves_order_and_ownership() {
-        let keys = |n: u64, distinct: u64| -> Vec<(String, u64)> {
-            (0..n)
-                .map(|i| (format!("user{:08}", i % distinct), i))
-                .collect()
-        };
-        let mut spare = keys(37, 37);
-        spare.reserve(100);
-        let cases = [
-            ("empty", 4, Vec::new()),
-            ("one shard", 1, keys(50, 50)),
-            ("more shards than items", 16, keys(5, 5)),
-            ("fewer items than chunks", 3, keys(7, 7)),
-            ("repeated keys", 4, keys(300, 40)),
-            ("spare capacity", 4, spare),
-            ("many", 16, keys(10_001, 10_001)),
-        ];
-        for (case, shards, items) in cases {
-            let map = ShardMap::ring(shards);
-            let expected = split_in_one_pass(&map, &items);
-            let groups = map.split_by_owner(items, |(k, _)| k.as_str());
-            assert_eq!(groups, expected, "{case}");
-            for group in &groups {
-                assert_eq!(group.capacity(), group.len(), "{case}: spare capacity");
-            }
         }
     }
 }

@@ -36,8 +36,9 @@
 //! install.
 //!
 //! A loaded keyspace is held once, and densely. The first bulk load into
-//! an empty engine becomes a [`Base`]: the load's own pair vector under a
-//! read-only hash index, never mutated, shared by `Rc` between the
+//! an empty engine becomes a [`Base`]: the load's own [`Pairs`] batch (one
+//! key arena, no `String` per key) under a read-only hash index, never
+//! mutated, shared by `Rc` between the
 //! version store (which lays its chains over it) and the checkpoint
 //! image, an [`EngineImage`] of that base plus a delta of what was folded
 //! since. A later load goes into the delta and the chains. Because
@@ -74,7 +75,7 @@ use tca_sim::{DetHashMap as HashMap, DetHashSet as HashSet, Disk};
 
 use crate::locks::{Acquire, LockMode, LockTable};
 use crate::mvcc::{Base, MvccStore, VersionRef};
-use crate::types::{AbortReason, IsolationLevel, Key, Timestamp, TxId, Value};
+use crate::types::{AbortReason, IsolationLevel, Key, Pairs, Timestamp, TxId, Value};
 use crate::wal::{Checkpoint, DurableCell, DurableLog, WalRecord};
 
 /// Engine tuning knobs.
@@ -118,13 +119,13 @@ impl EngineImage {
     }
 
     /// Fold one committed write (`None` = delete) into the delta.
-    fn fold(&mut self, key: &Key, value: Option<&Value>) {
+    fn fold(&mut self, key: &str, value: Option<&Value>) {
         if value.is_none() && !self.base.contains_key(key) {
             self.delta.remove(key);
         } else if let Some(slot) = self.delta.get_mut(key) {
             *slot = value.cloned();
         } else {
-            self.delta.insert(key.clone(), value.cloned());
+            self.delta.insert(key.to_owned(), value.cloned());
         }
     }
 
@@ -138,9 +139,9 @@ impl EngineImage {
         let delta = self
             .delta
             .iter()
-            .filter_map(|(k, v)| Some((k, v.as_ref()?)));
+            .filter_map(|(k, v)| Some((k.as_str(), v.as_ref()?)));
         base.chain(delta)
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, v)| (k.to_owned(), v.clone()))
             .collect()
     }
 }
@@ -615,7 +616,7 @@ impl Engine {
     pub fn peek_prefix(&self, prefix: &str) -> Vec<(Key, Value)> {
         self.mvcc
             .scan_latest(prefix)
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, v)| (k.to_owned(), v.clone()))
             .collect()
     }
 
@@ -642,17 +643,20 @@ impl Engine {
 
     /// Bulk-load one pair outside any transaction (setup only).
     pub fn load(&mut self, key: &Key, value: Value) {
-        self.load_batch(vec![(key.clone(), value)]);
+        let mut pairs = Pairs::with_capacity(1, key.len());
+        pairs.push(key, value);
+        self.load_batch(pairs);
     }
 
     /// Bulk-load initial data outside any transaction (setup only). The
     /// batch is not WAL records but part of the checkpoint image — durable
     /// when the handler returns, like an append. Into an empty engine it
-    /// is the base: the vector itself, kept under a read-only index, which
-    /// the version store and the image share. Into a non-empty one, its
-    /// keys move into the version store and copies go into the image's
+    /// is the base: the batch itself, its key arena and values as they
+    /// arrived, under a read-only index that the version store and the
+    /// image share. Into a non-empty one, each key gets a chain, and a
+    /// `String`, of its own in the version store and a copy in the image's
     /// delta. Pair `i` gets timestamp `clock + 1 + i`.
-    pub fn load_batch(&mut self, pairs: Vec<(Key, Value)>) {
+    pub fn load_batch(&mut self, pairs: Pairs) {
         // The image must cover every record older than what it is about to
         // hold, or replay would put an older write over a loaded key.
         if !self.wal.is_empty() {
@@ -672,7 +676,7 @@ impl Engine {
                     delta: BTreeMap::new(),
                 };
             } else {
-                for (key, value) in &pairs {
+                for (key, value) in pairs.iter() {
                     image.state.fold(key, Some(value));
                 }
                 overwritten = self.mvcc.load(pairs, first_ts);
@@ -965,11 +969,14 @@ mod tests {
     fn recovery_shares_the_loaded_base() {
         let (wal, cp) = (DurableLog::new(), DurableCell::new());
         let mut e = Engine::new(EngineConfig::default(), wal.clone(), cp.clone());
-        e.load_batch(vec![
-            (k("a"), Value::Int(1)),
-            (k("b"), Value::Int(2)),
-            (k("z"), Value::Int(0)),
-        ]);
+        e.load_batch(
+            vec![
+                (k("a"), Value::Int(1)),
+                (k("b"), Value::Int(2)),
+                (k("z"), Value::Int(0)),
+            ]
+            .into(),
+        );
         let base = cp.with(|image| Rc::clone(image.expect("loaded").state.base()));
         assert!(Rc::ptr_eq(e.store().base(), &base), "one base, not two");
         let t = e.begin(IsolationLevel::Serializable);
@@ -1047,7 +1054,7 @@ mod tests {
     /// reads, an absent key, an overwrite, a delete, a read-only commit
     /// and an abort.
     fn history_script(e: &mut Engine) -> Vec<OpResult> {
-        e.load_batch(vec![(k("a"), Value::Int(1)), (k("b"), Value::Int(2))]);
+        e.load_batch(vec![(k("a"), Value::Int(1)), (k("b"), Value::Int(2))].into());
         let mut seen = Vec::new();
         for iso in [
             IsolationLevel::ReadCommitted,

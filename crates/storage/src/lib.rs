@@ -37,5 +37,5 @@ pub use mvcc::MvccStore;
 pub use proc::{run_proc, ProcOutcome, ProcRegistry, TxHandle};
 pub use router::{deploy_sharded_db, GetTopology, ShardRouter, Topology};
 pub use server::{DbMsg, DbReply, DbRequest, DbResponse, DbServer, DbServerConfig};
-pub use types::{AbortReason, IsolationLevel, Key, Timestamp, TxId, Value};
+pub use types::{AbortReason, IsolationLevel, Key, Pairs, Timestamp, TxId, Value};
 pub use wal::{Checkpoint, DurableCell, DurableLog, WalRecord};

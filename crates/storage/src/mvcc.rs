@@ -38,11 +38,14 @@
 //! timestamp, as a store rebuilt from a materialized image would.
 //!
 //! A base is held densely: it is most of a loaded service's heap for as
-//! long as the service runs. It keeps the load's own pair vector as it
-//! arrived, and pair `i` reads at the load's first timestamp plus `i`,
-//! so no version and no timestamp is stored per pair. Over the vector
-//! sits an open-addressed index of exactly ⌈8n/7⌉ `u64` slots for `n`
-//! pairs, so at most 7/8 full, probed linearly and wrapping at the end.
+//! long as the service runs. It keeps the load's own [`Pairs`] batch as
+//! it arrived — the keys end to end in one arena, a 4-byte end offset per
+//! key and the values — and pair `i` reads at the load's first timestamp
+//! plus `i`, so no key allocation, no version and no timestamp is stored
+//! per pair. A pair costs its key's bytes, 4 for the offset, 32 for the
+//! value and about 9 for its share of the index. Over the batch sits an
+//! open-addressed index of exactly ⌈8n/7⌉ `u64` slots for `n` pairs, so
+//! at most 7/8 full, probed linearly and wrapping at the end.
 //! A slot holds a 32-bit tag of the key's hash and the pair's position +
 //! 1; zero marks a free slot. A probe compares keys only when the tag
 //! matches, so stepping past another key's slot costs no string
@@ -57,7 +60,7 @@
 //! every probe would compare keys again.
 //!
 //! A key repeated in a batch is indexed at its last pair and reads at
-//! that pair's timestamp. The earlier pairs stay in the vector,
+//! that pair's timestamp. The earlier pairs stay in the batch,
 //! unreachable, and [`Base::len`] and [`Base::iter`] skip them.
 
 use std::collections::hash_map::Entry;
@@ -66,7 +69,7 @@ use std::rc::Rc;
 use tca_sim::place::mix64;
 use tca_sim::{fnv1a, DetHashMap as HashMap};
 
-use crate::types::{Key, Timestamp, Value};
+use crate::types::{Key, Pairs, Timestamp, Value};
 
 /// One committed version of a key.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,7 +105,7 @@ impl<'a> From<&'a Version> for VersionRef<'a> {
 pub struct Base {
     /// The pairs as loaded; pair `i` reads at `first_ts + i`. A pair that
     /// a later one repeats is unreachable.
-    pairs: Vec<(Key, Value)>,
+    pairs: Pairs,
     first_ts: Timestamp,
     /// `FREE`, or a key's hash tag in the high half and the position + 1
     /// of its last pair in the low half. ⌈8n/7⌉ slots for `n` pairs, so
@@ -134,9 +137,9 @@ fn position(slot: u64) -> usize {
 
 impl Base {
     /// `pairs` as versions at `first_ts`, `first_ts + 1`, … in order, a
-    /// key repeated in the batch keeping its last. The vector is kept as
-    /// it is, spare capacity included.
-    pub fn new(pairs: Vec<(Key, Value)>, first_ts: Timestamp) -> Self {
+    /// key repeated in the batch keeping its last. The batch is kept as it
+    /// is, spare capacity included.
+    pub fn new(pairs: Pairs, first_ts: Timestamp) -> Self {
         assert!(
             pairs.len() < u32::MAX as usize,
             "a base indexes u32 positions"
@@ -149,7 +152,7 @@ impl Base {
             len: 0,
         };
         for position in 0..base.pairs.len() {
-            let key = &base.pairs[position].0;
+            let key = base.pairs.key(position);
             let hash = hash(key);
             let i = match base.probe(key, hash) {
                 Ok(i) => i,
@@ -172,7 +175,7 @@ impl Base {
             if slot == FREE {
                 return Err(i);
             }
-            if slot & TAG == hash & TAG && self.pairs[position(slot)].0 == key {
+            if slot & TAG == hash & TAG && self.pairs.key(position(slot)) == key {
                 return Ok(i);
             }
             i += 1;
@@ -196,7 +199,7 @@ impl Base {
         let position = self.find(key)?;
         Some(VersionRef {
             ts: self.first_ts + position as Timestamp,
-            value: Some(&self.pairs[position].1),
+            value: Some(self.pairs.value(position)),
         })
     }
 
@@ -216,13 +219,13 @@ impl Base {
     }
 
     /// Every key with its value, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Key, &Value)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.index
             .iter()
             .filter(|&&slot| slot != FREE)
             .map(|&slot| {
-                let (key, value) = &self.pairs[position(slot)];
-                (key, value)
+                let position = position(slot);
+                (self.pairs.key(position), self.pairs.value(position))
             })
     }
 }
@@ -355,11 +358,11 @@ impl MvccStore {
 
     /// Make `pairs` the base of this empty store, as versions at
     /// `first_ts`, `first_ts + 1`, … in order (a key repeated in the
-    /// batch keeps its last), taking the keys instead of cloning them.
+    /// batch keeps its last), taking the batch as it is.
     /// Returns the base for the checkpoint image to share.
     ///
     /// Panics if the store is not empty.
-    pub(crate) fn load_base(&mut self, pairs: Vec<(Key, Value)>, first_ts: Timestamp) -> Rc<Base> {
+    pub(crate) fn load_base(&mut self, pairs: Pairs, first_ts: Timestamp) -> Rc<Base> {
         assert!(self.is_empty(), "a base goes under an empty store");
         self.base = BaseLayer {
             shared: Rc::new(Base::new(pairs, first_ts)),
@@ -434,18 +437,19 @@ impl MvccStore {
     }
 
     /// Bulk-install `pairs` as committed versions at `first_ts`,
-    /// `first_ts + 1`, … in order, taking the keys instead of cloning them.
-    /// Returns the keys that already had history: they now hold more than
-    /// one version.
-    pub fn load(&mut self, pairs: Vec<(Key, Value)>, first_ts: Timestamp) -> Vec<Key> {
+    /// `first_ts + 1`, … in order: each key gets a chain of its own, and
+    /// with it a `String` of its own. Returns the keys that already had
+    /// history: they now hold more than one version.
+    pub fn load(&mut self, mut pairs: Pairs, first_ts: Timestamp) -> Vec<Key> {
         let mut overwritten = Vec::new();
         self.data.reserve(pairs.len());
-        for ((key, value), ts) in pairs.into_iter().zip(first_ts..) {
+        let mut ts = first_ts..;
+        pairs.drain_from(0, |key, value| {
             let version = Version {
-                ts,
+                ts: ts.next().expect("timestamps do not run out"),
                 value: Some(value),
             };
-            match self.data.entry(key) {
+            match self.data.entry(key.to_owned()) {
                 Entry::Vacant(slot) => {
                     let chain = self.base.chain(slot.key(), version, 0);
                     if chain.len() > 1 {
@@ -458,7 +462,7 @@ impl MvccStore {
                     slot.get_mut().push(version);
                 }
             }
-        }
+        });
         overwritten
     }
 
@@ -542,11 +546,11 @@ impl MvccStore {
     }
 
     /// Base versions no chain has taken over.
-    fn unshadowed_base(&self) -> impl Iterator<Item = (&Key, &Value)> {
+    fn unshadowed_base(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.base
             .shared
             .iter()
-            .filter(|(k, _)| !self.data.contains_key(k.as_str()))
+            .filter(|(k, _)| !self.data.contains_key(*k))
     }
 
     /// Number of live keys (with a non-tombstone latest version).
@@ -569,16 +573,16 @@ impl MvccStore {
     pub fn scan_latest<'a>(
         &'a self,
         prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a Key, &'a Value)> + 'a {
+    ) -> impl Iterator<Item = (&'a str, &'a Value)> + 'a {
         let chains = self
             .data
             .iter()
             .filter(|(k, _)| k.starts_with(prefix))
-            .filter_map(|(k, versions)| Some((k, versions.last()?.value.as_ref()?)));
+            .filter_map(|(k, versions)| Some((k.as_str(), versions.last()?.value.as_ref()?)));
         let base = self
             .unshadowed_base()
             .filter(|(k, _)| k.starts_with(prefix));
-        let mut live: Vec<(&Key, &Value)> = chains.chain(base).collect();
+        let mut live: Vec<(&str, &Value)> = chains.chain(base).collect();
         live.sort_unstable_by(|a, b| a.0.cmp(b.0));
         live.into_iter()
     }
@@ -650,7 +654,10 @@ mod tests {
     #[test]
     fn image_roundtrip() {
         let mut live = MvccStore::new();
-        let base = live.load_base(vec![(k("a"), Value::Int(1)), (k("b"), Value::from("x"))], 3);
+        let base = live.load_base(
+            vec![(k("a"), Value::Int(1)), (k("b"), Value::from("x"))].into(),
+            3,
+        );
         assert_eq!(live.latest_ts("a"), Some(3));
         assert_eq!(live.latest_ts("b"), Some(4));
         let delta: BTreeMap<Key, Option<Value>> =
@@ -664,17 +671,17 @@ mod tests {
         assert_eq!(restored.latest_ts("a"), Some(12));
         assert_eq!(restored.read_at("a", 11), None);
         let latest: Vec<_> = restored.scan_latest("").collect();
-        assert_eq!(
-            latest,
-            vec![(&k("a"), &Value::Int(1)), (&k("c"), &Value::Int(2))]
-        );
+        assert_eq!(latest, vec![("a", &Value::Int(1)), ("c", &Value::Int(2))]);
         assert_eq!(restored.live_keys(), 2);
     }
 
     #[test]
     fn a_base_key_starts_its_chain_on_first_install() {
         let mut s = MvccStore::new();
-        s.load_base(vec![(k("a"), Value::Int(1)), (k("b"), Value::Int(2))], 1);
+        s.load_base(
+            vec![(k("a"), Value::Int(1)), (k("b"), Value::Int(2))].into(),
+            1,
+        );
         assert_eq!(s.version_count(), 2);
         s.install("a", 5, Some(Value::Int(3)));
         assert_eq!(s.read_at("a", 4), Some(&Value::Int(1)));
@@ -697,13 +704,13 @@ mod tests {
             (k("a"), Value::Int(3)),
             (k("c"), Value::Int(4)),
         ];
-        let base = s.load_base(pairs, 10);
+        let base = s.load_base(pairs.into(), 10);
         let a = base.get("a").unwrap();
         assert_eq!((a.ts, a.value), (12, Some(&Value::Int(3))));
         assert_eq!(s.latest_ts("a"), Some(12));
         assert_eq!(s.read_at("a", 11), None, "the first pair is unreachable");
         assert_eq!(base.len(), 3);
-        let mut keys: Vec<_> = base.iter().map(|(key, _)| key.as_str()).collect();
+        let mut keys: Vec<_> = base.iter().map(|(key, _)| key).collect();
         keys.sort_unstable();
         assert_eq!(keys, ["a", "b", "c"]);
         assert_eq!(s.live_keys(), 3);
@@ -720,7 +727,7 @@ mod tests {
         let pairs: Vec<_> = (0..7)
             .map(|i| (names.next().unwrap(), Value::Int(i)))
             .collect();
-        let base = Base::new(pairs.clone(), 1);
+        let base = Base::new(Pairs::from(pairs.clone()), 1);
         assert_eq!(base.index.len(), 8);
         assert_eq!(base.index[6], FREE);
         for (key, value) in &pairs {
@@ -733,7 +740,7 @@ mod tests {
 
     #[test]
     fn the_empty_base_holds_no_key() {
-        for base in [Base::default(), Base::new(Vec::new(), 1)] {
+        for base in [Base::default(), Base::new(Pairs::new(), 1)] {
             for key in ["", "a", "user00000001"] {
                 assert_eq!(base.get(key), None);
                 assert!(!base.contains_key(key));
@@ -742,7 +749,7 @@ mod tests {
             assert_eq!(base.iter().count(), 0);
         }
         let mut s = MvccStore::new();
-        s.load_base(Vec::new(), 1);
+        s.load_base(Pairs::new(), 1);
         assert_eq!(s.read_latest("a"), None);
         assert!(!s.has_history("a"));
         s.install("a", 2, Some(Value::Int(1)));
@@ -752,7 +759,7 @@ mod tests {
     #[test]
     fn gc_keeps_a_tombstone_that_shadows_a_base_key() {
         let mut s = MvccStore::new();
-        s.load_base(vec![(k("a"), Value::Int(1))], 1);
+        s.load_base(vec![(k("a"), Value::Int(1))].into(), 1);
         s.install("a", 2, None);
         let mut whole = s.clone();
         assert!(s.gc_key("a", 9));
@@ -769,7 +776,7 @@ mod tests {
     #[should_panic(expected = "out-of-order install")]
     fn out_of_order_install_over_the_base_panics() {
         let mut s = MvccStore::new();
-        s.load_base(vec![(k("a"), Value::Int(1))], 10);
+        s.load_base(vec![(k("a"), Value::Int(1))].into(), 10);
         s.install("a", 5, Some(Value::Int(0)));
     }
 
@@ -802,7 +809,7 @@ mod tests {
     #[test]
     fn an_install_compacts_the_chain_it_writes() {
         let mut s = MvccStore::new();
-        s.load_base(vec![(k("based"), Value::Int(0))], 1);
+        s.load_base(vec![(k("based"), Value::Int(0))].into(), 1);
         // Each step: (key, ts, value, horizon, settled, chain length).
         let steps = [
             ("a", 2, Some(1), 2, true, 1),
@@ -844,7 +851,10 @@ mod tests {
     fn load_moves_keys_in_and_reports_overwrites() {
         let mut s = MvccStore::new();
         s.install(&k("b"), 1, Some(Value::Int(0)));
-        let overwritten = s.load(vec![(k("a"), Value::Int(1)), (k("b"), Value::Int(2))], 5);
+        let overwritten = s.load(
+            vec![(k("a"), Value::Int(1)), (k("b"), Value::Int(2))].into(),
+            5,
+        );
         assert_eq!(overwritten, vec![k("b")]);
         assert_eq!(s.latest_ts("a"), Some(5));
         assert_eq!(s.latest_ts("b"), Some(6));
@@ -852,8 +862,11 @@ mod tests {
         assert_eq!(s.version_count(), 3);
         // Over a base, a loaded base key is an overwrite too.
         let mut s = MvccStore::new();
-        s.load_base(vec![(k("b"), Value::Int(0))], 1);
-        let overwritten = s.load(vec![(k("a"), Value::Int(1)), (k("b"), Value::Int(2))], 5);
+        s.load_base(vec![(k("b"), Value::Int(0))].into(), 1);
+        let overwritten = s.load(
+            vec![(k("a"), Value::Int(1)), (k("b"), Value::Int(2))].into(),
+            5,
+        );
         assert_eq!(overwritten, vec![k("b")]);
         assert_eq!(s.read_at("b", 5), Some(&Value::Int(0)));
         assert_eq!(s.read_at("b", 6), Some(&Value::Int(2)));

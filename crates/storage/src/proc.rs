@@ -318,10 +318,11 @@ mod tests {
         let call = |e: &mut Engine, key: &str| {
             format!("{:?}", run_proc(e, &reg, "bump", &[Value::from(key)]))
         };
-        e.load_batch(vec![
-            ("x".to_owned(), Value::Int(10)),
-            ("y".to_owned(), Value::Int(20)),
-        ]);
+        e.load_batch(
+            [("x", Value::Int(10)), ("y", Value::Int(20))]
+                .into_iter()
+                .collect(),
+        );
         let mut seen = vec![call(e, "x"), call(e, "y"), call(e, "z")];
         let t = e.begin(IsolationLevel::Serializable);
         seen.push(format!("{:?}", e.write(t, "x", Some(Value::Int(0))).0));

@@ -51,10 +51,12 @@
 //! The router moves what it alone holds. A `Load` whose message has no
 //! other handle gives its pairs up to the split rather than being copied
 //! ([`Payload::get_mut`]), and the shard moves each group into its engine
-//! the same way. The split itself gives the batch back while it builds
-//! the groups ([`ShardMap::split_by_owner`]), so a pair is held once on
-//! its way from the client's batch to its shard's base, bar an eighth of
-//! the batch in flight.
+//! the same way. The split itself ([`split_load`]) gives the batch back
+//! chunk by chunk while it builds the groups, so a pair is held once on
+//! its way from the client's batch to its shard's base, bar one chunk of
+//! the batch (an eighth) and that chunk's owners in flight. The batch is
+//! one key arena ([`Pairs`]) from the generator to the base: a group is
+//! cut from it by copying key bytes, never by allocating a key.
 
 use std::collections::hash_map::Entry;
 use std::ops::Range;
@@ -69,7 +71,64 @@ use crate::server::{
     load_pairs, reply_payload, DbMsg, DbReply, DbRequest, DbResponse, DbServer, DbServerConfig,
     Relay, Relayed,
 };
-use crate::types::{Key, Value};
+use crate::types::{Key, Pairs, Value};
+
+/// How many chunks [`split_load`] takes a batch apart in: beside the
+/// batch, it holds one chunk's pieces and owners, an eighth of the batch.
+const LOAD_CHUNKS: usize = 8;
+
+/// Split a `Load`'s batch into one group per shard of `map`, each in input
+/// order and at exact capacity; the groups of shards that own no pair are
+/// empty.
+///
+/// A shard keeps its group as its base for as long as it lives, so the
+/// batch is never held beside all of the groups. An eighth of it at a
+/// time, from the tail, moves into pieces of exact size, one per shard,
+/// and the batch shrinks to what is left. Only that chunk's owners are
+/// computed, 4 bytes a pair of the chunk. Then each shard's pieces are
+/// joined front to back into a group allocated at its exact size. Beyond
+/// the pairs themselves, one chunk's pieces and owners are live at the
+/// peak, and later one group beside the pieces it takes in.
+pub fn split_load(map: &ShardMap, mut batch: Pairs) -> Vec<Pairs> {
+    let n = batch.len();
+    // `pieces[c][shard]`: chunk `c`, counted from the tail.
+    let mut pieces: Vec<Vec<Pairs>> = Vec::with_capacity(LOAD_CHUNKS);
+    for c in (0..LOAD_CHUNKS).rev() {
+        let start = n * c / LOAD_CHUNKS;
+        let owners: Vec<u32> = (start..batch.len())
+            .map(|i| map.owner(batch.key(i)) as u32)
+            .collect();
+        // Each shard's pairs and key bytes in this chunk.
+        let mut sizes = vec![(0, 0); map.shards()];
+        for (i, &shard) in (start..).zip(&owners) {
+            let (pairs, bytes) = &mut sizes[shard as usize];
+            *pairs += 1;
+            *bytes += batch.key(i).len();
+        }
+        let mut chunk: Vec<Pairs> = (sizes.into_iter())
+            .map(|(pairs, bytes)| Pairs::with_capacity(pairs, bytes))
+            .collect();
+        let mut owners = owners.into_iter();
+        batch.drain_from(start, |key, value| {
+            let shard = owners.next().expect("an owner per pair");
+            chunk[shard as usize].push(key, value);
+        });
+        batch.shrink_to_fit();
+        pieces.push(chunk);
+    }
+    (0..map.shards())
+        .map(|shard| {
+            let parts = pieces.iter().map(|chunk| &chunk[shard]);
+            let len = parts.clone().map(Pairs::len).sum();
+            let key_bytes = parts.map(Pairs::key_bytes).sum();
+            let mut group = Pairs::with_capacity(len, key_bytes);
+            for chunk in pieces.iter_mut().rev() {
+                group.append(std::mem::take(&mut chunk[shard]));
+            }
+            group
+        })
+        .collect()
+}
 
 /// Ask the router for its shard topology (reply: [`Topology`]).
 #[derive(Debug, Clone, Copy)]
@@ -226,8 +285,7 @@ impl ShardRouter {
                 return self.fan_out(ctx, client, token, call, groups, true);
             }
             DbRequest::Load { .. } => {
-                let pairs = load_pairs(payload);
-                let split = self.map.split_by_owner(pairs, |(k, _)| k.as_str());
+                let split = split_load(&self.map, load_pairs(payload));
                 let groups = (self.shards.iter().zip(split))
                     .filter(|(_, pairs)| !pairs.is_empty())
                     .map(|(&shard, pairs)| (shard, DbRequest::Load { pairs }))
@@ -600,7 +658,7 @@ mod tests {
     fn load_splits_by_owner_and_scan_merges() {
         let (mut sim, router, _shards) = world(4);
         let nc = sim.add_node();
-        let pairs: Vec<(Key, Value)> = (0..30)
+        let pairs: Pairs = (0..30)
             .map(|i| (format!("user{i:08}"), Value::Int(i)))
             .collect();
         sim.spawn(nc, "client", move |_| {
@@ -729,9 +787,49 @@ mod tests {
             .collect()
     }
 
+    /// The split as one pass over the batch: each pair pushed onto its
+    /// owner's group.
+    fn split_in_one_pass(map: &ShardMap, batch: &Pairs) -> Vec<Pairs> {
+        let mut groups = vec![Pairs::new(); map.shards()];
+        for (key, value) in batch.iter() {
+            groups[map.owner(key)].push(key, value.clone());
+        }
+        groups
+    }
+
+    #[test]
+    fn split_load_preserves_order_and_ownership() {
+        let keys = |n: i64, distinct: i64| -> Pairs {
+            (0..n)
+                .map(|i| (format!("user{:08}", i % distinct), Value::Int(i)))
+                .collect()
+        };
+        let mut spare = Pairs::with_capacity(137, 37 * 12 + 100);
+        spare.append(keys(37, 37));
+        assert_ne!(spare.spare_capacity(), [0, 0, 0]);
+        let cases = [
+            ("empty", 4, Pairs::new()),
+            ("one shard", 1, keys(50, 50)),
+            ("more shards than items", 16, keys(5, 5)),
+            ("fewer items than chunks", 3, keys(7, 7)),
+            ("repeated keys", 4, keys(300, 40)),
+            ("spare capacity", 4, spare),
+            ("many", 16, keys(10_001, 10_001)),
+        ];
+        for (case, shards, batch) in cases {
+            let map = ShardMap::ring(shards);
+            let expected = split_in_one_pass(&map, &batch);
+            let groups = split_load(&map, batch);
+            assert_eq!(groups, expected, "{case}");
+            for group in &groups {
+                assert_eq!(group.spare_capacity(), [0, 0, 0], "{case}: spare capacity");
+            }
+        }
+    }
+
     #[test]
     fn a_load_is_the_same_moved_or_copied() {
-        let pairs = || -> Vec<(Key, Value)> {
+        let pairs = || -> Pairs {
             (0..2_000)
                 .map(|i| (format!("user{i:08}"), Value::Int(i)))
                 .collect()
@@ -915,7 +1013,7 @@ mod tests {
         let (mut sim, router, proxy, _) = proxied(DbServerConfig::default());
         let pairs = (0..20).map(|i| (format!("user{i:08}"), Value::Int(i)));
         let msgs = [
-            DbMsg::load(pairs.collect()),
+            DbMsg::load(pairs.collect::<Pairs>()),
             bump("user00000003"),
             token_0(DbRequest::Peek {
                 key: "user00000004".into(),

@@ -49,7 +49,7 @@ use tca_sim::{
 
 use crate::engine::{CommitResult, Engine, OpResult};
 use crate::proc::{run_proc, ProcOutcome, ProcRegistry};
-use crate::types::{AbortReason, IsolationLevel, Key, Timestamp, TxId, Value};
+use crate::types::{AbortReason, IsolationLevel, Key, Pairs, Timestamp, TxId, Value};
 
 /// A client request to the database server.
 #[derive(Debug, Clone)]
@@ -106,7 +106,7 @@ pub enum DbRequest {
     /// Bulk-load initial data (setup only).
     Load {
         /// Key/value pairs to install.
-        pairs: Vec<(Key, Value)>,
+        pairs: Pairs,
     },
 }
 
@@ -122,10 +122,12 @@ pub struct DbMsg {
 impl DbMsg {
     /// A [`DbRequest::Load`] of `pairs` under token 0: the envelope
     /// harnesses inject to seed a database.
-    pub fn load(pairs: Vec<(Key, Value)>) -> Self {
+    pub fn load(pairs: impl Into<Pairs>) -> Self {
         DbMsg {
             token: 0,
-            req: DbRequest::Load { pairs },
+            req: DbRequest::Load {
+                pairs: pairs.into(),
+            },
         }
     }
 
@@ -258,7 +260,7 @@ pub(crate) fn reply_payload(token: u64, rpc_call: Option<u64>, resp: DbResponse)
 ///
 /// # Panics
 /// When `payload` does not hold a `Load`.
-pub(crate) fn load_pairs(payload: &mut Payload) -> Vec<(Key, Value)> {
+pub(crate) fn load_pairs(payload: &mut Payload) -> Pairs {
     let owned = if payload.is::<RpcRequest>() {
         payload
             .get_mut::<RpcRequest>()

@@ -79,6 +79,178 @@ impl From<bool> for Value {
     }
 }
 
+/// A batch of key/value pairs, as a bulk load carries it from its
+/// generator to a shard's base: the keys laid end to end in one arena, the
+/// end offset of each key, and the values. A key costs its bytes and a
+/// 4-byte offset, not a `String` of its own. A generator that knows its
+/// batch's size builds it at exact capacity, and a conversion or a
+/// collect is exact too: a shard keeps its batch as its base, spare
+/// capacity and all.
+///
+/// Its `Debug` output is that of the `Vec<(Key, Value)>` it holds, so a
+/// message that carries one prints as it did when it carried the vector.
+#[derive(Clone, Default, PartialEq)]
+pub struct Pairs {
+    /// Every key, end to end.
+    keys: String,
+    /// Where each key ends in `keys`; key `i` starts where key `i - 1`
+    /// ends.
+    ends: Vec<u32>,
+    values: Vec<Value>,
+}
+
+impl Pairs {
+    /// An empty batch.
+    pub fn new() -> Self {
+        Pairs::default()
+    }
+
+    /// An empty batch with room for `pairs` pairs whose keys take
+    /// `key_bytes` bytes together: filled with exactly that, it holds no
+    /// spare capacity.
+    pub fn with_capacity(pairs: usize, key_bytes: usize) -> Self {
+        Pairs {
+            keys: String::with_capacity(key_bytes),
+            ends: Vec::with_capacity(pairs),
+            values: Vec::with_capacity(pairs),
+        }
+    }
+
+    /// Add a pair at the end.
+    pub fn push(&mut self, key: &str, value: Value) {
+        self.keys.push_str(key);
+        self.end_key(value);
+    }
+
+    /// Add a pair at the end whose key is `key` formatted straight into
+    /// the arena, with no `String` of its own.
+    pub fn push_fmt(&mut self, key: fmt::Arguments<'_>, value: Value) {
+        fmt::Write::write_fmt(&mut self.keys, key).expect("a String takes any text");
+        self.end_key(value);
+    }
+
+    /// Close the key the arena ends with, under `value`.
+    fn end_key(&mut self, value: Value) {
+        let end = u32::try_from(self.keys.len()).expect("a batch's keys fit u32 offsets");
+        self.ends.push(end);
+        self.values.push(value);
+    }
+
+    /// Number of pairs.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Whether the batch holds no pair.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Where key `i` starts in the arena.
+    fn start(&self, i: usize) -> usize {
+        match i {
+            0 => 0,
+            _ => self.ends[i - 1] as usize,
+        }
+    }
+
+    /// Pair `i`'s key.
+    pub fn key(&self, i: usize) -> &str {
+        &self.keys[self.start(i)..self.ends[i] as usize]
+    }
+
+    /// Pair `i`'s value.
+    pub fn value(&self, i: usize) -> &Value {
+        &self.values[i]
+    }
+
+    /// Every pair, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &Value)> + '_ {
+        (0..self.len()).map(|i| (self.key(i), &self.values[i]))
+    }
+
+    /// Bytes the keys take together.
+    pub fn key_bytes(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Move every pair of `other` to the end, in order, growing the batch
+    /// by exactly that.
+    pub fn append(&mut self, mut other: Pairs) {
+        let offset = u32::try_from(self.keys.len()).expect("a batch's keys fit u32 offsets");
+        self.keys.reserve_exact(other.keys.len());
+        self.ends.reserve_exact(other.len());
+        self.keys.push_str(&other.keys);
+        for &end in &other.ends {
+            let end = end.checked_add(offset);
+            self.ends.push(end.expect("a batch's keys fit u32 offsets"));
+        }
+        self.values.reserve_exact(other.len());
+        self.values.append(&mut other.values);
+    }
+
+    /// Hand every pair from position `at` on to `each`, in order, and
+    /// truncate the batch to the pairs before it. The capacity stays.
+    pub fn drain_from(&mut self, at: usize, mut each: impl FnMut(&str, Value)) {
+        let from = self.start(at);
+        let mut start = from;
+        for (&end, value) in self.ends[at..].iter().zip(self.values.drain(at..)) {
+            each(&self.keys[start..end as usize], value);
+            start = end as usize;
+        }
+        self.keys.truncate(from);
+        self.ends.truncate(at);
+    }
+
+    /// Give back every byte of spare capacity.
+    pub fn shrink_to_fit(&mut self) {
+        self.keys.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.values.shrink_to_fit();
+    }
+
+    /// The spare capacity of the key arena (in bytes), of the end offsets
+    /// and of the values: all zero when the batch is held exactly.
+    pub fn spare_capacity(&self) -> [usize; 3] {
+        [
+            self.keys.capacity() - self.keys.len(),
+            self.ends.capacity() - self.ends.len(),
+            self.values.capacity() - self.values.len(),
+        ]
+    }
+}
+
+impl fmt::Debug for Pairs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<K: AsRef<str>> FromIterator<(K, Value)> for Pairs {
+    /// The pairs in order, at exact capacity.
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut pairs = Pairs::with_capacity(iter.size_hint().0, 0);
+        for (key, value) in iter {
+            pairs.push(key.as_ref(), value);
+        }
+        pairs.shrink_to_fit();
+        pairs
+    }
+}
+
+impl From<Vec<(Key, Value)>> for Pairs {
+    /// The pairs in order, at exact capacity: one copy of every key.
+    fn from(pairs: Vec<(Key, Value)>) -> Self {
+        let key_bytes = pairs.iter().map(|(key, _)| key.len()).sum();
+        let mut batch = Pairs::with_capacity(pairs.len(), key_bytes);
+        for (key, value) in pairs {
+            batch.push(&key, value);
+        }
+        batch
+    }
+}
+
 /// Identifies a transaction within one database engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxId(pub u64);
@@ -167,6 +339,33 @@ mod tests {
         assert_eq!(Value::from(3i64), Value::Int(3));
         assert_eq!(Value::from(true), Value::Bool(true));
         assert_eq!(Value::from(String::from("s")), Value::Str("s".into()));
+    }
+
+    #[test]
+    fn pairs_keep_their_keys_end_to_end() {
+        let mut pairs = Pairs::with_capacity(3, 8);
+        pairs.push("ab", Value::Int(1));
+        pairs.push("", Value::Int(2));
+        pairs.push_fmt(format_args!("c/{}", 42), Value::Int(3));
+        assert_eq!(pairs.len(), 3);
+        assert_eq!(pairs.key_bytes(), 6);
+        assert_eq!(pairs.spare_capacity(), [2, 0, 0]);
+        assert_eq!((pairs.key(1), pairs.value(1)), ("", &Value::Int(2)));
+        assert_eq!(
+            format!("{pairs:?}"),
+            r#"[("ab", Int(1)), ("", Int(2)), ("c/42", Int(3))]"#
+        );
+        let mut tail = Vec::new();
+        pairs.drain_from(1, |key, value| tail.push((key.to_owned(), value)));
+        assert_eq!(
+            tail,
+            [("".into(), Value::Int(2)), ("c/42".into(), Value::Int(3))]
+        );
+        assert_eq!(pairs.iter().collect::<Vec<_>>(), [("ab", &Value::Int(1))]);
+        pairs.append(Pairs::from(tail));
+        pairs.shrink_to_fit();
+        assert_eq!(pairs.spare_capacity(), [0, 0, 0]);
+        assert_eq!(pairs.key(2), "c/42");
     }
 
     #[test]

@@ -29,7 +29,7 @@ use tca_messaging::rpc::{reply_call, reply_to, RpcRequest};
 use tca_sim::{
     Boot, Ctx, Fnv64, Payload, Process, ProcessId, RecentWindow, SimDuration, SpanId, SpanKind,
 };
-use tca_storage::{proc::run_proc_open, Engine, ProcOutcome, ProcRegistry, TxId, Value};
+use tca_storage::{proc::run_proc_open, Engine, Pairs, ProcOutcome, ProcRegistry, TxId, Value};
 
 // ---------------------------------------------------------------------------
 // Wire messages
@@ -287,13 +287,13 @@ impl TwoPcParticipant {
         name: impl Into<String>,
         config: ParticipantConfig,
         registry: ProcRegistry,
-        seed: Vec<(tca_storage::Key, Value)>,
+        seed: impl Into<Pairs>,
     ) -> impl FnMut(&mut Boot) -> Box<dyn Process> {
         let counters = Rc::new(CounterNames::new(&name.into()));
         let registry = Rc::new(registry);
         // Taken on first boot: the accounts then exist once, as the
         // engine's base, and a restart reads them back from the image.
-        let mut seed = Some(seed);
+        let mut seed = Some(seed.into());
         move |boot| {
             let mut engine = Engine::boot(boot.disk);
             let prepared_log: Rc<RefCell<HashSet<u64>>> = boot.disk.durable("prepared");

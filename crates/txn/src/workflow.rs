@@ -54,7 +54,7 @@ use tca_sim::{
     Boot, Ctx, DetHashMap, DetHashSet, Fnv64, NodeId, Payload, Process, ProcessId, ShardMap, Sim,
     SimDuration, SimTime,
 };
-use tca_storage::{IdemCheck, ProcRegistry, SharedIdempotence, StepReply, Value};
+use tca_storage::{IdemCheck, Pairs, ProcRegistry, SharedIdempotence, StepReply, Value};
 
 use crate::chain_journal::{ChainJournal, Verdict};
 use crate::sharding::{route_branches, ShardOp};
@@ -1119,10 +1119,10 @@ pub fn deploy_workflow(
         .iter()
         .enumerate()
         .map(|(i, &node)| {
-            let shard_seeds: Vec<(String, Value)> = seeds
+            let shard_seeds: Pairs = seeds
                 .iter()
                 .filter(|(key, _)| map.owner(key) == i)
-                .cloned()
+                .map(|(key, value)| (key, value.clone()))
                 .collect();
             sim.spawn(
                 node,

@@ -45,7 +45,7 @@ use tca_sim::place::FNV_OFFSET;
 use tca_sim::{
     Ctx, FaultPlan, Fnv64, NodeId, Payload, Process, ProcessId, ShardMap, Sim, SimDuration, SimTime,
 };
-use tca_storage::{DbMsg, DbServer, DbServerConfig, ProcRegistry, Value};
+use tca_storage::{DbMsg, DbServer, DbServerConfig, Pairs, ProcRegistry, Value};
 
 use crate::actor_txn::{transactional_bank_registry, transfer_plan};
 use crate::dataflow::{deploy_dataflow, DataflowConfig, DfSequencer, DfShard};
@@ -457,12 +457,12 @@ impl World for TwoPcWorld {
             .zip(&self.members)
             .enumerate()
             .map(|(m, (node, (name, prefix)))| {
-                let seeds = self
+                let seeds: Pairs = self
                     .pairs
                     .iter()
                     .flat_map(|pair| pair.iter().zip(self.starts))
                     .filter(|((at, _), _)| *at == m)
-                    .map(|((_, key), start)| (key.clone(), Value::Int(start)))
+                    .map(|((_, key), start)| (key, Value::Int(start)))
                     .collect();
                 sim.spawn(
                     node,

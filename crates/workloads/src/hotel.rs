@@ -7,7 +7,7 @@
 //! transactional core.
 
 use tca_sim::SimRng;
-use tca_storage::{Key, ProcRegistry, Value};
+use tca_storage::{Pairs, ProcRegistry, Value};
 
 /// Scale parameters.
 #[derive(Debug, Clone)]
@@ -33,18 +33,20 @@ impl Default for HotelScale {
     }
 }
 
-/// Seed: room availability, hotel rates, user credentials.
-pub fn seed(scale: &HotelScale) -> Vec<(Key, Value)> {
-    let mut pairs = Vec::new();
+/// Seed: room availability, hotel rates, user credentials. The keys are
+/// formatted straight into the batch's arena, at exact capacity.
+pub fn seed(scale: &HotelScale) -> Pairs {
+    let mut pairs = Pairs::new();
     for h in 0..scale.hotels {
-        pairs.push((format!("rate/{h}"), Value::Int(80 + (h as i64 % 120))));
+        pairs.push_fmt(format_args!("rate/{h}"), Value::Int(80 + (h as i64 % 120)));
         for d in 0..scale.dates {
-            pairs.push((format!("rooms/{h}/{d}"), Value::Int(scale.capacity)));
+            pairs.push_fmt(format_args!("rooms/{h}/{d}"), Value::Int(scale.capacity));
         }
     }
     for u in 0..scale.users {
-        pairs.push((format!("user/{u}"), Value::Str(format!("pw{u}"))));
+        pairs.push_fmt(format_args!("user/{u}"), Value::Str(format!("pw{u}")));
     }
+    pairs.shrink_to_fit();
     pairs
 }
 

@@ -12,7 +12,7 @@
 //!   isolation).
 
 use tca_sim::SimRng;
-use tca_storage::{Key, ProcRegistry, Value};
+use tca_storage::{Pairs, ProcRegistry, Value};
 
 /// Scale parameters.
 #[derive(Debug, Clone)]
@@ -38,18 +38,29 @@ impl Default for MarketScale {
     }
 }
 
-/// Stock service seed.
-pub fn stock_seed(scale: &MarketScale) -> Vec<(Key, Value)> {
-    (0..scale.products)
-        .map(|p| (format!("stock/{p}"), Value::Int(scale.initial_stock)))
-        .collect()
+/// Stock service seed, its keys formatted straight into the batch's
+/// arena.
+pub fn stock_seed(scale: &MarketScale) -> Pairs {
+    let mut pairs = Pairs::with_capacity(scale.products as usize, 0);
+    for p in 0..scale.products {
+        pairs.push_fmt(format_args!("stock/{p}"), Value::Int(scale.initial_stock));
+    }
+    pairs.shrink_to_fit();
+    pairs
 }
 
-/// Payment service seed.
-pub fn payment_seed(scale: &MarketScale) -> Vec<(Key, Value)> {
-    (0..scale.customers)
-        .map(|c| (format!("balance/{c}"), Value::Int(scale.initial_balance)))
-        .collect()
+/// Payment service seed, its keys formatted straight into the batch's
+/// arena.
+pub fn payment_seed(scale: &MarketScale) -> Pairs {
+    let mut pairs = Pairs::with_capacity(scale.customers as usize, 0);
+    for c in 0..scale.customers {
+        pairs.push_fmt(
+            format_args!("balance/{c}"),
+            Value::Int(scale.initial_balance),
+        );
+    }
+    pairs.shrink_to_fit();
+    pairs
 }
 
 /// Stock service procedures.
@@ -219,12 +230,9 @@ mod tests {
             DurableLog::new(),
             DurableCell::new(),
         );
-        engine.load_batch(
-            stock_seed(scale)
-                .into_iter()
-                .chain(payment_seed(scale))
-                .collect(),
-        );
+        let mut pairs = stock_seed(scale);
+        pairs.append(payment_seed(scale));
+        engine.load_batch(pairs);
         engine
     }
 

@@ -12,7 +12,7 @@
 //! record.
 
 use tca_sim::SimRng;
-use tca_storage::{Key, ProcRegistry, Value};
+use tca_storage::{Pairs, ProcRegistry, Value};
 
 /// Scale parameters (a full TPC-C warehouse is far larger; these defaults
 /// keep simulations fast while preserving the access pattern).
@@ -39,30 +39,32 @@ impl Default for TpccScale {
     }
 }
 
-/// Seed data for [`tca_storage::DbRequest::Load`].
-pub fn seed(scale: &TpccScale) -> Vec<(Key, Value)> {
-    let mut pairs = Vec::new();
+/// Seed data for [`tca_storage::DbRequest::Load`], its keys formatted
+/// straight into the batch's arena, at exact capacity.
+pub fn seed(scale: &TpccScale) -> Pairs {
+    let mut pairs = Pairs::new();
     for w in 0..scale.warehouses {
-        pairs.push((format!("w/{w}"), Value::Int(0)));
+        pairs.push_fmt(format_args!("w/{w}"), Value::Int(0));
         for d in 0..scale.districts {
-            pairs.push((
-                format!("d/{w}/{d}"),
+            pairs.push_fmt(
+                format_args!("d/{w}/{d}"),
                 Value::List(vec![Value::Int(1), Value::Int(0)]),
-            ));
+            );
             for c in 0..scale.customers {
-                pairs.push((
-                    format!("c/{w}/{d}/{c}"),
+                pairs.push_fmt(
+                    format_args!("c/{w}/{d}/{c}"),
                     Value::List(vec![Value::Int(0), Value::Int(0), Value::Int(0)]),
-                ));
+                );
             }
         }
         for i in 0..scale.items {
-            pairs.push((format!("s/{w}/{i}"), Value::Int(100)));
+            pairs.push_fmt(format_args!("s/{w}/{i}"), Value::Int(100));
         }
     }
     for i in 0..scale.items {
-        pairs.push((format!("i/{i}"), Value::Int(10 + (i as i64 % 90))));
+        pairs.push_fmt(format_args!("i/{i}"), Value::Int(10 + (i as i64 % 90)));
     }
+    pairs.shrink_to_fit();
     pairs
 }
 

@@ -4,7 +4,7 @@
 
 use crate::loadgen::KeyChooser;
 use tca_sim::SimRng;
-use tca_storage::{Key, ProcRegistry, Value};
+use tca_storage::{Key, Pairs, ProcRegistry, Value};
 
 /// The standard YCSB workload letters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,36 +41,73 @@ impl Default for YcsbScale {
     }
 }
 
-/// The key of record `i`: `format!("user{i:08}")`, built in one
-/// allocation of exactly its length. A bulk load moves its keys into the
-/// shards' version stores, so spare capacity here would be held there for
-/// as long as the record lives.
-pub fn user_key(i: usize) -> Key {
-    // The digits of `i`, written from the end of a buffer of zeros that
-    // holds `usize::MAX`: `write!` took some 1.6 times as long a key.
-    let mut digits = [b'0'; 20];
-    let mut start = digits.len();
-    let mut rest = i;
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
-    }
-    let digits = &digits[start.min(digits.len() - 8)..];
-    let mut key = String::with_capacity("user".len() + digits.len());
-    key.push_str("user");
-    key.extend(digits.iter().map(|&b| char::from(b)));
-    key
+/// The longest key, `usize::MAX`'s: `user` and 20 digits.
+const USER_KEY_MAX: usize = "user".len() + 20;
+
+/// Record `i`'s key, `format!("user{i:08}")`, written into a buffer on the
+/// stack from its end: `i`'s digits, zeros up to eight digits, `user`.
+/// `write!` took some 1.6 times as long a key.
+struct UserKey {
+    bytes: [u8; USER_KEY_MAX],
+    start: usize,
 }
 
-/// Seed records `user0 … userN-1`.
-pub fn seed(scale: &YcsbScale) -> Vec<(Key, Value)> {
-    (0..scale.records)
-        .map(|i| (user_key(i), Value::Int(i as i64)))
-        .collect()
+impl UserKey {
+    fn new(i: usize) -> Self {
+        let mut bytes = [b'0'; USER_KEY_MAX];
+        let mut start = bytes.len();
+        let mut rest = i;
+        loop {
+            start -= 1;
+            bytes[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        let start = start.min(bytes.len() - 8) - "user".len();
+        bytes[start..start + 4].copy_from_slice(b"user");
+        UserKey { bytes, start }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[self.start..]).expect("ASCII")
+    }
+}
+
+/// The bytes of the keys of records `0 … records-1` together: 12 a key
+/// (`user` and eight digits), and one more for each digit past the
+/// eighth.
+fn user_key_bytes(records: usize) -> usize {
+    let mut bytes = records * 12;
+    let mut longer = 100_000_000usize;
+    while longer < records {
+        bytes += records - longer;
+        match longer.checked_mul(10) {
+            Some(next) => longer = next,
+            None => break,
+        }
+    }
+    bytes
+}
+
+/// The key of record `i`: `format!("user{i:08}")`, in one allocation of
+/// exactly its length, for a request's arguments. [`seed`] writes the
+/// same bytes straight into its batch's key arena instead.
+pub fn user_key(i: usize) -> Key {
+    UserKey::new(i).as_str().to_owned()
+}
+
+/// Seed records `user0 … userN-1`, as one batch at exact capacity: the
+/// keys written end to end into its arena, with no `String` per key. A
+/// bulk load moves the batch to the shards' bases, so spare capacity here
+/// would be held there for as long as the records live.
+pub fn seed(scale: &YcsbScale) -> Pairs {
+    let mut pairs = Pairs::with_capacity(scale.records, user_key_bytes(scale.records));
+    for i in 0..scale.records {
+        pairs.push(UserKey::new(i).as_str(), Value::Int(i as i64));
+    }
+    pairs
 }
 
 /// The YCSB stored procedures.
@@ -208,6 +245,28 @@ mod tests {
             assert_eq!(key, format!("user{i:08}"));
             assert_eq!(key.capacity(), key.len(), "{key} has spare capacity");
         }
+    }
+
+    #[test]
+    fn seed_is_its_keys_at_exact_capacity() {
+        for records in [0, 1, 10, 1_000] {
+            let pairs = seed(&YcsbScale {
+                records,
+                theta: 0.0,
+            });
+            assert_eq!(pairs.len(), records);
+            assert_eq!(pairs.spare_capacity(), [0, 0, 0], "{records}");
+            for (i, (key, value)) in pairs.iter().enumerate() {
+                assert_eq!(key, user_key(i));
+                assert_eq!(value, &Value::Int(i as i64));
+            }
+        }
+        // From record 10^8 on, a key is one byte longer for each power of
+        // ten at or below its record.
+        assert_eq!(user_key_bytes(100_000_000), 12 * 100_000_000);
+        assert_eq!(user_key_bytes(100_000_003), 12 * 100_000_003 + 3);
+        let past_a_billion = 12 * 1_000_000_002 + 900_000_002 + 2;
+        assert_eq!(user_key_bytes(1_000_000_002), past_a_billion);
     }
 
     #[test]

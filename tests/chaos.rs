@@ -288,10 +288,8 @@ fn overload_partition_scenario(seed: u64, plan: &FaultPlan) -> Result<(), String
             single_registry(),
         ),
     );
-    let pairs: Vec<_> = stock_seed(&scale)
-        .into_iter()
-        .chain(payment_seed(&scale))
-        .collect();
+    let mut pairs = stock_seed(&scale);
+    pairs.append(payment_seed(&scale));
     sim.inject(db, Payload::new(DbMsg::load(pairs)));
     let req_scale = scale.clone();
     sim.spawn(

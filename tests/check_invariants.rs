@@ -10,6 +10,18 @@ use tca::sim::check::{
 };
 use tca::sim::{Histogram, SimDuration, SimRng, Zipf};
 
+/// Key `id` of a loaded batch: the empty key, ASCII keys that differ only
+/// in their last characters, and keys of two-, three- and four-byte
+/// characters.
+fn batch_key(id: u8) -> String {
+    match id % 4 {
+        _ if id == 0 => String::new(),
+        0 | 2 => format!("user{id:03}"),
+        1 => format!("ключ{id}"),
+        _ => format!("键{id}🦀{}", "é".repeat(usize::from(id % 3))),
+    }
+}
+
 mod mvcc_props {
     use super::*;
     use std::collections::BTreeMap;
@@ -114,10 +126,10 @@ mod mvcc_props {
         format!("{}{}", ["a/", "ab/", "b/"][id as usize % 3], id / 3)
     }
 
-    /// A base built from a batch with repeated keys reads like an ordered
-    /// map the batch was inserted into pair by pair, the last pair of a
-    /// key winning: same values, same timestamps, same keys, and no key
-    /// the batch lacks.
+    /// A base built from a batch with repeated, empty and multi-byte keys
+    /// reads like an ordered map the batch was inserted into pair by
+    /// pair, the last pair of a key winning: same values, same
+    /// timestamps, same keys, and no key the batch lacks.
     #[test]
     fn base_matches_an_ordered_model() {
         let input_gen = tuple2(
@@ -128,31 +140,29 @@ mod mvcc_props {
             "base_matches_an_ordered_model",
             &input_gen,
             |(batch, first_ts)| {
-                // Keys that differ only in their last characters.
-                let name = |id: u8| format!("user{id:03}");
                 let pairs: Vec<(Key, Value)> = batch
                     .iter()
-                    .map(|&(id, v)| (name(id), Value::Int(v)))
+                    .map(|&(id, v)| (batch_key(id), Value::Int(v)))
                     .collect();
                 let mut model = BTreeMap::new();
                 for (ts, (key, value)) in (*first_ts..).zip(&pairs) {
                     model.insert(key.clone(), (ts, value.clone()));
                 }
-                let base = Base::new(pairs, *first_ts);
+                let base = Base::new(pairs.into(), *first_ts);
                 for id in 0..=60 {
-                    let key = name(id);
+                    let key = batch_key(id);
                     let expected = model.get(&key).map(|(ts, value)| (*ts, value));
                     let got = base
                         .get(&key)
                         .map(|v| (v.ts, v.value.expect("a base holds values")));
-                    assert_eq!(got, expected, "{key}");
-                    assert_eq!(base.contains_key(&key), expected.is_some(), "{key}");
+                    assert_eq!(got, expected, "{key:?}");
+                    assert_eq!(base.contains_key(&key), expected.is_some(), "{key:?}");
                 }
                 assert_eq!(base.len(), model.len());
                 assert_eq!(base.is_empty(), model.is_empty());
                 let mut listed: Vec<_> = base.iter().collect();
                 listed.sort_unstable_by(|a, b| a.0.cmp(b.0));
-                let ordered: Vec<_> = model.iter().map(|(k, (_, v))| (k, v)).collect();
+                let ordered: Vec<_> = model.iter().map(|(k, (_, v))| (k.as_str(), v)).collect();
                 assert_eq!(listed, ordered);
             },
         );
@@ -192,7 +202,7 @@ mod mvcc_props {
                                 value: Some(v.clone()),
                             });
                         }
-                        assert_eq!(store.load(pairs, clock + 1), overwritten);
+                        assert_eq!(store.load(pairs.into(), clock + 1), overwritten);
                         clock += 2;
                     }
                     4 => {
@@ -235,12 +245,80 @@ mod mvcc_props {
                         .data
                         .range(prefix.to_owned()..)
                         .take_while(|(k, _)| k.starts_with(prefix))
-                        .filter_map(|(k, v)| v.last()?.value.as_ref().map(|v| (k, v)))
+                        .filter_map(|(k, v)| v.last()?.value.as_ref().map(|v| (k.as_str(), v)))
                         .collect();
                     assert_eq!(scanned, ordered, "scan {prefix:?}");
                 }
             }
         });
+    }
+}
+
+mod pairs_props {
+    use super::*;
+    use std::collections::BTreeMap;
+    use std::rc::Rc;
+    use tca::sim::ShardMap;
+    use tca::storage::router::split_load;
+    use tca::storage::{DurableCell, DurableLog, Engine, EngineConfig, Pairs, Value};
+
+    /// A batch held as one key arena, with repeated, empty and multi-byte
+    /// keys, is the vector it came from: it prints as the vector does and
+    /// lists the same pairs, a split over any ring keeps each
+    /// shard's pairs in input order, and an engine recovered from the
+    /// image it was loaded into shares its one base and reads each key's
+    /// last pair. (`mvcc_props::base_matches_an_ordered_model` checks the
+    /// base built from such a batch.)
+    #[test]
+    fn a_key_arena_is_the_vector_it_came_from() {
+        let input_gen = tuple2(
+            vec_of(tuple2(u8_in(0, 24), i64_in(-50, 50)), 0, 80),
+            usize_in(1, 18),
+        );
+        check(
+            "a_key_arena_is_the_vector_it_came_from",
+            &input_gen,
+            |(batch, shards)| {
+                let vec: Vec<(String, Value)> = batch
+                    .iter()
+                    .map(|&(id, v)| (batch_key(id), Value::Int(v)))
+                    .collect();
+                let pairs = Pairs::from(vec.clone());
+                assert_eq!(format!("{pairs:?}"), format!("{vec:?}"));
+                assert_eq!(format!("{pairs:#?}"), format!("{vec:#?}"));
+                assert_eq!(pairs.spare_capacity(), [0, 0, 0]);
+                let borrowed: Vec<_> = vec.iter().map(|(k, v)| (k.as_str(), v)).collect();
+                assert_eq!(pairs.iter().collect::<Vec<_>>(), borrowed);
+
+                let map = ShardMap::ring(*shards);
+                let groups = split_load(&map, pairs.clone());
+                assert_eq!(groups.len(), *shards);
+                for (shard, group) in groups.iter().enumerate() {
+                    let owned: Vec<_> = (vec.iter())
+                        .filter(|(key, _)| map.owner(key) == shard)
+                        .map(|(key, value)| (key.as_str(), value))
+                        .collect();
+                    assert_eq!(group.iter().collect::<Vec<_>>(), owned, "shard {shard}");
+                    assert_eq!(group.spare_capacity(), [0, 0, 0], "shard {shard}");
+                }
+
+                let (wal, image) = (DurableLog::new(), DurableCell::new());
+                let mut engine = Engine::new(EngineConfig::default(), wal.clone(), image.clone());
+                engine.load_batch(pairs);
+                let recovered = Engine::recover(EngineConfig::default(), wal, image.clone());
+                let base = engine.store().base();
+                assert!(Rc::ptr_eq(recovered.store().base(), base), "one base");
+                image.with(|image| match image {
+                    Some(image) => assert!(Rc::ptr_eq(image.state.base(), base), "one base"),
+                    None => assert!(base.is_empty(), "a base the image does not hold"),
+                });
+                let last: BTreeMap<_, _> = vec.iter().cloned().collect();
+                assert_eq!(recovered.store().base().len(), last.len());
+                for (key, value) in &last {
+                    assert_eq!(recovered.peek(key).as_ref(), Some(value), "{key:?}");
+                }
+            },
+        );
     }
 }
 
@@ -510,7 +588,7 @@ mod engine_props {
             if let [(key, value)] = &pairs[..] {
                 self.engine.load(key, value.clone());
             } else {
-                self.engine.load_batch(pairs);
+                self.engine.load_batch(pairs.into());
             }
             self.assert_image_is_current();
         }
