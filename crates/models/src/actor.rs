@@ -289,6 +289,10 @@ struct RoutePending {
     args: Vec<Value>,
     user_tag: u64,
     attempts: u32,
+    /// The wire id of the invocation's first call, which every reroute
+    /// reuses: a silo that applied an earlier attempt answers a later one
+    /// from its dedup window instead of running the method again.
+    wire_id: Option<u64>,
 }
 
 /// Timer tag for retrying lookups that found no live silo (startup races,
@@ -352,11 +356,12 @@ impl ActorRouter {
             args,
             user_tag,
             attempts: 0,
+            wire_id: None,
         };
         self.dispatch(ctx, pending);
     }
 
-    fn dispatch(&mut self, ctx: &mut Ctx, pending: RoutePending) {
+    fn dispatch(&mut self, ctx: &mut Ctx, mut pending: RoutePending) {
         if pending.attempts >= self.max_moves {
             ctx.metrics().incr("actor.route_gave_up", 1);
             self.failed.push(ActorCompletion {
@@ -369,17 +374,18 @@ impl ActorRouter {
         if let Some(&silo) = self.cache.get(&pending.id) {
             self.next_call += 1;
             let call_tag = self.next_call;
-            self.rpc.call(
-                ctx,
-                silo,
-                Payload::new(ActorInvoke {
-                    id: pending.id.clone(),
-                    method: pending.method.clone(),
-                    args: pending.args.clone(),
-                }),
-                self.policy,
-                call_tag,
-            );
+            let body = Payload::new(ActorInvoke {
+                id: pending.id.clone(),
+                method: pending.method.clone(),
+                args: pending.args.clone(),
+            });
+            let call = match pending.wire_id {
+                Some(wire_id) => {
+                    (self.rpc).call_with_id(ctx, silo, body, self.policy, call_tag, wire_id)
+                }
+                None => self.rpc.call(ctx, silo, body, self.policy, call_tag),
+            };
+            pending.wire_id = Some(call.0);
             self.in_flight.insert(call_tag, pending);
         } else {
             self.next_lookup += 1;
@@ -1019,7 +1025,7 @@ impl Process for ActorSilo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tca_sim::Sim;
+    use tca_sim::{ScriptedFate, Sim};
     use tca_storage::{DbServer, DbServerConfig};
 
     /// A bank-account actor: state = Int balance.
@@ -1228,6 +1234,56 @@ mod tests {
         assert_eq!(sim.metrics().counter("driver.ok"), 1);
         // account/a (100-40) and account/b (100+40) plus transfer actor.
         assert_eq!(sim.metrics().counter("actor.activations"), 3);
+    }
+
+    #[test]
+    fn a_rerouted_invocation_keeps_its_wire_id() {
+        let mut sim = Sim::with_seed(76);
+        let nd = sim.add_node();
+        let ns = sim.add_node();
+        let nc = sim.add_node();
+        let directory = sim.spawn(nd, "dir", Directory::factory());
+        sim.spawn(
+            ns,
+            "silo",
+            ActorSilo::factory(registry(), SiloConfig::volatile(directory)),
+        );
+        // The silo stays up, but its answers to the deposit's four
+        // attempts are lost: the router's call fails, and the router
+        // looks the actor up again and re-sends the deposit to the same
+        // silo. Sent under the first call's wire id, it is answered from
+        // the silo's dedup window; under a fresh one, it would run again
+        // and leave 200, enough for the withdrawal.
+        for nth in 0..4 {
+            sim.network_mut()
+                .script_fate(ns, nc, nth, ScriptedFate::Drop);
+        }
+        spawn_driver(
+            &mut sim,
+            nc,
+            directory,
+            vec![
+                (
+                    ActorId::new("account", "a"),
+                    "deposit".into(),
+                    vec![Value::Int(50)],
+                ),
+                (
+                    ActorId::new("account", "a"),
+                    "withdraw".into(),
+                    vec![Value::Int(160)],
+                ),
+            ],
+        );
+        sim.run_for(SimDuration::from_millis(500));
+        assert_eq!(sim.metrics().counter("actor.rerouted"), 1);
+        assert_eq!(sim.metrics().counter("actor.route_gave_up"), 0);
+        assert_eq!(
+            sim.metrics().counter("driver.err"),
+            1,
+            "the deposit ran once: 150 does not cover 160"
+        );
+        assert_eq!(sim.metrics().counter("driver.ok"), 1, "the deposit");
     }
 
     #[test]

@@ -69,6 +69,7 @@
 //! across calls (interactive sessions, the 2PC execute phase) begins with
 //! [`Engine::begin`] and keeps full two-phase locking.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use tca_sim::{DetHashMap as HashMap, DetHashSet as HashSet, Disk};
@@ -139,9 +140,9 @@ impl EngineImage {
         let delta = self
             .delta
             .iter()
-            .filter_map(|(k, v)| Some((k.as_str(), v.as_ref()?)));
+            .filter_map(|(k, v)| Some((k.as_str(), Cow::Borrowed(v.as_ref()?))));
         base.chain(delta)
-            .map(|(k, v)| (k.to_owned(), v.clone()))
+            .map(|(k, v)| (k.to_owned(), v.into_owned()))
             .collect()
     }
 }
@@ -244,7 +245,7 @@ fn observed(version: Option<VersionRef<'_>>) -> (Option<Value>, Timestamp) {
         Some(VersionRef {
             ts,
             value: Some(value),
-        }) => (Some(value.clone()), ts),
+        }) => (Some(value.into_owned()), ts),
         _ => (None, 0),
     }
 }
@@ -609,14 +610,14 @@ impl Engine {
     /// Latest committed value of `key` (non-transactional peek, for tests
     /// and audits).
     pub fn peek(&self, key: &str) -> Option<Value> {
-        self.mvcc.read_latest(key).cloned()
+        self.mvcc.read_latest(key).map(Cow::into_owned)
     }
 
     /// Non-transactional scan of latest values under a prefix.
     pub fn peek_prefix(&self, prefix: &str) -> Vec<(Key, Value)> {
         self.mvcc
             .scan_latest(prefix)
-            .map(|(k, v)| (k.to_owned(), v.clone()))
+            .map(|(k, v)| (k.to_owned(), v.into_owned()))
             .collect()
     }
 
@@ -651,9 +652,10 @@ impl Engine {
     /// Bulk-load initial data outside any transaction (setup only). The
     /// batch is not WAL records but part of the checkpoint image — durable
     /// when the handler returns, like an append. Into an empty engine it
-    /// is the base: the batch itself, its key arena and values as they
-    /// arrived, under a read-only index that the version store and the
-    /// image share. Into a non-empty one, each key gets a chain, and a
+    /// is the base: the batch itself, its key arena and value column as
+    /// they arrived (8 bytes a value while all are `Int`s), under a
+    /// read-only index that the version store and the image share. Into a
+    /// non-empty one, each key gets a chain, and a
     /// `String`, of its own in the version store and a copy in the image's
     /// delta. Pair `i` gets timestamp `clock + 1 + i`.
     pub fn load_batch(&mut self, pairs: Pairs) {
@@ -677,7 +679,7 @@ impl Engine {
                 };
             } else {
                 for (key, value) in pairs.iter() {
-                    image.state.fold(key, Some(value));
+                    image.state.fold(key, Some(&value));
                 }
                 overwritten = self.mvcc.load(pairs, first_ts);
             }
@@ -995,7 +997,7 @@ mod tests {
         });
         assert_eq!(
             base.get("a").unwrap().value,
-            Some(&Value::Int(1)),
+            Some(Cow::Owned(Value::Int(1))),
             "the base is never written"
         );
         assert_eq!(base.len(), 3);

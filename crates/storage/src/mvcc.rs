@@ -40,10 +40,13 @@
 //! A base is held densely: it is most of a loaded service's heap for as
 //! long as the service runs. It keeps the load's own [`Pairs`] batch as
 //! it arrived — the keys end to end in one arena, a 4-byte end offset per
-//! key and the values — and pair `i` reads at the load's first timestamp
-//! plus `i`, so no key allocation, no version and no timestamp is stored
-//! per pair. A pair costs its key's bytes, 4 for the offset, 32 for the
-//! value and about 9 for its share of the index. Over the batch sits an
+//! key and the value column — and pair `i` reads at the load's first
+//! timestamp plus `i`, so no key allocation, no version and no timestamp
+//! is stored per pair. A pair costs its key's bytes, 4 for the offset, 8
+//! for its value while every value of the batch is an `Int` (32 once one
+//! is not) and about 9 for its share of the index. A read of the int
+//! column gets an owned `Value::Int` in a [`Cow`], which allocates
+//! nothing; every other read borrows. Over the batch sits an
 //! open-addressed index of exactly ⌈8n/7⌉ `u64` slots for `n` pairs, so
 //! at most 7/8 full, probed linearly and wrapping at the end.
 //! A slot holds a 32-bit tag of the key's hash and the pair's position +
@@ -63,6 +66,7 @@
 //! that pair's timestamp. The earlier pairs stay in the batch,
 //! unreachable, and [`Base::len`] and [`Base::iter`] skip them.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -80,20 +84,21 @@ pub struct Version {
     pub value: Option<Value>,
 }
 
-/// A version as a read sees it, borrowed from the store.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A version as a read sees it: its value borrowed from the store, or,
+/// from a base's int column, an owned `Value::Int` (no allocation).
+#[derive(Debug, Clone, PartialEq)]
 pub struct VersionRef<'a> {
     /// Commit timestamp that produced this version.
     pub ts: Timestamp,
     /// The value, or `None` for a delete tombstone.
-    pub value: Option<&'a Value>,
+    pub value: Option<Cow<'a, Value>>,
 }
 
 impl<'a> From<&'a Version> for VersionRef<'a> {
     fn from(version: &'a Version) -> Self {
         VersionRef {
             ts: version.ts,
-            value: version.value.as_ref(),
+            value: version.value.as_ref().map(Cow::Borrowed),
         }
     }
 }
@@ -219,7 +224,7 @@ impl Base {
     }
 
     /// Every key with its value, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&str, Cow<'_, Value>)> {
         self.index
             .iter()
             .filter(|&&slot| slot != FREE)
@@ -256,7 +261,7 @@ impl BaseLayer {
         };
         let mut chain = vec![Version {
             ts: base.ts,
-            value: base.value.cloned(),
+            value: base.value.map(Cow::into_owned),
         }];
         append(&mut chain, key, version, horizon);
         chain
@@ -485,12 +490,12 @@ impl MvccStore {
     /// Read the newest version of `key` visible at snapshot `ts`.
     ///
     /// Returns `None` if the key did not exist (or was deleted) at `ts`.
-    pub fn read_at(&self, key: &str, ts: Timestamp) -> Option<&Value> {
+    pub fn read_at(&self, key: &str, ts: Timestamp) -> Option<Cow<'_, Value>> {
         self.version_at(key, ts)?.value
     }
 
     /// Read the latest committed version of `key`.
-    pub fn read_latest(&self, key: &str) -> Option<&Value> {
+    pub fn read_latest(&self, key: &str) -> Option<Cow<'_, Value>> {
         self.latest(key)?.value
     }
 
@@ -546,7 +551,7 @@ impl MvccStore {
     }
 
     /// Base versions no chain has taken over.
-    fn unshadowed_base(&self) -> impl Iterator<Item = (&str, &Value)> {
+    fn unshadowed_base(&self) -> impl Iterator<Item = (&str, Cow<'_, Value>)> {
         self.base
             .shared
             .iter()
@@ -573,16 +578,19 @@ impl MvccStore {
     pub fn scan_latest<'a>(
         &'a self,
         prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, &'a Value)> + 'a {
+    ) -> impl Iterator<Item = (&'a str, Cow<'a, Value>)> + 'a {
         let chains = self
             .data
             .iter()
             .filter(|(k, _)| k.starts_with(prefix))
-            .filter_map(|(k, versions)| Some((k.as_str(), versions.last()?.value.as_ref()?)));
+            .filter_map(|(k, versions)| {
+                let value = versions.last()?.value.as_ref()?;
+                Some((k.as_str(), Cow::Borrowed(value)))
+            });
         let base = self
             .unshadowed_base()
             .filter(|(k, _)| k.starts_with(prefix));
-        let mut live: Vec<(&str, &Value)> = chains.chain(base).collect();
+        let mut live: Vec<(&str, Cow<Value>)> = chains.chain(base).collect();
         live.sort_unstable_by(|a, b| a.0.cmp(b.0));
         live.into_iter()
     }
@@ -596,16 +604,21 @@ mod tests {
         s.to_owned()
     }
 
+    /// What a read of the integer `v` returns.
+    fn int(v: i64) -> Option<Cow<'static, Value>> {
+        Some(Cow::Owned(Value::Int(v)))
+    }
+
     #[test]
     fn snapshot_reads_see_correct_versions() {
         let mut s = MvccStore::new();
         s.install(&k("a"), 10, Some(Value::Int(1)));
         s.install(&k("a"), 20, Some(Value::Int(2)));
         assert_eq!(s.read_at("a", 5), None);
-        assert_eq!(s.read_at("a", 10), Some(&Value::Int(1)));
-        assert_eq!(s.read_at("a", 15), Some(&Value::Int(1)));
-        assert_eq!(s.read_at("a", 20), Some(&Value::Int(2)));
-        assert_eq!(s.read_latest("a"), Some(&Value::Int(2)));
+        assert_eq!(s.read_at("a", 10), int(1));
+        assert_eq!(s.read_at("a", 15), int(1));
+        assert_eq!(s.read_at("a", 20), int(2));
+        assert_eq!(s.read_latest("a"), int(2));
     }
 
     #[test]
@@ -613,7 +626,7 @@ mod tests {
         let mut s = MvccStore::new();
         s.install(&k("a"), 10, Some(Value::Int(1)));
         s.install(&k("a"), 20, None);
-        assert_eq!(s.read_at("a", 15), Some(&Value::Int(1)));
+        assert_eq!(s.read_at("a", 15), int(1));
         assert_eq!(s.read_at("a", 25), None);
         assert_eq!(s.read_latest("a"), None);
         assert!(s.has_history("a"));
@@ -636,8 +649,8 @@ mod tests {
         s.install(&k("a"), 30, Some(Value::Int(3)));
         let reclaimed = s.gc(25);
         assert_eq!(reclaimed, 1, "only ts=10 is invisible at horizon 25");
-        assert_eq!(s.read_at("a", 25), Some(&Value::Int(2)));
-        assert_eq!(s.read_at("a", 35), Some(&Value::Int(3)));
+        assert_eq!(s.read_at("a", 25), int(2));
+        assert_eq!(s.read_at("a", 35), int(3));
         assert_eq!(s.version_count(), 2);
     }
 
@@ -664,14 +677,14 @@ mod tests {
             [(k("b"), None), (k("c"), Some(Value::Int(2)))].into();
         let restored = MvccStore::from_image(base, &delta, 12);
         assert!(Rc::ptr_eq(restored.base(), live.base()));
-        assert_eq!(restored.read_latest("a"), Some(&Value::Int(1)));
+        assert_eq!(restored.read_latest("a"), int(1));
         assert_eq!(restored.read_latest("b"), None);
-        assert_eq!(restored.read_latest("c"), Some(&Value::Int(2)));
+        assert_eq!(restored.read_latest("c"), int(2));
         // Every recovered version reads at the image's timestamp.
         assert_eq!(restored.latest_ts("a"), Some(12));
         assert_eq!(restored.read_at("a", 11), None);
         let latest: Vec<_> = restored.scan_latest("").collect();
-        assert_eq!(latest, vec![("a", &Value::Int(1)), ("c", &Value::Int(2))]);
+        assert_eq!(latest, [("a", int(1).unwrap()), ("c", int(2).unwrap())]);
         assert_eq!(restored.live_keys(), 2);
     }
 
@@ -684,15 +697,15 @@ mod tests {
         );
         assert_eq!(s.version_count(), 2);
         s.install("a", 5, Some(Value::Int(3)));
-        assert_eq!(s.read_at("a", 4), Some(&Value::Int(1)));
-        assert_eq!(s.read_at("a", 5), Some(&Value::Int(3)));
+        assert_eq!(s.read_at("a", 4), int(1));
+        assert_eq!(s.read_at("a", 5), int(3));
         assert_eq!(s.version_count(), 3);
         assert!(!s.gc_key("a", 4), "the snapshot at 4 pins the base version");
         assert!(s.gc_key("a", 5));
         assert_eq!(s.read_at("a", 4), None, "collected, as a chain would be");
         assert_eq!(s.version_count(), 2);
         // The base itself is untouched.
-        assert_eq!(s.base().get("a").unwrap().value, Some(&Value::Int(1)));
+        assert_eq!(s.base().get("a").unwrap().value, int(1));
     }
 
     #[test]
@@ -706,7 +719,7 @@ mod tests {
         ];
         let base = s.load_base(pairs.into(), 10);
         let a = base.get("a").unwrap();
-        assert_eq!((a.ts, a.value), (12, Some(&Value::Int(3))));
+        assert_eq!((a.ts, a.value), (12, int(3)));
         assert_eq!(s.latest_ts("a"), Some(12));
         assert_eq!(s.read_at("a", 11), None, "the first pair is unreachable");
         assert_eq!(base.len(), 3);
@@ -731,7 +744,7 @@ mod tests {
         assert_eq!(base.index.len(), 8);
         assert_eq!(base.index[6], FREE);
         for (key, value) in &pairs {
-            assert_eq!(base.get(key).unwrap().value, Some(value));
+            assert_eq!(base.get(key).unwrap().value, Some(Cow::Borrowed(value)));
         }
         let absent = names.next().unwrap();
         assert_eq!(base.get(&absent), None);
@@ -753,7 +766,7 @@ mod tests {
         assert_eq!(s.read_latest("a"), None);
         assert!(!s.has_history("a"));
         s.install("a", 2, Some(Value::Int(1)));
-        assert_eq!(s.read_latest("a"), Some(&Value::Int(1)));
+        assert_eq!(s.read_latest("a"), int(1));
     }
 
     #[test]
@@ -858,7 +871,7 @@ mod tests {
         assert_eq!(overwritten, vec![k("b")]);
         assert_eq!(s.latest_ts("a"), Some(5));
         assert_eq!(s.latest_ts("b"), Some(6));
-        assert_eq!(s.read_at("b", 5), Some(&Value::Int(0)));
+        assert_eq!(s.read_at("b", 5), int(0));
         assert_eq!(s.version_count(), 3);
         // Over a base, a loaded base key is an overwrite too.
         let mut s = MvccStore::new();
@@ -868,8 +881,8 @@ mod tests {
             5,
         );
         assert_eq!(overwritten, vec![k("b")]);
-        assert_eq!(s.read_at("b", 5), Some(&Value::Int(0)));
-        assert_eq!(s.read_at("b", 6), Some(&Value::Int(2)));
+        assert_eq!(s.read_at("b", 5), int(0));
+        assert_eq!(s.read_at("b", 6), int(2));
         assert_eq!(s.version_count(), 3);
     }
 

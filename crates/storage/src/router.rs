@@ -792,7 +792,7 @@ mod tests {
     fn split_in_one_pass(map: &ShardMap, batch: &Pairs) -> Vec<Pairs> {
         let mut groups = vec![Pairs::new(); map.shards()];
         for (key, value) in batch.iter() {
-            groups[map.owner(key)].push(key, value.clone());
+            groups[map.owner(key)].push(key, value.into_owned());
         }
         groups
     }
@@ -807,6 +807,8 @@ mod tests {
         let mut spare = Pairs::with_capacity(137, 37 * 12 + 100);
         spare.append(keys(37, 37));
         assert_ne!(spare.spare_capacity(), [0, 0, 0]);
+        let mut mixed = keys(300, 300);
+        mixed.push("user00000007", Value::from("seven"));
         let cases = [
             ("empty", 4, Pairs::new()),
             ("one shard", 1, keys(50, 50)),
@@ -814,6 +816,7 @@ mod tests {
             ("fewer items than chunks", 3, keys(7, 7)),
             ("repeated keys", 4, keys(300, 40)),
             ("spare capacity", 4, spare),
+            ("a value that is not an Int", 4, mixed),
             ("many", 16, keys(10_001, 10_001)),
         ];
         for (case, shards, batch) in cases {
@@ -821,8 +824,9 @@ mod tests {
             let expected = split_in_one_pass(&map, &batch);
             let groups = split_load(&map, batch);
             assert_eq!(groups, expected, "{case}");
-            for group in &groups {
+            for (group, expected) in groups.iter().zip(&expected) {
                 assert_eq!(group.spare_capacity(), [0, 0, 0], "{case}: spare capacity");
+                assert_eq!(group.ints(), expected.ints(), "{case}: value column");
             }
         }
     }

@@ -1,5 +1,6 @@
 //! Core data types shared across the storage engine.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A database key. Applications build composite keys by convention, e.g.
@@ -81,22 +82,105 @@ impl From<bool> for Value {
 
 /// A batch of key/value pairs, as a bulk load carries it from its
 /// generator to a shard's base: the keys laid end to end in one arena, the
-/// end offset of each key, and the values. A key costs its bytes and a
-/// 4-byte offset, not a `String` of its own. A generator that knows its
-/// batch's size builds it at exact capacity, and a conversion or a
-/// collect is exact too: a shard keeps its batch as its base, spare
+/// end offset of each key, and the values in one column. A key costs its
+/// bytes and a 4-byte offset, not a `String` of its own. The column holds
+/// bare `i64`s, 8 bytes a value, for as long as every value pushed or
+/// appended is an `Int`. The first value that is not one turns it, once,
+/// into a column of `Value`s at 32 bytes each, at the capacity it had. A
+/// read hands out a `Cow`: an owned `Value::Int` from the int column,
+/// which allocates nothing, and a borrow from the other. A generator that
+/// knows its batch's size builds it at exact capacity, and a conversion
+/// or a collect is exact too: a shard keeps its batch as its base, spare
 /// capacity and all.
 ///
 /// Its `Debug` output is that of the `Vec<(Key, Value)>` it holds, so a
 /// message that carries one prints as it did when it carried the vector.
-#[derive(Clone, Default, PartialEq)]
+/// Two batches are equal when they hold the same pairs, whichever column
+/// holds their values.
+#[derive(Clone, Default)]
 pub struct Pairs {
     /// Every key, end to end.
     keys: String,
     /// Where each key ends in `keys`; key `i` starts where key `i - 1`
     /// ends.
     ends: Vec<u32>,
-    values: Vec<Value>,
+    values: Column,
+}
+
+/// A batch's values: bare integers until the first value that is not one.
+#[derive(Clone)]
+enum Column {
+    Ints(Vec<i64>),
+    Values(Vec<Value>),
+}
+
+impl Default for Column {
+    fn default() -> Self {
+        Column::Ints(Vec::new())
+    }
+}
+
+impl Column {
+    fn get(&self, i: usize) -> Cow<'_, Value> {
+        match self {
+            Column::Ints(ints) => Cow::Owned(Value::Int(ints[i])),
+            Column::Values(values) => Cow::Borrowed(&values[i]),
+        }
+    }
+
+    /// The column as `Value`s: an int column is turned into one first, at
+    /// the capacity it had.
+    fn values(&mut self) -> &mut Vec<Value> {
+        if let Column::Ints(ints) = self {
+            let mut values = Vec::with_capacity(ints.capacity());
+            values.extend(ints.iter().map(|&int| Value::Int(int)));
+            *self = Column::Values(values);
+        }
+        match self {
+            Column::Values(values) => values,
+            Column::Ints(_) => unreachable!("an int column was turned into values"),
+        }
+    }
+
+    fn push(&mut self, value: Value) {
+        match (self, value) {
+            (Column::Ints(ints), Value::Int(int)) => ints.push(int),
+            (column, value) => column.values().push(value),
+        }
+    }
+
+    fn append(&mut self, other: Column) {
+        match (self, other) {
+            (Column::Ints(ints), Column::Ints(mut more)) => {
+                ints.reserve_exact(more.len());
+                ints.append(&mut more);
+            }
+            (column, Column::Ints(more)) => {
+                let values = column.values();
+                values.reserve_exact(more.len());
+                values.extend(more.into_iter().map(Value::Int));
+            }
+            (column, Column::Values(mut more)) => {
+                let values = column.values();
+                values.reserve_exact(more.len());
+                values.append(&mut more);
+            }
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        match self {
+            Column::Ints(ints) => ints.shrink_to_fit(),
+            Column::Values(values) => values.shrink_to_fit(),
+        }
+    }
+
+    fn spare_capacity(&self) -> usize {
+        match self {
+            Column::Ints(ints) => ints.capacity() - ints.len(),
+            Column::Values(values) => values.capacity() - values.len(),
+        }
+    }
 }
 
 impl Pairs {
@@ -112,7 +196,7 @@ impl Pairs {
         Pairs {
             keys: String::with_capacity(key_bytes),
             ends: Vec::with_capacity(pairs),
-            values: Vec::with_capacity(pairs),
+            values: Column::Ints(Vec::with_capacity(pairs)),
         }
     }
 
@@ -138,12 +222,12 @@ impl Pairs {
 
     /// Number of pairs.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.ends.len()
     }
 
     /// Whether the batch holds no pair.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.ends.is_empty()
     }
 
     /// Where key `i` starts in the arena.
@@ -159,14 +243,23 @@ impl Pairs {
         &self.keys[self.start(i)..self.ends[i] as usize]
     }
 
-    /// Pair `i`'s value.
-    pub fn value(&self, i: usize) -> &Value {
-        &self.values[i]
+    /// Pair `i`'s value: owned from the int column, borrowed otherwise.
+    pub fn value(&self, i: usize) -> Cow<'_, Value> {
+        self.values.get(i)
     }
 
     /// Every pair, in order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &Value)> + '_ {
-        (0..self.len()).map(|i| (self.key(i), &self.values[i]))
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, Cow<'_, Value>)> + '_ {
+        (0..self.len()).map(|i| (self.key(i), self.values.get(i)))
+    }
+
+    /// The values as bare integers, if the batch holds them in its int
+    /// column: every value it was given was an `Int`.
+    pub fn ints(&self) -> Option<&[i64]> {
+        match &self.values {
+            Column::Ints(ints) => Some(ints),
+            Column::Values(_) => None,
+        }
     }
 
     /// Bytes the keys take together.
@@ -176,7 +269,7 @@ impl Pairs {
 
     /// Move every pair of `other` to the end, in order, growing the batch
     /// by exactly that.
-    pub fn append(&mut self, mut other: Pairs) {
+    pub fn append(&mut self, other: Pairs) {
         let offset = u32::try_from(self.keys.len()).expect("a batch's keys fit u32 offsets");
         self.keys.reserve_exact(other.keys.len());
         self.ends.reserve_exact(other.len());
@@ -185,21 +278,29 @@ impl Pairs {
             let end = end.checked_add(offset);
             self.ends.push(end.expect("a batch's keys fit u32 offsets"));
         }
-        self.values.reserve_exact(other.len());
-        self.values.append(&mut other.values);
+        self.values.append(other.values);
     }
 
     /// Hand every pair from position `at` on to `each`, in order, and
     /// truncate the batch to the pairs before it. The capacity stays.
     pub fn drain_from(&mut self, at: usize, mut each: impl FnMut(&str, Value)) {
         let from = self.start(at);
+        let Pairs { keys, ends, values } = self;
         let mut start = from;
-        for (&end, value) in self.ends[at..].iter().zip(self.values.drain(at..)) {
-            each(&self.keys[start..end as usize], value);
-            start = end as usize;
+        let mut each = |end: &u32, value| {
+            each(&keys[start..*end as usize], value);
+            start = *end as usize;
+        };
+        match values {
+            Column::Ints(ints) => (ends[at..].iter())
+                .zip(ints.drain(at..))
+                .for_each(|(end, int)| each(end, Value::Int(int))),
+            Column::Values(values) => (ends[at..].iter())
+                .zip(values.drain(at..))
+                .for_each(|(end, value)| each(end, value)),
         }
-        self.keys.truncate(from);
-        self.ends.truncate(at);
+        keys.truncate(from);
+        ends.truncate(at);
     }
 
     /// Give back every byte of spare capacity.
@@ -210,13 +311,26 @@ impl Pairs {
     }
 
     /// The spare capacity of the key arena (in bytes), of the end offsets
-    /// and of the values: all zero when the batch is held exactly.
+    /// and of the value column: all zero when the batch is held exactly.
     pub fn spare_capacity(&self) -> [usize; 3] {
         [
             self.keys.capacity() - self.keys.len(),
             self.ends.capacity() - self.ends.len(),
-            self.values.capacity() - self.values.len(),
+            self.values.spare_capacity(),
         ]
+    }
+}
+
+impl PartialEq for Pairs {
+    fn eq(&self, other: &Self) -> bool {
+        // Equal ends are equally many pairs.
+        self.keys == other.keys
+            && self.ends == other.ends
+            && match (&self.values, &other.values) {
+                (Column::Ints(a), Column::Ints(b)) => a == b,
+                (Column::Values(a), Column::Values(b)) => a == b,
+                (a, b) => (0..self.len()).all(|i| a.get(i) == b.get(i)),
+            }
     }
 }
 
@@ -350,7 +464,10 @@ mod tests {
         assert_eq!(pairs.len(), 3);
         assert_eq!(pairs.key_bytes(), 6);
         assert_eq!(pairs.spare_capacity(), [2, 0, 0]);
-        assert_eq!((pairs.key(1), pairs.value(1)), ("", &Value::Int(2)));
+        assert_eq!(
+            (pairs.key(1), pairs.value(1)),
+            ("", Cow::Owned(Value::Int(2)))
+        );
         assert_eq!(
             format!("{pairs:?}"),
             r#"[("ab", Int(1)), ("", Int(2)), ("c/42", Int(3))]"#
@@ -361,11 +478,15 @@ mod tests {
             tail,
             [("".into(), Value::Int(2)), ("c/42".into(), Value::Int(3))]
         );
-        assert_eq!(pairs.iter().collect::<Vec<_>>(), [("ab", &Value::Int(1))]);
+        assert_eq!(
+            pairs.iter().collect::<Vec<_>>(),
+            [("ab", Cow::Owned(Value::Int(1)))]
+        );
         pairs.append(Pairs::from(tail));
         pairs.shrink_to_fit();
         assert_eq!(pairs.spare_capacity(), [0, 0, 0]);
         assert_eq!(pairs.key(2), "c/42");
+        assert_eq!(pairs.ints(), Some(&[1, 2, 3][..]));
     }
 
     #[test]

@@ -256,9 +256,11 @@ mod tests {
             });
             assert_eq!(pairs.len(), records);
             assert_eq!(pairs.spare_capacity(), [0, 0, 0], "{records}");
+            let ints: Vec<i64> = (0..records as i64).collect();
+            assert_eq!(pairs.ints(), Some(&ints[..]), "an int column");
             for (i, (key, value)) in pairs.iter().enumerate() {
                 assert_eq!(key, user_key(i));
-                assert_eq!(value, &Value::Int(i as i64));
+                assert_eq!(*value, Value::Int(i as i64));
             }
         }
         // From record 10^8 on, a key is one byte longer for each power of

@@ -1,8 +1,9 @@
 //! What a committed 2PC transfer, a stored-procedure read, a loaded pair
 //! and a model-checked state cost the host's allocator, that a transfer
 //! leaves nothing behind, that a settled call leaves only its id, that a
-//! loaded pair is held once, in its shard's key arena (at most 60 B live
-//! a pair), and that a committed key keeps one version
+//! loaded pair is held once, in its shard's key arena and int column (at
+//! most 35 B live a pair), that a loaded integer is read without an
+//! allocation, and that a committed key keeps one version
 //! while no snapshot reads it (at most 64 B of growth per key over a
 //! checkpoint cycle of commits).
 //!
@@ -12,7 +13,8 @@
 //! recently-decided window) reaches its steady size and anything that
 //! still grows is history nobody reads. A single `DbServer` serves YCSB
 //! reads to one client the same way, and a sharded database takes one
-//! bulk load. A bare `Engine` commits round-robin over a few keys with a
+//! bulk load. A bare `Engine` takes a bulk load and reads it back, and
+//! one commits round-robin over a few keys with a
 //! serializable transaction held open, which pins no history. The model
 //! checker explores E18's 2PC×1 configuration, where the visited set is
 //! most of what it holds. The allocator below
@@ -20,6 +22,7 @@
 //! simulation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::borrow::Cow;
 use std::cell::Cell;
 
 use tca::messaging::{RetryPolicy, RpcClient, RpcEvent};
@@ -27,7 +30,7 @@ use tca::sim::mc::{explore, McConfig};
 use tca::sim::{Ctx, NodeId, Payload, Process, ProcessId, Sim, SimDuration};
 use tca::storage::{
     deploy_sharded_db, CommitResult, DbMsg, DbReply, DbResponse, DbServer, DbServerConfig,
-    DurableCell, DurableLog, Engine, EngineConfig, IsolationLevel, Value,
+    DurableCell, DurableLog, Engine, EngineConfig, IsolationLevel, OpResult, Value,
 };
 use tca::txn::mc_scenarios::twopc_mc_scenario;
 use tca::txn::worlds::bank_registry_from;
@@ -364,26 +367,27 @@ fn a_bulk_load_moves_its_pairs() {
     // copying the batch at the router and each group at its shard, 6.11.
     const PAIRS: usize = 20_000;
     const BUDGET: f64 = 0.05;
-    // What the load leaves live, per pair. Measured 57.3 B:
+    // What the load leaves live, per pair. Measured 33.3 B:
     //   12  the key's bytes in its group's arena, which the shard keeps
     //       as its base;
     //    4  the key's end offset;
-    //   32  the value;
+    //    8  the value, a bare `i64` in the batch's int column;
     //  9.1  its share of the base's index of 8-byte slots, 7/8 full;
     //  0.1  the shards' tables and acks.
-    // A `String` per key (24 B of header and a 12-byte allocation) in a
-    // `(Key, Value)` vector made it 77.3; that index rounded up to a power
-    // of two, 81.2; a map of one version per key, 118.6; a chain per key
-    // beside the image's copy, 203.3.
-    const LIVE_BUDGET: f64 = 60.0;
-    // The most the load holds at once, per pair. Measured 57.3 B: the end
-    // state. The router's split holds the batch's 48 B a pair beside one
-    // chunk's pieces (6 B) and owners (0.5 B), and a shard's index comes
+    // A column of 32-byte `Value`s made it 57.3; a `String` per key (24 B
+    // of header and a 12-byte allocation) in a `(Key, Value)` vector,
+    // 77.3; that index rounded up to a power of two, 81.2; a map of one
+    // version per key, 118.6; a chain per key beside the image's copy,
+    // 203.3.
+    const LIVE_BUDGET: f64 = 35.0;
+    // The most the load holds at once, per pair. Measured 33.3 B: the end
+    // state. The router's split holds the batch's 24 B a pair beside one
+    // chunk's pieces (3 B) and owners (0.5 B), and a shard's index comes
     // only after its group, so no transient reaches the end state. A
-    // `String` batch, split beside an owner list of the whole batch, made
-    // it 79.0; splitting the whole batch into groups while holding it,
-    // 128.0: every pair twice.
-    const PEAK_BUDGET: f64 = 62.0;
+    // column of `Value`s made it 57.3; a `String` batch, split beside an
+    // owner list of the whole batch, 79.0; splitting the whole batch into
+    // groups while holding it, 128.0: every pair twice.
+    const PEAK_BUDGET: f64 = 36.0;
     let mut sim = Sim::with_seed(21);
     let nodes = sim.add_nodes(8);
     let config = DbServerConfig::default();
@@ -415,6 +419,66 @@ fn a_bulk_load_moves_its_pairs() {
     assert!(
         peak_per_pair <= PEAK_BUDGET,
         "{peak_per_pair:.1} B peak per loaded pair, budget {PEAK_BUDGET}"
+    );
+}
+
+#[test]
+fn a_loaded_int_is_held_in_8_bytes_and_read_without_allocating() {
+    // What a bulk load into a bare engine leaves live, per pair. Measured
+    // 33.1 B: 12 key bytes, a 4-byte end offset, the 8-byte integer and
+    // 9.1 B of index. A column of `Value`s made it 57.1.
+    const PAIRS: usize = 4_096;
+    const LIVE_BUDGET: f64 = 35.0;
+    let mut engine = Engine::new(
+        EngineConfig::default(),
+        DurableLog::new(),
+        DurableCell::new(),
+    );
+    engine.record_footprints(false);
+    let live_before = LIVE_BYTES.get();
+    let scale = YcsbScale {
+        records: PAIRS,
+        theta: 0.0,
+    };
+    engine.load_batch(ycsb::seed(&scale));
+    let live_per_pair = (LIVE_BYTES.get() - live_before) as f64 / PAIRS as f64;
+    assert!(
+        live_per_pair <= LIVE_BUDGET,
+        "{live_per_pair:.1} B live per loaded pair, budget {LIVE_BUDGET}"
+    );
+    // A read hands out the integer as an owned `Value::Int`: no
+    // allocation, where a `Str` read clones its string.
+    let keys: Vec<String> = (0..PAIRS).map(ycsb::user_key).collect();
+    let tx = engine.begin(IsolationLevel::ReadCommitted);
+    let before = ALLOCATIONS.get();
+    for (i, key) in keys.iter().enumerate() {
+        let (read, _) = engine.read(tx, key);
+        assert_eq!(read, OpResult::Read(Some(Value::Int(i as i64))));
+        assert_eq!(engine.peek(key), Some(Value::Int(i as i64)));
+        let stored = engine.store().read_latest(key);
+        assert!(
+            matches!(stored, Some(Cow::Owned(Value::Int(_)))),
+            "{stored:?}"
+        );
+    }
+    let allocations = ALLOCATIONS.get() - before;
+    assert_eq!(
+        allocations, 0,
+        "allocations over {PAIRS} reads of loaded Ints"
+    );
+    let mut strings = Engine::new(
+        EngineConfig::default(),
+        DurableLog::new(),
+        DurableCell::new(),
+    );
+    strings.load_batch(vec![("s".to_owned(), Value::from("text"))].into());
+    let text = Some(Value::from("text"));
+    let before = ALLOCATIONS.get();
+    assert_eq!(strings.peek("s"), text);
+    assert_eq!(
+        ALLOCATIONS.get() - before,
+        1,
+        "a Str read clones its string"
     );
 }
 

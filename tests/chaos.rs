@@ -250,14 +250,19 @@ fn actor_torture_sweep() {
     // profile stays inside what it claims to survive: bounded loss and
     // duplication (silos dedup retried invocations), but no crashes or
     // partitions — volatile actor state cannot outlive its silo.
-    let profile = FaultProfile {
+    let config = TortureConfig::from_env(6, 3, actor_sweep_profile());
+    torture("actor-txn", &config, actor_torture_scenario);
+}
+
+/// The actor sweep's fault profile: bounded loss and duplication, no
+/// crashes and no partitions.
+fn actor_sweep_profile() -> FaultProfile {
+    FaultProfile {
         max_crash_cycles: 0,
         max_partition_windows: 0,
         max_drop_prob: 0.04,
         ..FaultProfile::default()
-    };
-    let config = TortureConfig::from_env(6, 3, profile);
-    torture("actor-txn", &config, actor_torture_scenario);
+    }
 }
 
 /// Overload × partition: a marketplace checkout database driven at 2×
@@ -557,6 +562,20 @@ fn regression_actor_invoke_retry_is_deduplicated() {
     // for duplicates instead of re-running the method.
     let plan = torture_plan(1, 1, &actor_profile_as_found());
     actor_torture_scenario(1, &plan).expect("invoke retries must not double-apply");
+}
+
+#[test]
+fn regression_actor_reroute_keeps_its_wire_id() {
+    // Found by the actor torture sweep at seed 1921, plan #3 (drop=0.036
+    // dup=0.044; rerun with TCA_TORTURE_SEEDS=1921..1922). The router's
+    // call carrying a transaction's credit ran out of its retries while
+    // the silo lived, and the router re-sent the credit as a new call
+    // under a fresh wire id. The silo dedups on (caller, wire id), so it
+    // applied the credit to the transaction's buffer a second time and
+    // the commit installed both: balances summed to 220, expected 200. A
+    // reroute now re-sends under the first call's wire id.
+    let plan = torture_plan(1921, 3, &actor_sweep_profile());
+    actor_torture_scenario(1921, &plan).expect("a rerouted credit must not apply twice");
 }
 
 #[test]

@@ -5,6 +5,7 @@
 //! Counterexamples that shrinking found in the past are pinned as
 //! explicit `regression` cases next to the property they broke.
 
+use std::borrow::Cow;
 use tca::sim::check::{
     bool_any, check, f64_in, i64_in, regression, tuple2, tuple3, u64_in, u8_in, usize_in, vec_of,
 };
@@ -76,19 +77,25 @@ mod mvcc_props {
                 let max_ts = writes.len() as u64;
                 let horizon = (max_ts as f64 * horizon_frac) as u64;
                 let before: Vec<_> = (0u8..4)
-                    .map(|k| store.read_at(&format!("k{k}"), max_ts).cloned())
+                    .map(|k| store.read_at(&format!("k{k}"), max_ts).map(Cow::into_owned))
                     .collect();
                 let at_horizon: Vec<_> = (0u8..4)
-                    .map(|k| store.read_at(&format!("k{k}"), horizon).cloned())
+                    .map(|k| {
+                        store
+                            .read_at(&format!("k{k}"), horizon)
+                            .map(Cow::into_owned)
+                    })
                     .collect();
                 store.gc(horizon);
                 for k in 0u8..4 {
                     assert_eq!(
-                        store.read_at(&format!("k{k}"), max_ts).cloned(),
+                        store.read_at(&format!("k{k}"), max_ts).map(Cow::into_owned),
                         before[k as usize].clone()
                     );
                     assert_eq!(
-                        store.read_at(&format!("k{k}"), horizon).cloned(),
+                        store
+                            .read_at(&format!("k{k}"), horizon)
+                            .map(Cow::into_owned),
                         at_horizon[k as usize].clone()
                     );
                 }
@@ -151,7 +158,7 @@ mod mvcc_props {
                 let base = Base::new(pairs.into(), *first_ts);
                 for id in 0..=60 {
                     let key = batch_key(id);
-                    let expected = model.get(&key).map(|(ts, value)| (*ts, value));
+                    let expected = (model.get(&key)).map(|(ts, value)| (*ts, Cow::Borrowed(value)));
                     let got = base
                         .get(&key)
                         .map(|v| (v.ts, v.value.expect("a base holds values")));
@@ -162,7 +169,9 @@ mod mvcc_props {
                 assert_eq!(base.is_empty(), model.is_empty());
                 let mut listed: Vec<_> = base.iter().collect();
                 listed.sort_unstable_by(|a, b| a.0.cmp(b.0));
-                let ordered: Vec<_> = model.iter().map(|(k, (_, v))| (k.as_str(), v)).collect();
+                let ordered: Vec<_> = (model.iter())
+                    .map(|(k, (_, v))| (k.as_str(), Cow::Borrowed(v)))
+                    .collect();
                 assert_eq!(listed, ordered);
             },
         );
@@ -236,7 +245,11 @@ mod mvcc_props {
                             .get(&k)
                             .and_then(|v| v.iter().rev().find(|v| v.ts <= at))
                             .and_then(|v| v.value.as_ref());
-                        assert_eq!(store.read_at(&k, at), seen, "{k} at {at}");
+                        assert_eq!(
+                            store.read_at(&k, at),
+                            seen.map(Cow::Borrowed),
+                            "{k} at {at}"
+                        );
                     }
                 }
                 for prefix in ["", "a", "a/", "ab/", "b/", "c"] {
@@ -245,7 +258,9 @@ mod mvcc_props {
                         .data
                         .range(prefix.to_owned()..)
                         .take_while(|(k, _)| k.starts_with(prefix))
-                        .filter_map(|(k, v)| v.last()?.value.as_ref().map(|v| (k.as_str(), v)))
+                        .filter_map(|(k, v)| {
+                            Some((k.as_str(), Cow::Borrowed(v.last()?.value.as_ref()?)))
+                        })
                         .collect();
                     assert_eq!(scanned, ordered, "scan {prefix:?}");
                 }
@@ -262,33 +277,86 @@ mod pairs_props {
     use tca::storage::router::split_load;
     use tca::storage::{DurableCell, DurableLog, Engine, EngineConfig, Pairs, Value};
 
-    /// A batch held as one key arena, with repeated, empty and multi-byte
-    /// keys, is the vector it came from: it prints as the vector does and
-    /// lists the same pairs, a split over any ring keeps each
-    /// shard's pairs in input order, and an engine recovered from the
-    /// image it was loaded into shares its one base and reads each key's
-    /// last pair. (`mvcc_props::base_matches_an_ordered_model` checks the
-    /// base built from such a batch.)
+    /// The batch `batch` describes, its values `Int`s except where `mix`
+    /// puts a `Str`, `Bool`, `List` or `Null`: nowhere (0), at the first
+    /// pair (1), at the last (2), at pair `at` alone (3), or at every pair
+    /// whose integer is a multiple of three (4).
+    fn mixed_batch(batch: &[(u8, i64)], mix: u8, at: usize) -> Vec<(String, Value)> {
+        let n = batch.len();
+        let other = |i: usize, v: i64| match mix {
+            0 => false,
+            1 => i == 0,
+            2 => i + 1 == n,
+            3 => i == at % n,
+            _ => v % 3 == 0,
+        };
+        (batch.iter().enumerate())
+            .map(|(i, &(id, v))| {
+                let value = match v.rem_euclid(4) {
+                    _ if !other(i, v) => Value::Int(v),
+                    0 => Value::Str(format!("s{v}")),
+                    1 => Value::Bool(v > 0),
+                    2 => Value::List(vec![Value::Int(v), Value::Null]),
+                    _ => Value::Null,
+                };
+                (batch_key(id), value)
+            })
+            .collect()
+    }
+
+    fn all_ints<'a>(mut values: impl Iterator<Item = &'a Value>) -> bool {
+        values.all(|value| matches!(value, Value::Int(_)))
+    }
+
+    /// A batch held as one key arena and one value column, with repeated,
+    /// empty and multi-byte keys and values that leave the int column
+    /// anywhere or nowhere, is the vector it came from: it prints as the
+    /// vector does, equals every batch of the same pairs whichever column
+    /// holds them, and lists the same pairs; it holds its values as bare
+    /// integers exactly when all of them are `Int`s. A split over any
+    /// ring keeps each shard's pairs in input order at exact capacity,
+    /// each group in the int column exactly when its own values are all
+    /// `Int`s. An engine loaded with it, and one recovered from its image,
+    /// share one base, and their reads and scans return each key's last
+    /// value. (`mvcc_props::base_matches_an_ordered_model` checks the
+    /// base's timestamps.)
     #[test]
     fn a_key_arena_is_the_vector_it_came_from() {
         let input_gen = tuple2(
             vec_of(tuple2(u8_in(0, 24), i64_in(-50, 50)), 0, 80),
-            usize_in(1, 18),
+            tuple3(usize_in(1, 18), u8_in(0, 4), usize_in(0, 79)),
         );
         check(
             "a_key_arena_is_the_vector_it_came_from",
             &input_gen,
-            |(batch, shards)| {
-                let vec: Vec<(String, Value)> = batch
-                    .iter()
-                    .map(|&(id, v)| (batch_key(id), Value::Int(v)))
-                    .collect();
+            |(batch, (shards, mix, at))| {
+                let vec = mixed_batch(batch, *mix, *at);
                 let pairs = Pairs::from(vec.clone());
                 assert_eq!(format!("{pairs:?}"), format!("{vec:?}"));
                 assert_eq!(format!("{pairs:#?}"), format!("{vec:#?}"));
                 assert_eq!(pairs.spare_capacity(), [0, 0, 0]);
-                let borrowed: Vec<_> = vec.iter().map(|(k, v)| (k.as_str(), v)).collect();
-                assert_eq!(pairs.iter().collect::<Vec<_>>(), borrowed);
+                let listed: Vec<_> = (pairs.iter())
+                    .map(|(key, value)| (key.to_owned(), value.into_owned()))
+                    .collect();
+                assert_eq!(listed, vec);
+                let ints = all_ints(vec.iter().map(|(_, value)| value));
+                assert_eq!(pairs.ints().is_some(), ints, "int column");
+                assert_eq!(vec.iter().cloned().collect::<Pairs>(), pairs);
+                // The same pairs with every value in the `Value` column.
+                let mut promoted = Pairs::new();
+                promoted.push("", Value::Null);
+                promoted.drain_from(0, |_, _| {});
+                promoted.append(pairs.clone());
+                assert_eq!(promoted.ints(), None);
+                assert_eq!(promoted, pairs);
+                assert_eq!(pairs, promoted);
+                if let Some((key, _)) = vec.last() {
+                    let mut changed = pairs.clone();
+                    changed.drain_from(vec.len() - 1, |_, _| {});
+                    changed.push(key, Value::Int(1_000));
+                    assert_ne!(changed, pairs);
+                    assert_ne!(pairs, changed);
+                }
 
                 let map = ShardMap::ring(*shards);
                 let groups = split_load(&map, pairs.clone());
@@ -296,10 +364,13 @@ mod pairs_props {
                 for (shard, group) in groups.iter().enumerate() {
                     let owned: Vec<_> = (vec.iter())
                         .filter(|(key, _)| map.owner(key) == shard)
-                        .map(|(key, value)| (key.as_str(), value))
+                        .cloned()
                         .collect();
-                    assert_eq!(group.iter().collect::<Vec<_>>(), owned, "shard {shard}");
+                    assert_eq!(*group, Pairs::from(owned.clone()), "shard {shard}");
+                    assert_eq!(format!("{group:?}"), format!("{owned:?}"), "shard {shard}");
                     assert_eq!(group.spare_capacity(), [0, 0, 0], "shard {shard}");
+                    let ints = all_ints(owned.iter().map(|(_, value)| value));
+                    assert_eq!(group.ints().is_some(), ints, "shard {shard}: int column");
                 }
 
                 let (wal, image) = (DurableLog::new(), DurableCell::new());
@@ -313,9 +384,24 @@ mod pairs_props {
                     None => assert!(base.is_empty(), "a base the image does not hold"),
                 });
                 let last: BTreeMap<_, _> = vec.iter().cloned().collect();
-                assert_eq!(recovered.store().base().len(), last.len());
+                let ordered: Vec<_> = last.clone().into_iter().collect();
+                assert_eq!(base.len(), last.len());
+                let mut listed: Vec<_> = (base.iter())
+                    .map(|(key, value)| (key.to_owned(), value.into_owned()))
+                    .collect();
+                listed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                assert_eq!(listed, ordered, "base lists each key's last value");
                 for (key, value) in &last {
+                    let got = base.get(key).and_then(|version| version.value);
+                    assert_eq!(got.as_deref(), Some(value), "{key:?}");
+                    assert_eq!(engine.peek(key).as_ref(), Some(value), "{key:?}");
                     assert_eq!(recovered.peek(key).as_ref(), Some(value), "{key:?}");
+                }
+                for store in [engine.store(), recovered.store()] {
+                    let scanned: Vec<_> = (store.scan_latest(""))
+                        .map(|(key, value)| (key.to_owned(), value.into_owned()))
+                        .collect();
+                    assert_eq!(scanned, ordered, "a scan lists each key's last value");
                 }
             },
         );
@@ -882,7 +968,7 @@ mod engine_props {
         });
         assert_eq!(
             base.get(&name(7)).unwrap().value,
-            Some(&Value::Str("payload-7".into()))
+            Some(Cow::Borrowed(&Value::Str("payload-7".into())))
         );
     }
 
